@@ -19,6 +19,7 @@ from .grid import (
 from .ground_state import (
     GroundState,
     IdentityReport,
+    SampledProfile,
     closed_form_identities,
     critical_speed,
     normalized_profile_norm_sq,

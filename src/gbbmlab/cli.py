@@ -31,7 +31,6 @@ from . import (
     kappa_closed_form,
     make_grid,
     negativity_table,
-    norm_h1,
     translate,
 )
 from .structure import DualPathError
@@ -51,7 +50,6 @@ DEFAULTS = {
     "R": 0.0,  # 0 means auto (10 / tail rate)
     "p": 5.0,
     "p_list": "4.1,4.5,5,6,6.5,10,30,50,70,100",
-    "format": "csv",
     "workers": 1,
 }
 
@@ -72,24 +70,15 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg["out"] = "out"
+    cfg = dict(DEFAULTS, out="out")
     if args.config:
         cfg.update(_load_config_file(args.config))
-    for key in ("L", "N", "dt", "t_end", "a", "R", "p", "p_list", "format", "out", "workers"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in cfg:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg["L"] = float(cfg["L"])
-    cfg["N"] = int(cfg["N"])
-    cfg["dt"] = float(cfg["dt"])
-    cfg["t_end"] = float(cfg["t_end"])
-    cfg["a"] = float(cfg["a"])
-    cfg["R"] = float(cfg["R"])
-    cfg["p"] = float(cfg["p"])
-    cfg["workers"] = int(cfg["workers"])
-    if cfg["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {cfg['format']!r}")
+    for key, default in DEFAULTS.items():
+        cfg[key] = type(default)(cfg[key])
     return cfg
 
 
@@ -175,9 +164,10 @@ def cmd_coercivity(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(cfg["L"], min(cfg["N"], 2048), DIRICHLET)
+    prof = gs.sample(grid)
     constraints = {
-        "translation_mode": gs.profile_dx(grid),
-        "kappa": kappa_closed_form(gs, grid),
+        "translation_mode": Field(grid, prof.phi_x),
+        "kappa": kappa_closed_form(prof),
     }
     report = constrained_form_minimum(gs, grid, constraints)
     _write(Path(cfg["out"]), "coercivity.json",
@@ -255,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--a", type=float)
         sp.add_argument("--R", type=float)
         sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json"))
         sp.add_argument("--workers", type=int)
     return ap
 

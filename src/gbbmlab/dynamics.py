@@ -10,12 +10,12 @@ nonlinear term.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, PERIODIC
-from .functionals import energy, momentum, _flow_symbol, _nonlinear
+from .grid import Field, Grid, PERIODIC, helmholtz_inverse
+from .functionals import energy, momentum, _flow, _flow_symbol, _nonlinear
 
 
 class BlowupError(RuntimeError):
@@ -77,25 +77,21 @@ class Trajectory:
         return head + np.asarray(self.times, dtype="<f8").tobytes() + frames
 
 
-def _rhs_raw(v: np.ndarray, grid: Grid, p: float, dealias: bool) -> np.ndarray:
-    wh = np.fft.rfft(v + _nonlinear(v, p))
-    if dealias:
-        wh = wh * grid.dealias_mask
-    return np.fft.irfft(_flow_symbol(grid) * wh, n=grid.points)
+def _rk4(v: np.ndarray, g: Grid, p: float, dt: float, dealias: bool, t: float) -> np.ndarray:
+    """One classical RK4 step on raw values; t labels a BlowupError."""
+    k1 = _flow(v, g, p, dealias)
+    k2 = _flow(v + 0.5 * dt * k1, g, p, dealias)
+    k3 = _flow(v + 0.5 * dt * k2, g, p, dealias)
+    k4 = _flow(v + dt * k3, g, p, dealias)
+    out = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise BlowupError(t)
+    return out
 
 
 def step(u: Field, dt: float, p: float, dealias: bool = True) -> Field:
     """One classical RK4 step of the Hamiltonian flow."""
-    g = u.grid
-    v = u.values
-    k1 = _rhs_raw(v, g, p, dealias)
-    k2 = _rhs_raw(v + 0.5 * dt * k1, g, p, dealias)
-    k3 = _rhs_raw(v + 0.5 * dt * k2, g, p, dealias)
-    k4 = _rhs_raw(v + dt * k3, g, p, dealias)
-    out = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise BlowupError(float("nan"))
-    return Field(g, out)
+    return Field(u.grid, _rk4(u.values, u.grid, p, dt, dealias, float("nan")))
 
 
 def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
@@ -104,27 +100,21 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
     The final recorded time is n_steps * dt, which differs from t_end when
     t_end is not a step multiple; compare against times[-1].
     """
-    g = config.grid
-    n_steps = int(round(config.t_end / config.dt))
+    g, p, dt = config.grid, config.p, config.dt
+    n_steps = int(round(config.t_end / dt))
     v = u0.values.copy()
     times, states, Es, Qs = [], [], [], []
 
     def record(i: int):
         f = Field(g, v.copy())
-        times.append(i * config.dt)
+        times.append(i * dt)
         states.append(f)
-        Es.append(energy(f, config.p))
+        Es.append(energy(f, p))
         Qs.append(momentum(f))
 
     record(0)
     for i in range(1, n_steps + 1):
-        k1 = _rhs_raw(v, g, config.p, config.dealias)
-        k2 = _rhs_raw(v + 0.5 * config.dt * k1, g, config.p, config.dealias)
-        k3 = _rhs_raw(v + 0.5 * config.dt * k2, g, config.p, config.dealias)
-        k4 = _rhs_raw(v + config.dt * k3, g, config.p, config.dealias)
-        v = v + config.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(v)):
-            raise BlowupError(i * config.dt)
+        v = _rk4(v, g, p, dt, config.dealias, i * dt)
         if i % config.record_every == 0 or i == n_steps:
             record(i)
     return Trajectory(config, np.asarray(times), states, np.asarray(Es), np.asarray(Qs))
@@ -132,10 +122,7 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
 
 def H_of_u(u: Field, p: float) -> Field:
     """H(u) = -(1 - d_xx)^{-1}(u + |u|^p u); d_x H(u) equals the flow field."""
-    g = u.grid
-    k = g.wavenumbers
-    wh = np.fft.rfft(u.values + _nonlinear(u.values, p))
-    return Field(g, np.fft.irfft(-wh / (1.0 + k * k), n=g.points))
+    return -helmholtz_inverse(Field(u.grid, u.values + _nonlinear(u.values, p)))
 
 
 def linear_rhs(u: Field) -> Field:

@@ -41,10 +41,12 @@ def _nonlinear(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** (p + 1.0)
 
 
+def _energy_density(v: np.ndarray, p: float) -> np.ndarray:
+    return 0.5 * v * v + np.abs(v) ** (p + 2.0) / (p + 2.0)
+
+
 def energy(u: Field, p: float) -> float:
-    v = u.values
-    dens = 0.5 * v * v + np.abs(v) ** (p + 2.0) / (p + 2.0)
-    return quadrature(Field(u.grid, dens))
+    return quadrature(Field(u.grid, _energy_density(u.values, p)))
 
 
 def momentum(u: Field) -> float:
@@ -73,7 +75,7 @@ def gradients(u: Field, p: float, c: float) -> tuple[Field, Field, Field]:
 def hessian_apply(gs: GroundState, f: Field) -> Field:
     """Action Hessian at the ground state applied to f (literal sign convention)."""
     fxx = derivative(f, 2).values
-    pot = gs.profile_pow_p(f.grid).values
+    pot = gs.sample(f.grid).phi_p
     vals = gs.c * fxx + (1.0 - gs.c) * f.values + (gs.p + 1.0) * pot * f.values
     return Field(f.grid, vals)
 
@@ -86,12 +88,14 @@ def _flow_symbol(grid) -> np.ndarray:
     return sym
 
 
+def _flow(v: np.ndarray, grid, p: float, dealias: bool) -> np.ndarray:
+    # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values; the 2/3 mask is optional
+    wh = np.fft.rfft(v + _nonlinear(v, p))
+    if dealias:
+        wh = wh * grid.dealias_mask
+    return np.fft.irfft(_flow_symbol(grid) * wh, n=grid.points)
+
+
 def evolution_rhs(u: Field, p: float, dealias: bool = True) -> Field:
     """u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u) on a periodic grid."""
-    g = u.grid
-    w = u.values + _nonlinear(u.values, p)
-    wh = np.fft.rfft(w)
-    if dealias:
-        wh = wh * g.dealias_mask
-    out = np.fft.irfft(_flow_symbol(g) * wh, n=g.points)
-    return Field(g, out)
+    return Field(u.grid, _flow(u.values, u.grid, p, dealias))

@@ -5,9 +5,11 @@ The ground state of -c u'' + (c-1) u - u^{p+1} = 0 is
     phi_c(x) = A * sech^{2/p}(k x),   A = (0.5*(c-1)*(p+2))^{1/p},
                                       k = 0.5*p*sqrt((c-1)/c),
 
-with first and second derivatives, the scaling direction Psi_c and the
-c-derivative all available in closed form. Everything is evaluated in log
-space so that large k*x never overflows (sech powers become hard zeros
+with first and second derivatives, the c-derivative and the scaling
+direction Psi_c = c d_c phi_c - phi_c / p all available in closed form.
+GroundState.sample(grid) returns a SampledProfile that derives every one of
+them from a single log-sech and a single tanh of k|x|. Everything is evaluated
+in log space so that large k*x never overflows (sech powers become hard zeros
 through naive cosh far too early otherwise).
 
 The critical speed c0(p) is the root of 8(p+2)c^2 - 8pc - p^2 = 0 at which
@@ -18,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .grid import Field, Grid, quadrature, make_grid, DIRICHLET
@@ -69,95 +73,145 @@ class GroundState:
     def tail_rate(self) -> float:
         return math.sqrt((self.c - 1.0) / self.c)
 
-    def _check(self, grid: Grid, tail_tol: float) -> None:
-        grid.ensure_resolves(self.tail_rate, tail_tol)
+    def sample(self, grid: Grid) -> "SampledProfile":
+        """The profile and its closed-form relatives on grid (tail must be resolved)."""
+        grid.ensure_resolves(self.tail_rate)
+        return SampledProfile(self, grid)
 
-    def profile(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
+    def profile(self, grid: Grid) -> Field:
         """Sampled phi_c; solves -c phi'' + (c-1) phi - phi^{p+1} = 0."""
-        self._check(grid, tail_tol)
-        x = grid.nodes
-        ls = _log_sech(self.decay_rate * x)
-        return Field(grid, self.amplitude * np.exp((2.0 / self.p) * ls))
+        return Field(grid, self.sample(grid).phi)
 
-    def profile_dx(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
-        # evaluated through |x| and sign(x) so oddness is exact on symmetric grids
-        self._check(grid, tail_tol)
-        x = grid.nodes
-        phi = self.profile(grid, tail_tol).values
-        odd = np.sign(x) * np.tanh(self.decay_rate * np.abs(x))
-        return Field(grid, -self.tail_rate * phi * odd)
+    def profile_dx(self, grid: Grid) -> Field:
+        return Field(grid, self.sample(grid).phi_x)
 
-    def profile_dxx(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
-        self._check(grid, tail_tol)
-        p, c = self.p, self.c
-        kx = self.decay_rate * np.abs(grid.nodes)
-        phi = self.profile(grid, tail_tol).values
-        sech2 = np.exp(2.0 * _log_sech(kx))
-        vals = (c - 1.0) / c * phi * (np.tanh(kx) ** 2 - 0.5 * p * sech2)
-        return Field(grid, vals)
+    def profile_dxx(self, grid: Grid) -> Field:
+        return Field(grid, self.sample(grid).phi_xx)
 
     def profile_pow_p(self, grid: Grid) -> Field:
-        """phi_c^p exactly: A^p sech^2(kx) = 0.5*(c-1)*(p+2)*sech^2(kx)."""
-        sech2 = np.exp(2.0 * _log_sech(self.decay_rate * grid.nodes))
-        return Field(grid, 0.5 * (self.c - 1.0) * (self.p + 2.0) * sech2)
+        return Field(grid, self.sample(grid).phi_p)
 
-    def profile_dc(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
-        """d/dc phi_c = phi_c * [1/(p(c-1)) - x tanh(kx)/(2c sqrt(c(c-1)))]."""
-        self._check(grid, tail_tol)
-        p, c = self.p, self.c
-        ax = np.abs(grid.nodes)
-        phi = self.profile(grid, tail_tol).values
-        g = 1.0 / (p * (c - 1.0)) - ax * np.tanh(self.decay_rate * ax) / (
-            2.0 * c * math.sqrt(c * (c - 1.0))
-        )
-        return Field(grid, phi * g)
+    def profile_dc(self, grid: Grid) -> Field:
+        return Field(grid, self.sample(grid).dc_phi)
 
-    def profile_dc_dx(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
-        """d/dc of the slope: d_x(d_c phi_c), assembled from closed forms."""
-        self._check(grid, tail_tol)
-        p, c = self.p, self.c
-        x = grid.nodes
-        sgn, ax = np.sign(x), np.abs(x)
-        kx = self.decay_rate * ax
-        th = np.tanh(kx)
-        sech2 = np.exp(2.0 * _log_sech(kx))
-        phi = self.profile(grid, tail_tol).values
-        dphi = -self.tail_rate * phi * sgn * th
-        g = 1.0 / (p * (c - 1.0)) - ax * th / (2.0 * c * math.sqrt(c * (c - 1.0)))
-        gx = -sgn * (th + kx * sech2) / (2.0 * c * math.sqrt(c * (c - 1.0)))
-        return Field(grid, dphi * g + phi * gx)
+    def profile_dc_dx(self, grid: Grid) -> Field:
+        return Field(grid, self.sample(grid).dc_phi_x)
 
-    def psi_direction(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
-        """Psi_c, the even pre-image of phi_c under the action Hessian.
+    def psi_direction(self, grid: Grid) -> Field:
+        return Field(grid, self.sample(grid).psi)
 
-        Psi_c = phi_c * [1/(p(c-1)) - x tanh(kx) / (2 sqrt(c(c-1)))].
-        """
-        self._check(grid, tail_tol)
-        p, c = self.p, self.c
-        ax = np.abs(grid.nodes)
-        phi = self.profile(grid, tail_tol).values
-        g = 1.0 / (p * (c - 1.0)) - ax * np.tanh(self.decay_rate * ax) / (
-            2.0 * math.sqrt(c * (c - 1.0))
-        )
-        return Field(grid, phi * g)
-
-    def scaled_profile(self, grid: Grid, tail_tol: float = 1e-6) -> Field:
+    def scaled_profile(self, grid: Grid) -> Field:
         """psi_omega = c^{-1/p} phi_c, solving -psi'' + (1-omega^2) psi - psi^{p+1} = 0."""
-        phi = self.profile(grid, tail_tol)
-        return Field(grid, self.c ** (-1.0 / self.p) * phi.values)
+        return Field(grid, self.c ** (-1.0 / self.p) * self.sample(grid).phi)
 
 
-def normalized_profile_norm_sq(p: float, N: int = 131072, L: float = 40.0) -> float:
-    """||psi_0||^2 for -psi'' + psi - psi^{p+1} = 0, by high-resolution quadrature.
+@dataclass(frozen=True)
+class SampledProfile:
+    """phi_c and its closed-form relatives on one grid, from one log-sech and one tanh.
 
-    psi_0(x) = (0.5*(p+2))^{1/p} sech^{2/p}(p x / 2); the domain [-L, L] with
-    L = 40 puts the tail at e^{-40}.
+    Arrays are evaluated in log space through |x| and sign(x), so large k|x|
+    never underflows to a hard zero and sampled even/odd functions carry exact
+    parity on symmetric grids. phi, phi_x, phi_xx, phi^p, ||phi||^2, B and D are
+    computed on first use and kept as long as the bundle lives (drop it to
+    free them); d_c phi, d_c phi_x and Psi are rebuilt on each read, since
+    every caller reads them once.
     """
-    x = np.linspace(-L, L, N + 1)
-    h = x[1] - x[0]
-    amp = (0.5 * (p + 2.0)) ** (1.0 / p)
-    vals = (amp * np.exp((2.0 / p) * _log_sech(0.5 * p * x))) ** 2
-    return float(h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
+
+    gs: GroundState
+    grid: Grid
+
+    @cached_property
+    def _ls(self) -> np.ndarray:
+        return _log_sech(self.gs.decay_rate * np.abs(self.grid.nodes))
+
+    @cached_property
+    def _th(self) -> np.ndarray:
+        return np.tanh(self.gs.decay_rate * np.abs(self.grid.nodes))
+
+    @property
+    def _sech2(self) -> np.ndarray:
+        return np.exp(2.0 * self._ls)
+
+    @property
+    def _dc_slope(self) -> float:
+        c = self.gs.c
+        return 1.0 / (2.0 * c * math.sqrt(c * (c - 1.0)))
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """phi_c = A sech^{2/p}(kx) = A exp((2/p) log sech(kx))."""
+        return self.gs.amplitude * np.exp((2.0 / self.gs.p) * self._ls)
+
+    @cached_property
+    def phi_x(self) -> np.ndarray:
+        return -self.gs.tail_rate * self.phi * (np.sign(self.grid.nodes) * self._th)
+
+    @cached_property
+    def phi_xx(self) -> np.ndarray:
+        c = self.gs.c
+        th2 = self._th ** 2
+        return (c - 1.0) / c * self.phi * (th2 - 0.5 * self.gs.p * self._sech2)
+
+    @cached_property
+    def phi_p(self) -> np.ndarray:
+        """phi_c^p exactly: A^p sech^2(kx) = 0.5*(c-1)*(p+2)*sech^2(kx)."""
+        return 0.5 * (self.gs.c - 1.0) * (self.gs.p + 2.0) * self._sech2
+
+    @property
+    def _dc_factor(self) -> np.ndarray:
+        # d_c phi_c = phi_c * g with g = 1/(p(c-1)) - |x| tanh(k|x|) / (2c sqrt(c(c-1)))
+        p, c = self.gs.p, self.gs.c
+        return 1.0 / (p * (c - 1.0)) - self._dc_slope * np.abs(self.grid.nodes) * self._th
+
+    @property
+    def dc_phi(self) -> np.ndarray:
+        return self.phi * self._dc_factor
+
+    @property
+    def dc_phi_x(self) -> np.ndarray:
+        """d_x(d_c phi_c) = phi_x g + phi g_x, assembled from the closed forms."""
+        x = self.grid.nodes
+        kx = self.gs.decay_rate * np.abs(x)
+        gx = -self._dc_slope * np.sign(x) * (self._th + kx * self._sech2)
+        return self.phi_x * self._dc_factor + self.phi * gx
+
+    @property
+    def psi(self) -> np.ndarray:
+        """Psi_c = c d_c phi_c - phi_c / p, the even pre-image of phi_c under the
+        action Hessian: phi_c [1/(p(c-1)) - x tanh(kx) / (2 sqrt(c(c-1)))]."""
+        vals = self._dc_factor
+        vals *= self.gs.c
+        vals -= 1.0 / self.gs.p
+        vals *= self.phi
+        return vals
+
+    @cached_property
+    def norm_sq(self) -> float:
+        return quadrature(Field(self.grid, self.phi ** 2))
+
+    @cached_property
+    def B(self) -> float:
+        """B(c) = 3/2 ||x phi||^2 + 9/2 ||x phi_x||^2 - 3 ||phi||^2, by quadrature."""
+        x = self.grid.nodes
+        xn2 = quadrature(Field(self.grid, (x * self.phi) ** 2))
+        xdn2 = quadrature(Field(self.grid, (x * self.phi_x) ** 2))
+        return 1.5 * xn2 + 4.5 * xdn2 - 3.0 * self.norm_sq
+
+    @cached_property
+    def D(self) -> float:
+        """D(c) = -(4pc + 4c - 3p) / (2(p+4)) ||phi||^2."""
+        p, c = self.gs.p, self.gs.c
+        return -(4.0 * p * c + 4.0 * c - 3.0 * p) / (2.0 * (p + 4.0)) * self.norm_sq
+
+
+def normalized_profile_norm_sq(p: float) -> float:
+    """||psi_0||^2 for -psi'' + psi - psi^{p+1} = 0, in closed form.
+
+    psi_0(x) = (0.5*(p+2))^{1/p} sech^{2/p}(p x / 2), and
+    int sech^{4/p}(s) ds = sqrt(pi) Gamma(2/p) / Gamma(2/p + 1/2).
+    """
+    a = 2.0 / p
+    return (0.5 * (p + 2.0)) ** a * a * math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
 
 
 @dataclass(frozen=True)
@@ -214,18 +268,17 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
     p, c = gs.p, gs.c
     if grid is None:
         grid = make_grid(50.0 * math.pi, 8192, DIRICHLET)
-    phi = gs.profile(grid)
-    dphi = gs.profile_dx(grid)
-    dcphi = gs.profile_dc(grid)
-    dcdxphi = gs.profile_dc_dx(grid)
+    prof = gs.sample(grid)
+    phi, dphi, dcphi = prof.phi, prof.phi_x, prof.dc_phi
 
-    n2 = quadrature(Field(grid, phi.values ** 2))
-    dn2 = quadrature(Field(grid, dphi.values ** 2))
-    lp = quadrature(Field(grid, np.abs(phi.values) ** (p + 2.0)))
-    dc_n2 = 2.0 * quadrature(Field(grid, phi.values * dcphi.values))
-    dc_q = quadrature(Field(grid, phi.values * dcphi.values)) + quadrature(
-        Field(grid, dphi.values * dcdxphi.values)
-    )
+    def quad(v):
+        return quadrature(Field(grid, v))
+
+    n2 = prof.norm_sq
+    dn2 = quad(dphi ** 2)
+    lp = quad(np.abs(phi) ** (p + 2.0))
+    dc_n2 = 2.0 * quad(phi * dcphi)
+    dc_q = quad(phi * dcphi) + quad(dphi * prof.dc_phi_x)
     e_quad = 0.5 * n2 + lp / (p + 2.0)
     q_quad = 0.5 * (n2 + dn2)
 

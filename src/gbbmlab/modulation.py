@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import Field, Grid, derivative, inner, norm_h1, norm_l2, quadrature, translate
-from .ground_state import GroundState, critical_speed, normalized_profile_norm_sq
+from .ground_state import GroundState, SampledProfile, critical_speed, normalized_profile_norm_sq
 from .structure import coefficients, cubic_pair_image, kappa_closed_form
 from .dynamics import SimulationConfig, Trajectory, evolve
+from .functionals import _energy_density
 
 MODE_KAPPA = "kappa"
 MODE_FIT = "fit"
@@ -58,16 +58,22 @@ class ModulationState:
     jacobian_det: float
 
 
-def _second_direction(p: float, lam: float, grid: Grid, mode: str) -> Field:
-    gs = GroundState(p, lam)
+def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid, mode: str):
+    """F(lam; u_y) = (<xi, d_x phi_lam>, <xi, dir2_lam>) with xi = u_y - phi_lam.
+
+    Returns F with xi and the two directions it paired against. dir2 is
+    kappa_lam in mode="kappa" and the analytic d_lam phi_lam in mode="fit".
+    """
+    prof = GroundState(p, lam).sample(grid)
     if mode == MODE_KAPPA:
-        return kappa_closed_form(gs, grid)
-    if mode == MODE_FIT:
-        d = FD_LAMBDA_REL * lam
-        plus = GroundState(p, lam + d).profile(grid).values
-        minus = GroundState(p, lam - d).profile(grid).values
-        return Field(grid, (plus - minus) / (2.0 * d))
-    raise ValueError(f"unknown modulation mode {mode!r}")
+        dir2 = kappa_closed_form(prof).values
+    elif mode == MODE_FIT:
+        dir2 = prof.dc_phi
+    else:
+        raise ValueError(f"unknown modulation mode {mode!r}")
+    xi = uy - prof.phi
+    F = grid.h * np.array([xi @ prof.phi_x, xi @ dir2])
+    return F, xi, prof.phi_x, dir2
 
 
 def decompose(
@@ -80,10 +86,12 @@ def decompose(
 ) -> ModulationState:
     """Solve <xi, d_x phi_lam> = <xi, dir2(lam)> = 0 for (lam, y) by Newton.
 
-    xi(x) = u(x + y) - phi_lam(x). Lambda derivatives of the profile and the
-    second direction are central differences (relative step 1e-5); the
-    y-derivative uses the spectral derivative of the shifted state. Steps are
-    clamped so lam - 1 changes by at most a factor of 2 per iteration.
+    xi(x) = u(x + y) - phi_lam(x). The y-column of the Jacobian pairs the
+    spectral derivative of the shifted state with both directions. The
+    lam-column is (F(lam + d) - F(lam - d)) / 2d of the residual itself
+    (relative step 1e-5): kappa_lam has no closed-form lam-derivative, so only
+    that derivative is a finite difference, and one formula serves both modes.
+    Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
     Raises ModulationError (with the partial state attached) on a singular
     Jacobian or when the residuals cannot be driven below tolerance, which is
@@ -94,85 +102,75 @@ def decompose(
         raise ValueError(f"lambda guess must exceed 1, got {lam!r}")
     u_norm = norm_l2(u)
     grid = u.grid
-    r1 = r2 = float("inf")
+    h = grid.h
     det_scaled = float("nan")
-    xi = u
 
     prev_res = float("inf")
     stall = 0
+    stationary = False
     for it in range(max_iter + 1):
-        gs = GroundState(p, lam)
         uy = translate(u, y)
-        phi = gs.profile(grid)
-        dphi = gs.profile_dx(grid)
-        dir2 = _second_direction(p, lam, grid, mode)
-        xi = Field(grid, uy.values - phi.values)
-        F1 = inner(xi, dphi)
-        F2 = inner(xi, dir2)
-        r1 = abs(F1) / (u_norm * norm_l2(dphi))
-        r2 = abs(F2) / (u_norm * norm_l2(dir2))
+        F, xi, dir1, dir2 = _residual(uy.values, p, lam, grid, mode)
+        r1 = abs(F[0]) / (u_norm * np.sqrt(h * (dir1 @ dir1)))
+        r2 = abs(F[1]) / (u_norm * np.sqrt(h * (dir2 @ dir2)))
         if max(r1, r2) < tol:
-            return ModulationState(lam, y, xi, it, (r1, r2), mode, True, det_scaled)
-        if it == max_iter:
+            return ModulationState(
+                lam, y, Field(grid, xi), it, (r1, r2), mode, True, det_scaled
+            )
+        if stationary or it == max_iter:
+            # a stationary point of the iteration is accepted only if it passes
             break
 
         d = FD_LAMBDA_REL * lam
-        phi_p = GroundState(p, lam + d).profile(grid).values
-        phi_m = GroundState(p, lam - d).profile(grid).values
-        dphi_p = GroundState(p, lam + d).profile_dx(grid).values
-        dphi_m = GroundState(p, lam - d).profile_dx(grid).values
-        dir2_p = _second_direction(p, lam + d, grid, mode).values
-        dir2_m = _second_direction(p, lam - d, grid, mode).values
-        h = grid.h
-        uyv = uy.values
+        J11, J21 = (
+            _residual(uy.values, p, lam + d, grid, mode)[0]
+            - _residual(uy.values, p, lam - d, grid, mode)[0]
+        ) / (2.0 * d)
         duy = derivative(uy, 1).values
-
-        J11 = h * (uyv @ (dphi_p - dphi_m) - (phi_p @ dphi_p - phi_m @ dphi_m)) / (2.0 * d)
-        J21 = h * (uyv @ (dir2_p - dir2_m) - (phi_p @ dir2_p - phi_m @ dir2_m)) / (2.0 * d)
-        J12 = h * (duy @ dphi.values)
-        J22 = h * (duy @ dir2.values)
+        J12 = h * (duy @ dir1)
+        J22 = h * (duy @ dir2)
         det = J11 * J22 - J12 * J21
         scale = max(abs(J11 * J22), abs(J12 * J21), 1e-300)
         det_scaled = det / scale
         if abs(det) < 1e-12 * scale:
-            state = ModulationState(lam, y, xi, it, (r1, r2), mode, False, det_scaled)
+            state = ModulationState(
+                lam, y, Field(grid, xi), it, (r1, r2), mode, False, det_scaled
+            )
             raise ModulationError(
                 f"singular modulation Jacobian (scaled det {det_scaled:.2e}) "
                 f"at lam={lam:.6g}, y={y:.6g}, residuals ({r1:.2e}, {r2:.2e})",
                 state,
             )
-        dlam = (-F1 * J22 + F2 * J12) / det
-        dy = (-F2 * J11 + F1 * J21) / det
+        dlam = (-F[0] * J22 + F[1] * J12) / det
+        dy = (-F[1] * J11 + F[0] * J21) / det
         m = lam - 1.0
         dlam = float(np.clip(dlam, -0.5 * m, m))
         dy = float(np.clip(dy, -3.0, 3.0))
         lam += dlam
         y += dy
-        if abs(dlam) < 1e-13 * lam and abs(dy) < 1e-13 * max(1.0, abs(y)):
-            # stationary point of the iteration; accept only if residuals pass
-            gs = GroundState(p, lam)
-            uy = translate(u, y)
-            xi = Field(grid, uy.values - gs.profile(grid).values)
-            F1 = inner(xi, gs.profile_dx(grid))
-            F2 = inner(xi, _second_direction(p, lam, grid, mode))
-            r1 = abs(F1) / (u_norm * norm_l2(gs.profile_dx(grid)))
-            r2 = abs(F2) / (u_norm * norm_l2(_second_direction(p, lam, grid, mode)))
-            if max(r1, r2) < tol:
-                return ModulationState(lam, y, xi, it + 1, (r1, r2), mode, True, det_scaled)
-            break
+        stationary = abs(dlam) < 1e-13 * lam and abs(dy) < 1e-13 * max(1.0, abs(y))
         res = max(r1, r2)
         stall = stall + 1 if res >= 0.9 * prev_res else 0
         prev_res = res
-        if stall >= 8:
+        if stall >= 8 and not stationary:
             break
 
-    state = ModulationState(lam, y, xi, max_iter, (r1, r2), mode, False, det_scaled)
+    state = ModulationState(
+        lam, y, Field(grid, xi), max_iter, (r1, r2), mode, False, det_scaled
+    )
     raise ModulationError(
         f"modulation did not converge (mode={mode}): residuals ({r1:.2e}, {r2:.2e}) "
         f"at lam={lam:.6g}, y={y:.6g}; the second orthogonality has no nearby root "
         f"when this residual plateaus",
         state,
     )
+
+
+def _odd_cutoff(s: np.ndarray, R: float) -> np.ndarray:
+    a = np.abs(s)
+    t = np.clip((a - R) / R, 0.0, 1.0)
+    ramp = R + R * (t - (t ** 6 - 3.0 * t ** 5 + 2.5 * t ** 4))
+    return np.sign(s) * np.where(a <= R, a, np.where(a >= 2.0 * R, 1.5 * R, ramp))
 
 
 def cutoff_profile(R: float, grid: Grid) -> Field:
@@ -182,22 +180,19 @@ def cutoff_profile(R: float, grid: Grid) -> Field:
         raise ValueError(
             f"cutoff needs 2R < L, got R={R!r} on half-width {grid.half_width!r}"
         )
-    x = grid.nodes
-    ax = np.abs(x)
-    t = np.clip((ax - R) / R, 0.0, 1.0)
-    ramp = R + R * (t - (t ** 6 - 3.0 * t ** 5 + 2.5 * t ** 4))
-    mag = np.where(ax <= R, ax, np.where(ax >= 2.0 * R, 1.5 * R, ramp))
-    return Field(grid, np.sign(x) * mag)
+    return Field(grid, _odd_cutoff(grid.nodes, R))
 
 
-@lru_cache(maxsize=32)
-def _psi0_norm_sq(p: float) -> float:
-    return normalized_profile_norm_sq(p)
+def _cubic_helmholtz(prof: SampledProfile) -> Field:
+    """(1 - d_xx)(x^3 phi) = x^3 phi - (6x phi + 6x^2 phi_x + x^3 phi_xx)."""
+    x, phi = prof.grid.nodes, prof.phi
+    vals = x * x * x * phi - (6.0 * x * phi + 6.0 * x * x * prof.phi_x + x * x * x * prof.phi_xx)
+    return Field(prof.grid, vals)
 
 
 def profile_norm_sq_closed(p: float, lam: float) -> float:
     """||phi_lam||^2 = lam^(1/2) (lam-1)^(2/p - 1/2) ||psi_0||^2."""
-    return lam ** 0.5 * (lam - 1.0) ** (2.0 / p - 0.5) * _psi0_norm_sq(p)
+    return lam ** 0.5 * (lam - 1.0) ** (2.0 / p - 0.5) * normalized_profile_norm_sq(p)
 
 
 def gamma_of_lambda(p: float, c: float, lam: float) -> float:
@@ -241,35 +236,35 @@ def _virial_frame(
 ) -> VirialReport:
     grid = u.grid
     lam, y = state.lam, state.y
-    gs = GroundState(p, lam)
+    prof = GroundState(p, lam).sample(grid)
     xi = state.xi
-    x = grid.nodes
 
     # cutoff recentered on the soliton, with periodic wrap of the offset
-    offs = ((x - y + grid.half_width) % (2.0 * grid.half_width)) - grid.half_width
-    axo = np.abs(offs)
-    tpar = np.clip((axo - R) / R, 0.0, 1.0)
-    ramp = R + R * (tpar - (tpar ** 6 - 3.0 * tpar ** 5 + 2.5 * tpar ** 4))
-    cutv = np.sign(offs) * np.where(axo <= R, axo, np.where(axo >= 2.0 * R, 1.5 * R, ramp))
+    L = grid.half_width
+    offs = ((grid.nodes - y + L) % (2.0 * L)) - L
+    I1 = quadrature(Field(grid, _odd_cutoff(offs, R) * _energy_density(u.values, p)))
 
-    dens = 0.5 * u.values ** 2 + np.abs(u.values) ** (p + 2.0) / (p + 2.0)
-    I1 = quadrature(Field(grid, cutv * dens))
-
-    B, D = coefficients(gs, grid)
-    phi = gs.profile(grid).values
-    dphi = gs.profile_dx(grid).values
-    ddphi = gs.profile_dxx(grid).values
-    helm = x * x * x * phi - (6.0 * x * phi + 6.0 * x * x * dphi + x * x * x * ddphi)
-    I2 = D / B * inner(xi, Field(grid, helm))
+    B, D = coefficients(prof)
+    I2 = D / B * inner(xi, _cubic_helmholtz(prof))
 
     n2c = profile_norm_sq_closed(p, c)
     e_c = (4.0 * c + p) / (2.0 * (p + 4.0)) * n2c
     beta = -lam * (E0 - e_c)
-    kres = inner(xi, kappa_closed_form(gs, grid)) / B
+    kres = inner(xi, kappa_closed_form(prof)) / B
     return VirialReport(
         t, I1, I2, I1 + I2, beta, gamma_of_lambda(p, c, lam), lam,
         norm_h1(xi), kres, state.mode, y,
     )
+
+
+def _tracked(traj: Trajectory, p: float, c: float, mode: str):
+    """(t, u, state) per recorded frame, each decompose warm-started from the
+    previous frame's (lam, y); the first ModulationError propagates."""
+    lam, y = c, 0.0
+    for t, u in zip(traj.times, traj.states):
+        state = decompose(u, p, (lam, y), mode=mode)
+        lam, y = state.lam, state.y
+        yield float(t), u, state
 
 
 def virial_monitor(
@@ -281,13 +276,7 @@ def virial_monitor(
 ) -> list[VirialReport]:
     """Per-frame virial reports along a trajectory (modulation warm-started)."""
     E0 = float(traj.E_series[0])
-    lam, y = c, 0.0
-    out = []
-    for t, u in zip(traj.times, traj.states):
-        state = decompose(u, p, (lam, y), mode=mode)
-        lam, y = state.lam, state.y
-        out.append(_virial_frame(u, float(t), p, c, R, E0, state))
-    return out
+    return [_virial_frame(u, t, p, c, R, E0, st) for t, u, st in _tracked(traj, p, c, mode)]
 
 
 @dataclass(frozen=True)
@@ -313,36 +302,23 @@ def parameter_residuals(
     (1/B)<xi, hessian(d_x(x^3 phi_lam))> - (1/B) d/dt <xi, (1-d_xx)(x^3 phi_lam)>
     up to O(||xi||^2); both sides are assembled per frame.
     """
-    states = []
-    lam, y = c, 0.0
-    for u in traj.states:
-        st = decompose(u, p, (lam, y), mode=mode)
-        lam, y = st.lam, st.y
-        states.append(st)
+    states = [st for _, _, st in _tracked(traj, p, c, mode)]
+    # per frame: <xi, (1-d_xx)(x^3 phi)>, <xi, hessian(d_x(x^3 phi))> and B
+    pairings = []
+    for st in states:
+        prof = GroundState(p, st.lam).sample(st.xi.grid)
+        pairings.append((inner(st.xi, _cubic_helmholtz(prof)),
+                         inner(st.xi, cubic_pair_image(prof)), prof.B))
 
     times = traj.times
-    grid = traj.states[0].grid
-    x = grid.nodes
-
-    def pairing(st: ModulationState) -> float:
-        gs = GroundState(p, st.lam)
-        phi = gs.profile(grid).values
-        dphi = gs.profile_dx(grid).values
-        ddphi = gs.profile_dxx(grid).values
-        helm = x * x * x * phi - (6.0 * x * phi + 6.0 * x * x * dphi + x * x * x * ddphi)
-        return inner(st.xi, Field(grid, helm))
-
-    g_series = [pairing(st) for st in states]
     out = []
     for i in range(1, len(states) - 1):
         dt2 = float(times[i + 1] - times[i - 1])
         y_dot = (states[i + 1].y - states[i - 1].y) / dt2
         lam_dot = (states[i + 1].lam - states[i - 1].lam) / dt2
-        dgdt = (g_series[i + 1] - g_series[i - 1]) / dt2
+        dgdt = (pairings[i + 1][0] - pairings[i - 1][0]) / dt2
         st = states[i]
-        gs = GroundState(p, st.lam)
-        B, _ = coefficients(gs, grid)
-        rhs = (inner(st.xi, cubic_pair_image(gs, grid)) - dgdt) / B
+        rhs = (pairings[i][1] - dgdt) / pairings[i][2]
         xin = norm_h1(st.xi)
         out.append(
             ResidualRecord(
@@ -446,16 +422,12 @@ def instability_experiment(
     E0 = float(traj.E_series[0])
     eps = tube_fraction * norm_h1(phi)
     frames = []
-    lam, y = c, 0.0
-    failed_at = None
-    for t, u in zip(traj.times, traj.states):
-        try:
-            st = decompose(u, p, (lam, y), mode=mode)
-        except ModulationError:
-            failed_at = float(t)
-            break
-        lam, y = st.lam, st.y
-        frames.append(_virial_frame(u, float(t), p, c, R, E0, st))
+    failed = False
+    try:
+        for t, u, st in _tracked(traj, p, c, mode):
+            frames.append(_virial_frame(u, t, p, c, R, E0, st))
+    except ModulationError:
+        failed = True
 
     if not frames:
         return ExperimentReport(
@@ -475,7 +447,7 @@ def instability_experiment(
     dI = np.diff(I_vals)
     pos = float(np.mean(dI > 0)) if dI.size else 0.0
     neg = float(np.mean(dI < 0)) if dI.size else 0.0
-    if failed_at is not None and len(frames) < 3:
+    if failed and len(frames) < 3:
         verdict = "modulation-failed"
     elif pos >= 0.95:
         verdict = "monotone-increasing"

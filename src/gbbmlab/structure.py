@@ -7,8 +7,10 @@ D(c) = -(4pc + 4c - 3p) / (2(p+4)) * ||phi||^2, the direction
 
 has Hessian image kappa_c = hessian(Gamma_c) available in closed form:
 
-    kappa_c = [B(p+1)c^2 - Bpc + 6cD] phi + B(1-p)c^2 phi_xx + 18cD x phi_x
-              + (6c - 3pc) D x^2 phi_xx + 3p(c-1) D x^2 phi.
+    kappa_c = B [((p+1)c^2 - pc) phi + (1-p) c^2 phi_xx] + D hessian(d_x(x^3 phi)),
+    hessian(d_x(x^3 phi)) = 6c phi + 18c x phi_x + (6c - 3pc) x^2 phi_xx + 3p(c-1) x^2 phi.
+
+B, D, Gamma_c and kappa_c all read one SampledProfile of phi_c.
 
 The headline quantity is <kappa_c, Gamma_c> = <hessian(Gamma_c), Gamma_c> at the
 critical speed, tabulated over p. Table rows are only accepted when the closed
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DIRICHLET, Field, Grid, inner, make_grid, quadrature
-from .ground_state import GroundState, critical_speed
+from .grid import DIRICHLET, Field, Grid, inner, make_grid
+from .ground_state import GroundState, SampledProfile, critical_speed
 from .functionals import hessian_apply
 
 DEFAULT_HALF_WIDTH = 50.0 * math.pi
@@ -42,71 +44,52 @@ class DualPathError(RuntimeError):
     """Closed-form and operator-applied kappa disagree beyond tolerance."""
 
 
-def coefficients(gs: GroundState, grid: Grid) -> tuple[float, float]:
-    """(B(c), D(c)) by quadrature of the analytic profile."""
-    x = grid.nodes
-    phi = gs.profile(grid).values
-    dphi = gs.profile_dx(grid).values
-    n2 = quadrature(Field(grid, phi ** 2))
-    xn2 = quadrature(Field(grid, (x * phi) ** 2))
-    xdn2 = quadrature(Field(grid, (x * dphi) ** 2))
-    B = 1.5 * xn2 + 4.5 * xdn2 - 3.0 * n2
-    D = -(4.0 * gs.p * gs.c + 4.0 * gs.c - 3.0 * gs.p) / (2.0 * (gs.p + 4.0)) * n2
-    return B, D
+def coefficients(prof: SampledProfile) -> tuple[float, float]:
+    """(B(c), D(c)) by quadrature of the sampled profile."""
+    return prof.B, prof.D
 
 
-def gamma_direction(gs: GroundState, grid: Grid) -> Field:
-    B, D = coefficients(gs, grid)
-    x = grid.nodes
-    c = gs.c
-    phi = gs.profile(grid).values
-    dphi = gs.profile_dx(grid).values
-    psi = gs.psi_direction(grid).values
-    vals = B * (c * c * psi + 0.5 * c * x * dphi + c * phi) + D * (
-        3.0 * x * x * phi + x * x * x * dphi
-    )
-    return Field(grid, vals)
+def gamma_direction(prof: SampledProfile) -> Field:
+    """Gamma_c = B [c^2 Psi_c + (c/2) x phi_x + c phi] + D (3x^2 phi + x^3 phi_x)."""
+    c, x = prof.gs.c, prof.grid.nodes
+    phi, dphi = prof.phi, prof.phi_x
+    # sums accumulate in place: a table row at p = 100 samples 2^20 nodes
+    vals = prof.psi
+    vals *= c * c
+    vals += 0.5 * c * x * dphi
+    vals += c * phi
+    vals *= prof.B
+    vals += prof.D * x * x * (3.0 * phi + x * dphi)
+    return Field(prof.grid, vals)
 
 
-def kappa_closed_form(gs: GroundState, grid: Grid) -> Field:
-    B, D = coefficients(gs, grid)
-    p, c = gs.p, gs.c
-    x = grid.nodes
-    phi = gs.profile(grid).values
-    dphi = gs.profile_dx(grid).values
-    ddphi = gs.profile_dxx(grid).values
-    vals = (
-        (B * (p + 1.0) * c * c - B * p * c + 6.0 * c * D) * phi
-        + B * (1.0 - p) * c * c * ddphi
-        + 18.0 * c * D * x * dphi
-        + (6.0 * c - 3.0 * p * c) * D * x * x * ddphi
-        + 3.0 * p * (c - 1.0) * D * x * x * phi
-    )
-    return Field(grid, vals)
-
-
-def kappa_operator(gs: GroundState, grid: Grid) -> Field:
-    """kappa via direct Hessian application to the sampled Gamma (independent path)."""
-    return hessian_apply(gs, gamma_direction(gs, grid))
-
-
-def cubic_pair_image(gs: GroundState, grid: Grid) -> Field:
+def cubic_pair_image(prof: SampledProfile) -> Field:
     """Hessian image of d_x(x^3 phi) = 3x^2 phi + x^3 phi_x, in closed form.
 
     Equals 6c phi + 18c x phi_x + (6c - 3pc) x^2 phi_xx + 3p(c-1) x^2 phi.
     """
-    p, c = gs.p, gs.c
-    x = grid.nodes
-    phi = gs.profile(grid).values
-    dphi = gs.profile_dx(grid).values
-    ddphi = gs.profile_dxx(grid).values
-    vals = (
-        6.0 * c * phi
-        + 18.0 * c * x * dphi
-        + (6.0 * c - 3.0 * p * c) * x * x * ddphi
-        + 3.0 * p * (c - 1.0) * x * x * phi
-    )
-    return Field(grid, vals)
+    p, c, x = prof.gs.p, prof.gs.c, prof.grid.nodes
+    phi, ddphi = prof.phi, prof.phi_xx
+    vals = 6.0 * c * phi
+    vals += 18.0 * c * x * prof.phi_x
+    vals += (6.0 * c - 3.0 * p * c) * x * x * ddphi
+    vals += 3.0 * p * (c - 1.0) * x * x * phi
+    return Field(prof.grid, vals)
+
+
+def kappa_closed_form(prof: SampledProfile) -> Field:
+    """kappa_c = B [((p+1)c^2 - pc) phi + (1-p) c^2 phi_xx] + D * cubic_pair_image."""
+    p, c, B = prof.gs.p, prof.gs.c, prof.B
+    vals = cubic_pair_image(prof).values
+    vals *= prof.D
+    vals += B * ((p + 1.0) * c * c - p * c) * prof.phi
+    vals += B * (1.0 - p) * c * c * prof.phi_xx
+    return Field(prof.grid, vals)
+
+
+def kappa_operator(gs: GroundState, gamma: Field) -> Field:
+    """kappa via direct Hessian application to the sampled Gamma (independent path)."""
+    return hessian_apply(gs, gamma)
 
 
 @dataclass(frozen=True)
@@ -126,15 +109,13 @@ class StructureSet:
 
 
 def build_structure(gs: GroundState, grid: Grid) -> StructureSet:
-    B, D = coefficients(gs, grid)
-    return StructureSet(
-        gs,
-        B,
-        D,
-        gamma_direction(gs, grid),
-        kappa_closed_form(gs, grid),
-        kappa_operator(gs, grid),
-    )
+    prof = gs.sample(grid)
+    B, D = coefficients(prof)
+    gamma = gamma_direction(prof)
+    kappa = kappa_closed_form(prof)
+    # the sampled arrays must be gone before the operator path allocates
+    del prof
+    return StructureSet(gs, B, D, gamma, kappa, kappa_operator(gs, gamma))
 
 
 def table_points(p: float, c: float, L: float, n_request: int) -> int:
@@ -287,13 +268,11 @@ def modulation_pairing(
     phi_plus = GroundState(p, c + dc).profile(grid).values
     phi_minus = GroundState(p, c - dc).profile(grid).values
     dcphi = Field(grid, (phi_plus - phi_minus) / (2.0 * dc))
-    fd_value = inner(dcphi, kappa_closed_form(gs, grid))
-
-    B, _ = coefficients(gs, grid)
-    n2 = quadrature(Field(grid, gs.profile(grid).values ** 2))
+    prof = gs.sample(grid)
+    fd_value = inner(dcphi, kappa_closed_form(prof))
     dq = (
         (8.0 * (p + 2.0) * c ** 2 - 8.0 * p * c - p ** 2)
         / (4.0 * p * (p + 4.0) * c ** 2 * (c - 1.0))
-        * n2
+        * prof.norm_sq
     )
-    return fd_value, c * c * B * dq
+    return fd_value, c * c * prof.B * dq

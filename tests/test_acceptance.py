@@ -179,7 +179,7 @@ def test_criterion_4c_constrained_positivity(p):
     # and its negativity comes from kappa, not from the kernel artefact.
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(L50, 2048, DIRICHLET)
-    kappa = kappa_closed_form(gs, grid)
+    kappa = kappa_closed_form(gs.sample(grid))
     rep = constrained_form_minimum(
         gs, grid, {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
     )

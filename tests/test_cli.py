@@ -101,3 +101,8 @@ class TestConfigFile:
 
     def test_bad_format_rejected(self, tmp_path):
         assert run(tmp_path, "identities", "--p", "5", "--format", "yaml") == 64
+
+    def test_format_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\n")
+        assert main(["--config", str(cfg), "identities", "--out", str(tmp_path)]) == 64

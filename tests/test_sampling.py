@@ -1,0 +1,121 @@
+"""The sampled-profile bundle: log-space tails, closed forms and sampling counts."""
+import math
+
+import numpy as np
+import pytest
+
+import gbbmlab.ground_state as ground_state
+from gbbmlab import (
+    DIRICHLET,
+    MODE_FIT,
+    Field,
+    GroundState,
+    critical_speed,
+    decompose,
+    evolve,
+    make_grid,
+    negativity_form,
+    normalized_profile_norm_sq,
+    step,
+    SimulationConfig,
+)
+from gbbmlab.modulation import _virial_frame
+from gbbmlab.structure import kappa_closed_form, table_points
+
+L50 = 50.0 * math.pi
+
+
+@pytest.fixture
+def log_sech_calls(monkeypatch):
+    calls = []
+    original = ground_state._log_sech
+
+    def counted(z):
+        calls.append(z.size)
+        return original(z)
+
+    monkeypatch.setattr(ground_state, "_log_sech", counted)
+    return calls
+
+
+def test_log_space_tail_at_p100_table_grid():
+    # (sech^2)^{1/p} underflows to 0 far out at p = 100; exp((2/p) log sech) does not
+    p = 100.0
+    gs = GroundState(p, critical_speed(p))
+    grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+    assert grid.points == 1 << 20
+    phi = gs.sample(grid).phi
+    ls = ground_state._log_sech(gs.decay_rate * grid.nodes)
+    assert np.all(phi > 0.0)
+    assert np.array_equal(phi, gs.amplitude * np.exp((2.0 / p) * ls))
+
+
+@pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 100.0])
+def test_normalized_norm_closed_form_matches_quadrature(p):
+    x = np.linspace(-40.0, 40.0, 131073)
+    vals = (0.5 * (p + 2.0)) ** (2.0 / p) * np.exp((4.0 / p) * ground_state._log_sech(0.5 * p * x))
+    quad = (x[1] - x[0]) * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
+    assert normalized_profile_norm_sq(p) == pytest.approx(quad, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 100.0])
+def test_psi_is_scaled_c_derivative_minus_profile(p, dirichlet_8192):
+    # Psi_c = c d_c phi_c - phi_c / p equals phi_c [1/(p(c-1)) - x tanh(kx)/(2 sqrt(c(c-1)))]
+    gs = GroundState(p, critical_speed(p))
+    prof = gs.sample(dirichlet_8192)
+    c, ax = gs.c, np.abs(dirichlet_8192.nodes)
+    direct = prof.phi * (
+        1.0 / (p * (c - 1.0)) - ax * np.tanh(gs.decay_rate * ax) / (2.0 * math.sqrt(c * (c - 1.0)))
+    )
+    assert np.max(np.abs(prof.psi - direct)) < 1e-14 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("p", [5.0, 100.0])
+def test_kappa_matches_expanded_closed_form(p):
+    gs = GroundState(p, critical_speed(p))
+    grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+    prof = gs.sample(grid)
+    c, x, B, D = gs.c, grid.nodes, prof.B, prof.D
+    phi, dphi, ddphi = prof.phi, prof.phi_x, prof.phi_xx
+    expanded = (
+        (B * (p + 1.0) * c * c - B * p * c + 6.0 * c * D) * phi
+        + B * (1.0 - p) * c * c * ddphi
+        + 18.0 * c * D * x * dphi
+        + (6.0 * c - 3.0 * p * c) * D * x * x * ddphi
+        + 3.0 * p * (c - 1.0) * D * x * x * phi
+    )
+    kappa = kappa_closed_form(prof).values
+    assert np.max(np.abs(kappa - expanded)) < 1e-14 * np.max(np.abs(expanded))
+
+
+def test_evolve_steps_equal_single_steps(gs5, periodic_4096):
+    phi = gs5.profile(periodic_4096)
+    traj = evolve(phi, SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=2e-2, record_every=1))
+    u = phi
+    for recorded in traj.states[1:]:
+        u = step(u, 1e-2, gs5.p)
+        assert np.array_equal(u.values, recorded.values)
+
+
+class TestSamplingCounts:
+    def test_table_row(self, log_sech_calls):
+        # one bundle for B, D, Gamma and kappa, one phi^p for the operator path
+        negativity_form(GroundState(5.0, critical_speed(5.0)))
+        assert len(log_sech_calls) <= 2
+
+    def test_fit_decompose(self, gs5, log_sech_calls):
+        grid = make_grid(L50, 8192, "periodic")
+        u = Field(grid, 0.98 * gs5.profile(grid).values)
+        log_sech_calls.clear()
+        st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
+        assert st.converged and st.newton_iters == 3
+        # one bundle at lam and at lam +- d per iteration, one for the final check
+        assert len(log_sech_calls) <= 10
+
+    def test_virial_frame(self, gs5, log_sech_calls):
+        grid = make_grid(L50, 8192, "periodic")
+        u = Field(grid, 0.98 * gs5.profile(grid).values)
+        st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
+        log_sech_calls.clear()
+        _virial_frame(u, 0.0, gs5.p, gs5.c, 30.0, 1.0, st)
+        assert len(log_sech_calls) <= 1

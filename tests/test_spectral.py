@@ -139,7 +139,7 @@ class TestConstrainedMinimum:
     def test_kappa_constraint_minimum_matches_inverse_criterion(self, gs5, grid2048):
         # the form minimum on the kappa-orthogonal complement is negative
         # exactly when <L^{-1} kappa, kappa> > 0; both paths must agree
-        kap = kappa_closed_form(gs5, grid2048)
+        kap = kappa_closed_form(gs5.sample(grid2048))
         rep = constrained_form_minimum(
             gs5, grid2048,
             {"translation_mode": gs5.profile_dx(grid2048), "kappa": kap},

@@ -53,20 +53,20 @@ class TestCoefficients:
         gs = GroundState(p, critical_speed(p))
         n = table_points(p, gs.c, L50, 8192)
         grid = make_grid(L50, n, DIRICHLET)
-        _, D = coefficients(gs, grid)
+        _, D = coefficients(gs.sample(grid))
         assert D < 0.0
 
     def test_refinement_invariance(self, gs5):
         g1 = make_grid(L50, 8192, DIRICHLET)
         g2 = make_grid(L50, 16384, DIRICHLET)
-        B1, D1 = coefficients(gs5, g1)
-        B2, D2 = coefficients(gs5, g2)
+        B1, D1 = coefficients(gs5.sample(g1))
+        B2, D2 = coefficients(gs5.sample(g2))
         assert B1 == pytest.approx(B2, rel=1e-9)
         assert D1 == pytest.approx(D2, rel=1e-9)
 
     def test_d_unwinds_to_norm(self, gs5, dirichlet_8192):
         p, c = gs5.p, gs5.c
-        _, D = coefficients(gs5, dirichlet_8192)
+        _, D = coefficients(gs5.sample(dirichlet_8192))
         n2 = quadrature(Field(dirichlet_8192, gs5.profile(dirichlet_8192).values ** 2))
         assert D * (-2.0 * (p + 4.0) / (4.0 * p * c + 4.0 * c - 3.0 * p)) == pytest.approx(
             n2, rel=1e-13
@@ -75,20 +75,20 @@ class TestCoefficients:
 
 class TestGammaDirection:
     def test_even(self, gs5, dirichlet_8192):
-        vals = gamma_direction(gs5, dirichlet_8192).values
+        vals = gamma_direction(gs5.sample(dirichlet_8192)).values
         assert np.array_equal(vals, vals[::-1])
 
     def test_value_at_origin(self, gs5, dirichlet_8192):
-        B, _ = coefficients(gs5, dirichlet_8192)
+        B, _ = coefficients(gs5.sample(dirichlet_8192))
         c = gs5.c
         i0 = np.argmin(np.abs(dirichlet_8192.nodes))
         psi0 = gs5.psi_direction(dirichlet_8192).values[i0]
         phi0 = gs5.profile(dirichlet_8192).values[i0]
-        gamma0 = gamma_direction(gs5, dirichlet_8192).values[i0]
+        gamma0 = gamma_direction(gs5.sample(dirichlet_8192)).values[i0]
         assert gamma0 == pytest.approx(B * (c * c * psi0 + c * phi0), rel=1e-12)
 
     def test_boundary_decay(self, gs5, dirichlet_8192):
-        vals = gamma_direction(gs5, dirichlet_8192).values
+        vals = gamma_direction(gs5.sample(dirichlet_8192)).values
         assert abs(vals[0]) < 1e-12 * np.max(np.abs(vals))
         assert abs(vals[-1]) < 1e-12 * np.max(np.abs(vals))
 
@@ -99,19 +99,19 @@ class TestKappa:
         assert st.dual_path_sup_error < 1e-6
 
     def test_even(self, gs5, dirichlet_8192):
-        vals = kappa_closed_form(gs5, dirichlet_8192).values
+        vals = kappa_closed_form(gs5.sample(dirichlet_8192)).values
         assert np.array_equal(vals, vals[::-1])
 
     def test_reassembly_coefficients(self, gs5, dirichlet_8192):
         # subtracting all closed-form pieces except the x phi_x one isolates
         # its coefficient, which must be 18 c D
         p, c = gs5.p, gs5.c
-        B, D = coefficients(gs5, dirichlet_8192)
+        B, D = coefficients(gs5.sample(dirichlet_8192))
         x = dirichlet_8192.nodes
         phi = gs5.profile(dirichlet_8192).values
         dphi = gs5.profile_dx(dirichlet_8192).values
         ddphi = gs5.profile_dxx(dirichlet_8192).values
-        kap = kappa_closed_form(gs5, dirichlet_8192).values
+        kap = kappa_closed_form(gs5.sample(dirichlet_8192)).values
         rest = (
             (B * (p + 1.0) * c * c - B * p * c + 6.0 * c * D) * phi
             + B * (1.0 - p) * c * c * ddphi
@@ -122,7 +122,7 @@ class TestKappa:
         assert (kap - rest)[i] / (x * dphi)[i] == pytest.approx(18.0 * c * D, rel=1e-12)
 
     def test_orthogonal_to_translation_mode(self, gs5, dirichlet_8192):
-        kap = kappa_closed_form(gs5, dirichlet_8192)
+        kap = kappa_closed_form(gs5.sample(dirichlet_8192))
         dphi = gs5.profile_dx(dirichlet_8192)
         assert abs(inner(kap, dphi)) < 1e-9 * norm_l2(kap) * norm_l2(dphi)
 
@@ -211,7 +211,7 @@ class TestModulationPairing:
 
     def test_vanishes_at_critical_speed(self, gs5, dirichlet_8192):
         fd, closed = modulation_pairing(gs5, dirichlet_8192)
-        kap = kappa_closed_form(gs5, dirichlet_8192)
+        kap = kappa_closed_form(gs5.sample(dirichlet_8192))
         dcphi = gs5.profile_dc(dirichlet_8192)
         scale = norm_l2(kap) * norm_l2(dcphi)
         assert abs(closed) < 1e-12 * scale
@@ -224,7 +224,7 @@ class TestModulationPairing:
             gs = GroundState(p, c)
             grid = make_grid(L50, 8192, DIRICHLET)
             _, closed = modulation_pairing(gs, grid)
-            B, _ = coefficients(gs, grid)
+            B, _ = coefficients(gs.sample(grid))
             dq = closed_form_identities(gs, grid)["dc_momentum"].closed_form
             assert closed == pytest.approx(c * c * B * dq, rel=1e-12)
 
@@ -236,6 +236,6 @@ class TestCubicPairImage:
         dphi = gs5.profile_dx(table_grid_p5).values
         direction = Field(table_grid_p5, 3.0 * x * x * phi + x ** 3 * dphi)
         img_op = hessian_apply(gs5, direction)
-        img_cf = cubic_pair_image(gs5, table_grid_p5)
+        img_cf = cubic_pair_image(gs5.sample(table_grid_p5))
         scale = np.max(np.abs(img_cf.values))
         assert np.max(np.abs(img_op.values - img_cf.values)) < 1e-6 * scale
