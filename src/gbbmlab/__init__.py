@@ -54,7 +54,6 @@ from .spectral import (
     essential_spectrum_edge,
     inverse_pairing,
     negative_direction_check,
-    weinstein_matrix,
 )
 from .dynamics import BlowupError, SimulationConfig, Trajectory, H_of_u, evolve, step
 from .modulation import (

@@ -95,7 +95,9 @@ def decompose(
 
     Raises ModulationError (with the partial state attached) on a singular
     Jacobian or when the residuals cannot be driven below tolerance, which is
-    the generic outcome for mode="kappa" at the critical speed.
+    the generic outcome for mode="kappa" at the critical speed. Eight iterates
+    in a row that do not beat the best residual so far by 10% count as a
+    plateau, so a cycle between two residual values stops early too.
     """
     lam, y = float(guess[0]), float(guess[1])
     if lam <= 1.0:
@@ -105,7 +107,7 @@ def decompose(
     h = grid.h
     det_scaled = float("nan")
 
-    prev_res = float("inf")
+    best_res = float("inf")
     stall = 0
     stationary = False
     for it in range(max_iter + 1):
@@ -113,11 +115,14 @@ def decompose(
         F, xi, dir1, dir2 = _residual(uy.values, p, lam, grid, mode)
         r1 = abs(F[0]) / (u_norm * np.sqrt(h * (dir1 @ dir1)))
         r2 = abs(F[1]) / (u_norm * np.sqrt(h * (dir2 @ dir2)))
-        if max(r1, r2) < tol:
+        res = max(r1, r2)
+        if res < tol:
             return ModulationState(
                 lam, y, Field(grid, xi), it, (r1, r2), mode, True, det_scaled
             )
-        if stationary or it == max_iter:
+        stall = stall + 1 if res >= 0.9 * best_res else 0
+        best_res = min(best_res, res)
+        if stationary or stall >= 8 or it == max_iter:
             # a stationary point of the iteration is accepted only if it passes
             break
 
@@ -149,15 +154,8 @@ def decompose(
         lam += dlam
         y += dy
         stationary = abs(dlam) < 1e-13 * lam and abs(dy) < 1e-13 * max(1.0, abs(y))
-        res = max(r1, r2)
-        stall = stall + 1 if res >= 0.9 * prev_res else 0
-        prev_res = res
-        if stall >= 8 and not stationary:
-            break
 
-    state = ModulationState(
-        lam, y, Field(grid, xi), max_iter, (r1, r2), mode, False, det_scaled
-    )
+    state = ModulationState(lam, y, Field(grid, xi), it, (r1, r2), mode, False, det_scaled)
     raise ModulationError(
         f"modulation did not converge (mode={mode}): residuals ({r1:.2e}, {r2:.2e}) "
         f"at lam={lam:.6g}, y={y:.6g}; the second orthogonality has no nearby root "
@@ -195,14 +193,17 @@ def profile_norm_sq_closed(p: float, lam: float) -> float:
     return lam ** 0.5 * (lam - 1.0) ** (2.0 / p - 0.5) * normalized_profile_norm_sq(p)
 
 
+def _energy_closed(p: float, c: float) -> float:
+    """E(phi_c) = (4c + p) / (2(p + 4)) ||phi_c||^2."""
+    return (4.0 * c + p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
+
+
 def gamma_of_lambda(p: float, c: float, lam: float) -> float:
     """gamma(lam) = -lam E(phi_c) + lam^2/2 (||phi_lam||^2 - ||d_x phi_lam||^2),
     all norms in closed form. Vanishes to second order at lam = c."""
-    n2c = profile_norm_sq_closed(p, c)
-    e_c = (4.0 * c + p) / (2.0 * (p + 4.0)) * n2c
     n2l = profile_norm_sq_closed(p, lam)
     diff = (1.0 - p * (lam - 1.0) / ((p + 4.0) * lam)) * n2l
-    return -lam * e_c + 0.5 * lam * lam * diff
+    return -lam * _energy_closed(p, c) + 0.5 * lam * lam * diff
 
 
 def gamma_curvature_closed(p: float, c: float) -> float:
@@ -247,9 +248,7 @@ def _virial_frame(
     B, D = coefficients(prof)
     I2 = D / B * inner(xi, _cubic_helmholtz(prof))
 
-    n2c = profile_norm_sq_closed(p, c)
-    e_c = (4.0 * c + p) / (2.0 * (p + 4.0)) * n2c
-    beta = -lam * (E0 - e_c)
+    beta = -lam * (E0 - _energy_closed(p, c))
     kres = inner(xi, kappa_closed_form(prof)) / B
     return VirialReport(
         t, I1, I2, I1 + I2, beta, gamma_of_lambda(p, c, lam), lam,
@@ -388,17 +387,17 @@ def instability_experiment(
     grid: Grid,
     dt: float = 2e-3,
     t_end: float = 60.0,
-    record_interval: float = 0.5,
     R: float | None = None,
-    tube_fraction: float = 0.1,
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
 
-    The specified kappa-orthogonal modulation is attempted on the initial
-    frame; since it generically has no root for this data, the monitor falls
-    back to the least-squares pair and says so in the report. The verdict
-    states whether the increments of I have a definite sign over the in-tube
-    frames (>= 95% one-signed).
+    Frames are recorded every 0.5 time units; the tube is the H^1 ball of
+    radius 0.1 ||phi_c||_{H^1} around the modulated profile. The specified
+    kappa-orthogonal modulation is attempted on the initial frame; since it
+    generically has no root for this data, the monitor falls back to the
+    least-squares pair and says so in the report. The verdict states whether
+    the increments of I have a definite sign over the in-tube frames (>= 95%
+    one-signed).
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")
@@ -410,7 +409,7 @@ def instability_experiment(
     if R is None:
         R = 10.0 / gs.tail_rate
     u0 = Field(grid, (1.0 - a) * phi.values)
-    record_every = max(1, int(round(record_interval / dt)))
+    record_every = max(1, int(round(0.5 / dt)))
     traj = evolve(u0, SimulationConfig(grid, p, dt, t_end, record_every, True))
 
     mode = MODE_KAPPA
@@ -420,7 +419,7 @@ def instability_experiment(
         mode = MODE_FIT
 
     E0 = float(traj.E_series[0])
-    eps = tube_fraction * norm_h1(phi)
+    eps = 0.1 * norm_h1(phi)
     frames = []
     failed = False
     try:
@@ -457,8 +456,7 @@ def instability_experiment(
         verdict = "inconclusive"
 
     end_idx = in_tube_end - 1 if tube_exit is not None else len(frames) - 1
-    n2c = quadrature(Field(grid, phi.values ** 2))
-    beta_lin = a * c * (2.0 * (p + 2.0) * c - p) / (p + 4.0) * n2c
+    beta_lin = a * c * (2.0 * (p + 2.0) * c - p) / (p + 4.0) * profile_norm_sq_closed(p, c)
     return ExperimentReport(
         p, a, c, tuple(frames), tube_exit, verdict, mode, pos, neg,
         abs(frames[end_idx].lam - c), frames[0].beta, beta_lin,

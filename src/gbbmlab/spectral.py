@@ -12,10 +12,10 @@ this operator; results are reported in the Weinstein sign so that eigenvalue
 counts are meaningful, and callers translate when they need the literal form.
 
 Discretization: Dirichlet truncation, second-order central differences. The
-matrix is symmetric tridiagonal, so the unconstrained eigenproblem is solved
-directly in tridiagonal form. Constrained minima project the dense matrix
-onto the orthogonal complement of the constraints and use a dense symmetric
-eigensolve; robustness over speed, at desk scale (interior size <= 4097).
+matrix T is symmetric tridiagonal and is only ever used in banded form: the
+lowest eigenvalues come from a tridiagonal eigensolve, and every solve with
+T - mu (the inverse pairing, the constrained minimum) is one banded solve.
+No dense n x n matrix is formed, so the cost is linear in the grid size.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -34,8 +34,6 @@ from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
 from .grid import DIRICHLET, Field, Grid, inner
 from .ground_state import GroundState, normalized_profile_norm_sq
 from .functionals import hessian_apply
-
-DENSE_LIMIT = 4097
 
 
 class EigenSolveError(RuntimeError):
@@ -58,9 +56,13 @@ def discretize_weinstein(gs: GroundState, grid: Grid) -> tuple[np.ndarray, np.nd
     return diag, off
 
 
-def weinstein_matrix(gs: GroundState, grid: Grid) -> np.ndarray:
-    diag, off = discretize_weinstein(gs, grid)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float, rhs) -> np.ndarray:
+    """(T - shift)^{-1} rhs by one banded solve, T the tridiagonal (diag, off)."""
+    ab = np.vstack([np.r_[0.0, off], diag - shift, np.r_[off, 0.0]])
+    try:
+        return solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"singular banded solve at shift {shift!r}: {exc}") from exc
 
 
 def weinstein_quadratic_form(gs: GroundState, f: Field) -> float:
@@ -136,19 +138,19 @@ class CoercivityReport:
 def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> CoercivityReport:
     """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints.
 
-    constraints maps names to Fields (or interior arrays). The minimum is the
-    lowest eigenvalue of the dense matrix projected onto the orthogonal
-    complement; an empty mapping returns the unconstrained minimum.
+    constraints maps names to Fields (or interior arrays); an empty mapping
+    returns the unconstrained minimum. For an orthonormal basis Q of the k
+    constraints, the inertia of [[T - mu, Q], [Q^T, 0]] counts the constrained
+    eigenvalues below mu as n_-(T - mu) + n_+(Q^T (T - mu)^{-1} Q) - k (Golub,
+    SIAM Rev. 15, 1973). Bisection on that count, from the interlacing bracket
+    [lambda_1, lambda_{k+1}] of T, runs until the midpoint equals an endpoint;
+    each step is one banded solve with k right-hand sides and one k x k eigh.
     """
     diag, off = discretize_weinstein(gs, grid)
-    n = diag.size
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"dense projected eigensolve capped at {DENSE_LIMIT} interior nodes, got {n}"
-        )
-    raw = float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0])
-
     names = tuple(constraints.keys())
+    k = len(names)
+    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k))
+    raw = float(w[0])
     if not names:
         return CoercivityReport(raw, (), raw)
 
@@ -156,24 +158,25 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> Coerci
     for name in names:
         c = constraints[name]
         vec = c.values[1:-1] if isinstance(c, Field) else np.asarray(c, dtype=float)
-        if vec.shape != (n,):
+        if vec.shape != diag.shape:
             raise ValueError(f"constraint {name!r} has wrong length {vec.shape}")
         cols.append(vec)
     C = np.stack(cols, axis=1)
-    # orthonormalize and reject rank-deficient constraint sets
     s = np.linalg.svd(C, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
         raise ValueError(f"constraints {names} are (numerically) linearly dependent")
+    Q, _ = qr(C, mode="economic")
 
-    Qfull, _ = qr(np.concatenate([C, np.eye(n)], axis=1), mode="economic")
-    Z = Qfull[:, C.shape[1]:n]
-    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    reduced = Z.T @ (T @ Z)
-    try:
-        wmin = float(eigh(reduced, eigvals_only=True, subset_by_index=[0, 0])[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenSolveError(f"projected eigensolve failed: {exc}") from exc
-    return CoercivityReport(wmin, names, raw)
+    def any_below(mu: float) -> bool:
+        # mu < lambda_{k+1}, so the k+1 lowest eigenvalues give n_-(T - mu)
+        secular = Q.T @ _shifted_solve(diag, off, mu, Q)
+        n_pos = np.count_nonzero(eigh(secular, eigvals_only=True) > 0.0)
+        return np.count_nonzero(w < mu) + n_pos - k > 0
+
+    lo, hi = raw, float(w[k])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if any_below(mid) else (mid, hi)
+    return CoercivityReport(hi, names, raw)
 
 
 def inverse_pairing(gs: GroundState, grid: Grid, f: Field) -> float:
@@ -183,14 +186,8 @@ def inverse_pairing(gs: GroundState, grid: Grid, f: Field) -> float:
     {xi : <xi, f> = 0} is nonnegative exactly when this pairing is <= 0.
     """
     diag, off = discretize_weinstein(gs, grid)
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
     rhs = f.values[1:-1]
-    sol = solve_banded((1, 1), ab, rhs)
-    return float(grid.h * np.dot(sol, rhs))
+    return float(grid.h * np.dot(_shifted_solve(diag, off, 0.0, rhs), rhs))
 
 
 @dataclass(frozen=True)
@@ -203,14 +200,12 @@ class NegativeDirectionReport:
         return abs(self.closed_form - self.quadrature_value) / abs(self.closed_form)
 
 
-def negative_direction_check(
-    gs: GroundState, grid: Grid, fd_step: float = 1e-5
-) -> NegativeDirectionReport:
+def negative_direction_check(gs: GroundState, grid: Grid) -> NegativeDirectionReport:
     """Quadratic form of the literal Hessian on the omega-derivative direction.
 
     Closed form: 2 (2/p - 1/2) (1 - omega^2)^{2/p - 3/2} ||psi_0||^2, negative
     for p > 4. The quadrature path builds d/d_omega psi_omega by central
-    differences in omega and applies the Hessian directly.
+    differences in omega (step 1e-5) and applies the Hessian directly.
     """
     p = gs.p
     if p <= 4:
@@ -219,7 +214,7 @@ def negative_direction_check(
     psi0 = normalized_profile_norm_sq(p)
     closed = 2.0 * (2.0 / p - 0.5) * (1.0 - omega ** 2) ** (2.0 / p - 1.5) * psi0
 
-    dw = fd_step
+    dw = 1e-5
     plus = GroundState(p, (omega + dw) ** -2).scaled_profile(grid).values
     minus = GroundState(p, (omega - dw) ** -2).scaled_profile(grid).values
     direction = Field(grid, (plus - minus) / (2.0 * dw))

@@ -221,13 +221,12 @@ def negativity_table(
     L: float = DEFAULT_HALF_WIDTH,
     n_request: int = DEFAULT_POINTS,
     workers: int = 1,
-    strict: bool = True,
 ) -> TableReport:
     """Tabulate <hessian(Gamma), Gamma> at c0(p) over p_list.
 
     Rows are independent and may fan out to a process pool; output order
-    follows p_list regardless of worker count. With strict=True a dual-path
-    discrepancy above 1e-6 aborts the table.
+    follows p_list regardless of worker count. A dual-path discrepancy above
+    1e-6 aborts the table.
     """
     p_list = list(p_list)
     if not p_list:
@@ -244,7 +243,7 @@ def negativity_table(
     else:
         rows = tuple(_table_row(j) for j in jobs)
     report = TableReport(rows, L)
-    if strict and not report.consistent():
+    if not report.consistent():
         worst = max(rows, key=lambda r: max(r.dual_sup_error, r.dual_scalar_error))
         raise DualPathError(
             f"dual-path disagreement at p={worst.p}: sup {worst.dual_sup_error:.2e}, "
@@ -253,10 +252,9 @@ def negativity_table(
     return report
 
 
-def modulation_pairing(
-    gs: GroundState, grid: Grid, fd_step_rel: float = 1e-5
-) -> tuple[float, float]:
-    """(<d_c phi_c, kappa_c> by central differences in c, closed form).
+def modulation_pairing(gs: GroundState, grid: Grid) -> tuple[float, float]:
+    """(<d_c phi_c, kappa_c> by central differences in c (relative step 1e-5),
+    closed form).
 
     The closed form is the exact identity c^2 B(c) dQ/dc(phi_c): the pairing
     is proportional to the momentum slope and therefore vanishes at the
@@ -264,7 +262,7 @@ def modulation_pairing(
     degeneracy a given (p, c) sits.
     """
     p, c = gs.p, gs.c
-    dc = fd_step_rel * c
+    dc = 1e-5 * c
     phi_plus = GroundState(p, c + dc).profile(grid).values
     phi_minus = GroundState(p, c - dc).profile(grid).values
     dcphi = Field(grid, (phi_plus - phi_minus) / (2.0 * dc))

@@ -66,6 +66,12 @@ class TestOtherCommands:
         assert run(tmp_path, "coercivity", "--p", "5", "--N", "1024") == 2
         doc = json.loads((tmp_path / "coercivity.json").read_text())
         assert doc["result"]["constrained_min"] < 0.0
+        # the resolution sequence does not depend on --N; N = 1024 is in it
+        seq = doc["result"]["resolution"]
+        assert [r["N"] for r in seq] == [1024, 2048, 4096, 8192, 16384]
+        assert seq[0]["constrained_min"] == doc["result"]["constrained_min"]
+        mins = [r["constrained_min"] for r in seq]
+        assert all(a < b < 0.0 for a, b in zip(mins, mins[1:]))
 
     def test_evolve(self, tmp_path):
         assert run(tmp_path, "evolve", "--p", "5", "--N", "2048",

@@ -24,6 +24,7 @@ from gbbmlab import (
     translate,
     virial_monitor,
 )
+from gbbmlab import modulation
 from gbbmlab.modulation import profile_norm_sq_closed
 
 L50 = 50.0 * math.pi
@@ -117,6 +118,25 @@ class TestDecompose:
         u = Field(periodic_4096, 0.99 * gs5.profile(periodic_4096).values)
         with pytest.raises(ModulationError) as err:
             decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_KAPPA)
+        assert err.value.state.residuals[1] > 1e-3
+
+    def test_kappa_cycle_stops_early(self, gs5, periodic_4096, monkeypatch):
+        # on (1-a) phi_c the kappa iteration cycles between two iterates whose
+        # residuals alternate; a stall counted against the best residual so
+        # far ends it after eight iterates instead of running max_iter
+        calls = []
+        residual = modulation._residual
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(modulation, "_residual", counted)
+        u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
+        with pytest.raises(ModulationError) as err:
+            decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_KAPPA)
+        assert len(calls) <= 30
+        assert err.value.state.newton_iters < 50
         assert err.value.state.residuals[1] > 1e-3
 
     def test_reduced_profile_fit_mode(self, gs5, periodic_4096):

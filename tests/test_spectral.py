@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, qr
 
 from gbbmlab import (
     DIRICHLET,
@@ -18,11 +18,27 @@ from gbbmlab import (
     make_grid,
     negative_direction_check,
     norm_l2,
-    weinstein_matrix,
 )
-from gbbmlab.spectral import weinstein_quadratic_form
+from gbbmlab.spectral import EigenSolveError, _shifted_solve, weinstein_quadratic_form
 
 L50 = 50.0 * math.pi
+
+
+def dense_weinstein(gs, grid):
+    """The tridiagonal Weinstein matrix as a dense n x n array (reference only)."""
+    diag, off = discretize_weinstein(gs, grid)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_constrained_minimum(gs, grid, constraints):
+    """Reference path: project the dense matrix onto the orthogonal complement
+    of the constraints (QR of [C, I]) and take the lowest eigenvalue."""
+    T = dense_weinstein(gs, grid)
+    n = T.shape[0]
+    C = np.stack([f.values[1:-1] for f in constraints.values()], axis=1)
+    Qfull, _ = qr(np.concatenate([C, np.eye(n)], axis=1), mode="economic")
+    Z = Qfull[:, C.shape[1]:n]
+    return float(eigh(Z.T @ (T @ Z), eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +65,13 @@ class TestDiscretization:
         assert w == pytest.approx(expected, rel=1e-4)
 
     def test_matrix_symmetric(self, gs5, grid2048):
-        T = weinstein_matrix(gs5, grid2048)
+        T = dense_weinstein(gs5, grid2048)
         assert np.array_equal(T, T.T)
 
     def test_kernel_action_small(self, gs5):
         # the sampled translation mode is annihilated up to O(h^2) truncation
         grid = make_grid(L50, 4096, DIRICHLET)
-        T = weinstein_matrix(gs5, grid)
+        T = dense_weinstein(gs5, grid)
         dpsi = gs5.c ** (-1.0 / gs5.p) * gs5.profile_dx(grid).values[1:-1]
         resid = T @ dpsi
         edge = essential_spectrum_edge(gs5)
@@ -104,7 +120,7 @@ class TestEigenpairs:
     def test_rayleigh_quotient_identity(self, gs5, grid2048):
         diag, off = discretize_weinstein(gs5, grid2048)
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
-        T = weinstein_matrix(gs5, grid2048)
+        T = dense_weinstein(gs5, grid2048)
         for i in range(3):
             rq = v[:, i] @ (T @ v[:, i]) / (v[:, i] @ v[:, i])
             assert rq == pytest.approx(w[i], abs=1e-10 * max(1.0, abs(w[i])))
@@ -164,10 +180,42 @@ class TestConstrainedMinimum:
         with pytest.raises(ValueError):
             constrained_form_minimum(gs5, grid2048, {"a": dphi, "b": double})
 
-    def test_dense_cap(self, gs5):
-        big = make_grid(L50, 8192, DIRICHLET)
-        with pytest.raises(ValueError):
-            constrained_form_minimum(gs5, big, {})
+    def test_singular_banded_solve_is_typed(self):
+        # T - shift = [[1, 1], [1, 1]] is singular
+        with pytest.raises(EigenSolveError):
+            _shifted_solve(np.ones(2), np.ones(1), 0.0, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "p, second",
+        [(5.0, "kappa"), (6.0, "kappa"), (10.0, "kappa"), (5.0, "bump")],
+    )
+    def test_matches_dense_reference(self, p, second):
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, 1024, DIRICHLET)
+        prof = gs.sample(grid)
+        seconds = {
+            "kappa": kappa_closed_form(prof),
+            "bump": Field(grid, np.exp(-(grid.nodes ** 2) / 30.0)),
+        }
+        constraints = {"translation_mode": Field(grid, prof.phi_x), second: seconds[second]}
+        banded = constrained_form_minimum(gs, grid, constraints).constrained_min
+        dense = dense_constrained_minimum(gs, grid, constraints)
+        assert banded == pytest.approx(dense, rel=1e-10)
+
+    def test_resolution_sequence_beyond_dense_size(self, gs5):
+        # N = 16384 is four times the size the dense projection could take;
+        # the kappa-constrained minimum rises toward its O(h^2) limit from below
+        mins = []
+        for N in (2048, 4096, 8192, 16384):
+            grid = make_grid(L50, N, DIRICHLET)
+            prof = gs5.sample(grid)
+            constraints = {
+                "translation_mode": Field(grid, prof.phi_x),
+                "kappa": kappa_closed_form(prof),
+            }
+            mins.append(constrained_form_minimum(gs5, grid, constraints).constrained_min)
+        assert all(a < b for a, b in zip(mins, mins[1:]))
+        assert mins[-1] < 0.0
 
 
 class TestNegativeDirection:
