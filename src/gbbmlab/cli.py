@@ -4,6 +4,9 @@ Exit-code contract: 0 = all checks passed, 2 = a scientific claim failed,
 3 = internal consistency failed, 64 = usage error. Outputs embed the fully
 resolved configuration and a schema version so a run can be reproduced from
 its own files. Configuration precedence: flags > config file > defaults.
+
+This module alone owns the output schema (SCHEMA): the report objects it
+receives are plain data, and every JSON key and CSV column is chosen here.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import numpy as np
 from . import (
     DIRICHLET,
     PERIODIC,
+    BlowupError,
     Field,
     GroundState,
     SimulationConfig,
@@ -80,6 +84,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = val
     for key, default in DEFAULTS.items():
         cfg[key] = type(default)(cfg[key])
+        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
     return cfg
 
 
@@ -99,11 +105,29 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _csv(header, rows) -> str:
+    """Comma-separated lines, each ending in a bare newline; floats are
+    written as repr, so every digit survives."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _plain(obj):
+    # numpy arrays and scalars become lists and Python numbers
+    return obj.tolist()
+
+
 def _json_doc(cfg: dict, command: str, payload) -> str:
     return json.dumps(
         {"schema": SCHEMA, "command": command, "config": _embedded(cfg), "result": payload},
         indent=2,
-        default=float,
+        default=_plain,
     )
 
 
@@ -112,16 +136,16 @@ def cmd_table(cfg: dict) -> int:
     if not p_list:
         print("error: empty p_list", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = negativity_table(
-            p_list, L=cfg["L"], n_request=cfg["N"], workers=cfg["workers"]
-        )
-    except DualPathError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+    report = negativity_table(p_list, L=cfg["L"], n_request=cfg["N"], workers=cfg["workers"])
     outdir = Path(cfg["out"])
-    _write(outdir, "table.csv", _config_header(cfg, "table") + report.to_csv())
-    rows = json.loads(report.to_json())
+    csv_rows = [(r.p, r.c0, r.form_value, str(r.negative).lower()) for r in report.rows]
+    _write(outdir, "table.csv", _config_header(cfg, "table")
+           + _csv(("p", "c0", "form_value", "negative"), csv_rows))
+    rows = [
+        _fields(r, "p", "c0", "form_value", "operator_value", "dual_sup_error", "points",
+                "negative")
+        for r in report.rows
+    ]
     _write(outdir, "table.json", _json_doc(cfg, "table", rows))
     for r in report.rows:
         print(f"p={r.p:<6g} c0={r.c0:.6f} <hess(Gamma),Gamma>={r.form_value:.2f} "
@@ -138,13 +162,13 @@ def cmd_identities(cfg: dict) -> int:
     grid = make_grid(cfg["L"], cfg["N"], DIRICHLET)
     report = closed_form_identities(gs, grid)
     outdir = Path(cfg["out"])
-    payload = json.loads(report.to_json())
-    _write(outdir, "identities.json", _json_doc(cfg, "identities", payload))
-    lines = ["name,closed_form,quadrature,rel_error"]
+    keys = ("name", "closed_form", "quadrature", "rel_error")
+    rows = [_fields(r, *keys) for r in report.records]
+    _write(outdir, "identities.json", _json_doc(cfg, "identities", rows))
+    _write(outdir, "identities.csv", _config_header(cfg, "identities")
+           + _csv(keys, [r.values() for r in rows]))
     for r in report.records:
-        lines.append(f"{r.name},{r.closed_form!r},{r.quadrature!r},{r.rel_error!r}")
         print(f"{r.name:<16} rel_error={r.rel_error:.3e}")
-    _write(outdir, "identities.csv", _config_header(cfg, "identities") + "\n".join(lines) + "\n")
     return EXIT_OK if report.max_rel_error() < 1e-8 else EXIT_CLAIM
 
 
@@ -153,8 +177,10 @@ def cmd_spectrum(cfg: dict) -> int:
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(cfg["L"], min(cfg["N"], 4096), DIRICHLET)
     report = eigenpairs(gs, grid, m=6)
-    _write(Path(cfg["out"]), "spectrum.json",
-           _json_doc(cfg, "spectrum", json.loads(report.to_json())))
+    # "N" is the size the spectrum was computed at, not the requested one
+    payload = {"N": grid.points, **_fields(
+        report, "eigenvalues", "negative_count", "kernel_eigenvalue", "kernel_overlap")}
+    _write(Path(cfg["out"]), "spectrum.json", _json_doc(cfg, "spectrum", payload))
     print(f"negative_count={report.negative_count} "
           f"kernel_eigenvalue={report.kernel_eigenvalue:.3e} "
           f"kernel_overlap={report.kernel_overlap:.6f}")
@@ -175,11 +201,15 @@ def cmd_coercivity(cfg: dict) -> int:
         }
         reports[n] = constrained_form_minimum(gs, grid, constraints)
     report = reports[claim_n]
-    payload = json.loads(report.to_json())
-    # the O(h^2) approach to the continuum limit, at the command's L
-    payload["resolution"] = [
-        {"N": n, "constrained_min": reports[n].constrained_min} for n in RESOLUTION_SEQUENCE
-    ]
+    payload = {
+        "N": claim_n,
+        **_fields(report, "constrained_min", "constraints_used", "raw_min"),
+        # the O(h^2) approach to the continuum limit, at the command's L
+        "resolution": [
+            {"N": n, "constrained_min": reports[n].constrained_min}
+            for n in RESOLUTION_SEQUENCE
+        ],
+    }
     _write(Path(cfg["out"]), "coercivity.json", _json_doc(cfg, "coercivity", payload))
     threshold = 1e-3 * essential_spectrum_edge(gs)
     print(f"raw_min={report.raw_min:.6f} constrained_min={report.constrained_min:.6f} "
@@ -203,7 +233,8 @@ def cmd_evolve(cfg: dict) -> int:
     exact = translate(phi, -c * cfg["t_end"])
     sup_err = float(np.max(np.abs(traj.states[-1].values - exact.values)))
     outdir = Path(cfg["out"])
-    _write(outdir, "evolve_series.csv", _config_header(cfg, "evolve") + traj.series_csv())
+    _write(outdir, "evolve_series.csv", _config_header(cfg, "evolve")
+           + _csv(("t", "E", "Q"), zip(traj.times, traj.E_series, traj.Q_series)))
     payload = {
         "energy_drift": traj.energy_drift(),
         "momentum_drift": traj.momentum_drift(),
@@ -216,6 +247,30 @@ def cmd_evolve(cfg: dict) -> int:
     return EXIT_OK if ok else EXIT_CLAIM
 
 
+def instability_outputs(cfg: dict, report) -> dict:
+    """The files ``instability`` writes for ``report``, by name: the JSON
+    document and the per-frame CSV."""
+    payload = _fields(
+        report, "p", "a", "c0", "tube_exit_time", "verdict", "mode", "positive_fraction",
+        "negative_fraction", "lambda_shift_at_end", "beta_initial", "beta_linear_prediction",
+    )
+    payload["frames"] = [
+        {
+            "t": f.t, "I1": f.I1, "I2": f.I2, "I": f.I,
+            "beta": f.beta, "gamma": f.gamma_of_lambda,
+            "lambda": f.lam, "tube_distance": f.tube_distance,
+            "kappa_residual": f.kappa_residual,
+        }
+        for f in report.frames
+    ]
+    frame_rows = [(f.t, f.lam, f.y, f.tube_distance, f.I, f.I1, f.I2) for f in report.frames]
+    return {
+        "instability.json": _json_doc(cfg, "instability", payload),
+        "instability_frames.csv": _config_header(cfg, "instability")
+        + _csv(("t", "lambda", "y", "xi_h1", "I", "I1", "I2"), frame_rows),
+    }
+
+
 def cmd_instability(cfg: dict) -> int:
     grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
     report = instability_experiment(
@@ -223,10 +278,8 @@ def cmd_instability(cfg: dict) -> int:
         R=cfg["R"] if cfg["R"] > 0 else None,
     )
     outdir = Path(cfg["out"])
-    _write(outdir, "instability.json", _json_doc(cfg, "instability",
-                                                 json.loads(report.to_json())))
-    _write(outdir, "instability_frames.csv",
-           _config_header(cfg, "instability") + report.frames_csv())
+    for name, text in instability_outputs(cfg, report).items():
+        _write(outdir, name, text)
     print(f"verdict={report.verdict} mode={report.mode} "
           f"positive_fraction={report.positive_fraction:.3f} "
           f"negative_fraction={report.negative_fraction:.3f} "
@@ -279,6 +332,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](cfg)
+    except (BlowupError, DualPathError) as exc:
+        print(f"consistency failure: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,18 +9,19 @@ nonlinear term.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, PERIODIC, helmholtz_inverse
+from .grid import Field, Grid, GridError, PERIODIC, helmholtz_inverse
 from .functionals import energy, momentum, _flow, _flow_symbol, _nonlinear
 
 
 class BlowupError(RuntimeError):
     def __init__(self, t: float):
-        super().__init__(f"state became non-finite at t={t:.6g}")
+        super().__init__(
+            f"state or its conserved quantities became non-finite at t={t:.6g}"
+        )
         self.t = t
 
 
@@ -56,26 +57,6 @@ class Trajectory:
         Q0 = self.Q_series[0]
         return float(np.max(np.abs(self.Q_series - Q0)) / abs(Q0))
 
-    def to_csv(self) -> str:
-        lines = ["t," + ",".join(f"x{i}" for i in range(self.states[0].values.size))]
-        for t, s in zip(self.times, self.states):
-            lines.append(f"{float(t)!r}," + ",".join(repr(float(v)) for v in s.values))
-        return "\n".join(lines) + "\n"
-
-    def series_csv(self) -> str:
-        lines = ["t,E,Q"]
-        for t, E, Q in zip(self.times, self.E_series, self.Q_series):
-            lines.append(f"{float(t)!r},{float(E)!r},{float(Q)!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_binary(self) -> bytes:
-        g = self.config.grid
-        head = struct.pack(
-            "<4sIdd d", b"GBBM", g.points, g.half_width, self.config.p, self.config.dt
-        )
-        frames = b"".join(s.values.astype("<f8").tobytes() for s in self.states)
-        return head + np.asarray(self.times, dtype="<f8").tobytes() + frames
-
 
 def _rk4(v: np.ndarray, g: Grid, p: float, dt: float, dealias: bool, t: float) -> np.ndarray:
     """One classical RK4 step on raw values; t labels a BlowupError."""
@@ -107,10 +88,14 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
 
     def record(i: int):
         f = Field(g, v.copy())
+        try:
+            E, Q = energy(f, p), momentum(f)
+        except GridError as exc:  # a finite state whose E or Q density overflows
+            raise BlowupError(i * dt) from exc
         times.append(i * dt)
         states.append(f)
-        Es.append(energy(f, p))
-        Qs.append(momentum(f))
+        Es.append(E)
+        Qs.append(Q)
 
     record(0)
     for i in range(1, n_steps + 1):

@@ -105,26 +105,6 @@ class Field:
         if other.grid is not self.grid and other.grid != self.grid:
             raise GridError("fields live on different grids")
 
-    def __add__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return Field(self.grid, -self.values)
 

@@ -17,7 +17,6 @@ d/dc Q(phi_c) changes sign; the instability analysis lives there.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,6 +213,11 @@ def normalized_profile_norm_sq(p: float) -> float:
     return (0.5 * (p + 2.0)) ** a * a * math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
 
 
+def profile_norm_sq_closed(p: float, lam: float) -> float:
+    """||phi_lam||^2 = lam^(1/2) (lam-1)^(2/p - 1/2) ||psi_0||^2."""
+    return lam ** 0.5 * (lam - 1.0) ** (2.0 / p - 0.5) * normalized_profile_norm_sq(p)
+
+
 @dataclass(frozen=True)
 class IdentityRecord:
     name: str
@@ -243,27 +247,13 @@ class IdentityReport:
     def max_rel_error(self) -> float:
         return max(r.rel_error for r in self.records)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "name": r.name,
-                    "closed_form": r.closed_form,
-                    "quadrature": r.quadrature,
-                    "rel_error": r.rel_error,
-                }
-                for r in self.records
-            ],
-            indent=2,
-        )
-
 
 def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> IdentityReport:
     """Scalar identities of the explicit profile, each computed two ways.
 
-    Closed forms are expressed through ||phi_c||^2 (itself anchored to the
-    p-dependent normalized profile norm), quadrature values integrate the
-    sampled analytic profiles directly.
+    Closed forms are expressed through the closed-form ||phi_c||^2, so they do
+    not depend on the grid; quadrature values integrate the sampled analytic
+    profiles directly.
     """
     p, c = gs.p, gs.c
     if grid is None:
@@ -282,27 +272,25 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
     e_quad = 0.5 * n2 + lp / (p + 2.0)
     q_quad = 0.5 * (n2 + dn2)
 
-    psi0 = normalized_profile_norm_sq(p)
-    n2_closed = c ** 0.5 * (c - 1.0) ** (2.0 / p - 0.5) * psi0
-
+    n2c = profile_norm_sq_closed(p, c)
     records = (
-        IdentityRecord("l2_norm_sq", n2_closed, n2, n2),
-        IdentityRecord("dx_norm_sq", p * (c - 1.0) / ((p + 4.0) * c) * n2, dn2, n2),
-        IdentityRecord("lp_norm", 2.0 * (p + 2.0) * (c - 1.0) / (p + 4.0) * n2, lp, n2),
+        IdentityRecord("l2_norm_sq", n2c, n2, n2c),
+        IdentityRecord("dx_norm_sq", p * (c - 1.0) / ((p + 4.0) * c) * n2c, dn2, n2c),
+        IdentityRecord("lp_norm", 2.0 * (p + 2.0) * (c - 1.0) / (p + 4.0) * n2c, lp, n2c),
         IdentityRecord(
-            "dc_l2_norm_sq", (4.0 * c - p) / (2.0 * p * c * (c - 1.0)) * n2, dc_n2, n2
+            "dc_l2_norm_sq", (4.0 * c - p) / (2.0 * p * c * (c - 1.0)) * n2c, dc_n2, n2c
         ),
         IdentityRecord(
             "dc_momentum",
             (8.0 * (p + 2.0) * c ** 2 - 8.0 * p * c - p ** 2)
             / (4.0 * p * (p + 4.0) * c ** 2 * (c - 1.0))
-            * n2,
+            * n2c,
             dc_q,
-            n2,
+            n2c,
         ),
-        IdentityRecord("energy", (4.0 * c + p) / (2.0 * (p + 4.0)) * n2, e_quad, n2),
+        IdentityRecord("energy", (4.0 * c + p) / (2.0 * (p + 4.0)) * n2c, e_quad, n2c),
         IdentityRecord(
-            "momentum", 0.5 * (1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * n2, q_quad, n2
+            "momentum", 0.5 * (1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * n2c, q_quad, n2c
         ),
     )
     return IdentityReport(gs, records)

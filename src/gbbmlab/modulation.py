@@ -23,13 +23,12 @@ carries beta(u0), gamma(lambda) and the increment budget term
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, Grid, derivative, inner, norm_h1, norm_l2, quadrature, translate
-from .ground_state import GroundState, SampledProfile, critical_speed, normalized_profile_norm_sq
+from .ground_state import GroundState, SampledProfile, critical_speed, profile_norm_sq_closed
 from .structure import coefficients, cubic_pair_image, kappa_closed_form
 from .dynamics import SimulationConfig, Trajectory, evolve
 from .functionals import _energy_density
@@ -188,11 +187,6 @@ def _cubic_helmholtz(prof: SampledProfile) -> Field:
     return Field(prof.grid, vals)
 
 
-def profile_norm_sq_closed(p: float, lam: float) -> float:
-    """||phi_lam||^2 = lam^(1/2) (lam-1)^(2/p - 1/2) ||psi_0||^2."""
-    return lam ** 0.5 * (lam - 1.0) ** (2.0 / p - 0.5) * normalized_profile_norm_sq(p)
-
-
 def _energy_closed(p: float, c: float) -> float:
     """E(phi_c) = (4c + p) / (2(p + 4)) ||phi_c||^2."""
     return (4.0 * c + p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
@@ -344,41 +338,6 @@ class ExperimentReport:
     lambda_shift_at_end: float
     beta_initial: float
     beta_linear_prediction: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "a": self.a,
-                "c0": self.c0,
-                "tube_exit_time": self.tube_exit_time,
-                "verdict": self.verdict,
-                "mode": self.mode,
-                "positive_fraction": self.positive_fraction,
-                "negative_fraction": self.negative_fraction,
-                "lambda_shift_at_end": self.lambda_shift_at_end,
-                "beta_initial": self.beta_initial,
-                "beta_linear_prediction": self.beta_linear_prediction,
-                "frames": [
-                    {
-                        "t": f.t, "I1": f.I1, "I2": f.I2, "I": f.I,
-                        "beta": f.beta, "gamma": f.gamma_of_lambda,
-                        "lambda": f.lam, "tube_distance": f.tube_distance,
-                        "kappa_residual": f.kappa_residual,
-                    }
-                    for f in self.frames
-                ],
-            },
-            indent=2,
-        )
-
-    def frames_csv(self) -> str:
-        lines = ["t,lambda,y,xi_h1,I,I1,I2"]
-        for f in self.frames:
-            lines.append(
-                f"{f.t!r},{f.lam!r},{f.y!r},{f.tube_distance!r},{f.I!r},{f.I1!r},{f.I2!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def instability_experiment(

@@ -25,7 +25,6 @@ eigenvalue nearest zero) and excludes it from negative_count.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +77,6 @@ class SpectrumReport:
     kernel_eigenvalue: float
     kernel_overlap: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues": list(map(float, self.eigenvalues)),
-                "negative_count": self.negative_count,
-                "kernel_eigenvalue": self.kernel_eigenvalue,
-                "kernel_overlap": self.kernel_overlap,
-            },
-            indent=2,
-        )
-
 
 def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     """Lowest m eigenpairs of the Weinstein operator, with kernel bookkeeping.
@@ -123,16 +111,6 @@ class CoercivityReport:
     constrained_min: float
     constraints_used: tuple
     raw_min: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "constrained_min": self.constrained_min,
-                "constraints_used": list(self.constraints_used),
-                "raw_min": self.raw_min,
-            },
-            indent=2,
-        )
 
 
 def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> CoercivityReport:

@@ -21,9 +21,6 @@ k = p/2 sqrt((c-1)/c) the inner length scale of the profile.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -170,39 +167,14 @@ class TableRow:
 @dataclass(frozen=True)
 class TableReport:
     rows: tuple
-    half_width: float
 
     def all_negative(self) -> bool:
         return all(r.negative for r in self.rows)
 
-    def consistent(self, tol: float = DUAL_PATH_TOL) -> bool:
+    def consistent(self) -> bool:
         return all(
-            r.dual_sup_error <= tol and r.dual_scalar_error <= tol for r in self.rows
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["p", "c0", "form_value", "negative"])
-        for r in self.rows:
-            w.writerow([r.p, repr(r.c0), repr(r.form_value), str(r.negative).lower()])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "p": r.p,
-                    "c0": r.c0,
-                    "form_value": r.form_value,
-                    "operator_value": r.operator_value,
-                    "dual_sup_error": r.dual_sup_error,
-                    "points": r.points,
-                    "negative": r.negative,
-                }
-                for r in self.rows
-            ],
-            indent=2,
+            r.dual_sup_error <= DUAL_PATH_TOL and r.dual_scalar_error <= DUAL_PATH_TOL
+            for r in self.rows
         )
 
 
@@ -232,8 +204,8 @@ def negativity_table(
     if not p_list:
         raise ValueError("p_list must not be empty")
     for p in p_list:
-        if p <= 4:
-            raise ValueError(f"table entries require p > 4, got {p!r}")
+        if not 4 < p < math.inf:
+            raise ValueError(f"table entries require finite p > 4, got {p!r}")
     jobs = [(float(p), float(L), int(n_request)) for p in p_list]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -242,7 +214,7 @@ def negativity_table(
             rows = tuple(pool.map(_table_row, jobs))
     else:
         rows = tuple(_table_row(j) for j in jobs)
-    report = TableReport(rows, L)
+    report = TableReport(rows)
     if not report.consistent():
         worst = max(rows, key=lambda r: max(r.dual_sup_error, r.dual_scalar_error))
         raise DualPathError(

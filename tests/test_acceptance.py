@@ -57,7 +57,7 @@ from gbbmlab import (
     translate,
 )
 from gbbmlab.dynamics import linear_rhs
-from gbbmlab.modulation import profile_norm_sq_closed
+from gbbmlab.ground_state import profile_norm_sq_closed
 from conftest import decaying_random_field
 
 L50 = 50.0 * math.pi

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gbbmlab.cli import main
 
 
@@ -47,6 +49,10 @@ class TestTable:
     def test_subcritical_p_usage_error(self, tmp_path):
         assert run(tmp_path, "table", "--p-list", "3.5") == 64
 
+    def test_nan_p_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "table", "--p-list", "nan") == 64
+        assert "p > 4, got nan" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_identities(self, tmp_path):
@@ -78,6 +84,11 @@ class TestOtherCommands:
                    "--dt", "0.002", "--t-end", "1") == 0
         doc = json.loads((tmp_path / "evolve.json").read_text())
         assert doc["result"]["energy_drift"] < 1e-8
+        # the series CSV holds every digit of the E values the drift came from
+        lines = (tmp_path / "evolve_series.csv").read_text().splitlines()[2:]
+        E = [float(line.split(",")[1]) for line in lines]
+        assert len(E) == 3  # t = 0, 0.5, 1
+        assert max(abs(e - E[0]) for e in E) / abs(E[0]) == doc["result"]["energy_drift"]
 
     def test_instability_reports_sign_flip(self, tmp_path):
         # the command reports the literal positivity claim; the increments
@@ -87,6 +98,110 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "instability.json").read_text())
         assert doc["result"]["verdict"] == "monotone-decreasing"
         assert doc["result"]["mode"] == "fit"
+
+
+# per command: extra flags, the keys of its JSON result (of each row when the
+# result is a list), and its CSV file and header (None when it writes no CSV)
+OUTPUTS = [
+    pytest.param(
+        "table", ["--p-list", "4.5,5"],
+        ["p", "c0", "form_value", "operator_value", "dual_sup_error", "points", "negative"],
+        "table.csv", "p,c0,form_value,negative", id="table",
+    ),
+    pytest.param(
+        "identities", [], ["name", "closed_form", "quadrature", "rel_error"],
+        "identities.csv", "name,closed_form,quadrature,rel_error", id="identities",
+    ),
+    pytest.param(
+        "spectrum", ["--N", "1024"],
+        ["N", "eigenvalues", "negative_count", "kernel_eigenvalue", "kernel_overlap"],
+        None, None, id="spectrum",
+    ),
+    pytest.param(
+        "coercivity", ["--N", "1024"],
+        ["N", "constrained_min", "constraints_used", "raw_min", "resolution"],
+        None, None, id="coercivity",
+    ),
+    pytest.param(
+        "evolve", ["--N", "1024", "--dt", "0.01", "--t-end", "1"],
+        ["energy_drift", "momentum_drift", "soliton_sup_error"],
+        "evolve_series.csv", "t,E,Q", id="evolve",
+    ),
+    pytest.param(
+        "instability", ["--N", "1024", "--dt", "0.025", "--t-end", "2"],
+        ["p", "a", "c0", "tube_exit_time", "verdict", "mode", "positive_fraction",
+         "negative_fraction", "lambda_shift_at_end", "beta_initial",
+         "beta_linear_prediction", "frames"],
+        "instability_frames.csv", "t,lambda,y,xi_h1,I,I1,I2", id="instability",
+    ),
+]
+FRAME_KEYS = ["t", "I1", "I2", "I", "beta", "gamma", "lambda", "tube_distance",
+              "kappa_residual"]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command, argv, keys, csv_name, header", OUTPUTS)
+    def test_result_keys_and_csv_header(self, tmp_path, command, argv, keys, csv_name,
+                                        header):
+        assert run(tmp_path, command, *argv) in (0, 2)
+        doc = json.loads((tmp_path / f"{command}.json").read_text())
+        assert list(doc) == ["schema", "command", "config", "result"]
+        assert (doc["schema"], doc["command"]) == ("gbbmlab/1", command)
+        result = doc["result"]
+        records = result if isinstance(result, list) else [result]
+        assert records and all(list(r) == keys for r in records)
+        # the rows the CSV repeats: table and identity rows, instability frames
+        rows = result if isinstance(result, list) else result.get("frames")
+        if command == "instability":
+            assert rows and all(list(f) == FRAME_KEYS for f in rows)
+        if csv_name is None:
+            return
+        raw = (tmp_path / csv_name).read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().split("\n")
+        assert lines.pop() == ""
+        assert lines[0].startswith(f"# schema=gbbmlab/1 command={command} ")
+        assert lines[1] == header
+        cells = [line.split(",") for line in lines[2:]]
+        assert cells and all(len(c) == len(header.split(",")) for c in cells)
+        if rows is not None:
+            assert len(cells) == len(rows)
+
+    @pytest.mark.parametrize("command, argv, n", [
+        ("spectrum", [], 4096),
+        ("spectrum", ["--N", "1024"], 1024),
+        ("coercivity", [], 2048),
+        ("coercivity", ["--N", "1024"], 1024),
+    ], ids=["spectrum-default", "spectrum-N1024", "coercivity-default", "coercivity-N1024"])
+    def test_result_records_the_size_it_was_computed_at(self, tmp_path, command, argv, n):
+        run(tmp_path, command, *argv)
+        doc = json.loads((tmp_path / f"{command}.json").read_text())
+        assert doc["config"]["N"] == (int(argv[1]) if argv else 8192)
+        assert doc["result"]["N"] == n
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--N", "512", "--dt", "3", "--t-end", "200"],
+        ["instability", "--N", "512", "--dt", "3", "--t-end", "60"],
+        # the state stays finite, but its energy density overflows
+        ["evolve", "--N", "512", "--dt", "10", "--t-end", "200"],
+    ], ids=["evolve-dt3", "instability-dt3", "evolve-dt10"])
+    def test_blowup_is_a_consistency_failure(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 3
+        assert "consistency failure: state or its conserved quantities became non-finite" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--t-end", "inf", "t_end"),
+        ("--p", "nan", "p"),
+        ("--L", "nan", "L"),
+        ("--dt", "nan", "dt"),
+    ])
+    def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, flag, value, key):
+        assert run(tmp_path, "evolve", flag, value) == 64
+        assert f"usage error: {key} must be finite, got {value}" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -156,34 +155,3 @@ class TestHamiltonianPotential:
         out = H_of_u(phi, gs5.p)
         assert np.max(np.abs(out.values + gs5.c * phi.values)) < 1e-10
 
-
-@pytest.fixture(scope="module")
-def small_traj(gs5):
-    grid = make_grid(L50, 256, "periodic")
-    u0 = Field(grid, np.exp(-grid.nodes ** 2))
-    cfg = SimulationConfig(grid, gs5.p, dt=1e-2, t_end=0.1, record_every=5)
-    return evolve(u0, cfg)
-
-
-class TestExports:
-    @pytest.fixture
-    def traj(self, small_traj):
-        return small_traj
-
-    def test_csv(self, traj):
-        lines = traj.to_csv().strip().splitlines()
-        assert lines[0].startswith("t,x0,")
-        assert len(lines) == 1 + len(traj.times)
-
-    def test_series_csv(self, traj):
-        lines = traj.series_csv().strip().splitlines()
-        assert lines[0] == "t,E,Q"
-        t, E, Q = lines[1].split(",")
-        assert float(E) == pytest.approx(traj.E_series[0])
-
-    def test_binary_header(self, traj):
-        blob = traj.to_binary()
-        magic, N, L, p, dt = struct.unpack_from("<4sIdd d", blob)
-        assert magic == b"GBBM"
-        assert N == 256
-        assert p == traj.config.p

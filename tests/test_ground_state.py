@@ -206,13 +206,14 @@ class TestIdentities:
         c = gs5.c
         assert dn2 / n2 == pytest.approx(5.0 * (c - 1.0) / (9.0 * c), rel=1e-10)
 
-    def test_json_roundtrip(self, gs5):
-        import json
-
-        report = closed_form_identities(gs5)
-        rows = json.loads(report.to_json())
-        assert {r["name"] for r in rows} >= {"l2_norm_sq", "energy", "momentum"}
-        assert all("rel_error" in r for r in rows)
+    def test_closed_forms_do_not_depend_on_the_grid(self, gs5, dirichlet_8192):
+        # the closed side uses the closed-form ||phi_c||^2, never the quadrature
+        fine = closed_form_identities(gs5, dirichlet_8192)
+        coarse = closed_form_identities(gs5, make_grid(L50, 512, DIRICHLET))
+        assert [r.closed_form for r in fine.records] == [
+            r.closed_form for r in coarse.records
+        ]
+        assert coarse["l2_norm_sq"].quadrature != fine["l2_norm_sq"].quadrature
 
     def test_identities_off_critical_speed(self):
         gs = GroundState(5.0, 1.4)

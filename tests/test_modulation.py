@@ -25,7 +25,8 @@ from gbbmlab import (
     virial_monitor,
 )
 from gbbmlab import modulation
-from gbbmlab.modulation import profile_norm_sq_closed
+from gbbmlab.cli import instability_outputs
+from gbbmlab.ground_state import profile_norm_sq_closed
 
 L50 = 50.0 * math.pi
 
@@ -274,12 +275,17 @@ class TestInstabilityExperiment:
     def test_json_roundtrip(self, report):
         import json
 
-        doc = json.loads(report.to_json())
-        assert doc["verdict"] == "monotone-decreasing"
-        assert len(doc["frames"]) == len(report.frames)
+        cfg = {"p": 5.0, "a": 0.01, "L": L50, "N": 4096, "dt": 2e-3, "t_end": 10.0}
+        doc = json.loads(instability_outputs(cfg, report)["instability.json"])
+        assert doc["result"]["verdict"] == "monotone-decreasing"
+        assert len(doc["result"]["frames"]) == len(report.frames)
 
     def test_frames_csv_header(self, report):
-        assert report.frames_csv().splitlines()[0] == "t,lambda,y,xi_h1,I,I1,I2"
+        cfg = {"p": 5.0, "a": 0.01, "L": L50, "N": 4096, "dt": 2e-3, "t_end": 10.0}
+        lines = instability_outputs(cfg, report)["instability_frames.csv"].splitlines()
+        assert lines[0].startswith("# schema=gbbmlab/1 command=instability ")
+        assert lines[1] == "t,lambda,y,xi_h1,I,I1,I2"
+        assert len(lines) == 2 + len(report.frames)
 
     def test_validation(self):
         grid = make_grid(L50, 1024, "periodic")

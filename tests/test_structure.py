@@ -183,11 +183,6 @@ class TestNegativityTable:
             assert a.form_value == b.form_value
             assert a.operator_value == b.operator_value
 
-    def test_csv_shape(self, report):
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "p,c0,form_value,negative"
-        assert len(lines) == 1 + len(PRINTED_TABLE)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             negativity_table([])
