@@ -227,9 +227,7 @@ def cmd_evolve(cfg: dict) -> int:
     gs = GroundState(p, c)
     grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
     phi = gs.profile(grid)
-    config = SimulationConfig(grid, p, cfg["dt"], cfg["t_end"],
-                              record_every=max(1, int(round(0.5 / cfg["dt"]))))
-    traj = evolve(phi, config)
+    traj = evolve(phi, SimulationConfig(grid, p, cfg["dt"], cfg["t_end"]))
     exact = translate(phi, -c * cfg["t_end"])
     sup_err = float(np.max(np.abs(traj.states[-1].values - exact.values)))
     outdir = Path(cfg["out"])

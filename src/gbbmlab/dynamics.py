@@ -1,20 +1,42 @@
 """Pseudo-spectral time evolution of the gBBM flow in Hamiltonian form.
 
-u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u) on a periodic box. The Helmholtz
-inverse gains two derivatives, so the vector field is smoothing and classical
-RK4 is stable with grid-independent step sizes; conservation of E and Q is
-monitored, not enforced. The fractional nonlinearity cannot be dealiased
-exactly; the optional 2/3-rule mask (default on) masks the transform of the
-nonlinear term.
+u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u) on a periodic box. The linear symbol
+-ik/(1 + k^2) has modulus at most 1/2 at every k, so the flow is not stiff:
+accuracy, not stability, sets the step. `evolve` therefore takes
+error-controlled steps of the embedded Dormand-Prince 5(4) pair (Dormand &
+Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), with the
+error measured in the max norm, which does not depend on N or L. Conservation
+of E and Q is monitored, not enforced. The fractional nonlinearity cannot be
+dealiased exactly; the optional 2/3-rule mask (default on) masks the
+transform of the nonlinear term.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, Grid, GridError, PERIODIC, helmholtz_inverse
 from .functionals import energy, momentum, _flow, _flow_symbol, _nonlinear
+
+# per-node error tolerance of an accepted step: ATOL + RTOL * max(|v|, |v_new|)
+RTOL = 1e-10
+ATOL = 1e-12
+
+# Dormand-Prince 5(4). Row i of _A builds the state of stage i + 1 from
+# stages 0..i; the last row holds the 5th-order weights, so the last stage is
+# the flow at the new state and starts the next step (FSAL). _E holds the
+# 5th-order minus the embedded 4th-order weights.
+_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
 class BlowupError(RuntimeError):
@@ -27,18 +49,21 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """dt is the first trial step of `evolve`, not a cap: the error control
+    picks every later step. States are recorded every record_interval time
+    units and at t_end."""
     grid: Grid
     p: float
     dt: float = 1e-3
     t_end: float = 10.0
-    record_every: int = 100
+    record_interval: float = 0.5
     dealias: bool = True
 
     def __post_init__(self):
         if self.grid.boundary != PERIODIC:
             raise ValueError("time evolution requires a periodic grid")
-        if self.dt <= 0 or self.t_end <= 0 or self.record_every < 1:
-            raise ValueError("dt > 0, t_end > 0 and record_every >= 1 required")
+        if not (self.dt > 0 and self.t_end > 0 and self.record_interval > 0):
+            raise ValueError("dt > 0, t_end > 0 and record_interval > 0 required")
 
 
 @dataclass
@@ -48,6 +73,9 @@ class Trajectory:
     states: list
     E_series: np.ndarray
     Q_series: np.ndarray
+    steps_accepted: int
+    steps_rejected: int
+    rhs_evals: int
 
     def energy_drift(self) -> float:
         E0 = self.E_series[0]
@@ -58,51 +86,85 @@ class Trajectory:
         return float(np.max(np.abs(self.Q_series - Q0)) / abs(Q0))
 
 
-def _rk4(v: np.ndarray, g: Grid, p: float, dt: float, dealias: bool, t: float) -> np.ndarray:
-    """One classical RK4 step on raw values; t labels a BlowupError."""
-    k1 = _flow(v, g, p, dealias)
-    k2 = _flow(v + 0.5 * dt * k1, g, p, dealias)
-    k3 = _flow(v + 0.5 * dt * k2, g, p, dealias)
-    k4 = _flow(v + dt * k3, g, p, dealias)
-    out = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise BlowupError(t)
-    return out
+def _dp54(v: np.ndarray, k1: np.ndarray, h: float, g: Grid, p: float, dealias: bool):
+    """One Dormand-Prince 5(4) trial step of size h from v, where k1 is the
+    flow at v: (5th-order state, flow at that state, embedded error estimate).
+    Six flow evaluations."""
+    K = np.empty((7, v.size))
+    K[0] = k1
+    for i, row in enumerate(_A, start=1):
+        u = v + h * (row @ K[:i])
+        K[i] = _flow(u, g, p, dealias)
+    return u, K[6], h * (_E @ K)
 
 
 def step(u: Field, dt: float, p: float, dealias: bool = True) -> Field:
-    """One classical RK4 step of the Hamiltonian flow."""
-    return Field(u.grid, _rk4(u.values, u.grid, p, dt, dealias, float("nan")))
+    """One uncontrolled 5th-order Dormand-Prince step of the Hamiltonian flow."""
+    v = u.values
+    out, _, _ = _dp54(v, _flow(v, u.grid, p, dealias), dt, u.grid, p, dealias)
+    if not np.all(np.isfinite(out)):
+        raise BlowupError(float("nan"))
+    return Field(u.grid, out)
 
 
 def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
-    """Integrate for round(t_end/dt) steps, recording every record_every steps.
+    """Integrate to t_end with error-controlled Dormand-Prince 5(4) steps.
 
-    The final recorded time is n_steps * dt, which differs from t_end when
-    t_end is not a step multiple; compare against times[-1].
+    The first trial step is config.dt. A step is accepted when the max over
+    the nodes of |error| / (ATOL + RTOL max(|v|, |v_new|)) is at most 1; the
+    next step is the current one times 0.9 err^(-1/5), clipped to [0.2, 5],
+    and does not grow right after a rejection. A trial step with a non-finite
+    stage or error is rejected; a rejection below 1e-10 record_interval
+    raises BlowupError. States are recorded at t = 0, at every
+    k * record_interval before t_end and at t_end, each reached exactly by
+    shortening the step that would cross it.
     """
-    g, p, dt = config.grid, config.p, config.dt
-    n_steps = int(round(config.t_end / dt))
+    g, p, dealias = config.grid, config.p, config.dealias
+    interval, t_end = config.record_interval, config.t_end
+    h_min = 1e-10 * interval
+    n_inner = math.ceil(t_end / interval - 1e-9)
+    record_times = [k * interval for k in range(1, n_inner)] + [t_end]
     v = u0.values.copy()
     times, states, Es, Qs = [], [], [], []
 
-    def record(i: int):
+    def record(t: float):
         f = Field(g, v.copy())
         try:
             E, Q = energy(f, p), momentum(f)
         except GridError as exc:  # a finite state whose E or Q density overflows
-            raise BlowupError(i * dt) from exc
-        times.append(i * dt)
+            raise BlowupError(t) from exc
+        times.append(t)
         states.append(f)
         Es.append(E)
         Qs.append(Q)
 
-    record(0)
-    for i in range(1, n_steps + 1):
-        v = _rk4(v, g, p, dt, config.dealias, i * dt)
-        if i % config.record_every == 0 or i == n_steps:
-            record(i)
-    return Trajectory(config, np.asarray(times), states, np.asarray(Es), np.asarray(Qs))
+    record(0.0)
+    k1 = _flow(v, g, p, dealias)
+    accepted = rejected = 0
+    t, h, after_reject = 0.0, config.dt, False
+    for t_rec in record_times:
+        while t < t_rec:
+            h_try = min(h, t_rec - t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_new, k_new, err_vec = _dp54(v, k1, h_try, g, p, dealias)
+                scale = ATOL + RTOL * np.maximum(np.abs(v), np.abs(v_new))
+                err = float(np.max(np.abs(err_vec) / scale))
+            if not math.isfinite(err):
+                err = math.inf
+            fac = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+            if err > 1.0:
+                rejected += 1
+                if h_try < h_min:
+                    raise BlowupError(t)
+                h, after_reject = h_try * fac, True
+                continue
+            accepted += 1
+            t = t_rec if h_try == t_rec - t else t + h_try
+            v, k1 = v_new, k_new
+            h, after_reject = h_try * (min(fac, 1.0) if after_reject else fac), False
+        record(t_rec)
+    return Trajectory(config, np.asarray(times), states, np.asarray(Es), np.asarray(Qs),
+                      accepted, rejected, 1 + 6 * (accepted + rejected))
 
 
 def H_of_u(u: Field, p: float) -> Field:

@@ -350,7 +350,8 @@ def instability_experiment(
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
 
-    Frames are recorded every 0.5 time units; the tube is the H^1 ball of
+    Frames are recorded every 0.5 time units, and dt is the first trial step
+    of the error-controlled `evolve`; the tube is the H^1 ball of
     radius 0.1 ||phi_c||_{H^1} around the modulated profile. The specified
     kappa-orthogonal modulation is attempted on the initial frame; since it
     generically has no root for this data, the monitor falls back to the
@@ -368,8 +369,7 @@ def instability_experiment(
     if R is None:
         R = 10.0 / gs.tail_rate
     u0 = Field(grid, (1.0 - a) * phi.values)
-    record_every = max(1, int(round(0.5 / dt)))
-    traj = evolve(u0, SimulationConfig(grid, p, dt, t_end, record_every, True))
+    traj = evolve(u0, SimulationConfig(grid, p, dt, t_end))
 
     mode = MODE_KAPPA
     try:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gbbmlab import BlowupError, cli, evolve, modulation
 from gbbmlab.cli import main
 
 
@@ -89,6 +90,13 @@ class TestOtherCommands:
         E = [float(line.split(",")[1]) for line in lines]
         assert len(E) == 3  # t = 0, 0.5, 1
         assert max(abs(e - E[0]) for e in E) / abs(E[0]) == doc["result"]["energy_drift"]
+
+    def test_evolve_shorter_than_dt_ends_at_t_end(self, tmp_path):
+        assert run(tmp_path, "evolve", "--p", "4.5", "--dt", "0.3", "--t-end", "0.1") == 0
+        last = (tmp_path / "evolve_series.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 0.1
+        doc = json.loads((tmp_path / "evolve.json").read_text())
+        assert doc["result"]["soliton_sup_error"] <= 1e-6
 
     def test_instability_reports_sign_flip(self, tmp_path):
         # the command reports the literal positivity claim; the increments
@@ -181,14 +189,28 @@ class TestSchema:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv", [
-        ["evolve", "--N", "512", "--dt", "3", "--t-end", "200"],
-        ["instability", "--N", "512", "--dt", "3", "--t-end", "60"],
-        # the state stays finite, but its energy density overflows
-        ["evolve", "--N", "512", "--dt", "10", "--t-end", "200"],
-    ], ids=["evolve-dt3", "instability-dt3", "evolve-dt10"])
-    def test_blowup_is_a_consistency_failure(self, tmp_path, capsys, argv):
-        assert run(tmp_path, *argv) == 3
+    def test_huge_first_step_is_only_a_rejected_trial(self, tmp_path, monkeypatch):
+        trajectories = []
+
+        def recording_evolve(u0, config):
+            trajectories.append(evolve(u0, config))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "evolve", recording_evolve)
+        assert run(tmp_path, "evolve", "--N", "2048", "--dt", "3", "--t-end", "5") == 0
+        assert trajectories[0].steps_rejected >= 1
+
+    @pytest.mark.parametrize("command, module", [
+        ("evolve", cli),
+        ("instability", modulation),
+    ], ids=["evolve", "instability"])
+    def test_blowup_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch,
+                                             command, module):
+        def blowing_up(u0, config):
+            raise BlowupError(1.5)
+
+        monkeypatch.setattr(module, "evolve", blowing_up)
+        assert run(tmp_path, command, "--N", "512", "--t-end", "2") == 3
         assert "consistency failure: state or its conserved quantities became non-finite" in (
             capsys.readouterr().err
         )

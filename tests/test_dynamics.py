@@ -6,8 +6,10 @@ import pytest
 from gbbmlab import (
     BlowupError,
     Field,
+    GroundState,
     H_of_u,
     SimulationConfig,
+    critical_speed,
     derivative,
     evolution_rhs,
     evolve,
@@ -16,7 +18,9 @@ from gbbmlab import (
     step,
     translate,
 )
+from gbbmlab import dynamics
 from gbbmlab.dynamics import linear_rhs
+from gbbmlab.functionals import _flow
 from conftest import decaying_random_field
 
 L50 = 50.0 * math.pi
@@ -80,7 +84,7 @@ class TestDispersion:
 class TestEvolve:
     def test_soliton_round_trip(self, gs5, periodic_4096):
         t_end = 20.0 / gs5.c
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=t_end, record_every=500)
+        cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=t_end, record_interval=1.0)
         phi = gs5.profile(periodic_4096)
         traj = evolve(phi, cfg)
         exact = translate(phi, -gs5.c * float(traj.times[-1]))
@@ -94,13 +98,15 @@ class TestEvolve:
             gs5.profile(periodic_4096).values
             + 0.05 * decaying_random_field(periodic_4096, rng).values,
         )
+        # a 5th-order step reaches round-off at dt = 1e-3, so halve from 0.04
         outs = {}
-        for dt in (4e-3, 2e-3, 1e-3):
-            cfg = SimulationConfig(periodic_4096, gs5.p, dt=dt, t_end=1.0,
-                                   record_every=int(round(1.0 / dt)))
-            outs[dt] = evolve(u0, cfg).states[-1].values
-        e1 = np.max(np.abs(outs[4e-3] - outs[1e-3]))
-        e2 = np.max(np.abs(outs[2e-3] - outs[1e-3]))
+        for dt in (4e-2, 2e-2, 1e-2):
+            u = u0
+            for _ in range(int(round(1.0 / dt))):
+                u = step(u, dt, gs5.p)
+            outs[dt] = u.values
+        e1 = np.max(np.abs(outs[4e-2] - outs[1e-2]))
+        e2 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
         order = math.log(e1 / e2) / math.log(2.0)
         assert order > 3.8
 
@@ -110,27 +116,75 @@ class TestEvolve:
         gs = gs5
         u1 = gs.profile(g1)
         u2 = gs.profile(g2)
-        cfg1 = SimulationConfig(g1, gs.p, dt=2e-3, t_end=1.0, record_every=500)
-        cfg2 = SimulationConfig(g2, gs.p, dt=2e-3, t_end=1.0, record_every=500)
+        cfg1 = SimulationConfig(g1, gs.p, dt=2e-3, t_end=1.0, record_interval=1.0)
+        cfg2 = SimulationConfig(g2, gs.p, dt=2e-3, t_end=1.0, record_interval=1.0)
         v1 = evolve(u1, cfg1).states[-1].values
         v2 = evolve(u2, cfg2).states[-1].values[::2]
         assert np.max(np.abs(v1 - v2)) < 1e-6
 
     def test_h1_norm_stays_bounded(self, gs5, periodic_4096):
         u0 = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=5.0, record_every=250)
+        cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=5.0, record_interval=0.5)
         traj = evolve(u0, cfg)
         n0 = norm_h1(traj.states[0])
         assert all(norm_h1(s) < 1.2 * n0 for s in traj.states)
 
     def test_record_cadence(self, gs5, periodic_4096):
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=0.5, record_every=10)
+        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=0.5, record_interval=0.1)
         traj = evolve(gs5.profile(periodic_4096), cfg)
         assert np.allclose(np.diff(traj.times), 0.1)
+        assert traj.times[-1] == 0.5
+
+    def test_record_times_are_exact(self, gs5, periodic_4096):
+        # k * interval, not a running sum, and t_end even when it is no multiple
+        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=1.05, record_interval=0.1)
+        traj = evolve(gs5.profile(periodic_4096), cfg)
+        assert traj.times.tolist() == [0.1 * k for k in range(11)] + [1.05]
+
+    def test_step_counts(self):
+        # the soliton_evolve benchmark run: p = 4.5, N = 8192, t_end = 2
+        gs = GroundState(4.5, critical_speed(4.5))
+        grid = make_grid(L50, 8192, "periodic")
+        traj = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0))
+        assert traj.steps_accepted <= 100
+        assert traj.rhs_evals == 6 * (traj.steps_accepted + traj.steps_rejected) + 1
+
+    def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
+        # the controlled path against the fixed-step reference at dt = 2e-3
+        u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
+        traj = evolve(u, SimulationConfig(periodic_4096, gs5.p, t_end=5.0, record_interval=0.5))
+        assert traj.times.tolist() == [0.5 * k for k in range(11)]
+        dt = 2e-3
+        rhs = lambda f: evolution_rhs(f, gs5.p)  # noqa: E731
+        for i, recorded in enumerate(traj.states):
+            if i:
+                for _ in range(250):
+                    u = rk4(u, rhs, dt)
+            assert np.max(np.abs(recorded.values - u.values)) <= 1e-8
+        assert traj.energy_drift() <= 1e-9
+        assert traj.momentum_drift() <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e3, 1e60], ids=["rejection-floor", "energy-overflow"])
+    def test_blowup_raises_promptly(self, gs5, periodic_4096, monkeypatch, scale):
+        # 1e3 phi is rejected down to the step floor; the energy density of
+        # 1e60 phi overflows at the first record
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _flow(*args)
+
+        monkeypatch.setattr(dynamics, "_flow", counted)
+        huge = Field(periodic_4096, scale * gs5.profile(periodic_4096).values)
+        with np.errstate(over="ignore"), pytest.raises(BlowupError):
+            evolve(huge, SimulationConfig(periodic_4096, gs5.p, t_end=1.0))
+        assert len(calls) <= 100
 
     def test_config_validation(self, periodic_4096):
         with pytest.raises(ValueError):
             SimulationConfig(periodic_4096, 5.0, dt=-1.0)
+        with pytest.raises(ValueError):
+            SimulationConfig(periodic_4096, 5.0, record_interval=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(make_grid(10.0, 64, "dirichlet_truncated"), 5.0)
 

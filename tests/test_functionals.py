@@ -20,6 +20,7 @@ from gbbmlab import (
     norm_l2,
     translate,
 )
+from gbbmlab.functionals import _nonlinear
 from conftest import decaying_random_field
 
 
@@ -185,3 +186,15 @@ class TestEvolutionField:
         scale = norm_l2(rhs) * max(norm_l2(e_grad), norm_l2(q_grad))
         assert abs(inner(rhs, e_grad)) < 1e-9 * scale
         assert abs(inner(rhs, q_grad)) < 1e-9 * scale
+
+
+class TestNonlinearity:
+    @pytest.mark.parametrize("p", [5.0, 6.0])
+    def test_integer_path_matches_float_power(self, p):
+        u = np.random.default_rng(5).normal(size=8192)  # sign-changing
+        ref = np.sign(u) * np.abs(u) ** (p + 1.0)
+        assert np.all(np.abs(_nonlinear(u, p) - ref) <= 1e-15 * np.abs(ref))
+
+    def test_fractional_path_unchanged(self):
+        u = np.random.default_rng(5).normal(size=8192)
+        assert np.array_equal(_nonlinear(u, 4.5), np.sign(u) * np.abs(u) ** 5.5)

@@ -156,7 +156,7 @@ class TestDecompose:
 def short_runs(gs5):
     grid = make_grid(L50, 4096, "periodic")
     phi = gs5.profile(grid)
-    cfg = SimulationConfig(grid, gs5.p, dt=2e-3, t_end=3.0, record_every=100)
+    cfg = SimulationConfig(grid, gs5.p, dt=2e-3, t_end=3.0, record_interval=0.2)
     runs = {0.0: evolve(phi, cfg)}
     for a in (0.005, 0.01, 0.02):
         runs[a] = evolve(Field(grid, (1.0 - a) * phi.values), cfg)

@@ -12,12 +12,9 @@ from gbbmlab import (
     GroundState,
     critical_speed,
     decompose,
-    evolve,
     make_grid,
     negativity_form,
     normalized_profile_norm_sq,
-    step,
-    SimulationConfig,
 )
 from gbbmlab.modulation import _virial_frame
 from gbbmlab.structure import kappa_closed_form, table_points
@@ -86,15 +83,6 @@ def test_kappa_matches_expanded_closed_form(p):
     )
     kappa = kappa_closed_form(prof).values
     assert np.max(np.abs(kappa - expanded)) < 1e-14 * np.max(np.abs(expanded))
-
-
-def test_evolve_steps_equal_single_steps(gs5, periodic_4096):
-    phi = gs5.profile(periodic_4096)
-    traj = evolve(phi, SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=2e-2, record_every=1))
-    u = phi
-    for recorded in traj.states[1:]:
-        u = step(u, 1e-2, gs5.p)
-        assert np.array_equal(u.values, recorded.values)
 
 
 class TestSamplingCounts:
