@@ -75,7 +75,11 @@ class Trajectory:
     Q_series: np.ndarray
     steps_accepted: int
     steps_rejected: int
-    rhs_evals: int
+
+    @property
+    def rhs_evals(self) -> int:
+        # FSAL: one flow evaluation at t = 0, then six per trial step
+        return 1 + 6 * (self.steps_accepted + self.steps_rejected)
 
     def energy_drift(self) -> float:
         E0 = self.E_series[0]
@@ -164,7 +168,7 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
             h, after_reject = h_try * (min(fac, 1.0) if after_reject else fac), False
         record(t_rec)
     return Trajectory(config, np.asarray(times), states, np.asarray(Es), np.asarray(Qs),
-                      accepted, rejected, 1 + 6 * (accepted + rejected))
+                      accepted, rejected)
 
 
 def H_of_u(u: Field, p: float) -> Field:

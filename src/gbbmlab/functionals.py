@@ -38,9 +38,9 @@ class FunctionalValue:
 
 def _nonlinear(u: np.ndarray, p: float) -> np.ndarray:
     # |u|^p u, well-defined for sign-changing u and non-integer p
-    if not float(p).is_integer():
+    if not (p >= 0 and float(p).is_integer()):
         return np.sign(u) * np.abs(u) ** (p + 1.0)
-    # integer p: u |u|^(p mod 2) (u^2)^(p // 2) by squaring, in place; at
+    # integer p >= 0: u |u|^(p mod 2) (u^2)^(p // 2) by squaring, in place; at
     # N = 8192 about 3x cheaper than the float power
     n = int(p)
     out = np.abs(u) if n % 2 else np.ones_like(u)

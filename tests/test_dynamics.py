@@ -37,6 +37,19 @@ def rk4(field, rhs, dt):
     )
 
 
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """One entry per flow evaluation `dynamics` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _flow(*args)
+
+    monkeypatch.setattr(dynamics, "_flow", counted)
+    return calls
+
+
 class TestStep:
     def test_zero_fixed_point(self, periodic_4096):
         z = Field(periodic_4096, np.zeros(periodic_4096.node_count))
@@ -141,13 +154,14 @@ class TestEvolve:
         traj = evolve(gs5.profile(periodic_4096), cfg)
         assert traj.times.tolist() == [0.1 * k for k in range(11)] + [1.05]
 
-    def test_step_counts(self):
-        # the soliton_evolve benchmark run: p = 4.5, N = 8192, t_end = 2
+    def test_step_counts(self, flow_calls):
+        # the soliton_evolve benchmark run: p = 4.5, N = 8192, t_end = 2; the
+        # flow evaluations are counted, not read back from the trajectory
         gs = GroundState(4.5, critical_speed(4.5))
         grid = make_grid(L50, 8192, "periodic")
         traj = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0))
         assert traj.steps_accepted <= 100
-        assert traj.rhs_evals == 6 * (traj.steps_accepted + traj.steps_rejected) + 1
+        assert traj.rhs_evals == len(flow_calls)  # 1 + 6 per trial step (FSAL)
 
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
@@ -165,20 +179,13 @@ class TestEvolve:
         assert traj.momentum_drift() <= 1e-9
 
     @pytest.mark.parametrize("scale", [1e3, 1e60], ids=["rejection-floor", "energy-overflow"])
-    def test_blowup_raises_promptly(self, gs5, periodic_4096, monkeypatch, scale):
+    def test_blowup_raises_promptly(self, gs5, periodic_4096, flow_calls, scale):
         # 1e3 phi is rejected down to the step floor; the energy density of
         # 1e60 phi overflows at the first record
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return _flow(*args)
-
-        monkeypatch.setattr(dynamics, "_flow", counted)
         huge = Field(periodic_4096, scale * gs5.profile(periodic_4096).values)
         with np.errstate(over="ignore"), pytest.raises(BlowupError):
             evolve(huge, SimulationConfig(periodic_4096, gs5.p, t_end=1.0))
-        assert len(calls) <= 100
+        assert len(flow_calls) <= 100
 
     def test_config_validation(self, periodic_4096):
         with pytest.raises(ValueError):

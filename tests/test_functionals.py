@@ -195,6 +195,8 @@ class TestNonlinearity:
         ref = np.sign(u) * np.abs(u) ** (p + 1.0)
         assert np.all(np.abs(_nonlinear(u, p) - ref) <= 1e-15 * np.abs(ref))
 
-    def test_fractional_path_unchanged(self):
+    @pytest.mark.parametrize("p", [4.5, -2.0])
+    def test_float_power_for_other_p(self, p):
+        # fractional p bit for bit; a negative integer p takes the float power
         u = np.random.default_rng(5).normal(size=8192)
-        assert np.array_equal(_nonlinear(u, 4.5), np.sign(u) * np.abs(u) ** 5.5)
+        assert np.array_equal(_nonlinear(u, p), np.sign(u) * np.abs(u) ** (p + 1.0))
