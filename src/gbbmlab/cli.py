@@ -45,6 +45,7 @@ EXIT_CLAIM = 2
 EXIT_CONSISTENCY = 3
 EXIT_USAGE = 64
 RESOLUTION_SEQUENCE = (1024, 2048, 4096, 8192, 16384)
+KERNEL_OVERLAP_MIN = 0.99
 
 DEFAULTS = {
     "L": 50.0 * math.pi,
@@ -55,7 +56,6 @@ DEFAULTS = {
     "R": 0.0,  # 0 means auto (10 / tail rate)
     "p": 5.0,
     "p_list": "4.1,4.5,5,6,6.5,10,30,50,70,100",
-    "workers": 1,
 }
 
 
@@ -136,7 +136,7 @@ def cmd_table(cfg: dict) -> int:
     if not p_list:
         print("error: empty p_list", file=sys.stderr)
         return EXIT_USAGE
-    report = negativity_table(p_list, L=cfg["L"], n_request=cfg["N"], workers=cfg["workers"])
+    report = negativity_table(p_list, L=cfg["L"], n_request=cfg["N"])
     outdir = Path(cfg["out"])
     csv_rows = [(r.p, r.c0, r.form_value, str(r.negative).lower()) for r in report.rows]
     _write(outdir, "table.csv", _config_header(cfg, "table")
@@ -184,6 +184,13 @@ def cmd_spectrum(cfg: dict) -> int:
     print(f"negative_count={report.negative_count} "
           f"kernel_eigenvalue={report.kernel_eigenvalue:.3e} "
           f"kernel_overlap={report.kernel_overlap:.6f}")
+    if report.kernel_overlap < KERNEL_OVERLAP_MIN:
+        # the kernel candidate is a continuum eigenvalue: the grid does not
+        # resolve the translation mode, so no count on it is a verdict
+        print(f"consistency failure: kernel_overlap {report.kernel_overlap:.6f} < "
+              f"{KERNEL_OVERLAP_MIN} at N={grid.points}; the grid is unresolved",
+              file=sys.stderr)
+        return EXIT_CONSISTENCY
     return EXIT_OK if report.negative_count == 1 else EXIT_CLAIM
 
 
@@ -214,6 +221,13 @@ def cmd_coercivity(cfg: dict) -> int:
     threshold = 1e-3 * essential_spectrum_edge(gs)
     print(f"raw_min={report.raw_min:.6f} constrained_min={report.constrained_min:.6f} "
           f"(positivity threshold {threshold:.2e})")
+    finest = reports[RESOLUTION_SEQUENCE[-1]].constrained_min
+    if (report.constrained_min > threshold) != (finest > threshold):
+        print(f"consistency failure: constrained_min {report.constrained_min:.6f} at "
+              f"N={claim_n} and {finest:.6f} at N={RESOLUTION_SEQUENCE[-1]} fall on "
+              f"opposite sides of the threshold; the claim grid is unresolved",
+              file=sys.stderr)
+        return EXIT_CONSISTENCY
     if report.constrained_min <= threshold:
         print("claim failure: constrained minimum is not strictly positive",
               file=sys.stderr)
@@ -305,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--a", type=float)
         sp.add_argument("--R", type=float)
         sp.add_argument("--out")
-        sp.add_argument("--workers", type=int)
     return ap
 
 

@@ -23,6 +23,7 @@ carries beta(u0), gamma(lambda) and the increment budget term
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,13 +171,17 @@ def _odd_cutoff(s: np.ndarray, R: float) -> np.ndarray:
     return np.sign(s) * np.where(a <= R, a, np.where(a >= 2.0 * R, 1.5 * R, ramp))
 
 
-def cutoff_profile(R: float, grid: Grid) -> Field:
-    """Odd C^3 cutoff: identity on [-R, R], quintic-smoothstep ramp on [R, 2R],
-    constant 3R/2 beyond; slope stays in [0, 1] everywhere."""
+def _check_cutoff(R: float, grid: Grid) -> None:
     if 2.0 * R >= grid.half_width:
         raise ValueError(
             f"cutoff needs 2R < L, got R={R!r} on half-width {grid.half_width!r}"
         )
+
+
+def cutoff_profile(R: float, grid: Grid) -> Field:
+    """Odd C^3 cutoff: identity on [-R, R], quintic-smoothstep ramp on [R, 2R],
+    constant 3R/2 beyond; slope stays in [0, 1] everywhere."""
+    _check_cutoff(R, grid)
     return Field(grid, _odd_cutoff(grid.nodes, R))
 
 
@@ -217,7 +222,11 @@ class VirialReport:
     tube_distance: float
     kappa_residual: float
     mode: str
-    y: float = 0.0
+    y: float
+    # B(lam), <xi, (1-d_xx)(x^3 phi_lam)> and <xi, hessian(d_x(x^3 phi_lam))>
+    B: float
+    cubic_pairing: float
+    cubic_image_pairing: float
 
 
 def _virial_frame(
@@ -240,24 +249,15 @@ def _virial_frame(
     I1 = quadrature(Field(grid, _odd_cutoff(offs, R) * _energy_density(u.values, p)))
 
     B, D = coefficients(prof)
-    I2 = D / B * inner(xi, _cubic_helmholtz(prof))
+    cubic = inner(xi, _cubic_helmholtz(prof))
+    I2 = D / B * cubic
 
     beta = -lam * (E0 - _energy_closed(p, c))
     kres = inner(xi, kappa_closed_form(prof)) / B
     return VirialReport(
         t, I1, I2, I1 + I2, beta, gamma_of_lambda(p, c, lam), lam,
-        norm_h1(xi), kres, state.mode, y,
+        norm_h1(xi), kres, state.mode, y, B, cubic, inner(xi, cubic_pair_image(prof)),
     )
-
-
-def _tracked(traj: Trajectory, p: float, c: float, mode: str):
-    """(t, u, state) per recorded frame, each decompose warm-started from the
-    previous frame's (lam, y); the first ModulationError propagates."""
-    lam, y = c, 0.0
-    for t, u in zip(traj.times, traj.states):
-        state = decompose(u, p, (lam, y), mode=mode)
-        lam, y = state.lam, state.y
-        yield float(t), u, state
 
 
 def virial_monitor(
@@ -266,10 +266,20 @@ def virial_monitor(
     c: float,
     R: float,
     mode: str = MODE_FIT,
-) -> list[VirialReport]:
-    """Per-frame virial reports along a trajectory (modulation warm-started)."""
+) -> Iterator[VirialReport]:
+    """The frame loop: one virial report per recorded frame, in order.
+
+    Each decompose is warm-started from the previous frame's (lam, y), the
+    first from (c, 0); the first ModulationError propagates. A consumer that
+    stops iterating stops the decomposition there.
+    """
+    _check_cutoff(R, traj.config.grid)
     E0 = float(traj.E_series[0])
-    return [_virial_frame(u, t, p, c, R, E0, st) for t, u, st in _tracked(traj, p, c, mode)]
+    lam, y = c, 0.0
+    for t, u in zip(traj.times, traj.states):
+        state = decompose(u, p, (lam, y), mode=mode)
+        lam, y = state.lam, state.y
+        yield _virial_frame(u, float(t), p, c, R, E0, state)
 
 
 @dataclass(frozen=True)
@@ -286,39 +296,28 @@ class ResidualRecord:
     defect: float
 
 
-def parameter_residuals(
-    traj: Trajectory, p: float, c: float, mode: str = MODE_FIT
-) -> list[ResidualRecord]:
+def parameter_residuals(frames: Sequence[VirialReport]) -> list[ResidualRecord]:
     """Finite-difference dynamics of (lam, y) with the translation-speed identity.
 
     The identity checked: y_dot - lam equals
     (1/B)<xi, hessian(d_x(x^3 phi_lam))> - (1/B) d/dt <xi, (1-d_xx)(x^3 phi_lam)>
-    up to O(||xi||^2); both sides are assembled per frame.
+    up to O(||xi||^2); both sides are assembled per interior frame from the
+    pairings the frame loop already holds.
     """
-    states = [st for _, _, st in _tracked(traj, p, c, mode)]
-    # per frame: <xi, (1-d_xx)(x^3 phi)>, <xi, hessian(d_x(x^3 phi))> and B
-    pairings = []
-    for st in states:
-        prof = GroundState(p, st.lam).sample(st.xi.grid)
-        pairings.append((inner(st.xi, _cubic_helmholtz(prof)),
-                         inner(st.xi, cubic_pair_image(prof)), prof.B))
-
-    times = traj.times
     out = []
-    for i in range(1, len(states) - 1):
-        dt2 = float(times[i + 1] - times[i - 1])
-        y_dot = (states[i + 1].y - states[i - 1].y) / dt2
-        lam_dot = (states[i + 1].lam - states[i - 1].lam) / dt2
-        dgdt = (pairings[i + 1][0] - pairings[i - 1][0]) / dt2
-        st = states[i]
-        rhs = (pairings[i][1] - dgdt) / pairings[i][2]
-        xin = norm_h1(st.xi)
+    for prev, f, nxt in zip(frames, frames[1:], frames[2:]):
+        dt2 = nxt.t - prev.t
+        y_dot = (nxt.y - prev.y) / dt2
+        lam_dot = (nxt.lam - prev.lam) / dt2
+        dgdt = (nxt.cubic_pairing - prev.cubic_pairing) / dt2
+        rhs = (f.cubic_image_pairing - dgdt) / f.B
+        xin = f.tube_distance
         out.append(
             ResidualRecord(
-                float(times[i]), st.lam, st.y, xin, y_dot, lam_dot,
-                abs(y_dot - st.lam) / xin if xin > 0 else 0.0,
+                f.t, f.lam, f.y, xin, y_dot, lam_dot,
+                abs(y_dot - f.lam) / xin if xin > 0 else 0.0,
                 abs(lam_dot) / xin if xin > 0 else 0.0,
-                rhs, abs((y_dot - st.lam) - rhs),
+                rhs, abs((y_dot - f.lam) - rhs),
             )
         )
     return out
@@ -355,9 +354,10 @@ def instability_experiment(
     radius 0.1 ||phi_c||_{H^1} around the modulated profile. The specified
     kappa-orthogonal modulation is attempted on the initial frame; since it
     generically has no root for this data, the monitor falls back to the
-    least-squares pair and says so in the report. The verdict states whether
-    the increments of I have a definite sign over the in-tube frames (>= 95%
-    one-signed).
+    least-squares pair and says so in the report. The frames end at the first
+    one outside the tube, and no later frame is decomposed. The verdict states
+    whether the increments of I have a definite sign over the in-tube frames
+    (>= 95% one-signed).
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")
@@ -368,6 +368,7 @@ def instability_experiment(
     phi = gs.profile(grid)
     if R is None:
         R = 10.0 / gs.tail_rate
+    _check_cutoff(R, grid)  # before the time stepping, not only in the frame loop
     u0 = Field(grid, (1.0 - a) * phi.values)
     traj = evolve(u0, SimulationConfig(grid, p, dt, t_end))
 
@@ -377,13 +378,16 @@ def instability_experiment(
     except ModulationError:
         mode = MODE_FIT
 
-    E0 = float(traj.E_series[0])
     eps = 0.1 * norm_h1(phi)
     frames = []
+    tube_exit = None
     failed = False
     try:
-        for t, u, st in _tracked(traj, p, c, mode):
-            frames.append(_virial_frame(u, t, p, c, R, E0, st))
+        for f in virial_monitor(traj, p, c, R, mode):
+            frames.append(f)
+            if f.tube_distance > eps:
+                tube_exit = f.t
+                break
     except ModulationError:
         failed = True
 
@@ -393,14 +397,7 @@ def instability_experiment(
             float("nan"), float("nan"),
         )
 
-    tube_exit = None
-    in_tube_end = len(frames)
-    for i, f in enumerate(frames):
-        if f.tube_distance > eps:
-            tube_exit = f.t
-            in_tube_end = i
-            break
-
+    in_tube_end = len(frames) - 1 if tube_exit is not None else len(frames)
     I_vals = np.array([f.I for f in frames[: max(in_tube_end, 2)]])
     dI = np.diff(I_vals)
     pos = float(np.mean(dI > 0)) if dI.size else 0.0
@@ -414,9 +411,8 @@ def instability_experiment(
     else:
         verdict = "inconclusive"
 
-    end_idx = in_tube_end - 1 if tube_exit is not None else len(frames) - 1
     beta_lin = a * c * (2.0 * (p + 2.0) * c - p) / (p + 4.0) * profile_norm_sq_closed(p, c)
     return ExperimentReport(
         p, a, c, tuple(frames), tube_exit, verdict, mode, pos, neg,
-        abs(frames[end_idx].lam - c), frames[0].beta, beta_lin,
+        abs(frames[in_tube_end - 1].lam - c), frames[0].beta, beta_lin,
     )

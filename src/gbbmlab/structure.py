@@ -178,8 +178,7 @@ class TableReport:
         )
 
 
-def _table_row(args) -> TableRow:
-    p, L, n_request = args
+def _table_row(p: float, L: float, n_request: int) -> TableRow:
     c0 = critical_speed(p)
     gs = GroundState(p, c0)
     n = table_points(p, c0, L, n_request)
@@ -192,13 +191,10 @@ def negativity_table(
     p_list,
     L: float = DEFAULT_HALF_WIDTH,
     n_request: int = DEFAULT_POINTS,
-    workers: int = 1,
 ) -> TableReport:
-    """Tabulate <hessian(Gamma), Gamma> at c0(p) over p_list.
+    """Tabulate <hessian(Gamma), Gamma> at c0(p) over p_list, in p_list order.
 
-    Rows are independent and may fan out to a process pool; output order
-    follows p_list regardless of worker count. A dual-path discrepancy above
-    1e-6 aborts the table.
+    A dual-path discrepancy above 1e-6 aborts the table.
     """
     p_list = list(p_list)
     if not p_list:
@@ -206,14 +202,7 @@ def negativity_table(
     for p in p_list:
         if not 4 < p < math.inf:
             raise ValueError(f"table entries require finite p > 4, got {p!r}")
-    jobs = [(float(p), float(L), int(n_request)) for p in p_list]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_table_row, jobs))
-    else:
-        rows = tuple(_table_row(j) for j in jobs)
+    rows = tuple(_table_row(float(p), float(L), int(n_request)) for p in p_list)
     report = TableReport(rows)
     if not report.consistent():
         worst = max(rows, key=lambda r: max(r.dual_sup_error, r.dual_scalar_error))

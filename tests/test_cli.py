@@ -36,13 +36,9 @@ class TestTable:
             tmp_path / "b" / "table.csv"
         ).read_bytes()
 
-    def test_worker_pool_identical(self, tmp_path):
-        run(tmp_path / "a", "table", "--p-list", "5,6")
-        assert main(["table", "--p-list", "5,6", "--workers", "2",
-                     "--out", str(tmp_path / "c")]) == 0
-        a = (tmp_path / "a" / "table.csv").read_text().splitlines()[1:]
-        c = (tmp_path / "c" / "table.csv").read_text().splitlines()[1:]
-        assert a == c
+    def test_workers_flag_usage_error(self, tmp_path):
+        # rows are computed in this process; there is no worker pool to size
+        assert run(tmp_path, "table", "--p-list", "5,6", "--workers", "2") == 64
 
     def test_empty_p_list_usage_error(self, tmp_path):
         assert run(tmp_path, "table", "--p-list", "") == 64
@@ -66,6 +62,13 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "spectrum.json").read_text())
         assert doc["result"]["negative_count"] == 1
 
+    def test_spectrum_unresolved_grid_is_a_consistency_failure(self, tmp_path, capsys):
+        # at N = 64 the kernel candidate is a continuum eigenvalue near the edge
+        assert run(tmp_path, "spectrum", "--p", "5", "--N", "64") == 3
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        assert doc["result"]["kernel_overlap"] < 0.99
+        assert "kernel_overlap" in capsys.readouterr().err
+
     def test_coercivity_reports_claim_failure(self, tmp_path):
         # the command reports the literal positivity claim, which the package
         # refutes (the minimum on {phi', kappa} is negative): exit 2, and the
@@ -79,6 +82,16 @@ class TestOtherCommands:
         assert seq[0]["constrained_min"] == doc["result"]["constrained_min"]
         mins = [r["constrained_min"] for r in seq]
         assert all(a < b < 0.0 for a, b in zip(mins, mins[1:]))
+
+    def test_coercivity_unresolved_grid_is_a_consistency_failure(self, tmp_path, capsys):
+        # N = 16 gives a positive minimum that the resolution sequence refutes
+        assert run(tmp_path, "coercivity", "--p", "5", "--N", "16") == 3
+        doc = json.loads((tmp_path / "coercivity.json").read_text())
+        claim = doc["result"]["constrained_min"]
+        finest = doc["result"]["resolution"][-1]["constrained_min"]
+        assert claim > 0.0 > finest
+        err = capsys.readouterr().err
+        assert f"{claim:.6f} at N=16" in err and f"{finest:.6f} at N=16384" in err
 
     def test_evolve(self, tmp_path):
         assert run(tmp_path, "evolve", "--p", "5", "--N", "2048",
@@ -106,6 +119,12 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "instability.json").read_text())
         assert doc["result"]["verdict"] == "monotone-decreasing"
         assert doc["result"]["mode"] == "fit"
+
+    def test_instability_wide_cutoff_usage_error(self, tmp_path, capsys):
+        # 2R = 200 exceeds the half-width 50 pi: the cutoff would jump at the wrap
+        assert run(tmp_path, "instability", "--R", "100", "--N", "1024",
+                   "--t-end", "2", "--dt", "0.025") == 64
+        assert "cutoff needs 2R < L" in capsys.readouterr().err
 
 
 # per command: extra flags, the keys of its JSON result (of each row when the
@@ -249,3 +268,8 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = json\n")
         assert main(["--config", str(cfg), "identities", "--out", str(tmp_path)]) == 64
+
+    def test_workers_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        assert main(["--config", str(cfg), "table", "--out", str(tmp_path)]) == 64

@@ -163,24 +163,31 @@ def short_runs(gs5):
     return runs
 
 
+@pytest.fixture(scope="module")
+def short_frames(gs5, short_runs):
+    return {
+        a: list(virial_monitor(run, gs5.p, gs5.c, R=30.0)) for a, run in short_runs.items()
+    }
+
+
 class TestParameterResiduals:
-    def test_exact_soliton_dynamics(self, gs5, short_runs):
-        recs = parameter_residuals(short_runs[0.0], gs5.p, gs5.c)
+    def test_exact_soliton_dynamics(self, gs5, short_frames):
+        recs = parameter_residuals(short_frames[0.0])
         mid = recs[len(recs) // 2]
         assert abs(mid.y_dot - gs5.c) < 1e-8
         assert abs(mid.lam_dot) < 1e-8
 
-    def test_ratios_bounded(self, gs5, short_runs):
-        recs = parameter_residuals(short_runs[0.01], gs5.p, gs5.c)
+    def test_ratios_bounded(self, short_frames):
+        recs = parameter_residuals(short_frames[0.01])
         assert max(r.ratio_y for r in recs) < 2.0
         assert max(r.ratio_lam for r in recs) < 0.1
 
-    def test_translation_speed_identity_second_order(self, gs5, short_runs):
+    def test_translation_speed_identity_second_order(self, short_frames):
         # defect of the speed identity scales like ||xi||^2: the measured
         # constant stays put under refinement of the perturbation size
         consts = []
         for a in (0.02, 0.01, 0.005):
-            recs = parameter_residuals(short_runs[a], gs5.p, gs5.c)
+            recs = parameter_residuals(short_frames[a])
             consts.append(max(r.defect for r in recs) / max(r.xi_h1 for r in recs) ** 2)
         assert max(consts) < 1.0
         assert max(consts) / min(consts) < 1.25
@@ -233,16 +240,16 @@ class TestGammaDiagnostics:
 
 
 class TestVirialMonitor:
-    def test_frames_consistent(self, gs5, short_runs):
-        frames = virial_monitor(short_runs[0.01], gs5.p, gs5.c, R=30.0)
+    def test_frames_consistent(self, gs5, short_frames):
+        frames = short_frames[0.01]
         for f in frames:
             assert f.I == pytest.approx(f.I1 + f.I2, abs=1e-14)
         # uniform bound in the cutoff radius
         n2 = profile_norm_sq_closed(gs5.p, gs5.c)
         assert max(abs(f.I) for f in frames) < 5.0 * 30.0 * (n2 + 1.0)
 
-    def test_soliton_run_keeps_I_constant(self, gs5, short_runs):
-        frames = virial_monitor(short_runs[0.0], gs5.p, gs5.c, R=30.0)
+    def test_soliton_run_keeps_I_constant(self, short_frames):
+        frames = short_frames[0.0]
         vals = [f.I for f in frames]
         assert max(vals) - min(vals) < 1e-8
 
@@ -293,3 +300,21 @@ class TestInstabilityExperiment:
             instability_experiment(5.0, 0.5, grid)
         with pytest.raises(ValueError):
             instability_experiment(3.0, 0.01, grid)
+
+    def test_stops_at_tube_exit(self, monkeypatch):
+        # a = 0.05 leaves the tube at t = 11.5, well before t_end: the exit frame
+        # is the last one reported and the last one decomposed
+        calls = []
+        real = modulation.decompose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(modulation, "decompose", counted)
+        grid = make_grid(L50, 1024, "periodic")
+        rep = instability_experiment(5.0, 0.05, grid, dt=0.025, t_end=20.0)
+        assert rep.tube_exit_time == 11.5
+        assert rep.frames[-1].t == rep.tube_exit_time
+        # one kappa attempt on frame 0, then one call per reported frame
+        assert len(calls) == 1 + len(rep.frames)

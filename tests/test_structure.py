@@ -152,7 +152,7 @@ class TestNegativityForm:
 
 @pytest.fixture(scope="module")
 def full_table_report():
-    return negativity_table(sorted(PRINTED_TABLE), workers=1)
+    return negativity_table(sorted(PRINTED_TABLE))
 
 
 class TestNegativityTable:
@@ -176,12 +176,6 @@ class TestNegativityTable:
         for row in finer.rows:
             ref = next(r for r in report.rows if r.p == row.p)
             assert row.form_value == pytest.approx(ref.form_value, rel=1e-6)
-
-    def test_worker_pool_bit_identical(self, report):
-        par = negativity_table(sorted(PRINTED_TABLE), workers=2)
-        for a, b in zip(report.rows, par.rows):
-            assert a.form_value == b.form_value
-            assert a.operator_value == b.operator_value
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
