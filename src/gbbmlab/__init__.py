@@ -55,7 +55,7 @@ from .spectral import (
     inverse_pairing,
     negative_direction_check,
 )
-from .dynamics import BlowupError, SimulationConfig, Trajectory, H_of_u, evolve, step
+from .dynamics import BlowupError, SimulationConfig, Trajectory, H_of_u, evolve, step, stream
 from .modulation import (
     MODE_FIT,
     MODE_KAPPA,

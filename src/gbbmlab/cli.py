@@ -243,7 +243,7 @@ def cmd_evolve(cfg: dict) -> int:
     phi = gs.profile(grid)
     traj = evolve(phi, SimulationConfig(grid, p, cfg["dt"], cfg["t_end"]))
     exact = translate(phi, -c * cfg["t_end"])
-    sup_err = float(np.max(np.abs(traj.states[-1].values - exact.values)))
+    sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
     outdir = Path(cfg["out"])
     _write(outdir, "evolve_series.csv", _config_header(cfg, "evolve")
            + _csv(("t", "E", "Q"), zip(traj.times, traj.E_series, traj.Q_series)))

@@ -7,12 +7,13 @@ error-controlled steps of the embedded Dormand-Prince 5(4) pair (Dormand &
 Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), with the
 error measured in the max norm, which does not depend on N or L. Conservation
 of E and Q is monitored, not enforced. The fractional nonlinearity cannot be
-dealiased exactly; the optional 2/3-rule mask (default on) masks the
-transform of the nonlinear term.
+dealiased exactly; the 2/3-rule mask acts on the transform of the nonlinear
+term. `stream` yields one `Frame` per record time; `evolve` collects them.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,13 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """dt is the first trial step of `evolve`, not a cap: the error control
-    picks every later step. States are recorded every record_interval time
-    units and at t_end."""
+    """dt is the first trial step, not a cap: the error control picks every
+    later step. Frames are taken every record_interval time units and at t_end."""
     grid: Grid
     p: float
     dt: float = 1e-3
     t_end: float = 10.0
     record_interval: float = 0.5
-    dealias: bool = True
 
     def __post_init__(self):
         if self.grid.boundary != PERIODIC:
@@ -66,13 +65,13 @@ class SimulationConfig:
             raise ValueError("dt > 0, t_end > 0 and record_interval > 0 required")
 
 
-@dataclass
-class Trajectory:
-    config: SimulationConfig
-    times: np.ndarray
-    states: list
-    E_series: np.ndarray
-    Q_series: np.ndarray
+@dataclass(frozen=True)
+class Frame:
+    """The state at record time t, its E and Q, and the steps taken so far."""
+    t: float
+    state: Field
+    E: float
+    Q: float
     steps_accepted: int
     steps_rejected: int
 
@@ -81,16 +80,24 @@ class Trajectory:
         # FSAL: one flow evaluation at t = 0, then six per trial step
         return 1 + 6 * (self.steps_accepted + self.steps_rejected)
 
+
+@dataclass
+class Trajectory:
+    """The frames of one `stream`, collected, with their t, E and Q series."""
+    frames: list
+
+    def __post_init__(self):
+        self.times, self.E_series, self.Q_series = np.array(
+            [(f.t, f.E, f.Q) for f in self.frames]).T
+
     def energy_drift(self) -> float:
-        E0 = self.E_series[0]
-        return float(np.max(np.abs(self.E_series - E0)) / abs(E0))
+        return float(np.max(np.abs(self.E_series - self.E_series[0])) / abs(self.E_series[0]))
 
     def momentum_drift(self) -> float:
-        Q0 = self.Q_series[0]
-        return float(np.max(np.abs(self.Q_series - Q0)) / abs(Q0))
+        return float(np.max(np.abs(self.Q_series - self.Q_series[0])) / abs(self.Q_series[0]))
 
 
-def _dp54(v: np.ndarray, k1: np.ndarray, h: float, g: Grid, p: float, dealias: bool):
+def _dp54(v: np.ndarray, k1: np.ndarray, h: float, g: Grid, p: float):
     """One Dormand-Prince 5(4) trial step of size h from v, where k1 is the
     flow at v: (5th-order state, flow at that state, embedded error estimate).
     Six flow evaluations."""
@@ -98,59 +105,50 @@ def _dp54(v: np.ndarray, k1: np.ndarray, h: float, g: Grid, p: float, dealias: b
     K[0] = k1
     for i, row in enumerate(_A, start=1):
         u = v + h * (row @ K[:i])
-        K[i] = _flow(u, g, p, dealias)
+        K[i] = _flow(u, g, p, True)
     return u, K[6], h * (_E @ K)
 
 
-def step(u: Field, dt: float, p: float, dealias: bool = True) -> Field:
+def step(u: Field, dt: float, p: float) -> Field:
     """One uncontrolled 5th-order Dormand-Prince step of the Hamiltonian flow."""
-    v = u.values
-    out, _, _ = _dp54(v, _flow(v, u.grid, p, dealias), dt, u.grid, p, dealias)
+    out, _, _ = _dp54(u.values, _flow(u.values, u.grid, p, True), dt, u.grid, p)
     if not np.all(np.isfinite(out)):
         raise BlowupError(float("nan"))
     return Field(u.grid, out)
 
 
-def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
-    """Integrate to t_end with error-controlled Dormand-Prince 5(4) steps.
+def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
+    """One Frame per record time, from error-controlled Dormand-Prince 5(4) steps.
 
     The first trial step is config.dt. A step is accepted when the max over
     the nodes of |error| / (ATOL + RTOL max(|v|, |v_new|)) is at most 1; the
     next step is the current one times 0.9 err^(-1/5), clipped to [0.2, 5],
     and does not grow right after a rejection. A trial step with a non-finite
-    stage or error is rejected; a rejection below 1e-10 record_interval
-    raises BlowupError. States are recorded at t = 0, at every
-    k * record_interval before t_end and at t_end, each reached exactly by
-    shortening the step that would cross it.
+    stage or error is rejected; one below 1e-10 record_interval raises
+    BlowupError. Frames fall at t = 0 (before any flow evaluation), at each
+    k * record_interval < t_end and at t_end, hit exactly by shortening steps.
     """
-    g, p, dealias = config.grid, config.p, config.dealias
-    interval, t_end = config.record_interval, config.t_end
-    h_min = 1e-10 * interval
+    g, p, interval, t_end = config.grid, config.p, config.record_interval, config.t_end
     n_inner = math.ceil(t_end / interval - 1e-9)
     record_times = [k * interval for k in range(1, n_inner)] + [t_end]
-    v = u0.values.copy()
-    times, states, Es, Qs = [], [], [], []
+    v, accepted, rejected = u0.values.copy(), 0, 0
 
-    def record(t: float):
-        f = Field(g, v.copy())
+    def frame(t: float) -> Frame:
+        f = Field(g, v)  # v is replaced, never written in place
         try:
             E, Q = energy(f, p), momentum(f)
         except GridError as exc:  # a finite state whose E or Q density overflows
             raise BlowupError(t) from exc
-        times.append(t)
-        states.append(f)
-        Es.append(E)
-        Qs.append(Q)
+        return Frame(t, f, E, Q, accepted, rejected)
 
-    record(0.0)
-    k1 = _flow(v, g, p, dealias)
-    accepted = rejected = 0
+    yield frame(0.0)
+    k1 = _flow(v, g, p, True)
     t, h, after_reject = 0.0, config.dt, False
     for t_rec in record_times:
         while t < t_rec:
             h_try = min(h, t_rec - t)
             with np.errstate(over="ignore", invalid="ignore"):
-                v_new, k_new, err_vec = _dp54(v, k1, h_try, g, p, dealias)
+                v_new, k_new, err_vec = _dp54(v, k1, h_try, g, p)
                 scale = ATOL + RTOL * np.maximum(np.abs(v), np.abs(v_new))
                 err = float(np.max(np.abs(err_vec) / scale))
             if not math.isfinite(err):
@@ -158,7 +156,7 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
             fac = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
             if err > 1.0:
                 rejected += 1
-                if h_try < h_min:
+                if h_try < 1e-10 * interval:
                     raise BlowupError(t)
                 h, after_reject = h_try * fac, True
                 continue
@@ -166,9 +164,12 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
             t = t_rec if h_try == t_rec - t else t + h_try
             v, k1 = v_new, k_new
             h, after_reject = h_try * (min(fac, 1.0) if after_reject else fac), False
-        record(t_rec)
-    return Trajectory(config, np.asarray(times), states, np.asarray(Es), np.asarray(Qs),
-                      accepted, rejected)
+        yield frame(t_rec)
+
+
+def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
+    """Integrate to t_end: every frame of `stream`, collected."""
+    return Trajectory(list(stream(u0, config)))
 
 
 def H_of_u(u: Field, p: float) -> Field:

@@ -23,7 +23,7 @@ carries beta(u0), gamma(lambda) and the increment budget term
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .grid import Field, Grid, derivative, inner, norm_h1, norm_l2, quadrature, translate
 from .ground_state import GroundState, SampledProfile, critical_speed, profile_norm_sq_closed
 from .structure import coefficients, cubic_pair_image, kappa_closed_form
-from .dynamics import SimulationConfig, Trajectory, evolve
+from .dynamics import Frame, SimulationConfig, stream
 from .functionals import _energy_density
 
 MODE_KAPPA = "kappa"
@@ -261,25 +261,27 @@ def _virial_frame(
 
 
 def virial_monitor(
-    traj: Trajectory,
+    frames: Iterable[Frame],
     p: float,
     c: float,
     R: float,
     mode: str = MODE_FIT,
 ) -> Iterator[VirialReport]:
-    """The frame loop: one virial report per recorded frame, in order.
-
-    Each decompose is warm-started from the previous frame's (lam, y), the
-    first from (c, 0); the first ModulationError propagates. A consumer that
-    stops iterating stops the decomposition there.
+    """The frame loop: one virial report per frame (of a live `stream` or of a
+    collected `Trajectory.frames`), in order. E(u0) and the grid come from the
+    first frame, where 2R < L is checked before any decompose. Each decompose
+    is warm-started from the previous frame's (lam, y), the first from (c, 0);
+    the first ModulationError propagates. A consumer that stops iterating
+    stops the decomposition, and the stepping of a live stream, there.
     """
-    _check_cutoff(R, traj.config.grid)
-    E0 = float(traj.E_series[0])
-    lam, y = c, 0.0
-    for t, u in zip(traj.times, traj.states):
-        state = decompose(u, p, (lam, y), mode=mode)
+    E0, lam, y = None, c, 0.0
+    for frame in frames:
+        if E0 is None:
+            _check_cutoff(R, frame.state.grid)
+            E0 = float(frame.E)
+        state = decompose(frame.state, p, (lam, y), mode=mode)
         lam, y = state.lam, state.y
-        yield _virial_frame(u, float(t), p, c, R, E0, state)
+        yield _virial_frame(frame.state, float(frame.t), p, c, R, E0, state)
 
 
 @dataclass(frozen=True)
@@ -349,13 +351,13 @@ def instability_experiment(
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
 
-    Frames are recorded every 0.5 time units, and dt is the first trial step
-    of the error-controlled `evolve`; the tube is the H^1 ball of
+    Frames are taken every 0.5 time units, and dt is the first trial step
+    of the error-controlled `stream`; the tube is the H^1 ball of
     radius 0.1 ||phi_c||_{H^1} around the modulated profile. The specified
-    kappa-orthogonal modulation is attempted on the initial frame; since it
-    generically has no root for this data, the monitor falls back to the
-    least-squares pair and says so in the report. The frames end at the first
-    one outside the tube, and no later frame is decomposed. The verdict states
+    kappa-orthogonal modulation is attempted on u0; since it generically has
+    no root for this data, the monitor falls back to the least-squares pair
+    and says so in the report. The frames end at the first one outside the
+    tube: no later state is computed or decomposed. The verdict states
     whether the increments of I have a definite sign over the in-tube frames
     (>= 95% one-signed).
     """
@@ -368,22 +370,19 @@ def instability_experiment(
     phi = gs.profile(grid)
     if R is None:
         R = 10.0 / gs.tail_rate
-    _check_cutoff(R, grid)  # before the time stepping, not only in the frame loop
     u0 = Field(grid, (1.0 - a) * phi.values)
-    traj = evolve(u0, SimulationConfig(grid, p, dt, t_end))
+    config = SimulationConfig(grid, p, dt, t_end)
 
     mode = MODE_KAPPA
     try:
-        decompose(traj.states[0], p, (c, 0.0), mode=MODE_KAPPA)
+        decompose(u0, p, (c, 0.0), mode=MODE_KAPPA)
     except ModulationError:
         mode = MODE_FIT
 
     eps = 0.1 * norm_h1(phi)
-    frames = []
-    tube_exit = None
-    failed = False
+    frames, tube_exit, failed = [], None, False
     try:
-        for f in virial_monitor(traj, p, c, R, mode):
+        for f in virial_monitor(stream(u0, config), p, c, R, mode):
             frames.append(f)
             if f.tube_distance > eps:
                 tube_exit = f.t

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gbbmlab import DIRICHLET, PERIODIC, Field, GroundState, critical_speed, make_grid
+from gbbmlab import DIRICHLET, PERIODIC, Field, GroundState, critical_speed, dynamics, make_grid
+from gbbmlab.functionals import _flow
 
 L_DEFAULT = 50.0 * math.pi
 
@@ -44,6 +45,19 @@ def decaying_random_field(grid, rng, modes=8, width=6.0, scale=1.0):
     f = smooth_random_field(grid, rng, modes, scale)
     env = np.exp(-(grid.nodes / width) ** 2)
     return Field(grid, f.values * env)
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """One entry per flow evaluation `dynamics` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _flow(*args)
+
+    monkeypatch.setattr(dynamics, "_flow", counted)
+    return calls
 
 
 @pytest.fixture

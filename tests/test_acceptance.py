@@ -242,7 +242,7 @@ def test_criterion_6_soliton_dynamics():
     phi = gs.profile(grid)
     traj = evolve(phi, SimulationConfig(grid, p, dt=2e-3, t_end=20.0, record_interval=2.0))
     exact = translate(phi, -c * float(traj.times[-1]))
-    sup_err = float(np.max(np.abs(traj.states[-1].values - exact.values)))
+    sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
     e_drift, q_drift = traj.energy_drift(), traj.momentum_drift()
 
     disp_grid = make_grid(L50, 4096, PERIODIC)

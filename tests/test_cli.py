@@ -217,18 +217,19 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "evolve", recording_evolve)
         assert run(tmp_path, "evolve", "--N", "2048", "--dt", "3", "--t-end", "5") == 0
-        assert trajectories[0].steps_rejected >= 1
+        assert trajectories[0].frames[-1].steps_rejected >= 1
 
-    @pytest.mark.parametrize("command, module", [
-        ("evolve", cli),
-        ("instability", modulation),
+    # instability iterates the frame stream; only evolve collects it
+    @pytest.mark.parametrize("command, module, name", [
+        ("evolve", cli, "evolve"),
+        ("instability", modulation, "stream"),
     ], ids=["evolve", "instability"])
     def test_blowup_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch,
-                                             command, module):
+                                             command, module, name):
         def blowing_up(u0, config):
             raise BlowupError(1.5)
 
-        monkeypatch.setattr(module, "evolve", blowing_up)
+        monkeypatch.setattr(module, name, blowing_up)
         assert run(tmp_path, command, "--N", "512", "--t-end", "2") == 3
         assert "consistency failure: state or its conserved quantities became non-finite" in (
             capsys.readouterr().err

@@ -18,9 +18,7 @@ from gbbmlab import (
     step,
     translate,
 )
-from gbbmlab import dynamics
 from gbbmlab.dynamics import linear_rhs
-from gbbmlab.functionals import _flow
 from conftest import decaying_random_field
 
 L50 = 50.0 * math.pi
@@ -35,19 +33,6 @@ def rk4(field, rhs, dt):
         field.grid,
         field.values + dt / 6.0 * (k1.values + 2 * k2.values + 2 * k3.values + k4.values),
     )
-
-
-@pytest.fixture
-def flow_calls(monkeypatch):
-    """One entry per flow evaluation `dynamics` makes."""
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return _flow(*args)
-
-    monkeypatch.setattr(dynamics, "_flow", counted)
-    return calls
 
 
 class TestStep:
@@ -101,7 +86,7 @@ class TestEvolve:
         phi = gs5.profile(periodic_4096)
         traj = evolve(phi, cfg)
         exact = translate(phi, -gs5.c * float(traj.times[-1]))
-        assert np.max(np.abs(traj.states[-1].values - exact.values)) < 1e-4
+        assert np.max(np.abs(traj.frames[-1].state.values - exact.values)) < 1e-4
         assert traj.energy_drift() < 1e-8
         assert traj.momentum_drift() < 1e-8
 
@@ -131,16 +116,16 @@ class TestEvolve:
         u2 = gs.profile(g2)
         cfg1 = SimulationConfig(g1, gs.p, dt=2e-3, t_end=1.0, record_interval=1.0)
         cfg2 = SimulationConfig(g2, gs.p, dt=2e-3, t_end=1.0, record_interval=1.0)
-        v1 = evolve(u1, cfg1).states[-1].values
-        v2 = evolve(u2, cfg2).states[-1].values[::2]
+        v1 = evolve(u1, cfg1).frames[-1].state.values
+        v2 = evolve(u2, cfg2).frames[-1].state.values[::2]
         assert np.max(np.abs(v1 - v2)) < 1e-6
 
     def test_h1_norm_stays_bounded(self, gs5, periodic_4096):
         u0 = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
         cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=5.0, record_interval=0.5)
         traj = evolve(u0, cfg)
-        n0 = norm_h1(traj.states[0])
-        assert all(norm_h1(s) < 1.2 * n0 for s in traj.states)
+        n0 = norm_h1(traj.frames[0].state)
+        assert all(norm_h1(f.state) < 1.2 * n0 for f in traj.frames)
 
     def test_record_cadence(self, gs5, periodic_4096):
         cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=0.5, record_interval=0.1)
@@ -160,8 +145,8 @@ class TestEvolve:
         gs = GroundState(4.5, critical_speed(4.5))
         grid = make_grid(L50, 8192, "periodic")
         traj = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0))
-        assert traj.steps_accepted <= 100
-        assert traj.rhs_evals == len(flow_calls)  # 1 + 6 per trial step (FSAL)
+        assert traj.frames[-1].steps_accepted <= 100
+        assert traj.frames[-1].rhs_evals == len(flow_calls)  # 1 + 6 per trial step (FSAL)
 
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
@@ -170,11 +155,11 @@ class TestEvolve:
         assert traj.times.tolist() == [0.5 * k for k in range(11)]
         dt = 2e-3
         rhs = lambda f: evolution_rhs(f, gs5.p)  # noqa: E731
-        for i, recorded in enumerate(traj.states):
+        for i, recorded in enumerate(traj.frames):
             if i:
                 for _ in range(250):
                     u = rk4(u, rhs, dt)
-            assert np.max(np.abs(recorded.values - u.values)) <= 1e-8
+            assert np.max(np.abs(recorded.state.values - u.values)) <= 1e-8
         assert traj.energy_drift() <= 1e-9
         assert traj.momentum_drift() <= 1e-9
 

@@ -21,6 +21,7 @@ from gbbmlab import (
     norm_h1,
     parameter_residuals,
     quadrature,
+    stream,
     translate,
     virial_monitor,
 )
@@ -152,21 +153,23 @@ class TestDecompose:
             decompose(gs5.profile(periodic_4096), gs5.p, (0.5, 0.0))
 
 
+def short_start(gs5, a):
+    """u0 = (1 - a) phi_c and the configuration of the short runs."""
+    grid = make_grid(L50, 4096, "periodic")
+    cfg = SimulationConfig(grid, gs5.p, dt=2e-3, t_end=3.0, record_interval=0.2)
+    return Field(grid, (1.0 - a) * gs5.profile(grid).values), cfg
+
+
 @pytest.fixture(scope="module")
 def short_runs(gs5):
-    grid = make_grid(L50, 4096, "periodic")
-    phi = gs5.profile(grid)
-    cfg = SimulationConfig(grid, gs5.p, dt=2e-3, t_end=3.0, record_interval=0.2)
-    runs = {0.0: evolve(phi, cfg)}
-    for a in (0.005, 0.01, 0.02):
-        runs[a] = evolve(Field(grid, (1.0 - a) * phi.values), cfg)
-    return runs
+    return {a: evolve(*short_start(gs5, a)) for a in (0.0, 0.005, 0.01, 0.02)}
 
 
 @pytest.fixture(scope="module")
 def short_frames(gs5, short_runs):
     return {
-        a: list(virial_monitor(run, gs5.p, gs5.c, R=30.0)) for a, run in short_runs.items()
+        a: list(virial_monitor(run.frames, gs5.p, gs5.c, R=30.0))
+        for a, run in short_runs.items()
     }
 
 
@@ -253,6 +256,13 @@ class TestVirialMonitor:
         vals = [f.I for f in frames]
         assert max(vals) - min(vals) < 1e-8
 
+    def test_stored_run_and_live_stream_agree(self, gs5, short_frames):
+        # the frames of a collected evolve run and the live stream give the
+        # same reports, bit for bit
+        live = list(virial_monitor(stream(*short_start(gs5, 0.01)), gs5.p, gs5.c, R=30.0))
+        assert len(live) == 16
+        assert live == short_frames[0.01]
+
 
 @pytest.fixture(scope="module")
 def experiment_report():
@@ -316,5 +326,23 @@ class TestInstabilityExperiment:
         rep = instability_experiment(5.0, 0.05, grid, dt=0.025, t_end=20.0)
         assert rep.tube_exit_time == 11.5
         assert rep.frames[-1].t == rep.tube_exit_time
-        # one kappa attempt on frame 0, then one call per reported frame
+        # one kappa attempt on u0, then one call per reported frame
         assert len(calls) == 1 + len(rep.frames)
+
+    def test_time_past_the_exit_costs_nothing(self, flow_calls):
+        # the stepping stops at the exit frame, so a later t_end changes nothing
+        grid = make_grid(L50, 1024, "periodic")
+        runs = []
+        for t_end in (20.0, 200.0):
+            flow_calls.clear()
+            rep = instability_experiment(5.0, 0.05, grid, dt=0.025, t_end=t_end)
+            runs.append((rep.frames, len(flow_calls)))
+        assert runs[0][0][-1].t == 11.5
+        assert runs[0] == runs[1]
+
+    def test_wide_cutoff_raises_before_any_step(self, flow_calls):
+        # 2R < L is checked on frame 0, which the stream yields before stepping
+        grid = make_grid(L50, 1024, "periodic")
+        with pytest.raises(ValueError, match="2R < L"):
+            instability_experiment(5.0, 0.01, grid, R=100.0)
+        assert flow_calls == []
