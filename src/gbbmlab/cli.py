@@ -45,7 +45,7 @@ EXIT_CLAIM = 2
 EXIT_CONSISTENCY = 3
 EXIT_USAGE = 64
 RESOLUTION_SEQUENCE = (1024, 2048, 4096, 8192, 16384)
-KERNEL_OVERLAP_MIN = 0.99
+KERNEL_OVERLAP_MIN = 0.999
 
 DEFAULTS = {
     "L": 50.0 * math.pi,

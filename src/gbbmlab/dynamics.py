@@ -2,13 +2,14 @@
 
 u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u) on a periodic box. The linear symbol
 -ik/(1 + k^2) has modulus at most 1/2 at every k, so the flow is not stiff:
-accuracy, not stability, sets the step. `evolve` therefore takes
-error-controlled steps of the embedded Dormand-Prince 5(4) pair (Dormand &
-Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), with the
-error measured in the max norm, which does not depend on N or L. Conservation
-of E and Q is monitored, not enforced. The fractional nonlinearity cannot be
-dealiased exactly; the 2/3-rule mask acts on the transform of the nonlinear
-term. `stream` yields one `Frame` per record time; `evolve` collects them.
+accuracy, not stability, sets the step. `stream` therefore takes
+error-controlled steps of the 8th-order Dormand-Prince pair DOP853 (Prince &
+Dormand 1981; Hairer, Norsett & Wanner, Solving ODEs I, secs. II.5 and II.10),
+whose steps are long at tight tolerances, with the error measured in the max
+norm, which does not depend on N or L. Conservation of E and Q is monitored,
+not enforced. The fractional nonlinearity cannot be dealiased exactly; the
+2/3-rule mask acts on the transform of the nonlinear term. `stream` yields one
+`Frame` per record time; `evolve` collects them.
 """
 from __future__ import annotations
 
@@ -25,19 +26,41 @@ from .functionals import energy, momentum, _flow, _flow_symbol, _nonlinear
 RTOL = 1e-10
 ATOL = 1e-12
 
-# Dormand-Prince 5(4). Row i of _A builds the state of stage i + 1 from
-# stages 0..i; the last row holds the 5th-order weights, so the last stage is
-# the flow at the new state and starts the next step (FSAL). _E holds the
-# 5th-order minus the embedded 4th-order weights.
+# DOP853, the 8th-order Dormand-Prince pair with embedded 5th- and 3rd-order
+# estimates (Prince & Dormand 1981; Hairer, Norsett & Wanner, sec. II.5).
+# Row i of _A builds the state of stage i + 1 from stages 0..i; the last row
+# holds the 8th-order weights, so the last stage is the flow at the new state
+# and starts the next step (FSAL). _E5 and _E3 hold the 8th-order minus the
+# 5th- and 3rd-order weights.
 _A = tuple(np.array(row) for row in (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
 ))
-_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+_E3 = np.array((-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+    0.20136540080403034, 0.02265179219836082))
+_E5 = np.array((0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294))
 
 
 class BlowupError(RuntimeError):
@@ -50,8 +73,9 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """dt is the first trial step, not a cap: the error control picks every
-    later step. Frames are taken every record_interval time units and at t_end."""
+    """dt is the first trial step of `stream`'s DOP853 stepper, not a cap: the
+    error control picks every later step. Frames are taken every
+    record_interval time units and at t_end."""
     grid: Grid
     p: float
     dt: float = 1e-3
@@ -77,8 +101,8 @@ class Frame:
 
     @property
     def rhs_evals(self) -> int:
-        # FSAL: one flow evaluation at t = 0, then six per trial step
-        return 1 + 6 * (self.steps_accepted + self.steps_rejected)
+        # FSAL: one flow evaluation at t = 0, then twelve per trial step
+        return 1 + 12 * (self.steps_accepted + self.steps_rejected)
 
 
 @dataclass
@@ -97,36 +121,39 @@ class Trajectory:
         return float(np.max(np.abs(self.Q_series - self.Q_series[0])) / abs(self.Q_series[0]))
 
 
-def _dp54(v: np.ndarray, k1: np.ndarray, h: float, g: Grid, p: float):
-    """One Dormand-Prince 5(4) trial step of size h from v, where k1 is the
-    flow at v: (5th-order state, flow at that state, embedded error estimate).
-    Six flow evaluations."""
-    K = np.empty((7, v.size))
-    K[0] = k1
+def _dop853(v: np.ndarray, K: np.ndarray, h: float, g: Grid, p: float) -> np.ndarray:
+    """One DOP853 trial step of size h from v, where the stage array K has
+    len(_A) + 1 rows and K[0] is the flow at v: fills K[1:], whose last row is
+    the flow at the returned 8th-order state. Twelve flow evaluations."""
     for i, row in enumerate(_A, start=1):
         u = v + h * (row @ K[:i])
         K[i] = _flow(u, g, p, True)
-    return u, K[6], h * (_E @ K)
+    return u
 
 
 def step(u: Field, dt: float, p: float) -> Field:
-    """One uncontrolled 5th-order Dormand-Prince step of the Hamiltonian flow."""
-    out, _, _ = _dp54(u.values, _flow(u.values, u.grid, p, True), dt, u.grid, p)
+    """One uncontrolled 8th-order DOP853 step of the Hamiltonian flow."""
+    K = np.empty((len(_A) + 1, u.values.size))
+    K[0] = _flow(u.values, u.grid, p, True)
+    out = _dop853(u.values, K, dt, u.grid, p)
     if not np.all(np.isfinite(out)):
         raise BlowupError(float("nan"))
     return Field(u.grid, out)
 
 
 def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
-    """One Frame per record time, from error-controlled Dormand-Prince 5(4) steps.
+    """One Frame per record time, from error-controlled DOP853 steps.
 
-    The first trial step is config.dt. A step is accepted when the max over
-    the nodes of |error| / (ATOL + RTOL max(|v|, |v_new|)) is at most 1; the
-    next step is the current one times 0.9 err^(-1/5), clipped to [0.2, 5],
-    and does not grow right after a rejection. A trial step with a non-finite
-    stage or error is rejected; one below 1e-10 record_interval raises
-    BlowupError. Frames fall at t = 0 (before any flow evaluation), at each
-    k * record_interval < t_end and at t_end, hit exactly by shortening steps.
+    The first trial step is config.dt. Each embedded estimate is scaled per
+    node by ATOL + RTOL max(|v|, |v_new|) and measured in the max norm, giving
+    err5 and err3; a step is accepted when err = err5^2 / sqrt(err5^2 +
+    0.01 err3^2) is at most 1. The next step is the current one times
+    0.9 err^(-1/8), clipped to [1/3, 6], and does not grow right after a
+    rejection. A trial step with a non-finite stage or estimate is rejected
+    and the step cut to 1/100; a rejected step below 1e-10 record_interval
+    raises BlowupError. Frames fall at t = 0 (before any flow evaluation), at
+    each k * record_interval < t_end and at t_end, hit exactly by shortening
+    steps. One stage array serves every step.
     """
     g, p, interval, t_end = config.grid, config.p, config.record_interval, config.t_end
     n_inner = math.ceil(t_end / interval - 1e-9)
@@ -142,18 +169,23 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
         return Frame(t, f, E, Q, accepted, rejected)
 
     yield frame(0.0)
-    k1 = _flow(v, g, p, True)
+    K = np.empty((len(_A) + 1, v.size))
+    K[0] = _flow(v, g, p, True)
     t, h, after_reject = 0.0, config.dt, False
     for t_rec in record_times:
         while t < t_rec:
             h_try = min(h, t_rec - t)
             with np.errstate(over="ignore", invalid="ignore"):
-                v_new, k_new, err_vec = _dp54(v, k1, h_try, g, p)
+                v_new = _dop853(v, K, h_try, g, p)
                 scale = ATOL + RTOL * np.maximum(np.abs(v), np.abs(v_new))
-                err = float(np.max(np.abs(err_vec) / scale))
-            if not math.isfinite(err):
-                err = math.inf
-            fac = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+                e5, e3 = (h_try * float(np.max(np.abs(e @ K[:-1]) / scale))
+                          for e in (_E5, _E3))
+            if math.isfinite(e5) and math.isfinite(e3):
+                # err5^2 / sqrt(err5^2 + 0.01 err3^2), with no square to overflow
+                err = e5 / math.hypot(1.0, 0.1 * e3 / e5) if e5 else 0.0
+                fac = min(6.0, max(1 / 3, 0.9 * err ** -0.125)) if err else 6.0
+            else:
+                err, fac = math.inf, 0.01
             if err > 1.0:
                 rejected += 1
                 if h_try < 1e-10 * interval:
@@ -162,7 +194,7 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
                 continue
             accepted += 1
             t = t_rec if h_try == t_rec - t else t + h_try
-            v, k1 = v_new, k_new
+            v, K[0] = v_new, K[-1]
             h, after_reject = h_try * (min(fac, 1.0) if after_reject else fac), False
         yield frame(t_rec)
 

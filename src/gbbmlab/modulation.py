@@ -270,17 +270,18 @@ def virial_monitor(
     """The frame loop: one virial report per frame (of a live `stream` or of a
     collected `Trajectory.frames`), in order. E(u0) and the grid come from the
     first frame, where 2R < L is checked before any decompose. Each decompose
-    is warm-started from the previous frame's (lam, y), the first from (c, 0);
-    the first ModulationError propagates. A consumer that stops iterating
+    is warm-started from the previous frame's (lam, y) at t_prev moved on at
+    the soliton's speed, (lam, y + lam (t - t_prev)), starting from (c, 0) at
+    t = 0; the first ModulationError propagates. A consumer that stops iterating
     stops the decomposition, and the stepping of a live stream, there.
     """
-    E0, lam, y = None, c, 0.0
+    E0, lam, y, t_prev = None, c, 0.0, 0.0
     for frame in frames:
         if E0 is None:
             _check_cutoff(R, frame.state.grid)
             E0 = float(frame.E)
-        state = decompose(frame.state, p, (lam, y), mode=mode)
-        lam, y = state.lam, state.y
+        state = decompose(frame.state, p, (lam, y + lam * (frame.t - t_prev)), mode=mode)
+        lam, y, t_prev = state.lam, state.y, float(frame.t)
         yield _virial_frame(frame.state, float(frame.t), p, c, R, E0, state)
 
 

@@ -69,6 +69,14 @@ class TestOtherCommands:
         assert doc["result"]["kernel_overlap"] < 0.99
         assert "kernel_overlap" in capsys.readouterr().err
 
+    def test_spectrum_barely_unresolved_grid_is_a_consistency_failure(self, tmp_path, capsys):
+        # at N = 512 the overlap is 0.9988 and the kernel eigenvalue about 100x
+        # its N = 4096 value: close to the translation mode, still not resolved
+        assert run(tmp_path, "spectrum", "--p", "5", "--N", "512") == 3
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        assert 0.99 < doc["result"]["kernel_overlap"] < 0.999
+        assert "kernel_overlap" in capsys.readouterr().err
+
     def test_coercivity_reports_claim_failure(self, tmp_path):
         # the command reports the literal positivity claim, which the package
         # refutes (the minimum on {phi', kappa} is negative): exit 2, and the

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from gbbmlab import (
     step,
     translate,
 )
-from gbbmlab.dynamics import linear_rhs
+from gbbmlab.dynamics import _A, _E3, _E5, linear_rhs
 from conftest import decaying_random_field
 
 L50 = 50.0 * math.pi
@@ -35,6 +38,43 @@ def rk4(field, rhs, dt):
     )
 
 
+class TestTableau:
+    # the DOP853 nodes in closed form: c4, c5 = (6 -+ sqrt 6) / 30, c3 = 2 c4 / 3,
+    # c2 = 2 c3 / 3; the last row of _A (the weights) builds the state at c = 1
+    C4, C5 = (6.0 - math.sqrt(6.0)) / 30.0, (6.0 + math.sqrt(6.0)) / 30.0
+    NODES = np.array([0.0, 4 * C4 / 9, 2 * C4 / 3, C4, C5, 1 / 3, 1 / 4, 4 / 13,
+                      127 / 195, 3 / 5, 6 / 7, 1.0])
+
+    def test_row_sums_are_the_nodes(self):
+        assert len(_A) == 12
+        sums = [row.sum() for row in _A]
+        assert np.max(np.abs(np.array(sums) - np.append(self.NODES[1:], 1.0))) < 1e-14
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_weights_integrate_to_order_eight(self, k):
+        assert abs(_A[-1] @ self.NODES ** (k - 1) - 1.0 / k) < 1e-14
+
+    def test_embedded_estimates(self):
+        # E5 and E3 are the weights minus 5th- and 3rd-order weights: they
+        # annihilate c^0..c^4 and c^0..c^2 (so each sums to 0), and no more
+        for e, order in ((_E5, 5), (_E3, 3)):
+            moments = [e @ self.NODES ** j for j in range(order + 1)]
+            assert max(abs(m) for m in moments[:order]) < 1e-14
+            assert abs(moments[order]) > 1e-4
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the stepper's tableau is inlined: importing scipy.integrate would add to
+    # every command's start-up
+    code = "import sys, gbbmlab.cli; print('scipy.integrate' in sys.modules)"
+    paths = (os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestStep:
     def test_zero_fixed_point(self, periodic_4096):
         z = Field(periodic_4096, np.zeros(periodic_4096.node_count))
@@ -48,15 +88,16 @@ class TestStep:
         exact = translate(phi, -gs5.c * dt)
         assert np.max(np.abs(out.values - exact.values)) < 1e-8
 
-    def test_local_error_order_five(self, gs5, periodic_4096):
+    def test_local_error_order_nine(self, gs5, periodic_4096):
+        # an 8th-order step reaches round-off at dt = 0.1, so compare 0.4 and 0.2
         phi = gs5.profile(periodic_4096)
         errs = []
-        for dt in (2e-2, 1e-2):
+        for dt in (0.4, 0.2):
             out = step(phi, dt, gs5.p)
             exact = translate(phi, -gs5.c * dt)
             errs.append(np.max(np.abs(out.values - exact.values)))
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
-        assert order > 4.5
+        assert order > 8.5
 
     def test_blowup_detection(self, gs5, periodic_4096):
         huge = Field(periodic_4096, 1e3 * gs5.profile(periodic_4096).values)
@@ -96,17 +137,17 @@ class TestEvolve:
             gs5.profile(periodic_4096).values
             + 0.05 * decaying_random_field(periodic_4096, rng).values,
         )
-        # a 5th-order step reaches round-off at dt = 1e-3, so halve from 0.04
+        # fixed 8th-order steps near round-off at dt = 0.0625, so halve from 0.25
         outs = {}
-        for dt in (4e-2, 2e-2, 1e-2):
+        for dt in (0.25, 0.125, 0.0625):
             u = u0
             for _ in range(int(round(1.0 / dt))):
                 u = step(u, dt, gs5.p)
             outs[dt] = u.values
-        e1 = np.max(np.abs(outs[4e-2] - outs[1e-2]))
-        e2 = np.max(np.abs(outs[2e-2] - outs[1e-2]))
+        e1 = np.max(np.abs(outs[0.25] - outs[0.0625]))
+        e2 = np.max(np.abs(outs[0.125] - outs[0.0625]))
         order = math.log(e1 / e2) / math.log(2.0)
-        assert order > 3.8
+        assert order > 7.5
 
     def test_resolution_doubling(self, gs5, rng):
         g1 = make_grid(L50, 2048, "periodic")
@@ -146,7 +187,7 @@ class TestEvolve:
         grid = make_grid(L50, 8192, "periodic")
         traj = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0))
         assert traj.frames[-1].steps_accepted <= 100
-        assert traj.frames[-1].rhs_evals == len(flow_calls)  # 1 + 6 per trial step (FSAL)
+        assert traj.frames[-1].rhs_evals == len(flow_calls)  # 1 + 12 per trial step (FSAL)
 
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
