@@ -34,13 +34,10 @@ from .functionals import (
     momentum,
 )
 from .structure import (
-    StructureSet,
     TableReport,
-    build_structure,
     coefficients,
     gamma_direction,
     kappa_closed_form,
-    kappa_operator,
     modulation_pairing,
     negativity_form,
     negativity_table,

@@ -86,12 +86,16 @@ def gradients(u: Field, p: float, c: float) -> tuple[Field, Field, Field]:
     return Field(g, e_grad), Field(g, q_grad), Field(g, s_grad)
 
 
+def hessian_values(gs: GroundState, f: np.ndarray, fxx: np.ndarray, pot: np.ndarray) -> np.ndarray:
+    """c f_xx + (1-c) f + (p+1) phi^p f from f, f_xx and phi^p on the same nodes."""
+    return gs.c * fxx + (1.0 - gs.c) * f + (gs.p + 1.0) * pot * f
+
+
 def hessian_apply(gs: GroundState, f: Field) -> Field:
     """Action Hessian at the ground state applied to f (literal sign convention)."""
     fxx = derivative(f, 2).values
     pot = gs.sample(f.grid).phi_p
-    vals = gs.c * fxx + (1.0 - gs.c) * f.values + (gs.p + 1.0) * pot * f.values
-    return Field(f.grid, vals)
+    return Field(f.grid, hessian_values(gs, f.values, fxx, pot))
 
 
 @lru_cache(maxsize=8)

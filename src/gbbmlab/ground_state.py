@@ -8,9 +8,11 @@ The ground state of -c u'' + (c-1) u - u^{p+1} = 0 is
 with first and second derivatives, the c-derivative and the scaling
 direction Psi_c = c d_c phi_c - phi_c / p all available in closed form.
 GroundState.sample(grid) returns a SampledProfile that derives every one of
-them from a single log-sech and a single tanh of k|x|. Everything is evaluated
-in log space so that large k*x never overflows (sech powers become hard zeros
-through naive cosh far too early otherwise).
+them from a single log-sech and a single tanh of k|x|, on the whole grid or on
+one window of its nodes. Everything is evaluated in log space so that large k*x
+never overflows (sech powers become hard zeros through naive cosh far too early
+otherwise). The coefficients B(c) and D(c) of the structural directions are
+closed forms in ||phi_c||^2 and the trigamma function psi_1(2/p).
 
 The critical speed c0(p) is the root of 8(p+2)c^2 - 8pc - p^2 = 0 at which
 d/dc Q(phi_c) changes sign; the instability analysis lives there.
@@ -35,6 +37,22 @@ def critical_speed(p: float) -> float:
     if p <= 4:
         raise ValueError(f"critical speed requires p > 4, got p={p!r}")
     return p / (4.0 + 2.0 * p) * (1.0 + math.sqrt(2.0 + 0.5 * p))
+
+
+def trigamma(z: float) -> float:
+    """psi_1(z) = sum_{k>=0} 1/(z+k)^2 for z > 0 (DLMF 5.15.1).
+
+    The recurrence psi_1(z) = psi_1(z+1) + 1/z^2 lifts z to at least 12, where
+    the asymptotic series (DLMF 5.15.8) through the z^-11 term is exact to
+    within a few units of round-off.
+    """
+    acc = 0.0
+    while z < 12.0:
+        acc += 1.0 / (z * z)
+        z += 1.0
+    w = 1.0 / (z * z)
+    series = 1.0 / 6.0 + w * (-1.0 / 30.0 + w * (1.0 / 42.0 + w * (-1.0 / 30.0 + w * 5.0 / 66.0)))
+    return acc + (1.0 + (0.5 + series / z) / z) / z
 
 
 def _log_sech(z: np.ndarray) -> np.ndarray:
@@ -72,10 +90,33 @@ class GroundState:
     def tail_rate(self) -> float:
         return math.sqrt((self.c - 1.0) / self.c)
 
-    def sample(self, grid: Grid) -> "SampledProfile":
-        """The profile and its closed-form relatives on grid (tail must be resolved)."""
+    @cached_property
+    def B(self) -> float:
+        """B(c) = 3/2 ||x phi||^2 + 9/2 ||x phi_x||^2 - 3 ||phi||^2, in closed form.
+
+        int s^2 sech^a(s) ds = psi_1(a/2)/2 int sech^a(s) ds (the second
+        derivative at 0 of the Fourier transform of sech^a), so with a = 4/p
+        ||x phi||^2 = 2c psi_1(2/p) / (p^2 (c-1)) ||phi||^2 and, through
+        tanh^2 = 1 - sech^2, ||x phi_x||^2 = 2 (psi_1(2/p) + p) / (p (p+4)) ||phi||^2.
+        """
+        p, c = self.p, self.c
+        t = trigamma(2.0 / p)
+        bracket = 3.0 * c * t / (p * p * (c - 1.0)) + 9.0 * (t + p) / (p * (p + 4.0)) - 3.0
+        return profile_norm_sq_closed(p, c) * bracket
+
+    @cached_property
+    def D(self) -> float:
+        """D(c) = -(4pc + 4c - 3p) / (2(p+4)) ||phi||^2, in closed form."""
+        p, c = self.p, self.c
+        return -(4.0 * p * c + 4.0 * c - 3.0 * p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
+
+    def sample(self, grid: Grid, span: tuple[int, int] | None = None) -> "SampledProfile":
+        """The profile and its closed-form relatives on grid (tail must be resolved).
+
+        span = (lo, hi) samples only the nodes lo..hi-1 of the grid.
+        """
         grid.ensure_resolves(self.tail_rate)
-        return SampledProfile(self, grid)
+        return SampledProfile(self, grid, span)
 
     def profile(self, grid: Grid) -> Field:
         """Sampled phi_c; solves -c phi'' + (c-1) phi - phi^{p+1} = 0."""
@@ -106,11 +147,14 @@ class GroundState:
 
 @dataclass(frozen=True)
 class SampledProfile:
-    """phi_c and its closed-form relatives on one grid, from one log-sech and one tanh.
+    """phi_c and its closed-form relatives on the nodes x of one grid, or of one
+    window of it, from one log-sech and one tanh.
 
     Arrays are evaluated in log space through |x| and sign(x), so large k|x|
     never underflows to a hard zero and sampled even/odd functions carry exact
-    parity on symmetric grids. phi, phi_x, phi_xx, phi^p, ||phi||^2, B and D are
+    parity on symmetric grids. span = (lo, hi) samples nodes lo..hi-1 only;
+    their x equal grid.nodes[lo:hi] bitwise, without building grid.nodes. x, phi,
+    phi_x, phi_xx, phi^p and (on whole grids) ||phi||^2 by quadrature are
     computed on first use and kept as long as the bundle lives (drop it to
     free them); d_c phi, d_c phi_x and Psi are rebuilt on each read, since
     every caller reads them once.
@@ -118,14 +162,22 @@ class SampledProfile:
 
     gs: GroundState
     grid: Grid
+    span: tuple[int, int] | None = None
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        if self.span is None:
+            return self.grid.nodes
+        lo, hi = self.span
+        return (np.arange(lo, hi) - self.grid.points // 2) * self.grid.h
 
     @cached_property
     def _ls(self) -> np.ndarray:
-        return _log_sech(self.gs.decay_rate * np.abs(self.grid.nodes))
+        return _log_sech(self.gs.decay_rate * np.abs(self.x))
 
     @cached_property
     def _th(self) -> np.ndarray:
-        return np.tanh(self.gs.decay_rate * np.abs(self.grid.nodes))
+        return np.tanh(self.gs.decay_rate * np.abs(self.x))
 
     @property
     def _sech2(self) -> np.ndarray:
@@ -143,7 +195,7 @@ class SampledProfile:
 
     @cached_property
     def phi_x(self) -> np.ndarray:
-        return -self.gs.tail_rate * self.phi * (np.sign(self.grid.nodes) * self._th)
+        return -self.gs.tail_rate * self.phi * (np.sign(self.x) * self._th)
 
     @cached_property
     def phi_xx(self) -> np.ndarray:
@@ -160,7 +212,7 @@ class SampledProfile:
     def _dc_factor(self) -> np.ndarray:
         # d_c phi_c = phi_c * g with g = 1/(p(c-1)) - |x| tanh(k|x|) / (2c sqrt(c(c-1)))
         p, c = self.gs.p, self.gs.c
-        return 1.0 / (p * (c - 1.0)) - self._dc_slope * np.abs(self.grid.nodes) * self._th
+        return 1.0 / (p * (c - 1.0)) - self._dc_slope * np.abs(self.x) * self._th
 
     @property
     def dc_phi(self) -> np.ndarray:
@@ -169,7 +221,7 @@ class SampledProfile:
     @property
     def dc_phi_x(self) -> np.ndarray:
         """d_x(d_c phi_c) = phi_x g + phi g_x, assembled from the closed forms."""
-        x = self.grid.nodes
+        x = self.x
         kx = self.gs.decay_rate * np.abs(x)
         gx = -self._dc_slope * np.sign(x) * (self._th + kx * self._sech2)
         return self.phi_x * self._dc_factor + self.phi * gx
@@ -187,20 +239,6 @@ class SampledProfile:
     @cached_property
     def norm_sq(self) -> float:
         return quadrature(Field(self.grid, self.phi ** 2))
-
-    @cached_property
-    def B(self) -> float:
-        """B(c) = 3/2 ||x phi||^2 + 9/2 ||x phi_x||^2 - 3 ||phi||^2, by quadrature."""
-        x = self.grid.nodes
-        xn2 = quadrature(Field(self.grid, (x * self.phi) ** 2))
-        xdn2 = quadrature(Field(self.grid, (x * self.phi_x) ** 2))
-        return 1.5 * xn2 + 4.5 * xdn2 - 3.0 * self.norm_sq
-
-    @cached_property
-    def D(self) -> float:
-        """D(c) = -(4pc + 4c - 3p) / (2(p+4)) ||phi||^2."""
-        p, c = self.gs.p, self.gs.c
-        return -(4.0 * p * c + 4.0 * c - 3.0 * p) / (2.0 * (p + 4.0)) * self.norm_sq
 
 
 def normalized_profile_norm_sq(p: float) -> float:

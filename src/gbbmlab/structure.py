@@ -10,31 +10,40 @@ has Hessian image kappa_c = hessian(Gamma_c) available in closed form:
     kappa_c = B [((p+1)c^2 - pc) phi + (1-p) c^2 phi_xx] + D hessian(d_x(x^3 phi)),
     hessian(d_x(x^3 phi)) = 6c phi + 18c x phi_x + (6c - 3pc) x^2 phi_xx + 3p(c-1) x^2 phi.
 
-B, D, Gamma_c and kappa_c all read one SampledProfile of phi_c.
+B and D are closed forms in (p, c) (GroundState.B and GroundState.D), so
+Gamma_c and kappa_c are pointwise in x: each builder reads one SampledProfile
+of phi_c, on a whole grid or on one window of its nodes.
 
 The headline quantity is <kappa_c, Gamma_c> = <hessian(Gamma_c), Gamma_c> at the
 critical speed, tabulated over p. Table rows are only accepted when the closed
 form and a direct operator application of the Hessian agree to 1e-6 in relative
 sup-norm and in the scalar; that forces a p-dependent resolution floor, since
 the finite-difference second derivative carries an O((k h)^4) error with
-k = p/2 sqrt((c-1)/c) the inner length scale of the profile.
+k = p/2 sqrt((c-1)/c) the inner length scale of the profile. A row streams its
+grid (up to 2^20 + 1 nodes) in windows of at most WINDOW_NODES nodes and never
+holds an array of full grid length.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DIRICHLET, Field, Grid, inner, make_grid
-from .ground_state import GroundState, SampledProfile, critical_speed
-from .functionals import hessian_apply
+from .grid import DIRICHLET, Field, Grid, GridError, _fd_derivative, inner, make_grid
+from .ground_state import GroundState, SampledProfile, critical_speed, profile_norm_sq_closed
+from .functionals import hessian_values
 
 DEFAULT_HALF_WIDTH = 50.0 * math.pi
 DEFAULT_POINTS = 8192
 TABLE_MIN_POINTS = 16384
 TABLE_KH_LIMIT = 0.02
 DUAL_PATH_TOL = 1e-6
+# 2^15 nodes are 256 KB per array, so one window's arrays stay in a 2 MB L2
+WINDOW_NODES = 1 << 15
+# the 4th-order second difference reads two nodes on each side
+HALO = 2
 
 
 class DualPathError(RuntimeError):
@@ -42,22 +51,35 @@ class DualPathError(RuntimeError):
 
 
 def coefficients(prof: SampledProfile) -> tuple[float, float]:
-    """(B(c), D(c)) by quadrature of the sampled profile."""
-    return prof.B, prof.D
+    """(B(c), D(c)) in closed form; they depend on (p, c) only, not on the sampling."""
+    return prof.gs.B, prof.gs.D
 
 
-def gamma_direction(prof: SampledProfile) -> Field:
-    """Gamma_c = B [c^2 Psi_c + (c/2) x phi_x + c phi] + D (3x^2 phi + x^3 phi_x)."""
-    c, x = prof.gs.c, prof.grid.nodes
+def _gamma(prof: SampledProfile) -> np.ndarray:
+    c, x = prof.gs.c, prof.x
     phi, dphi = prof.phi, prof.phi_x
-    # sums accumulate in place: a table row at p = 100 samples 2^20 nodes
     vals = prof.psi
     vals *= c * c
     vals += 0.5 * c * x * dphi
     vals += c * phi
-    vals *= prof.B
-    vals += prof.D * x * x * (3.0 * phi + x * dphi)
-    return Field(prof.grid, vals)
+    vals *= prof.gs.B
+    vals += prof.gs.D * x * x * (3.0 * phi + x * dphi)
+    return vals
+
+
+def gamma_direction(prof: SampledProfile) -> Field:
+    """Gamma_c = B [c^2 Psi_c + (c/2) x phi_x + c phi] + D (3x^2 phi + x^3 phi_x)."""
+    return Field(prof.grid, _gamma(prof))
+
+
+def _cubic_image(prof: SampledProfile) -> np.ndarray:
+    p, c, x = prof.gs.p, prof.gs.c, prof.x
+    phi, ddphi = prof.phi, prof.phi_xx
+    vals = 6.0 * c * phi
+    vals += 18.0 * c * x * prof.phi_x
+    vals += (6.0 * c - 3.0 * p * c) * x * x * ddphi
+    vals += 3.0 * p * (c - 1.0) * x * x * phi
+    return vals
 
 
 def cubic_pair_image(prof: SampledProfile) -> Field:
@@ -65,54 +87,21 @@ def cubic_pair_image(prof: SampledProfile) -> Field:
 
     Equals 6c phi + 18c x phi_x + (6c - 3pc) x^2 phi_xx + 3p(c-1) x^2 phi.
     """
-    p, c, x = prof.gs.p, prof.gs.c, prof.grid.nodes
-    phi, ddphi = prof.phi, prof.phi_xx
-    vals = 6.0 * c * phi
-    vals += 18.0 * c * x * prof.phi_x
-    vals += (6.0 * c - 3.0 * p * c) * x * x * ddphi
-    vals += 3.0 * p * (c - 1.0) * x * x * phi
-    return Field(prof.grid, vals)
+    return Field(prof.grid, _cubic_image(prof))
+
+
+def _kappa(prof: SampledProfile) -> np.ndarray:
+    p, c, B = prof.gs.p, prof.gs.c, prof.gs.B
+    vals = _cubic_image(prof)
+    vals *= prof.gs.D
+    vals += B * ((p + 1.0) * c * c - p * c) * prof.phi
+    vals += B * (1.0 - p) * c * c * prof.phi_xx
+    return vals
 
 
 def kappa_closed_form(prof: SampledProfile) -> Field:
     """kappa_c = B [((p+1)c^2 - pc) phi + (1-p) c^2 phi_xx] + D * cubic_pair_image."""
-    p, c, B = prof.gs.p, prof.gs.c, prof.B
-    vals = cubic_pair_image(prof).values
-    vals *= prof.D
-    vals += B * ((p + 1.0) * c * c - p * c) * prof.phi
-    vals += B * (1.0 - p) * c * c * prof.phi_xx
-    return Field(prof.grid, vals)
-
-
-def kappa_operator(gs: GroundState, gamma: Field) -> Field:
-    """kappa via direct Hessian application to the sampled Gamma (independent path)."""
-    return hessian_apply(gs, gamma)
-
-
-@dataclass(frozen=True)
-class StructureSet:
-    gs: GroundState
-    B: float
-    D: float
-    Gamma: Field
-    kappa_closed: Field
-    kappa_operator: Field
-
-    @property
-    def dual_path_sup_error(self) -> float:
-        scale = float(np.max(np.abs(self.kappa_closed.values)))
-        diff = float(np.max(np.abs(self.kappa_closed.values - self.kappa_operator.values)))
-        return diff / scale
-
-
-def build_structure(gs: GroundState, grid: Grid) -> StructureSet:
-    prof = gs.sample(grid)
-    B, D = coefficients(prof)
-    gamma = gamma_direction(prof)
-    kappa = kappa_closed_form(prof)
-    # the sampled arrays must be gone before the operator path allocates
-    del prof
-    return StructureSet(gs, B, D, gamma, kappa, kappa_operator(gs, gamma))
+    return Field(prof.grid, _kappa(prof))
 
 
 def table_points(p: float, c: float, L: float, n_request: int) -> int:
@@ -126,6 +115,32 @@ def table_points(p: float, c: float, L: float, n_request: int) -> int:
     return n
 
 
+def node_windows(count: int) -> list[tuple[int, int]]:
+    """Split nodes 0..count-1 into the fewest windows (lo, hi) of at most
+    WINDOW_NODES nodes, with lengths differing by at most one."""
+    m = -(-count // WINDOW_NODES)
+    bounds = [count * i // m for i in range(m + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _row_windows(gs: GroundState, grid: Grid) -> Iterator[tuple]:
+    """(lo, Gamma, kappa closed form, hessian(Gamma)) on the nodes lo.. of
+    each node window, as arrays the caller may overwrite.
+
+    Each window is sampled once with a HALO-node margin clipped at the grid's
+    ends, so every kept node's stencil reads the values it reads on the whole
+    grid and one-sided stencils occur only at the grid's own ends.
+    """
+    count, h = grid.node_count, grid.h
+    for lo, hi in node_windows(count):
+        a, b = max(lo - HALO, 0), min(hi + HALO, count)
+        prof = gs.sample(grid, (a, b))
+        gamma = _gamma(prof)
+        kop = hessian_values(gs, gamma, _fd_derivative(gamma, h, 2), prof.phi_p)
+        keep = slice(lo - a, hi - a)
+        yield lo, gamma[keep], _kappa(prof)[keep], kop[keep]
+
+
 def negativity_form(
     gs: GroundState,
     grid: Grid | None = None,
@@ -134,16 +149,28 @@ def negativity_form(
 ) -> tuple[float, float, float]:
     """(<kappa, Gamma> closed-form path, operator path, dual-path sup error).
 
-    When no grid is given, a Dirichlet grid on [-L, L] with the table
-    resolution floor is built.
+    The operator path applies the finite-difference Hessian to the sampled
+    Gamma. The two trapezoid pairings and the two sup norms are reduced
+    window by window, so no array spans the grid. When no grid is given, a
+    Dirichlet grid on [-L, L] with the table resolution floor is built.
     """
     if grid is None:
         n = table_points(gs.p, gs.c, L, n_request)
         grid = make_grid(L, n, DIRICHLET)
-    st = build_structure(gs, grid)
-    v_closed = inner(st.kappa_closed, st.Gamma)
-    v_operator = inner(st.kappa_operator, st.Gamma)
-    return v_closed, v_operator, st.dual_path_sup_error
+    if grid.boundary != DIRICHLET:
+        raise GridError("the negativity form needs a Dirichlet grid")
+    closed = operator = scale = diff = 0.0
+    for lo, gamma, kap, kop in _row_windows(gs, grid):
+        # trapezoid weights: only the grid's own two end nodes count half
+        if lo == 0:
+            gamma[0] *= 0.5
+        if lo + gamma.size == grid.node_count:
+            gamma[-1] *= 0.5
+        closed += kap @ gamma
+        operator += kop @ gamma
+        scale = max(scale, float(np.max(np.abs(kap))))
+        diff = max(diff, float(np.max(np.abs(kap - kop))))
+    return float(grid.h * closed), float(grid.h * operator), diff / scale
 
 
 @dataclass(frozen=True)
@@ -217,7 +244,8 @@ def modulation_pairing(gs: GroundState, grid: Grid) -> tuple[float, float]:
     """(<d_c phi_c, kappa_c> by central differences in c (relative step 1e-5),
     closed form).
 
-    The closed form is the exact identity c^2 B(c) dQ/dc(phi_c): the pairing
+    The closed form is the exact identity c^2 B(c) dQ/dc(phi_c), with B and
+    ||phi_c||^2 in closed form, so no quadrature enters it: the pairing
     is proportional to the momentum slope and therefore vanishes at the
     critical speed. Both values are returned so callers can see how far from
     degeneracy a given (p, c) sits.
@@ -227,11 +255,10 @@ def modulation_pairing(gs: GroundState, grid: Grid) -> tuple[float, float]:
     phi_plus = GroundState(p, c + dc).profile(grid).values
     phi_minus = GroundState(p, c - dc).profile(grid).values
     dcphi = Field(grid, (phi_plus - phi_minus) / (2.0 * dc))
-    prof = gs.sample(grid)
-    fd_value = inner(dcphi, kappa_closed_form(prof))
+    fd_value = inner(dcphi, kappa_closed_form(gs.sample(grid)))
     dq = (
         (8.0 * (p + 2.0) * c ** 2 - 8.0 * p * c - p ** 2)
         / (4.0 * p * (p + 4.0) * c ** 2 * (c - 1.0))
-        * prof.norm_sq
+        * profile_norm_sq_closed(p, c)
     )
-    return fd_value, c * c * prof.B * dq
+    return fd_value, c * c * gs.B * dq

@@ -17,7 +17,7 @@ from gbbmlab import (
     normalized_profile_norm_sq,
 )
 from gbbmlab.modulation import _virial_frame
-from gbbmlab.structure import kappa_closed_form, table_points
+from gbbmlab.structure import kappa_closed_form, node_windows, table_points
 
 L50 = 50.0 * math.pi
 
@@ -72,7 +72,7 @@ def test_kappa_matches_expanded_closed_form(p):
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
     prof = gs.sample(grid)
-    c, x, B, D = gs.c, grid.nodes, prof.B, prof.D
+    c, x, B, D = gs.c, grid.nodes, gs.B, gs.D
     phi, dphi, ddphi = prof.phi, prof.phi_x, prof.phi_xx
     expanded = (
         (B * (p + 1.0) * c * c - B * p * c + 6.0 * c * D) * phi
@@ -87,9 +87,14 @@ def test_kappa_matches_expanded_closed_form(p):
 
 class TestSamplingCounts:
     def test_table_row(self, log_sech_calls):
-        # one bundle for B, D, Gamma and kappa, one phi^p for the operator path
-        negativity_form(GroundState(5.0, critical_speed(5.0)))
-        assert len(log_sech_calls) <= 2
+        # each node once, plus a halo of at most two nodes on each side of a window
+        p = 100.0
+        gs = GroundState(p, critical_speed(p))
+        n = table_points(p, gs.c, L50, 8192)
+        negativity_form(gs)
+        windows = node_windows(n + 1)
+        assert len(windows) > 1
+        assert sum(log_sech_calls) <= n + 1 + 4 * len(windows)
 
     def test_fit_decompose(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from gbbmlab import (
     DIRICHLET,
     Field,
+    GridError,
     GroundState,
-    build_structure,
     closed_form_identities,
     coefficients,
     critical_speed,
@@ -15,7 +16,6 @@ from gbbmlab import (
     hessian_apply,
     inner,
     kappa_closed_form,
-    kappa_operator,
     make_grid,
     modulation_pairing,
     negativity_form,
@@ -23,7 +23,9 @@ from gbbmlab import (
     norm_l2,
     quadrature,
 )
-from gbbmlab.structure import cubic_pair_image, table_points
+from gbbmlab import structure
+from gbbmlab.ground_state import trigamma
+from gbbmlab.structure import cubic_pair_image, node_windows, table_points
 
 L50 = 50.0 * math.pi
 
@@ -73,6 +75,91 @@ class TestCoefficients:
         )
 
 
+class TestTrigamma:
+    def test_special_values(self):
+        assert abs(trigamma(1.0) - math.pi ** 2 / 6.0) < 1e-14
+        assert abs(trigamma(0.5) - math.pi ** 2 / 2.0) < 1e-14
+
+    @pytest.mark.parametrize("z", [0.02, 0.3, 0.4878, 2.5, 11.7, 12.0, 12.5, 30.0, 1e3])
+    def test_recurrence(self, z):
+        # z = 2/p runs from 0.02 (p = 100) to 0.49 (p = 4.1) in the table
+        scale = max(1.0, trigamma(z))
+        assert abs(trigamma(z) - trigamma(z + 1.0) - 1.0 / z ** 2) < 1e-14 * scale
+
+
+class TestClosedFormB:
+    @pytest.mark.parametrize("p, c", [
+        (4.1, critical_speed(4.1)),
+        (5.0, critical_speed(5.0)),
+        (10.0, critical_speed(10.0)),
+        (100.0, critical_speed(100.0)),
+        (7.0, 1.25),
+    ])
+    def test_matches_quadrature_on_table_grid(self, p, c):
+        # the independent path: 3/2 ||x phi||^2 + 9/2 ||x phi_x||^2 - 3 ||phi||^2
+        gs = GroundState(p, c)
+        grid = make_grid(L50, table_points(p, c, L50, 8192), DIRICHLET)
+        prof = gs.sample(grid)
+        x = grid.nodes
+        quad = (
+            1.5 * quadrature(Field(grid, (x * prof.phi) ** 2))
+            + 4.5 * quadrature(Field(grid, (x * prof.phi_x) ** 2))
+            - 3.0 * quadrature(Field(grid, prof.phi ** 2))
+        )
+        assert abs(gs.B - quad) <= 1e-12 * abs(quad)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("count", [17, (1 << 14) + 1, (1 << 20) + 1])
+    def test_layout_covers_nodes_once(self, count):
+        windows = node_windows(count)
+        assert windows[0][0] == 0 and windows[-1][1] == count
+        assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+        assert all(5 <= hi - lo <= structure.WINDOW_NODES for lo, hi in windows)
+
+    def test_window_arrays_match_whole_grid(self):
+        # the slow reference path: whole-grid builders and hessian_apply
+        p = 30.0
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        prof = gs.sample(grid)
+        gamma = gamma_direction(prof)
+        whole = (gamma.values, kappa_closed_form(prof).values, hessian_apply(gs, gamma).values)
+        del prof
+        windows = list(structure._row_windows(gs, grid))
+        assert len(windows) > 1
+        for ref, part in zip(whole, zip(*(w[1:] for w in windows))):
+            assert np.array_equal(np.concatenate(part), ref)
+
+    @pytest.mark.parametrize("p", [5.0, 30.0])
+    def test_windowed_matches_single_window(self, p, monkeypatch):
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        monkeypatch.setattr(structure, "WINDOW_NODES", 4096)
+        assert len(node_windows(grid.node_count)) > 1
+        windowed = negativity_form(gs, grid)
+        monkeypatch.setattr(structure, "WINDOW_NODES", grid.node_count)
+        assert len(node_windows(grid.node_count)) == 1
+        single = negativity_form(gs, grid)
+        for w, s in zip(windowed, single):
+            assert w == pytest.approx(s, rel=1e-12)
+
+    def test_p100_row_peak_memory(self):
+        # the p = 100 row spans 2^20 + 1 nodes, 8 MB per array of full grid length
+        gs = GroundState(100.0, critical_speed(100.0))
+        tracemalloc.start()
+        try:
+            negativity_form(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_rejects_periodic_grid(self, gs5, periodic_8192):
+        with pytest.raises(GridError):
+            negativity_form(gs5, periodic_8192)
+
+
 class TestGammaDirection:
     def test_even(self, gs5, dirichlet_8192):
         vals = gamma_direction(gs5.sample(dirichlet_8192)).values
@@ -95,8 +182,7 @@ class TestGammaDirection:
 
 class TestKappa:
     def test_dual_path_sup(self, gs5, table_grid_p5):
-        st = build_structure(gs5, table_grid_p5)
-        assert st.dual_path_sup_error < 1e-6
+        assert negativity_form(gs5, table_grid_p5)[2] < 1e-6
 
     def test_even(self, gs5, dirichlet_8192):
         vals = kappa_closed_form(gs5.sample(dirichlet_8192)).values
@@ -186,8 +272,7 @@ class TestNegativityTable:
     def test_dual_path_guard_trips_on_coarse_grid(self, gs5):
         # forcing a coarse grid breaks the 1e-6 consistency contract at large p
         coarse = make_grid(L50, 4096, DIRICHLET)
-        st = build_structure(GroundState(100.0, critical_speed(100.0)), coarse)
-        assert st.dual_path_sup_error > 1e-6
+        assert negativity_form(GroundState(100.0, critical_speed(100.0)), coarse)[2] > 1e-6
 
 
 class TestModulationPairing:
