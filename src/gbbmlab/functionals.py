@@ -56,7 +56,8 @@ def _nonlinear(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def _energy_density(v: np.ndarray, p: float) -> np.ndarray:
-    return 0.5 * v * v + np.abs(v) ** (p + 2.0) / (p + 2.0)
+    # |v|^(p+2) = v |v|^p v, so integer p takes _nonlinear's squaring path
+    return 0.5 * v * v + v * _nonlinear(v, p) / (p + 2.0)
 
 
 def energy(u: Field, p: float) -> float:

@@ -15,7 +15,7 @@ the smooth, exponentially decaying integrands this package deals in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -164,16 +164,21 @@ def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _derivative_symbol(g: Grid, order: int) -> np.ndarray:
+    """(ik)^order on the rfft bins of a periodic grid; shared, so never written to."""
+    sym = (1j * g.wavenumbers) ** order
+    if order % 2 == 1:
+        sym[-1] = 0.0  # the Nyquist sine is not representable
+    return sym
+
+
 def derivative(f: Field, order: int = 1) -> Field:
     if order not in (1, 2, 3):
         raise GridError(f"derivative order must be 1, 2 or 3, got {order!r}")
     g = f.grid
     if g.boundary == PERIODIC:
-        k = g.wavenumbers
-        sym = (1j * k) ** order
-        if order % 2 == 1:
-            sym[-1] = 0.0  # the Nyquist sine is not representable
-        out = np.fft.irfft(sym * np.fft.rfft(f.values), n=g.points)
+        out = np.fft.irfft(_derivative_symbol(g, order) * np.fft.rfft(f.values), n=g.points)
         return Field(g, out)
     return Field(g, _fd_derivative(f.values, g.h, order))
 
@@ -188,13 +193,19 @@ def helmholtz_inverse(f: Field) -> Field:
     return Field(g, out)
 
 
+def _shift_symbol(g: Grid, y: float) -> np.ndarray:
+    """e^{iky} on the rfft bins of a periodic grid: multiplying a transform by it
+    and inverting gives f(. + y)."""
+    k = g.wavenumbers
+    shift = np.exp(1j * k * y)
+    shift[-1] = np.cos(k[-1] * y)  # Nyquist carries only its cosine part
+    return shift
+
+
 def translate(f: Field, y: float) -> Field:
     """f(. + y) on a periodic grid (FFT phase shift; y need not be a grid multiple)."""
     g = f.grid
     if g.boundary != PERIODIC:
         raise GridError("translate requires a periodic grid")
-    k = g.wavenumbers
-    shift = np.exp(1j * k * y)
-    shift[-1] = np.cos(k[-1] * y)  # Nyquist carries only its cosine part
-    out = np.fft.irfft(np.fft.rfft(f.values) * shift, n=g.points)
+    out = np.fft.irfft(np.fft.rfft(f.values) * _shift_symbol(g, y), n=g.points)
     return Field(g, out)

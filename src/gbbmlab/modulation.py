@@ -28,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, derivative, inner, norm_h1, norm_l2, quadrature, translate
+from .grid import (
+    Field, Grid, _derivative_symbol, _shift_symbol, inner, norm_h1, norm_l2, quadrature,
+)
 from .ground_state import GroundState, SampledProfile, critical_speed, profile_norm_sq_closed
-from .structure import coefficients, cubic_pair_image, kappa_closed_form
+from .structure import _cubic_image, _kappa, coefficients, kappa_closed_form
 from .dynamics import Frame, SimulationConfig, stream
 from .functionals import _energy_density
 
@@ -56,13 +58,16 @@ class ModulationState:
     mode: str
     converged: bool
     jacobian_det: float
+    # phi_lam and its relatives at this lam, as the last residual sampled them
+    profile: SampledProfile
 
 
 def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid, mode: str):
     """F(lam; u_y) = (<xi, d_x phi_lam>, <xi, dir2_lam>) with xi = u_y - phi_lam.
 
-    Returns F with xi and the two directions it paired against. dir2 is
-    kappa_lam in mode="kappa" and the analytic d_lam phi_lam in mode="fit".
+    Returns F with xi, the profile bundle of phi_lam (whose phi_x is the first
+    direction) and dir2: kappa_lam in mode="kappa" and the analytic
+    d_lam phi_lam in mode="fit".
     """
     prof = GroundState(p, lam).sample(grid)
     if mode == MODE_KAPPA:
@@ -73,7 +78,7 @@ def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid, mode: str):
         raise ValueError(f"unknown modulation mode {mode!r}")
     xi = uy - prof.phi
     F = grid.h * np.array([xi @ prof.phi_x, xi @ dir2])
-    return F, xi, prof.phi_x, dir2
+    return F, xi, prof, dir2
 
 
 def decompose(
@@ -86,11 +91,15 @@ def decompose(
 ) -> ModulationState:
     """Solve <xi, d_x phi_lam> = <xi, dir2(lam)> = 0 for (lam, y) by Newton.
 
-    xi(x) = u(x + y) - phi_lam(x). The y-column of the Jacobian pairs the
-    spectral derivative of the shifted state with both directions. The
-    lam-column is (F(lam + d) - F(lam - d)) / 2d of the residual itself
-    (relative step 1e-5): kappa_lam has no closed-form lam-derivative, so only
-    that derivative is a finite difference, and one formula serves both modes.
+    xi(x) = u(x + y) - phi_lam(x). u is transformed once: each iterate's
+    shifted state is the inverse transform of u_hat e^{iky}, bitwise
+    translate(u, y), and the y-column of the Jacobian pairs the inverse
+    transform of ik u_hat e^{iky}, the spectral derivative of that state, with
+    both directions. So an iterate costs one inverse transform, plus one when
+    it takes a step. The lam-column is (F(lam + d) - F(lam - d)) / 2d of the
+    residual itself (relative step 1e-5): kappa_lam has no closed-form
+    lam-derivative, so only that derivative is a finite difference, and one
+    formula serves both modes.
     Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
     Raises ModulationError (with the partial state attached) on a singular
@@ -106,20 +115,27 @@ def decompose(
     grid = u.grid
     h = grid.h
     det_scaled = float("nan")
+    u_hat = np.fft.rfft(u.values)
+    dx_symbol = _derivative_symbol(grid, 1)
+
+    def state(converged: bool) -> ModulationState:
+        return ModulationState(
+            lam, y, Field(grid, xi), it, (r1, r2), mode, converged, det_scaled, prof
+        )
 
     best_res = float("inf")
     stall = 0
     stationary = False
     for it in range(max_iter + 1):
-        uy = translate(u, y)
-        F, xi, dir1, dir2 = _residual(uy.values, p, lam, grid, mode)
+        uy_hat = u_hat * _shift_symbol(grid, y)
+        uy = np.fft.irfft(uy_hat, n=grid.points)
+        F, xi, prof, dir2 = _residual(uy, p, lam, grid, mode)
+        dir1 = prof.phi_x
         r1 = abs(F[0]) / (u_norm * np.sqrt(h * (dir1 @ dir1)))
         r2 = abs(F[1]) / (u_norm * np.sqrt(h * (dir2 @ dir2)))
         res = max(r1, r2)
         if res < tol:
-            return ModulationState(
-                lam, y, Field(grid, xi), it, (r1, r2), mode, True, det_scaled
-            )
+            return state(True)
         stall = stall + 1 if res >= 0.9 * best_res else 0
         best_res = min(best_res, res)
         if stationary or stall >= 8 or it == max_iter:
@@ -128,23 +144,20 @@ def decompose(
 
         d = FD_LAMBDA_REL * lam
         J11, J21 = (
-            _residual(uy.values, p, lam + d, grid, mode)[0]
-            - _residual(uy.values, p, lam - d, grid, mode)[0]
+            _residual(uy, p, lam + d, grid, mode)[0]
+            - _residual(uy, p, lam - d, grid, mode)[0]
         ) / (2.0 * d)
-        duy = derivative(uy, 1).values
+        duy = np.fft.irfft(dx_symbol * uy_hat, n=grid.points)
         J12 = h * (duy @ dir1)
         J22 = h * (duy @ dir2)
         det = J11 * J22 - J12 * J21
         scale = max(abs(J11 * J22), abs(J12 * J21), 1e-300)
         det_scaled = det / scale
         if abs(det) < 1e-12 * scale:
-            state = ModulationState(
-                lam, y, Field(grid, xi), it, (r1, r2), mode, False, det_scaled
-            )
             raise ModulationError(
                 f"singular modulation Jacobian (scaled det {det_scaled:.2e}) "
                 f"at lam={lam:.6g}, y={y:.6g}, residuals ({r1:.2e}, {r2:.2e})",
-                state,
+                state(False),
             )
         dlam = (-F[0] * J22 + F[1] * J12) / det
         dy = (-F[1] * J11 + F[0] * J21) / det
@@ -155,12 +168,11 @@ def decompose(
         y += dy
         stationary = abs(dlam) < 1e-13 * lam and abs(dy) < 1e-13 * max(1.0, abs(y))
 
-    state = ModulationState(lam, y, Field(grid, xi), it, (r1, r2), mode, False, det_scaled)
     raise ModulationError(
         f"modulation did not converge (mode={mode}): residuals ({r1:.2e}, {r2:.2e}) "
         f"at lam={lam:.6g}, y={y:.6g}; the second orthogonality has no nearby root "
         f"when this residual plateaus",
-        state,
+        state(False),
     )
 
 
@@ -239,9 +251,7 @@ def _virial_frame(
     state: ModulationState,
 ) -> VirialReport:
     grid = u.grid
-    lam, y = state.lam, state.y
-    prof = GroundState(p, lam).sample(grid)
-    xi = state.xi
+    lam, y, prof, xi = state.lam, state.y, state.profile, state.xi
 
     # cutoff recentered on the soliton, with periodic wrap of the offset
     L = grid.half_width
@@ -253,11 +263,30 @@ def _virial_frame(
     I2 = D / B * cubic
 
     beta = -lam * (E0 - _energy_closed(p, c))
-    kres = inner(xi, kappa_closed_form(prof)) / B
+    image = _cubic_image(prof)
+    kres = inner(xi, Field(grid, _kappa(prof, image))) / B
     return VirialReport(
         t, I1, I2, I1 + I2, beta, gamma_of_lambda(p, c, lam), lam,
-        norm_h1(xi), kres, state.mode, y, B, cubic, inner(xi, cubic_pair_image(prof)),
+        norm_h1(xi), kres, state.mode, y, B, cubic, inner(xi, Field(grid, image)),
     )
+
+
+def _extrapolate(past: list[tuple[float, float, float]], t: float) -> tuple[float, float]:
+    """(lam, y) at time t from the converged (t_i, lam_i, y_i) of one to three
+    frames: with one, (lam, y + lam (t - t_0)); with two or three, the Lagrange
+    polynomial through them at their own times, evaluated at t."""
+    if len(past) == 1:
+        t0, lam, y = past[0]
+        return lam, y + lam * (t - t0)
+    lam = y = 0.0
+    for i, (ti, lam_i, y_i) in enumerate(past):
+        w = 1.0
+        for j, (tj, _, _) in enumerate(past):
+            if j != i:
+                w *= (t - tj) / (ti - tj)
+        lam += w * lam_i
+        y += w * y_i
+    return lam, y
 
 
 def virial_monitor(
@@ -270,19 +299,30 @@ def virial_monitor(
     """The frame loop: one virial report per frame (of a live `stream` or of a
     collected `Trajectory.frames`), in order. E(u0) and the grid come from the
     first frame, where 2R < L is checked before any decompose. Each decompose
-    is warm-started from the previous frame's (lam, y) at t_prev moved on at
-    the soliton's speed, (lam, y + lam (t - t_prev)), starting from (c, 0) at
-    t = 0; the first ModulationError propagates. A consumer that stops iterating
-    stops the decomposition, and the stepping of a live stream, there.
+    is warm-started from an extrapolation of the converged (lam, y) of the last
+    three frames: the quadratic Lagrange polynomial through them at their own
+    times (so an uneven last interval, as at t_end, is handled), the line
+    through two after the second frame, and (lam, y + lam (t - t_prev)) after
+    the first; the first frame starts from (c, c t). In fit mode most frames
+    then converge in one Newton iteration. The frame reads the profile bundle
+    decompose sampled at the converged lam, so it samples none itself. The
+    first ModulationError propagates. A consumer that stops iterating stops
+    the decomposition, and the stepping of a live stream, there.
     """
-    E0, lam, y, t_prev = None, c, 0.0, 0.0
+    E0, past = None, []
     for frame in frames:
+        t = float(frame.t)
         if E0 is None:
             _check_cutoff(R, frame.state.grid)
             E0 = float(frame.E)
-        state = decompose(frame.state, p, (lam, y + lam * (frame.t - t_prev)), mode=mode)
-        lam, y, t_prev = state.lam, state.y, float(frame.t)
-        yield _virial_frame(frame.state, float(frame.t), p, c, R, E0, state)
+        guess = _extrapolate(past, t) if past else (c, c * t)
+        # no state is held across the yield: its profile bundle would stay
+        # live through the next frame's decompose
+        report = _virial_frame(
+            frame.state, t, p, c, R, E0, decompose(frame.state, p, guess, mode=mode)
+        )
+        past = past[-2:] + [(t, report.lam, report.y)]
+        yield report
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,8 @@ def gamma_direction(prof: SampledProfile) -> Field:
 
 
 def _cubic_image(prof: SampledProfile) -> np.ndarray:
+    """Hessian image of d_x(x^3 phi) = 3x^2 phi + x^3 phi_x, in closed form:
+    6c phi + 18c x phi_x + (6c - 3pc) x^2 phi_xx + 3p(c-1) x^2 phi."""
     p, c, x = prof.gs.p, prof.gs.c, prof.x
     phi, ddphi = prof.phi, prof.phi_xx
     vals = 6.0 * c * phi
@@ -82,17 +84,10 @@ def _cubic_image(prof: SampledProfile) -> np.ndarray:
     return vals
 
 
-def cubic_pair_image(prof: SampledProfile) -> Field:
-    """Hessian image of d_x(x^3 phi) = 3x^2 phi + x^3 phi_x, in closed form.
-
-    Equals 6c phi + 18c x phi_x + (6c - 3pc) x^2 phi_xx + 3p(c-1) x^2 phi.
-    """
-    return Field(prof.grid, _cubic_image(prof))
-
-
-def _kappa(prof: SampledProfile) -> np.ndarray:
+def _kappa(prof: SampledProfile, image: np.ndarray | None = None) -> np.ndarray:
+    # image, when given, is _cubic_image(prof) built by the caller; it is not changed
     p, c, B = prof.gs.p, prof.gs.c, prof.gs.B
-    vals = _cubic_image(prof)
+    vals = _cubic_image(prof) if image is None else image.copy()
     vals *= prof.gs.D
     vals += B * ((p + 1.0) * c * c - p * c) * prof.phi
     vals += B * (1.0 - p) * c * c * prof.phi_xx
@@ -100,7 +95,7 @@ def _kappa(prof: SampledProfile) -> np.ndarray:
 
 
 def kappa_closed_form(prof: SampledProfile) -> Field:
-    """kappa_c = B [((p+1)c^2 - pc) phi + (1-p) c^2 phi_xx] + D * cubic_pair_image."""
+    """kappa_c = B [((p+1)c^2 - pc) phi + (1-p) c^2 phi_xx] + D hessian(d_x(x^3 phi))."""
     return Field(prof.grid, _kappa(prof))
 
 

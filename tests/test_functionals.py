@@ -20,7 +20,7 @@ from gbbmlab import (
     norm_l2,
     translate,
 )
-from gbbmlab.functionals import _nonlinear
+from gbbmlab.functionals import _energy_density, _nonlinear
 from conftest import decaying_random_field
 
 
@@ -200,3 +200,10 @@ class TestNonlinearity:
         # fractional p bit for bit; a negative integer p takes the float power
         u = np.random.default_rng(5).normal(size=8192)
         assert np.array_equal(_nonlinear(u, p), np.sign(u) * np.abs(u) ** (p + 1.0))
+
+    @pytest.mark.parametrize("p", [5.0, 4.5])
+    def test_energy_density_matches_float_power(self, p):
+        # v |v|^p v by the shared kernel against |v|^(p+2) by the float power
+        u = np.random.default_rng(5).normal(size=8192)
+        ref = 0.5 * u * u + np.abs(u) ** (p + 2.0) / (p + 2.0)
+        assert np.all(np.abs(_energy_density(u, p) - ref) <= 1e-14 * ref)

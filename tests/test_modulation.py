@@ -148,6 +148,25 @@ class TestDecompose:
         assert max(st.residuals) < 1e-10
         assert norm_h1(st.xi) < 0.05
 
+    def test_one_forward_transform(self, gs5, periodic_4096, monkeypatch):
+        # u is transformed once; every iterate is an inverse transform of it
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        st = decompose(u, gs5.p, (gs5.c, 0.3), mode=MODE_FIT)
+        monkeypatch.undo()
+        assert st.converged and st.newton_iters >= 2
+        assert len(calls) == 1
+        # the shifted state is bitwise the one translate builds
+        phi = GroundState(gs5.p, st.lam).sample(periodic_4096).phi
+        assert np.array_equal(st.xi.values, translate(u, st.y).values - phi)
+
     def test_guess_validation(self, gs5, periodic_4096):
         with pytest.raises(ValueError):
             decompose(gs5.profile(periodic_4096), gs5.p, (0.5, 0.0))
@@ -171,6 +190,58 @@ def short_frames(gs5, short_runs):
         a: list(virial_monitor(run.frames, gs5.p, gs5.c, R=30.0))
         for a, run in short_runs.items()
     }
+
+
+@pytest.fixture(scope="module")
+def frames_to_10(gs5):
+    """The frames of u0 = 0.98 phi_c to t = 10 at N = 8192, 21 in all."""
+    grid = make_grid(L50, 8192, "periodic")
+    cfg = SimulationConfig(grid, gs5.p, dt=0.025, t_end=10.0)
+    return evolve(Field(grid, 0.98 * gs5.profile(grid).values), cfg).frames
+
+
+class TestWarmStart:
+    def test_against_velocity_guess(self, gs5, frames_to_10, monkeypatch):
+        # the extrapolated warm start against decomposing every frame from the
+        # previous converged (lam, y) moved on at speed lam: the same roots,
+        # in at most half the Newton iterations
+        states = []
+        real = modulation.decompose
+
+        def counted(*args, **kwargs):
+            states.append(real(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(modulation, "decompose", counted)
+        monitored = list(virial_monitor(frames_to_10, gs5.p, gs5.c, R=30.0))
+        monkeypatch.undo()
+        assert len(monitored) == 21
+
+        E0 = float(frames_to_10[0].E)
+        lam, y, t_prev, ref_iters = gs5.c, 0.0, 0.0, 0
+        for frame, rep in zip(frames_to_10, monitored):
+            st = decompose(frame.state, gs5.p, (lam, y + lam * (frame.t - t_prev)), mode=MODE_FIT)
+            ref = modulation._virial_frame(frame.state, frame.t, gs5.p, gs5.c, 30.0, E0, st)
+            lam, y, t_prev = st.lam, st.y, frame.t
+            ref_iters += st.newton_iters
+            for name in ("lam", "y", "tube_distance", "I"):
+                assert getattr(rep, name) == pytest.approx(getattr(ref, name), abs=1e-9)
+        assert sum(st.newton_iters for st in states) <= ref_iters / 2
+
+    def test_extrapolation_is_exact_on_quadratics(self):
+        # frames at 9, 9.5 and 10, then a short last interval to t = 10.2
+        def lam(t):
+            return 1.1 + 0.01 * t - 0.002 * t * t
+
+        def y(t):
+            return 3.0 * t + 0.5 * t * t
+
+        past = [(t, lam(t), y(t)) for t in (9.0, 9.5, 10.0)]
+        assert modulation._extrapolate(past, 10.2) == pytest.approx((lam(10.2), y(10.2)), rel=1e-14)
+        # two frames: the line through them; one frame: moved on at speed lam
+        line = [v + 0.4 * (v - w) for v, w in ((lam(10.0), lam(9.5)), (y(10.0), y(9.5)))]
+        assert modulation._extrapolate(past[1:], 10.2) == pytest.approx(line, rel=1e-14)
+        assert modulation._extrapolate(past[2:], 10.2) == (lam(10.0), y(10.0) + lam(10.0) * (10.2 - 10.0))
 
 
 class TestParameterResiduals:

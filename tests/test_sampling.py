@@ -12,6 +12,7 @@ from gbbmlab import (
     GroundState,
     critical_speed,
     decompose,
+    instability_experiment,
     make_grid,
     negativity_form,
     normalized_profile_norm_sq,
@@ -111,4 +112,15 @@ class TestSamplingCounts:
         st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
         log_sech_calls.clear()
         _virial_frame(u, 0.0, gs5.p, gs5.c, 30.0, 1.0, st)
-        assert len(log_sech_calls) <= 1
+        # the frame reads the profile bundle decompose sampled at the converged lam
+        assert log_sech_calls == []
+
+    def test_instability_run(self, log_sech_calls):
+        # the kappa attempt on u0, then per frame one bundle at lam and at
+        # lam +- d per Newton iteration plus the final check; the extrapolated
+        # start leaves most frames at one iteration, where starting each frame
+        # from (lam, y + lam dt) takes three and 257 calls
+        grid = make_grid(L50, 8192, "periodic")
+        rep = instability_experiment(5.0, 0.02, grid, dt=0.025, t_end=10.0)
+        assert len(rep.frames) == 21
+        assert len(log_sech_calls) <= 150
