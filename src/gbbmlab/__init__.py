@@ -7,7 +7,6 @@ from .grid import (
     Grid,
     GridError,
     derivative,
-    field_from_function,
     helmholtz_inverse,
     inner,
     make_grid,
@@ -52,7 +51,7 @@ from .spectral import (
     inverse_pairing,
     negative_direction_check,
 )
-from .dynamics import BlowupError, SimulationConfig, Trajectory, H_of_u, evolve, step, stream
+from .dynamics import BlowupError, SimulationConfig, Trajectory, evolve, step, stream
 from .modulation import (
     MODE_FIT,
     MODE_KAPPA,

@@ -37,6 +37,7 @@ from . import (
     negativity_table,
     translate,
 )
+from .spectral import EigenSolveError
 from .structure import DualPathError
 
 SCHEMA = "gbbmlab/1"
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](cfg)
-    except (BlowupError, DualPathError) as exc:
+    except (BlowupError, DualPathError, EigenSolveError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     except ValueError as exc:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, GridError, PERIODIC, helmholtz_inverse
-from .functionals import energy, momentum, _flow, _flow_symbol, _nonlinear
+from .grid import Field, Grid, GridError, PERIODIC
+from .functionals import energy, momentum, _flow, _flow_symbol
 
 # per-node error tolerance of an accepted step: ATOL + RTOL * max(|v|, |v_new|)
 RTOL = 1e-10
@@ -202,11 +202,6 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
 def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
     """Integrate to t_end: every frame of `stream`, collected."""
     return Trajectory(list(stream(u0, config)))
-
-
-def H_of_u(u: Field, p: float) -> Field:
-    """H(u) = -(1 - d_xx)^{-1}(u + |u|^p u); d_x H(u) equals the flow field."""
-    return -helmholtz_inverse(Field(u.grid, u.values + _nonlinear(u.values, p)))
 
 
 def linear_rhs(u: Field) -> Field:

@@ -109,10 +109,6 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def field_from_function(grid: Grid, fn) -> Field:
-    return Field(grid, fn(grid.nodes))
-
-
 def quadrature(f: Field) -> float:
     """Composite trapezoid of f over [-L, L]."""
     v, h = f.values, f.grid.h

@@ -39,6 +39,9 @@ class EigenSolveError(RuntimeError):
     """Eigen-solver did not converge; never returns silent garbage."""
 
 
+_SECULAR_MAX_PROBES = 100  # bisection alone reaches 2 tol in at most about 50
+
+
 def _interior(grid: Grid) -> np.ndarray:
     if grid.boundary != DIRICHLET:
         raise ValueError("Weinstein discretization requires a dirichlet_truncated grid")
@@ -62,11 +65,6 @@ def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float, rhs) -> np.n
         return solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"singular banded solve at shift {shift!r}: {exc}") from exc
-
-
-def weinstein_quadratic_form(gs: GroundState, f: Field) -> float:
-    """<L f, f> through the literal Hessian: <L f, f> = -<hessian(f), f>/c."""
-    return -inner(hessian_apply(gs, f), f) / gs.c
 
 
 @dataclass(frozen=True)
@@ -118,11 +116,20 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> Coerci
 
     constraints maps names to Fields (or interior arrays); an empty mapping
     returns the unconstrained minimum. For an orthonormal basis Q of the k
-    constraints, the inertia of [[T - mu, Q], [Q^T, 0]] counts the constrained
-    eigenvalues below mu as n_-(T - mu) + n_+(Q^T (T - mu)^{-1} Q) - k (Golub,
-    SIAM Rev. 15, 1973). Bisection on that count, from the interlacing bracket
-    [lambda_1, lambda_{k+1}] of T, runs until the midpoint equals an endpoint;
-    each step is one banded solve with k right-hand sides and one k x k eigh.
+    constraints, the constrained eigenvalues below mu number n_-(T - mu) +
+    n_+(S) - k, with the secular matrix S = Q^T Y, Y = (T - mu)^{-1} Q (Golub,
+    SIAM Rev. 15, 1973). Each probe mu of the interlacing bracket
+    [lambda_1, lambda_{k+1}] of T is one banded solve for Y and one k x k eigh
+    of S, and its count moves one end of the bracket. With n = n_-(T - mu),
+    the secular eigenvalue s_{n-1} (0-based, ascending) crosses zero at the
+    minimum, with derivative ||Y z||^2 from the same solve (S' = Y^T Y, z its
+    eigenvector). The next probe is the Newton iterate when it lies strictly
+    inside the bracket and the midpoint otherwise, which handles the poles of
+    S and a minimum on the bracket top, where no secular eigenvalue vanishes.
+    T - mu changes only when mu moves by an ulp of the diagonal, so a Newton
+    step within tol = 8 eps max|diag| is followed by a probe 1.5 tol across
+    the root (not 2 tol, which rounding can leave just short of closing the
+    bracket), and hi (count positive; 0 at lo) returns once hi - lo <= 2 tol.
     """
     diag, off = discretize_weinstein(gs, grid)
     names = tuple(constraints.keys())
@@ -145,16 +152,32 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> Coerci
         raise ValueError(f"constraints {names} are (numerically) linearly dependent")
     Q, _ = qr(C, mode="economic")
 
-    def any_below(mu: float) -> bool:
-        # mu < lambda_{k+1}, so the k+1 lowest eigenvalues give n_-(T - mu)
-        secular = Q.T @ _shifted_solve(diag, off, mu, Q)
-        n_pos = np.count_nonzero(eigh(secular, eigvals_only=True) > 0.0)
-        return np.count_nonzero(w < mu) + n_pos - k > 0
-
+    tol = 8.0 * float(np.finfo(float).eps) * float(np.max(np.abs(diag)))
     lo, hi = raw, float(w[k])
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if any_below(mid) else (mid, hi)
-    return CoercivityReport(hi, names, raw)
+    mu = 0.5 * (lo + hi)
+    for _ in range(_SECULAR_MAX_PROBES):
+        if hi - lo <= 2.0 * tol:
+            return CoercivityReport(hi, names, raw)
+        Y = _shifted_solve(diag, off, mu, Q)
+        secular = Q.T @ Y
+        if not np.all(np.isfinite(secular)):
+            raise EigenSolveError(f"non-finite secular matrix at shift {mu!r}")
+        # QR iteration: the default driver's MRRR vectors come with eigenvalues
+        # that can err by ~20 eps ||S|| near zero, enough to flip the count
+        sec, vecs = eigh(secular, driver="ev")
+        # mu < lambda_{k+1}, so the k+1 lowest eigenvalues give n_-(T - mu)
+        n = np.count_nonzero(w < mu)
+        lo, hi = (lo, mu) if n + np.count_nonzero(sec > 0.0) - k > 0 else (mu, hi)
+        step = -float(sec[n - 1]) / float(np.sum((Y @ vecs[:, n - 1]) ** 2))
+        del Y  # so the next solve does not hold two n x k blocks (peak RSS)
+        if not np.isfinite(step):
+            raise EigenSolveError(f"non-finite Newton step at shift {mu!r}")
+        if abs(step) <= tol:
+            mu += 1.5 * tol if mu == lo else -1.5 * tol
+        else:
+            mu = mu + step if lo < mu + step < hi else 0.5 * (lo + hi)
+    raise EigenSolveError(f"constrained minimum not bracketed within {_SECULAR_MAX_PROBES} "
+                          f"probes: [{lo!r}, {hi!r}]")
 
 
 def inverse_pairing(gs: GroundState, grid: Grid, f: Field) -> float:

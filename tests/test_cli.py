@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from gbbmlab import BlowupError, cli, evolve, modulation
+from gbbmlab import BlowupError, cli, evolve, modulation, spectral
 from gbbmlab.cli import main
 
 
@@ -100,6 +101,19 @@ class TestOtherCommands:
         assert claim > 0.0 > finest
         err = capsys.readouterr().err
         assert f"{claim:.6f} at N=16" in err and f"{finest:.6f} at N=16384" in err
+
+    @pytest.mark.parametrize("failure", ["singular banded solve", "non-finite secular matrix"])
+    def test_coercivity_eigensolve_failure_is_a_consistency_failure(
+            self, tmp_path, capsys, monkeypatch, failure):
+        # a failed eigensolve exits 3, not with a traceback or as a usage error
+        def failing_solve(diag, off, shift, rhs):
+            if failure == "singular banded solve":
+                raise spectral.EigenSolveError(f"singular banded solve at shift {shift!r}")
+            return np.full(np.shape(rhs), np.nan)
+
+        monkeypatch.setattr(spectral, "_shifted_solve", failing_solve)
+        assert run(tmp_path, "coercivity", "--N", "1024") == 3
+        assert f"consistency failure: {failure} at shift" in capsys.readouterr().err
 
     def test_evolve(self, tmp_path):
         assert run(tmp_path, "evolve", "--p", "5", "--N", "2048",

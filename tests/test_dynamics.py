@@ -10,18 +10,19 @@ from gbbmlab import (
     BlowupError,
     Field,
     GroundState,
-    H_of_u,
     SimulationConfig,
     critical_speed,
     derivative,
     evolution_rhs,
     evolve,
+    helmholtz_inverse,
     make_grid,
     norm_h1,
     step,
     translate,
 )
 from gbbmlab.dynamics import _A, _E3, _E5, linear_rhs
+from gbbmlab.functionals import _nonlinear
 from conftest import decaying_random_field
 
 L50 = 50.0 * math.pi
@@ -220,6 +221,11 @@ class TestEvolve:
             SimulationConfig(periodic_4096, 5.0, record_interval=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(make_grid(10.0, 64, "dirichlet_truncated"), 5.0)
+
+
+def H_of_u(u, p):
+    """H(u) = -(1 - d_xx)^{-1}(u + |u|^p u); d_x H(u) equals the flow field."""
+    return -helmholtz_inverse(Field(u.grid, u.values + _nonlinear(u.values, p)))
 
 
 class TestHamiltonianPotential:

@@ -13,13 +13,16 @@ from gbbmlab import (
     discretize_weinstein,
     eigenpairs,
     essential_spectrum_edge,
+    hessian_apply,
+    inner,
     inverse_pairing,
     kappa_closed_form,
     make_grid,
     negative_direction_check,
     norm_l2,
 )
-from gbbmlab.spectral import EigenSolveError, _shifted_solve, weinstein_quadratic_form
+from gbbmlab import spectral
+from gbbmlab.spectral import EigenSolveError, _shifted_solve
 
 L50 = 50.0 * math.pi
 
@@ -39,6 +42,41 @@ def dense_constrained_minimum(gs, grid, constraints):
     Qfull, _ = qr(np.concatenate([C, np.eye(n)], axis=1), mode="economic")
     Z = Qfull[:, C.shape[1]:n]
     return float(eigh(Z.T @ (T @ Z), eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
+def bisection_constrained_minimum(gs, grid, constraints):
+    """Reference path: bisection on the same inertia count over the same
+    bracket, one banded solve and one k x k eigh per step, until the midpoint
+    equals an endpoint."""
+    diag, off = discretize_weinstein(gs, grid)
+    k = len(constraints)
+    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k))
+    Q, _ = qr(np.stack([f.values[1:-1] for f in constraints.values()], axis=1),
+              mode="economic")
+
+    def any_below(mu):
+        secular = Q.T @ _shifted_solve(diag, off, mu, Q)
+        n_pos = np.count_nonzero(eigh(secular, eigvals_only=True) > 0.0)
+        return np.count_nonzero(w < mu) + n_pos - k > 0
+
+    lo, hi = float(w[0]), float(w[k])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if any_below(mid) else (mid, hi)
+    return hi
+
+
+def assert_matches_bisection(gs, grid, constraints):
+    """The Newton search stops on a bracket of 2 tol, tol = 8 eps max|diag|;
+    bisection runs to the last representable midpoint."""
+    diag, _ = discretize_weinstein(gs, grid)
+    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(diag))
+    newton = constrained_form_minimum(gs, grid, constraints).constrained_min
+    assert abs(newton - bisection_constrained_minimum(gs, grid, constraints)) <= 2.0 * tol
+
+
+def coercivity_constraints(gs, grid):
+    prof = gs.sample(grid)
+    return {"translation_mode": Field(grid, prof.phi_x), "kappa": kappa_closed_form(prof)}
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +240,47 @@ class TestConstrainedMinimum:
         dense = dense_constrained_minimum(gs, grid, constraints)
         assert banded == pytest.approx(dense, rel=1e-10)
 
+    @pytest.mark.parametrize("N", [1024, 16384])
+    @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
+    def test_newton_matches_bisection_reference(self, p, N, monkeypatch):
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, N, DIRICHLET)
+        shifts = []
+
+        def counting_solve(diag, off, shift, rhs):
+            shifts.append(shift)
+            return _shifted_solve(diag, off, shift, rhs)
+
+        monkeypatch.setattr(spectral, "_shifted_solve", counting_solve)
+        assert_matches_bisection(gs, grid, coercivity_constraints(gs, grid))
+        assert len(shifts) <= 12  # bisection takes 58-60
+
+    def test_newton_matches_bisection_with_a_third_constraint(self, rng):
+        # a bump beside {phi', kappa} makes ||S|| large against the crossing
+        # eigenvalue's slope, so the count near the root is only as good as
+        # the k x k eigensolve's small eigenvalues
+        gs = GroundState(10.0, critical_speed(10.0))
+        grid = make_grid(L50, 128, DIRICHLET)
+        for centre, width in zip(rng.uniform(-20.0, 20.0, 20), rng.uniform(1.0, 40.0, 20)):
+            constraints = coercivity_constraints(gs, grid)
+            constraints["bump"] = Field(grid, np.exp(-((grid.nodes - centre) ** 2) / width))
+            assert_matches_bisection(gs, grid, constraints)
+
+    def test_far_bump_closes_the_bracket(self):
+        # the bump barely touches the ground mode, so the minimum sits about
+        # 2 tol above lambda_1 = -21.88, where an ulp of mu is a tenth of tol:
+        # a probe 2 tol across the root rounds to a bracket just wider than
+        # 2 tol, and such a search stalled until the probe cap
+        gs = GroundState(10.0, critical_speed(10.0))
+        grid = make_grid(L50, 128, DIRICHLET)
+        bump = Field(grid, np.exp(-((grid.nodes + 19.6) ** 2) / 23.0))
+        assert_matches_bisection(gs, grid, {"bump": bump})
+
+    def test_probe_cap_is_typed(self, gs5, grid2048, monkeypatch):
+        monkeypatch.setattr(spectral, "_SECULAR_MAX_PROBES", 2)
+        with pytest.raises(EigenSolveError, match="not bracketed within 2 probes"):
+            constrained_form_minimum(gs5, grid2048, coercivity_constraints(gs5, grid2048))
+
     def test_resolution_sequence_beyond_dense_size(self, gs5):
         # N = 16384 is four times the size the dense projection could take;
         # the kappa-constrained minimum rises toward its O(h^2) limit from below
@@ -256,10 +335,9 @@ class TestNegativeDirection:
 def test_weinstein_form_through_hessian(gs5, periodic_8192):
     # sign dictionary: <L f, f> = -<hessian(f), f> / c, checked on the profile
     phi = gs5.profile(periodic_8192)
-    val = weinstein_quadratic_form(gs5, phi)
+    val = -inner(hessian_apply(gs5, phi), phi) / gs5.c
     # independent evaluation from the closed-form hessian image of phi
     p, c = gs5.p, gs5.c
-    from gbbmlab import Field, inner
 
     img = Field(
         periodic_8192,
