@@ -153,11 +153,11 @@ class SampledProfile:
     Arrays are evaluated in log space through |x| and sign(x), so large k|x|
     never underflows to a hard zero and sampled even/odd functions carry exact
     parity on symmetric grids. span = (lo, hi) samples nodes lo..hi-1 only;
-    their x equal grid.nodes[lo:hi] bitwise, without building grid.nodes. x, phi,
-    phi_x, phi_xx, phi^p and (on whole grids) ||phi||^2 by quadrature are
-    computed on first use and kept as long as the bundle lives (drop it to
-    free them); d_c phi, d_c phi_x and Psi are rebuilt on each read, since
-    every caller reads them once.
+    their x equal grid.nodes[lo:hi] bitwise, without building grid.nodes. x,
+    log sech, tanh, sech^2, phi, phi_x, phi_xx, phi^p and (on whole grids)
+    ||phi||^2 by quadrature are computed on first use and kept as long as the
+    bundle lives (drop it to free them); d_c phi, d_c phi_x and Psi are rebuilt
+    on each read, since every caller reads them once.
     """
 
     gs: GroundState
@@ -179,7 +179,7 @@ class SampledProfile:
     def _th(self) -> np.ndarray:
         return np.tanh(self.gs.decay_rate * np.abs(self.x))
 
-    @property
+    @cached_property
     def _sech2(self) -> np.ndarray:
         return np.exp(2.0 * self._ls)
 

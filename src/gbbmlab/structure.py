@@ -19,9 +19,12 @@ critical speed, tabulated over p. Table rows are only accepted when the closed
 form and a direct operator application of the Hessian agree to 1e-6 in relative
 sup-norm and in the scalar; that forces a p-dependent resolution floor, since
 the finite-difference second derivative carries an O((k h)^4) error with
-k = p/2 sqrt((c-1)/c) the inner length scale of the profile. A row streams its
-grid (up to 2^20 + 1 nodes) in windows of at most WINDOW_NODES nodes and never
-holds an array of full grid length.
+k = p/2 sqrt((c-1)/c) the inner length scale of the profile. phi_c, Gamma_c,
+kappa_c and the finite-difference image hessian(Gamma_c) are even, and a
+Dirichlet grid with even N is mirror-symmetric bitwise (x_{N-j} = -x_j), so a
+row streams only the half line x <= 0, nodes 0..N/2 of its grid (up to
+2^20 + 1 nodes), in windows of at most WINDOW_NODES nodes, and pairs them with
+the mirror weights; it never holds an array of full grid length.
 """
 from __future__ import annotations
 
@@ -120,14 +123,15 @@ def node_windows(count: int) -> list[tuple[int, int]]:
 
 def _row_windows(gs: GroundState, grid: Grid) -> Iterator[tuple]:
     """(lo, Gamma, kappa closed form, hessian(Gamma)) on the nodes lo.. of
-    each node window, as arrays the caller may overwrite.
+    each node window of the half line 0..N/2, as arrays the caller may overwrite.
 
     Each window is sampled once with a HALO-node margin clipped at the grid's
     ends, so every kept node's stencil reads the values it reads on the whole
-    grid and one-sided stencils occur only at the grid's own ends.
+    grid and one-sided stencils occur only at the grid's own ends; the last
+    window's margin reads nodes N/2+1 and N/2+2 past the centre.
     """
     count, h = grid.node_count, grid.h
-    for lo, hi in node_windows(count):
+    for lo, hi in node_windows(count // 2 + 1):
         a, b = max(lo - HALO, 0), min(hi + HALO, count)
         prof = gs.sample(grid, (a, b))
         gamma = _gamma(prof)
@@ -145,27 +149,34 @@ def negativity_form(
     """(<kappa, Gamma> closed-form path, operator path, dual-path sup error).
 
     The operator path applies the finite-difference Hessian to the sampled
-    Gamma. The two trapezoid pairings and the two sup norms are reduced
-    window by window, so no array spans the grid. When no grid is given, a
-    Dirichlet grid on [-L, L] with the table resolution floor is built.
+    Gamma. Both paths are even, so the two trapezoid pairings and the two sup
+    norms are reduced over the half line, nodes 0..N/2, window by window: each
+    node's weight is doubled for its mirror image, except the centre node,
+    which is its own mirror and counts once. No array spans the grid. When no
+    grid is given, a Dirichlet grid on [-L, L] with the table resolution floor
+    is built; a Dirichlet grid with odd N has no centre node and is refused.
     """
     if grid is None:
         n = table_points(gs.p, gs.c, L, n_request)
         grid = make_grid(L, n, DIRICHLET)
     if grid.boundary != DIRICHLET:
         raise GridError("the negativity form needs a Dirichlet grid")
+    if grid.points % 2:
+        raise GridError(f"the negativity form needs an even number of points, got {grid.points}")
+    half = grid.node_count // 2 + 1
     closed = operator = scale = diff = 0.0
     for lo, gamma, kap, kop in _row_windows(gs, grid):
-        # trapezoid weights: only the grid's own two end nodes count half
+        # half-line weights before the mirror factor 2: the end node and the
+        # centre node, which is its own mirror, count half, every other node once
         if lo == 0:
             gamma[0] *= 0.5
-        if lo + gamma.size == grid.node_count:
+        if lo + gamma.size == half:
             gamma[-1] *= 0.5
         closed += kap @ gamma
         operator += kop @ gamma
         scale = max(scale, float(np.max(np.abs(kap))))
         diff = max(diff, float(np.max(np.abs(kap - kop))))
-    return float(grid.h * closed), float(grid.h * operator), diff / scale
+    return float(2.0 * grid.h * closed), float(2.0 * grid.h * operator), diff / scale
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from gbbmlab import (
     closed_form_identities,
     constrained_form_minimum,
     critical_speed,
-    decompose,
     eigenpairs,
     essential_spectrum_edge,
     evolve,

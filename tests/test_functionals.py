@@ -8,8 +8,6 @@ from gbbmlab import (
     GroundState,
     action,
     closed_form_identities,
-    critical_speed,
-    derivative,
     energy,
     evolution_rhs,
     gradients,

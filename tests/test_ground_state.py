@@ -6,15 +6,12 @@ import pytest
 from gbbmlab import (
     DIRICHLET,
     PERIODIC,
-    Field,
     GroundState,
     closed_form_identities,
     critical_speed,
     derivative,
-    inner,
     make_grid,
     momentum,
-    quadrature,
 )
 
 L50 = 50.0 * math.pi

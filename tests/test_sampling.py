@@ -88,14 +88,15 @@ def test_kappa_matches_expanded_closed_form(p):
 
 class TestSamplingCounts:
     def test_table_row(self, log_sech_calls):
-        # each node once, plus a halo of at most two nodes on each side of a window
+        # each node of the half line 0..n/2 once, plus a halo of at most two
+        # nodes on each side of a window
         p = 100.0
         gs = GroundState(p, critical_speed(p))
         n = table_points(p, gs.c, L50, 8192)
         negativity_form(gs)
-        windows = node_windows(n + 1)
+        windows = node_windows(n // 2 + 1)
         assert len(windows) > 1
-        assert sum(log_sech_calls) <= n + 1 + 4 * len(windows)
+        assert sum(log_sech_calls) <= n // 2 + 1 + 4 * len(windows)
 
     def test_fit_decompose(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")

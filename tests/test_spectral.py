@@ -19,7 +19,6 @@ from gbbmlab import (
     kappa_closed_form,
     make_grid,
     negative_direction_check,
-    norm_l2,
 )
 from gbbmlab import spectral
 from gbbmlab.spectral import EigenSolveError, _shifted_solve

@@ -7,6 +7,7 @@ import pytest
 from gbbmlab import (
     DIRICHLET,
     Field,
+    Grid,
     GridError,
     GroundState,
     closed_form_identities,
@@ -118,7 +119,8 @@ class TestWindows:
         assert all(5 <= hi - lo <= structure.WINDOW_NODES for lo, hi in windows)
 
     def test_window_arrays_match_whole_grid(self):
-        # the slow reference path: whole-grid builders and hessian_apply
+        # the slow reference path: whole-grid builders and hessian_apply, on
+        # the half line 0..N/2 that the windows cover
         p = 30.0
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
@@ -128,8 +130,9 @@ class TestWindows:
         del prof
         windows = list(structure._row_windows(gs, grid))
         assert len(windows) > 1
+        half = grid.points // 2 + 1
         for ref, part in zip(whole, zip(*(w[1:] for w in windows))):
-            assert np.array_equal(np.concatenate(part), ref)
+            assert np.array_equal(np.concatenate(part), ref[:half])
 
     @pytest.mark.parametrize("p", [5.0, 30.0])
     def test_windowed_matches_single_window(self, p, monkeypatch):
@@ -158,6 +161,44 @@ class TestWindows:
     def test_rejects_periodic_grid(self, gs5, periodic_8192):
         with pytest.raises(GridError):
             negativity_form(gs5, periodic_8192)
+
+    def test_rejects_odd_dirichlet_grid(self, gs5):
+        # built past make_grid, an odd grid is not mirror-symmetric, so the
+        # half-line sum would be wrong
+        grid = Grid(L50, 16385, DIRICHLET)
+        assert not np.array_equal(grid.nodes, -grid.nodes[::-1])
+        with pytest.raises(GridError):
+            negativity_form(gs5, grid)
+
+
+class TestHalfLineRow:
+    @pytest.fixture(scope="class", params=[4.1, 5.0, 30.0])
+    def whole_row(self, request):
+        # the slow reference path: the pairings rebuilt on the whole grid
+        p = request.param
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        prof = gs.sample(grid)
+        gamma = gamma_direction(prof)
+        kap = kappa_closed_form(prof)
+        kop = hessian_apply(gs, gamma)
+        return gs, grid, gamma, kap, kop
+
+    def test_matches_whole_grid_pairings(self, whole_row):
+        gs, grid, gamma, kap, kop = whole_row
+        closed, operator, sup = negativity_form(gs, grid)
+        assert closed == pytest.approx(inner(kap, gamma), rel=1e-12)
+        assert operator == pytest.approx(inner(kop, gamma), rel=1e-9)
+        scale = np.max(np.abs(kap.values))
+        assert sup == pytest.approx(np.max(np.abs(kap.values - kop.values)) / scale, rel=1e-3)
+
+    def test_row_is_even(self, whole_row):
+        # the parity the half-line reduction rests on
+        _, _, gamma, kap, kop = whole_row
+        assert np.array_equal(gamma.values, gamma.values[::-1])
+        assert np.array_equal(kap.values, kap.values[::-1])
+        kv = kop.values
+        assert np.max(np.abs(kv - kv[::-1])) <= 1e-10 * np.max(np.abs(kv))
 
 
 class TestGammaDirection:
