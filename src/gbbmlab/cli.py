@@ -263,10 +263,13 @@ def cmd_evolve(cfg: dict) -> int:
 def instability_outputs(cfg: dict, report) -> dict:
     """The files ``instability`` writes for ``report``, by name: the JSON
     document and the per-frame CSV."""
-    payload = _fields(
-        report, "p", "a", "c0", "tube_exit_time", "verdict", "mode", "positive_fraction",
-        "negative_fraction", "lambda_shift_at_end", "beta_initial", "beta_linear_prediction",
-    )
+    # every frame is decomposed in the fit pair; schema gbbmlab/1 keeps the key
+    payload = {
+        **_fields(report, "p", "a", "c0", "tube_exit_time", "verdict"),
+        "mode": "fit",
+        **_fields(report, "positive_fraction", "negative_fraction", "lambda_shift_at_end",
+                  "beta_initial", "beta_linear_prediction"),
+    }
     payload["frames"] = [
         {
             "t": f.t, "I1": f.I1, "I2": f.I2, "I": f.I,
@@ -293,7 +296,7 @@ def cmd_instability(cfg: dict) -> int:
     outdir = Path(cfg["out"])
     for name, text in instability_outputs(cfg, report).items():
         _write(outdir, name, text)
-    print(f"verdict={report.verdict} mode={report.mode} "
+    print(f"verdict={report.verdict} "
           f"positive_fraction={report.positive_fraction:.3f} "
           f"negative_fraction={report.negative_fraction:.3f} "
           f"|lambda-c| at end={report.lambda_shift_at_end:.3e}")

@@ -137,13 +137,6 @@ class GroundState:
     def profile_dc_dx(self, grid: Grid) -> Field:
         return Field(grid, self.sample(grid).dc_phi_x)
 
-    def psi_direction(self, grid: Grid) -> Field:
-        return Field(grid, self.sample(grid).psi)
-
-    def scaled_profile(self, grid: Grid) -> Field:
-        """psi_omega = c^{-1/p} phi_c, solving -psi'' + (1-omega^2) psi - psi^{p+1} = 0."""
-        return Field(grid, self.c ** (-1.0 / self.p) * self.sample(grid).phi)
-
 
 @dataclass(frozen=True)
 class SampledProfile:
@@ -256,6 +249,21 @@ def profile_norm_sq_closed(p: float, lam: float) -> float:
     return lam ** 0.5 * (lam - 1.0) ** (2.0 / p - 0.5) * normalized_profile_norm_sq(p)
 
 
+def _energy_closed(p: float, c: float) -> float:
+    """E(phi_c) = (4c + p) / (2(p + 4)) ||phi_c||^2."""
+    return (4.0 * c + p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
+
+
+def _momentum_slope_closed(p: float, c: float) -> float:
+    """dQ/dc(phi_c) = (8(p+2)c^2 - 8pc - p^2) / (4p(p+4)c^2(c-1)) ||phi_c||^2,
+    zero at the critical speed."""
+    return (
+        (8.0 * (p + 2.0) * c ** 2 - 8.0 * p * c - p ** 2)
+        / (4.0 * p * (p + 4.0) * c ** 2 * (c - 1.0))
+        * profile_norm_sq_closed(p, c)
+    )
+
+
 @dataclass(frozen=True)
 class IdentityRecord:
     name: str
@@ -318,15 +326,8 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
         IdentityRecord(
             "dc_l2_norm_sq", (4.0 * c - p) / (2.0 * p * c * (c - 1.0)) * n2c, dc_n2, n2c
         ),
-        IdentityRecord(
-            "dc_momentum",
-            (8.0 * (p + 2.0) * c ** 2 - 8.0 * p * c - p ** 2)
-            / (4.0 * p * (p + 4.0) * c ** 2 * (c - 1.0))
-            * n2c,
-            dc_q,
-            n2c,
-        ),
-        IdentityRecord("energy", (4.0 * c + p) / (2.0 * (p + 4.0)) * n2c, e_quad, n2c),
+        IdentityRecord("dc_momentum", _momentum_slope_closed(p, c), dc_q, n2c),
+        IdentityRecord("energy", _energy_closed(p, c), e_quad, n2c),
         IdentityRecord(
             "momentum", 0.5 * (1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * n2c, q_quad, n2c
         ),

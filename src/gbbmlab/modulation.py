@@ -6,15 +6,18 @@ Two orthogonality pairs are implemented for the 2-D Newton solve:
   the pair the instability analysis is built around. Its Jacobian entry
   d/d_lambda <xi, kappa_lambda> at xi=0 equals c^2 B(c) dQ/dc(phi_c)
   (see structure.modulation_pairing), which vanishes AT the critical speed:
-  the system is degenerate there, and for data of the form (1-a) phi_c the
-  second equation has no root at all (the residual <xi, kappa> stays bounded
-  away from zero for every lambda). The solver detects this and reports it
-  rather than returning garbage.
+  the system is degenerate there, and for data of the form (1-a) phi_c with
+  a > 0 the second equation has no root at all (the residual <xi, kappa>
+  stays bounded away from zero for every lambda). The solver detects this
+  and reports it rather than returning garbage.
 
 * mode="fit": xi is orthogonal to {d_x phi_lambda, d_lambda phi_lambda},
   i.e. (lambda, y) is the least-squares closest profile. The Jacobian is
-  dominated by -||d_lambda phi||^2, uniformly nonsingular in the tube, so
-  trajectory monitors use this pair and report the kappa residual per frame.
+  dominated by -||d_lambda phi||^2, uniformly nonsingular in the tube.
+
+The frame loop (virial_monitor, and so instability_experiment) decomposes
+every frame in the fit pair and reports the kappa residual per frame; the
+kappa pair is never attempted there.
 
 The virial functional is I = I1 + I2 with a localized momentum-flux I1
 (odd plateau cutoff) and the profile-weighted correction I2; each frame also
@@ -31,7 +34,9 @@ import numpy as np
 from .grid import (
     Field, Grid, _derivative_symbol, _shift_symbol, inner, norm_h1, norm_l2, quadrature,
 )
-from .ground_state import GroundState, SampledProfile, critical_speed, profile_norm_sq_closed
+from .ground_state import (
+    GroundState, SampledProfile, _energy_closed, critical_speed, profile_norm_sq_closed,
+)
 from .structure import _cubic_image, _kappa, coefficients, kappa_closed_form
 from .dynamics import Frame, SimulationConfig, stream
 from .functionals import _energy_density
@@ -55,7 +60,6 @@ class ModulationState:
     xi: Field
     newton_iters: int
     residuals: tuple
-    mode: str
     converged: bool
     jacobian_det: float
     # phi_lam and its relatives at this lam, as the last residual sampled them
@@ -120,7 +124,7 @@ def decompose(
 
     def state(converged: bool) -> ModulationState:
         return ModulationState(
-            lam, y, Field(grid, xi), it, (r1, r2), mode, converged, det_scaled, prof
+            lam, y, Field(grid, xi), it, (r1, r2), converged, det_scaled, prof
         )
 
     best_res = float("inf")
@@ -204,11 +208,6 @@ def _cubic_helmholtz(prof: SampledProfile) -> Field:
     return Field(prof.grid, vals)
 
 
-def _energy_closed(p: float, c: float) -> float:
-    """E(phi_c) = (4c + p) / (2(p + 4)) ||phi_c||^2."""
-    return (4.0 * c + p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
-
-
 def gamma_of_lambda(p: float, c: float, lam: float) -> float:
     """gamma(lam) = -lam E(phi_c) + lam^2/2 (||phi_lam||^2 - ||d_x phi_lam||^2),
     all norms in closed form. Vanishes to second order at lam = c."""
@@ -233,7 +232,6 @@ class VirialReport:
     lam: float
     tube_distance: float
     kappa_residual: float
-    mode: str
     y: float
     # B(lam), <xi, (1-d_xx)(x^3 phi_lam)> and <xi, hessian(d_x(x^3 phi_lam))>
     B: float
@@ -267,7 +265,7 @@ def _virial_frame(
     kres = inner(xi, Field(grid, _kappa(prof, image))) / B
     return VirialReport(
         t, I1, I2, I1 + I2, beta, gamma_of_lambda(p, c, lam), lam,
-        norm_h1(xi), kres, state.mode, y, B, cubic, inner(xi, Field(grid, image)),
+        norm_h1(xi), kres, y, B, cubic, inner(xi, Field(grid, image)),
     )
 
 
@@ -294,7 +292,6 @@ def virial_monitor(
     p: float,
     c: float,
     R: float,
-    mode: str = MODE_FIT,
 ) -> Iterator[VirialReport]:
     """The frame loop: one virial report per frame (of a live `stream` or of a
     collected `Trajectory.frames`), in order. E(u0) and the grid come from the
@@ -303,11 +300,12 @@ def virial_monitor(
     three frames: the quadratic Lagrange polynomial through them at their own
     times (so an uneven last interval, as at t_end, is handled), the line
     through two after the second frame, and (lam, y + lam (t - t_prev)) after
-    the first; the first frame starts from (c, c t). In fit mode most frames
-    then converge in one Newton iteration. The frame reads the profile bundle
-    decompose sampled at the converged lam, so it samples none itself. The
-    first ModulationError propagates. A consumer that stops iterating stops
-    the decomposition, and the stepping of a live stream, there.
+    the first; the first frame starts from (c, c t). Every frame is decomposed
+    in the fit pair, and most then converge in one Newton iteration. The frame
+    reads the profile bundle decompose sampled at the converged lam, so it
+    samples none itself. The first ModulationError propagates. A consumer that
+    stops iterating stops the decomposition, and the stepping of a live
+    stream, there.
     """
     E0, past = None, []
     for frame in frames:
@@ -319,7 +317,7 @@ def virial_monitor(
         # no state is held across the yield: its profile bundle would stay
         # live through the next frame's decompose
         report = _virial_frame(
-            frame.state, t, p, c, R, E0, decompose(frame.state, p, guess, mode=mode)
+            frame.state, t, p, c, R, E0, decompose(frame.state, p, guess, mode=MODE_FIT)
         )
         past = past[-2:] + [(t, report.lam, report.y)]
         yield report
@@ -374,7 +372,6 @@ class ExperimentReport:
     frames: tuple
     tube_exit_time: float | None
     verdict: str
-    mode: str
     positive_fraction: float
     negative_fraction: float
     lambda_shift_at_end: float
@@ -394,13 +391,13 @@ def instability_experiment(
 
     Frames are taken every 0.5 time units, and dt is the first trial step
     of the error-controlled `stream`; the tube is the H^1 ball of
-    radius 0.1 ||phi_c||_{H^1} around the modulated profile. The specified
-    kappa-orthogonal modulation is attempted on u0; since it generically has
-    no root for this data, the monitor falls back to the least-squares pair
-    and says so in the report. The frames end at the first one outside the
-    tube: no later state is computed or decomposed. The verdict states
-    whether the increments of I have a definite sign over the in-tube frames
-    (>= 95% one-signed).
+    radius 0.1 ||phi_c||_{H^1} around the modulated profile. Every frame,
+    u0 included, is decomposed in the least-squares (fit) pair, which has a
+    root throughout the tube; the kappa-orthogonal pair has none for this
+    data when a > 0, and its residual is reported per frame instead. The
+    frames end at the first one outside the tube: no later state is computed
+    or decomposed. The verdict states whether the increments of I have a
+    definite sign over the in-tube frames (>= 95% one-signed).
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")
@@ -414,16 +411,10 @@ def instability_experiment(
     u0 = Field(grid, (1.0 - a) * phi.values)
     config = SimulationConfig(grid, p, dt, t_end)
 
-    mode = MODE_KAPPA
-    try:
-        decompose(u0, p, (c, 0.0), mode=MODE_KAPPA)
-    except ModulationError:
-        mode = MODE_FIT
-
     eps = 0.1 * norm_h1(phi)
     frames, tube_exit, failed = [], None, False
     try:
-        for f in virial_monitor(stream(u0, config), p, c, R, mode):
+        for f in virial_monitor(stream(u0, config), p, c, R):
             frames.append(f)
             if f.tube_distance > eps:
                 tube_exit = f.t
@@ -433,7 +424,7 @@ def instability_experiment(
 
     if not frames:
         return ExperimentReport(
-            p, a, c, (), None, "modulation-failed", mode, 0.0, 0.0, 0.0,
+            p, a, c, (), None, "modulation-failed", 0.0, 0.0, 0.0,
             float("nan"), float("nan"),
         )
 
@@ -453,6 +444,6 @@ def instability_experiment(
 
     beta_lin = a * c * (2.0 * (p + 2.0) * c - p) / (p + 4.0) * profile_norm_sq_closed(p, c)
     return ExperimentReport(
-        p, a, c, tuple(frames), tube_exit, verdict, mode, pos, neg,
+        p, a, c, tuple(frames), tube_exit, verdict, pos, neg,
         abs(frames[in_tube_end - 1].lam - c), frames[0].beta, beta_lin,
     )

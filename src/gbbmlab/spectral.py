@@ -216,8 +216,11 @@ def negative_direction_check(gs: GroundState, grid: Grid) -> NegativeDirectionRe
     closed = 2.0 * (2.0 / p - 0.5) * (1.0 - omega ** 2) ** (2.0 / p - 1.5) * psi0
 
     dw = 1e-5
-    plus = GroundState(p, (omega + dw) ** -2).scaled_profile(grid).values
-    minus = GroundState(p, (omega - dw) ** -2).scaled_profile(grid).values
+    # psi_omega = c^{-1/p} phi_c at c = omega^{-2}
+    plus, minus = (
+        c ** (-1.0 / p) * GroundState(p, c).sample(grid).phi
+        for c in ((omega + dw) ** -2, (omega - dw) ** -2)
+    )
     direction = Field(grid, (plus - minus) / (2.0 * dw))
     quad = inner(hessian_apply(gs, direction), direction)
     return NegativeDirectionReport(closed, quad)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DIRICHLET, Field, Grid, GridError, _fd_derivative, inner, make_grid
-from .ground_state import GroundState, SampledProfile, critical_speed, profile_norm_sq_closed
+from .ground_state import GroundState, SampledProfile, _momentum_slope_closed, critical_speed
 from .functionals import hessian_values
 
 DEFAULT_HALF_WIDTH = 50.0 * math.pi
@@ -262,9 +262,4 @@ def modulation_pairing(gs: GroundState, grid: Grid) -> tuple[float, float]:
     phi_minus = GroundState(p, c - dc).profile(grid).values
     dcphi = Field(grid, (phi_plus - phi_minus) / (2.0 * dc))
     fd_value = inner(dcphi, kappa_closed_form(gs.sample(grid)))
-    dq = (
-        (8.0 * (p + 2.0) * c ** 2 - 8.0 * p * c - p ** 2)
-        / (4.0 * p * (p + 4.0) * c ** 2 * (c - 1.0))
-        * profile_norm_sq_closed(p, c)
-    )
-    return fd_value, c * c * gs.B * dq
+    return fd_value, c * c * gs.B * _momentum_slope_closed(p, c)

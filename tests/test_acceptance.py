@@ -125,7 +125,7 @@ def test_criterion_3_hessian_image_identities(gs5, periodic_8192):
     phi = gs5.profile(periodic_8192)
     scale = np.max(np.abs(2.0 * gs5.c * gs5.profile_dxx(periodic_8192).values))
 
-    psi_img = hessian_apply(gs5, gs5.psi_direction(periodic_8192))
+    psi_img = hessian_apply(gs5, Field(periodic_8192, gs5.sample(periodic_8192).psi))
     e1 = np.max(np.abs(psi_img.values - phi.values)) / np.max(np.abs(phi.values))
 
     x = periodic_8192.nodes

@@ -142,6 +142,13 @@ class TestOtherCommands:
         assert doc["result"]["verdict"] == "monotone-decreasing"
         assert doc["result"]["mode"] == "fit"
 
+    def test_instability_of_the_soliton_uses_the_fit_pair(self, tmp_path):
+        # at a = 0 the kappa pair has a root too; the frames still use the fit pair
+        run(tmp_path, "instability", "--p", "5", "--a", "0",
+            "--N", "2048", "--dt", "0.002", "--t-end", "3")
+        doc = json.loads((tmp_path / "instability.json").read_text())
+        assert doc["result"]["mode"] == "fit"
+
     def test_instability_wide_cutoff_usage_error(self, tmp_path, capsys):
         # 2R = 200 exceeds the half-width 50 pi: the cutoff would jump at the wrap
         assert run(tmp_path, "instability", "--R", "100", "--N", "1024",

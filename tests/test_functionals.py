@@ -135,7 +135,7 @@ class TestHessian:
         assert np.max(np.abs(img.values - target)) < 1e-6 * np.max(np.abs(target))
 
     def test_psi_preimage(self, gs5, periodic_8192):
-        img = hessian_apply(gs5, gs5.psi_direction(periodic_8192))
+        img = hessian_apply(gs5, Field(periodic_8192, gs5.sample(periodic_8192).psi))
         phi = gs5.profile(periodic_8192).values
         assert np.max(np.abs(img.values - phi)) < 1e-6 * np.max(np.abs(phi))
 

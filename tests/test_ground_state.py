@@ -6,6 +6,7 @@ import pytest
 from gbbmlab import (
     DIRICHLET,
     PERIODIC,
+    Field,
     GroundState,
     closed_form_identities,
     critical_speed,
@@ -68,7 +69,8 @@ class TestProfile:
 
     def test_scaled_profile_equation(self, gs5, periodic_8192):
         p = gs5.p
-        psi = gs5.scaled_profile(periodic_8192)
+        # psi_omega = c^{-1/p} phi_c solves -psi'' + (1 - omega^2) psi - psi^{p+1} = 0
+        psi = Field(periodic_8192, gs5.c ** (-1.0 / p) * gs5.sample(periodic_8192).phi)
         psixx = derivative(psi, 2).values
         resid = -psixx + (1.0 - gs5.omega ** 2) * psi.values - psi.values ** (p + 1.0)
         assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(psi.values))
@@ -155,18 +157,18 @@ class TestPsiDirection:
     def test_value_at_origin(self, gs5, dirichlet_8192):
         i0 = np.argmin(np.abs(dirichlet_8192.nodes))
         phi0 = gs5.profile(dirichlet_8192).values[i0]
-        psi0 = gs5.psi_direction(dirichlet_8192).values[i0]
+        psi0 = gs5.sample(dirichlet_8192).psi[i0]
         assert psi0 == pytest.approx(phi0 / (gs5.p * (gs5.c - 1.0)), rel=1e-13)
 
     def test_even(self, gs5, dirichlet_8192):
-        vals = gs5.psi_direction(dirichlet_8192).values
+        vals = gs5.sample(dirichlet_8192).psi
         assert np.array_equal(vals, vals[::-1])
 
     def test_preimage_of_profile(self, gs5, periodic_8192):
         # hessian image of Psi reproduces the profile
         from gbbmlab import hessian_apply
 
-        img = hessian_apply(gs5, gs5.psi_direction(periodic_8192))
+        img = hessian_apply(gs5, Field(periodic_8192, gs5.sample(periodic_8192).psi))
         phi = gs5.profile(periodic_8192)
         err = np.max(np.abs(img.values - phi.values))
         assert err < 1e-6 * np.max(np.abs(phi.values))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -334,6 +335,15 @@ class TestVirialMonitor:
         assert len(live) == 16
         assert live == short_frames[0.01]
 
+    @pytest.mark.parametrize("a", [-0.01, 0.01])
+    def test_first_frame_is_the_nearby_soliton(self, gs5, a):
+        # the fit pair decomposes (1 - a) phi_c about a soliton within
+        # |a| ||phi_c||_{H^1} of it, for either sign of a
+        u0, cfg = short_start(gs5, a)
+        first = next(virial_monitor(stream(u0, cfg), gs5.p, gs5.c, R=30.0))
+        assert first.t == 0.0
+        assert first.tube_distance <= 1.01 * abs(a) * norm_h1(gs5.profile(u0.grid))
+
 
 @pytest.fixture(scope="module")
 def experiment_report():
@@ -346,8 +356,25 @@ class TestInstabilityExperiment:
     def report(self, experiment_report):
         return experiment_report
 
-    def test_falls_back_when_kappa_mode_is_infeasible(self, report):
-        assert report.mode == MODE_FIT
+    @pytest.mark.parametrize("a", [0.0, 0.02])
+    def test_every_frame_is_decomposed_in_the_fit_pair(self, a, monkeypatch):
+        # no kappa attempt on u0, at a = 0 (where the kappa pair has a root)
+        # or a > 0 (where it has none): one fit-pair decompose per frame
+        modes = []
+        real = modulation.decompose
+        signature = inspect.signature(real)
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            modes.append(bound.arguments["mode"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(modulation, "decompose", spy)
+        grid = make_grid(L50, 1024, "periodic")
+        rep = instability_experiment(5.0, a, grid, dt=0.025, t_end=2.0)
+        assert len(rep.frames) == 5
+        assert modes == [MODE_FIT] * len(rep.frames)
 
     def test_definite_sign_increments(self, report):
         assert report.verdict == "monotone-decreasing"
@@ -397,8 +424,8 @@ class TestInstabilityExperiment:
         rep = instability_experiment(5.0, 0.05, grid, dt=0.025, t_end=20.0)
         assert rep.tube_exit_time == 11.5
         assert rep.frames[-1].t == rep.tube_exit_time
-        # one kappa attempt on u0, then one call per reported frame
-        assert len(calls) == 1 + len(rep.frames)
+        # one call per reported frame
+        assert len(calls) == len(rep.frames)
 
     def test_time_past_the_exit_costs_nothing(self, flow_calls):
         # the stepping stops at the exit frame, so a later t_end changes nothing

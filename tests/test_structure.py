@@ -210,7 +210,7 @@ class TestGammaDirection:
         B, _ = coefficients(gs5.sample(dirichlet_8192))
         c = gs5.c
         i0 = np.argmin(np.abs(dirichlet_8192.nodes))
-        psi0 = gs5.psi_direction(dirichlet_8192).values[i0]
+        psi0 = gs5.sample(dirichlet_8192).psi[i0]
         phi0 = gs5.profile(dirichlet_8192).values[i0]
         gamma0 = gamma_direction(gs5.sample(dirichlet_8192)).values[i0]
         assert gamma0 == pytest.approx(B * (c * c * psi0 + c * phi0), rel=1e-12)
@@ -255,7 +255,7 @@ class TestKappa:
 
     def test_bilinear_symmetry_on_structural_directions(self, gs5, periodic_8192):
         x = periodic_8192.nodes
-        psi = gs5.psi_direction(periodic_8192)
+        psi = Field(periodic_8192, gs5.sample(periodic_8192).psi)
         xdphi = Field(periodic_8192, x * gs5.profile_dx(periodic_8192).values)
         a = inner(psi, hessian_apply(gs5, xdphi))
         b = inner(hessian_apply(gs5, psi), xdphi)
