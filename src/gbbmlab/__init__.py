@@ -51,7 +51,16 @@ from .spectral import (
     inverse_pairing,
     negative_direction_check,
 )
-from .dynamics import BlowupError, SimulationConfig, Trajectory, evolve, step, stream
+from .dynamics import (
+    BlowupError,
+    SimulationConfig,
+    Trajectory,
+    UnresolvedError,
+    auto_points,
+    evolve,
+    step,
+    stream,
+)
 from .modulation import (
     MODE_FIT,
     MODE_KAPPA,

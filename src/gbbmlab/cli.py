@@ -25,6 +25,8 @@ from . import (
     Field,
     GroundState,
     SimulationConfig,
+    UnresolvedError,
+    auto_points,
     closed_form_identities,
     constrained_form_minimum,
     critical_speed,
@@ -47,10 +49,13 @@ EXIT_CONSISTENCY = 3
 EXIT_USAGE = 64
 RESOLUTION_SEQUENCE = (1024, 2048, 4096, 8192, 16384)
 KERNEL_OVERLAP_MIN = 0.999
+# what N = 0 (auto) means on the Dirichlet grids of table, identities,
+# spectrum and coercivity, whose reference values were taken at it
+DIRICHLET_POINTS = 8192
 
 DEFAULTS = {
     "L": 50.0 * math.pi,
-    "N": 8192,
+    "N": 0,  # 0 means auto (see _auto_points)
     "dt": 1e-3,
     "t_end": 20.0,
     "a": 0.01,
@@ -87,7 +92,20 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg[key] = type(default)(cfg[key])
         if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
+    if cfg["N"] < 0 or cfg["N"] % 2:
+        raise ValueError(f"N must be 0 (auto) or even and positive, got {cfg['N']!r}")
     return cfg
+
+
+def _auto_points(cfg: dict, command: str) -> int:
+    """The N that N = 0 stands for: for evolve and instability, whose initial
+    state is a multiple of phi_c and so has its relative spectral tail, the
+    smallest size that resolves phi_c (`auto_points`); DIRICHLET_POINTS for
+    the other commands."""
+    if command not in ("evolve", "instability"):
+        return DIRICHLET_POINTS
+    p = cfg["p"]
+    return auto_points(cfg["L"], GroundState(p, critical_speed(p)).profile)
 
 
 def _embedded(cfg: dict) -> dict:
@@ -302,6 +320,11 @@ def cmd_instability(cfg: dict) -> int:
           f"|lambda-c| at end={report.lambda_shift_at_end:.3e}")
     if report.verdict == "modulation-failed":
         return EXIT_CONSISTENCY
+    if report.verdict == "below-noise-floor":
+        print(f"consistency failure: every in-tube increment of I is at or below the "
+              f"noise floor {report.noise_floor:.2e}; the run resolves no sign",
+              file=sys.stderr)
+        return EXIT_CONSISTENCY
     return EXIT_OK if report.positive_fraction >= 0.95 else EXIT_CLAIM
 
 
@@ -346,8 +369,11 @@ def main(argv=None) -> int:
         "instability": cmd_instability,
     }
     try:
+        # the files embed cfg, so they record the N that was used
+        if cfg["N"] == 0:
+            cfg["N"] = _auto_points(cfg, args.command)
         return handlers[args.command](cfg)
-    except (BlowupError, DualPathError, EigenSolveError) as exc:
+    except (BlowupError, DualPathError, EigenSolveError, UnresolvedError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     except ValueError as exc:

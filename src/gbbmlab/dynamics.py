@@ -10,21 +10,35 @@ norm, which does not depend on N or L. Conservation of E and Q is monitored,
 not enforced. The fractional nonlinearity cannot be dealiased exactly; the
 2/3-rule mask acts on the transform of the nonlinear term. `stream` yields one
 `Frame` per record time; `evolve` collects them.
+
+The grid is sized from the data (Boyd, Chebyshev and Fourier Spectral Methods,
+2nd ed., ch. 2): a Fourier coefficient below what the stepper resolves is one
+the grid need not carry. `auto_points` picks the smallest power of two whose
+initial state has a relative spectral tail beyond the 2/3 cutoff of at most
+TAIL_TOL, the stepper's ATOL. `stream` then watches the tail over the top half
+of the resolved band, bins [cut/2, cut), and raises UnresolvedError when it
+grows past both 10 times its t = 0 value and sqrt(TAIL_TOL): the run has
+outgrown its grid. Bins at or beyond the cutoff cannot serve as the guard,
+since the mask zeroes their flow and they never move.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, GridError, PERIODIC
+from .grid import Field, Grid, GridError, PERIODIC, make_grid
 from .functionals import energy, momentum, _flow, _flow_symbol
 
 # per-node error tolerance of an accepted step: ATOL + RTOL * max(|v|, |v_new|)
 RTOL = 1e-10
 ATOL = 1e-12
+# the largest relative spectral tail a resolved state may carry
+TAIL_TOL = ATOL
+# the sizes auto_points tries, in order
+AUTO_POINTS = tuple(2 ** k for k in range(8, 21))
 
 # DOP853, the 8th-order Dormand-Prince pair with embedded 5th- and 3rd-order
 # estimates (Prince & Dormand 1981; Hairer, Norsett & Wanner, sec. II.5).
@@ -69,6 +83,39 @@ class BlowupError(RuntimeError):
             f"state or its conserved quantities became non-finite at t={t:.6g}"
         )
         self.t = t
+
+
+class UnresolvedError(RuntimeError):
+    """The grid does not resolve the state: its relative spectral tail is too
+    large. `tail` is the tail that was reached."""
+
+    def __init__(self, message: str, tail: float):
+        super().__init__(message)
+        self.tail = tail
+
+
+def relative_tail(v: np.ndarray, lo: int, hi: int | None = None) -> float:
+    """max |v_hat_k| over the rfft bins lo <= k < hi, relative to the max over
+    all bins; 0 for v = 0."""
+    a = np.abs(np.fft.rfft(v))
+    peak = float(np.max(a))
+    return float(np.max(a[lo:hi])) / peak if peak else 0.0
+
+
+def auto_points(L: float, initial: Callable[[Grid], Field]) -> int:
+    """The first N in AUTO_POINTS whose initial state, initial(grid) on the
+    periodic grid of half-width L and N points, has a relative spectral tail
+    beyond the 2/3 cutoff of at most TAIL_TOL. Raises UnresolvedError, naming
+    the tail reached, when none has."""
+    for n in AUTO_POINTS:
+        grid = make_grid(L, n, PERIODIC)
+        tail = relative_tail(initial(grid).values, grid.dealias_cut)
+        if tail <= TAIL_TOL:
+            return n
+    raise UnresolvedError(
+        f"no N up to {n} resolves the initial state: its relative spectral tail "
+        f"beyond the 2/3 cutoff is {tail:.2e} > {TAIL_TOL:.0e} at N={n}", tail
+    )
 
 
 @dataclass(frozen=True)
@@ -154,11 +201,17 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
     raises BlowupError. Frames fall at t = 0 (before any flow evaluation), at
     each k * record_interval < t_end and at t_end, hit exactly by shortening
     steps. One stage array serves every step.
+
+    Each frame, after its E and Q (so that BlowupError wins), checks the
+    relative tail over rfft bins [cut/2, cut) and raises UnresolvedError when
+    it exceeds both 10 times the t = 0 value and sqrt(TAIL_TOL).
     """
     g, p, interval, t_end = config.grid, config.p, config.record_interval, config.t_end
     n_inner = math.ceil(t_end / interval - 1e-9)
     record_times = [k * interval for k in range(1, n_inner)] + [t_end]
     v, accepted, rejected = u0.values.copy(), 0, 0
+    lo, hi = g.dealias_cut // 2, g.dealias_cut
+    limit = max(10.0 * relative_tail(v, lo, hi), math.sqrt(TAIL_TOL))
 
     def frame(t: float) -> Frame:
         f = Field(g, v)  # v is replaced, never written in place
@@ -166,6 +219,12 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
             E, Q = energy(f, p), momentum(f)
         except GridError as exc:  # a finite state whose E or Q density overflows
             raise BlowupError(t) from exc
+        tail = relative_tail(v, lo, hi)
+        if tail > limit:
+            raise UnresolvedError(
+                f"relative spectral tail {tail:.2e} over bins [{lo}, {hi}) at t={t:.6g} "
+                f"exceeds {limit:.2e}: N={g.points} does not resolve the run", tail
+            )
         return Frame(t, f, E, Q, accepted, rejected)
 
     yield frame(0.0)

@@ -58,11 +58,15 @@ class Grid:
         return 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.h)
 
     @cached_property
+    def dealias_cut(self) -> int:
+        # first rfft bin the 2/3 rule removes
+        return int(np.floor(self.points / 2 * (2.0 / 3.0)))
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         # 2/3-rule mask on rfft bins
-        cut = int(np.floor(self.points / 2 * (2.0 / 3.0)))
         mask = np.ones(self.points // 2 + 1)
-        mask[cut:] = 0.0
+        mask[self.dealias_cut:] = 0.0
         return mask
 
     def ensure_resolves(self, decay_rate: float, tol: float = 1e-6) -> None:

@@ -38,8 +38,8 @@ from .ground_state import (
     GroundState, SampledProfile, _energy_closed, critical_speed, profile_norm_sq_closed,
 )
 from .structure import _cubic_image, _kappa, coefficients, kappa_closed_form
-from .dynamics import Frame, SimulationConfig, stream
-from .functionals import _energy_density
+from .dynamics import RTOL, Frame, SimulationConfig, stream
+from .functionals import _energy_density, energy
 
 MODE_KAPPA = "kappa"
 MODE_FIT = "fit"
@@ -377,6 +377,8 @@ class ExperimentReport:
     lambda_shift_at_end: float
     beta_initial: float
     beta_linear_prediction: float
+    # RTOL (3R/2) E(u0): the increment of I that the stepper's error control resolves
+    noise_floor: float
 
 
 def instability_experiment(
@@ -397,7 +399,10 @@ def instability_experiment(
     data when a > 0, and its residual is reported per frame instead. The
     frames end at the first one outside the tube: no later state is computed
     or decomposed. The verdict states whether the increments of I have a
-    definite sign over the in-tube frames (>= 95% one-signed).
+    definite sign over the in-tube frames (>= 95% one-signed). When every
+    in-tube increment is at or below the noise floor RTOL (3R/2) E(u0), it is
+    "below-noise-floor" instead: |I1| <= (3R/2) E(u), so a relative state error
+    of RTOL moves I by up to that floor, and no increment below it has a sign.
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")
@@ -410,6 +415,7 @@ def instability_experiment(
         R = 10.0 / gs.tail_rate
     u0 = Field(grid, (1.0 - a) * phi.values)
     config = SimulationConfig(grid, p, dt, t_end)
+    floor = RTOL * 1.5 * R * energy(u0, p)
 
     eps = 0.1 * norm_h1(phi)
     frames, tube_exit, failed = [], None, False
@@ -425,7 +431,7 @@ def instability_experiment(
     if not frames:
         return ExperimentReport(
             p, a, c, (), None, "modulation-failed", 0.0, 0.0, 0.0,
-            float("nan"), float("nan"),
+            float("nan"), float("nan"), floor,
         )
 
     in_tube_end = len(frames) - 1 if tube_exit is not None else len(frames)
@@ -435,6 +441,8 @@ def instability_experiment(
     neg = float(np.mean(dI < 0)) if dI.size else 0.0
     if failed and len(frames) < 3:
         verdict = "modulation-failed"
+    elif dI.size and np.all(np.abs(dI) <= floor):
+        verdict = "below-noise-floor"
     elif pos >= 0.95:
         verdict = "monotone-increasing"
     elif neg >= 0.95:
@@ -445,5 +453,5 @@ def instability_experiment(
     beta_lin = a * c * (2.0 * (p + 2.0) * c - p) / (p + 4.0) * profile_norm_sq_closed(p, c)
     return ExperimentReport(
         p, a, c, tuple(frames), tube_exit, verdict, pos, neg,
-        abs(frames[in_tube_end - 1].lam - c), frames[0].beta, beta_lin,
+        abs(frames[in_tube_end - 1].lam - c), frames[0].beta, beta_lin, floor,
     )

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gbbmlab import BlowupError, cli, evolve, modulation, spectral
+from gbbmlab import BlowupError, UnresolvedError, cli, evolve, modulation, spectral
 from gbbmlab.cli import main
 
 
@@ -149,6 +150,20 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "instability.json").read_text())
         assert doc["result"]["mode"] == "fit"
 
+    def test_instability_of_the_soliton_is_below_the_noise_floor(self, tmp_path, capsys):
+        # at a = 0 every |dI| is at most 1.9e-10, under the floor RTOL (3R/2) E(u0)
+        # = 7.8e-9: no sign is resolved, so there is no verdict on one
+        assert run(tmp_path, "instability", "--a", "0", "--t-end", "20") == 3
+        doc = json.loads((tmp_path / "instability.json").read_text())
+        assert doc["result"]["verdict"] == "below-noise-floor"
+        assert "noise floor 7.82e-09" in capsys.readouterr().err
+
+    def test_instability_above_the_noise_floor_keeps_its_sign(self, tmp_path):
+        # at a = 0.005 the smallest |dI| is 5.5e-3 to t = 5
+        assert run(tmp_path, "instability", "--a", "0.005", "--t-end", "5") == 2
+        doc = json.loads((tmp_path / "instability.json").read_text())
+        assert doc["result"]["verdict"] == "monotone-decreasing"
+
     def test_instability_wide_cutoff_usage_error(self, tmp_path, capsys):
         # 2R = 200 exceeds the half-width 50 pi: the cutoff would jump at the wrap
         assert run(tmp_path, "instability", "--R", "100", "--N", "1024",
@@ -264,6 +279,19 @@ class TestExitCodes:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command, module, name", [
+        ("evolve", cli, "evolve"),
+        ("instability", modulation, "stream"),
+    ], ids=["evolve", "instability"])
+    def test_outgrown_grid_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch,
+                                                    command, module, name):
+        def outgrowing(u0, config):
+            raise UnresolvedError("N=512 does not resolve the run", 1e-3)
+
+        monkeypatch.setattr(module, name, outgrowing)
+        assert run(tmp_path, command, "--N", "512", "--t-end", "2") == 3
+        assert "consistency failure: N=512 does not resolve the run" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--t-end", "inf", "t_end"),
         ("--p", "nan", "p"),
@@ -273,6 +301,86 @@ class TestExitCodes:
     def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, flag, value, key):
         assert run(tmp_path, "evolve", flag, value) == 64
         assert f"usage error: {key} must be finite, got {value}" in capsys.readouterr().err
+
+
+def embedded_n(tmp_path, command, csv_name):
+    """N from the JSON config and from the CSV header; they must agree."""
+    n = json.loads((tmp_path / f"{command}.json").read_text())["config"]["N"]
+    header = (tmp_path / csv_name).read_text().splitlines()[0]
+    assert f" N={n} " in header
+    return n
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("p, n", [("4.5", 2048), ("5", 2048), ("6", 4096), ("10", 8192)])
+    def test_evolve_sizes_its_grid_from_the_profile(self, tmp_path, p, n):
+        assert run(tmp_path, "evolve", "--p", p, "--t-end", "0.1") == 0
+        assert embedded_n(tmp_path, "evolve", "evolve_series.csv") == n
+
+    def test_zero_means_auto_and_an_explicit_size_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N = 0\n")
+        runs = {
+            "flag": ["instability", "--N", "0"],
+            "file": ["--config", str(cfg), "instability"],
+            "explicit": ["--config", str(cfg), "instability", "--N", "1024"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--a", "0.02", "--t-end", "1", "--out",
+                         str(tmp_path / name)]) == 2
+        sizes = {name: embedded_n(tmp_path / name, "instability", "instability_frames.csv")
+                 for name in runs}
+        assert sizes == {"flag": 2048, "file": 2048, "explicit": 1024}
+
+    @pytest.mark.parametrize("command", ["evolve", "table"])
+    @pytest.mark.parametrize("n", ["-2", "7"])
+    def test_negative_or_odd_size_usage_error(self, tmp_path, capsys, command, n):
+        assert run(tmp_path, command, "--N", n) == 64
+        assert "usage error: N must be 0 (auto) or even and positive" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_size_resolves_is_a_consistency_failure(self, tmp_path, capsys):
+        # p = 100 needs N = 131072 on L = 50 pi, so 2^20 on a 16 times wider box
+        # is not enough; nothing is written
+        assert run(tmp_path, "evolve", "--p", "100", "--L", str(800 * math.pi)) == 3
+        assert "no N up to 1048576 resolves the initial state" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, argv", [
+        ("table", ["--p-list", "4.5,30"]),
+        ("identities", []),
+        ("spectrum", []),
+        ("coercivity", []),
+    ])
+    def test_dirichlet_default_is_the_fixed_size(self, tmp_path, command, argv):
+        # their reference values were taken at N = 8192: the default run
+        # writes exactly the files of an explicit --N 8192
+        run(tmp_path / "default", command, *argv)
+        run(tmp_path / "explicit", command, *argv, "--N", "8192")
+        names = sorted(f.name for f in (tmp_path / "default").iterdir())
+        assert names and names == sorted(f.name for f in (tmp_path / "explicit").iterdir())
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "explicit" / name).read_bytes()
+
+    def test_auto_size_against_twice_the_size(self, tmp_path):
+        # the resolution sequence behind the auto size: per frame, I, lambda,
+        # y and ||xi||_H1 at N = 2048 agree with N = 4096 to 1e-10 (measured:
+        # at most 8.6e-14)
+        frames = {}
+        for name, argv in (("auto", []), ("double", ["--N", "4096"])):
+            assert run(tmp_path / name, "instability", "--a", "0.02", "--t-end", "5",
+                       *argv) == 2
+            frames[name] = np.loadtxt(tmp_path / name / "instability_frames.csv",
+                                      delimiter=",", skiprows=2)
+        assert embedded_n(tmp_path / "auto", "instability", "instability_frames.csv") == 2048
+        auto, double = frames["auto"], frames["double"]
+        assert auto.shape == double.shape == (11, 7)
+        assert np.array_equal(auto[:, 0], double[:, 0])
+        # columns t, lambda, y, xi_h1, I
+        assert np.max(np.abs(auto[:, 1:5] - double[:, 1:5])) <= 1e-10
 
 
 class TestConfigFile:

@@ -11,6 +11,8 @@ from gbbmlab import (
     Field,
     GroundState,
     SimulationConfig,
+    UnresolvedError,
+    auto_points,
     critical_speed,
     derivative,
     evolution_rhs,
@@ -19,9 +21,10 @@ from gbbmlab import (
     make_grid,
     norm_h1,
     step,
+    stream,
     translate,
 )
-from gbbmlab.dynamics import _A, _E3, _E5, linear_rhs
+from gbbmlab.dynamics import _A, _E3, _E5, TAIL_TOL, linear_rhs, relative_tail
 from gbbmlab.functionals import _nonlinear
 from conftest import decaying_random_field
 
@@ -182,13 +185,21 @@ class TestEvolve:
         assert traj.times.tolist() == [0.1 * k for k in range(11)] + [1.05]
 
     def test_step_counts(self, flow_calls):
-        # the soliton_evolve benchmark run: p = 4.5, N = 8192, t_end = 2; the
-        # flow evaluations are counted, not read back from the trajectory
+        # the soliton_evolve benchmark run: p = 4.5, t_end = 2, at its auto
+        # N = 2048. The error is measured in the max norm, so N = 8192 takes
+        # the same steps. The flow evaluations are counted, not read back from
+        # the trajectory
         gs = GroundState(4.5, critical_speed(4.5))
-        grid = make_grid(L50, 8192, "periodic")
-        traj = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0))
-        assert traj.frames[-1].steps_accepted <= 100
-        assert traj.frames[-1].rhs_evals == len(flow_calls)  # 1 + 12 per trial step (FSAL)
+        steps = []
+        for n in (2048, 8192):
+            flow_calls.clear()
+            grid = make_grid(L50, n, "periodic")
+            last = evolve(gs.profile(grid),
+                          SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0)).frames[-1]
+            assert last.rhs_evals == len(flow_calls)  # 1 + 12 per trial step (FSAL)
+            steps.append((last.steps_accepted, last.steps_rejected))
+        assert steps[0] == steps[1]
+        assert steps[0][0] <= 100
 
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
@@ -221,6 +232,48 @@ class TestEvolve:
             SimulationConfig(periodic_4096, 5.0, record_interval=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(make_grid(10.0, 64, "dirichlet_truncated"), 5.0)
+
+
+class TestResolution:
+    @pytest.mark.parametrize("p, n", [(4.5, 2048), (5.0, 2048), (6.0, 4096), (10.0, 8192),
+                                      (30.0, 32768)])
+    def test_auto_points(self, p, n):
+        # the smallest power of two whose phi_c has a tail of at most TAIL_TOL
+        # beyond the 2/3 cutoff; at p = 30 the old fixed N = 8192 left 1.8e-6
+        gs = GroundState(p, critical_speed(p))
+        assert auto_points(L50, gs.profile) == n
+        tails = []
+        for m in (n // 2, n):
+            grid = make_grid(L50, m, "periodic")
+            tails.append(relative_tail(gs.profile(grid).values, grid.dealias_cut))
+        assert tails[0] > TAIL_TOL >= tails[1]
+
+    def test_no_size_resolves_a_jump(self):
+        def step_profile(grid):
+            return Field(grid, np.where(np.abs(grid.nodes) < 1.0, 1.0, 0.0))
+
+        with pytest.raises(UnresolvedError, match="no N up to 1048576") as info:
+            auto_points(L50, step_profile)
+        assert info.value.tail > TAIL_TOL
+
+    def test_relative_tail_of_zero(self):
+        assert relative_tail(np.zeros(64), 10) == 0.0
+
+    @pytest.mark.parametrize("n, fires", [(2048, True), (8192, False)])
+    def test_growth_guard(self, gs5, n, fires):
+        # 1.5 phi_c steepens: its top-band tail reaches 2e-5 by t = 0.5 at
+        # N = 2048, above 10x its t = 0 value of 2.0e-7; at N = 8192 it stays
+        # below 1e-10 to t = 4
+        grid = make_grid(L50, n, "periodic")
+        u0 = Field(grid, 1.5 * gs5.profile(grid).values)
+        frames = stream(u0, SimulationConfig(grid, gs5.p, t_end=4.0))
+        if fires:
+            with pytest.raises(UnresolvedError, match=f"N={n} does not resolve") as info:
+                list(frames)
+            assert info.value.tail > 1e-6
+        else:
+            lo, hi = grid.dealias_cut // 2, grid.dealias_cut
+            assert max(relative_tail(f.state.values, lo, hi) for f in frames) < 1e-10
 
 
 def H_of_u(u, p):
