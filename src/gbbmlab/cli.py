@@ -39,6 +39,7 @@ from . import (
     negativity_table,
     translate,
 )
+from .dynamics import AUTO_POINTS, TAIL_TOL, relative_tail
 from .spectral import EigenSolveError
 from .structure import DualPathError
 
@@ -106,6 +107,24 @@ def _auto_points(cfg: dict, command: str) -> int:
         return DIRICHLET_POINTS
     p = cfg["p"]
     return auto_points(cfg["L"], GroundState(p, critical_speed(p)).profile)
+
+
+def _note_unresolved_size(cfg: dict) -> None:
+    """For evolve and instability at an explicit N: one stderr line when the
+    initial state's relative spectral tail beyond the 2/3 cutoff exceeds
+    TAIL_TOL, naming the tail and the N that N = 0 would pick. The run goes on."""
+    p = cfg["p"]
+    profile = GroundState(p, critical_speed(p)).profile
+    grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
+    tail = relative_tail(profile(grid).values, grid.dealias_cut)
+    if tail <= TAIL_TOL:
+        return
+    try:
+        auto = f"auto (N = 0) would pick N={auto_points(cfg['L'], profile)}"
+    except UnresolvedError:
+        auto = f"no N up to {AUTO_POINTS[-1]} resolves it"
+    print(f"note: at N={cfg['N']} the initial state's relative spectral tail beyond the "
+          f"2/3 cutoff is {tail:.2e} > {TAIL_TOL:.0e}; {auto}", file=sys.stderr)
 
 
 def _embedded(cfg: dict) -> dict:
@@ -372,6 +391,8 @@ def main(argv=None) -> int:
         # the files embed cfg, so they record the N that was used
         if cfg["N"] == 0:
             cfg["N"] = _auto_points(cfg, args.command)
+        elif args.command in ("evolve", "instability"):
+            _note_unresolved_size(cfg)
         return handlers[args.command](cfg)
     except (BlowupError, DualPathError, EigenSolveError, UnresolvedError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)

@@ -332,6 +332,21 @@ class TestGridSize:
                  for name in runs}
         assert sizes == {"flag": 2048, "file": 2048, "explicit": 1024}
 
+    def test_explicit_unresolved_size_is_noted(self, tmp_path, capsys):
+        # phi_c at p = 30 keeps a relative tail of 1.8e-6 beyond the 2/3 cutoff
+        # at N = 8192; the run goes on and fails its drift claim, as without the note
+        assert run(tmp_path, "evolve", "--p", "30", "--N", "8192", "--t-end", "0.01") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "note: at N=8192 the initial state's relative spectral tail beyond the 2/3 "
+            "cutoff is 1.81e-06 > 1e-12; auto (N = 0) would pick N=32768"
+        ]
+
+    @pytest.mark.parametrize("argv", [[], ["--N", "2048"]], ids=["auto", "resolved"])
+    def test_resolved_size_prints_no_note(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "evolve", "--p", "5", *argv, "--t-end", "0.01") == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["evolve", "table"])
     @pytest.mark.parametrize("n", ["-2", "7"])
     def test_negative_or_odd_size_usage_error(self, tmp_path, capsys, command, n):

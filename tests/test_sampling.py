@@ -15,10 +15,12 @@ from gbbmlab import (
     instability_experiment,
     make_grid,
     negativity_form,
+    negativity_table,
     normalized_profile_norm_sq,
 )
+from gbbmlab.cli import DEFAULTS
 from gbbmlab.modulation import _virial_frame
-from gbbmlab.structure import kappa_closed_form, node_windows, table_points
+from gbbmlab.structure import HALO, kappa_closed_form, kept_windows, table_points
 
 L50 = 50.0 * math.pi
 
@@ -88,15 +90,21 @@ def test_kappa_matches_expanded_closed_form(p):
 
 class TestSamplingCounts:
     def test_table_row(self, log_sech_calls):
-        # each node of the half line 0..n/2 once, plus a halo of at most two
-        # nodes on each side of a window
+        # each node of the kept windows once, plus a halo of at most two nodes
+        # on each side of a window; the tail beyond the row's cut is not sampled
         p = 100.0
         gs = GroundState(p, critical_speed(p))
-        n = table_points(p, gs.c, L50, 8192)
+        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
         negativity_form(gs)
-        windows = node_windows(n // 2 + 1)
+        windows = kept_windows(gs, grid)
         assert len(windows) > 1
-        assert sum(log_sech_calls) <= n // 2 + 1 + 4 * len(windows)
+        assert sum(log_sech_calls) <= sum(hi - lo + 2 * HALO for lo, hi in windows)
+
+    def test_default_table(self, log_sech_calls):
+        # 1 269 938 samplings over 47 windows when every row streamed its
+        # whole half line; 515 173 over 21 with the rows' tail cut
+        negativity_table(float(p) for p in DEFAULTS["p_list"].split(","))
+        assert sum(log_sech_calls) <= 530_000
 
     def test_fit_decompose(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")

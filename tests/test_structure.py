@@ -26,7 +26,7 @@ from gbbmlab import (
 )
 from gbbmlab import structure
 from gbbmlab.ground_state import trigamma
-from gbbmlab.structure import _cubic_image, node_windows, table_points
+from gbbmlab.structure import _cubic_image, kept_windows, node_windows, table_points
 
 L50 = 50.0 * math.pi
 
@@ -119,20 +119,32 @@ class TestWindows:
         assert all(5 <= hi - lo <= structure.WINDOW_NODES for lo, hi in windows)
 
     def test_window_arrays_match_whole_grid(self):
-        # the slow reference path: whole-grid builders and hessian_apply, on
-        # the half line 0..N/2 that the windows cover
+        # the slow reference path: whole-grid builders and hessian_apply. The
+        # kept windows match their nodes bitwise, and on every skipped node of
+        # the half line Gamma, kappa and hessian(Gamma) lie under the module
+        # docstring's bound 10^(-ROW_TAIL_DECADES/2) 2^{2/p} A M_T
         p = 30.0
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        half = grid.points // 2 + 1
         prof = gs.sample(grid)
         gamma = gamma_direction(prof)
         whole = (gamma.values, kappa_closed_form(prof).values, hessian_apply(gs, gamma).values)
-        del prof
+        weight = (prof.phi * (1.0 + np.abs(prof.x)) ** 3)[:half]
+        del prof, gamma
         windows = list(structure._row_windows(gs, grid))
         assert len(windows) > 1
-        half = grid.points // 2 + 1
-        for ref, part in zip(whole, zip(*(w[1:] for w in windows))):
-            assert np.array_equal(np.concatenate(part), ref[:half])
+        first = windows[0][0]
+        assert first > 0
+        for lo, *arrays in windows:
+            for ref, part in zip(whole, arrays):
+                assert np.array_equal(part, ref[lo:lo + part.size])
+        assert windows[-1][0] + windows[-1][1].size == half
+        assert all(lo + w.size == nxt for (lo, w, *_), (nxt, *_) in zip(windows, windows[1:]))
+        envelope = 10.0 ** (-structure.ROW_TAIL_DECADES / 2) * 2.0 ** (2.0 / p) * gs.amplitude
+        for ref in whole:
+            m_t = np.max(np.abs(ref[:half]) / weight)
+            assert np.max(np.abs(ref[:first])) <= envelope * m_t
 
     @pytest.mark.parametrize("p", [5.0, 30.0])
     def test_windowed_matches_single_window(self, p, monkeypatch):
@@ -171,8 +183,45 @@ class TestWindows:
             negativity_form(gs5, grid)
 
 
+class TestRowCut:
+    """The row's tail cut against the full stream of the half line."""
+
+    @pytest.mark.parametrize("p, window_nodes", [
+        (5.0, 1 << 10),  # p = 5 fits one default window, the centre's, always kept
+        (30.0, structure.WINDOW_NODES),
+        (100.0, structure.WINDOW_NODES),
+        (200.0, structure.WINDOW_NODES),
+    ])
+    def test_matches_full_stream_bitwise(self, p, window_nodes, monkeypatch):
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        monkeypatch.setattr(structure, "WINDOW_NODES", window_nodes)
+        assert len(kept_windows(gs, grid)) < len(node_windows(grid.node_count // 2 + 1))
+        cut = negativity_form(gs, grid)
+        monkeypatch.setattr(structure, "ROW_TAIL_DECADES", math.inf)
+        assert kept_windows(gs, grid) == node_windows(grid.node_count // 2 + 1)
+        assert negativity_form(gs, grid) == cut
+
+    @pytest.mark.parametrize("p", [4.1, 4.5])
+    def test_slow_decay_skips_no_window(self, p, monkeypatch):
+        # the cut lies beyond L = 50 pi, so even small windows are all kept
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        assert structure.row_cut(gs, L50) > L50
+        monkeypatch.setattr(structure, "WINDOW_NODES", 1 << 10)
+        windows = node_windows(grid.node_count // 2 + 1)
+        assert len(windows) > 1
+        assert kept_windows(gs, grid) == windows
+
+    def test_p100_streams_at_most_two_fifths(self):
+        gs = GroundState(100.0, critical_speed(100.0))
+        grid = make_grid(L50, table_points(gs.p, gs.c, L50, 8192), DIRICHLET)
+        streamed = sum(hi - lo for lo, hi in kept_windows(gs, grid))
+        assert streamed <= 0.4 * (grid.node_count // 2 + 1)
+
+
 class TestHalfLineRow:
-    @pytest.fixture(scope="class", params=[4.1, 5.0, 30.0])
+    @pytest.fixture(scope="class", params=[4.1, 5.0, 30.0, 100.0])
     def whole_row(self, request):
         # the slow reference path: the pairings rebuilt on the whole grid
         p = request.param
