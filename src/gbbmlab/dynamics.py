@@ -8,7 +8,7 @@ Dormand 1981; Hairer, Norsett & Wanner, Solving ODEs I, secs. II.5 and II.10),
 whose steps are long at tight tolerances, with the error measured in the max
 norm, which does not depend on N or L. Conservation of E and Q is monitored,
 not enforced. The fractional nonlinearity cannot be dealiased exactly; the
-2/3-rule mask acts on the transform of the nonlinear term. `stream` yields one
+2/3 rule zeroes the top third of the transform of the flow. `stream` yields one
 `Frame` per record time; `evolve` collects them.
 
 The grid is sized from the data (Boyd, Chebyshev and Fourier Spectral Methods,
@@ -19,7 +19,7 @@ TAIL_TOL, the stepper's ATOL. `stream` then watches the tail over the top half
 of the resolved band, bins [cut/2, cut), and raises UnresolvedError when it
 grows past both 10 times its t = 0 value and sqrt(TAIL_TOL): the run has
 outgrown its grid. Bins at or beyond the cutoff cannot serve as the guard,
-since the mask zeroes their flow and they never move.
+since the 2/3 rule zeroes their flow and they never move.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, GridError, PERIODIC, make_grid
-from .functionals import energy, momentum, _flow, _flow_symbol
+from .grid import Field, Grid, GridError, PERIODIC, _parseval_h1_sq, make_grid
+from .functionals import energy, _flow, _flow_symbol
 
 # per-node error tolerance of an accepted step: ATOL + RTOL * max(|v|, |v_new|)
 RTOL = 1e-10
@@ -97,7 +97,11 @@ class UnresolvedError(RuntimeError):
 def relative_tail(v: np.ndarray, lo: int, hi: int | None = None) -> float:
     """max |v_hat_k| over the rfft bins lo <= k < hi, relative to the max over
     all bins; 0 for v = 0."""
-    a = np.abs(np.fft.rfft(v))
+    return _tail(np.fft.rfft(v), lo, hi)
+
+
+def _tail(v_hat: np.ndarray, lo: int, hi: int | None) -> float:
+    a = np.abs(v_hat)
     peak = float(np.max(a))
     return float(np.max(a[lo:hi])) / peak if peak else 0.0
 
@@ -202,9 +206,10 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
     each k * record_interval < t_end and at t_end, hit exactly by shortening
     steps. One stage array serves every step.
 
-    Each frame, after its E and Q (so that BlowupError wins), checks the
-    relative tail over rfft bins [cut/2, cut) and raises UnresolvedError when
-    it exceeds both 10 times the t = 0 value and sqrt(TAIL_TOL).
+    Each frame transforms its state once. From that transform it takes Q by
+    Parseval and then (so that BlowupError on a non-finite E or Q wins) the
+    relative tail over rfft bins [cut/2, cut), raising UnresolvedError when
+    the tail exceeds both 10 times the t = 0 value and sqrt(TAIL_TOL).
     """
     g, p, interval, t_end = config.grid, config.p, config.record_interval, config.t_end
     n_inner = math.ceil(t_end / interval - 1e-9)
@@ -216,10 +221,14 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
     def frame(t: float) -> Frame:
         f = Field(g, v)  # v is replaced, never written in place
         try:
-            E, Q = energy(f, p), momentum(f)
-        except GridError as exc:  # a finite state whose E or Q density overflows
+            E = energy(f, p)
+        except GridError as exc:  # a finite state whose E density overflows
             raise BlowupError(t) from exc
-        tail = relative_tail(v, lo, hi)
+        v_hat = np.fft.rfft(v)
+        Q = 0.5 * _parseval_h1_sq(v_hat, g)
+        if not math.isfinite(Q):
+            raise BlowupError(t)
+        tail = _tail(v_hat, lo, hi)
         if tail > limit:
             raise UnresolvedError(
                 f"relative spectral tail {tail:.2e} over bins [{lo}, {hi}) at t={t:.6g} "

@@ -108,11 +108,12 @@ def _flow_symbol(grid) -> np.ndarray:
 
 
 def _flow(v: np.ndarray, grid, p: float, dealias: bool) -> np.ndarray:
-    # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values; the 2/3 mask is optional
+    # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values; the 2/3 rule is optional.
+    # Only the bins below the cutoff are multiplied: irfft zero-pads the rest,
+    # bitwise what a 0/1 mask on every bin gives
     wh = np.fft.rfft(v + _nonlinear(v, p))
-    if dealias:
-        wh = wh * grid.dealias_mask
-    return np.fft.irfft(_flow_symbol(grid) * wh, n=grid.points)
+    cut = grid.dealias_cut if dealias else wh.size
+    return np.fft.irfft(_flow_symbol(grid)[:cut] * wh[:cut], n=grid.points)
 
 
 def evolution_rhs(u: Field, p: float, dealias: bool = True) -> Field:

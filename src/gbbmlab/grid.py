@@ -62,13 +62,6 @@ class Grid:
         # first rfft bin the 2/3 rule removes
         return int(np.floor(self.points / 2 * (2.0 / 3.0)))
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        # 2/3-rule mask on rfft bins
-        mask = np.ones(self.points // 2 + 1)
-        mask[self.dealias_cut:] = 0.0
-        return mask
-
     def ensure_resolves(self, decay_rate: float, tol: float = 1e-6) -> None:
         """Refuse grids too narrow for a profile with tail ~ exp(-decay_rate*|x|)."""
         tail = np.exp(-decay_rate * self.half_width)
@@ -132,8 +125,28 @@ def norm_l2(f: Field) -> float:
 
 
 def norm_h1(f: Field) -> float:
+    g = f.grid
+    if g.boundary == PERIODIC:
+        return float(np.sqrt(_parseval_h1_sq(np.fft.rfft(f.values), g)))
     df = derivative(f, 1)
     return float(np.sqrt(inner(f, f) + inner(df, df)))
+
+
+@lru_cache(maxsize=8)
+def _h1_weights(g: Grid) -> np.ndarray:
+    """(h/N)(1 + k^2) per rfft bin, doubled for the bins standing for +-k; the
+    Nyquist bin carries no derivative. Shared, so never written to."""
+    k = g.wavenumbers
+    w = 2.0 * (1.0 + k * k)
+    w[0] = 1.0
+    w[-1] = 1.0
+    return w * (g.h / g.points)
+
+
+def _parseval_h1_sq(f_hat: np.ndarray, g: Grid) -> float:
+    """||f||^2 + ||f_x||^2 from the rfft f_hat of f on a periodic grid, by
+    Parseval: the trapezoid of f^2 + (spectral f_x)^2 with no inverse transform."""
+    return float(_h1_weights(g) @ (f_hat.real ** 2 + f_hat.imag ** 2))
 
 
 def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:

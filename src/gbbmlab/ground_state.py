@@ -5,8 +5,8 @@ The ground state of -c u'' + (c-1) u - u^{p+1} = 0 is
     phi_c(x) = A * sech^{2/p}(k x),   A = (0.5*(c-1)*(p+2))^{1/p},
                                       k = 0.5*p*sqrt((c-1)/c),
 
-with first and second derivatives, the c-derivative and the scaling
-direction Psi_c = c d_c phi_c - phi_c / p all available in closed form.
+with first and second derivatives, the first and second c-derivatives and the
+scaling direction Psi_c = c d_c phi_c - phi_c / p all available in closed form.
 GroundState.sample(grid) returns a SampledProfile that derives every one of
 them from a single log-sech and a single tanh of k|x|, on the whole grid or on
 one window of its nodes. Everything is evaluated in log space so that large k*x
@@ -149,8 +149,8 @@ class SampledProfile:
     their x equal grid.nodes[lo:hi] bitwise, without building grid.nodes. x,
     log sech, tanh, sech^2, phi, phi_x, phi_xx, phi^p and (on whole grids)
     ||phi||^2 by quadrature are computed on first use and kept as long as the
-    bundle lives (drop it to free them); d_c phi, d_c phi_x and Psi are rebuilt
-    on each read, since every caller reads them once.
+    bundle lives (drop it to free them); d_c phi, d_c phi_x, d_c^2 phi and Psi
+    are rebuilt on each read, since every caller reads them once.
     """
 
     gs: GroundState
@@ -218,6 +218,18 @@ class SampledProfile:
         kx = self.gs.decay_rate * np.abs(x)
         gx = -self._dc_slope * np.sign(x) * (self._th + kx * self._sech2)
         return self.phi_x * self._dc_factor + self.phi * gx
+
+    @property
+    def dc2_phi(self) -> np.ndarray:
+        """d_c^2 phi_c = phi_c (g^2 + d_c g), assembled from the closed forms: with
+        s the slope of g and d_c k = k / (2c(c-1)),
+        d_c g = -1/(p(c-1)^2) + s |x| ((4c-3) tanh(k|x|) - k|x| sech^2(k|x|)) / (2c(c-1))."""
+        p, c = self.gs.p, self.gs.c
+        ax = np.abs(self.x)
+        g = self._dc_factor
+        tilt = (4.0 * c - 3.0) * self._th - self.gs.decay_rate * ax * self._sech2
+        dg = self._dc_slope / (2.0 * c * (c - 1.0)) * ax * tilt - 1.0 / (p * (c - 1.0) ** 2)
+        return self.phi * (g * g + dg)
 
     @property
     def psi(self) -> np.ndarray:

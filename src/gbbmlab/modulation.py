@@ -12,8 +12,9 @@ Two orthogonality pairs are implemented for the 2-D Newton solve:
   and reports it rather than returning garbage.
 
 * mode="fit": xi is orthogonal to {d_x phi_lambda, d_lambda phi_lambda},
-  i.e. (lambda, y) is the least-squares closest profile. The Jacobian is
-  dominated by -||d_lambda phi||^2, uniformly nonsingular in the tube.
+  i.e. (lambda, y) is the least-squares closest profile. The Jacobian, in
+  closed form, is dominated by -||d_lambda phi||^2, uniformly nonsingular in
+  the tube.
 
 The frame loop (virial_monitor, and so instability_experiment) decomposes
 every frame in the fit pair and reports the kappa residual per frame; the
@@ -85,6 +86,38 @@ def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid, mode: str):
     return F, xi, prof, dir2
 
 
+def _fit_jacobian(uy: np.ndarray, xi: np.ndarray, prof: SampledProfile, dc_phi: np.ndarray):
+    """d(F1, F2)/d(lam, y) of the fit-pair residual, F = h(<xi, phi_x>, <xi, d_lam phi>),
+    in closed form from the bundle it was sampled from. The lam-column is
+    h(<xi, d_lam phi_x> - <d_lam phi, phi_x>, <xi, d_lam^2 phi> - <d_lam phi, d_lam phi>);
+    the y-column h(<d_x u_y, phi_x>, <d_x u_y, d_lam phi>) is taken by parts on the
+    periodic grid, -h(<u_y, phi_xx>, <u_y, d_lam phi_x>), so it needs no transform."""
+    h = prof.grid.h
+    dc_phi_x = prof.dc_phi_x
+    return (
+        (h * (xi @ dc_phi_x - dc_phi @ prof.phi_x), -h * (uy @ prof.phi_xx)),
+        (h * (xi @ prof.dc2_phi - dc_phi @ dc_phi), -h * (uy @ dc_phi_x)),
+    )
+
+
+def _fd_jacobian(
+    uy: np.ndarray, uy_hat: np.ndarray, p: float, lam: float, grid: Grid, mode: str,
+    dir1: np.ndarray, dir2: np.ndarray,
+):
+    """d(F1, F2)/d(lam, y) of the residual of either pair, by slow paths: the
+    lam-column is (F(lam + d) - F(lam - d)) / 2d (relative step FD_LAMBDA_REL),
+    two more profile samplings, and the y-column pairs the inverse transform of
+    ik u_hat e^{iky}, the spectral derivative of u_y, with both directions.
+    kappa_lam has no closed-form lam-derivative, so the kappa pair uses this;
+    for the fit pair it is the reference that _fit_jacobian is tested against."""
+    d = FD_LAMBDA_REL * lam
+    J11, J21 = (
+        _residual(uy, p, lam + d, grid, mode)[0] - _residual(uy, p, lam - d, grid, mode)[0]
+    ) / (2.0 * d)
+    duy = np.fft.irfft(_derivative_symbol(grid, 1) * uy_hat, n=grid.points)
+    return (J11, grid.h * (duy @ dir1)), (J21, grid.h * (duy @ dir2))
+
+
 def decompose(
     u: Field,
     p: float,
@@ -97,13 +130,11 @@ def decompose(
 
     xi(x) = u(x + y) - phi_lam(x). u is transformed once: each iterate's
     shifted state is the inverse transform of u_hat e^{iky}, bitwise
-    translate(u, y), and the y-column of the Jacobian pairs the inverse
-    transform of ik u_hat e^{iky}, the spectral derivative of that state, with
-    both directions. So an iterate costs one inverse transform, plus one when
-    it takes a step. The lam-column is (F(lam + d) - F(lam - d)) / 2d of the
-    residual itself (relative step 1e-5): kappa_lam has no closed-form
-    lam-derivative, so only that derivative is a finite difference, and one
-    formula serves both modes.
+    translate(u, y). In the fit pair an iterate costs that one inverse
+    transform and one profile sampling: the Jacobian is the closed form of
+    _fit_jacobian, read from the bundle the residual sampled. The kappa pair
+    (kept for tests) takes _fd_jacobian instead, so each of its steps costs two
+    more samplings at lam +- d and one more inverse transform.
     Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
     Raises ModulationError (with the partial state attached) on a singular
@@ -120,7 +151,6 @@ def decompose(
     h = grid.h
     det_scaled = float("nan")
     u_hat = np.fft.rfft(u.values)
-    dx_symbol = _derivative_symbol(grid, 1)
 
     def state(converged: bool) -> ModulationState:
         return ModulationState(
@@ -146,14 +176,10 @@ def decompose(
             # a stationary point of the iteration is accepted only if it passes
             break
 
-        d = FD_LAMBDA_REL * lam
-        J11, J21 = (
-            _residual(uy, p, lam + d, grid, mode)[0]
-            - _residual(uy, p, lam - d, grid, mode)[0]
-        ) / (2.0 * d)
-        duy = np.fft.irfft(dx_symbol * uy_hat, n=grid.points)
-        J12 = h * (duy @ dir1)
-        J22 = h * (duy @ dir2)
+        if mode == MODE_FIT:
+            (J11, J12), (J21, J22) = _fit_jacobian(uy, xi, prof, dir2)
+        else:
+            (J11, J12), (J21, J22) = _fd_jacobian(uy, uy_hat, p, lam, grid, mode, dir1, dir2)
         det = J11 * J22 - J12 * J21
         scale = max(abs(J11 * J22), abs(J12 * J21), 1e-300)
         det_scaled = det / scale
@@ -183,8 +209,10 @@ def decompose(
 def _odd_cutoff(s: np.ndarray, R: float) -> np.ndarray:
     a = np.abs(s)
     t = np.clip((a - R) / R, 0.0, 1.0)
-    ramp = R + R * (t - (t ** 6 - 3.0 * t ** 5 + 2.5 * t ** 4))
-    return np.sign(s) * np.where(a <= R, a, np.where(a >= 2.0 * R, 1.5 * R, ramp))
+    # R + R (t - (t^6 - 3t^5 + 5/2 t^4)) in Horner form; exactly 3R/2 at t = 1
+    t2 = t * t
+    ramp = R + R * (t - t2 * t2 * (2.5 + t * (t - 3.0)))
+    return np.sign(s) * np.where(a <= R, a, ramp)
 
 
 def _check_cutoff(R: float, grid: Grid) -> None:

@@ -19,6 +19,7 @@ from gbbmlab import (
     evolve,
     helmholtz_inverse,
     make_grid,
+    momentum,
     norm_h1,
     step,
     stream,
@@ -177,6 +178,15 @@ class TestEvolve:
         traj = evolve(gs5.profile(periodic_4096), cfg)
         assert np.allclose(np.diff(traj.times), 0.1)
         assert traj.times[-1] == 0.5
+
+    def test_frame_q_is_the_trapezoid(self, gs5, periodic_4096, rng):
+        # Q by Parseval from the guard's transform equals momentum(), the
+        # trapezoid of (u^2 + (spectral u_x)^2) / 2
+        u0 = Field(periodic_4096, gs5.profile(periodic_4096).values
+                   + 0.1 * decaying_random_field(periodic_4096, rng).values)
+        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=0.5, record_interval=0.25)
+        for f in stream(u0, cfg):
+            assert f.Q == pytest.approx(momentum(f.state), rel=1e-13)
 
     def test_record_times_are_exact(self, gs5, periodic_4096):
         # k * interval, not a running sum, and t_end even when it is no multiple

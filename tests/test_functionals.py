@@ -18,7 +18,7 @@ from gbbmlab import (
     norm_l2,
     translate,
 )
-from gbbmlab.functionals import _energy_density, _nonlinear
+from gbbmlab.functionals import _energy_density, _flow, _flow_symbol, _nonlinear
 from conftest import decaying_random_field
 
 
@@ -184,6 +184,18 @@ class TestEvolutionField:
         scale = norm_l2(rhs) * max(norm_l2(e_grad), norm_l2(q_grad))
         assert abs(inner(rhs, e_grad)) < 1e-9 * scale
         assert abs(inner(rhs, q_grad)) < 1e-9 * scale
+
+
+    @pytest.mark.parametrize("N", [2048, 8192])
+    def test_band_slice_is_the_masked_flow(self, gs5, rng, N):
+        # multiplying only the bins below the 2/3 cutoff and letting irfft
+        # zero-pad is bitwise the 0/1 mask on every bin
+        g = make_grid(50.0 * math.pi, N)
+        v = gs5.profile(g).values + 0.1 * decaying_random_field(g, rng).values
+        mask = np.where(np.arange(N // 2 + 1) < g.dealias_cut, 1.0, 0.0)
+        wh = np.fft.rfft(v + _nonlinear(v, gs5.p)) * mask
+        masked = np.fft.irfft(_flow_symbol(g) * wh, n=N)
+        assert np.array_equal(_flow(v, g, gs5.p, True), masked)
 
 
 class TestNonlinearity:

@@ -12,6 +12,7 @@ from gbbmlab import (
     helmholtz_inverse,
     inner,
     make_grid,
+    norm_h1,
     quadrature,
 )
 from conftest import smooth_random_field
@@ -182,6 +183,17 @@ def test_periodic_integral_of_derivative(rng):
     g = make_grid(20.0, 512)
     f = smooth_random_field(g, rng)
     assert abs(quadrature(derivative(f, 1))) < 1e-10
+
+
+@pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
+def test_periodic_norm_h1_is_the_trapezoid(rng, rough):
+    # Parseval from one rfft equals the trapezoid of u^2 + (spectral u_x)^2,
+    # also for white noise, which fills the Nyquist bin
+    g = make_grid(20.0, 512)
+    u = Field(g, rng.normal(size=g.points)) if rough else smooth_random_field(g, rng)
+    ux = derivative(u, 1).values
+    trap = quadrature(Field(g, u.values ** 2 + ux ** 2))
+    assert norm_h1(u) ** 2 == pytest.approx(trap, rel=1e-13)
 
 
 def test_helmholtz_requires_periodic():

@@ -152,6 +152,21 @@ class TestDerivatives:
         ana = gs5.profile_dc_dx(dirichlet_8192).values
         assert np.max(np.abs(fd - ana)) < 1e-6 * np.max(np.abs(ana))
 
+    @pytest.mark.parametrize("p", [4.5, 5.0, 10.0])
+    @pytest.mark.parametrize("c", [1.05, None, 1.3], ids=["1.05", "c0", "1.3"])
+    def test_dc2_matches_finite_difference(self, p, c, dirichlet_8192):
+        # central difference of the closed-form d_c phi with step 1e-4 (c - 1):
+        # its O(dc^2) error is 1e-8 relative here, and shrinks 100-fold with
+        # the step down to 1e-5 (c - 1)
+        c = critical_speed(p) if c is None else c
+        dc = 1e-4 * (c - 1.0)
+        fd = (
+            GroundState(p, c + dc).sample(dirichlet_8192).dc_phi
+            - GroundState(p, c - dc).sample(dirichlet_8192).dc_phi
+        ) / (2.0 * dc)
+        ana = GroundState(p, c).sample(dirichlet_8192).dc2_phi
+        assert np.max(np.abs(fd - ana)) < 3e-8 * np.max(np.abs(ana))
+
 
 class TestPsiDirection:
     def test_value_at_origin(self, gs5, dirichlet_8192):

@@ -28,6 +28,7 @@ from gbbmlab import (
 )
 from gbbmlab import modulation
 from gbbmlab.cli import instability_outputs
+from gbbmlab.grid import _shift_symbol
 from gbbmlab.ground_state import profile_norm_sq_closed
 
 L50 = 50.0 * math.pi
@@ -78,6 +79,16 @@ class TestCutoff:
         interior = np.abs(d3[(np.abs(x) > R + h) & (np.abs(x) < 2 * R - h)]).max()
         seam = np.abs(d3[(np.abs(np.abs(x) - R) <= 2 * h) | (np.abs(np.abs(x) - 2 * R) <= 2 * h)]).max()
         assert seam <= 1.5 * interior
+
+    @pytest.mark.parametrize("R", [20.0, 30.0, 33.3])
+    def test_horner_ramp_matches_power_form(self, fine, R):
+        s = fine.nodes
+        a = np.abs(s)
+        t = np.clip((a - R) / R, 0.0, 1.0)
+        ramp = R + R * (t - (t ** 6 - 3.0 * t ** 5 + 2.5 * t ** 4))
+        power = np.sign(s) * np.where(a <= R, a, np.where(a >= 2.0 * R, 1.5 * R, ramp))
+        cut = cutoff_profile(R, fine).values
+        assert np.max(np.abs(cut - power)) <= 8.0 * np.finfo(float).eps * R
 
     def test_rejects_wide_cutoff(self, fine):
         with pytest.raises(ValueError):
@@ -148,6 +159,25 @@ class TestDecompose:
         assert st.converged
         assert max(st.residuals) < 1e-10
         assert norm_h1(st.xi) < 0.05
+
+    @pytest.mark.parametrize("lam, y", [(None, 0.3), (1.2, -0.5), (1.05, 2.0)])
+    def test_fit_jacobian_matches_slow_path(self, gs5, periodic_4096, lam, y):
+        # the closed form against the central difference in lam of the same
+        # residual and the y-column of the spectral derivative of u_y: by parts
+        # is exact to round-off, and the relative-1e-5 difference carries an
+        # O(d^2) error of at most 7.5e-8 of max |J| here
+        grid = periodic_4096
+        lam = gs5.c if lam is None else lam
+        u = Field(grid, 0.98 * gs5.profile(grid).values)
+        uy_hat = np.fft.rfft(u.values) * _shift_symbol(grid, y)
+        uy = np.fft.irfft(uy_hat, n=grid.points)
+        _, xi, prof, dc_phi = modulation._residual(uy, gs5.p, lam, grid, MODE_FIT)
+        closed = np.array(modulation._fit_jacobian(uy, xi, prof, dc_phi))
+        slow = np.array(modulation._fd_jacobian(
+            uy, uy_hat, gs5.p, lam, grid, MODE_FIT, prof.phi_x, dc_phi))
+        scale = np.max(np.abs(slow))
+        assert np.max(np.abs(closed[:, 0] - slow[:, 0])) < 2e-7 * scale
+        assert np.max(np.abs(closed[:, 1] - slow[:, 1])) < 1e-14 * scale
 
     def test_one_forward_transform(self, gs5, periodic_4096, monkeypatch):
         # u is transformed once; every iterate is an inverse transform of it

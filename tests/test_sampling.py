@@ -112,8 +112,8 @@ class TestSamplingCounts:
         log_sech_calls.clear()
         st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
         assert st.converged and st.newton_iters == 3
-        # one bundle at lam and at lam +- d per iteration, one for the final check
-        assert len(log_sech_calls) <= 10
+        # one bundle per iterate: the Jacobian is read from the residual's bundle
+        assert len(log_sech_calls) == st.newton_iters + 1
 
     def test_virial_frame(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")
@@ -125,11 +125,27 @@ class TestSamplingCounts:
         assert log_sech_calls == []
 
     def test_instability_run(self, log_sech_calls):
-        # the kappa attempt on u0, then per frame one bundle at lam and at
-        # lam +- d per Newton iteration plus the final check; the extrapolated
-        # start leaves most frames at one iteration, where starting each frame
-        # from (lam, y + lam dt) takes three and 257 calls
+        # phi_c once, then one bundle per Newton iterate of each frame; the
+        # extrapolated start leaves most frames at one iteration (two iterates).
+        # A finite-difference lam-column took two more per iteration, 115 in all
         grid = make_grid(L50, 8192, "periodic")
         rep = instability_experiment(5.0, 0.02, grid, dt=0.025, t_end=10.0)
         assert len(rep.frames) == 21
-        assert len(log_sech_calls) <= 150
+        assert len(log_sech_calls) <= 53
+
+    def test_instability_transforms(self, flow_calls, monkeypatch):
+        # two per flow evaluation; per frame the guard's rfft (Q by Parseval
+        # from it), decompose's rfft and one irfft per iterate, and the rfft of
+        # norm_h1(xi): 5.6 a frame here, 10.1 with momentum(), derivative-based
+        # norm_h1 and the Jacobian's d_x u_y transform
+        transforms = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                transforms.append(None)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        grid = make_grid(L50, 2048, "periodic")
+        rep = instability_experiment(5.0, 0.02, grid, dt=0.025, t_end=10.0)
+        assert len(rep.frames) == 21
+        assert len(transforms) <= 2 * len(flow_calls) + 6 * len(rep.frames)
