@@ -237,6 +237,7 @@ def cmd_coercivity(cfg: dict) -> int:
     gs = GroundState(p, critical_speed(p))
     claim_n = min(cfg["N"], 2048)
     reports = {}
+    previous = None  # each grid's lowest eigenvalues are seeded from the coarser one
     for n in sorted({claim_n, *RESOLUTION_SEQUENCE}):
         grid = make_grid(cfg["L"], n, DIRICHLET)
         prof = gs.sample(grid)
@@ -244,7 +245,7 @@ def cmd_coercivity(cfg: dict) -> int:
             "translation_mode": Field(grid, prof.phi_x),
             "kappa": kappa_closed_form(prof),
         }
-        reports[n] = constrained_form_minimum(gs, grid, constraints)
+        previous = reports[n] = constrained_form_minimum(gs, grid, constraints, previous)
     report = reports[claim_n]
     payload = {
         "N": claim_n,

@@ -12,10 +12,16 @@ this operator; results are reported in the Weinstein sign so that eigenvalue
 counts are meaningful, and callers translate when they need the literal form.
 
 Discretization: Dirichlet truncation, second-order central differences. The
-matrix T is symmetric tridiagonal and is only ever used in banded form: the
-lowest eigenvalues come from a tridiagonal eigensolve, and every solve with
-T - mu (the inverse pairing, the constrained minimum) is one banded solve.
-No dense n x n matrix is formed, so the cost is linear in the grid size.
+matrix T is symmetric tridiagonal and is only ever used in banded form, and
+every solve with T - mu (the inverse pairing, the constrained minimum,
+inverse iteration) is one banded solve. The lowest eigenvalues come from an
+index-range tridiagonal eigensolve (bisection on Sturm counts), except on a
+grid seeded by a coarser one: there inverse iteration from the coarser
+grid's eigenpairs refines them, and they are accepted only with a
+certificate (disjoint residual intervals and one Sturm count), else the
+bisection runs. Eigenvectors come from inverse iteration at a known
+eigenvalue. No dense n x n matrix is formed, so the cost is linear in the
+grid size.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -25,7 +31,7 @@ eigenvalue nearest zero) and excludes it from negative_count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
@@ -40,6 +46,8 @@ class EigenSolveError(RuntimeError):
 
 
 _SECULAR_MAX_PROBES = 100  # bisection alone reaches 2 tol in at most about 50
+# inverse iteration from a seed reaches tol in 2-3 solves, the kernel vector in 1-2
+_INVERSE_MAX_SOLVES = 4
 
 
 def _interior(grid: Grid) -> np.ndarray:
@@ -67,6 +75,34 @@ def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float, rhs) -> np.n
         raise EigenSolveError(f"singular banded solve at shift {shift!r}: {exc}") from exc
 
 
+def _resolution(diag: np.ndarray) -> float:
+    """tol = 8 eps max|diag|: how finely T - mu resolves mu, and the residual
+    that inverse iteration stops at."""
+    return 8.0 * float(np.finfo(float).eps) * float(np.max(np.abs(diag)))
+
+
+def _inverse_iteration(diag, off, x, shift, tol) -> tuple[float, float, np.ndarray]:
+    """(theta, residual, x): inverse iteration on T from x, first at shift and
+    then at the Rayleigh quotient theta less tol, until the unit iterate has
+    ||T x - theta x|| <= tol or _INVERSE_MAX_SOLVES solves are spent (the
+    residual is then above tol, or nan). Once theta has converged, T - theta
+    is singular to working precision and a solve there leaves its rounding
+    in the iterate (residuals of 1.4 tol were seen); tol away they stay near
+    0.1 tol (Parlett, The Symmetric Eigenvalue Problem, ch. 4)."""
+    for _ in range(_INVERSE_MAX_SOLVES):
+        x = _shifted_solve(diag, off, shift, x)
+        x = x / np.linalg.norm(x)
+        tx = diag * x
+        tx[:-1] += off * x[1:]
+        tx[1:] += off * x[:-1]
+        theta = float(x @ tx)
+        residual = float(np.linalg.norm(tx - theta * x))
+        if residual <= tol:
+            break
+        shift = theta - tol
+    return theta, residual, x
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: np.ndarray
@@ -79,23 +115,32 @@ class SpectrumReport:
 def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     """Lowest m eigenpairs of the Weinstein operator, with kernel bookkeeping.
 
-    negative_count excludes the kernel candidate (eigenvalue nearest zero),
-    whose discrete image sits O(h^2) below zero; kernel_overlap is its
+    The eigenvalues come from one index-range tridiagonal eigensolve, values
+    only. negative_count excludes the kernel candidate (eigenvalue nearest
+    zero), whose discrete image sits O(h^2) below zero. Its eigenvector comes
+    from inverse iteration from a fixed pseudo-random vector at that
+    eigenvalue less tol (so the solve is never exactly singular), until the
+    residual is at most tol = 8 eps max|diag|; kernel_overlap is its
     normalized projection onto the sampled translation mode.
     """
     if m < 3:
         raise ValueError(f"need at least 3 eigenpairs, got m={m!r}")
     diag, off = discretize_weinstein(gs, grid)
     try:
-        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
+        w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, m - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):  # pragma: no cover
         raise EigenSolveError("eigensolve produced non-finite eigenvalues")
 
     kernel_idx = int(np.argmin(np.abs(w)))
+    tol = _resolution(diag)
+    start = np.random.default_rng(0).standard_normal(diag.size)
+    _, residual, vec = _inverse_iteration(diag, off, start, w[kernel_idx] - tol, tol)
+    if not residual <= tol:
+        raise EigenSolveError(f"kernel eigenvector residual {residual!r} above {tol!r} after "
+                              f"{_INVERSE_MAX_SOLVES} inverse-iteration solves")
     dphi = gs.profile_dx(grid).values[1:-1]
-    vec = v[:, kernel_idx]
     overlap = abs(float(vec @ dphi)) / (
         float(np.linalg.norm(vec)) * float(np.linalg.norm(dphi))
     )
@@ -105,25 +150,80 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
 
 
 @dataclass(frozen=True)
+class EigenSeed:
+    """What a grid hands the next, finer one: T's k + 1 lowest eigenvalues
+    there, and the eigenvectors (zero-padded to the boundary nodes) and nodes
+    of the last grid whose eigenvalues came from the index-range eigensolve.
+    Carrying only that grid's vectors keeps the seed at about 24 KB from
+    N = 1024; from them each value takes 2-3 solves on every finer grid."""
+    values: np.ndarray
+    nodes: np.ndarray
+    vectors: np.ndarray
+
+
+def _seeded_eigenvalues(diag, off, nodes, seed: EigenSeed, tol) -> np.ndarray | None:
+    """T's len(seed.values) lowest eigenvalues by inverse iteration from the
+    seed, or None when they are not certified.
+
+    Each seed vector, interpolated onto the interior nodes, is refined from
+    its seed value. The Rayleigh quotients theta are accepted when every
+    residual is at most tol, the intervals theta +- (residual + tol) are
+    disjoint and in the seed's order (tol covers the rounding of the
+    computed residual), so each holds its own eigenvalue, and one Sturm
+    count finds exactly that many eigenvalues in (Gershgorin lower bound,
+    top interval's upper end], so they are the lowest. The count is a
+    value-range stebz whose tolerance is the range's width: it counts at
+    both ends and stops without bisecting.
+    """
+    theta, radius = [], []
+    for value, vec in zip(seed.values, seed.vectors.T):
+        try:
+            t, residual, _ = _inverse_iteration(
+                diag, off, np.interp(nodes, seed.nodes, vec), value, tol)
+        except EigenSolveError:  # the seed value is an eigenvalue to working precision
+            return None
+        if not residual <= tol:
+            return None
+        theta.append(t)
+        radius.append(residual + tol)
+    theta, radius = np.asarray(theta), np.asarray(radius)
+    if not np.all(theta[:-1] + radius[:-1] < theta[1:] - radius[1:]):
+        return None
+    lower = float(np.min(diag - np.abs(np.r_[0.0, off]) - np.abs(np.r_[off, 0.0])))
+    top = float(theta[-1] + radius[-1])
+    found = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                             select_range=(lower, top), tol=top - lower)
+    return theta if found.size == theta.size else None
+
+
+@dataclass(frozen=True)
 class CoercivityReport:
     constrained_min: float
     constraints_used: tuple
     raw_min: float
+    seed: EigenSeed = field(repr=False, compare=False)
 
 
-def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> CoercivityReport:
+def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
+                             previous: CoercivityReport | None = None) -> CoercivityReport:
     """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints.
 
     constraints maps names to Fields (or interior arrays); an empty mapping
-    returns the unconstrained minimum. For an orthonormal basis Q of the k
-    constraints, the constrained eigenvalues below mu number n_-(T - mu) +
-    n_+(S) - k, with the secular matrix S = Q^T Y, Y = (T - mu)^{-1} Q (Golub,
-    SIAM Rev. 15, 1973). Each probe mu of the interlacing bracket
-    [lambda_1, lambda_{k+1}] of T is one banded solve for Y and one k x k eigh
-    of S, and its count moves one end of the bracket. With n = n_-(T - mu),
-    the secular eigenvalue s_{n-1} (0-based, ascending) crosses zero at the
-    minimum, with derivative ||Y z||^2 from the same solve (S' = Y^T Y, z its
-    eigenvector). The next probe is the Newton iterate when it lies strictly
+    returns the unconstrained minimum. T's k + 1 lowest eigenvalues give
+    raw_min and the bracket below. With previous, the report of a coarser
+    grid with as many constraints, they are refined from its seed and
+    certified (_seeded_eigenvalues); without it, or when the certificate
+    fails, they come from an index-range tridiagonal eigensolve, with
+    eigenvectors. The report's seed carries them for the next grid.
+
+    For an orthonormal basis Q of the k constraints, the constrained
+    eigenvalues below mu number n_-(T - mu) + n_+(S) - k, with the secular
+    matrix S = Q^T Y, Y = (T - mu)^{-1} Q (Golub, SIAM Rev. 15, 1973). Each
+    probe mu of the interlacing bracket [lambda_1, lambda_{k+1}] of T is one
+    banded solve for Y and one k x k eigh of S, and its count moves one end
+    of the bracket. With n = n_-(T - mu), the secular eigenvalue s_{n-1}
+    (0-based, ascending) crosses zero at the minimum, with derivative
+    ||Y z||^2 from the same solve (S' = Y^T Y, z its eigenvector). The next probe is the Newton iterate when it lies strictly
     inside the bracket and the midpoint otherwise, which handles the poles of
     S and a minimum on the bracket top, where no secular eigenvalue vanishes.
     T - mu changes only when mu moves by an ulp of the diagonal, so a Newton
@@ -134,10 +234,18 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> Coerci
     diag, off = discretize_weinstein(gs, grid)
     names = tuple(constraints.keys())
     k = len(names)
-    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k))
+    tol = _resolution(diag)
+    w = None
+    if previous is not None and previous.seed.values.size == k + 1:
+        w = _seeded_eigenvalues(diag, off, _interior(grid), previous.seed, tol)
+    if w is None:
+        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, k))
+        seed = EigenSeed(w, grid.nodes, np.pad(v, ((1, 1), (0, 0))))
+    else:
+        seed = EigenSeed(w, previous.seed.nodes, previous.seed.vectors)
     raw = float(w[0])
     if not names:
-        return CoercivityReport(raw, (), raw)
+        return CoercivityReport(raw, (), raw, seed)
 
     cols = []
     for name in names:
@@ -152,12 +260,11 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints) -> Coerci
         raise ValueError(f"constraints {names} are (numerically) linearly dependent")
     Q, _ = qr(C, mode="economic")
 
-    tol = 8.0 * float(np.finfo(float).eps) * float(np.max(np.abs(diag)))
     lo, hi = raw, float(w[k])
     mu = 0.5 * (lo + hi)
     for _ in range(_SECULAR_MAX_PROBES):
         if hi - lo <= 2.0 * tol:
-            return CoercivityReport(hi, names, raw)
+            return CoercivityReport(hi, names, raw, seed)
         Y = _shifted_solve(diag, off, mu, Q)
         secular = Q.T @ Y
         if not np.all(np.isfinite(secular)):

@@ -4,7 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from gbbmlab import BlowupError, UnresolvedError, cli, evolve, modulation, spectral
+from scipy.linalg import eigh_tridiagonal
+
+from gbbmlab import (
+    DIRICHLET,
+    BlowupError,
+    Field,
+    GroundState,
+    UnresolvedError,
+    cli,
+    critical_speed,
+    evolve,
+    kappa_closed_form,
+    make_grid,
+    modulation,
+    spectral,
+)
 from gbbmlab.cli import main
 
 
@@ -102,6 +117,41 @@ class TestOtherCommands:
         assert claim > 0.0 > finest
         err = capsys.readouterr().err
         assert f"{claim:.6f} at N=16" in err and f"{finest:.6f} at N=16384" in err
+
+    @pytest.mark.parametrize("argv, grids", [
+        ([], (1024, 2048, 4096, 8192, 16384)),
+        # a claim grid off the power-of-two ladder is seeded from N = 1024
+        (["--N", "1500"], (1024, 1500, 2048, 4096, 8192, 16384)),
+    ], ids=["default", "N1500"])
+    def test_coercivity_grids_are_seeded(self, tmp_path, monkeypatch, argv, grids):
+        # one index-range eigensolve (the coarsest grid), then one value-range
+        # Sturm count per finer grid: a certificate that always failed would
+        # make every call index-range, and the outputs would still agree
+        selects = []
+
+        def counting(*args, **kwargs):
+            selects.append(kwargs["select"])
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", counting)
+        assert run(tmp_path, "coercivity", *argv) == 2
+        assert selects == ["i"] + ["v"] * (len(grids) - 1)
+        doc = json.loads((tmp_path / "coercivity.json").read_text())["result"]
+        gs = GroundState(5.0, critical_speed(5.0))
+        unseeded = {}
+        for n in grids:
+            grid = make_grid(50.0 * math.pi, n, DIRICHLET)
+            prof = gs.sample(grid)
+            constraints = {"translation_mode": Field(grid, prof.phi_x),
+                           "kappa": kappa_closed_form(prof)}
+            tol = spectral._resolution(spectral.discretize_weinstein(gs, grid)[0])
+            unseeded[n] = spectral.constrained_form_minimum(gs, grid, constraints), tol
+        ref, tol = unseeded[doc["N"]]
+        assert abs(doc["constrained_min"] - ref.constrained_min) <= 2.0 * tol
+        assert abs(doc["raw_min"] - ref.raw_min) <= 2.0 * tol
+        for entry in doc["resolution"]:
+            ref, tol = unseeded[entry["N"]]
+            assert abs(entry["constrained_min"] - ref.constrained_min) <= 2.0 * tol
 
     @pytest.mark.parametrize("failure", ["singular banded solve", "non-finite secular matrix"])
     def test_coercivity_eigensolve_failure_is_a_consistency_failure(

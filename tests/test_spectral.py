@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,20 @@ class TestEigenpairs:
             rq = v[:, i] @ (T @ v[:, i]) / (v[:, i] @ v[:, i])
             assert rq == pytest.approx(w[i], abs=1e-10 * max(1.0, abs(w[i])))
 
+    @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
+    def test_kernel_vector_matches_the_tridiagonal_eigenvectors(self, p):
+        # reference: the eigenvector stein returns with the same eigensolve
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L50, 4096, DIRICHLET)
+        rep = eigenpairs(gs, grid)
+        diag, off = discretize_weinstein(gs, grid)
+        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 5))
+        assert np.array_equal(rep.eigenvalues, w)
+        vec = v[:, int(np.argmin(np.abs(w)))]
+        dphi = gs.profile_dx(grid).values[1:-1]
+        overlap = abs(vec @ dphi) / (np.linalg.norm(vec) * np.linalg.norm(dphi))
+        assert abs(rep.kernel_overlap - overlap) <= 1e-12
+
     def test_m_validation(self, gs5, grid2048):
         with pytest.raises(ValueError):
             eigenpairs(gs5, grid2048, m=2)
@@ -294,6 +309,123 @@ class TestConstrainedMinimum:
             mins.append(constrained_form_minimum(gs5, grid, constraints).constrained_min)
         assert all(a < b for a, b in zip(mins, mins[1:]))
         assert mins[-1] < 0.0
+
+
+def resolution_chain(gs, L, sizes):
+    """(grid, seeded report, unseeded report) per size, each seeded from the
+    report before it, as `coercivity` walks its grids."""
+    out, previous = [], None
+    for N in sizes:
+        grid = make_grid(L, N, DIRICHLET)
+        constraints = coercivity_constraints(gs, grid)
+        previous = constrained_form_minimum(gs, grid, constraints, previous)
+        out.append((grid, previous, constrained_form_minimum(gs, grid, constraints)))
+    return out
+
+
+def took_seed(report, previous):
+    # a certified seed passes its vectors on; the eigensolve takes new ones
+    return report.seed.vectors is previous.seed.vectors
+
+
+class TestSeededEigenvalues:
+    @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
+    def test_seeded_matches_unseeded(self, p, L):
+        # the Newton search stops anywhere in a 2 tol bracket, so changing
+        # lambda_1..lambda_{k+1} within their accuracy moves it that far
+        gs = GroundState(p, critical_speed(p))
+        chain = resolution_chain(gs, L, (1024, 2048, 4096, 8192, 16384))
+        for (_, before, _), (grid, seeded, unseeded) in zip(chain, chain[1:]):
+            assert took_seed(seeded, before)
+            tol = spectral._resolution(discretize_weinstein(gs, grid)[0])
+            assert abs(seeded.constrained_min - unseeded.constrained_min) <= 2.0 * tol
+            assert abs(seeded.raw_min - unseeded.raw_min) <= 2.0 * tol
+            assert np.all(np.abs(seeded.seed.values - unseeded.seed.values) <= 2.0 * tol)
+
+    def test_near_degenerate_box_pair_keeps_its_parity(self, gs5):
+        # lambda_3 (even) and lambda_4 (odd) are 2.2e-5 apart at p = 5; the
+        # seeded lambda_3 comes from the even coarse vector and stays even
+        chain = resolution_chain(gs5, L50, (1024, 2048, 4096))
+        coarse = chain[0][1].seed
+        even = coarse.vectors[:, 2]
+        assert np.linalg.norm(even - even[::-1]) < 1e-8
+        for grid, seeded, _ in chain[1:]:
+            diag, off = discretize_weinstein(gs5, grid)
+            w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 3))
+            assert w[3] - w[2] == pytest.approx(2.2e-5, rel=0.05)
+            tol = spectral._resolution(diag)
+            assert abs(seeded.seed.values[2] - w[2]) <= tol
+            start = np.interp(grid.nodes[1:-1], coarse.nodes, even)
+            _, residual, x = spectral._inverse_iteration(diag, off, start, coarse.values[2], tol)
+            assert residual <= tol
+            assert np.linalg.norm(x - x[::-1]) < 1e-8
+
+    @pytest.mark.parametrize(
+        "case", ["other_p", "swapped", "overlapping", "skips_lowest", "singular"])
+    def test_certificate_refusal_returns_the_unseeded_result(self, gs5, case, monkeypatch):
+        grid = make_grid(L50, 2048, DIRICHLET)
+        constraints = coercivity_constraints(gs5, grid)
+        unseeded = constrained_form_minimum(gs5, grid, constraints)
+        coarse = make_grid(L50, 1024, DIRICHLET)
+        previous = constrained_form_minimum(gs5, coarse, coercivity_constraints(gs5, coarse))
+        seed = previous.seed
+        if case == "other_p":
+            gs10 = GroundState(10.0, critical_speed(10.0))
+            previous = constrained_form_minimum(gs10, coarse, coercivity_constraints(gs10, coarse))
+        elif case == "swapped":
+            # the ground and box values exchanged: both iterates reach lambda_3
+            seed = dataclasses.replace(seed, values=seed.values[::-1])
+        elif case == "skips_lowest":
+            # lambda_2..lambda_4 and their vectors: disjoint, converged, and
+            # only the Sturm count sees that lambda_1 is missing
+            diag, off = discretize_weinstein(gs5, coarse)
+            w, v = eigh_tridiagonal(diag, off, select="i", select_range=(1, 3))
+            seed = spectral.EigenSeed(w, coarse.nodes, np.pad(v, ((1, 1), (0, 0))))
+        elif case == "overlapping":
+            # three copies of the lowest pair: three equal Rayleigh quotients
+            seed = dataclasses.replace(seed, values=seed.values[[0, 0, 0]],
+                                       vectors=seed.vectors[:, [0, 0, 0]])
+        else:
+            # the exact eigenvalues, with T - theta singular at each, which
+            # LAPACK reports only on an exactly zero pivot
+            seed = dataclasses.replace(seed, values=unseeded.seed.values)
+            exact = set(seed.values.tolist())
+
+            def singular_at_exact(diag, off, shift, rhs):
+                if shift in exact:
+                    raise EigenSolveError(f"singular banded solve at shift {shift!r}")
+                return _shifted_solve(diag, off, shift, rhs)
+
+            monkeypatch.setattr(spectral, "_shifted_solve", singular_at_exact)
+        if case != "other_p":
+            previous = dataclasses.replace(previous, seed=seed)
+        rep = constrained_form_minimum(gs5, grid, constraints, previous)
+        assert not took_seed(rep, previous)
+        assert rep == unseeded
+        assert np.array_equal(rep.seed.values, unseeded.seed.values)
+
+    def test_exact_eigenvalue_seed_is_certified(self, gs5, grid2048):
+        # T - theta at a computed eigenvalue is singular only to working
+        # precision: the iterate grows, and the values are accepted
+        constraints = coercivity_constraints(gs5, grid2048)
+        unseeded = constrained_form_minimum(gs5, grid2048, constraints)
+        coarse = make_grid(L50, 1024, DIRICHLET)
+        previous = constrained_form_minimum(gs5, coarse, coercivity_constraints(gs5, coarse))
+        previous = dataclasses.replace(
+            previous, seed=dataclasses.replace(previous.seed, values=unseeded.seed.values))
+        rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
+        tol = spectral._resolution(discretize_weinstein(gs5, grid2048)[0])
+        assert took_seed(rep, previous)
+        assert abs(rep.constrained_min - unseeded.constrained_min) <= 2.0 * tol
+
+    def test_seed_for_another_constraint_count_is_not_used(self, gs5, grid2048):
+        coarse = make_grid(L50, 1024, DIRICHLET)
+        previous = constrained_form_minimum(gs5, coarse, {})
+        constraints = coercivity_constraints(gs5, grid2048)
+        rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
+        assert not took_seed(rep, previous)
+        assert rep == constrained_form_minimum(gs5, grid2048, constraints)
 
 
 class TestNegativeDirection:
