@@ -237,7 +237,8 @@ def cmd_coercivity(cfg: dict) -> int:
     gs = GroundState(p, critical_speed(p))
     claim_n = min(cfg["N"], 2048)
     reports = {}
-    previous = None  # each grid's lowest eigenvalues are seeded from the coarser one
+    # each grid's lowest eigenvalues and first secular probe come from the coarser ones
+    previous = None
     for n in sorted({claim_n, *RESOLUTION_SEQUENCE}):
         grid = make_grid(cfg["L"], n, DIRICHLET)
         prof = gs.sample(grid)
@@ -245,7 +246,7 @@ def cmd_coercivity(cfg: dict) -> int:
             "translation_mode": Field(grid, prof.phi_x),
             "kappa": kappa_closed_form(prof),
         }
-        previous = reports[n] = constrained_form_minimum(gs, grid, constraints, previous)
+        previous = reports[n] = constrained_form_minimum(gs, grid, constraints, previous, prof)
     report = reports[claim_n]
     payload = {
         "N": claim_n,

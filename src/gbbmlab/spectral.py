@@ -11,17 +11,21 @@ by the translation mode phi_c', and essential spectrum starting at
 this operator; results are reported in the Weinstein sign so that eigenvalue
 counts are meaningful, and callers translate when they need the literal form.
 
-Discretization: Dirichlet truncation, second-order central differences. The
-matrix T is symmetric tridiagonal and is only ever used in banded form, and
-every solve with T - mu (the inverse pairing, the constrained minimum,
-inverse iteration) is one banded solve. The lowest eigenvalues come from an
-index-range tridiagonal eigensolve (bisection on Sturm counts), except on a
-grid seeded by a coarser one: there inverse iteration from the coarser
+Discretization: Dirichlet truncation, second-order central differences, on
+one sampling of phi_c per grid (a SampledProfile). The matrix T is symmetric
+tridiagonal and is only ever used in banded form, and every solve with
+T - mu (the inverse pairing, the constrained minimum, inverse iteration) is
+one LAPACK gtsv call on (off, diag - mu, off). The lowest eigenvalues come
+from an index-range tridiagonal eigensolve (bisection on Sturm counts),
+except on a grid seeded by a coarser one: there inverse iteration from the coarser
 grid's eigenpairs refines them, and they are accepted only with a
 certificate (disjoint residual intervals and one Sturm count), else the
 bisection runs. Eigenvectors come from inverse iteration at a known
-eigenvalue. No dense n x n matrix is formed, so the cost is linear in the
-grid size.
+eigenvalue. The constrained minimum's secular search starts at the midpoint
+of its bracket on the coarsest grid, and on each finer grid with the same
+constraints at the O(h^2) prediction from the coarser grids' minima, unless
+that prediction falls outside the bracket. No dense n x n matrix is formed,
+so the cost is linear in the grid size.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -34,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
+from scipy.linalg import eigh, eigh_tridiagonal, qr
+from scipy.linalg.lapack import dgtsv
 
 from .grid import DIRICHLET, Field, Grid, inner
-from .ground_state import GroundState, normalized_profile_norm_sq
+from .ground_state import GroundState, SampledProfile, normalized_profile_norm_sq
 from .functionals import hessian_apply
 
 
@@ -56,23 +61,26 @@ def _interior(grid: Grid) -> np.ndarray:
     return grid.nodes[1:-1]
 
 
-def discretize_weinstein(gs: GroundState, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diagonal, off-diagonal) on the interior nodes."""
+def discretize_weinstein(prof: SampledProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal (diagonal, off-diagonal) on the interior nodes of
+    the bundle's grid, from its phi_c^p."""
+    gs, grid = prof.gs, prof.grid
     x = _interior(grid)
     h = grid.h
-    pot_profile = gs.profile_pow_p(grid).values[1:-1] / gs.c
+    pot_profile = prof.phi_p[1:-1] / gs.c
     diag = 2.0 / h ** 2 + (1.0 - gs.omega ** 2) - (gs.p + 1.0) * pot_profile
     off = np.full(x.size - 1, -1.0 / h ** 2)
     return diag, off
 
 
 def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float, rhs) -> np.ndarray:
-    """(T - shift)^{-1} rhs by one banded solve, T the tridiagonal (diag, off)."""
-    ab = np.vstack([np.r_[0.0, off], diag - shift, np.r_[off, 0.0]])
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"singular banded solve at shift {shift!r}: {exc}") from exc
+    """(T - shift)^{-1} rhs by LAPACK gtsv, T the tridiagonal (diag, off); the
+    solution of solve_banded on the same band, bitwise, without its band
+    assembly and input checks."""
+    *_, x, info = dgtsv(off, diag - shift, off, rhs, overwrite_d=1)
+    if info != 0:
+        raise EigenSolveError(f"singular banded solve at shift {shift!r} (gtsv info {info})")
+    return x
 
 
 def _resolution(diag: np.ndarray) -> float:
@@ -121,11 +129,13 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     from inverse iteration from a fixed pseudo-random vector at that
     eigenvalue less tol (so the solve is never exactly singular), until the
     residual is at most tol = 8 eps max|diag|; kernel_overlap is its
-    normalized projection onto the sampled translation mode.
+    normalized projection onto the translation mode phi_c', read from the
+    same sampling of phi_c as T.
     """
     if m < 3:
         raise ValueError(f"need at least 3 eigenpairs, got m={m!r}")
-    diag, off = discretize_weinstein(gs, grid)
+    prof = gs.sample(grid)
+    diag, off = discretize_weinstein(prof)
     try:
         w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, m - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -140,7 +150,7 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     if not residual <= tol:
         raise EigenSolveError(f"kernel eigenvector residual {residual!r} above {tol!r} after "
                               f"{_INVERSE_MAX_SOLVES} inverse-iteration solves")
-    dphi = gs.profile_dx(grid).values[1:-1]
+    dphi = prof.phi_x[1:-1]
     overlap = abs(float(vec @ dphi)) / (
         float(np.linalg.norm(vec)) * float(np.linalg.norm(dphi))
     )
@@ -202,10 +212,25 @@ class CoercivityReport:
     constraints_used: tuple
     raw_min: float
     seed: EigenSeed = field(repr=False, compare=False)
+    # (h^2, constrained_min) of this grid, after that of the grid before it
+    # when that one had the same constraints: the next grid's prediction
+    ladder: tuple = field(default=(), repr=False, compare=False)
+
+
+def _predicted_minimum(ladder: tuple, h2: float) -> float:
+    """The constrained minimum at grid spacing h = sqrt(h2), predicted from
+    the (h^2, minimum) pairs of up to two coarser grids: the line through
+    both evaluated at h2 (the error is O(h^2)), or the one grid's minimum;
+    nan with no pair."""
+    if len(ladder) == 2 and ladder[0][0] != ladder[1][0]:
+        (a, fa), (b, fb) = ladder
+        return fb + (fb - fa) * (h2 - b) / (b - a)
+    return ladder[-1][1] if ladder else np.nan
 
 
 def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
-                             previous: CoercivityReport | None = None) -> CoercivityReport:
+                             previous: CoercivityReport | None = None,
+                             prof: SampledProfile | None = None) -> CoercivityReport:
     """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints.
 
     constraints maps names to Fields (or interior arrays); an empty mapping
@@ -214,7 +239,9 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     grid with as many constraints, they are refined from its seed and
     certified (_seeded_eigenvalues); without it, or when the certificate
     fails, they come from an index-range tridiagonal eigensolve, with
-    eigenvectors. The report's seed carries them for the next grid.
+    eigenvectors. The report's seed carries them for the next grid. prof is
+    gs sampled on grid, when the caller already holds it (T is built from
+    it); it is sampled here otherwise.
 
     For an orthonormal basis Q of the k constraints, the constrained
     eigenvalues below mu number n_-(T - mu) + n_+(S) - k, with the secular
@@ -223,7 +250,13 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     banded solve for Y and one k x k eigh of S, and its count moves one end
     of the bracket. With n = n_-(T - mu), the secular eigenvalue s_{n-1}
     (0-based, ascending) crosses zero at the minimum, with derivative
-    ||Y z||^2 from the same solve (S' = Y^T Y, z its eigenvector). The next probe is the Newton iterate when it lies strictly
+    ||Y z||^2 from the same solve (S' = Y^T Y, z its eigenvector). The first
+    probe is the bracket midpoint, except when previous has the same
+    constraints: then it is _predicted_minimum from previous.ladder, the
+    minima of one or two coarser grids, when that lies strictly inside the
+    bracket. Grids that do not resolve phi_c (N = 16, 32) can predict a value
+    outside it, or far from the root inside it, where the safeguards below
+    take over. The next probe is the Newton iterate when it lies strictly
     inside the bracket and the midpoint otherwise, which handles the poles of
     S and a minimum on the bracket top, where no secular eigenvalue vanishes.
     T - mu changes only when mu moves by an ulp of the diagonal, so a Newton
@@ -231,7 +264,7 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     the root (not 2 tol, which rounding can leave just short of closing the
     bracket), and hi (count positive; 0 at lo) returns once hi - lo <= 2 tol.
     """
-    diag, off = discretize_weinstein(gs, grid)
+    diag, off = discretize_weinstein(gs.sample(grid) if prof is None else prof)
     names = tuple(constraints.keys())
     k = len(names)
     tol = _resolution(diag)
@@ -254,17 +287,20 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
         if vec.shape != diag.shape:
             raise ValueError(f"constraint {name!r} has wrong length {vec.shape}")
         cols.append(vec)
-    C = np.stack(cols, axis=1)
-    s = np.linalg.svd(C, compute_uv=False)
+    Q, R = qr(np.stack(cols, axis=1), mode="economic")
+    s = np.linalg.svd(R, compute_uv=False)  # the constraints' singular values
     if s[-1] <= 1e-10 * s[0]:
         raise ValueError(f"constraints {names} are (numerically) linearly dependent")
-    Q, _ = qr(C, mode="economic")
 
+    h2 = grid.h ** 2
+    ladder = previous.ladder if previous is not None and previous.constraints_used == names else ()
     lo, hi = raw, float(w[k])
-    mu = 0.5 * (lo + hi)
+    mu = _predicted_minimum(ladder, h2)
+    if not lo < mu < hi:
+        mu = 0.5 * (lo + hi)
     for _ in range(_SECULAR_MAX_PROBES):
         if hi - lo <= 2.0 * tol:
-            return CoercivityReport(hi, names, raw, seed)
+            return CoercivityReport(hi, names, raw, seed, ladder[-1:] + ((h2, hi),))
         Y = _shifted_solve(diag, off, mu, Q)
         secular = Q.T @ Y
         if not np.all(np.isfinite(secular)):
@@ -293,7 +329,7 @@ def inverse_pairing(gs: GroundState, grid: Grid, f: Field) -> float:
     For a constraint direction f orthogonal to the kernel, the form minimum on
     {xi : <xi, f> = 0} is nonnegative exactly when this pairing is <= 0.
     """
-    diag, off = discretize_weinstein(gs, grid)
+    diag, off = discretize_weinstein(gs.sample(grid))
     rhs = f.values[1:-1]
     return float(grid.h * np.dot(_shifted_solve(diag, off, 0.0, rhs), rhs))
 

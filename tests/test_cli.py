@@ -144,7 +144,7 @@ class TestOtherCommands:
             prof = gs.sample(grid)
             constraints = {"translation_mode": Field(grid, prof.phi_x),
                            "kappa": kappa_closed_form(prof)}
-            tol = spectral._resolution(spectral.discretize_weinstein(gs, grid)[0])
+            tol = spectral._resolution(spectral.discretize_weinstein(gs.sample(grid))[0])
             unseeded[n] = spectral.constrained_form_minimum(gs, grid, constraints), tol
         ref, tol = unseeded[doc["N"]]
         assert abs(doc["constrained_min"] - ref.constrained_min) <= 2.0 * tol
@@ -152,6 +152,25 @@ class TestOtherCommands:
         for entry in doc["resolution"]:
             ref, tol = unseeded[entry["N"]]
             assert abs(entry["constrained_min"] - ref.constrained_min) <= 2.0 * tol
+
+    def test_coercivity_banded_solve_count(self, tmp_path, monkeypatch):
+        # each grid after the first starts its secular search at the O(h^2)
+        # prediction from the coarser grids; from the bracket midpoint every
+        # grid takes 7-8 probes, 62 solves in all
+        probes, solves = {}, []
+        solve = spectral._shifted_solve
+
+        def counting(diag, off, shift, rhs):
+            solves.append(shift)
+            if np.ndim(rhs) == 2:  # a secular probe; inverse iteration solves one vector
+                probes[diag.size + 1] = probes.get(diag.size + 1, 0) + 1
+            return solve(diag, off, shift, rhs)
+
+        monkeypatch.setattr(spectral, "_shifted_solve", counting)
+        assert run(tmp_path, "coercivity") == 2
+        assert sorted(probes) == [1024, 2048, 4096, 8192, 16384]
+        assert all(probes[n] <= 5 for n in (2048, 4096, 8192, 16384))
+        assert len(solves) <= 50
 
     @pytest.mark.parametrize("failure", ["singular banded solve", "non-finite secular matrix"])
     def test_coercivity_eigensolve_failure_is_a_consistency_failure(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, eigh_tridiagonal, qr
+from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
 
 from gbbmlab import (
     DIRICHLET,
@@ -29,7 +29,7 @@ L50 = 50.0 * math.pi
 
 def dense_weinstein(gs, grid):
     """The tridiagonal Weinstein matrix as a dense n x n array (reference only)."""
-    diag, off = discretize_weinstein(gs, grid)
+    diag, off = discretize_weinstein(gs.sample(grid))
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -48,7 +48,7 @@ def bisection_constrained_minimum(gs, grid, constraints):
     """Reference path: bisection on the same inertia count over the same
     bracket, one banded solve and one k x k eigh per step, until the midpoint
     equals an endpoint."""
-    diag, off = discretize_weinstein(gs, grid)
+    diag, off = discretize_weinstein(gs.sample(grid))
     k = len(constraints)
     w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k))
     Q, _ = qr(np.stack([f.values[1:-1] for f in constraints.values()], axis=1),
@@ -68,7 +68,7 @@ def bisection_constrained_minimum(gs, grid, constraints):
 def assert_matches_bisection(gs, grid, constraints):
     """The Newton search stops on a bracket of 2 tol, tol = 8 eps max|diag|;
     bisection runs to the last representable midpoint."""
-    diag, _ = discretize_weinstein(gs, grid)
+    diag, _ = discretize_weinstein(gs.sample(grid))
     tol = 8.0 * np.finfo(float).eps * np.max(np.abs(diag))
     newton = constrained_form_minimum(gs, grid, constraints).constrained_min
     assert abs(newton - bisection_constrained_minimum(gs, grid, constraints)) <= 2.0 * tol
@@ -86,7 +86,7 @@ def grid2048():
 
 @pytest.fixture(scope="module")
 def negative_eigvec(gs5, grid2048):
-    diag, off = discretize_weinstein(gs5, grid2048)
+    diag, off = discretize_weinstein(gs5.sample(grid2048))
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
     return w, Field(grid2048, np.pad(v[:, 0], 1))
 
@@ -117,7 +117,7 @@ class TestDiscretization:
 
     def test_requires_dirichlet(self, gs5):
         with pytest.raises(ValueError):
-            discretize_weinstein(gs5, make_grid(L50, 2048, "periodic"))
+            discretize_weinstein(gs5.sample(make_grid(L50, 2048, "periodic")))
 
 
 class TestEigenpairs:
@@ -156,7 +156,7 @@ class TestEigenpairs:
         assert np.max(np.abs(w1 - w2)) < 1e-3 * scale
 
     def test_rayleigh_quotient_identity(self, gs5, grid2048):
-        diag, off = discretize_weinstein(gs5, grid2048)
+        diag, off = discretize_weinstein(gs5.sample(grid2048))
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
         T = dense_weinstein(gs5, grid2048)
         for i in range(3):
@@ -169,7 +169,7 @@ class TestEigenpairs:
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, 4096, DIRICHLET)
         rep = eigenpairs(gs, grid)
-        diag, off = discretize_weinstein(gs, grid)
+        diag, off = discretize_weinstein(gs.sample(grid))
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 5))
         assert np.array_equal(rep.eigenvalues, w)
         vec = v[:, int(np.argmin(np.abs(w)))]
@@ -236,6 +236,24 @@ class TestConstrainedMinimum:
         # T - shift = [[1, 1], [1, 1]] is singular
         with pytest.raises(EigenSolveError):
             _shifted_solve(np.ones(2), np.ones(1), 0.0, np.ones(2))
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("where", ["zero", "mid_bracket", "near_eigenvalue"])
+    @pytest.mark.parametrize("N", [1024, 16384])
+    def test_shifted_solve_matches_solve_banded(self, gs5, N, where, columns, rng):
+        # reference: scipy's solve_banded on the assembled 3 x n band
+        diag, off = discretize_weinstein(gs5.sample(make_grid(L50, N, DIRICHLET)))
+        w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 2))
+        shift = {"zero": 0.0, "mid_bracket": 0.5 * (w[0] + w[2]),
+                 "near_eigenvalue": w[1] + 1e-7}[where]
+        rhs = rng.standard_normal(diag.size if columns == 1 else (diag.size, columns))
+        inputs = [a.copy() for a in (diag, off, rhs)]
+        ab = np.vstack([np.r_[0.0, off], diag - shift, np.r_[off, 0.0]])
+        ref = solve_banded((1, 1), ab, rhs)
+        x = _shifted_solve(diag, off, shift, rhs)
+        assert x.shape == ref.shape
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, (diag, off, rhs)))
 
     @pytest.mark.parametrize(
         "p, second",
@@ -338,7 +356,7 @@ class TestSeededEigenvalues:
         chain = resolution_chain(gs, L, (1024, 2048, 4096, 8192, 16384))
         for (_, before, _), (grid, seeded, unseeded) in zip(chain, chain[1:]):
             assert took_seed(seeded, before)
-            tol = spectral._resolution(discretize_weinstein(gs, grid)[0])
+            tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
             assert abs(seeded.constrained_min - unseeded.constrained_min) <= 2.0 * tol
             assert abs(seeded.raw_min - unseeded.raw_min) <= 2.0 * tol
             assert np.all(np.abs(seeded.seed.values - unseeded.seed.values) <= 2.0 * tol)
@@ -351,7 +369,7 @@ class TestSeededEigenvalues:
         even = coarse.vectors[:, 2]
         assert np.linalg.norm(even - even[::-1]) < 1e-8
         for grid, seeded, _ in chain[1:]:
-            diag, off = discretize_weinstein(gs5, grid)
+            diag, off = discretize_weinstein(gs5.sample(grid))
             w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 3))
             assert w[3] - w[2] == pytest.approx(2.2e-5, rel=0.05)
             tol = spectral._resolution(diag)
@@ -379,7 +397,7 @@ class TestSeededEigenvalues:
         elif case == "skips_lowest":
             # lambda_2..lambda_4 and their vectors: disjoint, converged, and
             # only the Sturm count sees that lambda_1 is missing
-            diag, off = discretize_weinstein(gs5, coarse)
+            diag, off = discretize_weinstein(gs5.sample(coarse))
             w, v = eigh_tridiagonal(diag, off, select="i", select_range=(1, 3))
             seed = spectral.EigenSeed(w, coarse.nodes, np.pad(v, ((1, 1), (0, 0))))
         elif case == "overlapping":
@@ -400,6 +418,8 @@ class TestSeededEigenvalues:
             monkeypatch.setattr(spectral, "_shifted_solve", singular_at_exact)
         if case != "other_p":
             previous = dataclasses.replace(previous, seed=seed)
+        # without a ladder the secular search starts at the midpoint, as unseeded
+        previous = dataclasses.replace(previous, ladder=())
         rep = constrained_form_minimum(gs5, grid, constraints, previous)
         assert not took_seed(rep, previous)
         assert rep == unseeded
@@ -415,7 +435,7 @@ class TestSeededEigenvalues:
         previous = dataclasses.replace(
             previous, seed=dataclasses.replace(previous.seed, values=unseeded.seed.values))
         rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
-        tol = spectral._resolution(discretize_weinstein(gs5, grid2048)[0])
+        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid2048))[0])
         assert took_seed(rep, previous)
         assert abs(rep.constrained_min - unseeded.constrained_min) <= 2.0 * tol
 
@@ -426,6 +446,88 @@ class TestSeededEigenvalues:
         rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
         assert not took_seed(rep, previous)
         assert rep == constrained_form_minimum(gs5, grid2048, constraints)
+
+
+def warm_chain(gs, L, sizes, monkeypatch, previous=None):
+    """(grid, warm report, cold report, the warm search's probe shifts) per
+    size; each warm call gets the warm report before it (the first gets
+    previous), as `coercivity` walks its grids, and each cold call no
+    previous report."""
+    shifts = []
+
+    def recording(diag, off, shift, rhs):
+        if np.ndim(rhs) == 2:  # a secular probe; inverse iteration solves one vector
+            shifts.append(shift)
+        return _shifted_solve(diag, off, shift, rhs)
+
+    monkeypatch.setattr(spectral, "_shifted_solve", recording)
+    out = []
+    for N in sizes:
+        grid = make_grid(L, N, DIRICHLET)
+        constraints = coercivity_constraints(gs, grid)
+        cold = constrained_form_minimum(gs, grid, constraints)
+        shifts.clear()
+        previous = constrained_form_minimum(gs, grid, constraints, previous)
+        out.append((grid, previous, cold, list(shifts)))
+    return out
+
+
+def line_through(points, h2):
+    """The line through two (h^2, minimum) points, evaluated at h2."""
+    (a, fa), (b, fb) = points
+    return float(np.polyval(np.polyfit([a, b], [fa, fb], 1), h2))
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("sizes", [(1024, 2048, 4096, 8192, 16384),
+                                       (1024, 1500, 2048, 4096, 8192, 16384)],
+                             ids=["halving", "N1500"])
+    @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
+    def test_warm_matches_cold(self, p, L, sizes, monkeypatch):
+        # the first probe is the coarsest grid's bracket midpoint, then the
+        # previous minimum, then the line through the last two (h^2, minimum);
+        # both searches stop anywhere in a bracket of 2 tol around the minimum
+        gs = GroundState(p, critical_speed(p))
+        chain = warm_chain(gs, L, sizes, monkeypatch)
+        points = []
+        for grid, warm, cold, shifts in chain:
+            h2 = grid.h ** 2
+            tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
+            if not points:
+                assert shifts[0] == 0.5 * (warm.raw_min + warm.seed.values[2])
+            elif len(points) == 1:
+                assert shifts[0] == points[0][1]
+            else:
+                assert shifts[0] == pytest.approx(line_through(points[-2:], h2), abs=tol)
+            assert abs(warm.constrained_min - cold.constrained_min) <= 2.0 * tol
+            points.append((h2, warm.constrained_min))
+        assert all(len(shifts) <= 6 for *_, shifts in chain[1:])
+
+    @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
+    def test_prediction_outside_the_bracket_starts_at_the_midpoint(self, gs5, L, monkeypatch):
+        # N = 16 and 32 resolve neither the soliton nor the O(h^2) law: the
+        # line through their minima passes above lambda_3 at N = 1024
+        (g16, r16, *_), (g32, r32, *_), (grid, warm, cold, shifts) = warm_chain(
+            gs5, L, (16, 32, 1024), monkeypatch)
+        predicted = line_through(
+            [(g16.h ** 2, r16.constrained_min), (g32.h ** 2, r32.constrained_min)], grid.h ** 2)
+        lo, hi = warm.raw_min, float(warm.seed.values[2])
+        assert not lo < predicted < hi
+        assert shifts[0] == 0.5 * (lo + hi)
+        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid))[0])
+        assert abs(warm.constrained_min - cold.constrained_min) <= 2.0 * tol
+
+    def test_other_constraints_give_no_prediction(self, gs5, monkeypatch):
+        # as many constraints, so the eigenvalues are seeded, but other ones:
+        # the coarser minimum predicts nothing and the search starts mid-bracket
+        coarse = make_grid(L50, 1024, DIRICHLET)
+        other = {"translation_mode": gs5.profile_dx(coarse),
+                 "bump": Field(coarse, np.exp(-(coarse.nodes ** 2) / 30.0))}
+        previous = constrained_form_minimum(gs5, coarse, other)
+        (_, rep, _, shifts), = warm_chain(gs5, L50, (2048,), monkeypatch, previous)
+        assert took_seed(rep, previous)
+        assert shifts[0] == 0.5 * (rep.raw_min + rep.seed.values[2])
 
 
 class TestNegativeDirection:
