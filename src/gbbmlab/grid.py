@@ -5,9 +5,10 @@ Two boundary flavors are supported:
 * ``periodic`` -- nodes x_j = -L + j*h, j = 0..N-1 (right endpoint omitted);
   derivatives and (1 - d_xx)^{-1} are computed spectrally via the FFT.
 * ``dirichlet_truncated`` -- nodes x_j = -L + j*h, j = 0..N (both endpoints
-  kept); derivatives use 4th-order central differences with one-sided stencils
-  at the ends. Used for eigenproblems where exponential decay justifies the
-  truncation.
+  kept); derivatives use central differences, 8th-order in the interior for
+  the second derivative and 4th-order for the first and third, with
+  one-sided stencils at the ends. Used for eigenproblems and the negativity
+  table, where exponential decay justifies the truncation.
 
 Quadrature is the composite trapezoid rule, which is spectrally accurate for
 the smooth, exponentially decaying integrands this package deals in.
@@ -150,7 +151,15 @@ def _parseval_h1_sq(f_hat: np.ndarray, g: Grid) -> float:
 
 
 def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
-    """4th-order central differences, 2nd-order one-sided at the ends."""
+    """Central differences, 2nd-order one-sided at the ends.
+
+    Orders 1 and 3 are 4th-order in the interior. Order 2 is the centred
+    8th-order stencil (-1/560, 8/315, -1/5, 8/5, -205/72, 8/5, ...)/h^2 on
+    nodes 4..n-5 and the 4th-order one on nodes 2, 3, n-4 and n-3. The
+    8th-order stencil is summed as sum_j c_j (v_{i+j} + v_{i-j} - 2 v_i), so
+    the rounded weights c_j = 8/5, -1/5, 8/315, -1/560 leave no bias of order
+    eps v / h^2, and an even v gives an even result bitwise.
+    """
     out = np.empty_like(v)
     if order == 1:
         out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
@@ -159,7 +168,15 @@ def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
         out[-2] = (v[-1] - v[-3]) / (2 * h)
         out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
     elif order == 2:
-        out[2:-2] = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
+        n, mid, twice = len(v), out[4:-4], 2.0 * v[4:-4]
+        mid[:] = 0.0
+        for j, c in ((1, 8.0 / 5.0), (2, -1.0 / 5.0), (3, 8.0 / 315.0), (4, -1.0 / 560.0)):
+            pair = v[4 - j:n - 4 - j] + v[4 + j:n - 4 + j]
+            pair -= twice
+            mid += c * pair
+        mid /= h * h
+        for i in (2, 3, -4, -3):
+            out[i] = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
         out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
         out[1] = (v[0] - 2 * v[1] + v[2]) / (h * h)
         out[-2] = (v[-3] - 2 * v[-2] + v[-1]) / (h * h)

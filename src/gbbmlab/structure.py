@@ -18,21 +18,25 @@ The headline quantity is <kappa_c, Gamma_c> = <hessian(Gamma_c), Gamma_c> at the
 critical speed, tabulated over p. Table rows are only accepted when the closed
 form and a direct operator application of the Hessian agree to 1e-6 in relative
 sup-norm and in the scalar; that forces a p-dependent resolution floor, since
-the finite-difference second derivative carries an O((k h)^4) error with
-k = p/2 sqrt((c-1)/c) the inner length scale of the profile. phi_c, Gamma_c,
+the finite-difference second derivative carries an O((k h)^8) error with
+k = p/2 sqrt((c-1)/c) the inner length scale of the profile (kh <= 0.1
+keeps both below 1e-8 on the default rows). phi_c, Gamma_c,
 kappa_c and the finite-difference image hessian(Gamma_c) are even, and a
 Dirichlet grid with even N is mirror-symmetric bitwise (x_{N-j} = -x_j), so a
 row streams only the half line x <= 0, nodes 0..N/2 of its grid (up to
-2^20 + 1 nodes), in windows of at most WINDOW_NODES nodes, and pairs them with
+2^18 + 1 nodes), in windows of at most WINDOW_NODES nodes, each sampled with
+the HALO = 4 nodes on either side that the stencil reads, and pairs them with
 the mirror weights; it never holds an array of full grid length.
 
 A row also skips the windows its terms do not reach. With tau = sqrt((c-1)/c)
 the profile's tail rate, sech(z) <= 2 e^{-z} gives the envelope
 phi_c(x) <= 2^{2/p} A e^{-tau |x|}. Gamma_c, kappa_c and the finite-difference
 image hessian(Gamma_c) are each phi_c times a polynomial of degree <= 3 in |x|
-(tanh and sech^2 factors bounded by 1; the centred 4th-order second difference
-is at most 5/3 of the largest second derivative under its stencil), and their
-products phi_c^2 times one of degree <= 6. On a grid of half-width L, every
+(tanh and sech^2 factors bounded by 1; since its weights c_j satisfy
+sum c_j = sum j c_j = 0, the centred 8th-order second difference is at most
+sum |c_j| j^2 / 2 = 93/35 of the largest second derivative under its stencil,
+the 4th-order one next to the ends at most 5/3), and their products phi_c^2
+times one of degree <= 6. On a grid of half-width L, every
 node beyond the cut
 
     X(p, c, L) = (ROW_TAIL_DECADES ln 10 + 6 ln(1 + L)) / (2 tau)
@@ -44,11 +48,14 @@ T = phi_c P(|x|) with M_T = sup |T(x)| / (phi_c(x) (1 + |x|)^3)
 
 and a product T T' is at most 10^-ROW_TAIL_DECADES 4^{2/p} A^2 M_T M_T'.
 The windows lying wholly at |x| > X are left out of the stream. At
-ROW_TAIL_DECADES = 24 on L = 50 pi, the bound puts the left-out products'
-share of a row's pairing below 1e-19 for p = 10..200 (their measured sum
-is below 1e-28 of it), under the 1.1e-16 that one rounding resolves, and the
+ROW_TAIL_DECADES = 24 on L = 50 pi, with the 93/35 factor in M_T of the
+finite-difference image, the bound summed over the left-out nodes puts
+their products' share of a row's pairing below 1e-25 for p = 10..200 (the
+constant bound times the whole left-out length, below 1e-18; their measured
+sum, below 1e-29), under the 1.1e-16 that one rounding resolves, and the
 row's sums equal the full stream's bitwise at p = 5, 30, 100 and 200. Rows
-that decay slowly (p <= 6.5 there) skip nothing.
+that decay slowly (p <= 6.5 there) skip nothing, and on the kh <= 0.1 grids
+rows up to p = 20 fit one window.
 """
 from __future__ import annotations
 
@@ -65,12 +72,12 @@ from .functionals import hessian_values
 DEFAULT_HALF_WIDTH = 50.0 * math.pi
 DEFAULT_POINTS = 8192
 TABLE_MIN_POINTS = 16384
-TABLE_KH_LIMIT = 0.02
+TABLE_KH_LIMIT = 0.1
 DUAL_PATH_TOL = 1e-6
 # 2^15 nodes are 256 KB per array, so one window's arrays stay in a 2 MB L2
 WINDOW_NODES = 1 << 15
-# the 4th-order second difference reads two nodes on each side
-HALO = 2
+# the 8th-order second difference reads four nodes on each side
+HALO = 4
 # a row leaves out the windows where its products fall below 10^-ROW_TAIL_DECADES
 # (see the module docstring); math.inf streams the whole half line
 ROW_TAIL_DECADES = 24
@@ -132,7 +139,7 @@ def kappa_closed_form(prof: SampledProfile) -> Field:
 def table_points(p: float, c: float, L: float, n_request: int) -> int:
     """Resolution floor so quadrature and the FD Hessian both reach ~1e-8.
 
-    Keeps k*h <= 0.02 for the sech-argument rate k, never below 16384.
+    Keeps k*h <= 0.1 for the sech-argument rate k, never below 16384.
     """
     k = 0.5 * p * math.sqrt((c - 1.0) / c)
     need = 2.0 * L * k / TABLE_KH_LIMIT
@@ -170,7 +177,7 @@ def _row_windows(gs: GroundState, grid: Grid) -> Iterator[tuple]:
     Each window is sampled once with a HALO-node margin clipped at the grid's
     ends, so every kept node's stencil reads the values it reads on the whole
     grid and one-sided stencils occur only at the grid's own ends; the last
-    window's margin reads nodes N/2+1 and N/2+2 past the centre.
+    window's margin reads nodes N/2+1..N/2+4 past the centre.
     """
     count, h = grid.node_count, grid.h
     for lo, hi in kept_windows(gs, grid):

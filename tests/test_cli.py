@@ -19,6 +19,7 @@ from gbbmlab import (
     make_grid,
     modulation,
     spectral,
+    structure,
 )
 from gbbmlab.cli import main
 
@@ -66,6 +67,27 @@ class TestTable:
     def test_nan_p_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "table", "--p-list", "nan") == 64
         assert "p > 4, got nan" in capsys.readouterr().err
+
+    def test_slow_decay_row_on_a_wide_box_resolves(self, tmp_path):
+        # p = 4.1 on L = 100 pi, one row at N = 16384: the 4th-order operator
+        # path missed the dual-path tolerance here (scalar 1.2e-6, exit 3).
+        # -1024.827450015874 is the row's value in closed form, from sech^a moments
+        assert run(tmp_path, "table", "--p-list", "4.1", "--L", "314.1592653589793") == 0
+        (row,) = json.loads((tmp_path / "table.json").read_text())["result"]
+        assert row["points"] == 16384
+        assert row["form_value"] == pytest.approx(-1024.827450015874, rel=1e-11)
+
+    def test_dual_path_failure_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch):
+        original = structure._kappa
+
+        def skewed(prof, image=None):
+            return original(prof, image) * (1.0 + 2e-6)
+
+        monkeypatch.setattr(structure, "_kappa", skewed)
+        assert run(tmp_path, "table", "--p-list", "5") == 3
+        assert "consistency failure: dual-path" in capsys.readouterr().err
+        assert not (tmp_path / "table.csv").exists()
+        assert not (tmp_path / "table.json").exists()
 
 
 class TestOtherCommands:

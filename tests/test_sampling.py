@@ -42,12 +42,16 @@ def test_log_space_tail_at_p100_table_grid():
     # (sech^2)^{1/p} underflows to 0 far out at p = 100; exp((2/p) log sech) does not
     p = 100.0
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
-    assert grid.points == 1 << 20
+    grid = make_grid(L50, 1 << 20, DIRICHLET)
     phi = gs.sample(grid).phi
     ls = ground_state._log_sech(gs.decay_rate * grid.nodes)
     assert np.all(phi > 0.0)
     assert np.array_equal(phi, gs.amplitude * np.exp((2.0 / p) * ls))
+
+
+def test_p100_table_grid_size():
+    # kh <= 0.1 on the sech-argument rate k = 50 sqrt((c-1)/c) at L = 50 pi
+    assert table_points(100.0, critical_speed(100.0), L50, 8192) == 1 << 18
 
 
 @pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 100.0])
@@ -90,7 +94,7 @@ def test_kappa_matches_expanded_closed_form(p):
 
 class TestSamplingCounts:
     def test_table_row(self, log_sech_calls):
-        # each node of the kept windows once, plus a halo of at most two nodes
+        # each node of the kept windows once, plus a halo of at most four nodes
         # on each side of a window; the tail beyond the row's cut is not sampled
         p = 100.0
         gs = GroundState(p, critical_speed(p))
@@ -102,9 +106,10 @@ class TestSamplingCounts:
 
     def test_default_table(self, log_sech_calls):
         # 1 269 938 samplings over 47 windows when every row streamed its
-        # whole half line; 515 173 over 21 with the rows' tail cut
+        # whole half line; 515 173 over 21 with the rows' tail cut at
+        # kh <= 0.02, and 156 268 over 11 at kh <= 0.1
         negativity_table(float(p) for p in DEFAULTS["p_list"].split(","))
-        assert sum(log_sech_calls) <= 530_000
+        assert sum(log_sech_calls) <= 160_000
 
     def test_fit_decompose(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")

@@ -25,8 +25,10 @@ from gbbmlab import (
     quadrature,
 )
 from gbbmlab import structure
+from gbbmlab.cli import DEFAULTS
 from gbbmlab.ground_state import trigamma
 from gbbmlab.structure import _cubic_image, kept_windows, node_windows, table_points
+from reference_paths import second_difference_4
 
 L50 = 50.0 * math.pi
 
@@ -122,10 +124,11 @@ class TestWindows:
         # the slow reference path: whole-grid builders and hessian_apply. The
         # kept windows match their nodes bitwise, and on every skipped node of
         # the half line Gamma, kappa and hessian(Gamma) lie under the module
-        # docstring's bound 10^(-ROW_TAIL_DECADES/2) 2^{2/p} A M_T
+        # docstring's bound 10^(-ROW_TAIL_DECADES/2) 2^{2/p} A M_T. The table's
+        # own p = 30 grid keeps one window, so this grid is four times finer
         p = 30.0
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+        grid = make_grid(L50, 1 << 18, DIRICHLET)
         half = grid.points // 2 + 1
         prof = gs.sample(grid)
         gamma = gamma_direction(prof)
@@ -214,8 +217,10 @@ class TestRowCut:
         assert kept_windows(gs, grid) == windows
 
     def test_p100_streams_at_most_two_fifths(self):
+        # on 2^20 nodes, so that the cut is measured in windows of 1/17 of the
+        # half line, not in the table grid's fifths
         gs = GroundState(100.0, critical_speed(100.0))
-        grid = make_grid(L50, table_points(gs.p, gs.c, L50, 8192), DIRICHLET)
+        grid = make_grid(L50, 1 << 20, DIRICHLET)
         streamed = sum(hi - lo for lo, hi in kept_windows(gs, grid))
         assert streamed <= 0.4 * (grid.node_count // 2 + 1)
 
@@ -358,6 +363,23 @@ class TestNegativityTable:
             negativity_table([])
         with pytest.raises(ValueError):
             negativity_table([3.0])
+
+    def test_matches_fourth_order_rows(self, report, monkeypatch):
+        # the slow reference: the same rows at kh <= 0.02 with the 4th-order
+        # second difference on the operator path
+        assert [r.p for r in report.rows] == [float(p) for p in DEFAULTS["p_list"].split(",")]
+        monkeypatch.setattr(structure, "_fd_derivative", lambda v, h, order: second_difference_4(v, h))
+        monkeypatch.setattr(structure, "TABLE_KH_LIMIT", 0.02)
+        reference = negativity_table(r.p for r in report.rows)
+        assert sum(r.points for r in report.rows) < sum(r.points for r in reference.rows) / 3
+        for row, ref in zip(report.rows, reference.rows):
+            assert row.form_value == pytest.approx(ref.form_value, rel=1e-13)
+            assert row.operator_value == pytest.approx(ref.operator_value, rel=2e-7)
+
+    def test_dual_errors_below_1e_8(self, report):
+        for row in report.rows:
+            assert row.dual_sup_error <= 1e-8
+            assert row.dual_scalar_error <= 1e-8
 
     def test_dual_path_guard_trips_on_coarse_grid(self, gs5):
         # forcing a coarse grid breaks the 1e-6 consistency contract at large p
