@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_CLAIM = 2
 EXIT_CONSISTENCY = 3
 EXIT_USAGE = 64
+COMMANDS = ("table", "identities", "spectrum", "coercivity", "evolve", "instability")
 RESOLUTION_SEQUENCE = (1024, 2048, 4096, 8192, 16384)
 KERNEL_OVERLAP_MIN = 0.999
 # what N = 0 (auto) means on the Dirichlet grids of table, identities,
@@ -355,18 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="gBBM critical-speed solitary-wave laboratory",
     )
     ap.add_argument("--config", help="flat key=value config file")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("table", "identities", "spectrum", "coercivity", "evolve", "instability"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--p-list", dest="p_list")
-        sp.add_argument("--L", type=float)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--t-end", dest="t_end", type=float)
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--R", type=float)
-        sp.add_argument("--out")
+    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("--p", type=float)
+    ap.add_argument("--p-list", dest="p_list")
+    ap.add_argument("--L", type=float)
+    ap.add_argument("--N", type=int)
+    ap.add_argument("--dt", type=float)
+    ap.add_argument("--t-end", dest="t_end", type=float)
+    ap.add_argument("--a", type=float)
+    ap.add_argument("--R", type=float)
+    ap.add_argument("--out")
     return ap
 
 

@@ -15,17 +15,37 @@ Discretization: Dirichlet truncation, second-order central differences, on
 one sampling of phi_c per grid (a SampledProfile). The matrix T is symmetric
 tridiagonal and is only ever used in banded form, and every solve with
 T - mu (the inverse pairing, the constrained minimum, inverse iteration) is
-one LAPACK gtsv call on (off, diag - mu, off). The lowest eigenvalues come
-from an index-range tridiagonal eigensolve (bisection on Sturm counts),
-except on a grid seeded by a coarser one: there inverse iteration from the coarser
+one LAPACK gtsv call on (off, diag - mu, off). No dense n x n matrix is
+formed, so the cost is linear in the grid size.
+
+Reflection symmetry: every Dirichlet grid is mirror-symmetric bitwise and
+phi_c is even, so T commutes with x -> -x. With n interior nodes (n odd) and
+c = n // 2 the centre index, T is the direct sum of an even half T+ on the
+basis e_c, (e_{c+j} + e_{c-j})/sqrt 2 (diag[c:], off[c:] with its first
+entry times sqrt 2; n // 2 + 1 unknowns) and an odd half T- on the basis
+(e_{c+j} - e_{c-j})/sqrt 2 (diag[c+1:], off[c+1:]; n // 2 unknowns). Each
+eigenvalue of T is an eigenvalue of exactly one half, and its eigenvector has
+that half's parity: the ground state and the box modes above it alternate,
+and the kernel mode phi_c' is odd. Bisection costs time in proportion to the
+matrix size, so every eigen-computation runs on the half it belongs to:
+the index-range eigensolves (the m lowest of T are the m lowest of the
+ceil(m/2) lowest of each half when one Sturm count on T agrees, else of m
+from each), the kernel vector's inverse iteration, and the inverse iteration
+from a coarser grid's seed (each seed vector is folded and refined on its
+dominant half; one with no definite parity is refused). The constrained
+minimum's secular probes stay on the full T: the constraints need not have
+a parity, and with k columns a probe is one solve and one k x k eigh either
+way, so blocking them gains nothing at these sizes.
+
+The lowest eigenvalues come from those index-range eigensolves, except on a
+grid seeded by a coarser one: there inverse iteration from the coarser
 grid's eigenpairs refines them, and they are accepted only with a
-certificate (disjoint residual intervals and one Sturm count), else the
-bisection runs. Eigenvectors come from inverse iteration at a known
+certificate (disjoint residual intervals and one Sturm count on T), else the
+eigensolves run. Eigenvectors come from inverse iteration at a known
 eigenvalue. The constrained minimum's secular search starts at the midpoint
 of its bracket on the coarsest grid, and on each finer grid with the same
 constraints at the O(h^2) prediction from the coarser grids' minima, unless
-that prediction falls outside the bracket. No dense n x n matrix is formed,
-so the cost is linear in the grid size.
+that prediction falls outside the bracket.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -53,6 +73,12 @@ class EigenSolveError(RuntimeError):
 _SECULAR_MAX_PROBES = 100  # bisection alone reaches 2 tol in at most about 50
 # inverse iteration from a seed reaches tol in 2-3 solves, the kernel vector in 1-2
 _INVERSE_MAX_SOLVES = 4
+_SQRT2 = np.sqrt(2.0)
+# a seed vector interpolated from an unfolded eigenvector keeps its parity to
+# rounding (minor half below 1e-16 of the dominant one; 3e-11 for full-T stein
+# vectors of a box pair 2e-5 apart); one whose minor half exceeds this share
+# has no definite parity and is refused
+_PARITY_TOL = 1e-6
 
 
 def _interior(grid: Grid) -> np.ndarray:
@@ -111,6 +137,84 @@ def _inverse_iteration(diag, off, x, shift, tol) -> tuple[float, float, np.ndarr
     return theta, residual, x
 
 
+class _Reflection:
+    """T's even and odd halves (module docstring), halves[0] and halves[1],
+    each a (diag, off) pair, and the orthogonal maps between vectors on the
+    interior nodes and their coordinates in the halves' bases."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+                and diag.size % 2):
+            raise ValueError("T is not mirror-symmetric on an odd number of nodes, "
+                             "so it has no even and odd halves")
+        c = self.c = diag.size // 2
+        even_off = off[c:].copy()
+        even_off[0] *= _SQRT2
+        self.halves = ((diag[c:], even_off), (diag[c + 1:], off[c + 1:]))
+
+    def fold(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x's coordinates (x+, x-) in the even and odd bases."""
+        c = self.c
+        right, left = x[c + 1:], x[c - 1::-1]
+        return np.concatenate([x[c:c + 1], (right + left) / _SQRT2]), (right - left) / _SQRT2
+
+    def unfold(self, u: np.ndarray, parity: int) -> np.ndarray:
+        """The vector with coordinates u in the even (parity 0) or odd
+        (parity 1) basis."""
+        c = self.c
+        x = np.zeros(2 * c + 1)
+        wing = u[1 - parity:] / _SQRT2
+        x[c + 1:] = wing
+        x[c - 1::-1] = -wing if parity else wing
+        if not parity:
+            x[c] = u[0]
+        return x
+
+
+def _count_up_to(diag, off, top: float) -> int:
+    """The number of T's eigenvalues up to top, by one Sturm count: a value-range stebz from
+    the Gershgorin lower bound whose tolerance is the range's width counts at
+    both ends and stops without bisecting."""
+    lower = float(np.min(diag - np.abs(np.r_[0.0, off]) - np.abs(np.r_[off, 0.0])))
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                            select_range=(lower, top), tol=top - lower).size
+
+
+def _lowest(diag, off, refl: _Reflection, m: int, tol: float, vectors: bool = False):
+    """(w, parity, v): T's m lowest eigenvalues ascending, the half (0 even,
+    1 odd) each belongs to and, with vectors, their unfolded eigenvectors as
+    columns (else None), from index-range eigensolves on the halves. The m
+    lowest of the ceil(m/2) lowest of each half are accepted when one Sturm
+    count finds exactly m eigenvalues of T up to the m-th plus tol (the
+    halves' values are accurate to a fraction of tol); otherwise they are
+    the m lowest of m from each half."""
+    if m > diag.size:
+        raise ValueError(f"need at most {diag.size} eigenpairs on this grid, got m={m!r}")
+    for per_half in ((m + 1) // 2, m):
+        halves = []
+        for parity, (d, o) in enumerate(refl.halves):
+            try:
+                got = eigh_tridiagonal(d, o, eigvals_only=not vectors, select="i",
+                                       select_range=(0, min(per_half, d.size) - 1))
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
+            halves.append(got if vectors else (got, None))
+        # (value, parity, index in its half), merged by Python's sort: loading
+        # numpy's sort code adds 128 KB to the resident set of the command
+        merged = sorted((value, parity, j) for parity, (values, _) in enumerate(halves)
+                        for j, value in enumerate(values.tolist()))[:m]
+        w = np.array([value for value, _, _ in merged])
+        if per_half == m or _count_up_to(diag, off, float(w[-1]) + tol) == m:
+            break
+    if not np.all(np.isfinite(w)):  # pragma: no cover
+        raise EigenSolveError("eigensolve produced non-finite eigenvalues")
+    parity = np.array([par for _, par, _ in merged])
+    if not vectors:
+        return w, parity, None
+    v = np.stack([refl.unfold(halves[par][1][:, j], par) for _, par, j in merged], axis=1)
+    return w, parity, v
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: np.ndarray
@@ -123,12 +227,13 @@ class SpectrumReport:
 def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     """Lowest m eigenpairs of the Weinstein operator, with kernel bookkeeping.
 
-    The eigenvalues come from one index-range tridiagonal eigensolve, values
-    only. negative_count excludes the kernel candidate (eigenvalue nearest
-    zero), whose discrete image sits O(h^2) below zero. Its eigenvector comes
-    from inverse iteration from a fixed pseudo-random vector at that
-    eigenvalue less tol (so the solve is never exactly singular), until the
-    residual is at most tol = 8 eps max|diag|; kernel_overlap is its
+    The eigenvalues come from index-range tridiagonal eigensolves on T's even
+    and odd halves, values only (_lowest). negative_count excludes the kernel
+    candidate (eigenvalue nearest zero), whose discrete image sits O(h^2)
+    below zero. Its eigenvector comes from inverse iteration on its half,
+    from the fold of a fixed pseudo-random vector, at that eigenvalue less
+    tol (so the solve is never exactly singular), until the residual is at
+    most tol = 8 eps max|diag|; kernel_overlap is the unfolded vector's
     normalized projection onto the translation mode phi_c', read from the
     same sampling of phi_c as T.
     """
@@ -136,20 +241,18 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
         raise ValueError(f"need at least 3 eigenpairs, got m={m!r}")
     prof = gs.sample(grid)
     diag, off = discretize_weinstein(prof)
-    try:
-        w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, m - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):  # pragma: no cover
-        raise EigenSolveError("eigensolve produced non-finite eigenvalues")
+    refl = _Reflection(diag, off)
+    tol = _resolution(diag)
+    w, parity, _ = _lowest(diag, off, refl, m, tol)
 
     kernel_idx = int(np.argmin(np.abs(w)))
-    tol = _resolution(diag)
-    start = np.random.default_rng(0).standard_normal(diag.size)
-    _, residual, vec = _inverse_iteration(diag, off, start, w[kernel_idx] - tol, tol)
+    half = int(parity[kernel_idx])
+    start = refl.fold(np.random.default_rng(0).standard_normal(diag.size))[half]
+    _, residual, u = _inverse_iteration(*refl.halves[half], start, w[kernel_idx] - tol, tol)
     if not residual <= tol:
         raise EigenSolveError(f"kernel eigenvector residual {residual!r} above {tol!r} after "
                               f"{_INVERSE_MAX_SOLVES} inverse-iteration solves")
+    vec = refl.unfold(u, half)
     dphi = prof.phi_x[1:-1]
     overlap = abs(float(vec @ dphi)) / (
         float(np.linalg.norm(vec)) * float(np.linalg.norm(dphi))
@@ -162,8 +265,9 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
 @dataclass(frozen=True)
 class EigenSeed:
     """What a grid hands the next, finer one: T's k + 1 lowest eigenvalues
-    there, and the eigenvectors (zero-padded to the boundary nodes) and nodes
-    of the last grid whose eigenvalues came from the index-range eigensolve.
+    there, and the eigenvectors (unfolded, zero-padded to the boundary nodes)
+    and nodes of the last grid whose eigenvalues came from the index-range
+    eigensolves.
     Carrying only that grid's vectors keeps the seed at about 24 KB from
     N = 1024; from them each value takes 2-3 solves on every finer grid."""
     values: np.ndarray
@@ -171,39 +275,49 @@ class EigenSeed:
     vectors: np.ndarray
 
 
-def _seeded_eigenvalues(diag, off, nodes, seed: EigenSeed, tol) -> np.ndarray | None:
+def _refined_on_half(refl: _Reflection, x, value, tol) -> tuple[float, float] | None:
+    """(theta, residual) of inverse iteration from x on its dominant half,
+    from value; None when x has no definite parity or T - value is singular.
+    Its vectors die here, so none is held through the Sturm count (peak RSS)."""
+    parts = refl.fold(x)
+    norms = [float(np.linalg.norm(part)) for part in parts]
+    half = int(norms[1] > norms[0])
+    if not norms[1 - half] <= _PARITY_TOL * norms[half]:
+        return None
+    try:
+        theta, residual, _ = _inverse_iteration(*refl.halves[half], parts[half], value, tol)
+    except EigenSolveError:  # the seed value is an eigenvalue to working precision
+        return None
+    return theta, residual
+
+
+def _seeded_eigenvalues(diag, off, refl: _Reflection, nodes, seed: EigenSeed,
+                        tol) -> np.ndarray | None:
     """T's len(seed.values) lowest eigenvalues by inverse iteration from the
     seed, or None when they are not certified.
 
-    Each seed vector, interpolated onto the interior nodes, is refined from
-    its seed value. The Rayleigh quotients theta are accepted when every
-    residual is at most tol, the intervals theta +- (residual + tol) are
-    disjoint and in the seed's order (tol covers the rounding of the
-    computed residual), so each holds its own eigenvalue, and one Sturm
-    count finds exactly that many eigenvalues in (Gershgorin lower bound,
-    top interval's upper end], so they are the lowest. The count is a
-    value-range stebz whose tolerance is the range's width: it counts at
-    both ends and stops without bisecting.
+    Each seed vector, interpolated onto the interior nodes, is folded and
+    refined from its seed value on its dominant half; a vector whose minor
+    half exceeds _PARITY_TOL times its dominant one is refused. The Rayleigh
+    quotients theta are accepted when every residual is at most tol, the
+    intervals theta +- (residual + tol) are disjoint and in the seed's order
+    (tol covers the rounding of the computed residual), so each holds its own
+    eigenvalue of T (each half's eigenvalues are T's), and one Sturm count on
+    T finds exactly that many eigenvalues up to the top interval's upper end,
+    so they are the lowest.
     """
     theta, radius = [], []
     for value, vec in zip(seed.values, seed.vectors.T):
-        try:
-            t, residual, _ = _inverse_iteration(
-                diag, off, np.interp(nodes, seed.nodes, vec), value, tol)
-        except EigenSolveError:  # the seed value is an eigenvalue to working precision
+        refined = _refined_on_half(refl, np.interp(nodes, seed.nodes, vec), value, tol)
+        if refined is None or not refined[1] <= tol:
             return None
-        if not residual <= tol:
-            return None
-        theta.append(t)
-        radius.append(residual + tol)
+        theta.append(refined[0])
+        radius.append(refined[1] + tol)
     theta, radius = np.asarray(theta), np.asarray(radius)
     if not np.all(theta[:-1] + radius[:-1] < theta[1:] - radius[1:]):
         return None
-    lower = float(np.min(diag - np.abs(np.r_[0.0, off]) - np.abs(np.r_[off, 0.0])))
-    top = float(theta[-1] + radius[-1])
-    found = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                             select_range=(lower, top), tol=top - lower)
-    return theta if found.size == theta.size else None
+    found = _count_up_to(diag, off, float(theta[-1] + radius[-1]))
+    return theta if found == theta.size else None
 
 
 @dataclass(frozen=True)
@@ -238,10 +352,10 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     raw_min and the bracket below. With previous, the report of a coarser
     grid with as many constraints, they are refined from its seed and
     certified (_seeded_eigenvalues); without it, or when the certificate
-    fails, they come from an index-range tridiagonal eigensolve, with
-    eigenvectors. The report's seed carries them for the next grid. prof is
-    gs sampled on grid, when the caller already holds it (T is built from
-    it); it is sampled here otherwise.
+    fails, they come from index-range tridiagonal eigensolves on T's halves,
+    with eigenvectors (_lowest). The report's seed carries them, unfolded,
+    for the next grid. prof is gs sampled on grid, when the caller already
+    holds it (T is built from it); it is sampled here otherwise.
 
     For an orthonormal basis Q of the k constraints, the constrained
     eigenvalues below mu number n_-(T - mu) + n_+(S) - k, with the secular
@@ -265,14 +379,15 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     bracket), and hi (count positive; 0 at lo) returns once hi - lo <= 2 tol.
     """
     diag, off = discretize_weinstein(gs.sample(grid) if prof is None else prof)
+    refl = _Reflection(diag, off)
     names = tuple(constraints.keys())
     k = len(names)
     tol = _resolution(diag)
     w = None
     if previous is not None and previous.seed.values.size == k + 1:
-        w = _seeded_eigenvalues(diag, off, _interior(grid), previous.seed, tol)
+        w = _seeded_eigenvalues(diag, off, refl, _interior(grid), previous.seed, tol)
     if w is None:
-        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, k))
+        w, _, v = _lowest(diag, off, refl, k + 1, tol, vectors=True)
         seed = EigenSeed(w, grid.nodes, np.pad(v, ((1, 1), (0, 0))))
     else:
         seed = EigenSeed(w, previous.seed.nodes, previous.seed.vectors)

@@ -146,9 +146,10 @@ class TestOtherCommands:
         (["--N", "1500"], (1024, 1500, 2048, 4096, 8192, 16384)),
     ], ids=["default", "N1500"])
     def test_coercivity_grids_are_seeded(self, tmp_path, monkeypatch, argv, grids):
-        # one index-range eigensolve (the coarsest grid), then one value-range
+        # index-range eigensolves on the coarsest grid only (one per half of T,
+        # then the Sturm count that accepts their merge), then one value-range
         # Sturm count per finer grid: a certificate that always failed would
-        # make every call index-range, and the outputs would still agree
+        # make index-range calls on every grid, and the outputs would still agree
         selects = []
 
         def counting(*args, **kwargs):
@@ -157,7 +158,7 @@ class TestOtherCommands:
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", counting)
         assert run(tmp_path, "coercivity", *argv) == 2
-        assert selects == ["i"] + ["v"] * (len(grids) - 1)
+        assert selects == ["i", "i", "v"] + ["v"] * (len(grids) - 1)
         doc = json.loads((tmp_path / "coercivity.json").read_text())["result"]
         gs = GroundState(5.0, critical_speed(5.0))
         unseeded = {}
@@ -193,6 +194,37 @@ class TestOtherCommands:
         assert sorted(probes) == [1024, 2048, 4096, 8192, 16384]
         assert all(probes[n] <= 5 for n in (2048, 4096, 8192, 16384))
         assert len(solves) <= 50
+
+    def test_eigensolves_run_on_the_halves(self, tmp_path, monkeypatch):
+        # on a grid with n = N - 1 interior nodes, every index-range eigensolve
+        # and inverse-iteration solve runs on an even or odd half of T (N/2 or
+        # N/2 - 1 unknowns), and every Sturm count and secular probe on T
+        grids, calls = [], []
+        discretize, eigensolve = spectral.discretize_weinstein, spectral.eigh_tridiagonal
+        solve = spectral._shifted_solve
+
+        def discretizing(prof):
+            diag, off = discretize(prof)
+            grids.append(diag.size)
+            return diag, off
+
+        def eigensolving(*args, **kwargs):
+            calls.append((kwargs["select"], grids[-1], args[0].size))
+            return eigensolve(*args, **kwargs)
+
+        def solving(diag, off, shift, rhs):
+            calls.append(("probe" if np.ndim(rhs) == 2 else "inverse", grids[-1], diag.size))
+            return solve(diag, off, shift, rhs)
+
+        monkeypatch.setattr(spectral, "discretize_weinstein", discretizing)
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", eigensolving)
+        monkeypatch.setattr(spectral, "_shifted_solve", solving)
+        assert run(tmp_path / "spectrum", "spectrum") == 0
+        assert run(tmp_path / "coercivity", "coercivity") == 2
+        assert grids == [4095, 1023, 2047, 4095, 8191, 16383]
+        assert {kind for kind, *_ in calls} == {"i", "v", "inverse", "probe"}
+        for kind, n, size in calls:
+            assert size in ({n} if kind in ("v", "probe") else {(n + 1) // 2, (n - 1) // 2})
 
     @pytest.mark.parametrize("failure", ["singular banded solve", "non-finite secular matrix"])
     def test_coercivity_eigensolve_failure_is_a_consistency_failure(

@@ -165,13 +165,14 @@ class TestEigenpairs:
 
     @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
     def test_kernel_vector_matches_the_tridiagonal_eigenvectors(self, p):
-        # reference: the eigenvector stein returns with the same eigensolve
+        # reference: the eigenvector stein returns from the full-T eigensolve;
+        # eigenpairs solves on T's halves, so its values agree within 2 tol
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, 4096, DIRICHLET)
         rep = eigenpairs(gs, grid)
         diag, off = discretize_weinstein(gs.sample(grid))
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 5))
-        assert np.array_equal(rep.eigenvalues, w)
+        assert np.all(np.abs(rep.eigenvalues - w) <= 2.0 * spectral._resolution(diag))
         vec = v[:, int(np.argmin(np.abs(w)))]
         dphi = gs.profile_dx(grid).values[1:-1]
         overlap = abs(vec @ dphi) / (np.linalg.norm(vec) * np.linalg.norm(dphi))
@@ -180,6 +181,69 @@ class TestEigenpairs:
     def test_m_validation(self, gs5, grid2048):
         with pytest.raises(ValueError):
             eigenpairs(gs5, grid2048, m=2)
+
+
+def tridiagonal_apply(diag, off, x):
+    """T x for the tridiagonal (diag, off); x may have columns."""
+    out = diag.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+    off = off.reshape((-1,) + (1,) * (x.ndim - 1))
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
+    return out
+
+
+class TestReflectionHalves:
+    @pytest.mark.parametrize("N", [64, 512, 1024, 2048, 4096, 32768])
+    @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
+    def test_halves_match_the_full_eigensolve(self, p, L, N):
+        # reference: one index-range eigensolve on the full T
+        gs = GroundState(p, critical_speed(p))
+        grid = make_grid(L, N, DIRICHLET)
+        diag, off = discretize_weinstein(gs.sample(grid))
+        tol = spectral._resolution(diag)
+        w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 5))
+        rep = eigenpairs(gs, grid)
+        assert np.all(np.abs(rep.eigenvalues - w) <= 2.0 * tol)
+        # with vectors, as the coarsest coercivity grid takes them: unit,
+        # orthogonal, of exact parity, with their eigenvalues' Rayleigh quotients
+        refl = spectral._Reflection(diag, off)
+        w3, parity, v = spectral._lowest(diag, off, refl, 3, tol, vectors=True)
+        assert np.all(np.abs(w3 - w[:3]) <= 2.0 * tol)
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-12
+        assert np.array_equal(v[::-1], v * np.where(parity, -1.0, 1.0))
+        rq = np.sum(v * tridiagonal_apply(diag, off, v), axis=0)
+        assert np.all(np.abs(rq - w[:3]) <= 2.0 * tol)
+
+    def test_fold_unfold_round_trip(self, gs5, grid2048, rng):
+        diag, off = discretize_weinstein(gs5.sample(grid2048))
+        refl = spectral._Reflection(diag, off)
+        n = diag.size
+        x = rng.standard_normal(n)
+        even, odd = refl.fold(x)
+        assert (even.size, odd.size) == (n // 2 + 1, n // 2)
+        back = refl.unfold(even, 0) + refl.unfold(odd, 1)
+        assert np.max(np.abs(back - x)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(x))
+        assert np.linalg.norm(np.concatenate([even, odd])) == pytest.approx(
+            np.linalg.norm(x), rel=1e-14)
+        # each half is T in its basis: T unfold(u) = unfold(T_half u)
+        for parity, (d, o) in enumerate(refl.halves):
+            u = rng.standard_normal(d.size)
+            lhs = tridiagonal_apply(diag, off, refl.unfold(u, parity))
+            rhs = refl.unfold(tridiagonal_apply(d, o, u), parity)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+
+    def test_more_eigenpairs_than_nodes_are_refused(self, gs5):
+        # m from each half would return all 15 eigenvalues of T, not 16
+        with pytest.raises(ValueError, match="at most 15 eigenpairs"):
+            eigenpairs(gs5, make_grid(L50, 16, DIRICHLET), m=16)
+
+    def test_asymmetric_diagonal_is_refused(self, gs5, grid2048):
+        diag, off = discretize_weinstein(gs5.sample(grid2048))
+        skewed = diag.copy()
+        skewed[0] = np.nextafter(skewed[0], np.inf)
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            spectral._Reflection(skewed, off)
 
 
 class TestConstrainedMinimum:
@@ -380,7 +444,7 @@ class TestSeededEigenvalues:
             assert np.linalg.norm(x - x[::-1]) < 1e-8
 
     @pytest.mark.parametrize(
-        "case", ["other_p", "swapped", "overlapping", "skips_lowest", "singular"])
+        "case", ["other_p", "swapped", "overlapping", "skips_lowest", "singular", "mixed_parity"])
     def test_certificate_refusal_returns_the_unseeded_result(self, gs5, case, monkeypatch):
         grid = make_grid(L50, 2048, DIRICHLET)
         constraints = coercivity_constraints(gs5, grid)
@@ -400,6 +464,12 @@ class TestSeededEigenvalues:
             diag, off = discretize_weinstein(gs5.sample(coarse))
             w, v = eigh_tridiagonal(diag, off, select="i", select_range=(1, 3))
             seed = spectral.EigenSeed(w, coarse.nodes, np.pad(v, ((1, 1), (0, 0))))
+        elif case == "mixed_parity":
+            # the even ground vector and the odd kernel vector in equal parts:
+            # refined on either half it would converge, so only the parity
+            # check refuses it
+            mixed = (seed.vectors[:, 0] + seed.vectors[:, 1]) / np.sqrt(2.0)
+            seed = dataclasses.replace(seed, vectors=np.column_stack([mixed, seed.vectors[:, 1:]]))
         elif case == "overlapping":
             # three copies of the lowest pair: three equal Rayleigh quotients
             seed = dataclasses.replace(seed, values=seed.values[[0, 0, 0]],
