@@ -62,18 +62,14 @@ from .dynamics import (
     stream,
 )
 from .modulation import (
-    MODE_FIT,
-    MODE_KAPPA,
     ExperimentReport,
     ModulationError,
     ModulationState,
     VirialReport,
-    cutoff_profile,
     decompose,
     gamma_curvature_closed,
     gamma_of_lambda,
     instability_experiment,
-    parameter_residuals,
     virial_monitor,
 )
 

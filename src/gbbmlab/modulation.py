@@ -1,24 +1,18 @@
 """Modulation decomposition u(t, . + y) = phi_lambda + xi and virial diagnostics.
 
-Two orthogonality pairs are implemented for the 2-D Newton solve:
+`decompose` solves one orthogonality pair by a 2-D Newton iteration: xi is
+orthogonal to {d_x phi_lambda, d_lambda phi_lambda}, i.e. (lambda, y) is the
+least-squares closest profile. The Jacobian, in closed form, is dominated by
+-||d_lambda phi||^2, uniformly nonsingular in the tube.
 
-* mode="kappa": xi is orthogonal to {d_x phi_lambda, kappa_lambda}. This is
-  the pair the instability analysis is built around. Its Jacobian entry
-  d/d_lambda <xi, kappa_lambda> at xi=0 equals c^2 B(c) dQ/dc(phi_c)
-  (see structure.modulation_pairing), which vanishes AT the critical speed:
-  the system is degenerate there, and for data of the form (1-a) phi_c with
-  a > 0 the second equation has no root at all (the residual <xi, kappa>
-  stays bounded away from zero for every lambda). The solver detects this
-  and reports it rather than returning garbage.
-
-* mode="fit": xi is orthogonal to {d_x phi_lambda, d_lambda phi_lambda},
-  i.e. (lambda, y) is the least-squares closest profile. The Jacobian, in
-  closed form, is dominated by -||d_lambda phi||^2, uniformly nonsingular in
-  the tube.
-
-The frame loop (virial_monitor, and so instability_experiment) decomposes
-every frame in the fit pair and reports the kappa residual per frame; the
-kappa pair is never attempted there.
+The kappa-orthogonal pair {d_x phi_lambda, kappa_lambda}, which the
+instability analysis is built around, is not solved. Its Jacobian entry
+d/d_lambda <xi, kappa_lambda> at xi=0 equals c^2 B(c) dQ/dc(phi_c) (see
+structure.modulation_pairing), which vanishes AT the critical speed. For the
+even data (1-a) phi_c, y = 0 and the pair reduces to the scalar
+g(lambda) = <u0 - phi_lambda, kappa_lambda>, which is negative throughout
+lambda in [1.02, 1.30] at p = 5 for a = 0.01: no root. Every frame reports
+<xi, kappa_lambda>/B instead.
 
 The virial functional is I = I1 + I2 with a localized momentum-flux I1
 (odd plateau cutoff) and the profile-weighted correction I2; each frame also
@@ -27,25 +21,18 @@ carries beta(u0), gamma(lambda) and the increment budget term
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field, Grid, _derivative_symbol, _shift_symbol, inner, norm_h1, norm_l2, quadrature,
-)
+from .grid import Field, Grid, _shift_symbol, inner, norm_h1, norm_l2, quadrature
 from .ground_state import (
     GroundState, SampledProfile, _energy_closed, critical_speed, profile_norm_sq_closed,
 )
-from .structure import _cubic_image, _kappa, coefficients, kappa_closed_form
+from .structure import _cubic_image, _kappa, coefficients
 from .dynamics import RTOL, Frame, SimulationConfig, stream
 from .functionals import _energy_density, energy
-
-MODE_KAPPA = "kappa"
-MODE_FIT = "fit"
-
-FD_LAMBDA_REL = 1e-5
 
 
 class ModulationError(RuntimeError):
@@ -67,81 +54,53 @@ class ModulationState:
     profile: SampledProfile
 
 
-def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid, mode: str):
-    """F(lam; u_y) = (<xi, d_x phi_lam>, <xi, dir2_lam>) with xi = u_y - phi_lam.
+def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid):
+    """F(lam; u_y) = (<xi, d_x phi_lam>, <xi, d_lam phi_lam>) with xi = u_y - phi_lam.
 
-    Returns F with xi, the profile bundle of phi_lam (whose phi_x is the first
-    direction) and dir2: kappa_lam in mode="kappa" and the analytic
-    d_lam phi_lam in mode="fit".
+    Returns F with xi and the profile bundle of phi_lam, whose phi_x and
+    dc_phi are the two directions.
     """
     prof = GroundState(p, lam).sample(grid)
-    if mode == MODE_KAPPA:
-        dir2 = kappa_closed_form(prof).values
-    elif mode == MODE_FIT:
-        dir2 = prof.dc_phi
-    else:
-        raise ValueError(f"unknown modulation mode {mode!r}")
     xi = uy - prof.phi
-    F = grid.h * np.array([xi @ prof.phi_x, xi @ dir2])
-    return F, xi, prof, dir2
+    F = grid.h * np.array([xi @ prof.phi_x, xi @ prof.dc_phi])
+    return F, xi, prof
 
 
-def _fit_jacobian(uy: np.ndarray, xi: np.ndarray, prof: SampledProfile, dc_phi: np.ndarray):
-    """d(F1, F2)/d(lam, y) of the fit-pair residual, F = h(<xi, phi_x>, <xi, d_lam phi>),
+def _fit_jacobian(uy: np.ndarray, xi: np.ndarray, prof: SampledProfile):
+    """d(F1, F2)/d(lam, y) of the residual F = h(<xi, phi_x>, <xi, d_lam phi>),
     in closed form from the bundle it was sampled from. The lam-column is
     h(<xi, d_lam phi_x> - <d_lam phi, phi_x>, <xi, d_lam^2 phi> - <d_lam phi, d_lam phi>);
     the y-column h(<d_x u_y, phi_x>, <d_x u_y, d_lam phi>) is taken by parts on the
     periodic grid, -h(<u_y, phi_xx>, <u_y, d_lam phi_x>), so it needs no transform."""
     h = prof.grid.h
-    dc_phi_x = prof.dc_phi_x
+    dc_phi, dc_phi_x = prof.dc_phi, prof.dc_phi_x
     return (
         (h * (xi @ dc_phi_x - dc_phi @ prof.phi_x), -h * (uy @ prof.phi_xx)),
         (h * (xi @ prof.dc2_phi - dc_phi @ dc_phi), -h * (uy @ dc_phi_x)),
     )
 
 
-def _fd_jacobian(
-    uy: np.ndarray, uy_hat: np.ndarray, p: float, lam: float, grid: Grid, mode: str,
-    dir1: np.ndarray, dir2: np.ndarray,
-):
-    """d(F1, F2)/d(lam, y) of the residual of either pair, by slow paths: the
-    lam-column is (F(lam + d) - F(lam - d)) / 2d (relative step FD_LAMBDA_REL),
-    two more profile samplings, and the y-column pairs the inverse transform of
-    ik u_hat e^{iky}, the spectral derivative of u_y, with both directions.
-    kappa_lam has no closed-form lam-derivative, so the kappa pair uses this;
-    for the fit pair it is the reference that _fit_jacobian is tested against."""
-    d = FD_LAMBDA_REL * lam
-    J11, J21 = (
-        _residual(uy, p, lam + d, grid, mode)[0] - _residual(uy, p, lam - d, grid, mode)[0]
-    ) / (2.0 * d)
-    duy = np.fft.irfft(_derivative_symbol(grid, 1) * uy_hat, n=grid.points)
-    return (J11, grid.h * (duy @ dir1)), (J21, grid.h * (duy @ dir2))
-
-
 def decompose(
     u: Field,
     p: float,
     guess: tuple[float, float],
-    mode: str = MODE_KAPPA,
+    *,
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> ModulationState:
-    """Solve <xi, d_x phi_lam> = <xi, dir2(lam)> = 0 for (lam, y) by Newton.
+    """Solve <xi, d_x phi_lam> = <xi, d_lam phi_lam> = 0 for (lam, y) by Newton.
 
     xi(x) = u(x + y) - phi_lam(x). u is transformed once: each iterate's
     shifted state is the inverse transform of u_hat e^{iky}, bitwise
-    translate(u, y). In the fit pair an iterate costs that one inverse
-    transform and one profile sampling: the Jacobian is the closed form of
-    _fit_jacobian, read from the bundle the residual sampled. The kappa pair
-    (kept for tests) takes _fd_jacobian instead, so each of its steps costs two
-    more samplings at lam +- d and one more inverse transform.
+    translate(u, y). An iterate costs that one inverse transform and one
+    profile sampling: the Jacobian is the closed form of _fit_jacobian, read
+    from the bundle the residual sampled.
     Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
     Raises ModulationError (with the partial state attached) on a singular
-    Jacobian or when the residuals cannot be driven below tolerance, which is
-    the generic outcome for mode="kappa" at the critical speed. Eight iterates
-    in a row that do not beat the best residual so far by 10% count as a
-    plateau, so a cycle between two residual values stops early too.
+    Jacobian or when the residuals cannot be driven below tolerance. Eight
+    iterates in a row that do not beat the best residual so far by 10% count
+    as a plateau, so a cycle between two residual values stops early too.
     """
     lam, y = float(guess[0]), float(guess[1])
     if lam <= 1.0:
@@ -161,10 +120,9 @@ def decompose(
     stall = 0
     stationary = False
     for it in range(max_iter + 1):
-        uy_hat = u_hat * _shift_symbol(grid, y)
-        uy = np.fft.irfft(uy_hat, n=grid.points)
-        F, xi, prof, dir2 = _residual(uy, p, lam, grid, mode)
-        dir1 = prof.phi_x
+        uy = np.fft.irfft(u_hat * _shift_symbol(grid, y), n=grid.points)
+        F, xi, prof = _residual(uy, p, lam, grid)
+        dir1, dir2 = prof.phi_x, prof.dc_phi
         r1 = abs(F[0]) / (u_norm * np.sqrt(h * (dir1 @ dir1)))
         r2 = abs(F[1]) / (u_norm * np.sqrt(h * (dir2 @ dir2)))
         res = max(r1, r2)
@@ -176,10 +134,7 @@ def decompose(
             # a stationary point of the iteration is accepted only if it passes
             break
 
-        if mode == MODE_FIT:
-            (J11, J12), (J21, J22) = _fit_jacobian(uy, xi, prof, dir2)
-        else:
-            (J11, J12), (J21, J22) = _fd_jacobian(uy, uy_hat, p, lam, grid, mode, dir1, dir2)
+        (J11, J12), (J21, J22) = _fit_jacobian(uy, xi, prof)
         det = J11 * J22 - J12 * J21
         scale = max(abs(J11 * J22), abs(J12 * J21), 1e-300)
         det_scaled = det / scale
@@ -199,9 +154,8 @@ def decompose(
         stationary = abs(dlam) < 1e-13 * lam and abs(dy) < 1e-13 * max(1.0, abs(y))
 
     raise ModulationError(
-        f"modulation did not converge (mode={mode}): residuals ({r1:.2e}, {r2:.2e}) "
-        f"at lam={lam:.6g}, y={y:.6g}; the second orthogonality has no nearby root "
-        f"when this residual plateaus",
+        f"modulation did not converge: residuals ({r1:.2e}, {r2:.2e}) "
+        f"at lam={lam:.6g}, y={y:.6g}",
         state(False),
     )
 
@@ -220,13 +174,6 @@ def _check_cutoff(R: float, grid: Grid) -> None:
         raise ValueError(
             f"cutoff needs 2R < L, got R={R!r} on half-width {grid.half_width!r}"
         )
-
-
-def cutoff_profile(R: float, grid: Grid) -> Field:
-    """Odd C^3 cutoff: identity on [-R, R], quintic-smoothstep ramp on [R, 2R],
-    constant 3R/2 beyond; slope stays in [0, 1] everywhere."""
-    _check_cutoff(R, grid)
-    return Field(grid, _odd_cutoff(grid.nodes, R))
 
 
 def _cubic_helmholtz(prof: SampledProfile) -> Field:
@@ -328,12 +275,11 @@ def virial_monitor(
     three frames: the quadratic Lagrange polynomial through them at their own
     times (so an uneven last interval, as at t_end, is handled), the line
     through two after the second frame, and (lam, y + lam (t - t_prev)) after
-    the first; the first frame starts from (c, c t). Every frame is decomposed
-    in the fit pair, and most then converge in one Newton iteration. The frame
-    reads the profile bundle decompose sampled at the converged lam, so it
-    samples none itself. The first ModulationError propagates. A consumer that
-    stops iterating stops the decomposition, and the stepping of a live
-    stream, there.
+    the first; the first frame starts from (c, c t). Most frames then converge
+    in one Newton iteration. The frame reads the profile bundle decompose
+    sampled at the converged lam, so it samples none itself. The first
+    ModulationError propagates. A consumer that stops iterating stops the
+    decomposition, and the stepping of a live stream, there.
     """
     E0, past = None, []
     for frame in frames:
@@ -344,52 +290,9 @@ def virial_monitor(
         guess = _extrapolate(past, t) if past else (c, c * t)
         # no state is held across the yield: its profile bundle would stay
         # live through the next frame's decompose
-        report = _virial_frame(
-            frame.state, t, p, c, R, E0, decompose(frame.state, p, guess, mode=MODE_FIT)
-        )
+        report = _virial_frame(frame.state, t, p, c, R, E0, decompose(frame.state, p, guess))
         past = past[-2:] + [(t, report.lam, report.y)]
         yield report
-
-
-@dataclass(frozen=True)
-class ResidualRecord:
-    t: float
-    lam: float
-    y: float
-    xi_h1: float
-    y_dot: float
-    lam_dot: float
-    ratio_y: float
-    ratio_lam: float
-    cor_rhs: float
-    defect: float
-
-
-def parameter_residuals(frames: Sequence[VirialReport]) -> list[ResidualRecord]:
-    """Finite-difference dynamics of (lam, y) with the translation-speed identity.
-
-    The identity checked: y_dot - lam equals
-    (1/B)<xi, hessian(d_x(x^3 phi_lam))> - (1/B) d/dt <xi, (1-d_xx)(x^3 phi_lam)>
-    up to O(||xi||^2); both sides are assembled per interior frame from the
-    pairings the frame loop already holds.
-    """
-    out = []
-    for prev, f, nxt in zip(frames, frames[1:], frames[2:]):
-        dt2 = nxt.t - prev.t
-        y_dot = (nxt.y - prev.y) / dt2
-        lam_dot = (nxt.lam - prev.lam) / dt2
-        dgdt = (nxt.cubic_pairing - prev.cubic_pairing) / dt2
-        rhs = (f.cubic_image_pairing - dgdt) / f.B
-        xin = f.tube_distance
-        out.append(
-            ResidualRecord(
-                f.t, f.lam, f.y, xin, y_dot, lam_dot,
-                abs(y_dot - f.lam) / xin if xin > 0 else 0.0,
-                abs(lam_dot) / xin if xin > 0 else 0.0,
-                rhs, abs((y_dot - f.lam) - rhs),
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -422,15 +325,16 @@ def instability_experiment(
     Frames are taken every 0.5 time units, and dt is the first trial step
     of the error-controlled `stream`; the tube is the H^1 ball of
     radius 0.1 ||phi_c||_{H^1} around the modulated profile. Every frame,
-    u0 included, is decomposed in the least-squares (fit) pair, which has a
+    u0 included, is decomposed by `decompose`, whose least-squares pair has a
     root throughout the tube; the kappa-orthogonal pair has none for this
-    data when a > 0, and its residual is reported per frame instead. The
-    frames end at the first one outside the tube: no later state is computed
-    or decomposed. The verdict states whether the increments of I have a
-    definite sign over the in-tube frames (>= 95% one-signed). When every
-    in-tube increment is at or below the noise floor RTOL (3R/2) E(u0), it is
-    "below-noise-floor" instead: |I1| <= (3R/2) E(u), so a relative state error
-    of RTOL moves I by up to that floor, and no increment below it has a sign.
+    data when a > 0 (g(lambda) < 0 on [1.02, 1.30] at p = 5, a = 0.01), and
+    its residual is reported per frame instead. The frames end at the first
+    one outside the tube: no later state is computed or decomposed. The
+    verdict states whether the increments of I have a definite sign over the
+    in-tube frames (>= 95% one-signed). When every in-tube increment is at or
+    below the noise floor RTOL (3R/2) E(u0), it is "below-noise-floor"
+    instead: |I1| <= (3R/2) E(u), so a relative state error of RTOL moves I by
+    up to that floor, and no increment below it has a sign.
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")

@@ -3,7 +3,16 @@
 Each function here computes, by a simpler or older method, what a library
 function computes. No command needs them, so they live with the tests.
 """
+from collections.abc import Sequence
+from dataclasses import dataclass
+
 import numpy as np
+
+from gbbmlab import Field, Grid, SampledProfile
+from gbbmlab.grid import _derivative_symbol
+from gbbmlab.modulation import VirialReport, _check_cutoff, _odd_cutoff, _residual
+
+FD_LAMBDA_REL = 1e-5
 
 
 def second_difference_4(v: np.ndarray, h: float) -> np.ndarray:
@@ -16,4 +25,66 @@ def second_difference_4(v: np.ndarray, h: float) -> np.ndarray:
     out[1] = (v[0] - 2 * v[1] + v[2]) / (h * h)
     out[-2] = (v[-3] - 2 * v[-2] + v[-1]) / (h * h)
     out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
+    return out
+
+
+def fd_jacobian(uy: np.ndarray, uy_hat: np.ndarray, prof: SampledProfile):
+    """d(F1, F2)/d(lam, y) of `modulation._residual` at the bundle `prof` of
+    phi_lam by slow paths, the reference for `modulation._fit_jacobian`: the
+    lam-column is (F(lam + d) - F(lam - d)) / 2d (relative step FD_LAMBDA_REL),
+    two more profile samplings, and the y-column pairs the inverse transform of
+    ik u_hat e^{iky}, the spectral derivative of u_y, with both directions."""
+    p, lam, grid = prof.gs.p, prof.gs.c, prof.grid
+    d = FD_LAMBDA_REL * lam
+    J11, J21 = (_residual(uy, p, lam + d, grid)[0] - _residual(uy, p, lam - d, grid)[0]) / (2.0 * d)
+    duy = np.fft.irfft(_derivative_symbol(grid, 1) * uy_hat, n=grid.points)
+    return (J11, grid.h * (duy @ prof.phi_x)), (J21, grid.h * (duy @ prof.dc_phi))
+
+
+def cutoff_profile(R: float, grid: Grid) -> Field:
+    """Odd C^3 cutoff: identity on [-R, R], quintic-smoothstep ramp on [R, 2R],
+    constant 3R/2 beyond; slope stays in [0, 1] everywhere. The virial frame
+    applies the same `_odd_cutoff` to offsets from the soliton centre."""
+    _check_cutoff(R, grid)
+    return Field(grid, _odd_cutoff(grid.nodes, R))
+
+
+@dataclass(frozen=True)
+class ResidualRecord:
+    t: float
+    lam: float
+    y: float
+    xi_h1: float
+    y_dot: float
+    lam_dot: float
+    ratio_y: float
+    ratio_lam: float
+    cor_rhs: float
+    defect: float
+
+
+def parameter_residuals(frames: Sequence[VirialReport]) -> list[ResidualRecord]:
+    """Finite-difference dynamics of (lam, y) with the translation-speed identity.
+
+    The identity checked: y_dot - lam equals
+    (1/B)<xi, hessian(d_x(x^3 phi_lam))> - (1/B) d/dt <xi, (1-d_xx)(x^3 phi_lam)>
+    up to O(||xi||^2); both sides are assembled per interior frame from the
+    pairings the frame loop already holds.
+    """
+    out = []
+    for prev, f, nxt in zip(frames, frames[1:], frames[2:]):
+        dt2 = nxt.t - prev.t
+        y_dot = (nxt.y - prev.y) / dt2
+        lam_dot = (nxt.lam - prev.lam) / dt2
+        dgdt = (nxt.cubic_pairing - prev.cubic_pairing) / dt2
+        rhs = (f.cubic_image_pairing - dgdt) / f.B
+        xin = f.tube_distance
+        out.append(
+            ResidualRecord(
+                f.t, f.lam, f.y, xin, y_dot, lam_dot,
+                abs(y_dot - f.lam) / xin if xin > 0 else 0.0,
+                abs(lam_dot) / xin if xin > 0 else 0.0,
+                rhs, abs((y_dot - f.lam) - rhs),
+            )
+        )
     return out

@@ -16,10 +16,11 @@ package proves:
   constrained minimum that is definitely negative: above the raw minimum and
   below both -threshold and the O(h^2) kernel eigenvalue.
 * 7b: the kappa-orthogonal modulation has no root for (1-a) phi_c, so the
-  experiment runs in mode="fit", where dI/dt = beta + gamma(lambda)
-  + <xi, kappa_lambda>/B + O(1/R + |xi|^2). The test asserts that the
-  increments of I are one-signed and that their sign is the sign of that
-  budget (see the spectral and modulation module docs).
+  experiment decomposes in the least-squares (fit) pair, where
+  dI/dt = beta + gamma(lambda) + <xi, kappa_lambda>/B + O(1/R + |xi|^2).
+  The test asserts that the increments of I are one-signed and that their
+  sign is the sign of that budget (see the spectral and modulation module
+  docs).
 """
 import math
 import time
@@ -311,7 +312,7 @@ def test_criterion_7b_increments_positive(instability_runs):
     # stated claim: discrete increments of I positive for >= 95% of in-tube
     # frames. Verified instead: they are >= 95% one-signed, and their sign is
     # that of the budget dI/dt = beta + gamma + <xi, kappa>/B, which is
-    # negative because the kappa term is not removed in mode="fit".
+    # negative because the fit pair does not remove the kappa term.
     runs = sorted(instability_runs.items())
     agree = {a: budget_sign_agreement(rep) for a, rep in runs}
     ok = all(

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -7,20 +6,17 @@ import pytest
 from gbbmlab import (
     Field,
     GroundState,
-    MODE_FIT,
-    MODE_KAPPA,
     ModulationError,
     SimulationConfig,
     critical_speed,
-    cutoff_profile,
     decompose,
     evolve,
     gamma_curvature_closed,
     gamma_of_lambda,
     instability_experiment,
+    kappa_closed_form,
     make_grid,
     norm_h1,
-    parameter_residuals,
     quadrature,
     stream,
     translate,
@@ -30,6 +26,7 @@ from gbbmlab import modulation
 from gbbmlab.cli import instability_outputs
 from gbbmlab.grid import _shift_symbol
 from gbbmlab.ground_state import profile_norm_sq_closed
+from reference_paths import cutoff_profile, fd_jacobian, parameter_residuals
 
 L50 = 50.0 * math.pi
 
@@ -91,8 +88,8 @@ class TestCutoff:
         assert np.max(np.abs(cut - power)) <= 8.0 * np.finfo(float).eps * R
 
     def test_rejects_wide_cutoff(self, fine):
-        with pytest.raises(ValueError):
-            cutoff_profile(L50 / 2.0, fine)
+        with pytest.raises(ValueError, match="2R < L"):
+            modulation._check_cutoff(L50 / 2.0, fine)
 
 
 class TestDecompose:
@@ -110,11 +107,12 @@ class TestDecompose:
         assert abs(st.lam - gs5.c) < 2e-8
 
     def test_amplified_profile_converges(self, gs5, periodic_4096):
+        # the fit root lies 4.6e-4 from c0; the kappa root of 1.01 phi_c, near
+        # 1.1875, is bracketed by test_kappa_scalar_sign_structure
         u = Field(periodic_4096, 1.01 * gs5.profile(periodic_4096).values)
         st = decompose(u, gs5.p, (gs5.c, 0.0))
         assert st.converged
         assert max(st.residuals) < 1e-10
-        assert st.lam != pytest.approx(gs5.c, abs=1e-3)
 
     def test_reassembly(self, gs5, periodic_4096):
         u = Field(periodic_4096, 1.01 * gs5.profile(periodic_4096).values)
@@ -126,36 +124,64 @@ class TestDecompose:
         )
         assert np.max(np.abs(rebuilt.values - u.values)) < 1e-12
 
-    def test_reduced_profile_has_no_kappa_root(self, gs5, periodic_4096):
-        # the second orthogonality has no solution on this side of the fold;
-        # the solver must report the irreducible residual, not fake a root
-        u = Field(periodic_4096, 0.99 * gs5.profile(periodic_4096).values)
-        with pytest.raises(ModulationError) as err:
-            decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_KAPPA)
-        assert err.value.state.residuals[1] > 1e-3
+    @pytest.mark.parametrize("a, roots, peak", [
+        (0.01, [], (1.120, -1.600)),
+        (0.0, [], (1.115, -3.2e-5)),
+        (-0.002, [1.090, 1.140], None),
+        (-0.01, [1.070, 1.185], None),
+    ])
+    def test_kappa_scalar_sign_structure(self, gs5, periodic_4096, a, roots, peak):
+        # the kappa pair is not solved. For the even u0 = (1-a) phi_c its first
+        # equation holds at y = 0 for every lam, so it reduces to the scalar
+        # g(lam) = h <u0 - phi_lam, kappa_lam>, where a sign change between
+        # scan points brackets a root and a one-signed g rules roots out. On
+        # 57 lam in [1.02, 1.30] (the same at N = 8192): none for a >= 0, and
+        # for a < 0 the double root at c0 splits in two, each bracketed
+        # in [root, root + 0.005]
+        grid = periodic_4096
+        u0 = (1.0 - a) * gs5.profile(grid).values
 
-    def test_kappa_cycle_stops_early(self, gs5, periodic_4096, monkeypatch):
-        # on (1-a) phi_c the kappa iteration cycles between two iterates whose
-        # residuals alternate; a stall counted against the best residual so
-        # far ends it after eight iterates instead of running max_iter
+        def g(lam):
+            prof = GroundState(gs5.p, lam).sample(grid)
+            return grid.h * ((u0 - prof.phi) @ kappa_closed_form(prof).values)
+
+        lams = np.linspace(1.02, 1.30, 57)
+        vals = np.array([g(lam) for lam in lams])
+        flips = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
+        assert list(lams[flips]) == pytest.approx(roots, abs=1e-12)
+        # g(c0) = -a h <phi_c, kappa_c>, exactly 0 at a = 0: the double root
+        assert np.sign(g(gs5.c)) == -np.sign(a)
+        if peak:
+            # a negative maximum: g < 0 over the whole scan
+            assert lams[vals.argmax()] == pytest.approx(peak[0], abs=1e-12)
+            assert vals.max() == pytest.approx(peak[1], rel=0.01)
+
+    def test_plateau_stops_early(self, gs5, periodic_4096, monkeypatch):
+        # a Newton step taken against the negated Jacobian climbs away from the
+        # root; eight iterates in a row that do not beat the best residual so
+        # far end the solve (after 13 residuals and 12 iterations) instead of
+        # running max_iter
         calls = []
-        residual = modulation._residual
+        residual, jacobian = modulation._residual, modulation._fit_jacobian
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return residual(*args, **kwargs)
+            return residual(*args)
+
+        def negated(*args):
+            return tuple(tuple(-v for v in row) for row in jacobian(*args))
 
         monkeypatch.setattr(modulation, "_residual", counted)
+        monkeypatch.setattr(modulation, "_fit_jacobian", negated)
         u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
         with pytest.raises(ModulationError) as err:
-            decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_KAPPA)
+            decompose(u, gs5.p, (gs5.c, 0.3))
         assert len(calls) <= 30
         assert err.value.state.newton_iters < 50
-        assert err.value.state.residuals[1] > 1e-3
 
-    def test_reduced_profile_fit_mode(self, gs5, periodic_4096):
+    def test_reduced_profile_converges(self, gs5, periodic_4096):
         u = Field(periodic_4096, 0.99 * gs5.profile(periodic_4096).values)
-        st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
+        st = decompose(u, gs5.p, (gs5.c, 0.0))
         assert st.converged
         assert max(st.residuals) < 1e-10
         assert norm_h1(st.xi) < 0.05
@@ -171,10 +197,9 @@ class TestDecompose:
         u = Field(grid, 0.98 * gs5.profile(grid).values)
         uy_hat = np.fft.rfft(u.values) * _shift_symbol(grid, y)
         uy = np.fft.irfft(uy_hat, n=grid.points)
-        _, xi, prof, dc_phi = modulation._residual(uy, gs5.p, lam, grid, MODE_FIT)
-        closed = np.array(modulation._fit_jacobian(uy, xi, prof, dc_phi))
-        slow = np.array(modulation._fd_jacobian(
-            uy, uy_hat, gs5.p, lam, grid, MODE_FIT, prof.phi_x, dc_phi))
+        _, xi, prof = modulation._residual(uy, gs5.p, lam, grid)
+        closed = np.array(modulation._fit_jacobian(uy, xi, prof))
+        slow = np.array(fd_jacobian(uy, uy_hat, prof))
         scale = np.max(np.abs(slow))
         assert np.max(np.abs(closed[:, 0] - slow[:, 0])) < 2e-7 * scale
         assert np.max(np.abs(closed[:, 1] - slow[:, 1])) < 1e-14 * scale
@@ -190,7 +215,7 @@ class TestDecompose:
 
         u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
         monkeypatch.setattr(np.fft, "rfft", counted)
-        st = decompose(u, gs5.p, (gs5.c, 0.3), mode=MODE_FIT)
+        st = decompose(u, gs5.p, (gs5.c, 0.3))
         monkeypatch.undo()
         assert st.converged and st.newton_iters >= 2
         assert len(calls) == 1
@@ -251,7 +276,7 @@ class TestWarmStart:
         E0 = float(frames_to_10[0].E)
         lam, y, t_prev, ref_iters = gs5.c, 0.0, 0.0, 0
         for frame, rep in zip(frames_to_10, monitored):
-            st = decompose(frame.state, gs5.p, (lam, y + lam * (frame.t - t_prev)), mode=MODE_FIT)
+            st = decompose(frame.state, gs5.p, (lam, y + lam * (frame.t - t_prev)))
             ref = modulation._virial_frame(frame.state, frame.t, gs5.p, gs5.c, 30.0, E0, st)
             lam, y, t_prev = st.lam, st.y, frame.t
             ref_iters += st.newton_iters
@@ -388,23 +413,20 @@ class TestInstabilityExperiment:
 
     @pytest.mark.parametrize("a", [0.0, 0.02])
     def test_every_frame_is_decomposed_in_the_fit_pair(self, a, monkeypatch):
-        # no kappa attempt on u0, at a = 0 (where the kappa pair has a root)
-        # or a > 0 (where it has none): one fit-pair decompose per frame
-        modes = []
+        # at a = 0 (where the kappa pair has a root) and a > 0 (where it has
+        # none) alike: one decompose, which solves the fit pair, per frame
+        calls = []
         real = modulation.decompose
-        signature = inspect.signature(real)
 
         def spy(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            modes.append(bound.arguments["mode"])
+            calls.append(1)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(modulation, "decompose", spy)
         grid = make_grid(L50, 1024, "periodic")
         rep = instability_experiment(5.0, a, grid, dt=0.025, t_end=2.0)
         assert len(rep.frames) == 5
-        assert modes == [MODE_FIT] * len(rep.frames)
+        assert len(calls) == len(rep.frames)
 
     def test_definite_sign_increments(self, report):
         assert report.verdict == "monotone-decreasing"

@@ -7,7 +7,6 @@ import pytest
 import gbbmlab.ground_state as ground_state
 from gbbmlab import (
     DIRICHLET,
-    MODE_FIT,
     Field,
     GroundState,
     critical_speed,
@@ -115,7 +114,7 @@ class TestSamplingCounts:
         grid = make_grid(L50, 8192, "periodic")
         u = Field(grid, 0.98 * gs5.profile(grid).values)
         log_sech_calls.clear()
-        st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
+        st = decompose(u, gs5.p, (gs5.c, 0.0))
         assert st.converged and st.newton_iters == 3
         # one bundle per iterate: the Jacobian is read from the residual's bundle
         assert len(log_sech_calls) == st.newton_iters + 1
@@ -123,7 +122,7 @@ class TestSamplingCounts:
     def test_virial_frame(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")
         u = Field(grid, 0.98 * gs5.profile(grid).values)
-        st = decompose(u, gs5.p, (gs5.c, 0.0), mode=MODE_FIT)
+        st = decompose(u, gs5.p, (gs5.c, 0.0))
         log_sech_calls.clear()
         _virial_frame(u, 0.0, gs5.p, gs5.c, 30.0, 1.0, st)
         # the frame reads the profile bundle decompose sampled at the converged lam

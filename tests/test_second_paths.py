@@ -12,6 +12,8 @@ the whole suite); each mutant must fail the test named with it.
   `test_cubic_pairing_matches_the_pairing_by_parts`.
 - `kres` (the reported `kappa_residual`) in `modulation._virial_frame` times
   1.01: `test_kappa_residual_matches_the_hessian_of_gamma`.
+- `beta_lin` in `modulation.instability_experiment` times (1 + 1e-6):
+  `test_beta_linear_prediction_matches_richardson_limit`.
 """
 import math
 
@@ -19,7 +21,6 @@ import numpy as np
 import pytest
 
 from gbbmlab import (
-    MODE_FIT,
     Field,
     SimulationConfig,
     critical_speed,
@@ -31,6 +32,7 @@ from gbbmlab import (
     gamma_of_lambda,
     hessian_apply,
     inner,
+    instability_experiment,
     make_grid,
 )
 from gbbmlab import modulation
@@ -57,6 +59,23 @@ def test_gamma_curvature_matches_richardson_second_difference(p):
     assert twice == pytest.approx(gamma_curvature_closed(p, c), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
+def test_beta_linear_prediction_matches_richardson_limit(p):
+    # beta of frame 0 (the fit-pair lam of u0 = (1-a) phi_c and E(u0)) over a
+    # at a = 2e-3 2^-k, k = 0..3, each run one step long since only frame 0
+    # is read: the raw ratio misses beta_lin / a by an O(a)
+    # remainder, about -0.84 a relative at p = 5, -1.12 a at p = 6 and -2.19 a
+    # at p = 10; two Richardson steps leave 9e-11, 2.6e-10 and 2.0e-9, so
+    # 1e-7 leaves a 50x margin at p = 10
+    grid = make_grid(L50, 4096, "periodic")
+    sizes = [2e-3 * 2.0 ** -k for k in range(4)]
+    reports = [instability_experiment(p, a, grid, dt=1e-3, t_end=1e-3) for a in sizes]
+    ratio = np.array([rep.beta_initial / a for rep, a in zip(reports, sizes)])
+    once = 2.0 * ratio[1:] - ratio[:-1]
+    twice = (4.0 * once[1:] - once[:-1]) / 3.0
+    assert twice[-1] == pytest.approx(reports[-1].beta_linear_prediction / sizes[-1], rel=1e-7)
+
+
 @pytest.fixture(scope="module")
 def frame(gs5):
     """(virial report, modulation state) of u0 = 0.98 phi_c at t = 4, N = 4096."""
@@ -64,7 +83,7 @@ def frame(gs5):
     u0 = Field(grid, 0.98 * gs5.profile(grid).values)
     frames = evolve(u0, SimulationConfig(grid, gs5.p, dt=0.025, t_end=4.0)).frames
     last = frames[-1]
-    state = decompose(last.state, gs5.p, (gs5.c, gs5.c * last.t), mode=MODE_FIT)
+    state = decompose(last.state, gs5.p, (gs5.c, gs5.c * last.t))
     report = modulation._virial_frame(
         last.state, last.t, gs5.p, gs5.c, 30.0, float(frames[0].E), state)
     return report, state
