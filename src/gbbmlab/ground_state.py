@@ -8,8 +8,8 @@ The ground state of -c u'' + (c-1) u - u^{p+1} = 0 is
 with first and second derivatives, the first and second c-derivatives and the
 scaling direction Psi_c = c d_c phi_c - phi_c / p all available in closed form.
 GroundState.sample(grid) returns a SampledProfile that derives every one of
-them from a single log-sech and a single tanh of k|x|, on the whole grid or on
-one window of its nodes. Everything is evaluated in log space so that large k*x
+them from a single log-sech and a single tanh of k|x|, on the nodes of a grid
+or on any nodes it is handed. Everything is evaluated in log space so that large k*x
 never overflows (sech powers become hard zeros through naive cosh far too early
 otherwise). The coefficients B(c) and D(c) of the structural directions are
 closed forms in ||phi_c||^2 and the trigamma function psi_1(2/p).
@@ -110,13 +110,10 @@ class GroundState:
         p, c = self.p, self.c
         return -(4.0 * p * c + 4.0 * c - 3.0 * p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
 
-    def sample(self, grid: Grid, span: tuple[int, int] | None = None) -> "SampledProfile":
-        """The profile and its closed-form relatives on grid (tail must be resolved).
-
-        span = (lo, hi) samples only the nodes lo..hi-1 of the grid.
-        """
+    def sample(self, grid: Grid) -> "SampledProfile":
+        """The profile and its closed-form relatives on grid (tail must be resolved)."""
         grid.ensure_resolves(self.tail_rate)
-        return SampledProfile(self, grid, span)
+        return SampledProfile(self, grid.nodes, grid)
 
     def profile(self, grid: Grid) -> Field:
         """Sampled phi_c; solves -c phi'' + (c-1) phi - phi^{p+1} = 0."""
@@ -138,31 +135,23 @@ class GroundState:
         return Field(grid, self.sample(grid).dc_phi_x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledProfile:
-    """phi_c and its closed-form relatives on the nodes x of one grid, or of one
-    window of it, from one log-sech and one tanh.
+    """phi_c and its closed-form relatives on the nodes x, from one log-sech and
+    one tanh; grid is the grid whose nodes they are, if any.
 
     Arrays are evaluated in log space through |x| and sign(x), so large k|x|
     never underflows to a hard zero and sampled even/odd functions carry exact
-    parity on symmetric grids. span = (lo, hi) samples nodes lo..hi-1 only;
-    their x equal grid.nodes[lo:hi] bitwise, without building grid.nodes. x,
-    log sech, tanh, sech^2, phi, phi_x, phi_xx, phi^p and (on whole grids)
-    ||phi||^2 by quadrature are computed on first use and kept as long as the
-    bundle lives (drop it to free them); d_c phi, d_c phi_x, d_c^2 phi and Psi
-    are rebuilt on each read, since every caller reads them once.
+    parity on symmetric nodes. Log sech, tanh, sech^2, phi, phi_x, phi_xx,
+    phi^p and (with a grid) ||phi||^2 by quadrature are computed on first use
+    and kept as long as the bundle lives (drop it to free them); d_c phi,
+    d_c phi_x, d_c^2 phi and Psi are rebuilt on each read, since every caller
+    reads them once.
     """
 
     gs: GroundState
-    grid: Grid
-    span: tuple[int, int] | None = None
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        if self.span is None:
-            return self.grid.nodes
-        lo, hi = self.span
-        return (np.arange(lo, hi) - self.grid.points // 2) * self.grid.h
+    x: np.ndarray
+    grid: Grid | None = None
 
     @cached_property
     def _ls(self) -> np.ndarray:

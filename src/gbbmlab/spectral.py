@@ -45,7 +45,7 @@ eigensolves run. Eigenvectors come from inverse iteration at a known
 eigenvalue. The constrained minimum's secular search starts at the midpoint
 of its bracket on the coarsest grid, and on each finer grid with the same
 constraints at the O(h^2) prediction from the coarser grids' minima, unless
-that prediction falls outside the bracket.
+that prediction falls outside the bracket or those grids have k h > 1.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -327,7 +327,8 @@ class CoercivityReport:
     raw_min: float
     seed: EigenSeed = field(repr=False, compare=False)
     # (h^2, constrained_min) of this grid, after that of the grid before it
-    # when that one had the same constraints: the next grid's prediction
+    # when that one had the same constraints: the next grid's prediction.
+    # Empty from a grid with k h > 1, which does not resolve phi_c
     ladder: tuple = field(default=(), repr=False, compare=False)
 
 
@@ -368,9 +369,9 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     probe is the bracket midpoint, except when previous has the same
     constraints: then it is _predicted_minimum from previous.ladder, the
     minima of one or two coarser grids, when that lies strictly inside the
-    bracket. Grids that do not resolve phi_c (N = 16, 32) can predict a value
-    outside it, or far from the root inside it, where the safeguards below
-    take over. The next probe is the Newton iterate when it lies strictly
+    bracket. A grid with k h > 1 (N = 16, 32 at p = 5 on L = 50 pi) does not
+    resolve phi_c and passes on no minima, so the grid after it starts at the
+    midpoint too. The next probe is the Newton iterate when it lies strictly
     inside the bracket and the midpoint otherwise, which handles the poles of
     S and a minimum on the bracket top, where no secular eigenvalue vanishes.
     T - mu changes only when mu moves by an ulp of the diagonal, so a Newton
@@ -415,7 +416,9 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
         mu = 0.5 * (lo + hi)
     for _ in range(_SECULAR_MAX_PROBES):
         if hi - lo <= 2.0 * tol:
-            return CoercivityReport(hi, names, raw, seed, ladder[-1:] + ((h2, hi),))
+            resolved = gs.decay_rate ** 2 * h2 <= 1.0
+            return CoercivityReport(hi, names, raw, seed,
+                                    ladder[-1:] + ((h2, hi),) if resolved else ())
         Y = _shifted_solve(diag, off, mu, Q)
         secular = Q.T @ Y
         if not np.all(np.isfinite(secular)):

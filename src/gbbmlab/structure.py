@@ -12,32 +12,48 @@ has Hessian image kappa_c = hessian(Gamma_c) available in closed form:
 
 B and D are closed forms in (p, c) (GroundState.B and GroundState.D), so
 Gamma_c and kappa_c are pointwise in x: each builder reads one SampledProfile
-of phi_c, on a whole grid or on one window of its nodes.
+of phi_c, on a grid or on the nodes of a table row.
 
 The headline quantity is <kappa_c, Gamma_c> = <hessian(Gamma_c), Gamma_c> at the
 critical speed, tabulated over p. Table rows are only accepted when the closed
 form and a direct operator application of the Hessian agree to 1e-6 in relative
-sup-norm and in the scalar; that forces a p-dependent resolution floor, since
-the finite-difference second derivative carries an O((k h)^8) error with
-k = p/2 sqrt((c-1)/c) the inner length scale of the profile (kh <= 0.1
-keeps both below 1e-8 on the default rows). phi_c, Gamma_c,
-kappa_c and the finite-difference image hessian(Gamma_c) are even, and a
-Dirichlet grid with even N is mirror-symmetric bitwise (x_{N-j} = -x_j), so a
-row streams only the half line x <= 0, nodes 0..N/2 of its grid (up to
-2^18 + 1 nodes), in windows of at most WINDOW_NODES nodes, each sampled with
-the HALO = 4 nodes on either side that the stencil reads, and pairs them with
-the mirror weights; it never holds an array of full grid length.
+sup-norm and in the scalar.
 
-A row also skips the windows its terms do not reach. With tau = sqrt((c-1)/c)
-the profile's tail rate, sech(z) <= 2 e^{-z} gives the envelope
-phi_c(x) <= 2^{2/p} A e^{-tau |x|}. Gamma_c, kappa_c and the finite-difference
-image hessian(Gamma_c) are each phi_c times a polynomial of degree <= 3 in |x|
-(tanh and sech^2 factors bounded by 1; since its weights c_j satisfy
-sum c_j = sum j c_j = 0, the centred 8th-order second difference is at most
-sum |c_j| j^2 / 2 = 93/35 of the largest second derivative under its stencil,
-the 4th-order one next to the ends at most 5/3), and their products phi_c^2
-times one of degree <= 6. On a grid of half-width L, every
-node beyond the cut
+A row is sampled on a half line mapped to a uniform variable s,
+
+    x = a sinh(s),   s = j ds,  j = 0..m,   m ds = asinh(x_max / a),
+
+since its terms are even: phi_c is a sech power of rate k = p/2 sqrt((c-1)/c)
+in a core of width 1/k, and decays at the slower rate tau = sqrt((c-1)/c) out
+to x_max = min(X, L), the cut below or the box's half-width. The local step
+h(x) = x'(s) ds = sqrt(a^2 + x^2) ds grows from a ds at the centre to
+sqrt(a^2 + x_max^2) ds at x_max, and the two closed-form conditions
+k h(0) = ROW_CORE_STEP and tau h(x_max) = ROW_TAIL_STEP fix
+
+    a = r x_max / sqrt(k^2 - r^2),  r = tau ROW_CORE_STEP / ROW_TAIL_STEP,
+    ds = ROW_CORE_STEP / (k a),
+
+rounded down to the step that ends on x_max; a row with p up to 10^4 takes
+fewer than 4500 intervals on its half line, where a uniform grid at
+k h <= 0.1 took 2^24 on the whole box. The pairings are the trapezoid rule
+in s, with weights x'(s) ds, the centre node counted once and the end node
+at x_max halved; it is spectrally accurate for integrands analytic in a
+strip (Trefethen and Weideman, SIAM Rev. 56 (2014), sections 4-5). The
+operator path takes 8th-order finite differences in s and carries them to x
+by the chain rule,
+
+    Gamma_xx = (Gamma_ss - (x''/x') Gamma_s) / x'^2,   x''/x' = tanh(s),
+
+with the centred stencils reading Gamma(-s) = Gamma(s) at the centre and
+_fd_derivative's one-sided ones at x_max; its error is O(ds^8). On the default
+rows the dual-path errors stay below 1e-9, and the pairing stays within 6e-12
+of a uniform grid's at k h <= 0.1 on the whole box.
+
+The cut. With the envelope phi_c(x) <= 2^{2/p} A e^{-tau |x|} (from
+sech(z) <= 2 e^{-z}), Gamma_c and kappa_c = hessian(Gamma_c) are each phi_c
+times a polynomial of degree <= 3 in |x| (tanh and sech^2 factors bounded
+by 1), and their product phi_c^2 times one of degree <= 6. On a box of
+half-width L every |x| beyond
 
     X(p, c, L) = (ROW_TAIL_DECADES ln 10 + 6 ln(1 + L)) / (2 tau)
 
@@ -46,41 +62,33 @@ T = phi_c P(|x|) with M_T = sup |T(x)| / (phi_c(x) (1 + |x|)^3)
 
     |T(x)| <= 10^(-ROW_TAIL_DECADES/2) 2^{2/p} A M_T,  |x| >= X,
 
-and a product T T' is at most 10^-ROW_TAIL_DECADES 4^{2/p} A^2 M_T M_T'.
-The windows lying wholly at |x| > X are left out of the stream. At
-ROW_TAIL_DECADES = 24 on L = 50 pi, with the 93/35 factor in M_T of the
-finite-difference image, the bound summed over the left-out nodes puts
-their products' share of a row's pairing below 1e-25 for p = 10..200 (the
-constant bound times the whole left-out length, below 1e-18; their measured
-sum, below 1e-29), under the 1.1e-16 that one rounding resolves, and the
-row's sums equal the full stream's bitwise at p = 5, 30, 100 and 200. Rows
-that decay slowly (p <= 6.5 there) skip nothing, and on the kh <= 0.1 grids
-rows up to p = 20 fit one window.
+and a product T T' is at most 10^-ROW_TAIL_DECADES 4^{2/p} A^2 M_T M_T'. At
+ROW_TAIL_DECADES = 24 that leaves every product beyond X far below the
+1.1e-16 of a row that one rounding resolves; rows that decay slowly
+(p <= 6.5 on L = 50 pi) run to L.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DIRICHLET, Field, Grid, GridError, _fd_derivative, inner, make_grid
+from .grid import DIRICHLET, Field, Grid, _fd_derivative, inner, make_grid
 from .ground_state import GroundState, SampledProfile, _momentum_slope_closed, critical_speed
 from .functionals import hessian_values
 
 DEFAULT_HALF_WIDTH = 50.0 * math.pi
 DEFAULT_POINTS = 8192
-TABLE_MIN_POINTS = 16384
-TABLE_KH_LIMIT = 0.1
 DUAL_PATH_TOL = 1e-6
-# 2^15 nodes are 256 KB per array, so one window's arrays stay in a 2 MB L2
-WINDOW_NODES = 1 << 15
-# the 8th-order second difference reads four nodes on each side
-HALO = 4
-# a row leaves out the windows where its products fall below 10^-ROW_TAIL_DECADES
-# (see the module docstring); math.inf streams the whole half line
+# a row's local step h: k h at the centre and tau h at its far end (module docstring)
+ROW_CORE_STEP = 0.03
+ROW_TAIL_STEP = 0.1
+# a row ends where its products fall below 10^-ROW_TAIL_DECADES
+# (see the module docstring); math.inf runs every row to L
 ROW_TAIL_DECADES = 24
+# the centred 8th-order first difference: f'_i = sum_j c_j (f_{i+j} - f_{i-j}) / h
+FIRST_DIFFERENCE_8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 
 
 class DualPathError(RuntimeError):
@@ -136,105 +144,45 @@ def kappa_closed_form(prof: SampledProfile) -> Field:
     return Field(prof.grid, _kappa(prof))
 
 
-def table_points(p: float, c: float, L: float, n_request: int) -> int:
-    """Resolution floor so quadrature and the FD Hessian both reach ~1e-8.
-
-    Keeps k*h <= 0.1 for the sech-argument rate k, never below 16384.
-    """
-    k = 0.5 * p * math.sqrt((c - 1.0) / c)
-    need = 2.0 * L * k / TABLE_KH_LIMIT
-    n = max(int(n_request), TABLE_MIN_POINTS, 1 << max(int(need - 1e-12), 1).bit_length())
-    return n
-
-
-def node_windows(count: int) -> list[tuple[int, int]]:
-    """Split nodes 0..count-1 into the fewest windows (lo, hi) of at most
-    WINDOW_NODES nodes, with lengths differing by at most one."""
-    m = -(-count // WINDOW_NODES)
-    bounds = [count * i // m for i in range(m + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def row_cut(gs: GroundState, L: float) -> float:
     """X(p, c, L) = (ROW_TAIL_DECADES ln 10 + 6 ln(1 + L)) / (2 tau): on [-L, L],
     every |x| >= X has e^{-2 tau |x|} (1 + |x|)^6 <= 10^-ROW_TAIL_DECADES."""
     return (ROW_TAIL_DECADES * math.log(10.0) + 6.0 * math.log1p(L)) / (2.0 * gs.tail_rate)
 
 
-def kept_windows(gs: GroundState, grid: Grid) -> list[tuple[int, int]]:
-    """The windows of node_windows(N/2 + 1) a row streams: all but those whose
-    nodes lie wholly at |x| > row_cut(gs, L). The one holding the centre node
-    is always kept."""
-    centre, cut = grid.node_count // 2, row_cut(gs, grid.half_width)
-    # node j sits at |x| = (N/2 - j) h, so a window's node nearest the centre is hi - 1
-    return [(lo, hi) for lo, hi in node_windows(centre + 1) if (centre - hi + 1) * grid.h <= cut]
+def row_map(gs: GroundState, L: float, n_cap: int) -> tuple[float, float, int]:
+    """(a, ds, m): a row samples x = a sinh(j ds), j = 0..m, out to
+    x_max = min(row_cut(gs, L), L), with a and ds in closed form (module
+    docstring). Its 2m intervals across [-x_max, x_max] are capped at n_cap,
+    the intervals of a Dirichlet grid on [-L, L], which must resolve phi_c's tail."""
+    make_grid(L, n_cap, DIRICHLET).ensure_resolves(gs.tail_rate)
+    k = gs.decay_rate
+    x_max = min(row_cut(gs, L), L)
+    r = gs.tail_rate * ROW_CORE_STEP / ROW_TAIL_STEP
+    a = r * x_max / math.sqrt(k * k - r * r)
+    s_max = math.asinh(x_max / a)
+    m = min(math.ceil(s_max * k * a / ROW_CORE_STEP), n_cap // 2)
+    return a, s_max / m, m
 
 
-def _row_windows(gs: GroundState, grid: Grid) -> Iterator[tuple]:
-    """(lo, Gamma, kappa closed form, hessian(Gamma)) on the nodes lo.. of
-    each kept window of the half line 0..N/2, as arrays the caller may overwrite.
-
-    Each window is sampled once with a HALO-node margin clipped at the grid's
-    ends, so every kept node's stencil reads the values it reads on the whole
-    grid and one-sided stencils occur only at the grid's own ends; the last
-    window's margin reads nodes N/2+1..N/2+4 past the centre.
-    """
-    count, h = grid.node_count, grid.h
-    for lo, hi in kept_windows(gs, grid):
-        a, b = max(lo - HALO, 0), min(hi + HALO, count)
-        prof = gs.sample(grid, (a, b))
-        gamma = _gamma(prof)
-        kop = hessian_values(gs, gamma, _fd_derivative(gamma, h, 2), prof.phi_p)
-        keep = slice(lo - a, hi - a)
-        yield lo, gamma[keep], _kappa(prof)[keep], kop[keep]
-
-
-def negativity_form(
-    gs: GroundState,
-    grid: Grid | None = None,
-    L: float = DEFAULT_HALF_WIDTH,
-    n_request: int = DEFAULT_POINTS,
-) -> tuple[float, float, float]:
-    """(<kappa, Gamma> closed-form path, operator path, dual-path sup error).
-
-    The operator path applies the finite-difference Hessian to the sampled
-    Gamma. Both paths are even, so the two trapezoid pairings and the two sup
-    norms are reduced over the half line, nodes 0..N/2, window by window: each
-    node's weight is doubled for its mirror image, except the centre node,
-    which is its own mirror and counts once. No array spans the grid. Windows
-    lying wholly beyond the cut X = (ROW_TAIL_DECADES ln 10 + 6 ln(1 + L)) /
-    (2 tau) are skipped: there phi_c <= 2^{2/p} A e^{-tau |x|}, so each product
-    term, phi_c^2 times a polynomial of degree <= 6 in |x|, is below
-    10^-ROW_TAIL_DECADES 4^{2/p} A^2 times its polynomial's scale (module
-    docstring), and the sums equal the full stream's. When no
-    grid is given, a Dirichlet grid on [-L, L] with the table resolution floor
-    is built; a Dirichlet grid with odd N has no centre node and is refused.
-    """
-    if grid is None:
-        n = table_points(gs.p, gs.c, L, n_request)
-        grid = make_grid(L, n, DIRICHLET)
-    if grid.boundary != DIRICHLET:
-        raise GridError("the negativity form needs a Dirichlet grid")
-    if grid.points % 2:
-        raise GridError(f"the negativity form needs an even number of points, got {grid.points}")
-    half = grid.node_count // 2 + 1
-    closed = operator = scale = diff = 0.0
-    for lo, gamma, kap, kop in _row_windows(gs, grid):
-        # half-line weights before the mirror factor 2: the end node and the
-        # centre node, which is its own mirror, count half, every other node once
-        if lo == 0:
-            gamma[0] *= 0.5
-        if lo + gamma.size == half:
-            gamma[-1] *= 0.5
-        closed += kap @ gamma
-        operator += kop @ gamma
-        scale = max(scale, float(np.max(np.abs(kap))))
-        diff = max(diff, float(np.max(np.abs(kap - kop))))
-    return float(2.0 * grid.h * closed), float(2.0 * grid.h * operator), diff / scale
+def _even_derivatives(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v', v'') at s = 0, h, .., m h of an even function sampled there: the
+    centred 8th-order stencils, which read v(-s) = v(s) next to s = 0, and
+    _fd_derivative's one-sided stencils at the far end."""
+    ext = np.concatenate((v[4:0:-1], v))
+    n = ext.size
+    d1 = np.zeros(n - 8)
+    for j, c in enumerate(FIRST_DIFFERENCE_8, 1):
+        d1 += c * (ext[4 + j:n - 4 + j] - ext[4 - j:n - 4 - j])
+    d1 = np.concatenate((d1 / h, _fd_derivative(ext[-8:], h, 1)[-4:]))
+    return d1, _fd_derivative(ext, h, 2)[4:]
 
 
 @dataclass(frozen=True)
 class TableRow:
+    """<kappa, Gamma> at (p, c0) two ways; points counts the row's intervals
+    across [-x_max, x_max], twice its half line's."""
+
     p: float
     c0: float
     form_value: float
@@ -265,13 +213,33 @@ class TableReport:
         )
 
 
-def _table_row(p: float, L: float, n_request: int) -> TableRow:
-    c0 = critical_speed(p)
-    gs = GroundState(p, c0)
-    n = table_points(p, c0, L, n_request)
-    grid = make_grid(L, n, DIRICHLET)
-    v_closed, v_operator, sup_err = negativity_form(gs, grid)
-    return TableRow(p, c0, v_closed, v_operator, sup_err, n)
+def negativity_form(
+    gs: GroundState,
+    L: float = DEFAULT_HALF_WIDTH,
+    n_request: int = DEFAULT_POINTS,
+) -> TableRow:
+    """<kappa, Gamma> on the row of row_map(gs, L, n_request): the closed-form
+    path pairs kappa_closed_form with Gamma, the operator path applies the
+    finite-difference Hessian to the sampled Gamma (module docstring), and
+    dual_sup_error is their relative sup-norm distance on the row's nodes.
+
+    Both paths are even, so each pairing is twice the half line's trapezoid
+    sum in s, with the centre node, its own mirror, counted once.
+    """
+    a, ds, m = row_map(gs, L, n_request)
+    s = np.arange(m + 1) * ds
+    prof = SampledProfile(gs, a * np.sinh(s))
+    gamma = _gamma(prof)
+    kap = _kappa(prof)
+    xp = a * np.cosh(s)
+    g_s, g_ss = _even_derivatives(gamma, ds)
+    kop = hessian_values(gs, gamma, (g_ss - np.tanh(s) * g_s) / (xp * xp), prof.phi_p)
+    weights = xp * ds
+    weights[[0, -1]] *= 0.5
+    weights *= gamma
+    sup = float(np.max(np.abs(kap - kop)) / np.max(np.abs(kap)))
+    return TableRow(gs.p, gs.c, float(2.0 * (weights @ kap)), float(2.0 * (weights @ kop)),
+                    sup, 2 * m)
 
 
 def negativity_table(
@@ -289,7 +257,8 @@ def negativity_table(
     for p in p_list:
         if not 4 < p < math.inf:
             raise ValueError(f"table entries require finite p > 4, got {p!r}")
-    rows = tuple(_table_row(float(p), float(L), int(n_request)) for p in p_list)
+    rows = tuple(negativity_form(GroundState(p, critical_speed(p)), float(L), int(n_request))
+                 for p in map(float, p_list))
     report = TableReport(rows)
     if not report.consistent():
         worst = max(rows, key=lambda r: max(r.dual_sup_error, r.dual_scalar_error))

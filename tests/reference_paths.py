@@ -3,12 +3,16 @@
 Each function here computes, by a simpler or older method, what a library
 function computes. No command needs them, so they live with the tests.
 """
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from gbbmlab import Field, Grid, SampledProfile
+from gbbmlab import (
+    DIRICHLET, Field, Grid, GroundState, SampledProfile, gamma_direction, hessian_apply, inner,
+    kappa_closed_form, make_grid,
+)
 from gbbmlab.grid import _derivative_symbol
 from gbbmlab.modulation import VirialReport, _check_cutoff, _odd_cutoff, _residual
 
@@ -26,6 +30,28 @@ def second_difference_4(v: np.ndarray, h: float) -> np.ndarray:
     out[-2] = (v[-3] - 2 * v[-2] + v[-1]) / (h * h)
     out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
     return out
+
+
+def table_points(p: float, c: float, L: float, kh: float = 0.1) -> int:
+    """The uniform table grid's size on [-L, L]: the smallest power of two
+    with k h <= kh for the sech-argument rate k, never below 16384."""
+    k = 0.5 * p * math.sqrt((c - 1.0) / c)
+    return max(16384, 1 << max(int(2.0 * L * k / kh - 1e-12), 1).bit_length())
+
+
+def uniform_row(gs: GroundState, L: float, kh: float = 0.1):
+    """(<kappa, Gamma> closed-form path, operator path, dual-path sup error, grid)
+    on a whole uniform Dirichlet grid of table_points(p, c, L, kh) intervals:
+    kappa_closed_form and hessian_apply(gamma_direction), paired by the
+    trapezoid rule. The table rows' path before they moved to the
+    sinh-mapped half line."""
+    grid = make_grid(L, table_points(gs.p, gs.c, L, kh), DIRICHLET)
+    prof = gs.sample(grid)
+    gamma = gamma_direction(prof)
+    kap = kappa_closed_form(prof)
+    kop = hessian_apply(gs, gamma)
+    sup = np.max(np.abs(kap.values - kop.values)) / np.max(np.abs(kap.values))
+    return inner(kap, gamma), inner(kop, gamma), float(sup), grid
 
 
 def fd_jacobian(uy: np.ndarray, uy_hat: np.ndarray, prof: SampledProfile):

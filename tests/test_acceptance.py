@@ -184,7 +184,7 @@ def test_criterion_4c_constrained_positivity(p):
         gs, grid, {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
     )
     pairing = inverse_pairing(gs, grid, kappa)
-    table_value = negativity_form(gs)[0]
+    table_value = negativity_form(gs).form_value
     kernel_eig = eigenpairs(gs, grid).kernel_eigenvalue
     threshold = 1e-3 * essential_spectrum_edge(gs)
     ok = (

@@ -69,13 +69,37 @@ class TestTable:
         assert "p > 4, got nan" in capsys.readouterr().err
 
     def test_slow_decay_row_on_a_wide_box_resolves(self, tmp_path):
-        # p = 4.1 on L = 100 pi, one row at N = 16384: the 4th-order operator
-        # path missed the dual-path tolerance here (scalar 1.2e-6, exit 3).
-        # -1024.827450015874 is the row's value in closed form, from sech^a moments
+        # p = 4.1 on L = 100 pi: a uniform grid of 16384 intervals with the
+        # 4th-order operator path missed the dual-path tolerance here (scalar
+        # 1.2e-6, exit 3). -1024.827450015874 is the row's value in closed
+        # form, from sech^a moments
         assert run(tmp_path, "table", "--p-list", "4.1", "--L", "314.1592653589793") == 0
         (row,) = json.loads((tmp_path / "table.json").read_text())["result"]
-        assert row["points"] == 16384
         assert row["form_value"] == pytest.approx(-1024.827450015874, rel=1e-11)
+
+    def test_n_caps_a_row(self, tmp_path):
+        # N was a floor: at 2^22 intervals the uniform p = 4.1 row's finite
+        # differences lost to rounding (sup 8.6e-6, exit 3). As a cap above
+        # the row's own size it changes nothing
+        assert run(tmp_path / "big", "table", "--p-list", "4.1", "--N", "4194304") == 0
+        assert run(tmp_path / "default", "table", "--p-list", "4.1") == 0
+        big, default = (json.loads((tmp_path / d / "table.json").read_text())["result"]
+                        for d in ("big", "default"))
+        assert big == default and default[0]["points"] < 8192
+        # below it, the row takes N intervals
+        assert run(tmp_path / "capped", "table", "--p-list", "4.1", "--N", "512") == 0
+        (row,) = json.loads((tmp_path / "capped" / "table.json").read_text())["result"]
+        assert row["points"] == 512
+
+    def test_large_p_rows(self, tmp_path):
+        # a uniform grid at k h <= 0.1 needed 2^21 and 2^24 intervals here
+        assert run(tmp_path, "table", "--p-list", "1000,10000") == 0
+        rows = json.loads((tmp_path / "table.json").read_text())["result"]
+        for row in rows:
+            assert row["negative"] and row["points"] <= 8192
+            assert row["dual_sup_error"] <= 1e-8
+            scalar = abs(row["operator_value"] - row["form_value"]) / abs(row["form_value"])
+            assert scalar <= 1e-8
 
     def test_dual_path_failure_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch):
         original = structure._kappa
@@ -194,6 +218,24 @@ class TestOtherCommands:
         assert sorted(probes) == [1024, 2048, 4096, 8192, 16384]
         assert all(probes[n] <= 5 for n in (2048, 4096, 8192, 16384))
         assert len(solves) <= 50
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["--N", "16"], 3)], ids=["default", "N16"])
+    def test_coercivity_probes_per_grid(self, tmp_path, monkeypatch, argv, code):
+        # N = 16 has k h = 16 and passes its minimum on to no grid, so N = 1024
+        # starts at its bracket midpoint as in a default run; started at the
+        # N = 16 minimum, it took 11 probes
+        probes = {}
+        solve = spectral._shifted_solve
+
+        def counting(diag, off, shift, rhs):
+            if np.ndim(rhs) == 2:
+                probes[diag.size + 1] = probes.get(diag.size + 1, 0) + 1
+            return solve(diag, off, shift, rhs)
+
+        monkeypatch.setattr(spectral, "_shifted_solve", counting)
+        assert run(tmp_path, "coercivity", *argv) == code
+        probes.pop(16, None)
+        assert probes == {1024: 8, 2048: 5, 4096: 4, 8192: 3, 16384: 3}
 
     def test_eigensolves_run_on_the_halves(self, tmp_path, monkeypatch):
         # on a grid with n = N - 1 interior nodes, every index-range eigensolve

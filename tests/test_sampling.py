@@ -19,7 +19,8 @@ from gbbmlab import (
 )
 from gbbmlab.cli import DEFAULTS
 from gbbmlab.modulation import _virial_frame
-from gbbmlab.structure import HALO, kappa_closed_form, kept_windows, table_points
+from gbbmlab.structure import kappa_closed_form
+from reference_paths import table_points
 
 L50 = 50.0 * math.pi
 
@@ -48,11 +49,6 @@ def test_log_space_tail_at_p100_table_grid():
     assert np.array_equal(phi, gs.amplitude * np.exp((2.0 / p) * ls))
 
 
-def test_p100_table_grid_size():
-    # kh <= 0.1 on the sech-argument rate k = 50 sqrt((c-1)/c) at L = 50 pi
-    assert table_points(100.0, critical_speed(100.0), L50, 8192) == 1 << 18
-
-
 @pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 100.0])
 def test_normalized_norm_closed_form_matches_quadrature(p):
     x = np.linspace(-40.0, 40.0, 131073)
@@ -76,7 +72,7 @@ def test_psi_is_scaled_c_derivative_minus_profile(p, dirichlet_8192):
 @pytest.mark.parametrize("p", [5.0, 100.0])
 def test_kappa_matches_expanded_closed_form(p):
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
+    grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
     prof = gs.sample(grid)
     c, x, B, D = gs.c, grid.nodes, gs.B, gs.D
     phi, dphi, ddphi = prof.phi, prof.phi_x, prof.phi_xx
@@ -92,23 +88,19 @@ def test_kappa_matches_expanded_closed_form(p):
 
 
 class TestSamplingCounts:
-    def test_table_row(self, log_sech_calls):
-        # each node of the kept windows once, plus a halo of at most four nodes
-        # on each side of a window; the tail beyond the row's cut is not sampled
-        p = 100.0
-        gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
-        negativity_form(gs)
-        windows = kept_windows(gs, grid)
-        assert len(windows) > 1
-        assert sum(log_sech_calls) <= sum(hi - lo + 2 * HALO for lo, hi in windows)
+    @pytest.mark.parametrize("p", [4.1, 100.0])
+    def test_table_row(self, log_sech_calls, p):
+        # one sampling of the row's half line, nodes 0..m, and nothing beyond
+        row = negativity_form(GroundState(p, critical_speed(p)))
+        assert log_sech_calls == [row.points // 2 + 1]
 
     def test_default_table(self, log_sech_calls):
-        # 1 269 938 samplings over 47 windows when every row streamed its
-        # whole half line; 515 173 over 21 with the rows' tail cut at
-        # kh <= 0.02, and 156 268 over 11 at kh <= 0.1
+        # 1 269 938 samplings when every row streamed its whole half line on
+        # a uniform grid, 156 268 over 11 node windows at kh <= 0.1 with the
+        # rows' tail cut, and 15 801 on the sinh-mapped half lines
         negativity_table(float(p) for p in DEFAULTS["p_list"].split(","))
-        assert sum(log_sech_calls) <= 160_000
+        assert len(log_sech_calls) == 10
+        assert sum(log_sech_calls) <= 16_000
 
     def test_fit_decompose(self, gs5, log_sech_calls):
         grid = make_grid(L50, 8192, "periodic")

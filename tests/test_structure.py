@@ -7,9 +7,8 @@ import pytest
 from gbbmlab import (
     DIRICHLET,
     Field,
-    Grid,
-    GridError,
     GroundState,
+    SampledProfile,
     closed_form_identities,
     coefficients,
     critical_speed,
@@ -27,8 +26,8 @@ from gbbmlab import (
 from gbbmlab import structure
 from gbbmlab.cli import DEFAULTS
 from gbbmlab.ground_state import trigamma
-from gbbmlab.structure import _cubic_image, kept_windows, node_windows, table_points
-from reference_paths import second_difference_4
+from gbbmlab.structure import _cubic_image, _gamma, _kappa, row_cut, row_map
+from reference_paths import table_points, uniform_row
 
 L50 = 50.0 * math.pi
 
@@ -48,16 +47,14 @@ PRINTED_TABLE = {
 
 @pytest.fixture(scope="module")
 def table_grid_p5(gs5):
-    n = table_points(gs5.p, gs5.c, L50, 8192)
-    return make_grid(L50, n, DIRICHLET)
+    return make_grid(L50, table_points(gs5.p, gs5.c, L50), DIRICHLET)
 
 
 class TestCoefficients:
     @pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 30.0, 100.0])
     def test_d_negative_at_critical_speed(self, p):
         gs = GroundState(p, critical_speed(p))
-        n = table_points(p, gs.c, L50, 8192)
-        grid = make_grid(L50, n, DIRICHLET)
+        grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
         _, D = coefficients(gs.sample(grid))
         assert D < 0.0
 
@@ -101,7 +98,7 @@ class TestClosedFormB:
     def test_matches_quadrature_on_table_grid(self, p, c):
         # the independent path: 3/2 ||x phi||^2 + 9/2 ||x phi_x||^2 - 3 ||phi||^2
         gs = GroundState(p, c)
-        grid = make_grid(L50, table_points(p, c, L50, 8192), DIRICHLET)
+        grid = make_grid(L50, table_points(p, c, L50), DIRICHLET)
         prof = gs.sample(grid)
         x = grid.nodes
         quad = (
@@ -112,58 +109,41 @@ class TestClosedFormB:
         assert abs(gs.B - quad) <= 1e-12 * abs(quad)
 
 
-class TestWindows:
-    @pytest.mark.parametrize("count", [17, (1 << 14) + 1, (1 << 20) + 1])
-    def test_layout_covers_nodes_once(self, count):
-        windows = node_windows(count)
-        assert windows[0][0] == 0 and windows[-1][1] == count
-        assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
-        assert all(5 <= hi - lo <= structure.WINDOW_NODES for lo, hi in windows)
+def mapped_row(gs, L=L50, n_cap=8192):
+    """(s, x, x'(s), Gamma, kappa) on the nodes of a table row."""
+    a, ds, m = row_map(gs, L, n_cap)
+    s = np.arange(m + 1) * ds
+    prof = SampledProfile(gs, a * np.sinh(s))
+    return s, prof.x, a * np.cosh(s), _gamma(prof), _kappa(prof)
 
-    def test_window_arrays_match_whole_grid(self):
-        # the slow reference path: whole-grid builders and hessian_apply. The
-        # kept windows match their nodes bitwise, and on every skipped node of
-        # the half line Gamma, kappa and hessian(Gamma) lie under the module
-        # docstring's bound 10^(-ROW_TAIL_DECADES/2) 2^{2/p} A M_T. The table's
-        # own p = 30 grid keeps one window, so this grid is four times finer
-        p = 30.0
-        gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, 1 << 18, DIRICHLET)
-        half = grid.points // 2 + 1
-        prof = gs.sample(grid)
-        gamma = gamma_direction(prof)
-        whole = (gamma.values, kappa_closed_form(prof).values, hessian_apply(gs, gamma).values)
-        weight = (prof.phi * (1.0 + np.abs(prof.x)) ** 3)[:half]
-        del prof, gamma
-        windows = list(structure._row_windows(gs, grid))
-        assert len(windows) > 1
-        first = windows[0][0]
-        assert first > 0
-        for lo, *arrays in windows:
-            for ref, part in zip(whole, arrays):
-                assert np.array_equal(part, ref[lo:lo + part.size])
-        assert windows[-1][0] + windows[-1][1].size == half
-        assert all(lo + w.size == nxt for (lo, w, *_), (nxt, *_) in zip(windows, windows[1:]))
-        envelope = 10.0 ** (-structure.ROW_TAIL_DECADES / 2) * 2.0 ** (2.0 / p) * gs.amplitude
-        for ref in whole:
-            m_t = np.max(np.abs(ref[:half]) / weight)
-            assert np.max(np.abs(ref[:first])) <= envelope * m_t
 
-    @pytest.mark.parametrize("p", [5.0, 30.0])
-    def test_windowed_matches_single_window(self, p, monkeypatch):
+class TestRowMap:
+    @pytest.mark.parametrize("p", [4.1, 5.0, 30.0, 100.0, 1e4])
+    def test_local_steps(self, p):
+        # k h = ROW_CORE_STEP at the centre and tau h = ROW_TAIL_STEP at x_max,
+        # with h = sqrt(a^2 + x^2) ds, up to rounding ds down to end on x_max
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
-        monkeypatch.setattr(structure, "WINDOW_NODES", 4096)
-        assert len(node_windows(grid.node_count)) > 1
-        windowed = negativity_form(gs, grid)
-        monkeypatch.setattr(structure, "WINDOW_NODES", grid.node_count)
-        assert len(node_windows(grid.node_count)) == 1
-        single = negativity_form(gs, grid)
-        for w, s in zip(windowed, single):
-            assert w == pytest.approx(s, rel=1e-12)
+        a, ds, m = row_map(gs, L50, 1 << 30)
+        x_max = min(row_cut(gs, L50), L50)
+        assert a * math.sinh(m * ds) == pytest.approx(x_max, rel=1e-14)
+        core, tail = gs.decay_rate * a * ds, gs.tail_rate * math.hypot(a, x_max) * ds
+        assert structure.ROW_CORE_STEP * (1.0 - 1.0 / m) < core <= structure.ROW_CORE_STEP
+        assert tail / core == pytest.approx(structure.ROW_TAIL_STEP / structure.ROW_CORE_STEP)
+
+    def test_points_cap_the_row(self, gs5):
+        a, ds, m = row_map(gs5, L50, 8192)
+        assert 16 < 2 * m < 8192
+        assert row_map(gs5, L50, 2 * m) == (a, ds, m)
+        a2, ds2, m2 = row_map(gs5, L50, 1024)
+        assert (a2, m2) == (a, 512) and ds2 == pytest.approx(ds * m / 512)
+
+    def test_rejects_an_unresolving_box(self, gs5):
+        with pytest.raises(ValueError, match="leaves tail"):
+            row_map(gs5, 10.0, 8192)
 
     def test_p100_row_peak_memory(self):
-        # the p = 100 row spans 2^20 + 1 nodes, 8 MB per array of full grid length
+        # 2489 nodes (measured peak 0.36 MB); a uniform grid's 2^18 + 1 nodes,
+        # streamed in windows, peaked under 16 MB
         gs = GroundState(100.0, critical_speed(100.0))
         tracemalloc.start()
         try:
@@ -171,88 +151,76 @@ class TestWindows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
-
-    def test_rejects_periodic_grid(self, gs5, periodic_8192):
-        with pytest.raises(GridError):
-            negativity_form(gs5, periodic_8192)
-
-    def test_rejects_odd_dirichlet_grid(self, gs5):
-        # built past make_grid, an odd grid is not mirror-symmetric, so the
-        # half-line sum would be wrong
-        grid = Grid(L50, 16385, DIRICHLET)
-        assert not np.array_equal(grid.nodes, -grid.nodes[::-1])
-        with pytest.raises(GridError):
-            negativity_form(gs5, grid)
+        assert peak < 1e6
 
 
 class TestRowCut:
-    """The row's tail cut against the full stream of the half line."""
+    """The row's extent against the module docstring's tail bound."""
 
-    @pytest.mark.parametrize("p, window_nodes", [
-        (5.0, 1 << 10),  # p = 5 fits one default window, the centre's, always kept
-        (30.0, structure.WINDOW_NODES),
-        (100.0, structure.WINDOW_NODES),
-        (200.0, structure.WINDOW_NODES),
-    ])
-    def test_matches_full_stream_bitwise(self, p, window_nodes, monkeypatch):
+    @pytest.mark.parametrize("p", [10.0, 30.0, 100.0, 200.0])
+    def test_no_term_beyond_the_cut(self, p):
+        # sampled on 2001 nodes of [X, L], every term Gamma, kappa and
+        # hessian(Gamma) lies under 10^(-ROW_TAIL_DECADES/2) 2^{2/p} A M_T, and
+        # every product under 10^-ROW_TAIL_DECADES of the row's |<kappa, Gamma>|
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
-        monkeypatch.setattr(structure, "WINDOW_NODES", window_nodes)
-        assert len(kept_windows(gs, grid)) < len(node_windows(grid.node_count // 2 + 1))
-        cut = negativity_form(gs, grid)
-        monkeypatch.setattr(structure, "ROW_TAIL_DECADES", math.inf)
-        assert kept_windows(gs, grid) == node_windows(grid.node_count // 2 + 1)
-        assert negativity_form(gs, grid) == cut
+        cut = row_cut(gs, L50)
+        assert cut < L50
+        s, x, xp, gamma, kap = mapped_row(gs)
+        assert x[-1] == pytest.approx(cut, rel=1e-14)
+        row = negativity_form(gs)
+        grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
+        prof = gs.sample(grid)
+        g = gamma_direction(prof)
+        terms = (g.values, kappa_closed_form(prof).values, hessian_apply(gs, g).values)
+        beyond = np.abs(grid.nodes) >= cut
+        weight = prof.phi * (1.0 + np.abs(grid.nodes)) ** 3
+        envelope = 10.0 ** (-structure.ROW_TAIL_DECADES / 2) * 2.0 ** (2.0 / p) * gs.amplitude
+        for t in terms:
+            assert np.max(np.abs(t[beyond])) <= envelope * np.max(np.abs(t) / weight)
+        for t in terms[1:]:
+            product = np.abs(t * terms[0])[beyond]
+            assert np.max(product) <= 10.0 ** -structure.ROW_TAIL_DECADES * abs(row.form_value)
 
     @pytest.mark.parametrize("p", [4.1, 4.5])
-    def test_slow_decay_skips_no_window(self, p, monkeypatch):
-        # the cut lies beyond L = 50 pi, so even small windows are all kept
+    def test_slow_decay_runs_to_the_box(self, p):
+        # the cut lies beyond L = 50 pi, so the row ends on L
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
-        assert structure.row_cut(gs, L50) > L50
-        monkeypatch.setattr(structure, "WINDOW_NODES", 1 << 10)
-        windows = node_windows(grid.node_count // 2 + 1)
-        assert len(windows) > 1
-        assert kept_windows(gs, grid) == windows
-
-    def test_p100_streams_at_most_two_fifths(self):
-        # on 2^20 nodes, so that the cut is measured in windows of 1/17 of the
-        # half line, not in the table grid's fifths
-        gs = GroundState(100.0, critical_speed(100.0))
-        grid = make_grid(L50, 1 << 20, DIRICHLET)
-        streamed = sum(hi - lo for lo, hi in kept_windows(gs, grid))
-        assert streamed <= 0.4 * (grid.node_count // 2 + 1)
+        assert row_cut(gs, L50) > L50
+        x = mapped_row(gs)[1]
+        assert x[-1] == pytest.approx(L50, rel=1e-14)
 
 
 class TestHalfLineRow:
     @pytest.fixture(scope="class", params=[4.1, 5.0, 30.0, 100.0])
-    def whole_row(self, request):
-        # the slow reference path: the pairings rebuilt on the whole grid
+    def row(self, request):
         p = request.param
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50, 8192), DIRICHLET)
-        prof = gs.sample(grid)
-        gamma = gamma_direction(prof)
-        kap = kappa_closed_form(prof)
-        kop = hessian_apply(gs, gamma)
-        return gs, grid, gamma, kap, kop
+        return gs, negativity_form(gs)
 
-    def test_matches_whole_grid_pairings(self, whole_row):
-        gs, grid, gamma, kap, kop = whole_row
-        closed, operator, sup = negativity_form(gs, grid)
-        assert closed == pytest.approx(inner(kap, gamma), rel=1e-12)
-        assert operator == pytest.approx(inner(kop, gamma), rel=1e-9)
-        scale = np.max(np.abs(kap.values))
-        assert sup == pytest.approx(np.max(np.abs(kap.values - kop.values)) / scale, rel=1e-3)
+    def test_half_line_sums_have_exact_parity(self, row):
+        # the row's terms at -x equal those at x bitwise, and the half-line
+        # pairing equals the trapezoid sum over the mirrored row [-x_max, x_max]
+        gs, r = row
+        s, x, xp, gamma, kap = mapped_row(gs)
+        mirrored = SampledProfile(gs, -x)
+        assert np.array_equal(_gamma(mirrored), gamma)
+        assert np.array_equal(_kappa(mirrored), kap)
+        w = np.concatenate((xp[:0:-1], xp))
+        w[[0, -1]] *= 0.5
+        whole = np.concatenate((kap[:0:-1] * gamma[:0:-1], kap * gamma))
+        ds = s[1]
+        # to rounding, on the sum of |kappa Gamma|: the p = 4.1 row cancels 2457-fold
+        assert abs(r.form_value - ds * (w @ whole)) <= 1e-14 * ds * (w @ np.abs(whole))
 
-    def test_row_is_even(self, whole_row):
-        # the parity the half-line reduction rests on
-        _, _, gamma, kap, kop = whole_row
-        assert np.array_equal(gamma.values, gamma.values[::-1])
-        assert np.array_equal(kap.values, kap.values[::-1])
-        kv = kop.values
-        assert np.max(np.abs(kv - kv[::-1])) <= 1e-10 * np.max(np.abs(kv))
+    @pytest.mark.parametrize("p", [5.0, 10.0])
+    def test_operator_path_is_eighth_order(self, p, monkeypatch):
+        # doubling both steps raises the dual sup error 2^8-fold (measured: 251
+        # and 252; at the default steps p >= 10 sits near its rounding floor)
+        gs = GroundState(p, critical_speed(p))
+        fine = negativity_form(gs).dual_sup_error
+        monkeypatch.setattr(structure, "ROW_CORE_STEP", 2.0 * structure.ROW_CORE_STEP)
+        monkeypatch.setattr(structure, "ROW_TAIL_STEP", 2.0 * structure.ROW_TAIL_STEP)
+        assert negativity_form(gs).dual_sup_error >= 200.0 * fine
 
 
 class TestGammaDirection:
@@ -276,8 +244,8 @@ class TestGammaDirection:
 
 
 class TestKappa:
-    def test_dual_path_sup(self, gs5, table_grid_p5):
-        assert negativity_form(gs5, table_grid_p5)[2] < 1e-6
+    def test_dual_path_sup(self, gs5):
+        assert negativity_form(gs5).dual_sup_error < 1e-6
 
     def test_even(self, gs5, dirichlet_8192):
         vals = kappa_closed_form(gs5.sample(dirichlet_8192)).values
@@ -320,15 +288,17 @@ class TestNegativityForm:
     @pytest.mark.parametrize("p", [4.1, 6.0, 100.0])
     def test_matches_printed_value(self, p):
         gs = GroundState(p, critical_speed(p))
-        v_closed, v_op, sup = negativity_form(gs)
-        assert v_closed == pytest.approx(PRINTED_TABLE[p], rel=0.01)
-        assert abs(v_op - v_closed) / abs(v_closed) < 1e-6
-        assert sup < 1e-6
+        row = negativity_form(gs)
+        assert (row.p, row.c0) == (p, gs.c)
+        assert row.form_value == pytest.approx(PRINTED_TABLE[p], rel=0.01)
+        assert row.dual_scalar_error < 1e-6
+        assert row.dual_sup_error < 1e-6
 
-    def test_resolution_floor_grows_with_p(self):
-        c100 = critical_speed(100.0)
-        c5 = critical_speed(5.0)
-        assert table_points(100.0, c100, L50, 8192) > table_points(5.0, c5, L50, 8192)
+    def test_row_size_grows_with_p(self):
+        # m = asinh(x_max / a) / ds intervals on the half line, about ln p
+        points = [negativity_form(GroundState(p, critical_speed(p))).points
+                  for p in (5.0, 100.0, 1e4)]
+        assert points[0] < points[1] < points[2] < 2 * points[1]
 
 
 @pytest.fixture(scope="module")
@@ -353,10 +323,12 @@ class TestNegativityTable:
         assert all(a > b for a, b in zip(tail, tail[1:]))
 
     def test_resolution_independence(self, report):
-        finer = negativity_table([5.0, 30.0], n_request=16384)
-        for row in finer.rows:
+        # rows capped at 1024 intervals, 2.4 to 4.9 times coarser
+        coarser = negativity_table([5.0, 30.0, 100.0], n_request=1024)
+        for row in coarser.rows:
             ref = next(r for r in report.rows if r.p == row.p)
-            assert row.form_value == pytest.approx(ref.form_value, rel=1e-6)
+            assert row.points == 1024 < ref.points
+            assert row.form_value == pytest.approx(ref.form_value, rel=1e-9)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -364,27 +336,32 @@ class TestNegativityTable:
         with pytest.raises(ValueError):
             negativity_table([3.0])
 
-    def test_matches_fourth_order_rows(self, report, monkeypatch):
-        # the slow reference: the same rows at kh <= 0.02 with the 4th-order
-        # second difference on the operator path
+    def test_matches_uniform_rows(self, report):
+        # the slow reference: each row on a whole uniform grid at k h <= 0.1,
+        # 2^14 to 2^18 intervals, 8th-order on the operator path (measured:
+        # form values within 5.6e-12, at p = 4.1, and 20 times the points)
         assert [r.p for r in report.rows] == [float(p) for p in DEFAULTS["p_list"].split(",")]
-        monkeypatch.setattr(structure, "_fd_derivative", lambda v, h, order: second_difference_4(v, h))
-        monkeypatch.setattr(structure, "TABLE_KH_LIMIT", 0.02)
-        reference = negativity_table(r.p for r in report.rows)
-        assert sum(r.points for r in report.rows) < sum(r.points for r in reference.rows) / 3
-        for row, ref in zip(report.rows, reference.rows):
-            assert row.form_value == pytest.approx(ref.form_value, rel=1e-13)
-            assert row.operator_value == pytest.approx(ref.operator_value, rel=2e-7)
-
-    def test_dual_errors_below_1e_8(self, report):
+        uniform_points = 0
         for row in report.rows:
-            assert row.dual_sup_error <= 1e-8
-            assert row.dual_scalar_error <= 1e-8
+            closed, operator, sup, grid = uniform_row(GroundState(row.p, row.c0), L50)
+            uniform_points += grid.points
+            assert row.form_value == pytest.approx(closed, rel=1e-11)
+            assert row.operator_value == pytest.approx(operator, rel=2e-9)
+        assert sum(r.points for r in report.rows) < uniform_points / 15
 
-    def test_dual_path_guard_trips_on_coarse_grid(self, gs5):
-        # forcing a coarse grid breaks the 1e-6 consistency contract at large p
-        coarse = make_grid(L50, 4096, DIRICHLET)
-        assert negativity_form(GroundState(100.0, critical_speed(100.0)), coarse)[2] > 1e-6
+    def test_dual_errors_below_1e_9(self, report):
+        # a uniform grid at k h <= 0.1 reached 5.7e-9 sup (p = 50) and 1.7e-9
+        # scalar (p = 4.1); the rows measure at most 9.3e-10 and 3.2e-10
+        for row in report.rows:
+            assert row.dual_sup_error <= 1e-9
+            assert row.dual_scalar_error <= 1e-9
+
+    def test_dual_path_guard_trips_on_a_coarse_row(self):
+        # capping the p = 100 row at 512 intervals breaks the 1e-6 contract
+        gs = GroundState(100.0, critical_speed(100.0))
+        assert negativity_form(gs, n_request=512).dual_sup_error > 1e-6
+        with pytest.raises(structure.DualPathError):
+            negativity_table([100.0], n_request=512)
 
 
 class TestModulationPairing:
