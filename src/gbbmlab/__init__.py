@@ -24,11 +24,7 @@ from .ground_state import (
     normalized_profile_norm_sq,
 )
 from .functionals import (
-    FunctionalValue,
-    action,
     energy,
-    evolution_rhs,
-    gradients,
     hessian_apply,
     momentum,
 )
@@ -58,7 +54,6 @@ from .dynamics import (
     UnresolvedError,
     auto_points,
     evolve,
-    step,
     stream,
 )
 from .modulation import (

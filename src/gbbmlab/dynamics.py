@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, GridError, PERIODIC, _parseval_h1_sq, make_grid
-from .functionals import energy, _flow, _flow_symbol
+from .functionals import energy, _flow
 
 # per-node error tolerance of an accepted step: ATOL + RTOL * max(|v|, |v_new|)
 RTOL = 1e-10
@@ -178,18 +178,8 @@ def _dop853(v: np.ndarray, K: np.ndarray, h: float, g: Grid, p: float) -> np.nda
     the flow at the returned 8th-order state. Twelve flow evaluations."""
     for i, row in enumerate(_A, start=1):
         u = v + h * (row @ K[:i])
-        K[i] = _flow(u, g, p, True)
+        K[i] = _flow(u, g, p)
     return u
-
-
-def step(u: Field, dt: float, p: float) -> Field:
-    """One uncontrolled 8th-order DOP853 step of the Hamiltonian flow."""
-    K = np.empty((len(_A) + 1, u.values.size))
-    K[0] = _flow(u.values, u.grid, p, True)
-    out = _dop853(u.values, K, dt, u.grid, p)
-    if not np.all(np.isfinite(out)):
-        raise BlowupError(float("nan"))
-    return Field(u.grid, out)
 
 
 def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
@@ -238,7 +228,7 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
 
     yield frame(0.0)
     K = np.empty((len(_A) + 1, v.size))
-    K[0] = _flow(v, g, p, True)
+    K[0] = _flow(v, g, p)
     t, h, after_reject = 0.0, config.dt, False
     for t_rec in record_times:
         while t < t_rec:
@@ -271,8 +261,3 @@ def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
     """Integrate to t_end: every frame of `stream`, collected."""
     return Trajectory(list(stream(u0, config)))
 
-
-def linear_rhs(u: Field) -> Field:
-    """Linearized flow u_t = -(1 - d_xx)^{-1} d_x u; mode k advects at 1/(1+k^2)."""
-    g = u.grid
-    return Field(g, np.fft.irfft(_flow_symbol(g) * np.fft.rfft(u.values), n=g.points))

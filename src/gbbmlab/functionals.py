@@ -1,4 +1,4 @@
-"""Conserved functionals E and Q, the action S_c, gradients, Hessian and flow field.
+"""Conserved functionals E and Q, the action Hessian at phi_c and the flow field.
 
 Conventions, fixed once for the whole package:
 
@@ -12,28 +12,24 @@ Conventions, fixed once for the whole package:
 
     hessian_apply(gs, f) = c f_xx + (1-c) f + (p+1) phi_c^p f
 
+S_c and the gradients only fix the conventions here; the tests compute them
+as reference paths for the Hessian and the flow.
+
 The Hessian here is the literal second variation of S_c at phi_c; it equals
 -c times the Weinstein operator handled in the spectral module. Quadratic
 forms reported by the structure module use this literal convention.
 
-The flow is the Hamiltonian form u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u).
+The flow is the Hamiltonian form u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u),
+evaluated under the 2/3 rule; `dynamics` steps it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import Field, derivative, quadrature
 from .ground_state import GroundState
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    E: float
-    Q: float
-    S_c: float
 
 
 def _nonlinear(u: np.ndarray, p: float) -> np.ndarray:
@@ -70,23 +66,6 @@ def momentum(u: Field) -> float:
     return quadrature(Field(u.grid, 0.5 * (v * v + ux * ux)))
 
 
-def action(u: Field, p: float, c: float) -> FunctionalValue:
-    E = energy(u, p)
-    Q = momentum(u)
-    return FunctionalValue(E, Q, E - c * Q)
-
-
-def gradients(u: Field, p: float, c: float) -> tuple[Field, Field, Field]:
-    """(E'(u), Q'(u), S_c'(u)) as sampled fields."""
-    v = u.values
-    uxx = derivative(u, 2).values
-    e_grad = v + _nonlinear(v, p)
-    q_grad = v - uxx
-    s_grad = e_grad - c * q_grad
-    g = u.grid
-    return Field(g, e_grad), Field(g, q_grad), Field(g, s_grad)
-
-
 def hessian_values(gs: GroundState, f: np.ndarray, fxx: np.ndarray, pot: np.ndarray) -> np.ndarray:
     """c f_xx + (1-c) f + (p+1) phi^p f from f, f_xx and phi^p on the same nodes."""
     return gs.c * fxx + (1.0 - gs.c) * f + (gs.p + 1.0) * pot * f
@@ -107,15 +86,10 @@ def _flow_symbol(grid) -> np.ndarray:
     return sym
 
 
-def _flow(v: np.ndarray, grid, p: float, dealias: bool) -> np.ndarray:
-    # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values; the 2/3 rule is optional.
+def _flow(v: np.ndarray, grid, p: float) -> np.ndarray:
+    # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values, under the 2/3 rule.
     # Only the bins below the cutoff are multiplied: irfft zero-pads the rest,
     # bitwise what a 0/1 mask on every bin gives
     wh = np.fft.rfft(v + _nonlinear(v, p))
-    cut = grid.dealias_cut if dealias else wh.size
+    cut = grid.dealias_cut
     return np.fft.irfft(_flow_symbol(grid)[:cut] * wh[:cut], n=grid.points)
-
-
-def evolution_rhs(u: Field, p: float, dealias: bool = True) -> Field:
-    """u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u) on a periodic grid."""
-    return Field(u.grid, _flow(u.values, u.grid, p, dealias))

@@ -5,10 +5,11 @@ Two boundary flavors are supported:
 * ``periodic`` -- nodes x_j = -L + j*h, j = 0..N-1 (right endpoint omitted);
   derivatives and (1 - d_xx)^{-1} are computed spectrally via the FFT.
 * ``dirichlet_truncated`` -- nodes x_j = -L + j*h, j = 0..N (both endpoints
-  kept); derivatives use central differences, 8th-order in the interior for
-  the second derivative and 4th-order for the first and third, with
-  one-sided stencils at the ends. Used for eigenproblems and the negativity
-  table, where exponential decay justifies the truncation.
+  kept); first and second derivatives use central differences, 8th-order
+  in the interior, 4th- and 2nd-order next to the ends and 2nd-order
+  one-sided at them; there is no third derivative. Used for eigenproblems
+  and the negativity table, where exponential decay justifies the
+  truncation.
 
 Quadrature is the composite trapezoid rule, which is spectrally accurate for
 the smooth, exponentially decaying integrands this package deals in.
@@ -150,30 +151,41 @@ def _parseval_h1_sq(f_hat: np.ndarray, g: Grid) -> float:
     return float(_h1_weights(g) @ (f_hat.real ** 2 + f_hat.imag ** 2))
 
 
-def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Central differences, 2nd-order one-sided at the ends.
+# the centred 8th-order weights c_1..c_4 of each derivative order (Fornberg,
+# Math. Comp. 51 (1988)): v'_i = sum_j c_j (v_{i+j} - v_{i-j}) / h and
+# v''_i = sum_j c_j (v_{i+j} + v_{i-j} - 2 v_i) / h^2
+CENTRED_8 = {
+    1: (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0),
+    2: (8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0),
+}
 
-    Orders 1 and 3 are 4th-order in the interior. Order 2 is the centred
-    8th-order stencil (-1/560, 8/315, -1/5, 8/5, -205/72, 8/5, ...)/h^2 on
-    nodes 4..n-5 and the 4th-order one on nodes 2, 3, n-4 and n-3. The
-    8th-order stencil is summed as sum_j c_j (v_{i+j} + v_{i-j} - 2 v_i), so
-    the rounded weights c_j = 8/5, -1/5, 8/315, -1/560 leave no bias of order
-    eps v / h^2, and an even v gives an even result bitwise.
+
+def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Central differences of order 1 or 2, 2nd-order one-sided at the ends.
+
+    Nodes 4..n-5 take the centred 8th-order stencil of CENTRED_8, summed in
+    pairs, (v_{i+j} - v_{i-j}) or (v_{i+j} + v_{i-j} - 2 v_i), so an even or
+    odd v gives an odd or even result bitwise and the rounded second-order
+    weights leave no bias of order eps v / h^2. Nodes 2, 3, n-4 and n-3 take
+    the centred 4th-order stencil, nodes 1 and n-2 the centred 2nd-order one.
     """
-    out = np.empty_like(v)
+    if order not in CENTRED_8:
+        raise GridError(f"derivative order must be 1 or 2, got {order!r}")
+    n, out = len(v), np.empty_like(v)
+    mid, twice = out[4:-4], 2.0 * v[4:-4] if order == 2 else None
+    mid[:] = 0.0
+    for j, c in enumerate(CENTRED_8[order], 1):
+        lo, hi = v[4 - j:n - 4 - j], v[4 + j:n - 4 + j]
+        mid += c * (hi - lo if order == 1 else lo + hi - twice)
     if order == 1:
-        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+        mid /= h
+        for i in (2, 3, -4, -3):
+            out[i] = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / (12 * h)
         out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
         out[1] = (v[2] - v[0]) / (2 * h)
         out[-2] = (v[-1] - v[-3]) / (2 * h)
         out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    elif order == 2:
-        n, mid, twice = len(v), out[4:-4], 2.0 * v[4:-4]
-        mid[:] = 0.0
-        for j, c in ((1, 8.0 / 5.0), (2, -1.0 / 5.0), (3, 8.0 / 315.0), (4, -1.0 / 560.0)):
-            pair = v[4 - j:n - 4 - j] + v[4 + j:n - 4 + j]
-            pair -= twice
-            mid += c * pair
+    else:
         mid /= h * h
         for i in (2, 3, -4, -3):
             out[i] = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
@@ -181,16 +193,6 @@ def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
         out[1] = (v[0] - 2 * v[1] + v[2]) / (h * h)
         out[-2] = (v[-3] - 2 * v[-2] + v[-1]) / (h * h)
         out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
-    elif order == 3:
-        out[3:-3] = (v[:-6] - 8 * v[1:-5] + 13 * v[2:-4]
-                     - 13 * v[4:-2] + 8 * v[5:-1] - v[6:]) / (8 * h ** 3)
-        # 1st-order one-sided stencils at the six edge points
-        for i in (0, 1, 2):
-            out[i] = (-v[i] + 3 * v[i + 1] - 3 * v[i + 2] + v[i + 3]) / h ** 3
-        for i in (-3, -2, -1):
-            out[i] = (v[i] - 3 * v[i - 1] + 3 * v[i - 2] - v[i - 3]) / h ** 3
-    else:
-        raise GridError(f"derivative order must be 1, 2 or 3, got {order!r}")
     return out
 
 
@@ -204,8 +206,8 @@ def _derivative_symbol(g: Grid, order: int) -> np.ndarray:
 
 
 def derivative(f: Field, order: int = 1) -> Field:
-    if order not in (1, 2, 3):
-        raise GridError(f"derivative order must be 1, 2 or 3, got {order!r}")
+    if order not in CENTRED_8:
+        raise GridError(f"derivative order must be 1 or 2, got {order!r}")
     g = f.grid
     if g.boundary == PERIODIC:
         out = np.fft.irfft(_derivative_symbol(g, order) * np.fft.rfft(f.values), n=g.points)

@@ -314,8 +314,9 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
     n2 = prof.norm_sq
     dn2 = quad(dphi ** 2)
     lp = quad(np.abs(phi) ** (p + 2.0))
-    dc_n2 = 2.0 * quad(phi * dcphi)
-    dc_q = quad(phi * dcphi) + quad(dphi * prof.dc_phi_x)
+    phi_dcphi = quad(phi * dcphi)
+    dc_n2 = 2.0 * phi_dcphi
+    dc_q = phi_dcphi + quad(dphi * prof.dc_phi_x)
     e_quad = 0.5 * n2 + lp / (p + 2.0)
     q_quad = 0.5 * (n2 + dn2)
 

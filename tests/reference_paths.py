@@ -10,13 +10,81 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbbmlab import (
-    DIRICHLET, Field, Grid, GroundState, SampledProfile, gamma_direction, hessian_apply, inner,
-    kappa_closed_form, make_grid,
+    DIRICHLET, BlowupError, Field, Grid, GroundState, SampledProfile, derivative, energy,
+    gamma_direction, hessian_apply, inner, kappa_closed_form, make_grid, momentum,
 )
+from gbbmlab.dynamics import _A, _dop853
+from gbbmlab.functionals import _flow, _flow_symbol, _nonlinear
 from gbbmlab.grid import _derivative_symbol
 from gbbmlab.modulation import VirialReport, _check_cutoff, _odd_cutoff, _residual
 
 FD_LAMBDA_REL = 1e-5
+
+
+@dataclass(frozen=True)
+class FunctionalValue:
+    E: float
+    Q: float
+    S_c: float
+
+
+def action(u: Field, p: float, c: float) -> FunctionalValue:
+    """E(u), Q(u) and the action S_c(u) = E(u) - c Q(u)."""
+    E = energy(u, p)
+    Q = momentum(u)
+    return FunctionalValue(E, Q, E - c * Q)
+
+
+def gradients(u: Field, p: float, c: float) -> tuple[Field, Field, Field]:
+    """(E'(u), Q'(u), S_c'(u)) = (u + |u|^p u, u - u_xx, E' - c Q') as sampled
+    fields: the reference for `hessian_apply` and for the flow."""
+    v = u.values
+    uxx = derivative(u, 2).values
+    e_grad = v + _nonlinear(v, p)
+    q_grad = v - uxx
+    s_grad = e_grad - c * q_grad
+    g = u.grid
+    return Field(g, e_grad), Field(g, q_grad), Field(g, s_grad)
+
+
+def evolution_rhs(u: Field, p: float, dealias: bool = True) -> Field:
+    """u_t = -(1 - d_xx)^{-1} d_x (u + |u|^p u) on a periodic grid: `functionals._flow`,
+    which keeps the bins below the 2/3 cutoff, or with dealias=False the full band."""
+    v, g = u.values, u.grid
+    if dealias:
+        return Field(g, _flow(v, g, p))
+    return Field(g, np.fft.irfft(_flow_symbol(g) * np.fft.rfft(v + _nonlinear(v, p)), n=g.points))
+
+
+def linear_rhs(u: Field) -> Field:
+    """Linearized flow u_t = -(1 - d_xx)^{-1} d_x u; mode k advects at 1/(1+k^2)."""
+    g = u.grid
+    return Field(g, np.fft.irfft(_flow_symbol(g) * np.fft.rfft(u.values), n=g.points))
+
+
+def step(u: Field, dt: float, p: float) -> Field:
+    """One uncontrolled 8th-order DOP853 step of the Hamiltonian flow: the
+    stage function `dynamics.stream` takes its controlled steps with."""
+    K = np.empty((len(_A) + 1, u.values.size))
+    K[0] = _flow(u.values, u.grid, p)
+    out = _dop853(u.values, K, dt, u.grid, p)
+    if not np.all(np.isfinite(out)):
+        raise BlowupError(float("nan"))
+    return Field(u.grid, out)
+
+
+def first_difference_4(v: np.ndarray, h: float) -> np.ndarray:
+    """The 4th-order central first difference (1, -8, 0, 8, -1)/(12 h),
+    2nd-order at the two nodes at each end: the
+    Dirichlet grids' first derivative before `grid._fd_derivative` took the
+    8th-order interior."""
+    out = np.empty_like(v)
+    out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    out[1] = (v[2] - v[0]) / (2 * h)
+    out[-2] = (v[-1] - v[-3]) / (2 * h)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return out
 
 
 def second_difference_4(v: np.ndarray, h: float) -> np.ndarray:

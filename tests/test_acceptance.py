@@ -34,7 +34,6 @@ from gbbmlab import (
     Field,
     GroundState,
     SimulationConfig,
-    action,
     closed_form_identities,
     constrained_form_minimum,
     critical_speed,
@@ -43,7 +42,6 @@ from gbbmlab import (
     evolve,
     gamma_curvature_closed,
     gamma_of_lambda,
-    gradients,
     hessian_apply,
     inner,
     instability_experiment,
@@ -56,9 +54,9 @@ from gbbmlab import (
     norm_l2,
     translate,
 )
-from gbbmlab.dynamics import linear_rhs
 from gbbmlab.ground_state import profile_norm_sq_closed
 from conftest import decaying_random_field
+from reference_paths import action, gradients, linear_rhs
 
 L50 = 50.0 * math.pi
 

@@ -15,19 +15,18 @@ from gbbmlab import (
     auto_points,
     critical_speed,
     derivative,
-    evolution_rhs,
     evolve,
     helmholtz_inverse,
     make_grid,
     momentum,
     norm_h1,
-    step,
     stream,
     translate,
 )
-from gbbmlab.dynamics import _A, _E3, _E5, TAIL_TOL, linear_rhs, relative_tail
+from gbbmlab.dynamics import _A, _E3, _E5, TAIL_TOL, relative_tail
 from gbbmlab.functionals import _nonlinear
 from conftest import decaying_random_field
+from reference_paths import evolution_rhs, linear_rhs, step
 
 L50 = 50.0 * math.pi
 

@@ -90,14 +90,16 @@ def test_kappa_matches_expanded_closed_form(p):
 class TestSamplingCounts:
     @pytest.mark.parametrize("p", [4.1, 100.0])
     def test_table_row(self, log_sech_calls, p):
-        # one sampling of the row's half line, nodes 0..m, and nothing beyond
+        # one sampling of the row's half line, nodes 0..m, and the four ghost
+        # nodes past x_max that its stencils read
         row = negativity_form(GroundState(p, critical_speed(p)))
-        assert log_sech_calls == [row.points // 2 + 1]
+        assert log_sech_calls == [row.points // 2 + 5]
 
     def test_default_table(self, log_sech_calls):
         # 1 269 938 samplings when every row streamed its whole half line on
         # a uniform grid, 156 268 over 11 node windows at kh <= 0.1 with the
-        # rows' tail cut, and 15 801 on the sinh-mapped half lines
+        # rows' tail cut, and 15 841 on the sinh-mapped half lines, 40 of them
+        # ghost nodes
         negativity_table(float(p) for p in DEFAULTS["p_list"].split(","))
         assert len(log_sech_calls) == 10
         assert sum(log_sech_calls) <= 16_000

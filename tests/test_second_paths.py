@@ -14,6 +14,12 @@ the whole suite); each mutant must fail the test named with it.
   1.01: `test_kappa_residual_matches_the_hessian_of_gamma`.
 - `beta_lin` in `modulation.instability_experiment` times (1 + 1e-6):
   `test_beta_linear_prediction_matches_richardson_limit`.
+- the leading first-order weight 4/5 in `grid.CENTRED_8` times (1 + 1e-6):
+  `test_acceptance.py::test_criterion_1_table_reproduction`, the `TestTable`
+  tests of `test_cli.py`, `test_grid.py::test_dirichlet_derivative_is_eighth_order`
+  and `test_structure.py::TestHalfLineRow::test_operator_path_is_eighth_order`.
+- the leading second-order weight 8/5 in `grid.CENTRED_8` times (1 + 1e-6):
+  the same tests, and `test_structure.py::TestKappa::test_dual_path_sup`.
 """
 import math
 

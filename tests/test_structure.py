@@ -212,10 +212,12 @@ class TestHalfLineRow:
         # to rounding, on the sum of |kappa Gamma|: the p = 4.1 row cancels 2457-fold
         assert abs(r.form_value - ds * (w @ whole)) <= 1e-14 * ds * (w @ np.abs(whole))
 
-    @pytest.mark.parametrize("p", [5.0, 10.0])
+    @pytest.mark.parametrize("p", [4.1, 5.0, 10.0])
     def test_operator_path_is_eighth_order(self, p, monkeypatch):
-        # doubling both steps raises the dual sup error 2^8-fold (measured: 251
-        # and 252; at the default steps p >= 10 sits near its rounding floor)
+        # doubling both steps raises the dual sup error 2^8-fold (measured: 242,
+        # 251 and 252; at the default steps p >= 10 sits near its rounding
+        # floor). The p = 4.1 row runs to x_max = L, and one-sided stencils
+        # there made it 2nd order (10.6-fold)
         gs = GroundState(p, critical_speed(p))
         fine = negativity_form(gs).dual_sup_error
         monkeypatch.setattr(structure, "ROW_CORE_STEP", 2.0 * structure.ROW_CORE_STEP)
@@ -351,10 +353,18 @@ class TestNegativityTable:
 
     def test_dual_errors_below_1e_9(self, report):
         # a uniform grid at k h <= 0.1 reached 5.7e-9 sup (p = 50) and 1.7e-9
-        # scalar (p = 4.1); the rows measure at most 9.3e-10 and 3.2e-10
+        # scalar (p = 4.1); the rows measure at most 4.1e-11 and 3.2e-10
         for row in report.rows:
             assert row.dual_sup_error <= 1e-9
             assert row.dual_scalar_error <= 1e-9
+
+    def test_row_to_the_box_reads_ghost_nodes(self, report):
+        # the p = 4.1 row runs to x_max = L; its stencils read Gamma's closed
+        # form past L, where one-sided ones left 9.2e-10 at x = L (measured
+        # now: 4.1e-11, the core's level)
+        row = next(r for r in report.rows if r.p == 4.1)
+        assert row_cut(GroundState(row.p, row.c0), L50) > L50
+        assert row.dual_sup_error <= 1e-10
 
     def test_dual_path_guard_trips_on_a_coarse_row(self):
         # capping the p = 100 row at 512 intervals breaks the 1e-6 contract
