@@ -58,7 +58,7 @@ DIRICHLET_POINTS = 8192
 DEFAULTS = {
     "L": 50.0 * math.pi,
     "N": 0,  # 0 means auto (see _auto_points)
-    "dt": 1e-3,
+    "dt": 0.0,  # 0 means estimate the first step from the initial state
     "t_end": 20.0,
     "a": 0.01,
     "R": 0.0,  # 0 means auto (10 / tail rate)

@@ -144,9 +144,10 @@ class SampledProfile:
     never underflows to a hard zero and sampled even/odd functions carry exact
     parity on symmetric nodes. Log sech, tanh, sech^2, phi, phi_x, phi_xx,
     phi^p and (with a grid) ||phi||^2 by quadrature are computed on first use
-    and kept as long as the bundle lives (drop it to free them); d_c phi,
-    d_c phi_x, d_c^2 phi and Psi are rebuilt on each read, since every caller
-    reads them once.
+    and kept as long as the bundle lives (drop it to free them), and so are
+    d_c phi and its factor g = d_c phi / phi, which a modulation Newton iterate
+    reads five times; d_c phi_x, d_c^2 phi and Psi are rebuilt on each read,
+    since every caller reads them once.
     """
 
     gs: GroundState
@@ -190,13 +191,13 @@ class SampledProfile:
         """phi_c^p exactly: A^p sech^2(kx) = 0.5*(c-1)*(p+2)*sech^2(kx)."""
         return 0.5 * (self.gs.c - 1.0) * (self.gs.p + 2.0) * self._sech2
 
-    @property
+    @cached_property
     def _dc_factor(self) -> np.ndarray:
         # d_c phi_c = phi_c * g with g = 1/(p(c-1)) - |x| tanh(k|x|) / (2c sqrt(c(c-1)))
         p, c = self.gs.p, self.gs.c
         return 1.0 / (p * (c - 1.0)) - self._dc_slope * np.abs(self.x) * self._th
 
-    @property
+    @cached_property
     def dc_phi(self) -> np.ndarray:
         return self.phi * self._dc_factor
 
@@ -224,8 +225,7 @@ class SampledProfile:
     def psi(self) -> np.ndarray:
         """Psi_c = c d_c phi_c - phi_c / p, the even pre-image of phi_c under the
         action Hessian: phi_c [1/(p(c-1)) - x tanh(kx) / (2 sqrt(c(c-1)))]."""
-        vals = self._dc_factor
-        vals *= self.gs.c
+        vals = self.gs.c * self._dc_factor
         vals -= 1.0 / self.gs.p
         vals *= self.phi
         return vals

@@ -316,14 +316,15 @@ def instability_experiment(
     p: float,
     a: float,
     grid: Grid,
-    dt: float = 2e-3,
+    dt: float = 0.0,
     t_end: float = 60.0,
     R: float | None = None,
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
 
     Frames are taken every 0.5 time units, and dt is the first trial step
-    of the error-controlled `stream`; the tube is the H^1 ball of
+    of the error-controlled `stream`; dt = 0 estimates it from u0, one flow
+    evaluation more (`SimulationConfig`). The tube is the H^1 ball of
     radius 0.1 ||phi_c||_{H^1} around the modulated profile. Every frame,
     u0 included, is decomposed by `decompose`, whose least-squares pair has a
     root throughout the tube; the kappa-orthogonal pair has none for this

@@ -73,6 +73,12 @@ def step(u: Field, dt: float, p: float) -> Field:
     return Field(u.grid, out)
 
 
+def float_power_nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p u as sign(u) |u|^(p+1), one float power: `functionals._nonlinear`'s
+    path for non-integer p before it took |u|^p times u."""
+    return np.sign(u) * np.abs(u) ** (p + 1.0)
+
+
 def first_difference_4(v: np.ndarray, h: float) -> np.ndarray:
     """The 4th-order central first difference (1, -8, 0, 8, -1)/(12 h),
     2nd-order at the two nodes at each end: the

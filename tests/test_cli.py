@@ -591,3 +591,30 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("workers = 2\n")
         assert main(["--config", str(cfg), "table", "--out", str(tmp_path)]) == 64
+
+    def test_zero_dt_means_estimate(self, tmp_path, flow_calls):
+        # the default, --dt 0 and a config line dt = 0 all estimate the first
+        # step (110 flow evaluations on the soliton_evolve run); a positive
+        # --dt is the first trial step (133)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0\n")
+        runs = {
+            "default": ["evolve"],
+            "flag": ["evolve", "--dt", "0"],
+            "file": ["--config", str(cfg), "evolve"],
+            "explicit": ["evolve", "--dt", "0.001"],
+        }
+        counts, series = {}, {}
+        for name, argv in runs.items():
+            flow_calls.clear()
+            out = tmp_path / name
+            assert main([*argv, "--p", "4.5", "--t-end", "2", "--out", str(out)]) == 0
+            counts[name] = len(flow_calls)
+            series[name] = (out / "evolve_series.csv").read_text()
+        assert counts == {"default": 110, "flag": 110, "file": 110, "explicit": 133}
+        assert series["default"] == series["flag"] == series["file"]
+        assert " dt=0.0 " in series["default"].splitlines()[0]
+
+    def test_negative_dt_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "evolve", "--dt", "-1") == 64
+        assert "usage error: dt >= 0" in capsys.readouterr().err

@@ -23,8 +23,9 @@ from gbbmlab import (
     stream,
     translate,
 )
-from gbbmlab.dynamics import _A, _E3, _E5, TAIL_TOL, relative_tail
-from gbbmlab.functionals import _nonlinear
+from gbbmlab import dynamics
+from gbbmlab.dynamics import _A, _E3, _E5, TAIL_TOL, _first_step, relative_tail
+from gbbmlab.functionals import _flow, _nonlinear
 from conftest import decaying_random_field
 from reference_paths import evolution_rhs, linear_rhs, step
 
@@ -193,22 +194,53 @@ class TestEvolve:
         traj = evolve(gs5.profile(periodic_4096), cfg)
         assert traj.times.tolist() == [0.1 * k for k in range(11)] + [1.05]
 
-    def test_step_counts(self, flow_calls):
+    @pytest.mark.parametrize("dt, trials, evals", [(0.0, 9, 110), (1e-3, 11, 133)],
+                             ids=["estimated", "dt=1e-3"])
+    def test_step_counts(self, flow_calls, dt, trials, evals):
         # the soliton_evolve benchmark run: p = 4.5, t_end = 2, at its auto
         # N = 2048. The error is measured in the max norm, so N = 8192 takes
         # the same steps. The flow evaluations are counted, not read back from
-        # the trajectory
+        # the trajectory. From dt = 1e-3 the step climbs 6-fold per step to
+        # about 0.25; the estimate starts at 0.038 for one probe evaluation
         gs = GroundState(4.5, critical_speed(4.5))
         steps = []
         for n in (2048, 8192):
             flow_calls.clear()
             grid = make_grid(L50, n, "periodic")
             last = evolve(gs.profile(grid),
-                          SimulationConfig(grid, gs.p, dt=1e-3, t_end=2.0)).frames[-1]
-            assert last.rhs_evals == len(flow_calls)  # 1 + 12 per trial step (FSAL)
+                          SimulationConfig(grid, gs.p, dt=dt, t_end=2.0)).frames[-1]
+            # FSAL: 1 at t = 0, 1 for the estimate's probe, 12 per trial step
+            assert last.rhs_evals == len(flow_calls)
             steps.append((last.steps_accepted, last.steps_rejected))
         assert steps[0] == steps[1]
-        assert steps[0][0] <= 100
+        assert steps[0][1] == 0 and steps[0][0] <= trials
+        assert len(flow_calls) <= evals
+        if dt:  # an explicit first step is taken as given
+            assert (steps[0][0], len(flow_calls)) == (trials, evals)
+
+    def test_first_step_of_the_zero_state(self, periodic_4096, monkeypatch):
+        # every norm vanishes: h0 = 1e-6 and the step is min(100 h0, max(1e-6, 1e-3 h0))
+        zero = np.zeros(periodic_4096.points)
+        h = _first_step(zero, zero, periodic_4096, 5.0, 0.005)
+        assert h == 1e-6
+        trials = []
+        dop853 = dynamics._dop853
+
+        def recorded(v, K, h, g, p):
+            trials.append(h)
+            return dop853(v, K, h, g, p)
+
+        monkeypatch.setattr(dynamics, "_dop853", recorded)
+        traj = evolve(Field(periodic_4096, zero), SimulationConfig(periodic_4096, 5.0, t_end=1.0))
+        assert trials[0] == h
+        assert all(not np.any(f.state.values) for f in traj.frames)
+        assert traj.frames[-1].steps_rejected == 0
+
+    def test_non_finite_probe_falls_back(self, gs5, periodic_4096):
+        huge = 1e60 * gs5.profile(periodic_4096).values
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0 = _flow(huge, periodic_4096, gs5.p)
+        assert _first_step(huge, f0, periodic_4096, gs5.p, 0.005) == 0.005
 
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
@@ -237,6 +269,7 @@ class TestEvolve:
     def test_config_validation(self, periodic_4096):
         with pytest.raises(ValueError):
             SimulationConfig(periodic_4096, 5.0, dt=-1.0)
+        assert SimulationConfig(periodic_4096, 5.0).dt == 0.0  # estimate
         with pytest.raises(ValueError):
             SimulationConfig(periodic_4096, 5.0, record_interval=0.0)
         with pytest.raises(ValueError):

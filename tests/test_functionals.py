@@ -17,7 +17,7 @@ from gbbmlab import (
 )
 from gbbmlab.functionals import _energy_density, _flow, _flow_symbol, _nonlinear
 from conftest import decaying_random_field
-from reference_paths import action, evolution_rhs, gradients
+from reference_paths import action, evolution_rhs, float_power_nonlinearity, gradients
 
 
 def fd_order(errors, epsilons):
@@ -200,14 +200,37 @@ class TestNonlinearity:
     @pytest.mark.parametrize("p", [5.0, 6.0])
     def test_integer_path_matches_float_power(self, p):
         u = np.random.default_rng(5).normal(size=8192)  # sign-changing
-        ref = np.sign(u) * np.abs(u) ** (p + 1.0)
+        ref = float_power_nonlinearity(u, p)
         assert np.all(np.abs(_nonlinear(u, p) - ref) <= 1e-15 * np.abs(ref))
 
-    @pytest.mark.parametrize("p", [4.5, -2.0])
-    def test_float_power_for_other_p(self, p):
-        # fractional p bit for bit; a negative integer p takes the float power
+    @pytest.mark.parametrize("p, power", [
+        (4.0, lambda u: u * ((u * u) * (u * u))),
+        (5.0, lambda u: (np.abs(u) * u) * ((u * u) * (u * u))),
+        (6.0, lambda u: (u * (u * u)) * ((u * u) * (u * u))),
+    ])
+    def test_integer_path_is_repeated_squaring(self, p, power):
+        # u |u|^(p mod 2) times (u^2)^(p // 2) by squaring, in that order, bit for bit
         u = np.random.default_rng(5).normal(size=8192)
-        assert np.array_equal(_nonlinear(u, p), np.sign(u) * np.abs(u) ** (p + 1.0))
+        assert np.array_equal(_nonlinear(u, p), power(u))
+
+    @pytest.mark.parametrize("p", [4.1, 4.5, 6.5])
+    def test_fractional_path_is_the_float_power(self, p):
+        # |u|^p times u: within 2 ulp of sign(u) |u|^(p+1), exactly 0 at u = 0
+        u = np.random.default_rng(5).normal(size=8192)
+        u[::97] = 0.0
+        ref = float_power_nonlinearity(u, p)
+        out = _nonlinear(u, p)
+        assert np.all(np.abs(out - ref) <= 4.5e-16 * np.abs(ref))
+        dens_ref = 0.5 * u * u + u * ref / (p + 2.0)
+        dens = _energy_density(u, p)
+        assert np.all(np.abs(dens - dens_ref) <= 4.5e-16 * dens_ref)
+        zeros = u == 0.0
+        assert not np.any(out[zeros]) and not np.any(dens[zeros])
+
+    def test_negative_integer_p_takes_the_float_power(self):
+        u = np.random.default_rng(5).normal(size=8192)
+        ref = float_power_nonlinearity(u, -2.0)
+        assert np.all(np.abs(_nonlinear(u, -2.0) - ref) <= 4.5e-16 * np.abs(ref))
 
     @pytest.mark.parametrize("p", [5.0, 4.5])
     def test_energy_density_matches_float_power(self, p):

@@ -179,6 +179,16 @@ class TestPsiDirection:
         vals = gs5.sample(dirichlet_8192).psi
         assert np.array_equal(vals, vals[::-1])
 
+    def test_reading_psi_leaves_dc_phi_unchanged(self, gs5, dirichlet_8192):
+        # d_c phi and its factor g are cached on the bundle; psi scales a copy of g
+        prof = gs5.sample(dirichlet_8192)
+        psi = prof.psi
+        fresh = gs5.sample(dirichlet_8192)
+        assert prof.dc_phi is prof.dc_phi
+        assert np.array_equal(prof.dc_phi, fresh.dc_phi)
+        assert np.array_equal(prof.dc_phi_x, fresh.dc_phi_x)
+        assert np.array_equal(prof.psi, psi)
+
     def test_preimage_of_profile(self, gs5, periodic_8192):
         # hessian image of Psi reproduces the profile
         from gbbmlab import hessian_apply
