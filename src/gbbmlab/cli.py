@@ -40,6 +40,7 @@ from . import (
     translate,
 )
 from .dynamics import AUTO_POINTS, TAIL_TOL, relative_tail
+from .grid import DEFAULT_HALF_WIDTH, DEFAULT_POINTS
 from .spectral import EigenSolveError
 from .structure import DualPathError
 
@@ -48,16 +49,13 @@ EXIT_OK = 0
 EXIT_CLAIM = 2
 EXIT_CONSISTENCY = 3
 EXIT_USAGE = 64
-COMMANDS = ("table", "identities", "spectrum", "coercivity", "evolve", "instability")
 RESOLUTION_SEQUENCE = (1024, 2048, 4096, 8192, 16384)
 KERNEL_OVERLAP_MIN = 0.999
-# what N = 0 (auto) means on the Dirichlet grids of table, identities,
-# spectrum and coercivity, whose reference values were taken at it
-DIRICHLET_POINTS = 8192
 
+# each key is a config-file key and, with "_" written "-", a flag of its default's type
 DEFAULTS = {
-    "L": 50.0 * math.pi,
-    "N": 0,  # 0 means auto (see _auto_points)
+    "L": DEFAULT_HALF_WIDTH,
+    "N": 0,  # 0 means auto (see _grid_size)
     "dt": 0.0,  # 0 means estimate the first step from the initial state
     "t_end": 20.0,
     "a": 0.01,
@@ -76,7 +74,7 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in DEFAULTS and key not in ("out",):
+        if key not in DEFAULTS and key != "out":
             raise ValueError(f"unknown config key {key!r}")
         out[key] = val
     return out
@@ -99,33 +97,30 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _auto_points(cfg: dict, command: str) -> int:
-    """The N that N = 0 stands for: for evolve and instability, whose initial
-    state is a multiple of phi_c and so has its relative spectral tail, the
-    smallest size that resolves phi_c (`auto_points`); DIRICHLET_POINTS for
-    the other commands."""
+def _grid_size(cfg: dict, command: str) -> int:
+    """The N that command runs at. The Dirichlet commands take N = 0 as
+    DEFAULT_POINTS, the size their reference values were taken at. evolve and
+    instability start from a multiple of phi_c, so they take it as the smallest
+    size that resolves phi_c (`auto_points`); at an explicit N they print one
+    stderr line when phi_c's relative spectral tail beyond the 2/3 cutoff
+    exceeds TAIL_TOL, naming the tail and the N that N = 0 would pick, and the
+    run goes on."""
+    n, L = cfg["N"], cfg["L"]
     if command not in ("evolve", "instability"):
-        return DIRICHLET_POINTS
-    p = cfg["p"]
-    return auto_points(cfg["L"], GroundState(p, critical_speed(p)).profile)
-
-
-def _note_unresolved_size(cfg: dict) -> None:
-    """For evolve and instability at an explicit N: one stderr line when the
-    initial state's relative spectral tail beyond the 2/3 cutoff exceeds
-    TAIL_TOL, naming the tail and the N that N = 0 would pick. The run goes on."""
-    p = cfg["p"]
-    profile = GroundState(p, critical_speed(p)).profile
-    grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
+        return n or DEFAULT_POINTS
+    profile = GroundState(cfg["p"], critical_speed(cfg["p"])).profile
+    if not n:
+        return auto_points(L, profile)
+    grid = make_grid(L, n, PERIODIC)
     tail = relative_tail(profile(grid).values, grid.dealias_cut)
-    if tail <= TAIL_TOL:
-        return
-    try:
-        auto = f"auto (N = 0) would pick N={auto_points(cfg['L'], profile)}"
-    except UnresolvedError:
-        auto = f"no N up to {AUTO_POINTS[-1]} resolves it"
-    print(f"note: at N={cfg['N']} the initial state's relative spectral tail beyond the "
-          f"2/3 cutoff is {tail:.2e} > {TAIL_TOL:.0e}; {auto}", file=sys.stderr)
+    if tail > TAIL_TOL:
+        try:
+            auto = f"auto (N = 0) would pick N={auto_points(L, profile)}"
+        except UnresolvedError:
+            auto = f"no N up to {AUTO_POINTS[-1]} resolves it"
+        print(f"note: at N={n} the initial state's relative spectral tail beyond the "
+              f"2/3 cutoff is {tail:.2e} > {TAIL_TOL:.0e}; {auto}", file=sys.stderr)
+    return n
 
 
 def _embedded(cfg: dict) -> dict:
@@ -237,6 +232,7 @@ def cmd_coercivity(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
     claim_n = min(cfg["N"], 2048)
+    claim_kh = gs.decay_rate * make_grid(cfg["L"], claim_n, DIRICHLET).h
     reports = {}
     # each grid's lowest eigenvalues and first secular probe come from the coarser ones
     previous = None
@@ -268,6 +264,10 @@ def cmd_coercivity(cfg: dict) -> int:
               f"N={claim_n} and {finest:.6f} at N={RESOLUTION_SEQUENCE[-1]} fall on "
               f"opposite sides of the threshold; the claim grid is unresolved",
               file=sys.stderr)
+        return EXIT_CONSISTENCY
+    if claim_kh > 1.0:  # CoercivityReport.ladder's criterion for an unresolved phi_c
+        print(f"consistency failure: the claim grid N={claim_n} has k h = {claim_kh:.2f} > 1 "
+              f"and does not resolve phi_c", file=sys.stderr)
         return EXIT_CONSISTENCY
     if report.constrained_min <= threshold:
         print("claim failure: constrained minimum is not strictly positive",
@@ -340,14 +340,24 @@ def cmd_instability(cfg: dict) -> int:
           f"positive_fraction={report.positive_fraction:.3f} "
           f"negative_fraction={report.negative_fraction:.3f} "
           f"|lambda-c| at end={report.lambda_shift_at_end:.3e}")
-    if report.verdict == "modulation-failed":
-        return EXIT_CONSISTENCY
     if report.verdict == "below-noise-floor":
         print(f"consistency failure: every in-tube increment of I is at or below the "
               f"noise floor {report.noise_floor:.2e}; the run resolves no sign",
               file=sys.stderr)
-        return EXIT_CONSISTENCY
-    return EXIT_OK if report.positive_fraction >= 0.95 else EXIT_CLAIM
+    # monotone-decreasing and inconclusive fail the claim
+    return {"monotone-increasing": EXIT_OK, "modulation-failed": EXIT_CONSISTENCY,
+            "below-noise-floor": EXIT_CONSISTENCY}.get(report.verdict, EXIT_CLAIM)
+
+
+# the command name -> handler map that the parser's choices and main's dispatch read
+COMMANDS = {
+    "table": cmd_table,
+    "identities": cmd_identities,
+    "spectrum": cmd_spectrum,
+    "coercivity": cmd_coercivity,
+    "evolve": cmd_evolve,
+    "instability": cmd_instability,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,14 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("--p", type=float)
-    ap.add_argument("--p-list", dest="p_list")
-    ap.add_argument("--L", type=float)
-    ap.add_argument("--N", type=int)
-    ap.add_argument("--dt", type=float)
-    ap.add_argument("--t-end", dest="t_end", type=float)
-    ap.add_argument("--a", type=float)
-    ap.add_argument("--R", type=float)
+    for key, default in DEFAULTS.items():
+        ap.add_argument("--" + key.replace("_", "-"), type=type(default))
     ap.add_argument("--out")
     return ap
 
@@ -380,21 +384,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "table": cmd_table,
-        "identities": cmd_identities,
-        "spectrum": cmd_spectrum,
-        "coercivity": cmd_coercivity,
-        "evolve": cmd_evolve,
-        "instability": cmd_instability,
-    }
     try:
         # the files embed cfg, so they record the N that was used
-        if cfg["N"] == 0:
-            cfg["N"] = _auto_points(cfg, args.command)
-        elif args.command in ("evolve", "instability"):
-            _note_unresolved_size(cfg)
-        return handlers[args.command](cfg)
+        cfg["N"] = _grid_size(cfg, args.command)
+        return COMMANDS[args.command](cfg)
     except (BlowupError, DualPathError, EigenSolveError, UnresolvedError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY

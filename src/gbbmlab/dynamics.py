@@ -83,9 +83,12 @@ _E5 = np.array((0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 
 
 class BlowupError(RuntimeError):
-    def __init__(self, t: float):
+    """The run cannot go on at time t: its state or conserved quantities became
+    non-finite, or, when a message says so, its step collapsed."""
+
+    def __init__(self, t: float, message: str = ""):
         super().__init__(
-            f"state or its conserved quantities became non-finite at t={t:.6g}"
+            message or f"state or its conserved quantities became non-finite at t={t:.6g}"
         )
         self.t = t
 
@@ -223,10 +226,11 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
     err = err5^2 / sqrt(err5^2 + 0.01 err3^2) is at most 1. The next step is
     the current one times 0.9 err^(-1/8), clipped to [1/3, 6], and does not
     grow right after a rejection. A trial step with a non-finite stage or
-    estimate is rejected and the step cut to 1/100; a rejected step below
-    1e-10 record_interval raises BlowupError. Frames fall at t = 0 (before any
-    flow evaluation), at each k * record_interval < t_end and at t_end, hit
-    exactly by shortening steps. One stage array serves every step.
+    estimate is rejected and the step cut to 1/100; a rejected step below 1e-10
+    record_interval raises BlowupError as a step collapse, naming the step and
+    its error estimate. Frames fall at t = 0 (before any flow evaluation), at
+    each k * record_interval < t_end and at t_end, hit exactly by shortening
+    steps. One stage array serves every step.
 
     Each frame transforms its state once. From that transform it takes Q by
     Parseval and then (so that BlowupError on a non-finite E or Q wins) the
@@ -283,7 +287,8 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
             if err > 1.0:
                 rejected += 1
                 if h_try < 1e-10 * interval:
-                    raise BlowupError(t)
+                    raise BlowupError(t, f"step collapse at t={t:.6g}: trial step {h_try:.3e} "
+                                         f"< 1e-10 record_interval rejected at error {err:.3e}")
                 h, after_reject = h_try * fac, True
                 continue
             accepted += 1

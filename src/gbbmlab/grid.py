@@ -23,6 +23,10 @@ import numpy as np
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet_truncated"
+# the default box, half-width L = 50 pi, and the intervals of its Dirichlet
+# grid, at which the reference values of the Dirichlet commands were taken
+DEFAULT_HALF_WIDTH = 50.0 * np.pi
+DEFAULT_POINTS = 8192
 
 
 class GridError(ValueError):
@@ -127,11 +131,11 @@ def norm_l2(f: Field) -> float:
 
 
 def norm_h1(f: Field) -> float:
+    """sqrt(||f||^2 + ||f_x||^2) on a periodic grid, by Parseval."""
     g = f.grid
-    if g.boundary == PERIODIC:
-        return float(np.sqrt(_parseval_h1_sq(np.fft.rfft(f.values), g)))
-    df = derivative(f, 1)
-    return float(np.sqrt(inner(f, f) + inner(df, df)))
+    if g.boundary != PERIODIC:
+        raise GridError("norm_h1 requires a periodic grid")
+    return float(np.sqrt(_parseval_h1_sq(np.fft.rfft(f.values), g)))
 
 
 @lru_cache(maxsize=8)

@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, quadrature, make_grid, DIRICHLET
+from .grid import (DEFAULT_HALF_WIDTH, DEFAULT_POINTS, DIRICHLET, Field, Grid, make_grid,
+                   quadrature)
 
 
 def critical_speed(p: float) -> float:
@@ -282,7 +283,6 @@ class IdentityRecord:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    gs: GroundState
     records: tuple
 
     def __getitem__(self, name: str) -> IdentityRecord:
@@ -304,7 +304,7 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
     """
     p, c = gs.p, gs.c
     if grid is None:
-        grid = make_grid(50.0 * math.pi, 8192, DIRICHLET)
+        grid = make_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS, DIRICHLET)
     prof = gs.sample(grid)
     phi, dphi, dcphi = prof.phi, prof.phi_x, prof.dc_phi
 
@@ -334,4 +334,4 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
             "momentum", 0.5 * (1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * n2c, q_quad, n2c
         ),
     )
-    return IdentityReport(gs, records)
+    return IdentityReport(records)

@@ -219,7 +219,6 @@ def _lowest(diag, off, refl: _Reflection, m: int, tol: float, vectors: bool = Fa
 class SpectrumReport:
     eigenvalues: np.ndarray
     negative_count: int
-    kernel_candidate: Field
     kernel_eigenvalue: float
     kernel_overlap: float
 
@@ -258,8 +257,7 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
         float(np.linalg.norm(vec)) * float(np.linalg.norm(dphi))
     )
     neg = int(np.sum((w < 0.0) & (np.arange(w.size) != kernel_idx)))
-    kernel_field = Field(grid, np.pad(vec, 1))
-    return SpectrumReport(w, neg, kernel_field, float(w[kernel_idx]), overlap)
+    return SpectrumReport(w, neg, float(w[kernel_idx]), overlap)
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DIRICHLET, Field, Grid, _fd_derivative, inner, make_grid
+from .grid import (DEFAULT_HALF_WIDTH, DEFAULT_POINTS, DIRICHLET, Field, Grid, _fd_derivative,
+                   inner, make_grid)
 from .ground_state import GroundState, SampledProfile, _momentum_slope_closed, critical_speed
 from .functionals import hessian_values
 
-DEFAULT_HALF_WIDTH = 50.0 * math.pi
-DEFAULT_POINTS = 8192
 DUAL_PATH_TOL = 1e-6
 # a row's local step h: k h at the centre and tau h at its far end (module docstring)
 ROW_CORE_STEP = 0.03

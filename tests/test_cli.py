@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from gbbmlab import (
     DIRICHLET,
     BlowupError,
+    ExperimentReport,
     Field,
     GroundState,
     UnresolvedError,
@@ -163,6 +164,16 @@ class TestOtherCommands:
         assert claim > 0.0 > finest
         err = capsys.readouterr().err
         assert f"{claim:.6f} at N=16" in err and f"{finest:.6f} at N=16384" in err
+        assert "k h" not in err
+
+    @pytest.mark.parametrize("p, code", [("30", 3), ("5", 2)])
+    def test_coercivity_claim_grid_must_resolve_the_profile(self, tmp_path, capsys, p, code):
+        # at p = 30 the claim grid N = 2048 has k h = 1.76, and its raw_min of
+        # -217.5 is far from the exact -148.8: no verdict is drawn from it.
+        # At p = 5 it has k h = 0.12 and the claim failure stands
+        assert run(tmp_path, "coercivity", "--p", p) == code
+        note = "consistency failure: the claim grid N=2048 has k h = 1.76 > 1"
+        assert (note in capsys.readouterr().err) == (code == 3)
 
     @pytest.mark.parametrize("argv, grids", [
         ([], (1024, 2048, 4096, 8192, 16384)),
@@ -328,6 +339,17 @@ class TestOtherCommands:
         assert run(tmp_path, "instability", "--a", "0.005", "--t-end", "5") == 2
         doc = json.loads((tmp_path / "instability.json").read_text())
         assert doc["result"]["verdict"] == "monotone-decreasing"
+
+    @pytest.mark.parametrize("verdict, code", [
+        ("monotone-increasing", 0), ("monotone-decreasing", 2), ("inconclusive", 2),
+        ("modulation-failed", 3), ("below-noise-floor", 3),
+    ])
+    def test_instability_exit_code_is_the_verdicts(self, tmp_path, monkeypatch, verdict, code):
+        def reporting(p, a, grid, **kwargs):
+            return ExperimentReport(p, a, 1.0, (), None, verdict, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "instability_experiment", reporting)
+        assert run(tmp_path, "instability", "--N", "1024") == code
 
     def test_instability_wide_cutoff_usage_error(self, tmp_path, capsys):
         # 2R = 200 exceeds the half-width 50 pi: the cutoff would jump at the wrap
@@ -561,6 +583,48 @@ class TestGridSize:
         assert np.array_equal(auto[:, 0], double[:, 0])
         # columns t, lambda, y, xi_h1, I
         assert np.max(np.abs(auto[:, 1:5] - double[:, 1:5])) <= 1e-10
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_each_command_dispatches_to_its_own_handler(self, tmp_path, monkeypatch, name):
+        assert cli.COMMANDS[name] is getattr(cli, f"cmd_{name}")
+        called = []
+        for key in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, key, lambda cfg, key=key: called.append(key) or 0)
+        assert run(tmp_path, name) == 0
+        assert called == [name]
+
+    # per DEFAULTS key: (value in a config file, value of its flag)
+    SETTINGS = {
+        "L": ("100.0", "120.0"), "N": ("1024", "2048"), "dt": ("0.01", "0.02"),
+        "t_end": ("1.0", "2.0"), "a": ("0.02", "0.03"), "R": ("5.0", "6.0"),
+        "p": ("6.0", "7.0"), "p_list": ("5,6", "7"),
+    }
+
+    def test_every_key_is_set_by_file_and_flag_and_the_flag_wins(self, tmp_path, monkeypatch):
+        assert set(self.SETTINGS) == set(cli.DEFAULTS)
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "table", lambda cfg: seen.append(cfg) or 0)
+        for key, (in_file, on_flag) in self.SETTINGS.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {in_file}\n")
+            flag = "--" + key.replace("_", "-")
+            runs = (["--config", str(cfg), "table"], ["table", flag, on_flag],
+                    ["--config", str(cfg), "table", flag, on_flag])
+            seen.clear()
+            for argv in runs:
+                assert main([*argv, "--out", str(tmp_path)]) == 0
+            kind = type(cli.DEFAULTS[key])
+            assert [c[key] for c in seen] == [kind(in_file), kind(on_flag), kind(on_flag)]
+
+    def test_help_lists_every_command_and_flag(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{table,identities,spectrum,coercivity,evolve,instability}" in out
+        for flag, metavar in (("--p", "P"), ("--p-list", "P_LIST"), ("--L", "L"), ("--N", "N"),
+                              ("--dt", "DT"), ("--t-end", "T_END"), ("--a", "A"), ("--R", "R")):
+            assert f"{flag} {metavar}" in out
 
 
 class TestConfigFile:

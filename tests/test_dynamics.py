@@ -257,12 +257,17 @@ class TestEvolve:
         assert traj.energy_drift() <= 1e-9
         assert traj.momentum_drift() <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1e3, 1e60], ids=["rejection-floor", "energy-overflow"])
-    def test_blowup_raises_promptly(self, gs5, periodic_4096, flow_calls, scale):
-        # 1e3 phi is rejected down to the step floor; the energy density of
-        # 1e60 phi overflows at the first record
+    @pytest.mark.parametrize("scale, message", [
+        (1e3, r"step collapse at t=0: trial step \S+ < 1e-10 record_interval rejected at "
+              r"error \S+$"),
+        (1e60, "state or its conserved quantities became non-finite at t=0$"),
+    ], ids=["rejection-floor", "energy-overflow"])
+    def test_blowup_raises_promptly(self, gs5, periodic_4096, flow_calls, scale, message):
+        # 1e3 phi is rejected down to the step floor while the state is still
+        # finite, a step collapse; the energy density of 1e60 phi overflows at
+        # the first record
         huge = Field(periodic_4096, scale * gs5.profile(periodic_4096).values)
-        with np.errstate(over="ignore"), pytest.raises(BlowupError):
+        with np.errstate(over="ignore"), pytest.raises(BlowupError, match=message):
             evolve(huge, SimulationConfig(periodic_4096, gs5.p, t_end=1.0))
         assert len(flow_calls) <= 100
 

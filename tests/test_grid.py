@@ -229,3 +229,9 @@ def test_helmholtz_requires_periodic():
     g = make_grid(10.0, 64, DIRICHLET)
     with pytest.raises(GridError):
         helmholtz_inverse(Field(g, np.zeros(g.node_count)))
+
+
+def test_norm_h1_requires_periodic():
+    g = make_grid(10.0, 64, DIRICHLET)
+    with pytest.raises(GridError, match="norm_h1 requires a periodic grid"):
+        norm_h1(Field(g, np.zeros(g.node_count)))
