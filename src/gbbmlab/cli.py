@@ -101,7 +101,8 @@ def _grid_size(cfg: dict, command: str) -> int:
     """The N that command runs at. The Dirichlet commands take N = 0 as
     DEFAULT_POINTS, the size their reference values were taken at. evolve and
     instability start from a multiple of phi_c, so they take it as the smallest
-    size that resolves phi_c (`auto_points`); at an explicit N they print one
+    2^k or 3 * 2^k that resolves phi_c (`auto_points`: a radix-3 FFT is cheap
+    and the steps do not depend on N); at an explicit N they print one
     stderr line when phi_c's relative spectral tail beyond the 2/3 cutoff
     exceeds TAIL_TOL, naming the tail and the N that N = 0 would pick, and the
     run goes on."""

@@ -499,7 +499,7 @@ def embedded_n(tmp_path, command, csv_name):
 
 
 class TestGridSize:
-    @pytest.mark.parametrize("p, n", [("4.5", 2048), ("5", 2048), ("6", 4096), ("10", 8192)])
+    @pytest.mark.parametrize("p, n", [("4.5", 1536), ("5", 2048), ("6", 3072), ("10", 8192)])
     def test_evolve_sizes_its_grid_from_the_profile(self, tmp_path, p, n):
         assert run(tmp_path, "evolve", "--p", p, "--t-end", "0.1") == 0
         assert embedded_n(tmp_path, "evolve", "evolve_series.csv") == n
@@ -526,7 +526,7 @@ class TestGridSize:
         err = capsys.readouterr().err.splitlines()
         assert err == [
             "note: at N=8192 the initial state's relative spectral tail beyond the 2/3 "
-            "cutoff is 1.81e-06 > 1e-12; auto (N = 0) would pick N=32768"
+            "cutoff is 1.81e-06 > 1e-12; auto (N = 0) would pick N=24576"
         ]
 
     @pytest.mark.parametrize("argv", [[], ["--N", "2048"]], ids=["auto", "resolved"])
@@ -544,7 +544,7 @@ class TestGridSize:
         assert list(tmp_path.iterdir()) == []
 
     def test_no_size_resolves_is_a_consistency_failure(self, tmp_path, capsys):
-        # p = 100 needs N = 131072 on L = 50 pi, so 2^20 on a 16 times wider box
+        # p = 100 needs N = 98304 on L = 50 pi, so 2^20 on a 16 times wider box
         # is not enough; nothing is written
         assert run(tmp_path, "evolve", "--p", "100", "--L", str(800 * math.pi)) == 3
         assert "no N up to 1048576 resolves the initial state" in capsys.readouterr().err

@@ -24,7 +24,9 @@ from gbbmlab import (
     translate,
 )
 from gbbmlab import dynamics
-from gbbmlab.dynamics import _A, _E3, _E5, TAIL_TOL, _first_step, relative_tail
+from gbbmlab.dynamics import (
+    _A, _E3, _E5, AUTO_POINTS, TAIL_TOL, _first_step, relative_tail,
+)
 from gbbmlab.functionals import _flow, _nonlinear
 from conftest import decaying_random_field
 from reference_paths import evolution_rhs, linear_rhs, step
@@ -198,13 +200,13 @@ class TestEvolve:
                              ids=["estimated", "dt=1e-3"])
     def test_step_counts(self, flow_calls, dt, trials, evals):
         # the soliton_evolve benchmark run: p = 4.5, t_end = 2, at its auto
-        # N = 2048. The error is measured in the max norm, so N = 8192 takes
+        # N = 1536. The error is measured in the max norm, so N = 8192 takes
         # the same steps. The flow evaluations are counted, not read back from
         # the trajectory. From dt = 1e-3 the step climbs 6-fold per step to
         # about 0.25; the estimate starts at 0.038 for one probe evaluation
         gs = GroundState(4.5, critical_speed(4.5))
         steps = []
-        for n in (2048, 8192):
+        for n in (1536, 8192):
             flow_calls.clear()
             grid = make_grid(L50, n, "periodic")
             last = evolve(gs.profile(grid),
@@ -281,19 +283,77 @@ class TestEvolve:
             SimulationConfig(make_grid(10.0, 64, "dirichlet_truncated"), 5.0)
 
 
+def profile_tail(gs, n):
+    """phi_c's relative spectral tail beyond the 2/3 cutoff on N = n over L50."""
+    grid = make_grid(L50, n, "periodic")
+    return relative_tail(gs.profile(grid).values, grid.dealias_cut)
+
+
 class TestResolution:
-    @pytest.mark.parametrize("p, n", [(4.5, 2048), (5.0, 2048), (6.0, 4096), (10.0, 8192),
-                                      (30.0, 32768)])
+    @pytest.mark.parametrize("p, n", [(4.1, 4096), (4.5, 1536), (5.0, 2048), (6.0, 3072),
+                                      (10.0, 8192), (30.0, 24576), (100.0, 98304)])
     def test_auto_points(self, p, n):
-        # the smallest power of two whose phi_c has a tail of at most TAIL_TOL
-        # beyond the 2/3 cutoff; at p = 30 the old fixed N = 8192 left 1.8e-6
+        # the smallest rung of the ladder whose phi_c has a tail of at most
+        # TAIL_TOL beyond the 2/3 cutoff; the rung below has more. At p = 30
+        # the old fixed N = 8192 left 1.8e-6
         gs = GroundState(p, critical_speed(p))
         assert auto_points(L50, gs.profile) == n
-        tails = []
-        for m in (n // 2, n):
-            grid = make_grid(L50, m, "periodic")
-            tails.append(relative_tail(gs.profile(grid).values, grid.dealias_cut))
-        assert tails[0] > TAIL_TOL >= tails[1]
+        below = AUTO_POINTS[AUTO_POINTS.index(n) - 1]
+        assert profile_tail(gs, below) > TAIL_TOL >= profile_tail(gs, n)
+
+    def test_ladder(self):
+        # every 2^k and 3 * 2^k from 2^8 to 2^20, ascending
+        assert AUTO_POINTS[0] == 256 and AUTO_POINTS[-1] == 2 ** 20
+        assert all(a < b for a, b in zip(AUTO_POINTS, AUTO_POINTS[1:]))
+        for n in AUTO_POINTS:
+            assert n % 2 == 0
+            m = n // 3 if n % 3 == 0 else n
+            assert m & (m - 1) == 0
+        assert len(AUTO_POINTS) == 13 + 12
+
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0, 30.0])
+    def test_tail_falls_along_the_ladder(self, p):
+        # the first passing rung is the smallest passing size only if no rung
+        # below it would pass after a failing one
+        gs = GroundState(p, critical_speed(p))
+        n = auto_points(L50, gs.profile)
+        tails = [profile_tail(gs, m) for m in AUTO_POINTS[:AUTO_POINTS.index(n) + 1]]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    def test_auto_grid_takes_the_steps_of_a_finer_one(self, monkeypatch):
+        # the soliton_evolve run at its auto N = 1536 against the power of two
+        # above: the max-norm error control takes the same steps on both, and
+        # the 1536 state, Fourier-interpolated onto 2048 nodes, is the 2048
+        # one. The trial steps differ by under 1% (the max norm sampled on two
+        # grids, 0.82% at most); an error norm scaled by sqrt(N) moves them by 1.8%
+        gs = GroundState(4.5, critical_speed(4.5))
+        assert auto_points(L50, gs.profile) == 1536
+        runs, trials = {}, {}
+        dop853 = dynamics._dop853
+        for n in (1536, 2048):
+            trials[n] = []
+
+            def recorded(v, K, h, g, p, hs=trials[n]):
+                hs.append(h)
+                return dop853(v, K, h, g, p)
+
+            monkeypatch.setattr(dynamics, "_dop853", recorded)
+            grid = make_grid(L50, n, "periodic")
+            runs[n] = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, t_end=2.0))
+        assert trials[1536] == pytest.approx(trials[2048], rel=1e-2)
+        small, fine = runs[1536].frames, runs[2048].frames
+        assert len(small) == len(fine) == 5
+        for a, b in zip(small, fine):
+            assert a.t == b.t
+            counts = (a.steps_accepted, a.steps_rejected, a.rhs_evals)
+            assert counts == (b.steps_accepted, b.steps_rejected, b.rhs_evals)
+            assert a.E == pytest.approx(b.E, rel=1e-13, abs=0)
+            assert a.Q == pytest.approx(b.Q, rel=1e-13, abs=0)
+        assert (small[-1].steps_accepted, small[-1].steps_rejected,
+                small[-1].rhs_evals) == (9, 0, 110)
+        v_hat = np.fft.rfft(small[-1].state.values)
+        padded = np.fft.irfft(v_hat, 2048) * (2048 / 1536)
+        assert np.max(np.abs(padded - fine[-1].state.values)) < 1e-12
 
     def test_no_size_resolves_a_jump(self):
         def step_profile(grid):
