@@ -40,6 +40,7 @@ from .structure import (
 from .spectral import (
     CoercivityReport,
     SpectrumReport,
+    bound_states,
     constrained_form_minimum,
     discretize_weinstein,
     eigenpairs,

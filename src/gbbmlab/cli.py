@@ -235,7 +235,7 @@ def cmd_coercivity(cfg: dict) -> int:
     claim_n = min(cfg["N"], 2048)
     claim_kh = gs.decay_rate * make_grid(cfg["L"], claim_n, DIRICHLET).h
     reports = {}
-    # each grid's lowest eigenvalues and first secular probe come from the coarser ones
+    # each grid's first secular probe comes from the coarser grids' minima
     previous = None
     for n in sorted({claim_n, *RESOLUTION_SEQUENCE}):
         grid = make_grid(cfg["L"], n, DIRICHLET)

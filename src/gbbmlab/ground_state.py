@@ -147,8 +147,8 @@ class SampledProfile:
     phi^p and (with a grid) ||phi||^2 by quadrature are computed on first use
     and kept as long as the bundle lives (drop it to free them), and so are
     d_c phi and its factor g = d_c phi / phi, which a modulation Newton iterate
-    reads five times; d_c phi_x, d_c^2 phi and Psi are rebuilt on each read,
-    since every caller reads them once.
+    reads five times; d_c phi_x, d_c^2 phi, Psi and the ground mode are rebuilt
+    on each read, since every caller reads them once.
     """
 
     gs: GroundState
@@ -221,6 +221,13 @@ class SampledProfile:
         tilt = (4.0 * c - 3.0) * self._th - self.gs.decay_rate * ax * self._sech2
         dg = self._dc_slope / (2.0 * c * (c - 1.0)) * ax * tilt - 1.0 / (p * (c - 1.0) ** 2)
         return self.phi * (g * g + dg)
+
+    @property
+    def ground_mode(self) -> np.ndarray:
+        """sech^{1+2/p}(kx), proportional to phi_c^{(p+2)/2}: the eigenfunction of
+        the Weinstein operator's negative eigenvalue (spectral.bound_states),
+        even to the bit on mirror-symmetric nodes."""
+        return np.exp((1.0 + 2.0 / self.gs.p) * self._ls)
 
     @property
     def psi(self) -> np.ndarray:

@@ -27,25 +27,32 @@ entry times sqrt 2; n // 2 + 1 unknowns) and an odd half T- on the basis
 eigenvalue of T is an eigenvalue of exactly one half, and its eigenvector has
 that half's parity: the ground state and the box modes above it alternate,
 and the kernel mode phi_c' is odd. Bisection costs time in proportion to the
-matrix size, so every eigen-computation runs on the half it belongs to:
-the index-range eigensolves (the m lowest of T are the m lowest of the
-ceil(m/2) lowest of each half when one Sturm count on T agrees, else of m
-from each), the kernel vector's inverse iteration, and the inverse iteration
-from a coarser grid's seed (each seed vector is folded and refined on its
-dominant half; one with no definite parity is refused). The constrained
-minimum's secular probes stay on the full T: the constraints need not have
-a parity, and with k columns a probe is one solve and one k x k eigh either
-way, so blocking them gains nothing at these sizes.
+matrix size, so every eigen-computation runs on the half it belongs to: the
+index-range eigensolves (the m lowest of T are the m lowest of the ceil(m/2)
+lowest of each half when one Sturm count on T agrees, else of m from each)
+and every inverse iteration. The constrained minimum's secular probes stay
+on the full T: the constraints need not have a parity, and with k columns a
+probe is one solve and one k x k eigh either way, so blocking them gains
+nothing at these sizes.
 
-The lowest eigenvalues come from those index-range eigensolves, except on a
-grid seeded by a coarser one: there inverse iteration from the coarser
-grid's eigenpairs refines them, and they are accepted only with a
-certificate (disjoint residual intervals and one Sturm count on T), else the
-eigensolves run. Eigenvectors come from inverse iteration at a known
-eigenvalue. The constrained minimum's secular search starts at the midpoint
-of its bracket on the coarsest grid, and on each finer grid with the same
-constraints at the O(h^2) prediction from the coarser grids' minima, unless
-that prediction falls outside the bracket or those grids have k h > 1.
+Bound states in closed form: (p+1) phi_c^p / c = nu (nu+1) k^2 sech^2(kx),
+k = gs.decay_rate, nu = 1 + 2/p, so L = -d_xx + r^2 - nu (nu+1) k^2
+sech^2(kx), r^2 = (c-1)/c, is a Pöschl-Teller well with bound states at
+r^2 - k^2 (nu - j)^2 for integers 0 <= j < nu (Pöschl & Teller, Z. Phys. 83,
+1933). As 1 < nu < 2 for p > 2, there are two (bound_states): lambda_0 =
+-(c-1) p (p+4) / (4c), with eigenfunction sech^{1+2/p}(kx), and 0, with
+phi_c'. With at most two constraints, the constrained minimum refines T's
+two lowest eigenvalues from them on every grid (inverse iteration on T+
+from the ground mode, on T- from phi_c') and, once they are certified below
+r^2, searches [theta_0, r^2] for two constraints (T's third eigenvalue is a
+box mode above r^2) or [theta_0, theta_1] for one. Index-range eigensolves
+give the bracket instead when the certificate fails, for three or more
+constraints, and when no probe finds a constrained eigenvalue below r^2,
+which makes the minimum a box mode, as for {phi_c', the ground mode}. The
+secular search starts at the midpoint of its bracket on the coarsest grid,
+and on each finer grid with the same constraints at the O(h^2) prediction
+from the coarser grids' minima, unless that prediction falls outside the
+bracket or those grids have k h > 1.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -71,14 +78,9 @@ class EigenSolveError(RuntimeError):
 
 
 _SECULAR_MAX_PROBES = 100  # bisection alone reaches 2 tol in at most about 50
-# inverse iteration from a seed reaches tol in 2-3 solves, the kernel vector in 1-2
+# inverse iteration from a closed-form bound state reaches tol in 2-3 solves
 _INVERSE_MAX_SOLVES = 4
 _SQRT2 = np.sqrt(2.0)
-# a seed vector interpolated from an unfolded eigenvector keeps its parity to
-# rounding (minor half below 1e-16 of the dominant one; 3e-11 for full-T stein
-# vectors of a box pair 2e-5 apart); one whose minor half exceeds this share
-# has no definite parity and is refused
-_PARITY_TOL = 1e-6
 
 
 def _interior(grid: Grid) -> np.ndarray:
@@ -180,10 +182,9 @@ def _count_up_to(diag, off, top: float) -> int:
                             select_range=(lower, top), tol=top - lower).size
 
 
-def _lowest(diag, off, refl: _Reflection, m: int, tol: float, vectors: bool = False):
-    """(w, parity, v): T's m lowest eigenvalues ascending, the half (0 even,
-    1 odd) each belongs to and, with vectors, their unfolded eigenvectors as
-    columns (else None), from index-range eigensolves on the halves. The m
+def _lowest(diag, off, refl: _Reflection, m: int, tol: float):
+    """(w, parity): T's m lowest eigenvalues ascending and the half (0 even,
+    1 odd) each belongs to, from index-range eigensolves on the halves. The m
     lowest of the ceil(m/2) lowest of each half are accepted when one Sturm
     count finds exactly m eigenvalues of T up to the m-th plus tol (the
     halves' values are accurate to a fraction of tol); otherwise they are
@@ -192,27 +193,22 @@ def _lowest(diag, off, refl: _Reflection, m: int, tol: float, vectors: bool = Fa
         raise ValueError(f"need at most {diag.size} eigenpairs on this grid, got m={m!r}")
     for per_half in ((m + 1) // 2, m):
         halves = []
-        for parity, (d, o) in enumerate(refl.halves):
+        for d, o in refl.halves:
             try:
-                got = eigh_tridiagonal(d, o, eigvals_only=not vectors, select="i",
-                                       select_range=(0, min(per_half, d.size) - 1))
+                halves.append(eigh_tridiagonal(d, o, eigvals_only=True, select="i",
+                                               select_range=(0, min(per_half, d.size) - 1)))
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
-            halves.append(got if vectors else (got, None))
-        # (value, parity, index in its half), merged by Python's sort: loading
-        # numpy's sort code adds 128 KB to the resident set of the command
-        merged = sorted((value, parity, j) for parity, (values, _) in enumerate(halves)
-                        for j, value in enumerate(values.tolist()))[:m]
-        w = np.array([value for value, _, _ in merged])
+        # (value, parity), merged by Python's sort: loading numpy's sort code
+        # adds 128 KB to the resident set of the command
+        merged = sorted((value, parity) for parity, values in enumerate(halves)
+                        for value in values.tolist())[:m]
+        w = np.array([value for value, _ in merged])
         if per_half == m or _count_up_to(diag, off, float(w[-1]) + tol) == m:
             break
     if not np.all(np.isfinite(w)):  # pragma: no cover
         raise EigenSolveError("eigensolve produced non-finite eigenvalues")
-    parity = np.array([par for _, par, _ in merged])
-    if not vectors:
-        return w, parity, None
-    v = np.stack([refl.unfold(halves[par][1][:, j], par) for _, par, j in merged], axis=1)
-    return w, parity, v
+    return w, np.array([parity for _, parity in merged])
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     diag, off = discretize_weinstein(prof)
     refl = _Reflection(diag, off)
     tol = _resolution(diag)
-    w, parity, _ = _lowest(diag, off, refl, m, tol)
+    w, parity = _lowest(diag, off, refl, m, tol)
 
     kernel_idx = int(np.argmin(np.abs(w)))
     half = int(parity[kernel_idx])
@@ -260,62 +256,54 @@ def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
     return SpectrumReport(w, neg, float(w[kernel_idx]), overlap)
 
 
+def essential_spectrum_edge(gs: GroundState) -> float:
+    return (gs.c - 1.0) / gs.c
+
+
 @dataclass(frozen=True)
-class EigenSeed:
-    """What a grid hands the next, finer one: T's k + 1 lowest eigenvalues
-    there, and the eigenvectors (unfolded, zero-padded to the boundary nodes)
-    and nodes of the last grid whose eigenvalues came from the index-range
-    eigensolves.
-    Carrying only that grid's vectors keeps the seed at about 24 KB from
-    N = 1024; from them each value takes 2-3 solves on every finer grid."""
-    values: np.ndarray
-    nodes: np.ndarray
-    vectors: np.ndarray
+class BoundStates:
+    """The Weinstein operator's eigenvalues below the edge of its essential
+    spectrum, ground = edge - k^2 nu^2 and kernel = 0, and its Pöschl-Teller nu."""
+    ground: float
+    kernel: float
+    nu: float
+    edge: float
 
 
-def _refined_on_half(refl: _Reflection, x, value, tol) -> tuple[float, float] | None:
-    """(theta, residual) of inverse iteration from x on its dominant half,
-    from value; None when x has no definite parity or T - value is singular.
-    Its vectors die here, so none is held through the Sturm count (peak RSS)."""
-    parts = refl.fold(x)
-    norms = [float(np.linalg.norm(part)) for part in parts]
-    half = int(norms[1] > norms[0])
-    if not norms[1 - half] <= _PARITY_TOL * norms[half]:
-        return None
-    try:
-        theta, residual, _ = _inverse_iteration(*refl.halves[half], parts[half], value, tol)
-    except EigenSolveError:  # the seed value is an eigenvalue to working precision
-        return None
-    return theta, residual
+def bound_states(gs: GroundState) -> BoundStates:
+    """In closed form (module docstring): ground = -(c-1) p (p+4) / (4c), with
+    eigenfunction SampledProfile.ground_mode, kernel = 0, with eigenfunction
+    phi_c', nu = 1 + 2/p and edge = (c-1)/c."""
+    p, c = gs.p, gs.c
+    return BoundStates(-(c - 1.0) * p * (p + 4.0) / (4.0 * c), 0.0, 1.0 + 2.0 / p,
+                       essential_spectrum_edge(gs))
 
 
-def _seeded_eigenvalues(diag, off, refl: _Reflection, nodes, seed: EigenSeed,
-                        tol) -> np.ndarray | None:
-    """T's len(seed.values) lowest eigenvalues by inverse iteration from the
-    seed, or None when they are not certified.
-
-    Each seed vector, interpolated onto the interior nodes, is folded and
-    refined from its seed value on its dominant half; a vector whose minor
-    half exceeds _PARITY_TOL times its dominant one is refused. The Rayleigh
-    quotients theta are accepted when every residual is at most tol, the
-    intervals theta +- (residual + tol) are disjoint and in the seed's order
-    (tol covers the rounding of the computed residual), so each holds its own
-    eigenvalue of T (each half's eigenvalues are T's), and one Sturm count on
-    T finds exactly that many eigenvalues up to the top interval's upper end,
-    so they are the lowest.
-    """
-    theta, radius = [], []
-    for value, vec in zip(seed.values, seed.vectors.T):
-        refined = _refined_on_half(refl, np.interp(nodes, seed.nodes, vec), value, tol)
-        if refined is None or not refined[1] <= tol:
+def _certified_bound_states(diag, off, refl: _Reflection, prof: SampledProfile,
+                            tol) -> np.ndarray | None:
+    """[theta_0, theta_1, r^2]: T's two eigenvalues below r^2, by inverse
+    iteration on T+ from the ground mode at the closed-form ground value and
+    on T- from phi_c' at 0, then the edge; None when they are not certified.
+    They are when both residuals are at most tol, the intervals
+    theta +- (residual + tol) are disjoint and below r^2 (tol covers the
+    rounding of the computed residual), so each holds its own eigenvalue of
+    T, and one Sturm count on T finds exactly two eigenvalues up to r^2, so
+    they are the lowest and T's third lies above r^2."""
+    bound = bound_states(prof.gs)
+    starts = (refl.fold(prof.ground_mode[1:-1])[0], refl.fold(prof.phi_x[1:-1])[1])
+    theta, residual = [], []
+    for (d, o), start, value in zip(refl.halves, starts, (bound.ground, bound.kernel)):
+        try:
+            t, r, _ = _inverse_iteration(d, o, start, value, tol)
+        except EigenSolveError:  # the closed form is an eigenvalue to working precision
             return None
-        theta.append(refined[0])
-        radius.append(refined[1] + tol)
-    theta, radius = np.asarray(theta), np.asarray(radius)
-    if not np.all(theta[:-1] + radius[:-1] < theta[1:] - radius[1:]):
-        return None
-    found = _count_up_to(diag, off, float(theta[-1] + radius[-1]))
-    return theta if found == theta.size else None
+        theta.append(t)
+        residual.append(r)
+    (a, b), (ra, rb) = theta, [r + tol for r in residual]
+    if (all(r <= tol for r in residual) and a + ra < b - rb and b + rb < bound.edge
+            and _count_up_to(diag, off, bound.edge) == 2):
+        return np.array([a, b, bound.edge])
+    return None
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,6 @@ class CoercivityReport:
     constrained_min: float
     constraints_used: tuple
     raw_min: float
-    seed: EigenSeed = field(repr=False, compare=False)
     # (h^2, constrained_min) of this grid, after that of the grid before it
     # when that one had the same constraints: the next grid's prediction.
     # Empty from a grid with k h > 1, which does not resolve phi_c
@@ -341,58 +328,85 @@ def _predicted_minimum(ladder: tuple, h2: float) -> float:
     return ladder[-1][1] if ladder else np.nan
 
 
+def _secular_minimum(diag, off, Q, w, mu, tol) -> float:
+    """The constrained minimum on the bracket [w[0], w[-1]], where w holds
+    every eigenvalue of T below w[-1] ahead of it, and Q is an orthonormal
+    basis of the k constraints.
+
+    The constrained eigenvalues below mu number n_-(T - mu) + n_+(S) - k,
+    with the secular matrix S = Q^T Y, Y = (T - mu)^{-1} Q (Golub, SIAM Rev.
+    15, 1973). Each probe mu is one banded solve for Y and one k x k eigh of
+    S, and its count moves one end of the bracket. With n = n_-(T - mu), the
+    secular eigenvalue s_{n-1} (0-based, ascending) crosses zero at the
+    minimum, with derivative ||Y z||^2 from the same solve (S' = Y^T Y, z its
+    eigenvector). The first probe is mu when it lies strictly inside the
+    bracket, else the midpoint; the next is the Newton iterate when it lies
+    strictly inside the bracket and the midpoint otherwise, which handles
+    the poles of S and a minimum on the bracket top, where no secular
+    eigenvalue vanishes. T - mu changes only when mu moves by an ulp of the
+    diagonal, so a Newton step within tol = 8 eps max|diag| is followed by a
+    probe 1.5 tol across the root (not 2 tol, which rounding can leave just
+    short of closing the bracket), and hi (count positive; 0 at lo) returns
+    once hi - lo <= 2 tol.
+    """
+    k = Q.shape[1]
+    lo, hi = float(w[0]), float(w[-1])
+    if not lo < mu < hi:
+        mu = 0.5 * (lo + hi)
+    for _ in range(_SECULAR_MAX_PROBES):
+        if hi - lo <= 2.0 * tol:
+            return hi
+        Y = _shifted_solve(diag, off, mu, Q)
+        secular = Q.T @ Y
+        if not np.all(np.isfinite(secular)):
+            raise EigenSolveError(f"non-finite secular matrix at shift {mu!r}")
+        # QR iteration: the default driver's MRRR vectors come with eigenvalues
+        # that can err by ~20 eps ||S|| near zero, enough to flip the count
+        sec, vecs = eigh(secular, driver="ev")
+        n = np.count_nonzero(w < mu)  # n_-(T - mu), since mu < w[-1]
+        lo, hi = (lo, mu) if n + np.count_nonzero(sec > 0.0) - k > 0 else (mu, hi)
+        step = -float(sec[n - 1]) / float(np.sum((Y @ vecs[:, n - 1]) ** 2))
+        del Y  # so the next solve does not hold two n x k blocks (peak RSS)
+        if not np.isfinite(step):
+            raise EigenSolveError(f"non-finite Newton step at shift {mu!r}")
+        if abs(step) <= tol:
+            mu += 1.5 * tol if mu == lo else -1.5 * tol
+        else:
+            mu = mu + step if lo < mu + step < hi else 0.5 * (lo + hi)
+    raise EigenSolveError(f"constrained minimum not bracketed within {_SECULAR_MAX_PROBES} "
+                          f"probes: [{lo!r}, {hi!r}]")
+
+
 def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
                              previous: CoercivityReport | None = None,
                              prof: SampledProfile | None = None) -> CoercivityReport:
     """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints.
 
     constraints maps names to Fields (or interior arrays); an empty mapping
-    returns the unconstrained minimum. T's k + 1 lowest eigenvalues give
-    raw_min and the bracket below. With previous, the report of a coarser
-    grid with as many constraints, they are refined from its seed and
-    certified (_seeded_eigenvalues); without it, or when the certificate
-    fails, they come from index-range tridiagonal eigensolves on T's halves,
-    with eigenvectors (_lowest). The report's seed carries them, unfolded,
-    for the next grid. prof is gs sampled on grid, when the caller already
+    returns the unconstrained minimum, raw_min. The secular search
+    (_secular_minimum) runs on [theta_0, theta_1] for one constraint and on
+    [theta_0, r^2] for two, from the certified bound states
+    (_certified_bound_states). With three or more, when the certificate
+    fails, and when no probe finds a constrained eigenvalue below r^2, it
+    runs on the interlacing bracket [lambda_1, lambda_{k+1}] from
+    index-range eigensolves on T's halves (_lowest). raw_min is the
+    bracket's lower end. When previous, a coarser grid's report, has the
+    same constraints, the first probe is _predicted_minimum from
+    previous.ladder, the minima of one or two coarser grids; a grid with
+    k h > 1 (N = 16, 32 at p = 5 on L = 50 pi) does not resolve phi_c and
+    passes on no minima. prof is gs sampled on grid, when the caller already
     holds it (T is built from it); it is sampled here otherwise.
-
-    For an orthonormal basis Q of the k constraints, the constrained
-    eigenvalues below mu number n_-(T - mu) + n_+(S) - k, with the secular
-    matrix S = Q^T Y, Y = (T - mu)^{-1} Q (Golub, SIAM Rev. 15, 1973). Each
-    probe mu of the interlacing bracket [lambda_1, lambda_{k+1}] of T is one
-    banded solve for Y and one k x k eigh of S, and its count moves one end
-    of the bracket. With n = n_-(T - mu), the secular eigenvalue s_{n-1}
-    (0-based, ascending) crosses zero at the minimum, with derivative
-    ||Y z||^2 from the same solve (S' = Y^T Y, z its eigenvector). The first
-    probe is the bracket midpoint, except when previous has the same
-    constraints: then it is _predicted_minimum from previous.ladder, the
-    minima of one or two coarser grids, when that lies strictly inside the
-    bracket. A grid with k h > 1 (N = 16, 32 at p = 5 on L = 50 pi) does not
-    resolve phi_c and passes on no minima, so the grid after it starts at the
-    midpoint too. The next probe is the Newton iterate when it lies strictly
-    inside the bracket and the midpoint otherwise, which handles the poles of
-    S and a minimum on the bracket top, where no secular eigenvalue vanishes.
-    T - mu changes only when mu moves by an ulp of the diagonal, so a Newton
-    step within tol = 8 eps max|diag| is followed by a probe 1.5 tol across
-    the root (not 2 tol, which rounding can leave just short of closing the
-    bracket), and hi (count positive; 0 at lo) returns once hi - lo <= 2 tol.
     """
-    diag, off = discretize_weinstein(gs.sample(grid) if prof is None else prof)
+    prof = gs.sample(grid) if prof is None else prof
+    diag, off = discretize_weinstein(prof)
     refl = _Reflection(diag, off)
     names = tuple(constraints.keys())
     k = len(names)
     tol = _resolution(diag)
-    w = None
-    if previous is not None and previous.seed.values.size == k + 1:
-        w = _seeded_eigenvalues(diag, off, refl, _interior(grid), previous.seed, tol)
-    if w is None:
-        w, _, v = _lowest(diag, off, refl, k + 1, tol, vectors=True)
-        seed = EigenSeed(w, grid.nodes, np.pad(v, ((1, 1), (0, 0))))
-    else:
-        seed = EigenSeed(w, previous.seed.nodes, previous.seed.vectors)
-    raw = float(w[0])
+    closed = _certified_bound_states(diag, off, refl, prof, tol) if k <= 2 else None
+    w = _lowest(diag, off, refl, k + 1, tol)[0] if closed is None else closed
     if not names:
-        return CoercivityReport(raw, (), raw, seed)
+        return CoercivityReport(float(w[0]), (), float(w[0]))
 
     cols = []
     for name in names:
@@ -408,35 +422,15 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
 
     h2 = grid.h ** 2
     ladder = previous.ladder if previous is not None and previous.constraints_used == names else ()
-    lo, hi = raw, float(w[k])
     mu = _predicted_minimum(ladder, h2)
-    if not lo < mu < hi:
-        mu = 0.5 * (lo + hi)
-    for _ in range(_SECULAR_MAX_PROBES):
-        if hi - lo <= 2.0 * tol:
-            resolved = gs.decay_rate ** 2 * h2 <= 1.0
-            return CoercivityReport(hi, names, raw, seed,
-                                    ladder[-1:] + ((h2, hi),) if resolved else ())
-        Y = _shifted_solve(diag, off, mu, Q)
-        secular = Q.T @ Y
-        if not np.all(np.isfinite(secular)):
-            raise EigenSolveError(f"non-finite secular matrix at shift {mu!r}")
-        # QR iteration: the default driver's MRRR vectors come with eigenvalues
-        # that can err by ~20 eps ||S|| near zero, enough to flip the count
-        sec, vecs = eigh(secular, driver="ev")
-        # mu < lambda_{k+1}, so the k+1 lowest eigenvalues give n_-(T - mu)
-        n = np.count_nonzero(w < mu)
-        lo, hi = (lo, mu) if n + np.count_nonzero(sec > 0.0) - k > 0 else (mu, hi)
-        step = -float(sec[n - 1]) / float(np.sum((Y @ vecs[:, n - 1]) ** 2))
-        del Y  # so the next solve does not hold two n x k blocks (peak RSS)
-        if not np.isfinite(step):
-            raise EigenSolveError(f"non-finite Newton step at shift {mu!r}")
-        if abs(step) <= tol:
-            mu += 1.5 * tol if mu == lo else -1.5 * tol
-        else:
-            mu = mu + step if lo < mu + step < hi else 0.5 * (lo + hi)
-    raise EigenSolveError(f"constrained minimum not bracketed within {_SECULAR_MAX_PROBES} "
-                          f"probes: [{lo!r}, {hi!r}]")
+    minimum = _secular_minimum(diag, off, Q, w[:k + 1], mu, tol)
+    if closed is not None and minimum == closed[2]:
+        # no constrained eigenvalue below r^2: the minimum is a box mode
+        w, _ = _lowest(diag, off, refl, k + 1, tol)
+        minimum = _secular_minimum(diag, off, Q, w, mu, tol)
+    resolved = gs.decay_rate ** 2 * h2 <= 1.0
+    return CoercivityReport(minimum, names, float(w[0]),
+                            ladder[-1:] + ((h2, minimum),) if resolved else ())
 
 
 def inverse_pairing(gs: GroundState, grid: Grid, f: Field) -> float:
@@ -484,6 +478,3 @@ def negative_direction_check(gs: GroundState, grid: Grid) -> NegativeDirectionRe
     quad = inner(hessian_apply(gs, direction), direction)
     return NegativeDirectionReport(closed, quad)
 
-
-def essential_spectrum_edge(gs: GroundState) -> float:
-    return (gs.c - 1.0) / gs.c

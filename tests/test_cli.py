@@ -177,14 +177,13 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv, grids", [
         ([], (1024, 2048, 4096, 8192, 16384)),
-        # a claim grid off the power-of-two ladder is seeded from N = 1024
         (["--N", "1500"], (1024, 1500, 2048, 4096, 8192, 16384)),
     ], ids=["default", "N1500"])
-    def test_coercivity_grids_are_seeded(self, tmp_path, monkeypatch, argv, grids):
-        # index-range eigensolves on the coarsest grid only (one per half of T,
-        # then the Sturm count that accepts their merge), then one value-range
-        # Sturm count per finer grid: a certificate that always failed would
-        # make index-range calls on every grid, and the outputs would still agree
+    def test_coercivity_makes_no_index_range_eigensolve(self, tmp_path, monkeypatch, argv, grids):
+        # each grid's two lowest eigenvalues come from the closed-form bound
+        # states, certified by one value-range Sturm count: a certificate that
+        # always failed would make index-range calls on every grid, and the
+        # outputs would still agree
         selects = []
 
         def counting(*args, **kwargs):
@@ -193,28 +192,31 @@ class TestOtherCommands:
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", counting)
         assert run(tmp_path, "coercivity", *argv) == 2
-        assert selects == ["i", "i", "v"] + ["v"] * (len(grids) - 1)
+        assert selects == ["v"] * len(grids)
         doc = json.loads((tmp_path / "coercivity.json").read_text())["result"]
+        # reference: the bracket from the index-range eigensolves on every grid
+        monkeypatch.setattr(spectral, "_certified_bound_states", lambda *args: None)
         gs = GroundState(5.0, critical_speed(5.0))
-        unseeded = {}
+        reference = {}
         for n in grids:
             grid = make_grid(50.0 * math.pi, n, DIRICHLET)
             prof = gs.sample(grid)
             constraints = {"translation_mode": Field(grid, prof.phi_x),
                            "kappa": kappa_closed_form(prof)}
             tol = spectral._resolution(spectral.discretize_weinstein(gs.sample(grid))[0])
-            unseeded[n] = spectral.constrained_form_minimum(gs, grid, constraints), tol
-        ref, tol = unseeded[doc["N"]]
+            reference[n] = spectral.constrained_form_minimum(gs, grid, constraints), tol
+        ref, tol = reference[doc["N"]]
         assert abs(doc["constrained_min"] - ref.constrained_min) <= 2.0 * tol
         assert abs(doc["raw_min"] - ref.raw_min) <= 2.0 * tol
         for entry in doc["resolution"]:
-            ref, tol = unseeded[entry["N"]]
+            ref, tol = reference[entry["N"]]
             assert abs(entry["constrained_min"] - ref.constrained_min) <= 2.0 * tol
 
     def test_coercivity_banded_solve_count(self, tmp_path, monkeypatch):
         # each grid after the first starts its secular search at the O(h^2)
-        # prediction from the coarser grids; from the bracket midpoint every
-        # grid takes 7-8 probes, 62 solves in all
+        # prediction from the coarser grids (from the bracket midpoint every
+        # grid takes 7-8 probes), and its two bound states take 2-3
+        # inverse-iteration solves each: 23 probes and 21 solves in all
         probes, solves = {}, []
         solve = spectral._shifted_solve
 
@@ -228,7 +230,7 @@ class TestOtherCommands:
         assert run(tmp_path, "coercivity") == 2
         assert sorted(probes) == [1024, 2048, 4096, 8192, 16384]
         assert all(probes[n] <= 5 for n in (2048, 4096, 8192, 16384))
-        assert len(solves) <= 50
+        assert len(solves) <= 44
 
     @pytest.mark.parametrize("argv, code", [([], 2), (["--N", "16"], 3)], ids=["default", "N16"])
     def test_coercivity_probes_per_grid(self, tmp_path, monkeypatch, argv, code):

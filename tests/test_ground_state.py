@@ -8,6 +8,7 @@ from gbbmlab import (
     PERIODIC,
     Field,
     GroundState,
+    bound_states,
     closed_form_identities,
     critical_speed,
     derivative,
@@ -197,6 +198,32 @@ class TestPsiDirection:
         phi = gs5.profile(periodic_8192)
         err = np.max(np.abs(img.values - phi.values))
         assert err < 1e-6 * np.max(np.abs(phi.values))
+
+
+class TestGroundMode:
+    @pytest.mark.parametrize("N", [1500, 8192])
+    def test_even_to_the_bit(self, gs5, N):
+        vals = gs5.sample(make_grid(L50, N, DIRICHLET)).ground_mode
+        assert np.array_equal(vals, vals[::-1])
+
+    @pytest.mark.parametrize("p", [4.5, 5.0, 10.0])
+    def test_power_of_the_profile(self, p, dirichlet_8192):
+        # sech^{1+2/p}(kx) = (phi_c / A)^{(p+2)/2}
+        gs = GroundState(p, critical_speed(p))
+        prof = gs.sample(dirichlet_8192)
+        ref = (prof.phi / gs.amplitude) ** (0.5 * (p + 2.0))
+        assert np.max(np.abs(prof.ground_mode - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("p", [4.5, 5.0, 10.0])
+    def test_eigenfunction_of_the_weinstein_operator(self, p, periodic_8192):
+        # -g'' + (c-1)/c g - (p+1) phi_c^p / c g = lambda_0 g, spectral g''
+        gs = GroundState(p, critical_speed(p))
+        prof = gs.sample(periodic_8192)
+        g = prof.ground_mode
+        gxx = derivative(Field(periodic_8192, g), 2).values
+        lg = -gxx + (gs.c - 1.0) / gs.c * g - (p + 1.0) * prof.phi_p / gs.c * g
+        ground = bound_states(gs).ground
+        assert np.max(np.abs(lg - ground * g)) <= 1e-9 * abs(ground)
 
 
 class TestIdentities:

@@ -9,6 +9,7 @@ from gbbmlab import (
     DIRICHLET,
     Field,
     GroundState,
+    bound_states,
     constrained_form_minimum,
     critical_speed,
     discretize_weinstein,
@@ -22,6 +23,7 @@ from gbbmlab import (
     negative_direction_check,
 )
 from gbbmlab import spectral
+from gbbmlab.cli import RESOLUTION_SEQUENCE
 from gbbmlab.spectral import EigenSolveError, _shifted_solve
 
 L50 = 50.0 * math.pi
@@ -205,15 +207,6 @@ class TestReflectionHalves:
         w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 5))
         rep = eigenpairs(gs, grid)
         assert np.all(np.abs(rep.eigenvalues - w) <= 2.0 * tol)
-        # with vectors, as the coarsest coercivity grid takes them: unit,
-        # orthogonal, of exact parity, with their eigenvalues' Rayleigh quotients
-        refl = spectral._Reflection(diag, off)
-        w3, parity, v = spectral._lowest(diag, off, refl, 3, tol, vectors=True)
-        assert np.all(np.abs(w3 - w[:3]) <= 2.0 * tol)
-        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-12
-        assert np.array_equal(v[::-1], v * np.where(parity, -1.0, 1.0))
-        rq = np.sum(v * tridiagonal_apply(diag, off, v), axis=0)
-        assert np.all(np.abs(rq - w[:3]) <= 2.0 * tol)
 
     def test_fold_unfold_round_trip(self, gs5, grid2048, rng):
         diag, off = discretize_weinstein(gs5.sample(grid2048))
@@ -267,6 +260,23 @@ class TestConstrainedMinimum:
             {"translation_mode": gs5.profile_dx(grid2048), "negative_mode": xi0},
         )
         assert rep.constrained_min > 1e-3 * essential_spectrum_edge(gs5)
+
+    def test_blocking_negative_and_kernel_leaves_the_third_eigenvalue(
+        self, gs5, grid2048, negative_eigvec
+    ):
+        # the minimum is T's third eigenvalue, a box mode above r^2: no probe
+        # on [lambda_0, r^2] finds a constrained eigenvalue below r^2, and a
+        # search that stopped there would return the edge itself
+        _, xi0 = negative_eigvec
+        rep = constrained_form_minimum(
+            gs5, grid2048,
+            {"translation_mode": gs5.profile_dx(grid2048), "negative_mode": xi0},
+        )
+        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid2048))[0])
+        edge = essential_spectrum_edge(gs5)
+        assert edge == pytest.approx(0.10294372515229, abs=1e-13)
+        assert abs(rep.constrained_min - 0.10334424990141) <= 2.0 * tol
+        assert rep.constrained_min - edge > 1e-4
 
     def test_kappa_constraint_minimum_matches_inverse_criterion(self, gs5, grid2048):
         # the form minimum on the kappa-orthogonal complement is negative
@@ -341,15 +351,16 @@ class TestConstrainedMinimum:
     def test_newton_matches_bisection_reference(self, p, N, monkeypatch):
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, N, DIRICHLET)
-        shifts = []
+        probes, solves = [], []
 
         def counting_solve(diag, off, shift, rhs):
-            shifts.append(shift)
+            (probes if np.ndim(rhs) == 2 else solves).append(shift)
             return _shifted_solve(diag, off, shift, rhs)
 
         monkeypatch.setattr(spectral, "_shifted_solve", counting_solve)
         assert_matches_bisection(gs, grid, coercivity_constraints(gs, grid))
-        assert len(shifts) <= 12  # bisection takes 58-60
+        # bisection takes 58-60 probes; the two bound states 2-3 solves each
+        assert len(probes) <= 8 and len(solves) <= 6
 
     def test_newton_matches_bisection_with_a_third_constraint(self, rng):
         # a bump beside {phi', kappa} makes ||S|| large against the crossing
@@ -393,128 +404,149 @@ class TestConstrainedMinimum:
         assert mins[-1] < 0.0
 
 
-def resolution_chain(gs, L, sizes):
-    """(grid, seeded report, unseeded report) per size, each seeded from the
-    report before it, as `coercivity` walks its grids."""
-    out, previous = [], None
-    for N in sizes:
-        grid = make_grid(L, N, DIRICHLET)
-        constraints = coercivity_constraints(gs, grid)
-        previous = constrained_form_minimum(gs, grid, constraints, previous)
-        out.append((grid, previous, constrained_form_minimum(gs, grid, constraints)))
-    return out
+def lowest_bracket(gs, grid, constraints, monkeypatch, previous=None):
+    """constrained_form_minimum with the bound states refused, so that its
+    bracket comes from the index-range eigensolves (_lowest)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_certified_bound_states", lambda *args: None)
+        return constrained_form_minimum(gs, grid, constraints, previous)
 
 
-def took_seed(report, previous):
-    # a certified seed passes its vectors on; the eigensolve takes new ones
-    return report.seed.vectors is previous.seed.vectors
+def counting_lowest(monkeypatch):
+    """A list that records each _lowest call from now on."""
+    calls, lowest = [], spectral._lowest
+
+    def counting(*args):
+        calls.append(args[3])
+        return lowest(*args)
+
+    monkeypatch.setattr(spectral, "_lowest", counting)
+    return calls
 
 
-class TestSeededEigenvalues:
+class TestBoundStates:
+    @pytest.mark.parametrize("p", [4.1, 4.5, 5.0, 6.0, 10.0, 30.0, 100.0])
+    def test_poschl_teller_levels(self, p):
+        # lambda_0 = r^2 - k^2 nu^2 and 0 = r^2 - k^2 (nu - 1)^2 as identities
+        gs = GroundState(p, critical_speed(p))
+        bound = bound_states(gs)
+        edge, k = essential_spectrum_edge(gs), gs.decay_rate
+        assert (bound.nu, bound.edge, bound.kernel) == (1.0 + 2.0 / p, edge, 0.0)
+        assert bound.ground == pytest.approx(edge - k ** 2 * bound.nu ** 2, rel=1e-14)
+        assert abs(edge - k ** 2 * (bound.nu - 1.0) ** 2) <= 1e-14 * edge  # nu - 1 cancels
+        # and the well: (p+1) phi_c^p / c = nu (nu+1) k^2 sech^2(kx) at x = 0
+        assert (p + 1.0) * gs.amplitude ** p / gs.c == pytest.approx(
+            bound.nu * (bound.nu + 1.0) * k ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("p, bound", [(4.5, 1e-8), (5.0, 1e-7), (6.0, 1e-6)])
+    def test_ground_value_is_the_richardson_limit(self, p, bound):
+        # the FD ground eigenvalue converges at O(h^2); measured 3.4e-9,
+        # 3.6e-8 and 4.7e-7 from N = 4096 and 8192
+        gs = GroundState(p, critical_speed(p))
+        ground = []
+        for N in (4096, 8192):
+            diag, off = discretize_weinstein(gs.sample(make_grid(L50, N, DIRICHLET)))
+            ground.append(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                           select_range=(0, 0))[0])
+        assert abs((4.0 * ground[1] - ground[0]) / 3.0 - bound_states(gs).ground) <= bound
+
+    def test_inverse_iteration_from_the_ground_mode(self, gs5):
+        # on the full T, from the closed-form mode at the closed-form value;
+        # measured 1 - 2.3e-9
+        prof = gs5.sample(make_grid(L50, 8192, DIRICHLET))
+        diag, off = discretize_weinstein(prof)
+        tol = spectral._resolution(diag)
+        mode = prof.ground_mode[1:-1] / np.linalg.norm(prof.ground_mode[1:-1])
+        _, residual, x = spectral._inverse_iteration(
+            diag, off, mode, bound_states(gs5).ground, tol)
+        assert residual <= tol
+        assert abs(float(x @ mode)) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
+    def test_one_eigenvalue_below_the_edge_in_each_half(self, p):
+        # on every default coercivity grid: the ground state in the even half,
+        # the kernel in the odd one, and every box mode above r^2
+        gs = GroundState(p, critical_speed(p))
+        edge = essential_spectrum_edge(gs)
+        for N in RESOLUTION_SEQUENCE:
+            diag, off = discretize_weinstein(gs.sample(make_grid(L50, N, DIRICHLET)))
+            for d, o in spectral._Reflection(diag, off).halves:
+                w = eigh_tridiagonal(d, o, eigvals_only=True, select="i", select_range=(0, 1))
+                assert w[0] < edge < w[1]
+
+
+class TestCertifiedBoundStates:
     @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
     @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
-    def test_seeded_matches_unseeded(self, p, L):
-        # the Newton search stops anywhere in a 2 tol bracket, so changing
-        # lambda_1..lambda_{k+1} within their accuracy moves it that far
+    def test_closed_form_path_matches_the_lowest_bracket(self, p, L, monkeypatch):
+        # on the coercivity ladder, each grid handed the report before it; the
+        # Newton search stops anywhere in a 2 tol bracket, so changing its
+        # ends within their accuracy moves it that far
         gs = GroundState(p, critical_speed(p))
-        chain = resolution_chain(gs, L, (1024, 2048, 4096, 8192, 16384))
-        for (_, before, _), (grid, seeded, unseeded) in zip(chain, chain[1:]):
-            assert took_seed(seeded, before)
-            tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
-            assert abs(seeded.constrained_min - unseeded.constrained_min) <= 2.0 * tol
-            assert abs(seeded.raw_min - unseeded.raw_min) <= 2.0 * tol
-            assert np.all(np.abs(seeded.seed.values - unseeded.seed.values) <= 2.0 * tol)
-
-    def test_near_degenerate_box_pair_keeps_its_parity(self, gs5):
-        # lambda_3 (even) and lambda_4 (odd) are 2.2e-5 apart at p = 5; the
-        # seeded lambda_3 comes from the even coarse vector and stays even
-        chain = resolution_chain(gs5, L50, (1024, 2048, 4096))
-        coarse = chain[0][1].seed
-        even = coarse.vectors[:, 2]
-        assert np.linalg.norm(even - even[::-1]) < 1e-8
-        for grid, seeded, _ in chain[1:]:
-            diag, off = discretize_weinstein(gs5.sample(grid))
-            w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 3))
-            assert w[3] - w[2] == pytest.approx(2.2e-5, rel=0.05)
+        previous = reference = None
+        for N in RESOLUTION_SEQUENCE:
+            grid = make_grid(L, N, DIRICHLET)
+            constraints = coercivity_constraints(gs, grid)
+            calls = counting_lowest(monkeypatch)
+            previous = constrained_form_minimum(gs, grid, constraints, previous)
+            assert calls == []
+            reference = lowest_bracket(gs, grid, constraints, monkeypatch, reference)
+            diag, off = discretize_weinstein(gs.sample(grid))
             tol = spectral._resolution(diag)
-            assert abs(seeded.seed.values[2] - w[2]) <= tol
-            start = np.interp(grid.nodes[1:-1], coarse.nodes, even)
-            _, residual, x = spectral._inverse_iteration(diag, off, start, coarse.values[2], tol)
-            assert residual <= tol
-            assert np.linalg.norm(x - x[::-1]) < 1e-8
+            assert abs(previous.constrained_min - reference.constrained_min) <= 2.0 * tol
+            assert abs(previous.raw_min - reference.raw_min) <= 2.0 * tol
+            w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))
+            assert abs(previous.raw_min - w[0]) <= 2.0 * tol
 
     @pytest.mark.parametrize(
-        "case", ["other_p", "swapped", "overlapping", "skips_lowest", "singular", "mixed_parity"])
-    def test_certificate_refusal_returns_the_unseeded_result(self, gs5, case, monkeypatch):
-        grid = make_grid(L50, 2048, DIRICHLET)
+        "case", ["N16", "N32", "N128", "sturm_count", "singular", "three_constraints"])
+    def test_refusal_returns_the_lowest_bracket_result(self, gs5, case, monkeypatch):
+        # N = 16 and 32 do not resolve phi_c; at N = 128 the two lowest values
+        # converge but the Sturm count finds one eigenvalue up to r^2
+        N = int(case[1:]) if case.startswith("N") else 2048
+        grid = make_grid(L50, N, DIRICHLET)
         constraints = coercivity_constraints(gs5, grid)
-        unseeded = constrained_form_minimum(gs5, grid, constraints)
-        coarse = make_grid(L50, 1024, DIRICHLET)
-        previous = constrained_form_minimum(gs5, coarse, coercivity_constraints(gs5, coarse))
-        seed = previous.seed
-        if case == "other_p":
-            gs10 = GroundState(10.0, critical_speed(10.0))
-            previous = constrained_form_minimum(gs10, coarse, coercivity_constraints(gs10, coarse))
-        elif case == "swapped":
-            # the ground and box values exchanged: both iterates reach lambda_3
-            seed = dataclasses.replace(seed, values=seed.values[::-1])
-        elif case == "skips_lowest":
-            # lambda_2..lambda_4 and their vectors: disjoint, converged, and
-            # only the Sturm count sees that lambda_1 is missing
-            diag, off = discretize_weinstein(gs5.sample(coarse))
-            w, v = eigh_tridiagonal(diag, off, select="i", select_range=(1, 3))
-            seed = spectral.EigenSeed(w, coarse.nodes, np.pad(v, ((1, 1), (0, 0))))
-        elif case == "mixed_parity":
-            # the even ground vector and the odd kernel vector in equal parts:
-            # refined on either half it would converge, so only the parity
-            # check refuses it
-            mixed = (seed.vectors[:, 0] + seed.vectors[:, 1]) / np.sqrt(2.0)
-            seed = dataclasses.replace(seed, vectors=np.column_stack([mixed, seed.vectors[:, 1:]]))
-        elif case == "overlapping":
-            # three copies of the lowest pair: three equal Rayleigh quotients
-            seed = dataclasses.replace(seed, values=seed.values[[0, 0, 0]],
-                                       vectors=seed.vectors[:, [0, 0, 0]])
-        else:
-            # the exact eigenvalues, with T - theta singular at each, which
-            # LAPACK reports only on an exactly zero pivot
-            seed = dataclasses.replace(seed, values=unseeded.seed.values)
-            exact = set(seed.values.tolist())
+        if case == "three_constraints":
+            constraints["bump"] = Field(grid, np.exp(-(grid.nodes ** 2) / 30.0))
+        reference = lowest_bracket(gs5, grid, constraints, monkeypatch)
+        if case == "sturm_count":
+            monkeypatch.setattr(spectral, "_count_up_to", lambda *args: 3)
+        elif case == "singular":
+            # T - lambda_0 singular at the closed-form value, which LAPACK
+            # reports only on an exactly zero pivot
+            ground = bound_states(gs5).ground
 
-            def singular_at_exact(diag, off, shift, rhs):
-                if shift in exact:
+            def singular_at_ground(diag, off, shift, rhs):
+                if shift == ground:
                     raise EigenSolveError(f"singular banded solve at shift {shift!r}")
                 return _shifted_solve(diag, off, shift, rhs)
 
-            monkeypatch.setattr(spectral, "_shifted_solve", singular_at_exact)
-        if case != "other_p":
-            previous = dataclasses.replace(previous, seed=seed)
-        # without a ladder the secular search starts at the midpoint, as unseeded
-        previous = dataclasses.replace(previous, ladder=())
-        rep = constrained_form_minimum(gs5, grid, constraints, previous)
-        assert not took_seed(rep, previous)
-        assert rep == unseeded
-        assert np.array_equal(rep.seed.values, unseeded.seed.values)
+            monkeypatch.setattr(spectral, "_shifted_solve", singular_at_ground)
+        calls = counting_lowest(monkeypatch)
+        rep = constrained_form_minimum(gs5, grid, constraints)
+        assert calls == [len(constraints) + 1]
+        assert rep == reference
 
-    def test_exact_eigenvalue_seed_is_certified(self, gs5, grid2048):
+    def test_exact_eigenvalue_shift_is_certified(self, gs5, grid2048, monkeypatch):
         # T - theta at a computed eigenvalue is singular only to working
         # precision: the iterate grows, and the values are accepted
         constraints = coercivity_constraints(gs5, grid2048)
-        unseeded = constrained_form_minimum(gs5, grid2048, constraints)
-        coarse = make_grid(L50, 1024, DIRICHLET)
-        previous = constrained_form_minimum(gs5, coarse, coercivity_constraints(gs5, coarse))
-        previous = dataclasses.replace(
-            previous, seed=dataclasses.replace(previous.seed, values=unseeded.seed.values))
-        rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
-        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid2048))[0])
-        assert took_seed(rep, previous)
-        assert abs(rep.constrained_min - unseeded.constrained_min) <= 2.0 * tol
+        reference = lowest_bracket(gs5, grid2048, constraints, monkeypatch)
+        diag, off = discretize_weinstein(gs5.sample(grid2048))
+        w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 1))
+        exact = dataclasses.replace(bound_states(gs5), ground=w[0], kernel=w[1])
+        monkeypatch.setattr(spectral, "bound_states", lambda gs: exact)
+        calls = counting_lowest(monkeypatch)
+        rep = constrained_form_minimum(gs5, grid2048, constraints)
+        assert calls == []
+        tol = spectral._resolution(diag)
+        assert abs(rep.constrained_min - reference.constrained_min) <= 2.0 * tol
 
-    def test_seed_for_another_constraint_count_is_not_used(self, gs5, grid2048):
+    def test_previous_with_other_constraints_changes_nothing(self, gs5, grid2048):
         coarse = make_grid(L50, 1024, DIRICHLET)
         previous = constrained_form_minimum(gs5, coarse, {})
         constraints = coercivity_constraints(gs5, grid2048)
         rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
-        assert not took_seed(rep, previous)
         assert rep == constrained_form_minimum(gs5, grid2048, constraints)
 
 
@@ -565,7 +597,7 @@ class TestWarmStart:
             h2 = grid.h ** 2
             tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
             if not points:
-                assert shifts[0] == 0.5 * (warm.raw_min + warm.seed.values[2])
+                assert shifts[0] == 0.5 * (warm.raw_min + essential_spectrum_edge(gs))
             elif len(points) == 1:
                 assert shifts[0] == points[0][1]
             else:
@@ -582,22 +614,21 @@ class TestWarmStart:
             gs5, L, (16, 32, 1024), monkeypatch)
         predicted = line_through(
             [(g16.h ** 2, r16.constrained_min), (g32.h ** 2, r32.constrained_min)], grid.h ** 2)
-        lo, hi = warm.raw_min, float(warm.seed.values[2])
+        lo, hi = warm.raw_min, essential_spectrum_edge(gs5)
         assert not lo < predicted < hi
         assert shifts[0] == 0.5 * (lo + hi)
         tol = spectral._resolution(discretize_weinstein(gs5.sample(grid))[0])
         assert abs(warm.constrained_min - cold.constrained_min) <= 2.0 * tol
 
     def test_other_constraints_give_no_prediction(self, gs5, monkeypatch):
-        # as many constraints, so the eigenvalues are seeded, but other ones:
-        # the coarser minimum predicts nothing and the search starts mid-bracket
+        # other constraints: the coarser minimum predicts nothing and the
+        # search starts mid-bracket
         coarse = make_grid(L50, 1024, DIRICHLET)
         other = {"translation_mode": gs5.profile_dx(coarse),
                  "bump": Field(coarse, np.exp(-(coarse.nodes ** 2) / 30.0))}
         previous = constrained_form_minimum(gs5, coarse, other)
         (_, rep, _, shifts), = warm_chain(gs5, L50, (2048,), monkeypatch, previous)
-        assert took_seed(rep, previous)
-        assert shifts[0] == 0.5 * (rep.raw_min + rep.seed.values[2])
+        assert shifts[0] == 0.5 * (rep.raw_min + essential_spectrum_edge(gs5))
 
 
 class TestNegativeDirection:
