@@ -50,7 +50,6 @@ from .spectral import (
 )
 from .dynamics import (
     BlowupError,
-    SimulationConfig,
     Trajectory,
     UnresolvedError,
     auto_points,

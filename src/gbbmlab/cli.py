@@ -24,7 +24,6 @@ from . import (
     BlowupError,
     Field,
     GroundState,
-    SimulationConfig,
     UnresolvedError,
     auto_points,
     closed_form_identities,
@@ -233,7 +232,6 @@ def cmd_coercivity(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
     claim_n = min(cfg["N"], 2048)
-    claim_kh = gs.decay_rate * make_grid(cfg["L"], claim_n, DIRICHLET).h
     reports = {}
     # each grid's first secular probe comes from the coarser grids' minima
     previous = None
@@ -244,7 +242,7 @@ def cmd_coercivity(cfg: dict) -> int:
             "translation_mode": Field(grid, prof.phi_x),
             "kappa": kappa_closed_form(prof),
         }
-        previous = reports[n] = constrained_form_minimum(gs, grid, constraints, previous, prof)
+        previous = reports[n] = constrained_form_minimum(prof, constraints, previous)
     report = reports[claim_n]
     payload = {
         "N": claim_n,
@@ -266,8 +264,8 @@ def cmd_coercivity(cfg: dict) -> int:
               f"opposite sides of the threshold; the claim grid is unresolved",
               file=sys.stderr)
         return EXIT_CONSISTENCY
-    if claim_kh > 1.0:  # CoercivityReport.ladder's criterion for an unresolved phi_c
-        print(f"consistency failure: the claim grid N={claim_n} has k h = {claim_kh:.2f} > 1 "
+    if not report.resolved:
+        print(f"consistency failure: the claim grid N={claim_n} has k h = {report.kh:.2f} > 1 "
               f"and does not resolve phi_c", file=sys.stderr)
         return EXIT_CONSISTENCY
     if report.constrained_min <= threshold:
@@ -281,9 +279,8 @@ def cmd_evolve(cfg: dict) -> int:
     p = cfg["p"]
     c = critical_speed(p)
     gs = GroundState(p, c)
-    grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
-    phi = gs.profile(grid)
-    traj = evolve(phi, SimulationConfig(grid, p, cfg["dt"], cfg["t_end"]))
+    phi = gs.profile(make_grid(cfg["L"], cfg["N"], PERIODIC))
+    traj = evolve(phi, p, cfg["t_end"], cfg["dt"])
     exact = translate(phi, -c * cfg["t_end"])
     sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
     outdir = Path(cfg["out"])

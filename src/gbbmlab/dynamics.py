@@ -137,26 +137,6 @@ def auto_points(L: float, initial: Callable[[Grid], Field]) -> int:
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """dt is the first trial step of `stream`'s DOP853 stepper, not a cap: the
-    error control picks every later step. dt = 0, the default, estimates the
-    first step from the initial state (`_first_step`) at the cost of one flow
-    evaluation. Frames are taken every record_interval time units and at
-    t_end."""
-    grid: Grid
-    p: float
-    dt: float = 0.0
-    t_end: float = 10.0
-    record_interval: float = 0.5
-
-    def __post_init__(self):
-        if self.grid.boundary != PERIODIC:
-            raise ValueError("time evolution requires a periodic grid")
-        if not (self.dt >= 0 and self.t_end > 0 and self.record_interval > 0):
-            raise ValueError("dt >= 0 (0 = estimate), t_end > 0 and record_interval > 0 required")
-
-
-@dataclass(frozen=True)
 class Frame:
     """The state at record time t, its E and Q, and the steps taken and flow
     evaluations made so far."""
@@ -221,14 +201,20 @@ def _first_step(v: np.ndarray, f0: np.ndarray, g: Grid, p: float, fallback: floa
     return min(100.0 * h0, (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0))
 
 
-def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
-    """One Frame per record time, from error-controlled DOP853 steps.
+def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
+           record_interval: float = 0.5) -> Iterator[Frame]:
+    """One Frame per record time, from error-controlled DOP853 steps of the
+    flow of exponent p on u0's grid, which must be periodic.
 
-    The first trial step is config.dt when it is positive; dt = 0 takes
-    `_first_step` from u0 instead (falling back to record_interval / 100 when
-    its probe is not finite), one flow evaluation more. Each embedded estimate
-    is scaled per node by ATOL + RTOL max(|v|, |v_new|) and measured in the
-    max norm, giving err5 and err3; a step is accepted when
+    dt is the first trial step, not a cap: the error control picks every
+    later step. dt = 0, the default, takes `_first_step` from u0 instead
+    (falling back to record_interval / 100 when its probe is not finite), one
+    flow evaluation more. The grid, dt >= 0, t_end > 0 and record_interval > 0
+    are checked when the first frame is asked for, since this is a generator;
+    ValueError otherwise.
+
+    Each embedded estimate is scaled per node by ATOL + RTOL max(|v|, |v_new|)
+    and measured in the max norm, giving err5 and err3; a step is accepted when
     err = err5^2 / sqrt(err5^2 + 0.01 err3^2) is at most 1. The next step is
     the current one times 0.9 err^(-1/8), clipped to [1/3, 6], and does not
     grow right after a rejection. A trial step with a non-finite stage or
@@ -243,7 +229,11 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
     relative tail over rfft bins [cut/2, cut), raising UnresolvedError when
     the tail exceeds both 10 times the t = 0 value and sqrt(TAIL_TOL).
     """
-    g, p, interval, t_end = config.grid, config.p, config.record_interval, config.t_end
+    g, interval = u0.grid, record_interval
+    if g.boundary != PERIODIC:
+        raise ValueError("time evolution requires a periodic grid")
+    if not (dt >= 0 and t_end > 0 and interval > 0):
+        raise ValueError("dt >= 0 (0 = estimate), t_end > 0 and record_interval > 0 required")
     n_inner = math.ceil(t_end / interval - 1e-9)
     record_times = [k * interval for k in range(1, n_inner)] + [t_end]
     v, accepted, rejected = u0.values.copy(), 0, 0
@@ -272,7 +262,7 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
     yield frame(0.0)
     K = np.empty((len(_A) + 1, v.size))
     K[0] = _flow(v, g, p)
-    t, h, after_reject, evals = 0.0, config.dt, False, 1
+    t, h, after_reject, evals = 0.0, dt, False, 1
     if not h:
         h, evals = _first_step(v, K[0], g, p, interval / 100), 2
     for t_rec in record_times:
@@ -304,7 +294,8 @@ def stream(u0: Field, config: SimulationConfig) -> Iterator[Frame]:
         yield frame(t_rec)
 
 
-def evolve(u0: Field, config: SimulationConfig) -> Trajectory:
+def evolve(u0: Field, p: float, t_end: float, dt: float = 0.0,
+           record_interval: float = 0.5) -> Trajectory:
     """Integrate to t_end: every frame of `stream`, collected."""
-    return Trajectory(list(stream(u0, config)))
+    return Trajectory(list(stream(u0, p, t_end, dt, record_interval)))
 

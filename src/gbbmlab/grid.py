@@ -108,9 +108,6 @@ class Field:
         if other.grid is not self.grid and other.grid != self.grid:
             raise GridError("fields live on different grids")
 
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
 
 def quadrature(f: Field) -> float:
     """Composite trapezoid of f over [-L, L]."""

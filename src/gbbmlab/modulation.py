@@ -31,7 +31,7 @@ from .ground_state import (
     GroundState, SampledProfile, _energy_closed, critical_speed, profile_norm_sq_closed,
 )
 from .structure import _cubic_image, _kappa, coefficients
-from .dynamics import RTOL, Frame, SimulationConfig, stream
+from .dynamics import RTOL, Frame, stream
 from .functionals import _energy_density, energy
 
 
@@ -322,20 +322,20 @@ def instability_experiment(
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
 
-    Frames are taken every 0.5 time units, and dt is the first trial step
-    of the error-controlled `stream`; dt = 0 estimates it from u0, one flow
-    evaluation more (`SimulationConfig`). The tube is the H^1 ball of
-    radius 0.1 ||phi_c||_{H^1} around the modulated profile. Every frame,
-    u0 included, is decomposed by `decompose`, whose least-squares pair has a
-    root throughout the tube; the kappa-orthogonal pair has none for this
-    data when a > 0 (g(lambda) < 0 on [1.02, 1.30] at p = 5, a = 0.01), and
-    its residual is reported per frame instead. The frames end at the first
-    one outside the tube: no later state is computed or decomposed. The
-    verdict states whether the increments of I have a definite sign over the
-    in-tube frames (>= 95% one-signed). When every in-tube increment is at or
-    below the noise floor RTOL (3R/2) E(u0), it is "below-noise-floor"
-    instead: |I1| <= (3R/2) E(u), so a relative state error of RTOL moves I by
-    up to that floor, and no increment below it has a sign.
+    Frames are taken every 0.5 time units, and dt is the first trial step of
+    the error-controlled `stream`; dt = 0 estimates it from u0, one flow
+    evaluation more. The tube is the H^1 ball of radius 0.1 ||phi_c||_{H^1}
+    around the modulated profile. Every frame, u0 included, is decomposed by
+    `decompose`, whose least-squares pair has a root throughout the tube; the
+    kappa-orthogonal pair has none for this data when a > 0 (g(lambda) < 0 on
+    [1.02, 1.30] at p = 5, a = 0.01), and its residual is reported per frame
+    instead. The frames end at the first one outside the tube: no later state
+    is computed or decomposed. The verdict states whether the increments of I
+    have a definite sign over the in-tube frames (>= 95% one-signed). When
+    every in-tube increment is at or below the noise floor RTOL (3R/2) E(u0),
+    it is "below-noise-floor" instead: |I1| <= (3R/2) E(u), so a relative state
+    error of RTOL moves I by up to that floor, and no increment below it has a
+    sign.
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")
@@ -347,13 +347,12 @@ def instability_experiment(
     if R is None:
         R = 10.0 / gs.tail_rate
     u0 = Field(grid, (1.0 - a) * phi.values)
-    config = SimulationConfig(grid, p, dt, t_end)
     floor = RTOL * 1.5 * R * energy(u0, p)
 
     eps = 0.1 * norm_h1(phi)
     frames, tube_exit, failed = [], None, False
     try:
-        for f in virial_monitor(stream(u0, config), p, c, R):
+        for f in virial_monitor(stream(u0, p, t_end, dt), p, c, R):
             frames.append(f)
             if f.tube_distance > eps:
                 tube_exit = f.t

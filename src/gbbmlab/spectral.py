@@ -62,13 +62,13 @@ eigenvalue nearest zero) and excludes it from negative_count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, qr
 from scipy.linalg.lapack import dgtsv
 
-from .grid import DIRICHLET, Field, Grid, inner
+from .grid import DIRICHLET, Field, Grid, GridError, inner
 from .ground_state import GroundState, SampledProfile, normalized_profile_norm_sq
 from .functionals import hessian_apply
 
@@ -311,10 +311,17 @@ class CoercivityReport:
     constrained_min: float
     constraints_used: tuple
     raw_min: float
+    kh: float  # k h of the grid, k = gs.decay_rate
     # (h^2, constrained_min) of this grid, after that of the grid before it
     # when that one had the same constraints: the next grid's prediction.
-    # Empty from a grid with k h > 1, which does not resolve phi_c
+    # Empty from a grid that is not resolved
     ladder: tuple = field(default=(), repr=False, compare=False)
+
+    @property
+    def resolved(self) -> bool:
+        """Whether the grid resolves phi_c: k h <= 1 (N = 16, 32 at p = 5 on
+        L = 50 pi do not)."""
+        return self.kh <= 1.0
 
 
 def _predicted_minimum(ladder: tuple, h2: float) -> float:
@@ -377,27 +384,26 @@ def _secular_minimum(diag, off, Q, w, mu, tol) -> float:
                           f"probes: [{lo!r}, {hi!r}]")
 
 
-def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
-                             previous: CoercivityReport | None = None,
-                             prof: SampledProfile | None = None) -> CoercivityReport:
-    """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints.
+def constrained_form_minimum(prof: SampledProfile, constraints,
+                             previous: CoercivityReport | None = None) -> CoercivityReport:
+    """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints,
+    for the ground state and on the grid that prof samples (T is built from it).
 
-    constraints maps names to Fields (or interior arrays); an empty mapping
-    returns the unconstrained minimum, raw_min. The secular search
-    (_secular_minimum) runs on [theta_0, theta_1] for one constraint and on
-    [theta_0, r^2] for two, from the certified bound states
-    (_certified_bound_states). With three or more, when the certificate
-    fails, and when no probe finds a constrained eigenvalue below r^2, it
-    runs on the interlacing bracket [lambda_1, lambda_{k+1}] from
-    index-range eigensolves on T's halves (_lowest). raw_min is the
-    bracket's lower end. When previous, a coarser grid's report, has the
-    same constraints, the first probe is _predicted_minimum from
-    previous.ladder, the minima of one or two coarser grids; a grid with
-    k h > 1 (N = 16, 32 at p = 5 on L = 50 pi) does not resolve phi_c and
-    passes on no minima. prof is gs sampled on grid, when the caller already
-    holds it (T is built from it); it is sampled here otherwise.
+    constraints maps names to Fields on prof's grid (or interior arrays); an
+    empty mapping returns the unconstrained minimum, raw_min. The secular
+    search (_secular_minimum) runs on [theta_0, theta_1] for one constraint and
+    on [theta_0, r^2] for two, from the certified bound states
+    (_certified_bound_states). With three or more, when the certificate fails,
+    and when no probe finds a constrained eigenvalue below r^2, it runs on the
+    interlacing bracket [lambda_1, lambda_{k+1}] from index-range eigensolves
+    on T's halves (_lowest). raw_min is the bracket's lower end. When previous,
+    a coarser grid's report, has the same constraints, the first probe is
+    _predicted_minimum from previous.ladder, the minima of one or two coarser
+    grids; a grid that is not resolved (CoercivityReport.resolved) passes on no
+    minima.
     """
-    prof = gs.sample(grid) if prof is None else prof
+    gs, grid = prof.gs, prof.grid
+    kh = gs.decay_rate * grid.h
     diag, off = discretize_weinstein(prof)
     refl = _Reflection(diag, off)
     names = tuple(constraints.keys())
@@ -406,11 +412,13 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
     closed = _certified_bound_states(diag, off, refl, prof, tol) if k <= 2 else None
     w = _lowest(diag, off, refl, k + 1, tol)[0] if closed is None else closed
     if not names:
-        return CoercivityReport(float(w[0]), (), float(w[0]))
+        return CoercivityReport(float(w[0]), (), float(w[0]), kh)
 
     cols = []
     for name in names:
         c = constraints[name]
+        if isinstance(c, Field) and c.grid != grid:
+            raise GridError(f"constraint {name!r} lives on another grid than the profile")
         vec = c.values[1:-1] if isinstance(c, Field) else np.asarray(c, dtype=float)
         if vec.shape != diag.shape:
             raise ValueError(f"constraint {name!r} has wrong length {vec.shape}")
@@ -428,20 +436,20 @@ def constrained_form_minimum(gs: GroundState, grid: Grid, constraints,
         # no constrained eigenvalue below r^2: the minimum is a box mode
         w, _ = _lowest(diag, off, refl, k + 1, tol)
         minimum = _secular_minimum(diag, off, Q, w, mu, tol)
-    resolved = gs.decay_rate ** 2 * h2 <= 1.0
-    return CoercivityReport(minimum, names, float(w[0]),
-                            ladder[-1:] + ((h2, minimum),) if resolved else ())
+    report = CoercivityReport(minimum, names, float(w[0]), kh)
+    return replace(report, ladder=ladder[-1:] + ((h2, minimum),)) if report.resolved else report
 
 
-def inverse_pairing(gs: GroundState, grid: Grid, f: Field) -> float:
-    """<L^{-1} f, f> by a banded solve; sign decides constrained positivity.
+def inverse_pairing(gs: GroundState, f: Field) -> float:
+    """<L^{-1} f, f> by a banded solve on f's grid; sign decides constrained
+    positivity.
 
     For a constraint direction f orthogonal to the kernel, the form minimum on
     {xi : <xi, f> = 0} is nonnegative exactly when this pairing is <= 0.
     """
-    diag, off = discretize_weinstein(gs.sample(grid))
+    diag, off = discretize_weinstein(gs.sample(f.grid))
     rhs = f.values[1:-1]
-    return float(grid.h * np.dot(_shifted_solve(diag, off, 0.0, rhs), rhs))
+    return float(f.grid.h * np.dot(_shifted_solve(diag, off, 0.0, rhs), rhs))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from gbbmlab import (
     PERIODIC,
     Field,
     GroundState,
-    SimulationConfig,
     closed_form_identities,
     constrained_form_minimum,
     critical_speed,
@@ -179,9 +178,9 @@ def test_criterion_4c_constrained_positivity(p):
     grid = make_grid(L50, 2048, DIRICHLET)
     kappa = kappa_closed_form(gs.sample(grid))
     rep = constrained_form_minimum(
-        gs, grid, {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
+        gs.sample(grid), {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
     )
-    pairing = inverse_pairing(gs, grid, kappa)
+    pairing = inverse_pairing(gs, kappa)
     table_value = negativity_form(gs).form_value
     kernel_eig = eigenpairs(gs, grid).kernel_eigenvalue
     threshold = 1e-3 * essential_spectrum_edge(gs)
@@ -238,7 +237,7 @@ def test_criterion_6_soliton_dynamics():
     gs = GroundState(p, c)
     grid = make_grid(L50, 8192, PERIODIC)
     phi = gs.profile(grid)
-    traj = evolve(phi, SimulationConfig(grid, p, dt=2e-3, t_end=20.0, record_interval=2.0))
+    traj = evolve(phi, p, 20.0, dt=2e-3, record_interval=2.0)
     exact = translate(phi, -c * float(traj.times[-1]))
     sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
     e_drift, q_drift = traj.energy_drift(), traj.momentum_drift()

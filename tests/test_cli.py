@@ -204,7 +204,7 @@ class TestOtherCommands:
             constraints = {"translation_mode": Field(grid, prof.phi_x),
                            "kappa": kappa_closed_form(prof)}
             tol = spectral._resolution(spectral.discretize_weinstein(gs.sample(grid))[0])
-            reference[n] = spectral.constrained_form_minimum(gs, grid, constraints), tol
+            reference[n] = spectral.constrained_form_minimum(prof, constraints), tol
         ref, tol = reference[doc["N"]]
         assert abs(doc["constrained_min"] - ref.constrained_min) <= 2.0 * tol
         assert abs(doc["raw_min"] - ref.raw_min) <= 2.0 * tol
@@ -444,8 +444,8 @@ class TestExitCodes:
     def test_huge_first_step_is_only_a_rejected_trial(self, tmp_path, monkeypatch):
         trajectories = []
 
-        def recording_evolve(u0, config):
-            trajectories.append(evolve(u0, config))
+        def recording_evolve(u0, *args):
+            trajectories.append(evolve(u0, *args))
             return trajectories[-1]
 
         monkeypatch.setattr(cli, "evolve", recording_evolve)
@@ -459,7 +459,7 @@ class TestExitCodes:
     ], ids=["evolve", "instability"])
     def test_blowup_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch,
                                              command, module, name):
-        def blowing_up(u0, config):
+        def blowing_up(u0, *args):
             raise BlowupError(1.5)
 
         monkeypatch.setattr(module, name, blowing_up)
@@ -474,7 +474,7 @@ class TestExitCodes:
     ], ids=["evolve", "instability"])
     def test_outgrown_grid_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch,
                                                     command, module, name):
-        def outgrowing(u0, config):
+        def outgrowing(u0, *args):
             raise UnresolvedError("N=512 does not resolve the run", 1e-3)
 
         monkeypatch.setattr(module, name, outgrowing)
@@ -684,3 +684,15 @@ class TestConfigFile:
     def test_negative_dt_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "evolve", "--dt", "-1") == 64
         assert "usage error: dt >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "instability"])
+    @pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--t-end", "0")],
+                             ids=["dt-1", "t_end0"])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, command, flag, value):
+        # the stepper checks dt and t_end when its first frame is asked for,
+        # before either command writes a file
+        out = tmp_path / "out"
+        assert main([command, flag, value, "--out", str(out)]) == 64
+        assert capsys.readouterr().err == (
+            "usage error: dt >= 0 (0 = estimate), t_end > 0 and record_interval > 0 required\n")
+        assert not out.exists()

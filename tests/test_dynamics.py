@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -10,7 +11,6 @@ from gbbmlab import (
     BlowupError,
     Field,
     GroundState,
-    SimulationConfig,
     UnresolvedError,
     auto_points,
     critical_speed,
@@ -130,9 +130,8 @@ class TestDispersion:
 class TestEvolve:
     def test_soliton_round_trip(self, gs5, periodic_4096):
         t_end = 20.0 / gs5.c
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=t_end, record_interval=1.0)
         phi = gs5.profile(periodic_4096)
-        traj = evolve(phi, cfg)
+        traj = evolve(phi, gs5.p, t_end, dt=2e-3, record_interval=1.0)
         exact = translate(phi, -gs5.c * float(traj.times[-1]))
         assert np.max(np.abs(traj.frames[-1].state.values - exact.values)) < 1e-4
         assert traj.energy_drift() < 1e-8
@@ -162,22 +161,18 @@ class TestEvolve:
         gs = gs5
         u1 = gs.profile(g1)
         u2 = gs.profile(g2)
-        cfg1 = SimulationConfig(g1, gs.p, dt=2e-3, t_end=1.0, record_interval=1.0)
-        cfg2 = SimulationConfig(g2, gs.p, dt=2e-3, t_end=1.0, record_interval=1.0)
-        v1 = evolve(u1, cfg1).frames[-1].state.values
-        v2 = evolve(u2, cfg2).frames[-1].state.values[::2]
+        v1 = evolve(u1, gs.p, 1.0, dt=2e-3, record_interval=1.0).frames[-1].state.values
+        v2 = evolve(u2, gs.p, 1.0, dt=2e-3, record_interval=1.0).frames[-1].state.values[::2]
         assert np.max(np.abs(v1 - v2)) < 1e-6
 
     def test_h1_norm_stays_bounded(self, gs5, periodic_4096):
         u0 = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=2e-3, t_end=5.0, record_interval=0.5)
-        traj = evolve(u0, cfg)
+        traj = evolve(u0, gs5.p, 5.0, dt=2e-3, record_interval=0.5)
         n0 = norm_h1(traj.frames[0].state)
         assert all(norm_h1(f.state) < 1.2 * n0 for f in traj.frames)
 
     def test_record_cadence(self, gs5, periodic_4096):
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=0.5, record_interval=0.1)
-        traj = evolve(gs5.profile(periodic_4096), cfg)
+        traj = evolve(gs5.profile(periodic_4096), gs5.p, 0.5, dt=1e-2, record_interval=0.1)
         assert np.allclose(np.diff(traj.times), 0.1)
         assert traj.times[-1] == 0.5
 
@@ -186,14 +181,12 @@ class TestEvolve:
         # trapezoid of (u^2 + (spectral u_x)^2) / 2
         u0 = Field(periodic_4096, gs5.profile(periodic_4096).values
                    + 0.1 * decaying_random_field(periodic_4096, rng).values)
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=0.5, record_interval=0.25)
-        for f in stream(u0, cfg):
+        for f in stream(u0, gs5.p, 0.5, dt=1e-2, record_interval=0.25):
             assert f.Q == pytest.approx(momentum(f.state), rel=1e-13)
 
     def test_record_times_are_exact(self, gs5, periodic_4096):
         # k * interval, not a running sum, and t_end even when it is no multiple
-        cfg = SimulationConfig(periodic_4096, gs5.p, dt=1e-2, t_end=1.05, record_interval=0.1)
-        traj = evolve(gs5.profile(periodic_4096), cfg)
+        traj = evolve(gs5.profile(periodic_4096), gs5.p, 1.05, dt=1e-2, record_interval=0.1)
         assert traj.times.tolist() == [0.1 * k for k in range(11)] + [1.05]
 
     @pytest.mark.parametrize("dt, trials, evals", [(0.0, 9, 110), (1e-3, 11, 133)],
@@ -209,8 +202,7 @@ class TestEvolve:
         for n in (1536, 8192):
             flow_calls.clear()
             grid = make_grid(L50, n, "periodic")
-            last = evolve(gs.profile(grid),
-                          SimulationConfig(grid, gs.p, dt=dt, t_end=2.0)).frames[-1]
+            last = evolve(gs.profile(grid), gs.p, 2.0, dt=dt).frames[-1]
             # FSAL: 1 at t = 0, 1 for the estimate's probe, 12 per trial step
             assert last.rhs_evals == len(flow_calls)
             steps.append((last.steps_accepted, last.steps_rejected))
@@ -233,7 +225,7 @@ class TestEvolve:
             return dop853(v, K, h, g, p)
 
         monkeypatch.setattr(dynamics, "_dop853", recorded)
-        traj = evolve(Field(periodic_4096, zero), SimulationConfig(periodic_4096, 5.0, t_end=1.0))
+        traj = evolve(Field(periodic_4096, zero), 5.0, 1.0)
         assert trials[0] == h
         assert all(not np.any(f.state.values) for f in traj.frames)
         assert traj.frames[-1].steps_rejected == 0
@@ -247,7 +239,7 @@ class TestEvolve:
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
         u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        traj = evolve(u, SimulationConfig(periodic_4096, gs5.p, t_end=5.0, record_interval=0.5))
+        traj = evolve(u, gs5.p, 5.0, record_interval=0.5)
         assert traj.times.tolist() == [0.5 * k for k in range(11)]
         dt = 2e-3
         rhs = lambda f: evolution_rhs(f, gs5.p)  # noqa: E731
@@ -270,17 +262,25 @@ class TestEvolve:
         # the first record
         huge = Field(periodic_4096, scale * gs5.profile(periodic_4096).values)
         with np.errstate(over="ignore"), pytest.raises(BlowupError, match=message):
-            evolve(huge, SimulationConfig(periodic_4096, gs5.p, t_end=1.0))
+            evolve(huge, gs5.p, 1.0)
         assert len(flow_calls) <= 100
 
     def test_config_validation(self, periodic_4096):
-        with pytest.raises(ValueError):
-            SimulationConfig(periodic_4096, 5.0, dt=-1.0)
-        assert SimulationConfig(periodic_4096, 5.0).dt == 0.0  # estimate
-        with pytest.raises(ValueError):
-            SimulationConfig(periodic_4096, 5.0, record_interval=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(make_grid(10.0, 64, "dirichlet_truncated"), 5.0)
+        # evolve refuses when called; stream, a generator, at its first frame
+        zero = Field(periodic_4096, np.zeros(periodic_4096.node_count))
+        dirichlet = make_grid(10.0, 64, "dirichlet_truncated")
+        bad = [(zero, {"dt": -1.0}), (zero, {"t_end": 0.0}), (zero, {"t_end": -1.0}),
+               (zero, {"record_interval": 0.0}), (zero, {"record_interval": -0.5}),
+               (Field(dirichlet, np.zeros(dirichlet.node_count)), {})]
+        for u0, kwargs in bad:
+            run = dict({"t_end": 1.0}, **kwargs)
+            with pytest.raises(ValueError):
+                evolve(u0, 5.0, **run)
+            frames = stream(u0, 5.0, **run)
+            with pytest.raises(ValueError):
+                next(frames)
+        for fn in (stream, evolve):
+            assert inspect.signature(fn).parameters["dt"].default == 0.0  # estimate
 
 
 def profile_tail(gs, n):
@@ -339,7 +339,7 @@ class TestResolution:
 
             monkeypatch.setattr(dynamics, "_dop853", recorded)
             grid = make_grid(L50, n, "periodic")
-            runs[n] = evolve(gs.profile(grid), SimulationConfig(grid, gs.p, t_end=2.0))
+            runs[n] = evolve(gs.profile(grid), gs.p, 2.0)
         assert trials[1536] == pytest.approx(trials[2048], rel=1e-2)
         small, fine = runs[1536].frames, runs[2048].frames
         assert len(small) == len(fine) == 5
@@ -373,7 +373,7 @@ class TestResolution:
         # below 1e-10 to t = 4
         grid = make_grid(L50, n, "periodic")
         u0 = Field(grid, 1.5 * gs5.profile(grid).values)
-        frames = stream(u0, SimulationConfig(grid, gs5.p, t_end=4.0))
+        frames = stream(u0, gs5.p, 4.0)
         if fires:
             with pytest.raises(UnresolvedError, match=f"N={n} does not resolve") as info:
                 list(frames)
@@ -385,7 +385,8 @@ class TestResolution:
 
 def H_of_u(u, p):
     """H(u) = -(1 - d_xx)^{-1}(u + |u|^p u); d_x H(u) equals the flow field."""
-    return -helmholtz_inverse(Field(u.grid, u.values + _nonlinear(u.values, p)))
+    inverse = helmholtz_inverse(Field(u.grid, u.values + _nonlinear(u.values, p)))
+    return Field(u.grid, -inverse.values)
 
 
 class TestHamiltonianPotential:

@@ -7,7 +7,6 @@ from gbbmlab import (
     Field,
     GroundState,
     ModulationError,
-    SimulationConfig,
     critical_speed,
     decompose,
     evolve,
@@ -229,10 +228,10 @@ class TestDecompose:
 
 
 def short_start(gs5, a):
-    """u0 = (1 - a) phi_c and the configuration of the short runs."""
+    """The arguments of the short runs: u0 = (1 - a) phi_c, p, t_end, dt and
+    record_interval."""
     grid = make_grid(L50, 4096, "periodic")
-    cfg = SimulationConfig(grid, gs5.p, dt=2e-3, t_end=3.0, record_interval=0.2)
-    return Field(grid, (1.0 - a) * gs5.profile(grid).values), cfg
+    return Field(grid, (1.0 - a) * gs5.profile(grid).values), gs5.p, 3.0, 2e-3, 0.2
 
 
 @pytest.fixture(scope="module")
@@ -252,8 +251,7 @@ def short_frames(gs5, short_runs):
 def frames_to_10(gs5):
     """The frames of u0 = 0.98 phi_c to t = 10 at N = 8192, 21 in all."""
     grid = make_grid(L50, 8192, "periodic")
-    cfg = SimulationConfig(grid, gs5.p, dt=0.025, t_end=10.0)
-    return evolve(Field(grid, 0.98 * gs5.profile(grid).values), cfg).frames
+    return evolve(Field(grid, 0.98 * gs5.profile(grid).values), gs5.p, 10.0, dt=0.025).frames
 
 
 class TestWarmStart:
@@ -394,8 +392,8 @@ class TestVirialMonitor:
     def test_first_frame_is_the_nearby_soliton(self, gs5, a):
         # the fit pair decomposes (1 - a) phi_c about a soliton within
         # |a| ||phi_c||_{H^1} of it, for either sign of a
-        u0, cfg = short_start(gs5, a)
-        first = next(virial_monitor(stream(u0, cfg), gs5.p, gs5.c, R=30.0))
+        u0, *run = short_start(gs5, a)
+        first = next(virial_monitor(stream(u0, *run), gs5.p, gs5.c, R=30.0))
         assert first.t == 0.0
         assert first.tube_distance <= 1.01 * abs(a) * norm_h1(gs5.profile(u0.grid))
 

@@ -8,6 +8,7 @@ from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
 from gbbmlab import (
     DIRICHLET,
     Field,
+    GridError,
     GroundState,
     bound_states,
     constrained_form_minimum,
@@ -72,7 +73,7 @@ def assert_matches_bisection(gs, grid, constraints):
     bisection runs to the last representable midpoint."""
     diag, _ = discretize_weinstein(gs.sample(grid))
     tol = 8.0 * np.finfo(float).eps * np.max(np.abs(diag))
-    newton = constrained_form_minimum(gs, grid, constraints).constrained_min
+    newton = constrained_form_minimum(gs.sample(grid), constraints).constrained_min
     assert abs(newton - bisection_constrained_minimum(gs, grid, constraints)) <= 2.0 * tol
 
 
@@ -241,7 +242,7 @@ class TestReflectionHalves:
 
 class TestConstrainedMinimum:
     def test_unconstrained_equals_raw(self, gs5, grid2048):
-        rep = constrained_form_minimum(gs5, grid2048, {})
+        rep = constrained_form_minimum(gs5.sample(grid2048), {})
         assert rep.constrained_min == rep.raw_min
 
     def test_blocking_negative_mode_yields_second_eigenvalue(
@@ -250,13 +251,13 @@ class TestConstrainedMinimum:
         # spectral decomposition oracle: removing the lowest eigenvector
         # leaves exactly the second-lowest eigenvalue
         w, xi0 = negative_eigvec
-        rep = constrained_form_minimum(gs5, grid2048, {"negative_mode": xi0})
+        rep = constrained_form_minimum(gs5.sample(grid2048), {"negative_mode": xi0})
         assert rep.constrained_min == pytest.approx(w[1], abs=1e-8 * abs(w[0]))
 
     def test_blocking_negative_and_kernel_is_positive(self, gs5, grid2048, negative_eigvec):
         _, xi0 = negative_eigvec
         rep = constrained_form_minimum(
-            gs5, grid2048,
+            gs5.sample(grid2048),
             {"translation_mode": gs5.profile_dx(grid2048), "negative_mode": xi0},
         )
         assert rep.constrained_min > 1e-3 * essential_spectrum_edge(gs5)
@@ -269,7 +270,7 @@ class TestConstrainedMinimum:
         # search that stopped there would return the edge itself
         _, xi0 = negative_eigvec
         rep = constrained_form_minimum(
-            gs5, grid2048,
+            gs5.sample(grid2048),
             {"translation_mode": gs5.profile_dx(grid2048), "negative_mode": xi0},
         )
         tol = spectral._resolution(discretize_weinstein(gs5.sample(grid2048))[0])
@@ -283,10 +284,10 @@ class TestConstrainedMinimum:
         # exactly when <L^{-1} kappa, kappa> > 0; both paths must agree
         kap = kappa_closed_form(gs5.sample(grid2048))
         rep = constrained_form_minimum(
-            gs5, grid2048,
+            gs5.sample(grid2048),
             {"translation_mode": gs5.profile_dx(grid2048), "kappa": kap},
         )
-        pairing = inverse_pairing(gs5, grid2048, kap)
+        pairing = inverse_pairing(gs5, kap)
         assert pairing > 0.0
         assert rep.constrained_min < 0.0
         assert rep.constrained_min > rep.raw_min
@@ -296,7 +297,7 @@ class TestConstrainedMinimum:
         sets.append({"translation_mode": gs5.profile_dx(grid2048)})
         extra = Field(grid2048, np.exp(-(grid2048.nodes ** 2) / 30.0))
         sets.append({**sets[1], "bump": extra})
-        mins = [constrained_form_minimum(gs5, grid2048, s).constrained_min for s in sets]
+        mins = [constrained_form_minimum(gs5.sample(grid2048), s).constrained_min for s in sets]
         assert mins[0] <= mins[1] + 1e-12
         assert mins[1] <= mins[2] + 1e-12
 
@@ -304,7 +305,24 @@ class TestConstrainedMinimum:
         dphi = gs5.profile_dx(grid2048)
         double = Field(grid2048, 2.0 * dphi.values)
         with pytest.raises(ValueError):
-            constrained_form_minimum(gs5, grid2048, {"a": dphi, "b": double})
+            constrained_form_minimum(gs5.sample(grid2048), {"a": dphi, "b": double})
+
+    def test_constraint_on_another_grid_is_refused(self, gs5, grid2048):
+        # same N, other L: the interior lengths agree, the grids do not
+        other = make_grid(40.0 * math.pi, 2048, DIRICHLET)
+        with pytest.raises(GridError, match="another grid"):
+            constrained_form_minimum(gs5.sample(grid2048),
+                                     {"translation_mode": gs5.profile_dx(other)})
+
+    @pytest.mark.parametrize("N, resolved", [(16, False), (32, False), (1024, True)])
+    def test_report_carries_its_grid_kh(self, gs5, N, resolved):
+        # k h <= 1 decides both whether a grid passes its minimum on and
+        # whether coercivity's claim grid resolves phi_c
+        grid = make_grid(L50, N, DIRICHLET)
+        rep = constrained_form_minimum(gs5.sample(grid), coercivity_constraints(gs5, grid))
+        assert rep.kh == gs5.decay_rate * grid.h
+        assert rep.resolved is resolved
+        assert bool(rep.ladder) is resolved
 
     def test_singular_banded_solve_is_typed(self):
         # T - shift = [[1, 1], [1, 1]] is singular
@@ -342,7 +360,7 @@ class TestConstrainedMinimum:
             "bump": Field(grid, np.exp(-(grid.nodes ** 2) / 30.0)),
         }
         constraints = {"translation_mode": Field(grid, prof.phi_x), second: seconds[second]}
-        banded = constrained_form_minimum(gs, grid, constraints).constrained_min
+        banded = constrained_form_minimum(prof, constraints).constrained_min
         dense = dense_constrained_minimum(gs, grid, constraints)
         assert banded == pytest.approx(dense, rel=1e-10)
 
@@ -386,7 +404,7 @@ class TestConstrainedMinimum:
     def test_probe_cap_is_typed(self, gs5, grid2048, monkeypatch):
         monkeypatch.setattr(spectral, "_SECULAR_MAX_PROBES", 2)
         with pytest.raises(EigenSolveError, match="not bracketed within 2 probes"):
-            constrained_form_minimum(gs5, grid2048, coercivity_constraints(gs5, grid2048))
+            constrained_form_minimum(gs5.sample(grid2048), coercivity_constraints(gs5, grid2048))
 
     def test_resolution_sequence_beyond_dense_size(self, gs5):
         # N = 16384 is four times the size the dense projection could take;
@@ -399,7 +417,7 @@ class TestConstrainedMinimum:
                 "translation_mode": Field(grid, prof.phi_x),
                 "kappa": kappa_closed_form(prof),
             }
-            mins.append(constrained_form_minimum(gs5, grid, constraints).constrained_min)
+            mins.append(constrained_form_minimum(prof, constraints).constrained_min)
         assert all(a < b for a, b in zip(mins, mins[1:]))
         assert mins[-1] < 0.0
 
@@ -409,7 +427,7 @@ def lowest_bracket(gs, grid, constraints, monkeypatch, previous=None):
     bracket comes from the index-range eigensolves (_lowest)."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_certified_bound_states", lambda *args: None)
-        return constrained_form_minimum(gs, grid, constraints, previous)
+        return constrained_form_minimum(gs.sample(grid), constraints, previous)
 
 
 def counting_lowest(monkeypatch):
@@ -488,7 +506,7 @@ class TestCertifiedBoundStates:
             grid = make_grid(L, N, DIRICHLET)
             constraints = coercivity_constraints(gs, grid)
             calls = counting_lowest(monkeypatch)
-            previous = constrained_form_minimum(gs, grid, constraints, previous)
+            previous = constrained_form_minimum(gs.sample(grid), constraints, previous)
             assert calls == []
             reference = lowest_bracket(gs, grid, constraints, monkeypatch, reference)
             diag, off = discretize_weinstein(gs.sample(grid))
@@ -523,7 +541,7 @@ class TestCertifiedBoundStates:
 
             monkeypatch.setattr(spectral, "_shifted_solve", singular_at_ground)
         calls = counting_lowest(monkeypatch)
-        rep = constrained_form_minimum(gs5, grid, constraints)
+        rep = constrained_form_minimum(gs5.sample(grid), constraints)
         assert calls == [len(constraints) + 1]
         assert rep == reference
 
@@ -537,17 +555,17 @@ class TestCertifiedBoundStates:
         exact = dataclasses.replace(bound_states(gs5), ground=w[0], kernel=w[1])
         monkeypatch.setattr(spectral, "bound_states", lambda gs: exact)
         calls = counting_lowest(monkeypatch)
-        rep = constrained_form_minimum(gs5, grid2048, constraints)
+        rep = constrained_form_minimum(gs5.sample(grid2048), constraints)
         assert calls == []
         tol = spectral._resolution(diag)
         assert abs(rep.constrained_min - reference.constrained_min) <= 2.0 * tol
 
     def test_previous_with_other_constraints_changes_nothing(self, gs5, grid2048):
         coarse = make_grid(L50, 1024, DIRICHLET)
-        previous = constrained_form_minimum(gs5, coarse, {})
+        previous = constrained_form_minimum(gs5.sample(coarse), {})
         constraints = coercivity_constraints(gs5, grid2048)
-        rep = constrained_form_minimum(gs5, grid2048, constraints, previous)
-        assert rep == constrained_form_minimum(gs5, grid2048, constraints)
+        rep = constrained_form_minimum(gs5.sample(grid2048), constraints, previous)
+        assert rep == constrained_form_minimum(gs5.sample(grid2048), constraints)
 
 
 def warm_chain(gs, L, sizes, monkeypatch, previous=None):
@@ -567,9 +585,9 @@ def warm_chain(gs, L, sizes, monkeypatch, previous=None):
     for N in sizes:
         grid = make_grid(L, N, DIRICHLET)
         constraints = coercivity_constraints(gs, grid)
-        cold = constrained_form_minimum(gs, grid, constraints)
+        cold = constrained_form_minimum(gs.sample(grid), constraints)
         shifts.clear()
-        previous = constrained_form_minimum(gs, grid, constraints, previous)
+        previous = constrained_form_minimum(gs.sample(grid), constraints, previous)
         out.append((grid, previous, cold, list(shifts)))
     return out
 
@@ -626,7 +644,7 @@ class TestWarmStart:
         coarse = make_grid(L50, 1024, DIRICHLET)
         other = {"translation_mode": gs5.profile_dx(coarse),
                  "bump": Field(coarse, np.exp(-(coarse.nodes ** 2) / 30.0))}
-        previous = constrained_form_minimum(gs5, coarse, other)
+        previous = constrained_form_minimum(gs5.sample(coarse), other)
         (_, rep, _, shifts), = warm_chain(gs5, L50, (2048,), monkeypatch, previous)
         assert shifts[0] == 0.5 * (rep.raw_min + essential_spectrum_edge(gs5))
 
