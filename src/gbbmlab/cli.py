@@ -210,7 +210,7 @@ def cmd_spectrum(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(cfg["L"], min(cfg["N"], 4096), DIRICHLET)
-    report = eigenpairs(gs, grid, m=6)
+    report = eigenpairs(gs, grid)
     # "N" is the size the spectrum was computed at, not the requested one
     payload = {"N": grid.points, **_fields(
         report, "eigenvalues", "negative_count", "kernel_eigenvalue", "kernel_overlap")}

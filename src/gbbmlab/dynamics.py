@@ -209,9 +209,9 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
     dt is the first trial step, not a cap: the error control picks every
     later step. dt = 0, the default, takes `_first_step` from u0 instead
     (falling back to record_interval / 100 when its probe is not finite), one
-    flow evaluation more. The grid, dt >= 0, t_end > 0 and record_interval > 0
-    are checked when the first frame is asked for, since this is a generator;
-    ValueError otherwise.
+    flow evaluation more. The grid, dt >= 0, finite t_end > 0 and
+    record_interval > 0 are checked when the first frame is asked for, since
+    this is a generator; ValueError otherwise.
 
     Each embedded estimate is scaled per node by ATOL + RTOL max(|v|, |v_new|)
     and measured in the max norm, giving err5 and err3; a step is accepted when
@@ -232,7 +232,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
     g, interval = u0.grid, record_interval
     if g.boundary != PERIODIC:
         raise ValueError("time evolution requires a periodic grid")
-    if not (dt >= 0 and t_end > 0 and interval > 0):
+    if not (dt >= 0 and t_end > 0 and math.isfinite(t_end) and interval > 0):
         raise ValueError("dt >= 0 (0 = estimate), t_end > 0 and record_interval > 0 required")
     n_inner = math.ceil(t_end / interval - 1e-9)
     record_times = [k * interval for k in range(1, n_inner)] + [t_end]

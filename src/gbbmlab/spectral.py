@@ -23,17 +23,21 @@ phi_c is even, so T commutes with x -> -x. With n interior nodes (n odd) and
 c = n // 2 the centre index, T is the direct sum of an even half T+ on the
 basis e_c, (e_{c+j} + e_{c-j})/sqrt 2 (diag[c:], off[c:] with its first
 entry times sqrt 2; n // 2 + 1 unknowns) and an odd half T- on the basis
-(e_{c+j} - e_{c-j})/sqrt 2 (diag[c+1:], off[c+1:]; n // 2 unknowns). Each
-eigenvalue of T is an eigenvalue of exactly one half, and its eigenvector has
-that half's parity: the ground state and the box modes above it alternate,
-and the kernel mode phi_c' is odd. Bisection costs time in proportion to the
-matrix size, so every eigen-computation runs on the half it belongs to: the
-index-range eigensolves (the m lowest of T are the m lowest of the ceil(m/2)
-lowest of each half when one Sturm count on T agrees, else of m from each)
-and every inverse iteration. The constrained minimum's secular probes stay
-on the full T: the constraints need not have a parity, and with k columns a
-probe is one solve and one k x k eigh either way, so blocking them gains
-nothing at these sizes.
+(e_{c+j} - e_{c-j})/sqrt 2 (diag[c+1:], off[c+1:]; n // 2 unknowns). T is
+an irreducible Jacobi matrix (every off-diagonal is -1/h^2), so its
+eigenvalues are simple and the j-th eigenvector (0-based, ascending) has j
+sign changes (Gantmacher & Krein, Oscillation Matrices and Kernels, ch. 2);
+a mirror-symmetric matrix's eigenvector of a simple eigenvalue is even or
+odd (Cantoni & Butler, Linear Algebra Appl. 13, 1976), so its parity is
+(-1)^j. The eigenvalues of T therefore alternate between the halves, from
+the even one: the m lowest are the ceil(m/2) lowest of T+ and the
+floor(m/2) lowest of T-, interleaved. The ground state is even and the
+kernel mode phi_c' odd. Bisection costs time in proportion to the matrix
+size, so every eigen-computation runs on the half it belongs to: the
+index-range eigensolves and every inverse iteration. The constrained
+minimum's secular probes stay on the full T: the constraints need not have
+a parity, and with k columns a probe is one solve and one k x k eigh either
+way, so blocking them gains nothing at these sizes.
 
 Bound states in closed form: (p+1) phi_c^p / c = nu (nu+1) k^2 sech^2(kx),
 k = gs.decay_rate, nu = 1 + 2/p, so L = -d_xx + r^2 - nu (nu+1) k^2
@@ -81,6 +85,8 @@ _SECULAR_MAX_PROBES = 100  # bisection alone reaches 2 tol in at most about 50
 # inverse iteration from a closed-form bound state reaches tol in 2-3 solves
 _INVERSE_MAX_SOLVES = 4
 _SQRT2 = np.sqrt(2.0)
+# the spectrum reported: the ground state, the kernel and four box modes
+_EIGENPAIRS = 6
 
 
 def _interior(grid: Grid) -> np.ndarray:
@@ -141,8 +147,8 @@ def _inverse_iteration(diag, off, x, shift, tol) -> tuple[float, float, np.ndarr
 
 class _Reflection:
     """T's even and odd halves (module docstring), halves[0] and halves[1],
-    each a (diag, off) pair, and the orthogonal maps between vectors on the
-    interior nodes and their coordinates in the halves' bases."""
+    each a (diag, off) pair, and the orthogonal map from vectors on the
+    interior nodes to their coordinates in the halves' bases."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
@@ -160,18 +166,6 @@ class _Reflection:
         right, left = x[c + 1:], x[c - 1::-1]
         return np.concatenate([x[c:c + 1], (right + left) / _SQRT2]), (right - left) / _SQRT2
 
-    def unfold(self, u: np.ndarray, parity: int) -> np.ndarray:
-        """The vector with coordinates u in the even (parity 0) or odd
-        (parity 1) basis."""
-        c = self.c
-        x = np.zeros(2 * c + 1)
-        wing = u[1 - parity:] / _SQRT2
-        x[c + 1:] = wing
-        x[c - 1::-1] = -wing if parity else wing
-        if not parity:
-            x[c] = u[0]
-        return x
-
 
 def _count_up_to(diag, off, top: float) -> int:
     """The number of T's eigenvalues up to top, by one Sturm count: a value-range stebz from
@@ -182,33 +176,28 @@ def _count_up_to(diag, off, top: float) -> int:
                             select_range=(lower, top), tol=top - lower).size
 
 
-def _lowest(diag, off, refl: _Reflection, m: int, tol: float):
-    """(w, parity): T's m lowest eigenvalues ascending and the half (0 even,
-    1 odd) each belongs to, from index-range eigensolves on the halves. The m
-    lowest of the ceil(m/2) lowest of each half are accepted when one Sturm
-    count finds exactly m eigenvalues of T up to the m-th plus tol (the
-    halves' values are accurate to a fraction of tol); otherwise they are
-    the m lowest of m from each half."""
-    if m > diag.size:
-        raise ValueError(f"need at most {diag.size} eigenpairs on this grid, got m={m!r}")
-    for per_half in ((m + 1) // 2, m):
-        halves = []
-        for d, o in refl.halves:
-            try:
-                halves.append(eigh_tridiagonal(d, o, eigvals_only=True, select="i",
-                                               select_range=(0, min(per_half, d.size) - 1)))
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
-        # (value, parity), merged by Python's sort: loading numpy's sort code
-        # adds 128 KB to the resident set of the command
-        merged = sorted((value, parity) for parity, values in enumerate(halves)
-                        for value in values.tolist())[:m]
-        w = np.array([value for value, _ in merged])
-        if per_half == m or _count_up_to(diag, off, float(w[-1]) + tol) == m:
-            break
-    if not np.all(np.isfinite(w)):  # pragma: no cover
-        raise EigenSolveError("eigensolve produced non-finite eigenvalues")
-    return w, np.array([parity for _, parity in merged])
+def _lowest(refl: _Reflection, m: int) -> np.ndarray:
+    """T's m lowest eigenvalues, ascending, from index-range eigensolves on
+    its halves: by the alternation (module docstring), w[0::2] are the
+    ceil(m/2) lowest of T+ and w[1::2] the floor(m/2) lowest of T-. Values
+    that are not finite and strictly increasing, which the alternation
+    rules out, raise EigenSolveError."""
+    n = 2 * refl.c + 1
+    if m > n:
+        raise ValueError(f"need at most {n} eigenpairs on this grid, got m={m!r}")
+    w = np.empty(m)
+    for parity, (d, o) in enumerate(refl.halves):
+        count = (m + 1 - parity) // 2
+        if not count:
+            continue
+        try:
+            w[parity::2] = eigh_tridiagonal(d, o, eigvals_only=True, select="i",
+                                            select_range=(0, count - 1))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if not (np.all(np.isfinite(w)) and np.all(w[1:] > w[:-1])):
+        raise EigenSolveError(f"the halves' eigenvalues do not interleave: {w!r}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -219,39 +208,37 @@ class SpectrumReport:
     kernel_overlap: float
 
 
-def eigenpairs(gs: GroundState, grid: Grid, m: int = 6) -> SpectrumReport:
-    """Lowest m eigenpairs of the Weinstein operator, with kernel bookkeeping.
+def eigenpairs(gs: GroundState, grid: Grid) -> SpectrumReport:
+    """The Weinstein operator's _EIGENPAIRS lowest eigenvalues, with kernel
+    bookkeeping.
 
     The eigenvalues come from index-range tridiagonal eigensolves on T's even
     and odd halves, values only (_lowest). negative_count excludes the kernel
     candidate (eigenvalue nearest zero), whose discrete image sits O(h^2)
-    below zero. Its eigenvector comes from inverse iteration on its half,
-    from the fold of a fixed pseudo-random vector, at that eigenvalue less
-    tol (so the solve is never exactly singular), until the residual is at
-    most tol = 8 eps max|diag|; kernel_overlap is the unfolded vector's
-    normalized projection onto the translation mode phi_c', read from the
-    same sampling of phi_c as T.
+    below zero. Its index gives its parity (module docstring). An even
+    candidate has kernel_overlap 0, as an even vector is orthogonal to the
+    odd phi_c'. An odd one's eigenvector comes from inverse iteration on T-,
+    from the fold of phi_c' (the closed-form kernel eigenfunction, from the
+    same sampling of phi_c as T), at the candidate less tol (so the solve is
+    never exactly singular), until the residual is at most tol = 8 eps
+    max|diag|; kernel_overlap is its normalized projection onto phi_c', read
+    in T-'s coordinates, since the fold is orthogonal.
     """
-    if m < 3:
-        raise ValueError(f"need at least 3 eigenpairs, got m={m!r}")
     prof = gs.sample(grid)
     diag, off = discretize_weinstein(prof)
     refl = _Reflection(diag, off)
     tol = _resolution(diag)
-    w, parity = _lowest(diag, off, refl, m, tol)
+    w = _lowest(refl, _EIGENPAIRS)
 
     kernel_idx = int(np.argmin(np.abs(w)))
-    half = int(parity[kernel_idx])
-    start = refl.fold(np.random.default_rng(0).standard_normal(diag.size))[half]
-    _, residual, u = _inverse_iteration(*refl.halves[half], start, w[kernel_idx] - tol, tol)
-    if not residual <= tol:
-        raise EigenSolveError(f"kernel eigenvector residual {residual!r} above {tol!r} after "
-                              f"{_INVERSE_MAX_SOLVES} inverse-iteration solves")
-    vec = refl.unfold(u, half)
-    dphi = prof.phi_x[1:-1]
-    overlap = abs(float(vec @ dphi)) / (
-        float(np.linalg.norm(vec)) * float(np.linalg.norm(dphi))
-    )
+    overlap = 0.0
+    if kernel_idx % 2:
+        dphi = refl.fold(prof.phi_x[1:-1])[1]
+        _, residual, u = _inverse_iteration(*refl.halves[1], dphi, w[kernel_idx] - tol, tol)
+        if not residual <= tol:
+            raise EigenSolveError(f"kernel eigenvector residual {residual!r} above {tol!r} "
+                                  f"after {_INVERSE_MAX_SOLVES} inverse-iteration solves")
+        overlap = abs(float(u @ dphi)) / float(np.linalg.norm(dphi))
     neg = int(np.sum((w < 0.0) & (np.arange(w.size) != kernel_idx)))
     return SpectrumReport(w, neg, float(w[kernel_idx]), overlap)
 
@@ -410,7 +397,7 @@ def constrained_form_minimum(prof: SampledProfile, constraints,
     k = len(names)
     tol = _resolution(diag)
     closed = _certified_bound_states(diag, off, refl, prof, tol) if k <= 2 else None
-    w = _lowest(diag, off, refl, k + 1, tol)[0] if closed is None else closed
+    w = _lowest(refl, k + 1) if closed is None else closed
     if not names:
         return CoercivityReport(float(w[0]), (), float(w[0]), kh)
 
@@ -434,7 +421,7 @@ def constrained_form_minimum(prof: SampledProfile, constraints,
     minimum = _secular_minimum(diag, off, Q, w[:k + 1], mu, tol)
     if closed is not None and minimum == closed[2]:
         # no constrained eigenvalue below r^2: the minimum is a box mode
-        w, _ = _lowest(diag, off, refl, k + 1, tol)
+        w = _lowest(refl, k + 1)
         minimum = _secular_minimum(diag, off, Q, w, mu, tol)
     report = CoercivityReport(minimum, names, float(w[0]), kh)
     return replace(report, ladder=ladder[-1:] + ((h2, minimum),)) if report.resolved else report

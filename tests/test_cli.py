@@ -141,6 +141,35 @@ class TestOtherCommands:
         assert 0.99 < doc["result"]["kernel_overlap"] < 0.999
         assert "kernel_overlap" in capsys.readouterr().err
 
+    def test_spectrum_makes_one_eigensolve_per_half_and_one_solve(self, tmp_path, monkeypatch):
+        # the m lowest eigenvalues alternate between the halves, so no Sturm
+        # count checks their merge; inverse iteration from phi_c', the
+        # closed-form kernel eigenfunction, takes one solve at N = 4096
+        selects, solves = [], []
+        eigensolve, solve = spectral.eigh_tridiagonal, spectral._shifted_solve
+
+        def eigensolving(*args, **kwargs):
+            selects.append(kwargs["select"])
+            return eigensolve(*args, **kwargs)
+
+        def solving(diag, off, shift, rhs):
+            solves.append(shift)
+            return solve(diag, off, shift, rhs)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", eigensolving)
+        monkeypatch.setattr(spectral, "_shifted_solve", solving)
+        assert run(tmp_path, "spectrum") == 0
+        assert selects == ["i", "i"]
+        assert len(solves) == 1
+
+    def test_spectrum_even_kernel_candidate_is_a_consistency_failure(self, tmp_path, capsys):
+        # at p = 30 on N = 4096 the eigenvalue nearest zero is an even box
+        # mode, orthogonal to the odd phi_c'
+        assert run(tmp_path, "spectrum", "--p", "30") == 3
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        assert (doc["result"]["N"], doc["result"]["kernel_overlap"]) == (4096, 0.0)
+        assert "kernel_overlap 0.000000" in capsys.readouterr().err
+
     def test_coercivity_reports_claim_failure(self, tmp_path):
         # the command reports the literal positivity claim, which the package
         # refutes (the minimum on {phi', kappa} is negative): exit 2, and the

@@ -270,6 +270,7 @@ class TestEvolve:
         zero = Field(periodic_4096, np.zeros(periodic_4096.node_count))
         dirichlet = make_grid(10.0, 64, "dirichlet_truncated")
         bad = [(zero, {"dt": -1.0}), (zero, {"t_end": 0.0}), (zero, {"t_end": -1.0}),
+               (zero, {"t_end": math.inf}),
                (zero, {"record_interval": 0.0}), (zero, {"record_interval": -0.5}),
                (Field(dirichlet, np.zeros(dirichlet.node_count)), {})]
         for u0, kwargs in bad:

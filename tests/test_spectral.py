@@ -181,9 +181,26 @@ class TestEigenpairs:
         overlap = abs(vec @ dphi) / (np.linalg.norm(vec) * np.linalg.norm(dphi))
         assert abs(rep.kernel_overlap - overlap) <= 1e-12
 
-    def test_m_validation(self, gs5, grid2048):
-        with pytest.raises(ValueError):
-            eigenpairs(gs5, grid2048, m=2)
+    def test_even_kernel_candidate_has_zero_overlap(self):
+        # at p = 30 on N = 4096 the eigenvalue nearest zero is T's third, an
+        # even box mode, so it is orthogonal to the odd phi_c' exactly
+        gs = GroundState(30.0, critical_speed(30.0))
+        rep = eigenpairs(gs, make_grid(L50, 4096, DIRICHLET))
+        assert rep.kernel_eigenvalue == rep.eigenvalues[2]
+        assert rep.kernel_overlap == 0.0
+
+
+def unfold(refl, u, parity):
+    """The vector on the interior nodes with coordinates u in refl's even
+    (parity 0) or odd (parity 1) basis: the inverse of refl.fold."""
+    c = refl.c
+    x = np.zeros(2 * c + 1)
+    wing = u[1 - parity:] / np.sqrt(2.0)
+    x[c + 1:] = wing
+    x[c - 1::-1] = -wing if parity else wing
+    if not parity:
+        x[c] = u[0]
+    return x
 
 
 def tridiagonal_apply(diag, off, x):
@@ -196,9 +213,9 @@ def tridiagonal_apply(diag, off, x):
 
 
 class TestReflectionHalves:
-    @pytest.mark.parametrize("N", [64, 512, 1024, 2048, 4096, 32768])
+    @pytest.mark.parametrize("N", [16, 32, 64, 512, 1024, 2048, 4096, 32768])
     @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
-    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0, 30.0])
     def test_halves_match_the_full_eigensolve(self, p, L, N):
         # reference: one index-range eigensolve on the full T
         gs = GroundState(p, critical_speed(p))
@@ -209,6 +226,22 @@ class TestReflectionHalves:
         rep = eigenpairs(gs, grid)
         assert np.all(np.abs(rep.eigenvalues - w) <= 2.0 * tol)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("n", [3, 5, 9, 17])
+    def test_halves_interleave_on_random_mirror_symmetric_matrices(self, n, sign, rng):
+        # the alternation theorem on seeded random Jacobi matrices, mirror-
+        # symmetric on n nodes with one-signed off-diagonals: the m lowest
+        # eigenvalues are the halves' interleaved, for every m
+        for _ in range(20):
+            centre_out = rng.uniform(-1.0, 1.0, n // 2 + 1)
+            diag = np.concatenate([centre_out[::-1], centre_out[1:]])
+            wing = sign * rng.uniform(0.5, 1.5, n // 2)
+            off = np.concatenate([wing[::-1], wing])
+            full = eigh_tridiagonal(diag, off, eigvals_only=True)
+            refl = spectral._Reflection(diag, off)
+            for m in range(1, n + 1):
+                assert np.max(np.abs(spectral._lowest(refl, m) - full[:m])) <= 1e-13
+
     def test_fold_unfold_round_trip(self, gs5, grid2048, rng):
         diag, off = discretize_weinstein(gs5.sample(grid2048))
         refl = spectral._Reflection(diag, off)
@@ -216,21 +249,23 @@ class TestReflectionHalves:
         x = rng.standard_normal(n)
         even, odd = refl.fold(x)
         assert (even.size, odd.size) == (n // 2 + 1, n // 2)
-        back = refl.unfold(even, 0) + refl.unfold(odd, 1)
+        back = unfold(refl, even, 0) + unfold(refl, odd, 1)
         assert np.max(np.abs(back - x)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(x))
         assert np.linalg.norm(np.concatenate([even, odd])) == pytest.approx(
             np.linalg.norm(x), rel=1e-14)
         # each half is T in its basis: T unfold(u) = unfold(T_half u)
         for parity, (d, o) in enumerate(refl.halves):
             u = rng.standard_normal(d.size)
-            lhs = tridiagonal_apply(diag, off, refl.unfold(u, parity))
-            rhs = refl.unfold(tridiagonal_apply(d, o, u), parity)
+            lhs = tridiagonal_apply(diag, off, unfold(refl, u, parity))
+            rhs = unfold(refl, tridiagonal_apply(d, o, u), parity)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
     def test_more_eigenpairs_than_nodes_are_refused(self, gs5):
-        # m from each half would return all 15 eigenvalues of T, not 16
+        # the halves hold 8 and 7 eigenvalues: all 15 of T, not 16
+        prof = gs5.sample(make_grid(L50, 16, DIRICHLET))
+        refl = spectral._Reflection(*discretize_weinstein(prof))
         with pytest.raises(ValueError, match="at most 15 eigenpairs"):
-            eigenpairs(gs5, make_grid(L50, 16, DIRICHLET), m=16)
+            spectral._lowest(refl, 16)
 
     def test_asymmetric_diagonal_is_refused(self, gs5, grid2048):
         diag, off = discretize_weinstein(gs5.sample(grid2048))
@@ -435,7 +470,7 @@ def counting_lowest(monkeypatch):
     calls, lowest = [], spectral._lowest
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[-1])
         return lowest(*args)
 
     monkeypatch.setattr(spectral, "_lowest", counting)
