@@ -1,5 +1,8 @@
+import argparse
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -470,6 +473,27 @@ class TestSchema:
 
 
 class TestExitCodes:
+    def test_repeated_calls_in_one_process_keep_the_contracts(self, tmp_path):
+        # every call freezes the heap it starts with; exit codes and bit-identical
+        # CSV still hold from call to call, and a command's own cycles are collected
+        assert run(tmp_path / "u", "table", "--no-such-flag") == 64  # before any command
+        codes = [run(tmp_path / "a", "table", "--p-list", "5,6"),
+                 run(tmp_path / "s", "spectrum", "--p", "5", "--N", "64"),
+                 run(tmp_path / "c", "coercivity", "--p", "5", "--N", "1024"),
+                 run(tmp_path / "e", "evolve", "--t-end", "inf"),
+                 run(tmp_path / "b", "table", "--p-list", "5,6")]
+        assert codes == [0, 3, 2, 64, 0]
+        assert not (tmp_path / "u").exists()
+        assert (tmp_path / "a" / "table.csv").read_bytes() == (
+            tmp_path / "b" / "table.csv"
+        ).read_bytes()
+        cycle = argparse.Namespace()
+        cycle.self = cycle
+        alive = weakref.ref(cycle)
+        del cycle
+        gc.collect()
+        assert alive() is None
+
     def test_huge_first_step_is_only_a_rejected_trial(self, tmp_path, monkeypatch):
         trajectories = []
 

@@ -70,16 +70,34 @@ class TestTableau:
             assert abs(moments[order]) > 1e-4
 
 
+def fresh_python(code, *args):
+    """Standard output of `code` run by a new interpreter that imports this checkout."""
+    paths = (os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # the stepper's tableau is inlined: importing scipy.integrate would add to
     # every command's start-up
     code = "import sys, gbbmlab.cli; print('scipy.integrate' in sys.modules)"
-    paths = (os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-             os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "False"
+
+
+def test_cli_main_freezes_the_start_up_heap(tmp_path):
+    # importing the CLI leaves the collector alone; a command freezes the heap
+    # it starts with, so the exit's last collections skip the import's objects
+    code = ("import gc, sys, gbbmlab.cli as cli\n"
+            "imported = gc.get_freeze_count()\n"
+            "code = cli.main(['identities', '--out', sys.argv[1]])\n"
+            "print(imported, code, gc.get_freeze_count(), len(gc.get_objects()))")
+    out = fresh_python(code, str(tmp_path)).splitlines()[-1]
+    imported, code, frozen, tracked = map(int, out.split())
+    assert (imported, code) == (0, 0)
+    assert frozen >= 10_000
+    assert tracked < frozen
 
 
 class TestStep:
