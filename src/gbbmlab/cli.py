@@ -120,14 +120,14 @@ def _grid_size(cfg: dict, command: str) -> int:
     n, L = cfg["N"], cfg["L"]
     if command not in ("evolve", "instability"):
         return n or DEFAULT_POINTS
-    profile = GroundState(cfg["p"], critical_speed(cfg["p"])).profile
+    gs = GroundState(cfg["p"], critical_speed(cfg["p"]))
     if not n:
-        return auto_points(L, profile)
+        return auto_points(gs, L)
     grid = make_grid(L, n, PERIODIC)
-    tail = relative_tail(profile(grid).values, grid.dealias_cut)
+    tail = relative_tail(gs.profile(grid).values, grid.dealias_cut)
     if tail > TAIL_TOL:
         try:
-            auto = f"auto (N = 0) would pick N={auto_points(L, profile)}"
+            auto = f"auto (N = 0) would pick N={auto_points(gs, L)}"
         except UnresolvedError:
             auto = f"no N up to {AUTO_POINTS[-1]} resolves it"
         print(f"note: at N={n} the initial state's relative spectral tail beyond the "
@@ -179,9 +179,6 @@ def _json_doc(cfg: dict, command: str, payload) -> str:
 
 def cmd_table(cfg: dict) -> int:
     p_list = [float(s) for s in str(cfg["p_list"]).split(",") if s.strip()]
-    if not p_list:
-        print("error: empty p_list", file=sys.stderr)
-        return EXIT_USAGE
     report = negativity_table(p_list, L=cfg["L"], n_request=cfg["N"])
     outdir = Path(cfg["out"])
     csv_rows = [(r.p, r.c0, r.form_value, str(r.negative).lower()) for r in report.rows]
@@ -339,10 +336,8 @@ def instability_outputs(cfg: dict, report) -> dict:
 
 def cmd_instability(cfg: dict) -> int:
     grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
-    report = instability_experiment(
-        cfg["p"], cfg["a"], grid, dt=cfg["dt"], t_end=cfg["t_end"],
-        R=cfg["R"] if cfg["R"] > 0 else None,
-    )
+    report = instability_experiment(cfg["p"], cfg["a"], grid, dt=cfg["dt"],
+                                    t_end=cfg["t_end"], R=cfg["R"])
     outdir = Path(cfg["out"])
     for name, text in instability_outputs(cfg, report).items():
         _write(outdir, name, text)

@@ -13,13 +13,13 @@ fixed guess: the soliton run at p = 4.5 to t = 2 starts at 0.038 and takes 9
 steps and 110 flow evaluations, where a first step of 1e-3 takes 11 and 133.
 Conservation of E and Q is monitored, not enforced. The fractional
 nonlinearity cannot be dealiased exactly; the 2/3 rule zeroes the top third of
-the transform of the flow. `stream` yields one `Frame` per record time;
-`evolve` collects them.
+the transform of the flow. `stream` yields one `Frame` per record time,
+every RECORD_INTERVAL; `evolve` collects them.
 
 The grid is sized from the data (Boyd, Chebyshev and Fourier Spectral Methods,
 2nd ed., ch. 2): a Fourier coefficient below what the stepper resolves is one
 the grid need not carry. `auto_points` picks the smallest 2^k or 3 * 2^k
-whose initial state has a relative spectral tail beyond the 2/3 cutoff of at
+on which phi_c has a relative spectral tail beyond the 2/3 cutoff of at
 most TAIL_TOL, the stepper's ATOL. A 3 * 2^k rung has a quarter fewer nodes
 than the power of two above it, and a radix-3 FFT of 1536 points is cheaper
 than one of 2048; since the max-norm error control makes the steps
@@ -33,19 +33,22 @@ its grid. Bins at or beyond the cutoff cannot serve as the guard, since the
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, Grid, GridError, PERIODIC, _parseval_h1_sq, make_grid
 from .functionals import energy, _flow
+from .ground_state import GroundState
 
 # per-node error tolerance of an accepted step: ATOL + RTOL * max(|v|, |v_new|)
 RTOL = 1e-10
 ATOL = 1e-12
 # the largest relative spectral tail a resolved state may carry
 TAIL_TOL = ATOL
+# the time between frames of a stream
+RECORD_INTERVAL = 0.5
 # the sizes auto_points tries, in order: every 2^k and 3 * 2^k from 2^8 to 2^20
 AUTO_POINTS = tuple(sorted([2 ** k for k in range(8, 21)] + [3 * 2 ** k for k in range(7, 19)]))
 
@@ -118,8 +121,8 @@ def _tail(v_hat: np.ndarray, lo: int, hi: int | None) -> float:
     return float(np.max(a[lo:hi])) / peak if peak else 0.0
 
 
-def auto_points(L: float, initial: Callable[[Grid], Field]) -> int:
-    """The first N in AUTO_POINTS whose initial state, initial(grid) on the
+def auto_points(gs: GroundState, L: float) -> int:
+    """The first N in AUTO_POINTS on which gs's profile, sampled on the
     periodic grid of half-width L and N points, has a relative spectral tail
     beyond the 2/3 cutoff of at most TAIL_TOL. Raises UnresolvedError, naming
     the tail reached, when none has. The ladder holds 3 * 2^k between the
@@ -127,7 +130,7 @@ def auto_points(L: float, initial: Callable[[Grid], Field]) -> int:
     takes do not depend on N, so the smallest resolving size is the fastest."""
     for n in AUTO_POINTS:
         grid = make_grid(L, n, PERIODIC)
-        tail = relative_tail(initial(grid).values, grid.dealias_cut)
+        tail = relative_tail(gs.profile(grid).values, grid.dealias_cut)
         if tail <= TAIL_TOL:
             return n
     raise UnresolvedError(
@@ -175,7 +178,7 @@ def _dop853(v: np.ndarray, K: np.ndarray, h: float, g: Grid, p: float) -> np.nda
     return u
 
 
-def _first_step(v: np.ndarray, f0: np.ndarray, g: Grid, p: float, fallback: float) -> float:
+def _first_step(v: np.ndarray, f0: np.ndarray, g: Grid, p: float) -> float:
     """The starting step of Hairer, Norsett & Wanner (Solving ODEs I, sec. II.4;
     Gladwell, Shampine & Brankin 1987) for the 8th-order pair, from the state v
     and its flow f0, at the cost of one flow evaluation.
@@ -185,33 +188,32 @@ def _first_step(v: np.ndarray, f0: np.ndarray, g: Grid, p: float, fallback: floa
     either norm is below 1e-5) sizes one explicit Euler probe, whose flow change
     gives d2 = |f(v + h0 f0) - f0| / h0; the step is
     min(100 h0, (0.01 / max(|f0|, d2))^(1/8)), or min(100 h0, max(1e-6, 1e-3 h0))
-    when both are below 1e-15. A non-finite norm or probe returns fallback.
+    when both are below 1e-15. A non-finite norm or probe returns
+    RECORD_INTERVAL / 100.
     """
     scale = ATOL + RTOL * np.abs(v)
     with np.errstate(over="ignore", invalid="ignore"):
         dv = float(np.max(np.abs(v) / scale))
         df = float(np.max(np.abs(f0) / scale))
         if not math.isfinite(df):
-            return fallback
+            return RECORD_INTERVAL / 100
         h0 = 0.01 * dv / df if dv >= 1e-5 and df >= 1e-5 else 1e-6
         d2 = float(np.max(np.abs(_flow(v + h0 * f0, g, p) - f0) / scale)) / h0
     if not math.isfinite(d2):
-        return fallback
+        return RECORD_INTERVAL / 100
     d = max(df, d2)
     return min(100.0 * h0, (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0))
 
 
-def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
-           record_interval: float = 0.5) -> Iterator[Frame]:
+def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame]:
     """One Frame per record time, from error-controlled DOP853 steps of the
     flow of exponent p on u0's grid, which must be periodic.
 
     dt is the first trial step, not a cap: the error control picks every
-    later step. dt = 0, the default, takes `_first_step` from u0 instead
-    (falling back to record_interval / 100 when its probe is not finite), one
-    flow evaluation more. The grid, dt >= 0, finite t_end > 0 and
-    record_interval > 0 are checked when the first frame is asked for, since
-    this is a generator; ValueError otherwise.
+    later step. dt = 0, the default, takes `_first_step` from u0 instead, one
+    flow evaluation more. The grid, dt >= 0 and finite t_end > 0 are checked
+    when the first frame is asked for, since this is a generator; ValueError
+    otherwise.
 
     Each embedded estimate is scaled per node by ATOL + RTOL max(|v|, |v_new|)
     and measured in the max norm, giving err5 and err3; a step is accepted when
@@ -219,9 +221,9 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
     the current one times 0.9 err^(-1/8), clipped to [1/3, 6], and does not
     grow right after a rejection. A trial step with a non-finite stage or
     estimate is rejected and the step cut to 1/100; a rejected step below 1e-10
-    record_interval raises BlowupError as a step collapse, naming the step and
+    RECORD_INTERVAL raises BlowupError as a step collapse, naming the step and
     its error estimate. Frames fall at t = 0 (before any flow evaluation), at
-    each k * record_interval < t_end and at t_end, hit exactly by shortening
+    each k * RECORD_INTERVAL < t_end and at t_end, hit exactly by shortening
     steps. One stage array serves every step.
 
     Each frame transforms its state once. From that transform it takes Q by
@@ -229,13 +231,13 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
     relative tail over rfft bins [cut/2, cut), raising UnresolvedError when
     the tail exceeds both 10 times the t = 0 value and sqrt(TAIL_TOL).
     """
-    g, interval = u0.grid, record_interval
+    g = u0.grid
     if g.boundary != PERIODIC:
         raise ValueError("time evolution requires a periodic grid")
-    if not (dt >= 0 and t_end > 0 and math.isfinite(t_end) and interval > 0):
-        raise ValueError("dt >= 0 (0 = estimate), t_end > 0 and record_interval > 0 required")
-    n_inner = math.ceil(t_end / interval - 1e-9)
-    record_times = [k * interval for k in range(1, n_inner)] + [t_end]
+    if not (dt >= 0 and t_end > 0 and math.isfinite(t_end)):
+        raise ValueError("dt >= 0 (0 = estimate) and t_end > 0 required")
+    n_inner = math.ceil(t_end / RECORD_INTERVAL - 1e-9)
+    record_times = [k * RECORD_INTERVAL for k in range(1, n_inner)] + [t_end]
     v, accepted, rejected = u0.values.copy(), 0, 0
     lo, hi = g.dealias_cut // 2, g.dealias_cut
     limit = max(10.0 * relative_tail(v, lo, hi), math.sqrt(TAIL_TOL))
@@ -264,7 +266,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
     K[0] = _flow(v, g, p)
     t, h, after_reject, evals = 0.0, dt, False, 1
     if not h:
-        h, evals = _first_step(v, K[0], g, p, interval / 100), 2
+        h, evals = _first_step(v, K[0], g, p), 2
     for t_rec in record_times:
         while t < t_rec:
             h_try = min(h, t_rec - t)
@@ -282,7 +284,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
                 err, fac = math.inf, 0.01
             if err > 1.0:
                 rejected += 1
-                if h_try < 1e-10 * interval:
+                if h_try < 1e-10 * RECORD_INTERVAL:
                     raise BlowupError(t, f"step collapse at t={t:.6g}: trial step {h_try:.3e} "
                                          f"< 1e-10 record_interval rejected at error {err:.3e}")
                 h, after_reject = h_try * fac, True
@@ -294,8 +296,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0,
         yield frame(t_rec)
 
 
-def evolve(u0: Field, p: float, t_end: float, dt: float = 0.0,
-           record_interval: float = 0.5) -> Trajectory:
+def evolve(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Trajectory:
     """Integrate to t_end: every frame of `stream`, collected."""
-    return Trajectory(list(stream(u0, p, t_end, dt, record_interval)))
+    return Trajectory(list(stream(u0, p, t_end, dt)))
 

@@ -27,6 +27,8 @@ DIRICHLET = "dirichlet_truncated"
 # grid, at which the reference values of the Dirichlet commands were taken
 DEFAULT_HALF_WIDTH = 50.0 * np.pi
 DEFAULT_POINTS = 8192
+# the largest tail exp(-decay_rate L) a grid of half-width L may cut off
+RESOLVE_TOL = 1e-6
 
 
 class GridError(ValueError):
@@ -68,12 +70,13 @@ class Grid:
         # first rfft bin the 2/3 rule removes
         return int(np.floor(self.points / 2 * (2.0 / 3.0)))
 
-    def ensure_resolves(self, decay_rate: float, tol: float = 1e-6) -> None:
-        """Refuse grids too narrow for a profile with tail ~ exp(-decay_rate*|x|)."""
+    def ensure_resolves(self, decay_rate: float) -> None:
+        """Refuse grids too narrow for a profile with tail ~ exp(-decay_rate*|x|):
+        GridError when the tail at the box edge exceeds RESOLVE_TOL."""
         tail = np.exp(-decay_rate * self.half_width)
-        if tail > tol:
+        if tail > RESOLVE_TOL:
             raise GridError(
-                f"half_width {self.half_width:g} leaves tail {tail:.2e} > {tol:.1e} "
+                f"half_width {self.half_width:g} leaves tail {tail:.2e} > {RESOLVE_TOL:.1e} "
                 f"for decay rate {decay_rate:g}"
             )
 

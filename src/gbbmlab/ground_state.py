@@ -25,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (DEFAULT_HALF_WIDTH, DEFAULT_POINTS, DIRICHLET, Field, Grid, make_grid,
-                   quadrature)
+from .grid import Field, Grid, quadrature
 
 
 def critical_speed(p: float) -> float:
@@ -302,7 +301,7 @@ class IdentityReport:
         return max(r.rel_error for r in self.records)
 
 
-def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> IdentityReport:
+def closed_form_identities(gs: GroundState, grid: Grid) -> IdentityReport:
     """Scalar identities of the explicit profile, each computed two ways.
 
     Closed forms are expressed through the closed-form ||phi_c||^2, so they do
@@ -310,8 +309,6 @@ def closed_form_identities(gs: GroundState, grid: Grid | None = None) -> Identit
     profiles directly.
     """
     p, c = gs.p, gs.c
-    if grid is None:
-        grid = make_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS, DIRICHLET)
     prof = gs.sample(grid)
     phi, dphi, dcphi = prof.phi, prof.phi_x, prof.dc_phi
 

@@ -34,6 +34,11 @@ from .structure import _cubic_image, _kappa, coefficients
 from .dynamics import RTOL, Frame, stream
 from .functionals import _energy_density, energy
 
+# decompose stops when both scaled residuals are below FIT_TOL, and gives up
+# after FIT_MAX_ITER Newton iterations
+FIT_TOL = 1e-10
+FIT_MAX_ITER = 50
+
 
 class ModulationError(RuntimeError):
     def __init__(self, message: str, state: "ModulationState"):
@@ -80,14 +85,7 @@ def _fit_jacobian(uy: np.ndarray, xi: np.ndarray, prof: SampledProfile):
     )
 
 
-def decompose(
-    u: Field,
-    p: float,
-    guess: tuple[float, float],
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> ModulationState:
+def decompose(u: Field, p: float, guess: tuple[float, float]) -> ModulationState:
     """Solve <xi, d_x phi_lam> = <xi, d_lam phi_lam> = 0 for (lam, y) by Newton.
 
     xi(x) = u(x + y) - phi_lam(x). u is transformed once: each iterate's
@@ -98,7 +96,8 @@ def decompose(
     Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
     Raises ModulationError (with the partial state attached) on a singular
-    Jacobian or when the residuals cannot be driven below tolerance. Eight
+    Jacobian or when the residuals cannot be driven below FIT_TOL in
+    FIT_MAX_ITER iterations. Eight
     iterates in a row that do not beat the best residual so far by 10% count
     as a plateau, so a cycle between two residual values stops early too.
     """
@@ -119,18 +118,18 @@ def decompose(
     best_res = float("inf")
     stall = 0
     stationary = False
-    for it in range(max_iter + 1):
+    for it in range(FIT_MAX_ITER + 1):
         uy = np.fft.irfft(u_hat * _shift_symbol(grid, y), n=grid.points)
         F, xi, prof = _residual(uy, p, lam, grid)
         dir1, dir2 = prof.phi_x, prof.dc_phi
         r1 = abs(F[0]) / (u_norm * np.sqrt(h * (dir1 @ dir1)))
         r2 = abs(F[1]) / (u_norm * np.sqrt(h * (dir2 @ dir2)))
         res = max(r1, r2)
-        if res < tol:
+        if res < FIT_TOL:
             return state(True)
         stall = stall + 1 if res >= 0.9 * best_res else 0
         best_res = min(best_res, res)
-        if stationary or stall >= 8 or it == max_iter:
+        if stationary or stall >= 8 or it == FIT_MAX_ITER:
             # a stationary point of the iteration is accepted only if it passes
             break
 
@@ -170,9 +169,9 @@ def _odd_cutoff(s: np.ndarray, R: float) -> np.ndarray:
 
 
 def _check_cutoff(R: float, grid: Grid) -> None:
-    if 2.0 * R >= grid.half_width:
+    if not 0.0 < 2.0 * R < grid.half_width:
         raise ValueError(
-            f"cutoff needs 2R < L, got R={R!r} on half-width {grid.half_width!r}"
+            f"cutoff needs 2R < L and R > 0, got R={R!r} on half-width {grid.half_width!r}"
         )
 
 
@@ -270,7 +269,7 @@ def virial_monitor(
 ) -> Iterator[VirialReport]:
     """The frame loop: one virial report per frame (of a live `stream` or of a
     collected `Trajectory.frames`), in order. E(u0) and the grid come from the
-    first frame, where 2R < L is checked before any decompose. Each decompose
+    first frame, where 0 < 2R < L is checked before any decompose. Each decompose
     is warm-started from an extrapolation of the converged (lam, y) of the last
     three frames: the quadratic Lagrange polynomial through them at their own
     times (so an uneven last interval, as at t_end, is handled), the line
@@ -318,34 +317,32 @@ def instability_experiment(
     grid: Grid,
     dt: float = 0.0,
     t_end: float = 60.0,
-    R: float | None = None,
+    R: float = 0.0,
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
 
-    Frames are taken every 0.5 time units, and dt is the first trial step of
-    the error-controlled `stream`; dt = 0 estimates it from u0, one flow
-    evaluation more. The tube is the H^1 ball of radius 0.1 ||phi_c||_{H^1}
-    around the modulated profile. Every frame, u0 included, is decomposed by
-    `decompose`, whose least-squares pair has a root throughout the tube; the
-    kappa-orthogonal pair has none for this data when a > 0 (g(lambda) < 0 on
-    [1.02, 1.30] at p = 5, a = 0.01), and its residual is reported per frame
-    instead. The frames end at the first one outside the tube: no later state
-    is computed or decomposed. The verdict states whether the increments of I
-    have a definite sign over the in-tube frames (>= 95% one-signed). When
-    every in-tube increment is at or below the noise floor RTOL (3R/2) E(u0),
-    it is "below-noise-floor" instead: |I1| <= (3R/2) E(u), so a relative state
-    error of RTOL moves I by up to that floor, and no increment below it has a
-    sign.
+    Frames are taken every dynamics.RECORD_INTERVAL time units, and dt is
+    the first trial step of the error-controlled `stream`; dt = 0 estimates it
+    from u0, one flow evaluation more. R is the virial cutoff radius: R = 0
+    takes 10 / tail rate, and a negative R is refused. The tube is the H^1
+    ball of radius 0.1 ||phi_c||_{H^1} around the modulated profile. Every
+    frame, u0 included, is decomposed by `decompose`, whose least-squares pair
+    has a root throughout the tube; the kappa-orthogonal pair has none for this
+    data when a > 0 (g(lambda) < 0 on [1.02, 1.30] at p = 5, a = 0.01), and its
+    residual is reported per frame instead. The frames end at the first one
+    outside the tube: no later state is computed or decomposed. The verdict
+    states whether the increments of I have a definite sign over the in-tube
+    frames (>= 95% one-signed). When every in-tube increment is at or below the
+    noise floor RTOL (3R/2) E(u0), it is "below-noise-floor" instead: |I1| <=
+    (3R/2) E(u), so a relative state error of RTOL moves I by up to that floor,
+    and no increment below it has a sign.
     """
     if not 0.0 <= a <= 0.05:
         raise ValueError(f"perturbation size must lie in [0, 0.05], got {a!r}")
-    if p <= 4:
-        raise ValueError(f"experiment requires p > 4, got {p!r}")
     c = critical_speed(p)
     gs = GroundState(p, c)
     phi = gs.profile(grid)
-    if R is None:
-        R = 10.0 / gs.tail_rate
+    R = R or 10.0 / gs.tail_rate
     u0 = Field(grid, (1.0 - a) * phi.values)
     floor = RTOL * 1.5 * R * energy(u0, p)
 

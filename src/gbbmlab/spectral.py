@@ -376,7 +376,7 @@ def constrained_form_minimum(prof: SampledProfile, constraints,
     """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints,
     for the ground state and on the grid that prof samples (T is built from it).
 
-    constraints maps names to Fields on prof's grid (or interior arrays); an
+    constraints maps names to Fields on prof's grid (GridError otherwise); an
     empty mapping returns the unconstrained minimum, raw_min. The secular
     search (_secular_minimum) runs on [theta_0, theta_1] for one constraint and
     on [theta_0, r^2] for two, from the certified bound states
@@ -404,12 +404,10 @@ def constrained_form_minimum(prof: SampledProfile, constraints,
     cols = []
     for name in names:
         c = constraints[name]
-        if isinstance(c, Field) and c.grid != grid:
-            raise GridError(f"constraint {name!r} lives on another grid than the profile")
-        vec = c.values[1:-1] if isinstance(c, Field) else np.asarray(c, dtype=float)
-        if vec.shape != diag.shape:
-            raise ValueError(f"constraint {name!r} has wrong length {vec.shape}")
-        cols.append(vec)
+        if not isinstance(c, Field) or c.grid != grid:
+            raise GridError(f"constraint {name!r} is not a Field on the profile's grid "
+                            f"(an array, or a Field on another grid)")
+        cols.append(c.values[1:-1])
     Q, R = qr(np.stack(cols, axis=1), mode="economic")
     s = np.linalg.svd(R, compute_uv=False)  # the constraints' singular values
     if s[-1] <= 1e-10 * s[0]:

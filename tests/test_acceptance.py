@@ -237,7 +237,7 @@ def test_criterion_6_soliton_dynamics():
     gs = GroundState(p, c)
     grid = make_grid(L50, 8192, PERIODIC)
     phi = gs.profile(grid)
-    traj = evolve(phi, p, 20.0, dt=2e-3, record_interval=2.0)
+    traj = evolve(phi, p, 20.0, dt=2e-3)
     exact = translate(phi, -c * float(traj.times[-1]))
     sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
     e_drift, q_drift = traj.energy_drift(), traj.momentum_drift()

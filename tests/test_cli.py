@@ -62,8 +62,9 @@ class TestTable:
         # rows are computed in this process; there is no worker pool to size
         assert run(tmp_path, "table", "--p-list", "5,6", "--workers", "2") == 64
 
-    def test_empty_p_list_usage_error(self, tmp_path):
+    def test_empty_p_list_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "table", "--p-list", "") == 64
+        assert capsys.readouterr().err == "usage error: p_list must not be empty\n"
 
     def test_subcritical_p_usage_error(self, tmp_path):
         assert run(tmp_path, "table", "--p-list", "3.5") == 64
@@ -390,6 +391,13 @@ class TestOtherCommands:
         assert run(tmp_path, "instability", "--R", "100", "--N", "1024",
                    "--t-end", "2", "--dt", "0.025") == 64
         assert "cutoff needs 2R < L" in capsys.readouterr().err
+
+    def test_instability_negative_cutoff_usage_error(self, tmp_path, capsys):
+        # R = 0 means the automatic cutoff 10 / tail rate; a negative R is refused
+        out = tmp_path / "out"
+        assert main(["instability", "--R", "-5", "--t-end", "1", "--out", str(out)]) == 64
+        assert "cutoff needs 2R < L and R > 0, got R=-5.0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # per command: extra flags, the keys of its JSON result (of each row when the
@@ -747,5 +755,5 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert main([command, flag, value, "--out", str(out)]) == 64
         assert capsys.readouterr().err == (
-            "usage error: dt >= 0 (0 = estimate), t_end > 0 and record_interval > 0 required\n")
+            "usage error: dt >= 0 (0 = estimate) and t_end > 0 required\n")
         assert not out.exists()

@@ -14,6 +14,7 @@ from gbbmlab import (
     UnresolvedError,
     auto_points,
     critical_speed,
+    decompose,
     derivative,
     evolve,
     helmholtz_inverse,
@@ -149,7 +150,7 @@ class TestEvolve:
     def test_soliton_round_trip(self, gs5, periodic_4096):
         t_end = 20.0 / gs5.c
         phi = gs5.profile(periodic_4096)
-        traj = evolve(phi, gs5.p, t_end, dt=2e-3, record_interval=1.0)
+        traj = evolve(phi, gs5.p, t_end, dt=2e-3)
         exact = translate(phi, -gs5.c * float(traj.times[-1]))
         assert np.max(np.abs(traj.frames[-1].state.values - exact.values)) < 1e-4
         assert traj.energy_drift() < 1e-8
@@ -179,33 +180,33 @@ class TestEvolve:
         gs = gs5
         u1 = gs.profile(g1)
         u2 = gs.profile(g2)
-        v1 = evolve(u1, gs.p, 1.0, dt=2e-3, record_interval=1.0).frames[-1].state.values
-        v2 = evolve(u2, gs.p, 1.0, dt=2e-3, record_interval=1.0).frames[-1].state.values[::2]
+        v1 = evolve(u1, gs.p, 1.0, dt=2e-3).frames[-1].state.values
+        v2 = evolve(u2, gs.p, 1.0, dt=2e-3).frames[-1].state.values[::2]
         assert np.max(np.abs(v1 - v2)) < 1e-6
 
     def test_h1_norm_stays_bounded(self, gs5, periodic_4096):
         u0 = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        traj = evolve(u0, gs5.p, 5.0, dt=2e-3, record_interval=0.5)
+        traj = evolve(u0, gs5.p, 5.0, dt=2e-3)
         n0 = norm_h1(traj.frames[0].state)
         assert all(norm_h1(f.state) < 1.2 * n0 for f in traj.frames)
 
     def test_record_cadence(self, gs5, periodic_4096):
-        traj = evolve(gs5.profile(periodic_4096), gs5.p, 0.5, dt=1e-2, record_interval=0.1)
-        assert np.allclose(np.diff(traj.times), 0.1)
-        assert traj.times[-1] == 0.5
+        traj = evolve(gs5.profile(periodic_4096), gs5.p, 2.0, dt=1e-2)
+        assert np.allclose(np.diff(traj.times), dynamics.RECORD_INTERVAL)
+        assert traj.times[-1] == 2.0
 
     def test_frame_q_is_the_trapezoid(self, gs5, periodic_4096, rng):
         # Q by Parseval from the guard's transform equals momentum(), the
         # trapezoid of (u^2 + (spectral u_x)^2) / 2
         u0 = Field(periodic_4096, gs5.profile(periodic_4096).values
                    + 0.1 * decaying_random_field(periodic_4096, rng).values)
-        for f in stream(u0, gs5.p, 0.5, dt=1e-2, record_interval=0.25):
+        for f in stream(u0, gs5.p, 1.0, dt=1e-2):
             assert f.Q == pytest.approx(momentum(f.state), rel=1e-13)
 
     def test_record_times_are_exact(self, gs5, periodic_4096):
-        # k * interval, not a running sum, and t_end even when it is no multiple
-        traj = evolve(gs5.profile(periodic_4096), gs5.p, 1.05, dt=1e-2, record_interval=0.1)
-        assert traj.times.tolist() == [0.1 * k for k in range(11)] + [1.05]
+        # k * RECORD_INTERVAL, and t_end even when it is no multiple
+        traj = evolve(gs5.profile(periodic_4096), gs5.p, 1.05, dt=1e-2)
+        assert traj.times.tolist() == [0.0, 0.5, 1.0, 1.05]
 
     @pytest.mark.parametrize("dt, trials, evals", [(0.0, 9, 110), (1e-3, 11, 133)],
                              ids=["estimated", "dt=1e-3"])
@@ -233,7 +234,7 @@ class TestEvolve:
     def test_first_step_of_the_zero_state(self, periodic_4096, monkeypatch):
         # every norm vanishes: h0 = 1e-6 and the step is min(100 h0, max(1e-6, 1e-3 h0))
         zero = np.zeros(periodic_4096.points)
-        h = _first_step(zero, zero, periodic_4096, 5.0, 0.005)
+        h = _first_step(zero, zero, periodic_4096, 5.0)
         assert h == 1e-6
         trials = []
         dop853 = dynamics._dop853
@@ -252,12 +253,13 @@ class TestEvolve:
         huge = 1e60 * gs5.profile(periodic_4096).values
         with np.errstate(over="ignore", invalid="ignore"):
             f0 = _flow(huge, periodic_4096, gs5.p)
-        assert _first_step(huge, f0, periodic_4096, gs5.p, 0.005) == 0.005
+        # RECORD_INTERVAL / 100
+        assert _first_step(huge, f0, periodic_4096, gs5.p) == 0.005
 
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
         u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        traj = evolve(u, gs5.p, 5.0, record_interval=0.5)
+        traj = evolve(u, gs5.p, 5.0)
         assert traj.times.tolist() == [0.5 * k for k in range(11)]
         dt = 2e-3
         rhs = lambda f: evolution_rhs(f, gs5.p)  # noqa: E731
@@ -289,7 +291,6 @@ class TestEvolve:
         dirichlet = make_grid(10.0, 64, "dirichlet_truncated")
         bad = [(zero, {"dt": -1.0}), (zero, {"t_end": 0.0}), (zero, {"t_end": -1.0}),
                (zero, {"t_end": math.inf}),
-               (zero, {"record_interval": 0.0}), (zero, {"record_interval": -0.5}),
                (Field(dirichlet, np.zeros(dirichlet.node_count)), {})]
         for u0, kwargs in bad:
             run = dict({"t_end": 1.0}, **kwargs)
@@ -300,6 +301,11 @@ class TestEvolve:
                 next(frames)
         for fn in (stream, evolve):
             assert inspect.signature(fn).parameters["dt"].default == 0.0  # estimate
+        # the inputs a command varies and no others: the record interval and
+        # the Newton tolerance and iteration cap are module constants
+        for fn, names in ((stream, "u0 p t_end dt"), (evolve, "u0 p t_end dt"),
+                          (decompose, "u p guess"), (auto_points, "gs L")):
+            assert list(inspect.signature(fn).parameters) == names.split()
 
 
 def profile_tail(gs, n):
@@ -316,7 +322,7 @@ class TestResolution:
         # TAIL_TOL beyond the 2/3 cutoff; the rung below has more. At p = 30
         # the old fixed N = 8192 left 1.8e-6
         gs = GroundState(p, critical_speed(p))
-        assert auto_points(L50, gs.profile) == n
+        assert auto_points(gs, L50) == n
         below = AUTO_POINTS[AUTO_POINTS.index(n) - 1]
         assert profile_tail(gs, below) > TAIL_TOL >= profile_tail(gs, n)
 
@@ -335,7 +341,7 @@ class TestResolution:
         # the first passing rung is the smallest passing size only if no rung
         # below it would pass after a failing one
         gs = GroundState(p, critical_speed(p))
-        n = auto_points(L50, gs.profile)
+        n = auto_points(gs, L50)
         tails = [profile_tail(gs, m) for m in AUTO_POINTS[:AUTO_POINTS.index(n) + 1]]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
 
@@ -346,7 +352,7 @@ class TestResolution:
         # one. The trial steps differ by under 1% (the max norm sampled on two
         # grids, 0.82% at most); an error norm scaled by sqrt(N) moves them by 1.8%
         gs = GroundState(4.5, critical_speed(4.5))
-        assert auto_points(L50, gs.profile) == 1536
+        assert auto_points(gs, L50) == 1536
         runs, trials = {}, {}
         dop853 = dynamics._dop853
         for n in (1536, 2048):
@@ -375,11 +381,11 @@ class TestResolution:
         assert np.max(np.abs(padded - fine[-1].state.values)) < 1e-12
 
     def test_no_size_resolves_a_jump(self):
-        def step_profile(grid):
-            return Field(grid, np.where(np.abs(grid.nodes) < 1.0, 1.0, 0.0))
-
+        # phi_c at p = 1e4 is about e^{-0.99 |x|} with a corner 1/k = 2e-4 wide
+        # at x = 0, so its spectrum falls only like k^-2 up to k = 4930
+        gs = GroundState(1e4, critical_speed(1e4))
         with pytest.raises(UnresolvedError, match="no N up to 1048576") as info:
-            auto_points(L50, step_profile)
+            auto_points(gs, L50)
         assert info.value.tail > TAIL_TOL
 
     def test_relative_tail_of_zero(self):

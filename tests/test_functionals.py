@@ -48,10 +48,10 @@ class TestValues:
         u = decaying_random_field(periodic_4096, rng)
         assert energy(u, gs5.p) == pytest.approx(energy(Field(u.grid, -u.values), gs5.p), rel=1e-14)
 
-    def test_energy_ground_state_closed_form(self, gs5, periodic_8192):
+    def test_energy_ground_state_closed_form(self, gs5, periodic_8192, dirichlet_8192):
         p, c = gs5.p, gs5.c
         E = energy(gs5.profile(periodic_8192), p)
-        rep = closed_form_identities(gs5)
+        rep = closed_form_identities(gs5, dirichlet_8192)
         n2 = rep["l2_norm_sq"].quadrature
         assert E == pytest.approx((4.0 * c + p) / (2.0 * (p + 4.0)) * n2, rel=1e-8)
 
@@ -78,14 +78,14 @@ class TestGradients:
         assert np.all(e_grad.values == 0.0)
         assert np.all(q_grad.values == 0.0)
 
-    def test_momentum_chain_rule_off_critical(self):
+    def test_momentum_chain_rule_off_critical(self, dirichlet_8192):
         # <Q'(phi_c), d_c phi_c> equals the closed-form momentum slope
         p, c = 5.0, 1.3
         gs = GroundState(p, c)
         grid = make_grid(50.0 * math.pi, 8192, "periodic")
         _, q_grad, _ = gradients(gs.profile(grid), p, c)
         lhs = inner(q_grad, gs.profile_dc(grid))
-        rep = closed_form_identities(gs)
+        rep = closed_form_identities(gs, dirichlet_8192)
         assert lhs == pytest.approx(rep["dc_momentum"].closed_form, rel=1e-5)
 
     @pytest.mark.parametrize("which", ["energy", "momentum", "action"])

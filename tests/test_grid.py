@@ -57,9 +57,9 @@ def test_field_validation():
 
 def test_ensure_resolves():
     g = make_grid(10.0, 64)
-    g.ensure_resolves(2.0, 1e-6)
+    g.ensure_resolves(2.0)  # tail e^-20 = 2.1e-9 <= RESOLVE_TOL = 1e-6
     with pytest.raises(GridError):
-        g.ensure_resolves(0.1, 1e-6)
+        g.ensure_resolves(0.1)  # tail e^-1
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])

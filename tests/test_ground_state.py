@@ -228,13 +228,13 @@ class TestGroundMode:
 
 class TestIdentities:
     @pytest.mark.parametrize("p", [4.1, 5.0, 10.0])
-    def test_all_identities_tight(self, p):
+    def test_all_identities_tight(self, p, dirichlet_8192):
         gs = GroundState(p, critical_speed(p))
-        report = closed_form_identities(gs)
+        report = closed_form_identities(gs, dirichlet_8192)
         assert report.max_rel_error() < 1e-8
 
-    def test_momentum_slope_vanishes_at_critical_speed(self, gs5):
-        report = closed_form_identities(gs5)
+    def test_momentum_slope_vanishes_at_critical_speed(self, gs5, dirichlet_8192):
+        report = closed_form_identities(gs5, dirichlet_8192)
         rec = report["dc_momentum"]
         n2 = report["l2_norm_sq"].quadrature
         assert abs(rec.closed_form) < 1e-12 * n2
@@ -250,8 +250,8 @@ class TestIdentities:
         q0 = momentum(gs5.profile(gp))
         assert abs((qp - qm) / (2.0 * dc)) < 1e-6 * q0
 
-    def test_slope_ratio_p5(self, gs5):
-        report = closed_form_identities(gs5)
+    def test_slope_ratio_p5(self, gs5, dirichlet_8192):
+        report = closed_form_identities(gs5, dirichlet_8192)
         n2 = report["l2_norm_sq"].quadrature
         dn2 = report["dx_norm_sq"].quadrature
         c = gs5.c
@@ -266,8 +266,8 @@ class TestIdentities:
         ]
         assert coarse["l2_norm_sq"].quadrature != fine["l2_norm_sq"].quadrature
 
-    def test_identities_off_critical_speed(self):
+    def test_identities_off_critical_speed(self, dirichlet_8192):
         gs = GroundState(5.0, 1.4)
-        report = closed_form_identities(gs)
+        report = closed_form_identities(gs, dirichlet_8192)
         assert report.max_rel_error() < 1e-8
         assert report["dc_momentum"].closed_form != pytest.approx(0.0, abs=1e-6)

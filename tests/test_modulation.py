@@ -90,6 +90,11 @@ class TestCutoff:
         with pytest.raises(ValueError, match="2R < L"):
             modulation._check_cutoff(L50 / 2.0, fine)
 
+    @pytest.mark.parametrize("R", [0.0, -5.0])
+    def test_rejects_nonpositive_cutoff(self, fine, R):
+        with pytest.raises(ValueError, match="cutoff needs 2R < L and R > 0"):
+            modulation._check_cutoff(R, fine)
+
 
 class TestDecompose:
     def test_exact_soliton(self, gs5, periodic_4096):
@@ -101,7 +106,7 @@ class TestDecompose:
 
     def test_translated_profile(self, gs5, periodic_4096):
         u = translate(gs5.profile(periodic_4096), -0.37)
-        st = decompose(u, gs5.p, (gs5.c, 0.3), tol=1e-15, max_iter=120)
+        st = decompose(u, gs5.p, (gs5.c, 0.3))
         assert abs(st.y - 0.37) < 1e-12
         assert abs(st.lam - gs5.c) < 2e-8
 
@@ -159,7 +164,7 @@ class TestDecompose:
         # a Newton step taken against the negated Jacobian climbs away from the
         # root; eight iterates in a row that do not beat the best residual so
         # far end the solve (after 13 residuals and 12 iterations) instead of
-        # running max_iter
+        # running FIT_MAX_ITER
         calls = []
         residual, jacobian = modulation._residual, modulation._fit_jacobian
 
@@ -228,10 +233,9 @@ class TestDecompose:
 
 
 def short_start(gs5, a):
-    """The arguments of the short runs: u0 = (1 - a) phi_c, p, t_end, dt and
-    record_interval."""
+    """The arguments of the short runs: u0 = (1 - a) phi_c, p, t_end and dt."""
     grid = make_grid(L50, 4096, "periodic")
-    return Field(grid, (1.0 - a) * gs5.profile(grid).values), gs5.p, 3.0, 2e-3, 0.2
+    return Field(grid, (1.0 - a) * gs5.profile(grid).values), gs5.p, 3.0, 2e-3
 
 
 @pytest.fixture(scope="module")
@@ -385,7 +389,7 @@ class TestVirialMonitor:
         # the frames of a collected evolve run and the live stream give the
         # same reports, bit for bit
         live = list(virial_monitor(stream(*short_start(gs5, 0.01)), gs5.p, gs5.c, R=30.0))
-        assert len(live) == 16
+        assert len(live) == 7
         assert live == short_frames[0.01]
 
     @pytest.mark.parametrize("a", [-0.01, 0.01])
@@ -493,4 +497,11 @@ class TestInstabilityExperiment:
         grid = make_grid(L50, 1024, "periodic")
         with pytest.raises(ValueError, match="2R < L"):
             instability_experiment(5.0, 0.01, grid, R=100.0)
+        assert flow_calls == []
+
+    def test_negative_cutoff_raises_before_any_step(self, flow_calls):
+        # R = 0 takes the automatic cutoff; a negative R is refused, not mapped to it
+        grid = make_grid(L50, 1024, "periodic")
+        with pytest.raises(ValueError, match="R > 0, got R=-5.0"):
+            instability_experiment(5.0, 0.01, grid, R=-5.0)
         assert flow_calls == []

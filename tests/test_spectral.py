@@ -349,6 +349,12 @@ class TestConstrainedMinimum:
             constrained_form_minimum(gs5.sample(grid2048),
                                      {"translation_mode": gs5.profile_dx(other)})
 
+    def test_array_constraint_is_refused(self, gs5, grid2048):
+        # a constraint is a Field on the profile's grid, never its interior values
+        interior = gs5.profile_dx(grid2048).values[1:-1]
+        with pytest.raises(GridError, match="not a Field on the profile's grid"):
+            constrained_form_minimum(gs5.sample(grid2048), {"translation_mode": interior})
+
     @pytest.mark.parametrize("N, resolved", [(16, False), (32, False), (1024, True)])
     def test_report_carries_its_grid_kh(self, gs5, N, resolved):
         # k h <= 1 decides both whether a grid passes its minimum on and
