@@ -73,6 +73,7 @@ DEFAULTS = {
     "R": 0.0,  # 0 means auto (10 / tail rate)
     "p": 5.0,
     "p_list": "4.1,4.5,5,6,6.5,10,30,50,70,100",
+    "out": "out",
 }
 
 
@@ -85,22 +86,19 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in DEFAULTS and key != "out":
+        if key not in DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
         out[key] = val
     return out
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS, out="out")
+    cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(_load_config_file(args.config))
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
     for key, default in DEFAULTS.items():
-        cfg[key] = type(default)(cfg[key])
+        val = getattr(args, key)
+        cfg[key] = type(default)(cfg[key] if val is None else val)
         if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
     if cfg["N"] < 0 or cfg["N"] % 2:
@@ -374,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=COMMANDS)
     for key, default in DEFAULTS.items():
         ap.add_argument("--" + key.replace("_", "-"), type=type(default))
-    ap.add_argument("--out")
     return ap
 
 

@@ -134,7 +134,7 @@ def auto_points(gs: GroundState, L: float) -> int:
         if tail <= TAIL_TOL:
             return n
     raise UnresolvedError(
-        f"no N up to {n} resolves the initial state: its relative spectral tail "
+        f"no N up to {n} resolves phi_c: its relative spectral tail "
         f"beyond the 2/3 cutoff is {tail:.2e} > {TAIL_TOL:.0e} at N={n}", tail
     )
 
@@ -236,8 +236,8 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
         raise ValueError("time evolution requires a periodic grid")
     if not (dt >= 0 and t_end > 0 and math.isfinite(t_end)):
         raise ValueError("dt >= 0 (0 = estimate) and t_end > 0 required")
-    n_inner = math.ceil(t_end / RECORD_INTERVAL - 1e-9)
-    record_times = [k * RECORD_INTERVAL for k in range(1, n_inner)] + [t_end]
+    # the frames after t = 0; the k-th falls at k * RECORD_INTERVAL, the last at t_end
+    n_rec = max(1, math.ceil(t_end / RECORD_INTERVAL - 1e-9))
     v, accepted, rejected = u0.values.copy(), 0, 0
     lo, hi = g.dealias_cut // 2, g.dealias_cut
     limit = max(10.0 * relative_tail(v, lo, hi), math.sqrt(TAIL_TOL))
@@ -267,7 +267,8 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
     t, h, after_reject, evals = 0.0, dt, False, 1
     if not h:
         h, evals = _first_step(v, K[0], g, p), 2
-    for t_rec in record_times:
+    for k in range(1, n_rec + 1):
+        t_rec = t_end if k == n_rec else k * RECORD_INTERVAL
         while t < t_rec:
             h_try = min(h, t_rec - t)
             evals += 12
@@ -286,7 +287,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
                 rejected += 1
                 if h_try < 1e-10 * RECORD_INTERVAL:
                     raise BlowupError(t, f"step collapse at t={t:.6g}: trial step {h_try:.3e} "
-                                         f"< 1e-10 record_interval rejected at error {err:.3e}")
+                                         f"< 1e-10 RECORD_INTERVAL rejected at error {err:.3e}")
                 h, after_reject = h_try * fac, True
                 continue
             accepted += 1

@@ -89,19 +89,14 @@ def _flow_symbol(grid) -> np.ndarray:
     return sym
 
 
-@lru_cache(maxsize=8)
-def _flow_band(grid) -> np.ndarray:
-    # the flow symbol on the bins below the 2/3 cutoff, contiguous
-    return _flow_symbol(grid)[:grid.dealias_cut].copy()
-
-
 def _flow(v: np.ndarray, grid, p: float) -> np.ndarray:
     # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values, under the 2/3 rule.
-    # Only the bins below the cutoff are multiplied, in place: irfft zero-pads
-    # the rest, bitwise what a 0/1 mask on every bin gives
+    # Only the bins below the cutoff are multiplied, in place, by the leading
+    # slice of the cached symbol: irfft zero-pads the rest, bitwise what a 0/1
+    # mask on every bin gives
     w = _nonlinear(v, p)
     w += v
-    band = _flow_band(grid)
+    band = _flow_symbol(grid)[:grid.dealias_cut]
     wh = np.fft.rfft(w)[:band.size]
     wh *= band
     return np.fft.irfft(wh, n=grid.points)

@@ -142,12 +142,12 @@ class SampledProfile:
 
     Arrays are evaluated in log space through |x| and sign(x), so large k|x|
     never underflows to a hard zero and sampled even/odd functions carry exact
-    parity on symmetric nodes. Log sech, tanh, sech^2, phi, phi_x, phi_xx,
-    phi^p and (with a grid) ||phi||^2 by quadrature are computed on first use
-    and kept as long as the bundle lives (drop it to free them), and so are
-    d_c phi and its factor g = d_c phi / phi, which a modulation Newton iterate
-    reads five times; d_c phi_x, d_c^2 phi, Psi and the ground mode are rebuilt
-    on each read, since every caller reads them once.
+    parity on symmetric nodes. Log sech, tanh, sech^2, phi, phi_x, phi_xx
+    and phi^p are computed on first use and kept as long as the bundle lives
+    (drop it to free them), and so are d_c phi and its factor g = d_c phi / phi,
+    which a modulation Newton iterate reads five times; d_c phi_x, d_c^2 phi,
+    Psi and the ground mode are rebuilt on each read, since every caller reads
+    them once.
     """
 
     gs: GroundState
@@ -237,10 +237,6 @@ class SampledProfile:
         vals *= self.phi
         return vals
 
-    @cached_property
-    def norm_sq(self) -> float:
-        return quadrature(Field(self.grid, self.phi ** 2))
-
 
 def normalized_profile_norm_sq(p: float) -> float:
     """||psi_0||^2 for -psi'' + psi - psi^{p+1} = 0, in closed form.
@@ -277,7 +273,7 @@ class IdentityRecord:
     name: str
     closed_form: float
     quadrature: float
-    reference_scale: float = 1.0
+    reference_scale: float
 
     @property
     def rel_error(self) -> float:
@@ -315,7 +311,7 @@ def closed_form_identities(gs: GroundState, grid: Grid) -> IdentityReport:
     def quad(v):
         return quadrature(Field(grid, v))
 
-    n2 = prof.norm_sq
+    n2 = quad(phi ** 2)
     dn2 = quad(dphi ** 2)
     lp = quad(np.abs(phi) ** (p + 2.0))
     phi_dcphi = quad(phi * dcphi)

@@ -315,11 +315,11 @@ def instability_experiment(
     p: float,
     a: float,
     grid: Grid,
+    t_end: float,
     dt: float = 0.0,
-    t_end: float = 60.0,
     R: float = 0.0,
 ) -> ExperimentReport:
-    """Evolve u0 = (1-a) phi_c at the critical speed and monitor the virial budget.
+    """Evolve u0 = (1-a) phi_c at the critical speed to t_end and monitor the virial budget.
 
     Frames are taken every dynamics.RECORD_INTERVAL time units, and dt is
     the first trial step of the error-controlled `stream`; dt = 0 estimates it

@@ -77,8 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (DEFAULT_HALF_WIDTH, DEFAULT_POINTS, DIRICHLET, Field, Grid, _fd_derivative,
-                   inner, make_grid)
+from .grid import DIRICHLET, Field, Grid, _fd_derivative, inner, make_grid
 from .ground_state import GroundState, SampledProfile, _momentum_slope_closed, critical_speed
 from .functionals import hessian_values
 
@@ -200,11 +199,7 @@ class TableReport:
         )
 
 
-def negativity_form(
-    gs: GroundState,
-    L: float = DEFAULT_HALF_WIDTH,
-    n_request: int = DEFAULT_POINTS,
-) -> TableRow:
+def negativity_form(gs: GroundState, L: float, n_request: int) -> TableRow:
     """<kappa, Gamma> on the row of row_map(gs, L, n_request): the closed-form
     path pairs kappa_closed_form with Gamma, the operator path applies the
     finite-difference Hessian to the sampled Gamma (module docstring), and
@@ -231,11 +226,7 @@ def negativity_form(
                     sup, 2 * m)
 
 
-def negativity_table(
-    p_list,
-    L: float = DEFAULT_HALF_WIDTH,
-    n_request: int = DEFAULT_POINTS,
-) -> TableReport:
+def negativity_table(p_list, L: float, n_request: int) -> TableReport:
     """Tabulate <hessian(Gamma), Gamma> at c0(p) over p_list, in p_list order.
 
     A dual-path discrepancy above 1e-6 aborts the table.

@@ -53,6 +53,7 @@ from gbbmlab import (
     norm_l2,
     translate,
 )
+from gbbmlab.grid import DEFAULT_HALF_WIDTH, DEFAULT_POINTS
 from gbbmlab.ground_state import profile_norm_sq_closed
 from conftest import decaying_random_field
 from reference_paths import action, gradients, linear_rhs
@@ -73,7 +74,7 @@ def check(label: str, ok: bool, detail: str):
 # ---------------------------------------------------------------- criterion 1
 def test_criterion_1_table_reproduction():
     t0 = time.perf_counter()
-    report = negativity_table(sorted(PRINTED_TABLE))
+    report = negativity_table(sorted(PRINTED_TABLE), DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
     elapsed = time.perf_counter() - t0
     worst_dev = 0.0
     worst_dual = 0.0
@@ -181,7 +182,7 @@ def test_criterion_4c_constrained_positivity(p):
         gs.sample(grid), {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
     )
     pairing = inverse_pairing(gs, kappa)
-    table_value = negativity_form(gs).form_value
+    table_value = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS).form_value
     kernel_eig = eigenpairs(gs, grid).kernel_eigenvalue
     threshold = 1e-3 * essential_spectrum_edge(gs)
     ok = (

@@ -610,7 +610,7 @@ class TestGridSize:
         # p = 100 needs N = 98304 on L = 50 pi, so 2^20 on a 16 times wider box
         # is not enough; nothing is written
         assert run(tmp_path, "evolve", "--p", "100", "--L", str(800 * math.pi)) == 3
-        assert "no N up to 1048576 resolves the initial state" in capsys.readouterr().err
+        assert "no N up to 1048576 resolves phi_c" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, argv", [
@@ -662,7 +662,7 @@ class TestTables:
     SETTINGS = {
         "L": ("100.0", "120.0"), "N": ("1024", "2048"), "dt": ("0.01", "0.02"),
         "t_end": ("1.0", "2.0"), "a": ("0.02", "0.03"), "R": ("5.0", "6.0"),
-        "p": ("6.0", "7.0"), "p_list": ("5,6", "7"),
+        "p": ("6.0", "7.0"), "p_list": ("5,6", "7"), "out": ("file_out", "flag_out"),
     }
 
     def test_every_key_is_set_by_file_and_flag_and_the_flag_wins(self, tmp_path, monkeypatch):
@@ -676,8 +676,10 @@ class TestTables:
             runs = (["--config", str(cfg), "table"], ["table", flag, on_flag],
                     ["--config", str(cfg), "table", flag, on_flag])
             seen.clear()
+            # the stub handler writes nothing; every other key's run is sent to tmp_path
+            out = [] if key == "out" else ["--out", str(tmp_path)]
             for argv in runs:
-                assert main([*argv, "--out", str(tmp_path)]) == 0
+                assert main([*argv, *out]) == 0
             kind = type(cli.DEFAULTS[key])
             assert [c[key] for c in seen] == [kind(in_file), kind(on_flag), kind(on_flag)]
 
@@ -686,7 +688,8 @@ class TestTables:
         out = capsys.readouterr().out
         assert "{table,identities,spectrum,coercivity,evolve,instability}" in out
         for flag, metavar in (("--p", "P"), ("--p-list", "P_LIST"), ("--L", "L"), ("--N", "N"),
-                              ("--dt", "DT"), ("--t-end", "T_END"), ("--a", "A"), ("--R", "R")):
+                              ("--dt", "DT"), ("--t-end", "T_END"), ("--a", "A"), ("--R", "R"),
+                              ("--out", "OUT")):
             assert f"{flag} {metavar}" in out
 
 

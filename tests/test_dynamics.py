@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from gbbmlab import (
     derivative,
     evolve,
     helmholtz_inverse,
+    instability_experiment,
     make_grid,
     momentum,
+    negativity_form,
+    negativity_table,
     norm_h1,
     stream,
     translate,
@@ -207,6 +211,22 @@ class TestEvolve:
         # k * RECORD_INTERVAL, and t_end even when it is no multiple
         traj = evolve(gs5.profile(periodic_4096), gs5.p, 1.05, dt=1e-2)
         assert traj.times.tolist() == [0.0, 0.5, 1.0, 1.05]
+        # a t_end far below the interval is the only record time after t = 0
+        traj = evolve(gs5.profile(periodic_4096), gs5.p, 1e-10, dt=1e-2)
+        assert traj.times.tolist() == [0.0, 1e-10]
+
+    def test_first_frame_holds_no_record_times(self, gs5):
+        # each record time is computed when it is reached, so the first frame
+        # of a long run does not wait on a list of all of them (81 MB at
+        # t_end = 1e6, two million floats)
+        u0 = gs5.profile(make_grid(L50, 2048, "periodic"))
+        tracemalloc.start()
+        try:
+            next(stream(u0, gs5.p, 1e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("dt, trials, evals", [(0.0, 9, 110), (1e-3, 11, 133)],
                              ids=["estimated", "dt=1e-3"])
@@ -272,7 +292,7 @@ class TestEvolve:
         assert traj.momentum_drift() <= 1e-9
 
     @pytest.mark.parametrize("scale, message", [
-        (1e3, r"step collapse at t=0: trial step \S+ < 1e-10 record_interval rejected at "
+        (1e3, r"step collapse at t=0: trial step \S+ < 1e-10 RECORD_INTERVAL rejected at "
               r"error \S+$"),
         (1e60, "state or its conserved quantities became non-finite at t=0$"),
     ], ids=["rejection-floor", "energy-overflow"])
@@ -304,8 +324,17 @@ class TestEvolve:
         # the inputs a command varies and no others: the record interval and
         # the Newton tolerance and iteration cap are module constants
         for fn, names in ((stream, "u0 p t_end dt"), (evolve, "u0 p t_end dt"),
-                          (decompose, "u p guess"), (auto_points, "gs L")):
+                          (decompose, "u p guess"), (auto_points, "gs L"),
+                          (negativity_form, "gs L n_request"),
+                          (negativity_table, "p_list L n_request"),
+                          (instability_experiment, "p a grid t_end dt R")):
             assert list(inspect.signature(fn).parameters) == names.split()
+        # the box and the run's length come from the caller (the CLI's DEFAULTS);
+        # only the library's own automatic choices, 0 for dt and R, are defaults
+        for fn, defaults in ((negativity_form, {}), (negativity_table, {}),
+                             (instability_experiment, {"dt": 0.0, "R": 0.0})):
+            params = inspect.signature(fn).parameters.values()
+            assert {q.name: q.default for q in params if q.default is not q.empty} == defaults
 
 
 def profile_tail(gs, n):

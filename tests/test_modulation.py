@@ -459,9 +459,9 @@ class TestInstabilityExperiment:
     def test_validation(self):
         grid = make_grid(L50, 1024, "periodic")
         with pytest.raises(ValueError):
-            instability_experiment(5.0, 0.5, grid)
+            instability_experiment(5.0, 0.5, grid, 60.0)
         with pytest.raises(ValueError):
-            instability_experiment(3.0, 0.01, grid)
+            instability_experiment(3.0, 0.01, grid, 60.0)
 
     def test_stops_at_tube_exit(self, monkeypatch):
         # a = 0.05 leaves the tube at t = 11.5, well before t_end: the exit frame
@@ -496,12 +496,12 @@ class TestInstabilityExperiment:
         # 2R < L is checked on frame 0, which the stream yields before stepping
         grid = make_grid(L50, 1024, "periodic")
         with pytest.raises(ValueError, match="2R < L"):
-            instability_experiment(5.0, 0.01, grid, R=100.0)
+            instability_experiment(5.0, 0.01, grid, 60.0, R=100.0)
         assert flow_calls == []
 
     def test_negative_cutoff_raises_before_any_step(self, flow_calls):
         # R = 0 takes the automatic cutoff; a negative R is refused, not mapped to it
         grid = make_grid(L50, 1024, "periodic")
         with pytest.raises(ValueError, match="R > 0, got R=-5.0"):
-            instability_experiment(5.0, 0.01, grid, R=-5.0)
+            instability_experiment(5.0, 0.01, grid, 60.0, R=-5.0)
         assert flow_calls == []

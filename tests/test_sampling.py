@@ -18,6 +18,7 @@ from gbbmlab import (
     normalized_profile_norm_sq,
 )
 from gbbmlab.cli import DEFAULTS
+from gbbmlab.grid import DEFAULT_HALF_WIDTH, DEFAULT_POINTS
 from gbbmlab.modulation import _virial_frame
 from gbbmlab.structure import kappa_closed_form
 from reference_paths import table_points
@@ -92,7 +93,8 @@ class TestSamplingCounts:
     def test_table_row(self, log_sech_calls, p):
         # one sampling of the row's half line, nodes 0..m, and the four ghost
         # nodes past x_max that its stencils read
-        row = negativity_form(GroundState(p, critical_speed(p)))
+        row = negativity_form(GroundState(p, critical_speed(p)), DEFAULT_HALF_WIDTH,
+                              DEFAULT_POINTS)
         assert log_sech_calls == [row.points // 2 + 5]
 
     def test_default_table(self, log_sech_calls):
@@ -100,7 +102,8 @@ class TestSamplingCounts:
         # a uniform grid, 156 268 over 11 node windows at kh <= 0.1 with the
         # rows' tail cut, and 15 841 on the sinh-mapped half lines, 40 of them
         # ghost nodes
-        negativity_table(float(p) for p in DEFAULTS["p_list"].split(","))
+        negativity_table((float(p) for p in DEFAULTS["p_list"].split(",")),
+                         DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
         assert len(log_sech_calls) == 10
         assert sum(log_sech_calls) <= 16_000
 

@@ -25,6 +25,7 @@ from gbbmlab import (
 )
 from gbbmlab import structure
 from gbbmlab.cli import DEFAULTS
+from gbbmlab.grid import DEFAULT_HALF_WIDTH, DEFAULT_POINTS
 from gbbmlab.ground_state import trigamma
 from gbbmlab.structure import _cubic_image, _gamma, _kappa, row_cut, row_map
 from reference_paths import table_points, uniform_row
@@ -147,7 +148,7 @@ class TestRowMap:
         gs = GroundState(100.0, critical_speed(100.0))
         tracemalloc.start()
         try:
-            negativity_form(gs)
+            negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -167,7 +168,7 @@ class TestRowCut:
         assert cut < L50
         s, x, xp, gamma, kap = mapped_row(gs)
         assert x[-1] == pytest.approx(cut, rel=1e-14)
-        row = negativity_form(gs)
+        row = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
         grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
         prof = gs.sample(grid)
         g = gamma_direction(prof)
@@ -195,7 +196,7 @@ class TestHalfLineRow:
     def row(self, request):
         p = request.param
         gs = GroundState(p, critical_speed(p))
-        return gs, negativity_form(gs)
+        return gs, negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
     def test_half_line_sums_have_exact_parity(self, row):
         # the row's terms at -x equal those at x bitwise, and the half-line
@@ -219,10 +220,11 @@ class TestHalfLineRow:
         # floor). The p = 4.1 row runs to x_max = L, and one-sided stencils
         # there made it 2nd order (10.6-fold)
         gs = GroundState(p, critical_speed(p))
-        fine = negativity_form(gs).dual_sup_error
+        fine = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS).dual_sup_error
         monkeypatch.setattr(structure, "ROW_CORE_STEP", 2.0 * structure.ROW_CORE_STEP)
         monkeypatch.setattr(structure, "ROW_TAIL_STEP", 2.0 * structure.ROW_TAIL_STEP)
-        assert negativity_form(gs).dual_sup_error >= 200.0 * fine
+        coarse = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS).dual_sup_error
+        assert coarse >= 200.0 * fine
 
 
 class TestGammaDirection:
@@ -247,7 +249,7 @@ class TestGammaDirection:
 
 class TestKappa:
     def test_dual_path_sup(self, gs5):
-        assert negativity_form(gs5).dual_sup_error < 1e-6
+        assert negativity_form(gs5, DEFAULT_HALF_WIDTH, DEFAULT_POINTS).dual_sup_error < 1e-6
 
     def test_even(self, gs5, dirichlet_8192):
         vals = kappa_closed_form(gs5.sample(dirichlet_8192)).values
@@ -290,7 +292,7 @@ class TestNegativityForm:
     @pytest.mark.parametrize("p", [4.1, 6.0, 100.0])
     def test_matches_printed_value(self, p):
         gs = GroundState(p, critical_speed(p))
-        row = negativity_form(gs)
+        row = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
         assert (row.p, row.c0) == (p, gs.c)
         assert row.form_value == pytest.approx(PRINTED_TABLE[p], rel=0.01)
         assert row.dual_scalar_error < 1e-6
@@ -298,14 +300,15 @@ class TestNegativityForm:
 
     def test_row_size_grows_with_p(self):
         # m = asinh(x_max / a) / ds intervals on the half line, about ln p
-        points = [negativity_form(GroundState(p, critical_speed(p))).points
+        points = [negativity_form(GroundState(p, critical_speed(p)), DEFAULT_HALF_WIDTH,
+                                  DEFAULT_POINTS).points
                   for p in (5.0, 100.0, 1e4)]
         assert points[0] < points[1] < points[2] < 2 * points[1]
 
 
 @pytest.fixture(scope="module")
 def full_table_report():
-    return negativity_table(sorted(PRINTED_TABLE))
+    return negativity_table(sorted(PRINTED_TABLE), DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
 
 class TestNegativityTable:
@@ -326,7 +329,7 @@ class TestNegativityTable:
 
     def test_resolution_independence(self, report):
         # rows capped at 1024 intervals, 2.4 to 4.9 times coarser
-        coarser = negativity_table([5.0, 30.0, 100.0], n_request=1024)
+        coarser = negativity_table([5.0, 30.0, 100.0], DEFAULT_HALF_WIDTH, 1024)
         for row in coarser.rows:
             ref = next(r for r in report.rows if r.p == row.p)
             assert row.points == 1024 < ref.points
@@ -334,9 +337,9 @@ class TestNegativityTable:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            negativity_table([])
+            negativity_table([], DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
         with pytest.raises(ValueError):
-            negativity_table([3.0])
+            negativity_table([3.0], DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
     def test_matches_uniform_rows(self, report):
         # the slow reference: each row on a whole uniform grid at k h <= 0.1,
@@ -369,9 +372,9 @@ class TestNegativityTable:
     def test_dual_path_guard_trips_on_a_coarse_row(self):
         # capping the p = 100 row at 512 intervals breaks the 1e-6 contract
         gs = GroundState(100.0, critical_speed(100.0))
-        assert negativity_form(gs, n_request=512).dual_sup_error > 1e-6
+        assert negativity_form(gs, DEFAULT_HALF_WIDTH, 512).dual_sup_error > 1e-6
         with pytest.raises(structure.DualPathError):
-            negativity_table([100.0], n_request=512)
+            negativity_table([100.0], DEFAULT_HALF_WIDTH, 512)
 
 
 class TestModulationPairing:
