@@ -239,10 +239,10 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
     # the frames after t = 0; the k-th falls at k * RECORD_INTERVAL, the last at t_end
     n_rec = max(1, math.ceil(t_end / RECORD_INTERVAL - 1e-9))
     v, accepted, rejected = u0.values.copy(), 0, 0
-    lo, hi = g.dealias_cut // 2, g.dealias_cut
-    limit = max(10.0 * relative_tail(v, lo, hi), math.sqrt(TAIL_TOL))
+    lo, hi, limit = g.dealias_cut // 2, g.dealias_cut, None
 
     def frame(t: float) -> Frame:
+        nonlocal limit
         f = Field(g, v)  # v is replaced, never written in place
         try:
             E = energy(f, p)
@@ -253,6 +253,8 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
         if not math.isfinite(Q):
             raise BlowupError(t)
         tail = _tail(v_hat, lo, hi)
+        if limit is None:  # the t = 0 frame sets it
+            limit = max(10.0 * tail, math.sqrt(TAIL_TOL))
         if tail > limit:
             raise UnresolvedError(
                 f"relative spectral tail {tail:.2e} over bins [{lo}, {hi}) at t={t:.6g} "

@@ -227,19 +227,13 @@ def helmholtz_inverse(f: Field) -> Field:
     return Field(g, out)
 
 
-def _shift_symbol(g: Grid, y: float) -> np.ndarray:
-    """e^{iky} on the rfft bins of a periodic grid: multiplying a transform by it
-    and inverting gives f(. + y)."""
-    k = g.wavenumbers
-    shift = np.exp(1j * k * y)
-    shift[-1] = np.cos(k[-1] * y)  # Nyquist carries only its cosine part
-    return shift
-
-
 def translate(f: Field, y: float) -> Field:
     """f(. + y) on a periodic grid (FFT phase shift; y need not be a grid multiple)."""
     g = f.grid
     if g.boundary != PERIODIC:
         raise GridError("translate requires a periodic grid")
-    out = np.fft.irfft(np.fft.rfft(f.values) * _shift_symbol(g, y), n=g.points)
+    k = g.wavenumbers
+    shift = np.exp(1j * k * y)
+    shift[-1] = np.cos(k[-1] * y)  # Nyquist carries only its cosine part
+    out = np.fft.irfft(np.fft.rfft(f.values) * shift, n=g.points)
     return Field(g, out)

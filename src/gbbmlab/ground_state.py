@@ -137,8 +137,8 @@ class GroundState:
 
 @dataclass(frozen=True, eq=False)
 class SampledProfile:
-    """phi_c and its closed-form relatives on the nodes x, from one log-sech and
-    one tanh; grid is the grid whose nodes they are, if any.
+    """phi_c and its closed-form relatives at the points x, from one log-sech and
+    one tanh; x may be the nodes of grid, if given, or their offsets x - y from a centre y.
 
     Arrays are evaluated in log space through |x| and sign(x), so large k|x|
     never underflows to a hard zero and sampled even/odd functions carry exact

@@ -1,7 +1,9 @@
-"""Modulation decomposition u(t, . + y) = phi_lambda + xi and virial diagnostics.
+"""Modulation decomposition u(t) = phi_lambda(. - y) + xi and virial diagnostics.
 
-`decompose` solves one orthogonality pair by a 2-D Newton iteration: xi is
-orthogonal to {d_x phi_lambda, d_lambda phi_lambda}, i.e. (lambda, y) is the
+Each frame is analysed on the lab grid, with phi_lambda and its relatives
+sampled at the offsets x - y of the nodes. `decompose` solves one
+orthogonality pair by a 2-D Newton iteration: xi is orthogonal to
+{d_x phi_lambda, d_lambda phi_lambda}(. - y), i.e. (lambda, y) is the
 least-squares closest profile. The Jacobian, in closed form, is dominated by
 -||d_lambda phi||^2, uniformly nonsingular in the tube.
 
@@ -14,23 +16,24 @@ g(lambda) = <u0 - phi_lambda, kappa_lambda>, which is negative throughout
 lambda in [1.02, 1.30] at p = 5 for a = 0.01: no root. Every frame reports
 <xi, kappa_lambda>/B instead.
 
-The virial functional is I = I1 + I2 with a localized momentum-flux I1
-(odd plateau cutoff) and the profile-weighted correction I2; each frame also
-carries beta(u0), gamma(lambda) and the increment budget term
+The virial functional is I = I1 + I2 with a localized momentum-flux I1 (odd
+plateau cutoff of the offsets) and the profile-weighted correction I2; each
+frame also carries beta(u0), gamma(lambda) and the increment budget term
 <xi, kappa_lambda>/B(lambda) so the sign structure of dI/dt is auditable.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _shift_symbol, inner, norm_h1, norm_l2, quadrature
+from .grid import PERIODIC, Field, Grid, GridError, inner, norm_h1, norm_l2, quadrature
 from .ground_state import (
     GroundState, SampledProfile, _energy_closed, critical_speed, profile_norm_sq_closed,
 )
-from .structure import _cubic_image, _kappa, coefficients
+from .structure import _kappa, coefficients
 from .dynamics import RTOL, Frame, stream
 from .functionals import _energy_density, energy
 
@@ -48,6 +51,9 @@ class ModulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulationState:
+    """u = phi_lam(. - y) + xi on the lab grid; profile holds phi_lam and its
+    relatives at the offsets x - y, as the last residual sampled them."""
+
     lam: float
     y: float
     xi: Field
@@ -55,60 +61,64 @@ class ModulationState:
     residuals: tuple
     converged: bool
     jacobian_det: float
-    # phi_lam and its relatives at this lam, as the last residual sampled them
     profile: SampledProfile
 
 
-def _residual(uy: np.ndarray, p: float, lam: float, grid: Grid):
-    """F(lam; u_y) = (<xi, d_x phi_lam>, <xi, d_lam phi_lam>) with xi = u_y - phi_lam.
+def _offsets(grid: Grid, y: float) -> np.ndarray:
+    """x - y on the nodes of a periodic grid, wrapped into [-L, L): the nodes
+    rotated by m = ceil(y / h) whole steps, plus the fraction m h - y in [0, h)."""
+    if grid.boundary != PERIODIC:
+        raise GridError("offsets wrap on periodic grids only")
+    m = math.ceil(y / grid.h)
+    return np.roll(grid.nodes, m % grid.points) + (m * grid.h - y)
 
-    Returns F with xi and the profile bundle of phi_lam, whose phi_x and
-    dc_phi are the two directions.
-    """
-    prof = GroundState(p, lam).sample(grid)
-    xi = uy - prof.phi
+
+def _residual(u: np.ndarray, p: float, lam: float, y: float, grid: Grid):
+    """F = h(<xi, d_x phi_lam>, <xi, d_lam phi_lam>) with xi = u - phi_lam, each
+    sampled at the offsets x - y; returned with xi and the profile bundle,
+    whose phi_x and dc_phi are the two directions."""
+    gs = GroundState(p, lam)
+    grid.ensure_resolves(gs.tail_rate)
+    prof = SampledProfile(gs, _offsets(grid, y), grid)
+    xi = u - prof.phi
     F = grid.h * np.array([xi @ prof.phi_x, xi @ prof.dc_phi])
     return F, xi, prof
 
 
-def _fit_jacobian(uy: np.ndarray, xi: np.ndarray, prof: SampledProfile):
+def _fit_jacobian(u: np.ndarray, xi: np.ndarray, prof: SampledProfile):
     """d(F1, F2)/d(lam, y) of the residual F = h(<xi, phi_x>, <xi, d_lam phi>),
     in closed form from the bundle it was sampled from. The lam-column is
     h(<xi, d_lam phi_x> - <d_lam phi, phi_x>, <xi, d_lam^2 phi> - <d_lam phi, d_lam phi>);
-    the y-column h(<d_x u_y, phi_x>, <d_x u_y, d_lam phi>) is taken by parts on the
-    periodic grid, -h(<u_y, phi_xx>, <u_y, d_lam phi_x>), so it needs no transform."""
+    the y-column h(<d_x u, phi_x>, <d_x u, d_lam phi>) is taken by parts on the
+    periodic grid, -h(<u, phi_xx>, <u, d_lam phi_x>), so it needs no transform."""
     h = prof.grid.h
     dc_phi, dc_phi_x = prof.dc_phi, prof.dc_phi_x
     return (
-        (h * (xi @ dc_phi_x - dc_phi @ prof.phi_x), -h * (uy @ prof.phi_xx)),
-        (h * (xi @ prof.dc2_phi - dc_phi @ dc_phi), -h * (uy @ dc_phi_x)),
+        (h * (xi @ dc_phi_x - dc_phi @ prof.phi_x), -h * (u @ prof.phi_xx)),
+        (h * (xi @ prof.dc2_phi - dc_phi @ dc_phi), -h * (u @ dc_phi_x)),
     )
 
 
 def decompose(u: Field, p: float, guess: tuple[float, float]) -> ModulationState:
-    """Solve <xi, d_x phi_lam> = <xi, d_lam phi_lam> = 0 for (lam, y) by Newton.
+    """Solve <xi, d_x phi_lam(. - y)> = <xi, d_lam phi_lam(. - y)> = 0 for (lam, y) by Newton.
 
-    xi(x) = u(x + y) - phi_lam(x). u is transformed once: each iterate's
-    shifted state is the inverse transform of u_hat e^{iky}, bitwise
-    translate(u, y). An iterate costs that one inverse transform and one
-    profile sampling: the Jacobian is the closed form of _fit_jacobian, read
-    from the bundle the residual sampled.
+    xi = u - phi_lam(. - y) on the lab grid. An iterate costs one profile
+    sampling, at the offsets x - y, and no transform: the Jacobian is the
+    closed form of _fit_jacobian, read from the bundle the residual sampled.
     Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
     Raises ModulationError (with the partial state attached) on a singular
     Jacobian or when the residuals cannot be driven below FIT_TOL in
-    FIT_MAX_ITER iterations. Eight
-    iterates in a row that do not beat the best residual so far by 10% count
-    as a plateau, so a cycle between two residual values stops early too.
+    FIT_MAX_ITER iterations. Eight iterates in a row that do not beat the best
+    residual so far by 10% count as a plateau, so a cycle between two residual
+    values stops early too.
     """
     lam, y = float(guess[0]), float(guess[1])
     if lam <= 1.0:
         raise ValueError(f"lambda guess must exceed 1, got {lam!r}")
     u_norm = norm_l2(u)
     grid = u.grid
-    h = grid.h
     det_scaled = float("nan")
-    u_hat = np.fft.rfft(u.values)
 
     def state(converged: bool) -> ModulationState:
         return ModulationState(
@@ -119,11 +129,10 @@ def decompose(u: Field, p: float, guess: tuple[float, float]) -> ModulationState
     stall = 0
     stationary = False
     for it in range(FIT_MAX_ITER + 1):
-        uy = np.fft.irfft(u_hat * _shift_symbol(grid, y), n=grid.points)
-        F, xi, prof = _residual(uy, p, lam, grid)
+        F, xi, prof = _residual(u.values, p, lam, y, grid)
         dir1, dir2 = prof.phi_x, prof.dc_phi
-        r1 = abs(F[0]) / (u_norm * np.sqrt(h * (dir1 @ dir1)))
-        r2 = abs(F[1]) / (u_norm * np.sqrt(h * (dir2 @ dir2)))
+        r1 = abs(F[0]) / (u_norm * np.sqrt(grid.h * (dir1 @ dir1)))
+        r2 = abs(F[1]) / (u_norm * np.sqrt(grid.h * (dir2 @ dir2)))
         res = max(r1, r2)
         if res < FIT_TOL:
             return state(True)
@@ -133,7 +142,7 @@ def decompose(u: Field, p: float, guess: tuple[float, float]) -> ModulationState
             # a stationary point of the iteration is accepted only if it passes
             break
 
-        (J11, J12), (J21, J22) = _fit_jacobian(uy, xi, prof)
+        (J11, J12), (J21, J22) = _fit_jacobian(u.values, xi, prof)
         det = J11 * J22 - J12 * J21
         scale = max(abs(J11 * J22), abs(J12 * J21), 1e-300)
         det_scaled = det / scale
@@ -177,7 +186,7 @@ def _check_cutoff(R: float, grid: Grid) -> None:
 
 def _cubic_helmholtz(prof: SampledProfile) -> Field:
     """(1 - d_xx)(x^3 phi) = x^3 phi - (6x phi + 6x^2 phi_x + x^3 phi_xx)."""
-    x, phi = prof.grid.nodes, prof.phi
+    x, phi = prof.x, prof.phi
     vals = x * x * x * phi - (6.0 * x * phi + 6.0 * x * x * prof.phi_x + x * x * x * prof.phi_xx)
     return Field(prof.grid, vals)
 
@@ -207,10 +216,8 @@ class VirialReport:
     tube_distance: float
     kappa_residual: float
     y: float
-    # B(lam), <xi, (1-d_xx)(x^3 phi_lam)> and <xi, hessian(d_x(x^3 phi_lam))>
-    B: float
+    # <xi, (1-d_xx)(x^3 phi_lam)> at the offsets x - y
     cubic_pairing: float
-    cubic_image_pairing: float
 
 
 def _virial_frame(
@@ -225,21 +232,18 @@ def _virial_frame(
     grid = u.grid
     lam, y, prof, xi = state.lam, state.y, state.profile, state.xi
 
-    # cutoff recentered on the soliton, with periodic wrap of the offset
-    L = grid.half_width
-    offs = ((grid.nodes - y + L) % (2.0 * L)) - L
-    I1 = quadrature(Field(grid, _odd_cutoff(offs, R) * _energy_density(u.values, p)))
+    # cutoff recentered on the soliton, at the offsets x - y of the bundle
+    I1 = quadrature(Field(grid, _odd_cutoff(prof.x, R) * _energy_density(u.values, p)))
 
     B, D = coefficients(prof)
     cubic = inner(xi, _cubic_helmholtz(prof))
     I2 = D / B * cubic
 
     beta = -lam * (E0 - _energy_closed(p, c))
-    image = _cubic_image(prof)
-    kres = inner(xi, Field(grid, _kappa(prof, image))) / B
+    kres = inner(xi, Field(grid, _kappa(prof))) / B
     return VirialReport(
         t, I1, I2, I1 + I2, beta, gamma_of_lambda(p, c, lam), lam,
-        norm_h1(xi), kres, y, B, cubic, inner(xi, Field(grid, image)),
+        norm_h1(xi), kres, y, cubic,
     )
 
 
@@ -346,7 +350,8 @@ def instability_experiment(
     u0 = Field(grid, (1.0 - a) * phi.values)
     floor = RTOL * 1.5 * R * energy(u0, p)
 
-    eps = 0.1 * norm_h1(phi)
+    # 0.1 ||phi_c||_{H^1} in closed form: ||phi_c'||^2 = p (c-1) / ((p+4) c) ||phi_c||^2
+    eps = 0.1 * math.sqrt((1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * profile_norm_sq_closed(p, c))
     frames, tube_exit, failed = [], None, False
     try:
         for f in virial_monitor(stream(u0, p, t_end, dt), p, c, R):

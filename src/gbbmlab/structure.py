@@ -128,10 +128,9 @@ def _cubic_image(prof: SampledProfile) -> np.ndarray:
     return vals
 
 
-def _kappa(prof: SampledProfile, image: np.ndarray | None = None) -> np.ndarray:
-    # image, when given, is _cubic_image(prof) built by the caller; it is not changed
+def _kappa(prof: SampledProfile) -> np.ndarray:
     p, c, B = prof.gs.p, prof.gs.c, prof.gs.B
-    vals = _cubic_image(prof) if image is None else image.copy()
+    vals = _cubic_image(prof)
     vals *= prof.gs.D
     vals += B * ((p + 1.0) * c * c - p * c) * prof.phi
     vals += B * (1.0 - p) * c * c * prof.phi_xx

@@ -61,5 +61,18 @@ def flow_calls(monkeypatch):
 
 
 @pytest.fixture
+def transform_calls(monkeypatch):
+    """One entry per `np.fft.rfft` or `np.fft.irfft` call, its name."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbbmlab import (
-    DIRICHLET, BlowupError, Field, Grid, GroundState, SampledProfile, derivative, energy,
-    gamma_direction, hessian_apply, inner, kappa_closed_form, make_grid, momentum,
+    DIRICHLET, BlowupError, Field, Grid, GroundState, SampledProfile, decompose, derivative,
+    energy, gamma_direction, hessian_apply, inner, kappa_closed_form, make_grid, momentum,
 )
-from gbbmlab.dynamics import _A, _dop853
+from gbbmlab.dynamics import _A, Frame, _dop853
 from gbbmlab.functionals import _flow, _flow_symbol, _nonlinear
-from gbbmlab.grid import _derivative_symbol
 from gbbmlab.modulation import VirialReport, _check_cutoff, _odd_cutoff, _residual
+from gbbmlab.structure import _cubic_image
 
 FD_LAMBDA_REL = 1e-5
 
@@ -128,17 +128,20 @@ def uniform_row(gs: GroundState, L: float, kh: float = 0.1):
     return inner(kap, gamma), inner(kop, gamma), float(sup), grid
 
 
-def fd_jacobian(uy: np.ndarray, uy_hat: np.ndarray, prof: SampledProfile):
-    """d(F1, F2)/d(lam, y) of `modulation._residual` at the bundle `prof` of
-    phi_lam by slow paths, the reference for `modulation._fit_jacobian`: the
-    lam-column is (F(lam + d) - F(lam - d)) / 2d (relative step FD_LAMBDA_REL),
-    two more profile samplings, and the y-column pairs the inverse transform of
-    ik u_hat e^{iky}, the spectral derivative of u_y, with both directions."""
+def fd_jacobian(u: np.ndarray, y: float, prof: SampledProfile):
+    """d(F1, F2)/d(lam, y) of `modulation._residual` at (lam, y), whose bundle
+    `prof` samples phi_lam at the offsets x - y, by slow paths: the reference
+    for `modulation._fit_jacobian`. The lam-column is
+    (F(lam + d) - F(lam - d)) / 2d (relative step FD_LAMBDA_REL), two more
+    profile samplings. The y-column pairs the spectral derivative of u with
+    both sampled directions, since d/dy <u - phi(. - y), f(. - y)> equals
+    <u_x, f(. - y)> for a direction f."""
     p, lam, grid = prof.gs.p, prof.gs.c, prof.grid
     d = FD_LAMBDA_REL * lam
-    J11, J21 = (_residual(uy, p, lam + d, grid)[0] - _residual(uy, p, lam - d, grid)[0]) / (2.0 * d)
-    duy = np.fft.irfft(_derivative_symbol(grid, 1) * uy_hat, n=grid.points)
-    return (J11, grid.h * (duy @ prof.phi_x)), (J21, grid.h * (duy @ prof.dc_phi))
+    plus, minus = (_residual(u, p, lam + s, y, grid)[0] for s in (d, -d))
+    J11, J21 = (plus - minus) / (2.0 * d)
+    du = derivative(Field(grid, u)).values
+    return (J11, grid.h * (du @ prof.phi_x)), (J21, grid.h * (du @ prof.dc_phi))
 
 
 def cutoff_profile(R: float, grid: Grid) -> Field:
@@ -163,21 +166,28 @@ class ResidualRecord:
     defect: float
 
 
-def parameter_residuals(frames: Sequence[VirialReport]) -> list[ResidualRecord]:
-    """Finite-difference dynamics of (lam, y) with the translation-speed identity.
+def parameter_residuals(
+    frames: Sequence[Frame], reports: Sequence[VirialReport], p: float,
+) -> list[ResidualRecord]:
+    """Finite-difference dynamics of (lam, y) with the translation-speed identity,
+    from the frames of a run and the virial reports of those frames.
 
     The identity checked: y_dot - lam equals
     (1/B)<xi, hessian(d_x(x^3 phi_lam))> - (1/B) d/dt <xi, (1-d_xx)(x^3 phi_lam)>
-    up to O(||xi||^2); both sides are assembled per interior frame from the
-    pairings the frame loop already holds.
+    up to O(||xi||^2), each profile term at the offsets x - y. Per interior
+    frame, the time derivative comes from the reports' cubic pairings, and
+    the Hessian pairing from the frame's state decomposed again from its
+    reported (lam, y), which converges there at once.
     """
     out = []
-    for prev, f, nxt in zip(frames, frames[1:], frames[2:]):
+    for frame, prev, f, nxt in zip(frames[1:], reports, reports[1:], reports[2:]):
         dt2 = nxt.t - prev.t
         y_dot = (nxt.y - prev.y) / dt2
         lam_dot = (nxt.lam - prev.lam) / dt2
         dgdt = (nxt.cubic_pairing - prev.cubic_pairing) / dt2
-        rhs = (f.cubic_image_pairing - dgdt) / f.B
+        st = decompose(frame.state, p, (f.lam, f.y))
+        image = inner(st.xi, Field(st.xi.grid, _cubic_image(st.profile)))
+        rhs = (image - dgdt) / st.profile.gs.B
         xin = f.tube_distance
         out.append(
             ResidualRecord(

@@ -109,8 +109,8 @@ class TestTable:
     def test_dual_path_failure_is_a_consistency_failure(self, tmp_path, capsys, monkeypatch):
         original = structure._kappa
 
-        def skewed(prof, image=None):
-            return original(prof, image) * (1.0 + 2e-6)
+        def skewed(prof):
+            return original(prof) * (1.0 + 2e-6)
 
         monkeypatch.setattr(structure, "_kappa", skewed)
         assert run(tmp_path, "table", "--p-list", "5") == 3

@@ -5,6 +5,7 @@ import pytest
 
 from gbbmlab import (
     Field,
+    GridError,
     GroundState,
     ModulationError,
     critical_speed,
@@ -23,11 +24,11 @@ from gbbmlab import (
 )
 from gbbmlab import modulation
 from gbbmlab.cli import instability_outputs
-from gbbmlab.grid import _shift_symbol
-from gbbmlab.ground_state import profile_norm_sq_closed
+from gbbmlab.ground_state import SampledProfile, profile_norm_sq_closed
 from reference_paths import cutoff_profile, fd_jacobian, parameter_residuals
 
 L50 = 50.0 * math.pi
+H4096 = 2.0 * L50 / 4096
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +120,14 @@ class TestDecompose:
         assert max(st.residuals) < 1e-10
 
     def test_reassembly(self, gs5, periodic_4096):
-        u = Field(periodic_4096, 1.01 * gs5.profile(periodic_4096).values)
+        # phi_lam(. - y), sampled afresh at the offsets x - y, plus xi is u:
+        # no transform moves either
+        grid = periodic_4096
+        u = Field(grid, 1.01 * gs5.profile(grid).values)
         st = decompose(u, gs5.p, (gs5.c, 0.0))
-        rebuilt = translate(
-            Field(periodic_4096, GroundState(gs5.p, st.lam).profile(periodic_4096).values
-                  + st.xi.values),
-            -st.y,
-        )
-        assert np.max(np.abs(rebuilt.values - u.values)) < 1e-12
+        offsets = modulation._offsets(grid, st.y)
+        rebuilt = SampledProfile(GroundState(gs5.p, st.lam), offsets).phi + st.xi.values
+        assert np.max(np.abs(rebuilt - u.values)) < 1e-15 * np.max(np.abs(u.values))
 
     @pytest.mark.parametrize("a, roots, peak", [
         (0.01, [], (1.120, -1.600)),
@@ -193,39 +194,44 @@ class TestDecompose:
     @pytest.mark.parametrize("lam, y", [(None, 0.3), (1.2, -0.5), (1.05, 2.0)])
     def test_fit_jacobian_matches_slow_path(self, gs5, periodic_4096, lam, y):
         # the closed form against the central difference in lam of the same
-        # residual and the y-column of the spectral derivative of u_y: by parts
+        # residual and the y-column of the spectral derivative of u: by parts
         # is exact to round-off, and the relative-1e-5 difference carries an
         # O(d^2) error of at most 7.5e-8 of max |J| here
         grid = periodic_4096
         lam = gs5.c if lam is None else lam
         u = Field(grid, 0.98 * gs5.profile(grid).values)
-        uy_hat = np.fft.rfft(u.values) * _shift_symbol(grid, y)
-        uy = np.fft.irfft(uy_hat, n=grid.points)
-        _, xi, prof = modulation._residual(uy, gs5.p, lam, grid)
-        closed = np.array(modulation._fit_jacobian(uy, xi, prof))
-        slow = np.array(fd_jacobian(uy, uy_hat, prof))
+        _, xi, prof = modulation._residual(u.values, gs5.p, lam, y, grid)
+        closed = np.array(modulation._fit_jacobian(u.values, xi, prof))
+        slow = np.array(fd_jacobian(u.values, y, prof))
         scale = np.max(np.abs(slow))
         assert np.max(np.abs(closed[:, 0] - slow[:, 0])) < 2e-7 * scale
         assert np.max(np.abs(closed[:, 1] - slow[:, 1])) < 1e-14 * scale
 
-    def test_one_forward_transform(self, gs5, periodic_4096, monkeypatch):
-        # u is transformed once; every iterate is an inverse transform of it
-        calls = []
-        rfft = np.fft.rfft
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return rfft(*args, **kwargs)
-
+    def test_makes_no_transform(self, gs5, periodic_4096, transform_calls):
+        # every iterate samples phi_lam at the offsets x - y on the lab grid
         u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        monkeypatch.setattr(np.fft, "rfft", counted)
         st = decompose(u, gs5.p, (gs5.c, 0.3))
-        monkeypatch.undo()
         assert st.converged and st.newton_iters >= 2
-        assert len(calls) == 1
-        # the shifted state is bitwise the one translate builds
-        phi = GroundState(gs5.p, st.lam).sample(periodic_4096).phi
-        assert np.array_equal(st.xi.values, translate(u, st.y).values - phi)
+        assert transform_calls == []
+        assert np.array_equal(st.profile.x, modulation._offsets(periodic_4096, st.y))
+        assert np.array_equal(st.xi.values, u.values - st.profile.phi)
+
+    @pytest.mark.parametrize("y", [
+        0.0, H4096 / 3.0, -H4096 / 3.0, L50, -L50, 3.0 * L50 + 0.1, 1e3,
+    ])
+    def test_offsets_wrap_into_the_box(self, periodic_4096, y):
+        # the rotated nodes plus the fraction against the periodic wrap by
+        # the floating mod
+        grid = periodic_4096
+        L = grid.half_width
+        offsets = modulation._offsets(grid, y)
+        assert np.all(offsets >= -L) and np.all(offsets < L)
+        wrapped = ((grid.nodes - y + L) % (2.0 * L)) - L
+        assert np.max(np.abs(offsets - wrapped)) <= 1e-13 * L
+
+    def test_offsets_need_a_periodic_grid(self):
+        with pytest.raises(GridError, match="periodic"):
+            modulation._offsets(make_grid(L50, 64, "dirichlet_truncated"), 0.5)
 
     def test_guess_validation(self, gs5, periodic_4096):
         with pytest.raises(ValueError):
@@ -303,23 +309,23 @@ class TestWarmStart:
 
 
 class TestParameterResiduals:
-    def test_exact_soliton_dynamics(self, gs5, short_frames):
-        recs = parameter_residuals(short_frames[0.0])
+    def test_exact_soliton_dynamics(self, gs5, short_runs, short_frames):
+        recs = parameter_residuals(short_runs[0.0].frames, short_frames[0.0], gs5.p)
         mid = recs[len(recs) // 2]
         assert abs(mid.y_dot - gs5.c) < 1e-8
         assert abs(mid.lam_dot) < 1e-8
 
-    def test_ratios_bounded(self, short_frames):
-        recs = parameter_residuals(short_frames[0.01])
+    def test_ratios_bounded(self, gs5, short_runs, short_frames):
+        recs = parameter_residuals(short_runs[0.01].frames, short_frames[0.01], gs5.p)
         assert max(r.ratio_y for r in recs) < 2.0
         assert max(r.ratio_lam for r in recs) < 0.1
 
-    def test_translation_speed_identity_second_order(self, short_frames):
+    def test_translation_speed_identity_second_order(self, gs5, short_runs, short_frames):
         # defect of the speed identity scales like ||xi||^2: the measured
         # constant stays put under refinement of the perturbation size
         consts = []
         for a in (0.02, 0.01, 0.005):
-            recs = parameter_residuals(short_frames[a])
+            recs = parameter_residuals(short_runs[a].frames, short_frames[a], gs5.p)
             consts.append(max(r.defect for r in recs) / max(r.xi_h1 for r in recs) ** 2)
         assert max(consts) < 1.0
         assert max(consts) / min(consts) < 1.25

@@ -35,12 +35,12 @@ from gbbmlab import (
     gamma_curvature_closed,
     gamma_direction,
     gamma_of_lambda,
-    hessian_apply,
     inner,
     instability_experiment,
     make_grid,
 )
 from gbbmlab import modulation
+from gbbmlab.functionals import hessian_values
 
 L50 = 50.0 * math.pi
 
@@ -96,24 +96,27 @@ def frame(gs5):
 
 def test_cubic_pairing_matches_the_pairing_by_parts(frame):
     # I2 = (D/B) <xi, (1 - d_xx)(x^3 phi_lam)> with the closed-form image,
-    # against <(1 - d_xx) xi, x^3 phi_lam> with the spectral d_xx: the two
-    # agree to 2e-16 relative; the 6x phi mutant moves I2 by 1e-7 relative
+    # against <(1 - d_xx) xi, x^3 phi_lam> with the spectral d_xx, both at
+    # the offsets x - y: the two agree to 2e-16 relative; the 6x phi mutant
+    # moves I2 by 1e-7 relative
     report, state = frame
     xi, prof = state.xi, state.profile
     grid = xi.grid
     helmholtz_xi = Field(grid, xi.values - derivative(xi, 2).values)
-    by_parts = inner(helmholtz_xi, Field(grid, grid.nodes ** 3 * prof.phi))
+    by_parts = inner(helmholtz_xi, Field(grid, prof.x ** 3 * prof.phi))
     gs = prof.gs
     assert report.I2 == pytest.approx(gs.D / gs.B * by_parts, rel=1e-12)
     assert report.cubic_pairing == pytest.approx(by_parts, rel=1e-12)
 
 
 def test_kappa_residual_matches_the_hessian_of_gamma(frame):
-    # kappa_lam in closed form against the spectral Hessian at phi_lam applied
-    # to Gamma_lam, the table's dual path on a frame: they agree to 5e-16
-    # relative
+    # kappa_lam in closed form against the Hessian at phi_lam(. - y) applied
+    # to Gamma_lam(. - y) with the spectral f_xx, the table's dual path on a
+    # frame: they agree to 5e-16 relative
     report, state = frame
     prof = state.profile
-    operator = inner(state.xi, hessian_apply(prof.gs, gamma_direction(prof))) / prof.gs.B
+    gamma = gamma_direction(prof)
+    hessian = hessian_values(prof.gs, gamma.values, derivative(gamma, 2).values, prof.phi_p)
+    operator = inner(state.xi, Field(gamma.grid, hessian)) / prof.gs.B
     assert report.kappa_residual < 0.0
     assert report.kappa_residual == pytest.approx(operator, rel=1e-12)
