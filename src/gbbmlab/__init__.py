@@ -1,8 +1,6 @@
 """Numerical laboratory for gBBM solitary waves at the critical speed."""
 
 from .grid import (
-    DIRICHLET,
-    PERIODIC,
     Field,
     Grid,
     GridError,

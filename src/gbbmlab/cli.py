@@ -31,8 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import (
-    DIRICHLET,
-    PERIODIC,
     BlowupError,
     Field,
     GroundState,
@@ -107,21 +105,22 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _grid_size(cfg: dict, command: str) -> int:
-    """The N that command runs at. The Dirichlet commands take N = 0 as
-    DEFAULT_POINTS, the size their reference values were taken at. evolve and
-    instability start from a multiple of phi_c, so they take it as the smallest
-    2^k or 3 * 2^k that resolves phi_c (`auto_points`: a radix-3 FFT is cheap
-    and the steps do not depend on N); at an explicit N they print one
-    stderr line when phi_c's relative spectral tail beyond the 2/3 cutoff
-    exceeds TAIL_TOL, naming the tail and the N that N = 0 would pick, and the
-    run goes on."""
+    """The N that command runs at, on the one periodic grid of every command.
+    table, identities, spectrum and coercivity take N = 0 as DEFAULT_POINTS,
+    the size their reference values were taken at. evolve and instability
+    start from a multiple of phi_c, so they take it as the smallest 2^k or
+    3 * 2^k that resolves phi_c (`auto_points`: a radix-3 FFT is cheap and the
+    steps do not depend on N); at an explicit N they print one stderr line
+    when phi_c's relative spectral tail beyond the 2/3 cutoff exceeds
+    TAIL_TOL, naming the tail and the N that N = 0 would pick, and the run
+    goes on."""
     n, L = cfg["N"], cfg["L"]
     if command not in ("evolve", "instability"):
         return n or DEFAULT_POINTS
     gs = GroundState(cfg["p"], critical_speed(cfg["p"]))
     if not n:
         return auto_points(gs, L)
-    grid = make_grid(L, n, PERIODIC)
+    grid = make_grid(L, n)
     tail = relative_tail(gs.profile(grid).values, grid.dealias_cut)
     if tail > TAIL_TOL:
         try:
@@ -200,7 +199,7 @@ def cmd_table(cfg: dict) -> int:
 def cmd_identities(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(cfg["L"], cfg["N"], DIRICHLET)
+    grid = make_grid(cfg["L"], cfg["N"])
     report = closed_form_identities(gs, grid)
     outdir = Path(cfg["out"])
     keys = ("name", "closed_form", "quadrature", "rel_error")
@@ -216,7 +215,7 @@ def cmd_identities(cfg: dict) -> int:
 def cmd_spectrum(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(cfg["L"], min(cfg["N"], 4096), DIRICHLET)
+    grid = make_grid(cfg["L"], min(cfg["N"], 4096))
     report = eigenpairs(gs, grid)
     # "N" is the size the spectrum was computed at, not the requested one
     payload = {"N": grid.points, **_fields(
@@ -243,7 +242,7 @@ def cmd_coercivity(cfg: dict) -> int:
     # each grid's first secular probe comes from the coarser grids' minima
     previous = None
     for n in sorted({claim_n, *RESOLUTION_SEQUENCE}):
-        grid = make_grid(cfg["L"], n, DIRICHLET)
+        grid = make_grid(cfg["L"], n)
         prof = gs.sample(grid)
         constraints = {
             "translation_mode": Field(grid, prof.phi_x),
@@ -286,7 +285,7 @@ def cmd_evolve(cfg: dict) -> int:
     p = cfg["p"]
     c = critical_speed(p)
     gs = GroundState(p, c)
-    phi = gs.profile(make_grid(cfg["L"], cfg["N"], PERIODIC))
+    phi = gs.profile(make_grid(cfg["L"], cfg["N"]))
     traj = evolve(phi, p, cfg["t_end"], cfg["dt"])
     exact = translate(phi, -c * cfg["t_end"])
     sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
@@ -333,7 +332,7 @@ def instability_outputs(cfg: dict, report) -> dict:
 
 
 def cmd_instability(cfg: dict) -> int:
-    grid = make_grid(cfg["L"], cfg["N"], PERIODIC)
+    grid = make_grid(cfg["L"], cfg["N"])
     report = instability_experiment(cfg["p"], cfg["a"], grid, dt=cfg["dt"],
                                     t_end=cfg["t_end"], R=cfg["R"])
     outdir = Path(cfg["out"])

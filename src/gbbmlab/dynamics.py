@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, GridError, PERIODIC, _parseval_h1_sq, make_grid
+from .grid import Field, Grid, GridError, _parseval_h1_sq, make_grid
 from .functionals import energy, _flow
 from .ground_state import GroundState
 
@@ -123,13 +123,13 @@ def _tail(v_hat: np.ndarray, lo: int, hi: int | None) -> float:
 
 def auto_points(gs: GroundState, L: float) -> int:
     """The first N in AUTO_POINTS on which gs's profile, sampled on the
-    periodic grid of half-width L and N points, has a relative spectral tail
+    grid of half-width L and N points, has a relative spectral tail
     beyond the 2/3 cutoff of at most TAIL_TOL. Raises UnresolvedError, naming
     the tail reached, when none has. The ladder holds 3 * 2^k between the
     powers of two because a radix-3 FFT pair is cheap and the steps `stream`
     takes do not depend on N, so the smallest resolving size is the fastest."""
     for n in AUTO_POINTS:
-        grid = make_grid(L, n, PERIODIC)
+        grid = make_grid(L, n)
         tail = relative_tail(gs.profile(grid).values, grid.dealias_cut)
         if tail <= TAIL_TOL:
             return n
@@ -207,13 +207,12 @@ def _first_step(v: np.ndarray, f0: np.ndarray, g: Grid, p: float) -> float:
 
 def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame]:
     """One Frame per record time, from error-controlled DOP853 steps of the
-    flow of exponent p on u0's grid, which must be periodic.
+    flow of exponent p on u0's grid.
 
     dt is the first trial step, not a cap: the error control picks every
     later step. dt = 0, the default, takes `_first_step` from u0 instead, one
-    flow evaluation more. The grid, dt >= 0 and finite t_end > 0 are checked
-    when the first frame is asked for, since this is a generator; ValueError
-    otherwise.
+    flow evaluation more. dt >= 0 and finite t_end > 0 are checked when the
+    first frame is asked for, since this is a generator; ValueError otherwise.
 
     Each embedded estimate is scaled per node by ATOL + RTOL max(|v|, |v_new|)
     and measured in the max norm, giving err5 and err3; a step is accepted when
@@ -232,8 +231,6 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
     the tail exceeds both 10 times the t = 0 value and sqrt(TAIL_TOL).
     """
     g = u0.grid
-    if g.boundary != PERIODIC:
-        raise ValueError("time evolution requires a periodic grid")
     if not (dt >= 0 and t_end > 0 and math.isfinite(t_end)):
         raise ValueError("dt >= 0 (0 = estimate) and t_end > 0 required")
     # the frames after t = 0; the k-th falls at k * RECORD_INTERVAL, the last at t_end

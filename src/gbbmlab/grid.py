@@ -1,18 +1,13 @@
-"""Uniform 1-D spatial grids with quadrature, differentiation and the Helmholtz inverse.
+"""The uniform 1-D periodic grid, with quadrature, differentiation and the Helmholtz inverse.
 
-Two boundary flavors are supported:
-
-* ``periodic`` -- nodes x_j = -L + j*h, j = 0..N-1 (right endpoint omitted);
-  derivatives and (1 - d_xx)^{-1} are computed spectrally via the FFT.
-* ``dirichlet_truncated`` -- nodes x_j = -L + j*h, j = 0..N (both endpoints
-  kept); first and second derivatives use central differences, 8th-order
-  in the interior, 4th- and 2nd-order next to the ends and 2nd-order
-  one-sided at them; there is no third derivative. Used for eigenproblems
-  and the negativity table, where exponential decay justifies the
-  truncation.
-
-Quadrature is the composite trapezoid rule, which is spectrally accurate for
-the smooth, exponentially decaying integrands this package deals in.
+Every command truncates the line to the box [-L, L) with nodes
+x_j = (j - N/2) h, h = 2L/N, j = 0..N-1: x = -L is a node and x = L, its
+periodic image, is not. Derivatives, (1 - d_xx)^{-1} and translations are
+spectral, by the FFT (Trefethen, Spectral Methods in MATLAB, ch. 3).
+Quadrature is the trapezoid rule on the periodic box, the plain sum times h,
+which is spectrally accurate for the smooth, exponentially decaying
+integrands this package deals in. _fd_derivative holds the centred
+8th-order finite differences that the table rows take on their mapped nodes.
 """
 from __future__ import annotations
 
@@ -21,10 +16,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-PERIODIC = "periodic"
-DIRICHLET = "dirichlet_truncated"
-# the default box, half-width L = 50 pi, and the intervals of its Dirichlet
-# grid, at which the reference values of the Dirichlet commands were taken
+# the default box, half-width L = 50 pi, and its node count, at which the
+# reference values of table, identities, spectrum and coercivity were taken
 DEFAULT_HALF_WIDTH = 50.0 * np.pi
 DEFAULT_POINTS = 8192
 # the largest tail exp(-decay_rate L) a grid of half-width L may cut off
@@ -39,7 +32,6 @@ class GridError(ValueError):
 class Grid:
     half_width: float
     points: int
-    boundary: str
 
     @property
     def h(self) -> float:
@@ -49,20 +41,21 @@ class Grid:
     def nodes(self) -> np.ndarray:
         # integer offsets times h: x_{-j} = -x_j bitwise, so sampled even/odd
         # functions carry exact parity
-        N = self.points
-        if self.boundary == PERIODIC:
-            return (np.arange(N) - N // 2) * self.h
-        return (np.arange(N + 1) - N // 2) * self.h
+        return (np.arange(self.points) - self.points // 2) * self.h
+
+    # read only by bench/child.py, whose trace of GroundState.profile records
+    # them; nothing in the package branches on them
+    @property
+    def boundary(self) -> str:
+        return "periodic"
 
     @property
     def node_count(self) -> int:
-        return self.points if self.boundary == PERIODIC else self.points + 1
+        return self.points
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         # rfft bins; k_m = pi*m/L
-        if self.boundary != PERIODIC:
-            raise GridError("wavenumbers are defined on periodic grids only")
         return 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.h)
 
     @cached_property
@@ -81,14 +74,12 @@ class Grid:
             )
 
 
-def make_grid(L: float, N: int, boundary: str = PERIODIC) -> Grid:
+def make_grid(L: float, N: int) -> Grid:
     if L <= 0:
         raise GridError(f"half_width must be positive, got {L!r}")
     if N < 16 or N % 2 != 0:
         raise GridError(f"points must be even and >= 16, got {N!r}")
-    if boundary not in (PERIODIC, DIRICHLET):
-        raise GridError(f"unknown boundary flavor {boundary!r}")
-    return Grid(float(L), int(N), boundary)
+    return Grid(float(L), int(N))
 
 
 @dataclass(frozen=True)
@@ -98,10 +89,9 @@ class Field:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.node_count,):
+        if v.shape != (self.grid.points,):
             raise GridError(
-                f"field length {v.shape} does not match grid node count "
-                f"{self.grid.node_count}"
+                f"field length {v.shape} does not match grid node count {self.grid.points}"
             )
         if not np.all(np.isfinite(v)):
             raise GridError("field values must be finite")
@@ -113,11 +103,8 @@ class Field:
 
 
 def quadrature(f: Field) -> float:
-    """Composite trapezoid of f over [-L, L]."""
-    v, h = f.values, f.grid.h
-    if f.grid.boundary == PERIODIC:
-        return float(h * np.sum(v))
-    return float(h * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+    """Trapezoid rule of f over the periodic box [-L, L)."""
+    return float(f.grid.h * np.sum(f.values))
 
 
 def inner(f: Field, g: Field) -> float:
@@ -131,11 +118,8 @@ def norm_l2(f: Field) -> float:
 
 
 def norm_h1(f: Field) -> float:
-    """sqrt(||f||^2 + ||f_x||^2) on a periodic grid, by Parseval."""
-    g = f.grid
-    if g.boundary != PERIODIC:
-        raise GridError("norm_h1 requires a periodic grid")
-    return float(np.sqrt(_parseval_h1_sq(np.fft.rfft(f.values), g)))
+    """sqrt(||f||^2 + ||f_x||^2), by Parseval."""
+    return float(np.sqrt(_parseval_h1_sq(np.fft.rfft(f.values), f.grid)))
 
 
 @lru_cache(maxsize=8)
@@ -150,7 +134,7 @@ def _h1_weights(g: Grid) -> np.ndarray:
 
 
 def _parseval_h1_sq(f_hat: np.ndarray, g: Grid) -> float:
-    """||f||^2 + ||f_x||^2 from the rfft f_hat of f on a periodic grid, by
+    """||f||^2 + ||f_x||^2 from the rfft f_hat of f on g, by
     Parseval: the trapezoid of f^2 + (spectral f_x)^2 with no inverse transform."""
     return float(_h1_weights(g) @ (f_hat.real ** 2 + f_hat.imag ** 2))
 
@@ -165,42 +149,26 @@ CENTRED_8 = {
 
 
 def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Central differences of order 1 or 2, 2nd-order one-sided at the ends.
+    """Centred 8th-order differences of order 1 or 2 at nodes 4..n-5 of v,
+    n - 8 values: the caller supplies four ghost nodes at each end.
 
-    Nodes 4..n-5 take the centred 8th-order stencil of CENTRED_8, summed in
-    pairs, (v_{i+j} - v_{i-j}) or (v_{i+j} + v_{i-j} - 2 v_i), so an even or
-    odd v gives an odd or even result bitwise and the rounded second-order
-    weights leave no bias of order eps v / h^2. Nodes 2, 3, n-4 and n-3 take
-    the centred 4th-order stencil, nodes 1 and n-2 the centred 2nd-order one.
+    The weights of CENTRED_8 are summed in pairs, (v_{i+j} - v_{i-j}) or
+    (v_{i+j} + v_{i-j} - 2 v_i), so an even or odd v gives an odd or even
+    result bitwise and the rounded second-order weights leave no bias of
+    order eps v / h^2.
     """
-    n, out = len(v), np.empty_like(v)
-    mid, twice = out[4:-4], 2.0 * v[4:-4] if order == 2 else None
-    mid[:] = 0.0
+    n = len(v)
+    out, twice = np.zeros(n - 8), 2.0 * v[4:-4] if order == 2 else None
     for j, c in enumerate(CENTRED_8[order], 1):
         lo, hi = v[4 - j:n - 4 - j], v[4 + j:n - 4 + j]
-        mid += c * (hi - lo if order == 1 else lo + hi - twice)
-    if order == 1:
-        mid /= h
-        for i in (2, 3, -4, -3):
-            out[i] = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / (12 * h)
-        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        out[1] = (v[2] - v[0]) / (2 * h)
-        out[-2] = (v[-1] - v[-3]) / (2 * h)
-        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    else:
-        mid /= h * h
-        for i in (2, 3, -4, -3):
-            out[i] = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
-        out[1] = (v[0] - 2 * v[1] + v[2]) / (h * h)
-        out[-2] = (v[-3] - 2 * v[-2] + v[-1]) / (h * h)
-        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
+        out += c * (hi - lo if order == 1 else lo + hi - twice)
+    out /= h if order == 1 else h * h
     return out
 
 
 @lru_cache(maxsize=8)
 def _derivative_symbol(g: Grid, order: int) -> np.ndarray:
-    """(ik)^order on the rfft bins of a periodic grid; shared, so never written to."""
+    """(ik)^order on the rfft bins of g; shared, so never written to."""
     sym = (1j * g.wavenumbers) ** order
     if order % 2 == 1:
         sym[-1] = 0.0  # the Nyquist sine is not representable
@@ -208,30 +176,23 @@ def _derivative_symbol(g: Grid, order: int) -> np.ndarray:
 
 
 def derivative(f: Field, order: int = 1) -> Field:
-    if order not in CENTRED_8:
+    if order not in (1, 2):
         raise GridError(f"derivative order must be 1 or 2, got {order!r}")
     g = f.grid
-    if g.boundary == PERIODIC:
-        out = np.fft.irfft(_derivative_symbol(g, order) * np.fft.rfft(f.values), n=g.points)
-        return Field(g, out)
-    return Field(g, _fd_derivative(f.values, g.h, order))
+    return Field(g, np.fft.irfft(_derivative_symbol(g, order) * np.fft.rfft(f.values), n=g.points))
 
 
 def helmholtz_inverse(f: Field) -> Field:
     """g with g - g'' = f, via division by (1 + k^2) in transform space."""
     g = f.grid
-    if g.boundary != PERIODIC:
-        raise GridError("helmholtz_inverse requires a periodic grid")
     k = g.wavenumbers
     out = np.fft.irfft(np.fft.rfft(f.values) / (1.0 + k * k), n=g.points)
     return Field(g, out)
 
 
 def translate(f: Field, y: float) -> Field:
-    """f(. + y) on a periodic grid (FFT phase shift; y need not be a grid multiple)."""
+    """f(. + y) by an FFT phase shift; y need not be a grid multiple."""
     g = f.grid
-    if g.boundary != PERIODIC:
-        raise GridError("translate requires a periodic grid")
     k = g.wavenumbers
     shift = np.exp(1j * k * y)
     shift[-1] = np.cos(k[-1] * y)  # Nyquist carries only its cosine part

@@ -258,6 +258,12 @@ def _energy_closed(p: float, c: float) -> float:
     return (4.0 * c + p) / (2.0 * (p + 4.0)) * profile_norm_sq_closed(p, c)
 
 
+def _momentum_closed(p: float, c: float) -> float:
+    """Q(phi_c) = 1/2 (1 + p(c-1) / ((p+4)c)) ||phi_c||^2, since
+    ||phi_c'||^2 = p(c-1) / ((p+4)c) ||phi_c||^2."""
+    return 0.5 * (1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * profile_norm_sq_closed(p, c)
+
+
 def _momentum_slope_closed(p: float, c: float) -> float:
     """dQ/dc(phi_c) = (8(p+2)c^2 - 8pc - p^2) / (4p(p+4)c^2(c-1)) ||phi_c||^2,
     zero at the critical speed."""
@@ -330,8 +336,6 @@ def closed_form_identities(gs: GroundState, grid: Grid) -> IdentityReport:
         ),
         IdentityRecord("dc_momentum", _momentum_slope_closed(p, c), dc_q, n2c),
         IdentityRecord("energy", _energy_closed(p, c), e_quad, n2c),
-        IdentityRecord(
-            "momentum", 0.5 * (1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * n2c, q_quad, n2c
-        ),
+        IdentityRecord("momentum", _momentum_closed(p, c), q_quad, n2c),
     )
     return IdentityReport(records)

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PERIODIC, Field, Grid, GridError, inner, norm_h1, norm_l2, quadrature
+from .grid import Field, Grid, inner, norm_h1, norm_l2, quadrature
 from .ground_state import (
-    GroundState, SampledProfile, _energy_closed, critical_speed, profile_norm_sq_closed,
+    GroundState, SampledProfile, _energy_closed, _momentum_closed, critical_speed,
+    profile_norm_sq_closed,
 )
 from .structure import _kappa, coefficients
 from .dynamics import RTOL, Frame, stream
@@ -65,12 +66,20 @@ class ModulationState:
 
 
 def _offsets(grid: Grid, y: float) -> np.ndarray:
-    """x - y on the nodes of a periodic grid, wrapped into [-L, L): the nodes
-    rotated by m = ceil(y / h) whole steps, plus the fraction m h - y in [0, h)."""
-    if grid.boundary != PERIODIC:
-        raise GridError("offsets wrap on periodic grids only")
+    """x - y on the nodes of grid, wrapped into [-L, L): the nodes rotated by
+    m = ceil(y / h) whole steps, plus the fraction m h - y in [0, h). When y
+    lies within rounding of a grid multiple, the rotated end nodes can round
+    just past the box: the top one to L, which is mapped to its periodic
+    image -L, or the bottom one below -L, which is raised to -L."""
     m = math.ceil(y / grid.h)
-    return np.roll(grid.nodes, m % grid.points) + (m * grid.h - y)
+    r = m % grid.points
+    x = np.roll(grid.nodes, r) + (m * grid.h - y)
+    L = grid.half_width
+    if x[r - 1] >= L:
+        x[r - 1] = -L
+    if x[r] < -L:
+        x[r] = -L
+    return x
 
 
 def _residual(u: np.ndarray, p: float, lam: float, y: float, grid: Grid):
@@ -350,8 +359,8 @@ def instability_experiment(
     u0 = Field(grid, (1.0 - a) * phi.values)
     floor = RTOL * 1.5 * R * energy(u0, p)
 
-    # 0.1 ||phi_c||_{H^1} in closed form: ||phi_c'||^2 = p (c-1) / ((p+4) c) ||phi_c||^2
-    eps = 0.1 * math.sqrt((1.0 + p * (c - 1.0) / ((p + 4.0) * c)) * profile_norm_sq_closed(p, c))
+    # 0.1 ||phi_c||_{H^1} = 0.1 sqrt(2 Q(phi_c)), in closed form
+    eps = 0.1 * math.sqrt(2.0 * _momentum_closed(p, c))
     frames, tube_exit, failed = [], None, False
     try:
         for f in virial_monitor(stream(u0, p, t_end, dt), p, c, R):

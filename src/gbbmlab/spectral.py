@@ -11,15 +11,17 @@ by the translation mode phi_c', and essential spectrum starting at
 this operator; results are reported in the Weinstein sign so that eigenvalue
 counts are meaningful, and callers translate when they need the literal form.
 
-Discretization: Dirichlet truncation, second-order central differences, on
-one sampling of phi_c per grid (a SampledProfile). The matrix T is symmetric
-tridiagonal and is only ever used in banded form, and every solve with
-T - mu (the inverse pairing, the constrained minimum, inverse iteration) is
-one LAPACK gtsv call on (off, diag - mu, off). No dense n x n matrix is
-formed, so the cost is linear in the grid size.
+Discretization: second-order central differences on the N - 1 nodes
+nodes[1:] of the grid, truncated at its node x = -L (which the periodic grid
+identifies with L) with a Dirichlet condition there, on one sampling of
+phi_c per grid (a SampledProfile). The matrix T is symmetric tridiagonal and
+is only ever used in banded form, and every solve with T - mu (the inverse
+pairing, the constrained minimum, inverse iteration) is one LAPACK gtsv call
+on (off, diag - mu, off). No dense n x n matrix is formed, so the cost is
+linear in the grid size.
 
-Reflection symmetry: every Dirichlet grid is mirror-symmetric bitwise and
-phi_c is even, so T commutes with x -> -x. With n interior nodes (n odd) and
+Reflection symmetry: the nodes nodes[1:] are mirror-symmetric bitwise and
+phi_c is even, so T commutes with x -> -x. With n = N - 1 nodes (n odd) and
 c = n // 2 the centre index, T is the direct sum of an even half T+ on the
 basis e_c, (e_{c+j} + e_{c-j})/sqrt 2 (diag[c:], off[c:] with its first
 entry times sqrt 2; n // 2 + 1 unknowns) and an odd half T- on the basis
@@ -72,7 +74,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, qr
 from scipy.linalg.lapack import dgtsv
 
-from .grid import DIRICHLET, Field, Grid, GridError, inner
+from .grid import Field, Grid, GridError, inner
 from .ground_state import GroundState, SampledProfile, normalized_profile_norm_sq
 from .functionals import hessian_apply
 
@@ -89,21 +91,13 @@ _SQRT2 = np.sqrt(2.0)
 _EIGENPAIRS = 6
 
 
-def _interior(grid: Grid) -> np.ndarray:
-    if grid.boundary != DIRICHLET:
-        raise ValueError("Weinstein discretization requires a dirichlet_truncated grid")
-    return grid.nodes[1:-1]
-
-
 def discretize_weinstein(prof: SampledProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diagonal, off-diagonal) on the interior nodes of
-    the bundle's grid, from its phi_c^p."""
-    gs, grid = prof.gs, prof.grid
-    x = _interior(grid)
-    h = grid.h
-    pot_profile = prof.phi_p[1:-1] / gs.c
+    """Symmetric tridiagonal (diagonal, off-diagonal) on the nodes nodes[1:] of
+    the bundle's grid (module docstring), from its phi_c^p."""
+    gs, h = prof.gs, prof.grid.h
+    pot_profile = prof.phi_p[1:] / gs.c
     diag = 2.0 / h ** 2 + (1.0 - gs.omega ** 2) - (gs.p + 1.0) * pot_profile
-    off = np.full(x.size - 1, -1.0 / h ** 2)
+    off = np.full(diag.size - 1, -1.0 / h ** 2)
     return diag, off
 
 
@@ -148,7 +142,7 @@ def _inverse_iteration(diag, off, x, shift, tol) -> tuple[float, float, np.ndarr
 class _Reflection:
     """T's even and odd halves (module docstring), halves[0] and halves[1],
     each a (diag, off) pair, and the orthogonal map from vectors on the
-    interior nodes to their coordinates in the halves' bases."""
+    nodes nodes[1:] to their coordinates in the halves' bases."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
@@ -233,7 +227,7 @@ def eigenpairs(gs: GroundState, grid: Grid) -> SpectrumReport:
     kernel_idx = int(np.argmin(np.abs(w)))
     overlap = 0.0
     if kernel_idx % 2:
-        dphi = refl.fold(prof.phi_x[1:-1])[1]
+        dphi = refl.fold(prof.phi_x[1:])[1]
         _, residual, u = _inverse_iteration(*refl.halves[1], dphi, w[kernel_idx] - tol, tol)
         if not residual <= tol:
             raise EigenSolveError(f"kernel eigenvector residual {residual!r} above {tol!r} "
@@ -277,7 +271,7 @@ def _certified_bound_states(diag, off, refl: _Reflection, prof: SampledProfile,
     T, and one Sturm count on T finds exactly two eigenvalues up to r^2, so
     they are the lowest and T's third lies above r^2."""
     bound = bound_states(prof.gs)
-    starts = (refl.fold(prof.ground_mode[1:-1])[0], refl.fold(prof.phi_x[1:-1])[1])
+    starts = (refl.fold(prof.ground_mode[1:])[0], refl.fold(prof.phi_x[1:])[1])
     theta, residual = [], []
     for (d, o), start, value in zip(refl.halves, starts, (bound.ground, bound.kernel)):
         try:
@@ -407,7 +401,7 @@ def constrained_form_minimum(prof: SampledProfile, constraints,
         if not isinstance(c, Field) or c.grid != grid:
             raise GridError(f"constraint {name!r} is not a Field on the profile's grid "
                             f"(an array, or a Field on another grid)")
-        cols.append(c.values[1:-1])
+        cols.append(c.values[1:])
     Q, R = qr(np.stack(cols, axis=1), mode="economic")
     s = np.linalg.svd(R, compute_uv=False)  # the constraints' singular values
     if s[-1] <= 1e-10 * s[0]:
@@ -433,7 +427,7 @@ def inverse_pairing(gs: GroundState, f: Field) -> float:
     {xi : <xi, f> = 0} is nonnegative exactly when this pairing is <= 0.
     """
     diag, off = discretize_weinstein(gs.sample(f.grid))
-    rhs = f.values[1:-1]
+    rhs = f.values[1:]
     return float(f.grid.h * np.dot(_shifted_solve(diag, off, 0.0, rhs), rhs))
 
 

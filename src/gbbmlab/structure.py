@@ -47,10 +47,10 @@ by the chain rule,
 with grid._fd_derivative's centred 8th-order stencils on every node of the
 row. They read four ghost nodes on each side: the mirror Gamma(-s) = Gamma(s)
 before s = 0, and Gamma itself at s = (m+1..m+4) ds past x_max, valid even
-where x_max = L since Gamma is a closed form. No one-sided stencil touches a
-row, and its error is O(ds^8). On the default rows the dual-path errors stay
-below 1e-10 in sup-norm and 1e-9 in the scalar, and the pairing stays within
-6e-12 of a uniform grid's at k h <= 0.1 on the whole box.
+where x_max = L since Gamma is a closed form, so the error is O(ds^8) on
+every node. On the default rows the dual-path errors stay below 1e-10 in
+sup-norm and 1e-9 in the scalar, and the pairing stays within 6e-12 of a
+uniform grid's at k h <= 0.1 on the whole box.
 
 The cut. With the envelope phi_c(x) <= 2^{2/p} A e^{-tau |x|} (from
 sech(z) <= 2 e^{-z}), Gamma_c and kappa_c = hessian(Gamma_c) are each phi_c
@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DIRICHLET, Field, Grid, _fd_derivative, inner, make_grid
+from .grid import Field, Grid, _fd_derivative, inner, make_grid
 from .ground_state import GroundState, SampledProfile, _momentum_slope_closed, critical_speed
 from .functionals import hessian_values
 
@@ -152,8 +152,8 @@ def row_map(gs: GroundState, L: float, n_cap: int) -> tuple[float, float, int]:
     """(a, ds, m): a row samples x = a sinh(j ds), j = 0..m, out to
     x_max = min(row_cut(gs, L), L), with a and ds in closed form (module
     docstring). Its 2m intervals across [-x_max, x_max] are capped at n_cap,
-    the intervals of a Dirichlet grid on [-L, L], which must resolve phi_c's tail."""
-    make_grid(L, n_cap, DIRICHLET).ensure_resolves(gs.tail_rate)
+    the node count of a grid on [-L, L), which must resolve phi_c's tail."""
+    make_grid(L, n_cap).ensure_resolves(gs.tail_rate)
     k = gs.decay_rate
     x_max = min(row_cut(gs, L), L)
     r = gs.tail_rate * ROW_CORE_STEP / ROW_TAIL_STEP
@@ -213,7 +213,7 @@ def negativity_form(gs: GroundState, L: float, n_request: int) -> TableRow:
     prof = SampledProfile(gs, a * np.sinh(s))
     ghosted = _gamma(prof)
     ext = np.concatenate((ghosted[4:0:-1], ghosted))
-    g_s, g_ss = (_fd_derivative(ext, ds, order)[4:-4] for order in (1, 2))
+    g_s, g_ss = (_fd_derivative(ext, ds, order) for order in (1, 2))
     s, gamma, kap = s[:m + 1], ghosted[:m + 1], _kappa(prof)[:m + 1]
     xp = a * np.cosh(s)
     kop = hessian_values(gs, gamma, (g_ss - np.tanh(s) * g_s) / (xp * xp), prof.phi_p[:m + 1])

@@ -3,25 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from gbbmlab import DIRICHLET, PERIODIC, Field, GroundState, critical_speed, dynamics, make_grid
+from gbbmlab import Field, GroundState, critical_speed, dynamics, make_grid
 from gbbmlab.functionals import _flow
 
 L_DEFAULT = 50.0 * math.pi
 
 
 @pytest.fixture(scope="session")
-def periodic_8192():
-    return make_grid(L_DEFAULT, 8192, PERIODIC)
-
-
-@pytest.fixture(scope="session")
 def periodic_4096():
-    return make_grid(L_DEFAULT, 4096, PERIODIC)
+    return make_grid(L_DEFAULT, 4096)
 
 
 @pytest.fixture(scope="session")
-def dirichlet_8192():
-    return make_grid(L_DEFAULT, 8192, DIRICHLET)
+def periodic_8192():
+    return make_grid(L_DEFAULT, 8192)
 
 
 @pytest.fixture(scope="session")

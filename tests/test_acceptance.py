@@ -29,8 +29,6 @@ import numpy as np
 import pytest
 
 from gbbmlab import (
-    DIRICHLET,
-    PERIODIC,
     Field,
     GroundState,
     closed_form_identities,
@@ -98,9 +96,8 @@ def test_criterion_2_identity_suite():
     for p in (4.1, 5.0, 10.0):
         c = critical_speed(p)
         gs = GroundState(p, c)
-        grid = make_grid(L50, 8192, DIRICHLET)
-        worst = max(worst, closed_form_identities(gs, grid).max_rel_error())
-        gp = make_grid(L50, 8192, PERIODIC)
+        gp = make_grid(L50, 8192)
+        worst = max(worst, closed_form_identities(gs, gp).max_rel_error())
         # step scaled by c-1: Q varies on that scale, and a fixed 1e-4 step
         # would measure pure FD truncation at p=4.1 where c-1 is 0.012
         dc = 1e-4 * (c - 1.0)
@@ -153,7 +150,7 @@ def test_criterion_3_hessian_image_identities(gs5, periodic_8192):
 def test_criterion_4a_single_negative_eigenvalue(p):
     gs = GroundState(p, critical_speed(p))
     counts = {
-        (N, L): eigenpairs(gs, make_grid(L, N, DIRICHLET)).negative_count
+        (N, L): eigenpairs(gs, make_grid(L, N)).negative_count
         for N in (1024, 2048, 4096)
         for L in (40.0 * math.pi, L50)
     }
@@ -164,7 +161,7 @@ def test_criterion_4a_single_negative_eigenvalue(p):
 @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
 def test_criterion_4b_kernel_overlap(p):
     gs = GroundState(p, critical_speed(p))
-    rep = eigenpairs(gs, make_grid(L50, 4096, DIRICHLET))
+    rep = eigenpairs(gs, make_grid(L50, 4096))
     ok = rep.kernel_overlap > 0.999
     check(f"4b (kernel overlap, p={p})", ok, f"overlap {rep.kernel_overlap:.6f} (tol 0.999)")
 
@@ -176,7 +173,7 @@ def test_criterion_4c_constrained_positivity(p):
     # <L^{-1} kappa, kappa> positive, so that minimum is definitely negative,
     # and its negativity comes from kappa, not from the kernel artefact.
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(L50, 2048, DIRICHLET)
+    grid = make_grid(L50, 2048)
     kappa = kappa_closed_form(gs.sample(grid))
     rep = constrained_form_minimum(
         gs.sample(grid), {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
@@ -236,14 +233,14 @@ def test_criterion_6_soliton_dynamics():
     p = 5.0
     c = critical_speed(p)
     gs = GroundState(p, c)
-    grid = make_grid(L50, 8192, PERIODIC)
+    grid = make_grid(L50, 8192)
     phi = gs.profile(grid)
     traj = evolve(phi, p, 20.0, dt=2e-3)
     exact = translate(phi, -c * float(traj.times[-1]))
     sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
     e_drift, q_drift = traj.energy_drift(), traj.momentum_drift()
 
-    disp_grid = make_grid(L50, 4096, PERIODIC)
+    disp_grid = make_grid(L50, 4096)
     disp_err = 0.0
     for mode in (3, 11, 40):
         k = 2.0 * math.pi * mode / (2.0 * L50)
@@ -273,7 +270,7 @@ def test_criterion_6_soliton_dynamics():
 # ---------------------------------------------------------------- criterion 7
 @pytest.fixture(scope="module")
 def instability_runs():
-    grid = make_grid(L50, 4096, PERIODIC)
+    grid = make_grid(L50, 4096)
     return {
         a: instability_experiment(5.0, a, grid, dt=2e-3, t_end=60.0)
         for a in (0.005, 0.01, 0.02)

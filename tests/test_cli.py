@@ -10,7 +10,6 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from gbbmlab import (
-    DIRICHLET,
     BlowupError,
     ExperimentReport,
     Field,
@@ -232,7 +231,7 @@ class TestOtherCommands:
         gs = GroundState(5.0, critical_speed(5.0))
         reference = {}
         for n in grids:
-            grid = make_grid(50.0 * math.pi, n, DIRICHLET)
+            grid = make_grid(50.0 * math.pi, n)
             prof = gs.sample(grid)
             constraints = {"translation_mode": Field(grid, prof.phi_x),
                            "kappa": kappa_closed_form(prof)}
@@ -284,7 +283,7 @@ class TestOtherCommands:
         assert probes == {1024: 8, 2048: 5, 4096: 4, 8192: 3, 16384: 3}
 
     def test_eigensolves_run_on_the_halves(self, tmp_path, monkeypatch):
-        # on a grid with n = N - 1 interior nodes, every index-range eigensolve
+        # on a grid with the n = N - 1 nodes of T, every index-range eigensolve
         # and inverse-iteration solve runs on an even or odd half of T (N/2 or
         # N/2 - 1 unknowns), and every Sturm count and secular probe on T
         grids, calls = [], []
@@ -619,7 +618,7 @@ class TestGridSize:
         ("spectrum", []),
         ("coercivity", []),
     ])
-    def test_dirichlet_default_is_the_fixed_size(self, tmp_path, command, argv):
+    def test_default_is_the_fixed_size(self, tmp_path, command, argv):
         # their reference values were taken at N = 8192: the default run
         # writes exactly the files of an explicit --N 8192
         run(tmp_path / "default", command, *argv)

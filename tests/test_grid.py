@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from gbbmlab import (
-    DIRICHLET,
-    PERIODIC,
     Field,
     GridError,
     derivative,
@@ -15,6 +13,7 @@ from gbbmlab import (
     norm_h1,
     quadrature,
 )
+from gbbmlab.grid import _fd_derivative
 from conftest import smooth_random_field
 from reference_paths import first_difference_4, second_difference_4
 
@@ -22,27 +21,16 @@ L50 = 50.0 * math.pi
 
 
 def test_make_grid_spacing():
-    g = make_grid(L50, 4096, PERIODIC)
+    g = make_grid(L50, 4096)
     assert g.h == pytest.approx(100.0 * math.pi / 4096, rel=1e-15)
     assert g.nodes.size == 4096
     assert g.nodes[0] == pytest.approx(-L50)
-
-
-def test_make_grid_dirichlet_nodes():
-    g = make_grid(10.0, 16, DIRICHLET)
-    assert g.nodes.size == 17
-    assert g.nodes[0] == -10.0 and g.nodes[-1] == 10.0
 
 
 @pytest.mark.parametrize("L,N", [(10.0, 15), (10.0, 14), (-1.0, 64), (0.0, 64)])
 def test_make_grid_rejects(L, N):
     with pytest.raises(GridError):
         make_grid(L, N)
-
-
-def test_make_grid_rejects_unknown_boundary():
-    with pytest.raises(GridError):
-        make_grid(10.0, 64, "free")
 
 
 def test_field_validation():
@@ -62,26 +50,24 @@ def test_ensure_resolves():
         g.ensure_resolves(0.1)  # tail e^-1
 
 
-@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
-def test_quadrature_constant(boundary):
-    g = make_grid(10.0, 256, boundary)
-    f = Field(g, np.ones(g.node_count))
+def test_quadrature_constant():
+    g = make_grid(10.0, 256)
+    f = Field(g, np.ones(g.points))
     assert quadrature(f) == pytest.approx(20.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
-def test_quadrature_sech_squared(boundary):
+def test_quadrature_sech_squared():
     # antiderivative tanh evaluated at +-L
-    g = make_grid(L50, 8192, boundary)
+    g = make_grid(L50, 8192)
     f = Field(g, 1.0 / np.cosh(g.nodes) ** 2)
     assert quadrature(f) == pytest.approx(2.0 * math.tanh(L50), abs=1e-12)
 
 
-def test_quadrature_ground_state_norm(gs5, dirichlet_8192):
+def test_quadrature_ground_state_norm(gs5, periodic_8192):
     from gbbmlab import normalized_profile_norm_sq
 
-    phi = gs5.profile(dirichlet_8192)
-    quad = quadrature(Field(dirichlet_8192, phi.values ** 2))
+    phi = gs5.profile(periodic_8192)
+    quad = quadrature(Field(periodic_8192, phi.values ** 2))
     c, p = gs5.c, gs5.p
     closed = c ** 0.5 * (c - 1.0) ** (2.0 / p - 0.5) * normalized_profile_norm_sq(p)
     assert quad == pytest.approx(closed, rel=1e-8)
@@ -98,24 +84,21 @@ def test_quadrature_linearity(rng):
 
 
 def test_derivative_sine_mode():
-    g = make_grid(L50, 256, PERIODIC)
+    g = make_grid(L50, 256)
     k = math.pi / g.half_width
     f = Field(g, np.sin(k * g.nodes))
     df = derivative(f, 1)
     assert np.max(np.abs(df.values - k * np.cos(k * g.nodes))) < 1e-10
 
 
-@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
-def test_derivative_constant(boundary):
-    g = make_grid(10.0, 128, boundary)
-    df = derivative(Field(g, np.full(g.node_count, 3.7)), 1)
+def test_derivative_constant():
+    g = make_grid(10.0, 128)
+    df = derivative(Field(g, np.full(g.points, 3.7)), 1)
     assert np.max(np.abs(df.values)) < 1e-12
 
 
-@pytest.mark.parametrize("boundary,N", [(PERIODIC, 8192), (DIRICHLET, 32768)])
-def test_derivative_matches_analytic_profile(gs5, boundary, N):
-    # finite differences need the finer grid to reach 1e-8; spectral does not
-    g = make_grid(L50, N, boundary)
+def test_derivative_matches_analytic_profile(gs5):
+    g = make_grid(L50, 8192)
     phi = gs5.profile(g)
     dphi = gs5.profile_dx(g)
     num = derivative(phi, 1)
@@ -124,7 +107,7 @@ def test_derivative_matches_analytic_profile(gs5, boundary, N):
 
 @pytest.mark.parametrize("order", [2])
 def test_higher_derivatives_on_gaussian(order):
-    g = make_grid(30.0, 2048, PERIODIC)
+    g = make_grid(30.0, 2048)
     x = g.nodes
     f = Field(g, np.exp(-(x ** 2) / 2.0))
     exact = (x ** 2 - 1.0) * np.exp(-(x ** 2) / 2.0)
@@ -133,40 +116,28 @@ def test_higher_derivatives_on_gaussian(order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_dirichlet_derivative_is_eighth_order(gs5, order):
-    # nodes 4..n-5 take the 8th-order stencil, so halving h cuts the error on
-    # phi_c by up to 2^8 (order 1: 228x and 248x; order 2: 227x and 235x); the
-    # 4th-order reference by 2^4
+def test_fd_derivative_is_eighth_order(gs5, order):
+    # _fd_derivative fills nodes 4..n-5 with the 8th-order stencil, so halving
+    # h cuts the error on phi_c by up to 2^8 (order 1: 228x and 248x; order 2:
+    # 227x and 235x); the 4th-order reference by 2^4
     reference_path = {1: first_difference_4, 2: second_difference_4}[order]
     errors, reference = [], []
     for n in (2048, 4096, 8192):
-        g = make_grid(L50, n, DIRICHLET)
+        g = make_grid(L50, n)
         prof = gs5.sample(g)
-        exact = {1: prof.phi_x, 2: prof.phi_xx}[order]
-        errors.append(np.max(np.abs(derivative(Field(g, prof.phi), order).values - exact)[4:-4]))
-        reference.append(np.max(np.abs(reference_path(prof.phi, g.h) - exact)[4:-4]))
+        exact = {1: prof.phi_x, 2: prof.phi_xx}[order][4:-4]
+        errors.append(np.max(np.abs(_fd_derivative(prof.phi, g.h, order) - exact)))
+        reference.append(np.max(np.abs(reference_path(prof.phi, g.h)[4:-4] - exact)))
     assert all(a >= 200.0 * b for a, b in zip(errors, errors[1:]))
     assert all(15.0 <= a / b <= 17.0 for a, b in zip(reference, reference[1:]))
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_dirichlet_derivative_keeps_the_edge_stencils(rng, order):
-    # the four nodes at each end keep the 4th-order and one-sided stencils
-    g = make_grid(10.0, 64, DIRICHLET)
-    v = smooth_random_field(g, rng).values
-    reference_path = {1: first_difference_4, 2: second_difference_4}[order]
-    edges = [0, 1, 2, 3, -4, -3, -2, -1]
-    assert np.array_equal(derivative(Field(g, v), order).values[edges],
-                          reference_path(v, g.h)[edges])
-
-
 def test_derivative_rejects_bad_order():
-    # orders 1 and 2 only, on either boundary flavor
-    for boundary in (PERIODIC, DIRICHLET):
-        g = make_grid(10.0, 64, boundary)
-        for order in (0, 3, 4):
-            with pytest.raises(GridError):
-                derivative(Field(g, np.zeros(g.node_count)), order)
+    # orders 1 and 2 only
+    g = make_grid(10.0, 64)
+    for order in (0, 3, 4):
+        with pytest.raises(GridError):
+            derivative(Field(g, np.zeros(g.points)), order)
 
 
 def test_helmholtz_constant():
@@ -224,14 +195,3 @@ def test_periodic_norm_h1_is_the_trapezoid(rng, rough):
     trap = quadrature(Field(g, u.values ** 2 + ux ** 2))
     assert norm_h1(u) ** 2 == pytest.approx(trap, rel=1e-13)
 
-
-def test_helmholtz_requires_periodic():
-    g = make_grid(10.0, 64, DIRICHLET)
-    with pytest.raises(GridError):
-        helmholtz_inverse(Field(g, np.zeros(g.node_count)))
-
-
-def test_norm_h1_requires_periodic():
-    g = make_grid(10.0, 64, DIRICHLET)
-    with pytest.raises(GridError, match="norm_h1 requires a periodic grid"):
-        norm_h1(Field(g, np.zeros(g.node_count)))

@@ -5,7 +5,6 @@ import pytest
 
 from gbbmlab import (
     Field,
-    GridError,
     GroundState,
     ModulationError,
     critical_speed,
@@ -33,7 +32,7 @@ H4096 = 2.0 * L50 / 4096
 
 @pytest.fixture(scope="module")
 def fine_grid():
-    return make_grid(L50, 32768, "periodic")
+    return make_grid(L50, 32768)
 
 
 class TestCutoff:
@@ -229,9 +228,21 @@ class TestDecompose:
         wrapped = ((grid.nodes - y + L) % (2.0 * L)) - L
         assert np.max(np.abs(offsets - wrapped)) <= 1e-13 * L
 
-    def test_offsets_need_a_periodic_grid(self):
-        with pytest.raises(GridError, match="periodic"):
-            modulation._offsets(make_grid(L50, 64, "dirichlet_truncated"), 0.5)
+    def test_offsets_stay_in_the_box_near_grid_multiples(self, periodic_4096):
+        # y = k h, -3000 <= k < 3000, and its two float neighbours: unless
+        # mapped back, rounding carries the rotated top node to +L for 294 of
+        # the 6000 y = k h (3874 of all 18000 y) and the rotated bottom node
+        # below -L for 363 y
+        grid = periodic_4096
+        L = grid.half_width
+        outside = []
+        for k in range(-3000, 3000):
+            y0 = k * grid.h
+            for y in (y0, float(np.nextafter(y0, np.inf)), float(np.nextafter(y0, -np.inf))):
+                offsets = modulation._offsets(grid, y)
+                if not (offsets.min() >= -L and offsets.max() < L):
+                    outside.append(y)
+        assert outside == []
 
     def test_guess_validation(self, gs5, periodic_4096):
         with pytest.raises(ValueError):
@@ -240,7 +251,7 @@ class TestDecompose:
 
 def short_start(gs5, a):
     """The arguments of the short runs: u0 = (1 - a) phi_c, p, t_end and dt."""
-    grid = make_grid(L50, 4096, "periodic")
+    grid = make_grid(L50, 4096)
     return Field(grid, (1.0 - a) * gs5.profile(grid).values), gs5.p, 3.0, 2e-3
 
 
@@ -260,7 +271,7 @@ def short_frames(gs5, short_runs):
 @pytest.fixture(scope="module")
 def frames_to_10(gs5):
     """The frames of u0 = 0.98 phi_c to t = 10 at N = 8192, 21 in all."""
-    grid = make_grid(L50, 8192, "periodic")
+    grid = make_grid(L50, 8192)
     return evolve(Field(grid, 0.98 * gs5.profile(grid).values), gs5.p, 10.0, dt=0.025).frames
 
 
@@ -363,7 +374,7 @@ class TestGammaDiagnostics:
         # gamma assembled from closed-form norms equals the same expression
         # computed by quadrature of sampled profiles
         p, c = gs5.p, gs5.c
-        grid = make_grid(L50, 8192, "dirichlet_truncated")
+        grid = make_grid(L50, 8192)
         for lam in (c, 1.2, 1.05):
             gsl = GroundState(p, lam)
             n2 = quadrature(Field(grid, gsl.profile(grid).values ** 2))
@@ -410,7 +421,7 @@ class TestVirialMonitor:
 
 @pytest.fixture(scope="module")
 def experiment_report():
-    grid = make_grid(L50, 4096, "periodic")
+    grid = make_grid(L50, 4096)
     return instability_experiment(5.0, 0.01, grid, dt=2e-3, t_end=10.0)
 
 
@@ -431,7 +442,7 @@ class TestInstabilityExperiment:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(modulation, "decompose", spy)
-        grid = make_grid(L50, 1024, "periodic")
+        grid = make_grid(L50, 1024)
         rep = instability_experiment(5.0, a, grid, dt=0.025, t_end=2.0)
         assert len(rep.frames) == 5
         assert len(calls) == len(rep.frames)
@@ -463,7 +474,7 @@ class TestInstabilityExperiment:
         assert len(lines) == 2 + len(report.frames)
 
     def test_validation(self):
-        grid = make_grid(L50, 1024, "periodic")
+        grid = make_grid(L50, 1024)
         with pytest.raises(ValueError):
             instability_experiment(5.0, 0.5, grid, 60.0)
         with pytest.raises(ValueError):
@@ -480,7 +491,7 @@ class TestInstabilityExperiment:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(modulation, "decompose", counted)
-        grid = make_grid(L50, 1024, "periodic")
+        grid = make_grid(L50, 1024)
         rep = instability_experiment(5.0, 0.05, grid, dt=0.025, t_end=20.0)
         assert rep.tube_exit_time == 11.5
         assert rep.frames[-1].t == rep.tube_exit_time
@@ -489,7 +500,7 @@ class TestInstabilityExperiment:
 
     def test_time_past_the_exit_costs_nothing(self, flow_calls):
         # the stepping stops at the exit frame, so a later t_end changes nothing
-        grid = make_grid(L50, 1024, "periodic")
+        grid = make_grid(L50, 1024)
         runs = []
         for t_end in (20.0, 200.0):
             flow_calls.clear()
@@ -500,14 +511,14 @@ class TestInstabilityExperiment:
 
     def test_wide_cutoff_raises_before_any_step(self, flow_calls):
         # 2R < L is checked on frame 0, which the stream yields before stepping
-        grid = make_grid(L50, 1024, "periodic")
+        grid = make_grid(L50, 1024)
         with pytest.raises(ValueError, match="2R < L"):
             instability_experiment(5.0, 0.01, grid, 60.0, R=100.0)
         assert flow_calls == []
 
     def test_negative_cutoff_raises_before_any_step(self, flow_calls):
         # R = 0 takes the automatic cutoff; a negative R is refused, not mapped to it
-        grid = make_grid(L50, 1024, "periodic")
+        grid = make_grid(L50, 1024)
         with pytest.raises(ValueError, match="R > 0, got R=-5.0"):
             instability_experiment(5.0, 0.01, grid, 60.0, R=-5.0)
         assert flow_calls == []

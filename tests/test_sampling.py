@@ -6,7 +6,6 @@ import pytest
 
 import gbbmlab.ground_state as ground_state
 from gbbmlab import (
-    DIRICHLET,
     Field,
     GroundState,
     critical_speed,
@@ -43,7 +42,7 @@ def test_log_space_tail_at_p100_table_grid():
     # (sech^2)^{1/p} underflows to 0 far out at p = 100; exp((2/p) log sech) does not
     p = 100.0
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(L50, 1 << 20, DIRICHLET)
+    grid = make_grid(L50, 1 << 20)
     phi = gs.sample(grid).phi
     ls = ground_state._log_sech(gs.decay_rate * grid.nodes)
     assert np.all(phi > 0.0)
@@ -59,11 +58,11 @@ def test_normalized_norm_closed_form_matches_quadrature(p):
 
 
 @pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 100.0])
-def test_psi_is_scaled_c_derivative_minus_profile(p, dirichlet_8192):
+def test_psi_is_scaled_c_derivative_minus_profile(p, periodic_8192):
     # Psi_c = c d_c phi_c - phi_c / p equals phi_c [1/(p(c-1)) - x tanh(kx)/(2 sqrt(c(c-1)))]
     gs = GroundState(p, critical_speed(p))
-    prof = gs.sample(dirichlet_8192)
-    c, ax = gs.c, np.abs(dirichlet_8192.nodes)
+    prof = gs.sample(periodic_8192)
+    c, ax = gs.c, np.abs(periodic_8192.nodes)
     direct = prof.phi * (
         1.0 / (p * (c - 1.0)) - ax * np.tanh(gs.decay_rate * ax) / (2.0 * math.sqrt(c * (c - 1.0)))
     )
@@ -73,7 +72,7 @@ def test_psi_is_scaled_c_derivative_minus_profile(p, dirichlet_8192):
 @pytest.mark.parametrize("p", [5.0, 100.0])
 def test_kappa_matches_expanded_closed_form(p):
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
+    grid = make_grid(L50, table_points(p, gs.c, L50))
     prof = gs.sample(grid)
     c, x, B, D = gs.c, grid.nodes, gs.B, gs.D
     phi, dphi, ddphi = prof.phi, prof.phi_x, prof.phi_xx
@@ -108,7 +107,7 @@ class TestSamplingCounts:
         assert sum(log_sech_calls) <= 16_000
 
     def test_fit_decompose(self, gs5, log_sech_calls):
-        grid = make_grid(L50, 8192, "periodic")
+        grid = make_grid(L50, 8192)
         u = Field(grid, 0.98 * gs5.profile(grid).values)
         log_sech_calls.clear()
         st = decompose(u, gs5.p, (gs5.c, 0.0))
@@ -117,7 +116,7 @@ class TestSamplingCounts:
         assert len(log_sech_calls) == st.newton_iters + 1
 
     def test_virial_frame(self, gs5, log_sech_calls):
-        grid = make_grid(L50, 8192, "periodic")
+        grid = make_grid(L50, 8192)
         u = Field(grid, 0.98 * gs5.profile(grid).values)
         st = decompose(u, gs5.p, (gs5.c, 0.0))
         log_sech_calls.clear()
@@ -129,7 +128,7 @@ class TestSamplingCounts:
         # phi_c once, then one bundle per Newton iterate of each frame; the
         # extrapolated start leaves most frames at one iteration (two iterates).
         # A finite-difference lam-column took two more per iteration, 115 in all
-        grid = make_grid(L50, 8192, "periodic")
+        grid = make_grid(L50, 8192)
         rep = instability_experiment(5.0, 0.02, grid, dt=0.025, t_end=10.0)
         assert len(rep.frames) == 21
         assert len(log_sech_calls) <= 53
@@ -138,7 +137,7 @@ class TestSamplingCounts:
         # two per flow evaluation; per frame the guard's rfft (Q by Parseval
         # from it) and the rfft of norm_h1(xi), since decompose makes none
         # (shifting u by an rfft and one irfft per iterate made 5.6 a frame)
-        grid = make_grid(L50, 2048, "periodic")
+        grid = make_grid(L50, 2048)
         rep = instability_experiment(5.0, 0.02, grid, dt=0.025, t_end=10.0)
         assert len(rep.frames) == 21
         assert len(transform_calls) <= 2 * len(flow_calls) + 2 * len(rep.frames)

@@ -16,7 +16,7 @@ the whole suite); each mutant must fail the test named with it.
   `test_beta_linear_prediction_matches_richardson_limit`.
 - the leading first-order weight 4/5 in `grid.CENTRED_8` times (1 + 1e-6):
   `test_acceptance.py::test_criterion_1_table_reproduction`, the `TestTable`
-  tests of `test_cli.py`, `test_grid.py::test_dirichlet_derivative_is_eighth_order`
+  tests of `test_cli.py`, `test_grid.py::test_fd_derivative_is_eighth_order`
   and `test_structure.py::TestHalfLineRow::test_operator_path_is_eighth_order`.
 - the leading second-order weight 8/5 in `grid.CENTRED_8` times (1 + 1e-6):
   the same tests, and `test_structure.py::TestKappa::test_dual_path_sup`.
@@ -72,7 +72,7 @@ def test_beta_linear_prediction_matches_richardson_limit(p):
     # remainder, about -0.84 a relative at p = 5, -1.12 a at p = 6 and -2.19 a
     # at p = 10; two Richardson steps leave 9e-11, 2.6e-10 and 2.0e-9, so
     # 1e-7 leaves a 50x margin at p = 10
-    grid = make_grid(L50, 4096, "periodic")
+    grid = make_grid(L50, 4096)
     sizes = [2e-3 * 2.0 ** -k for k in range(4)]
     reports = [instability_experiment(p, a, grid, dt=1e-3, t_end=1e-3) for a in sizes]
     ratio = np.array([rep.beta_initial / a for rep, a in zip(reports, sizes)])
@@ -84,7 +84,7 @@ def test_beta_linear_prediction_matches_richardson_limit(p):
 @pytest.fixture(scope="module")
 def frame(gs5):
     """(virial report, modulation state) of u0 = 0.98 phi_c at t = 4, N = 4096."""
-    grid = make_grid(L50, 4096, "periodic")
+    grid = make_grid(L50, 4096)
     u0 = Field(grid, 0.98 * gs5.profile(grid).values)
     frames = evolve(u0, gs5.p, 4.0, dt=0.025).frames
     last = frames[-1]

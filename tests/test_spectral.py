@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
 
 from gbbmlab import (
-    DIRICHLET,
     Field,
     GridError,
     GroundState,
@@ -41,7 +40,7 @@ def dense_constrained_minimum(gs, grid, constraints):
     of the constraints (QR of [C, I]) and take the lowest eigenvalue."""
     T = dense_weinstein(gs, grid)
     n = T.shape[0]
-    C = np.stack([f.values[1:-1] for f in constraints.values()], axis=1)
+    C = np.stack([f.values[1:] for f in constraints.values()], axis=1)
     Qfull, _ = qr(np.concatenate([C, np.eye(n)], axis=1), mode="economic")
     Z = Qfull[:, C.shape[1]:n]
     return float(eigh(Z.T @ (T @ Z), eigvals_only=True, subset_by_index=[0, 0])[0])
@@ -54,7 +53,7 @@ def bisection_constrained_minimum(gs, grid, constraints):
     diag, off = discretize_weinstein(gs.sample(grid))
     k = len(constraints)
     w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k))
-    Q, _ = qr(np.stack([f.values[1:-1] for f in constraints.values()], axis=1),
+    Q, _ = qr(np.stack([f.values[1:] for f in constraints.values()], axis=1),
               mode="economic")
 
     def any_below(mu):
@@ -84,21 +83,21 @@ def coercivity_constraints(gs, grid):
 
 @pytest.fixture(scope="module")
 def grid2048():
-    return make_grid(L50, 2048, DIRICHLET)
+    return make_grid(L50, 2048)
 
 
 @pytest.fixture(scope="module")
 def negative_eigvec(gs5, grid2048):
     diag, off = discretize_weinstein(gs5.sample(grid2048))
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-    return w, Field(grid2048, np.pad(v[:, 0], 1))
+    return w, Field(grid2048, np.pad(v[:, 0], (1, 0)))
 
 
 class TestDiscretization:
     def test_potential_free_ground_mode(self, gs5, grid2048):
         # lowest Dirichlet eigenvalue of -d_xx + (1 - omega^2)
         h = grid2048.h
-        n = grid2048.node_count - 2
+        n = grid2048.points - 1
         diag = np.full(n, 2.0 / h ** 2 + (1.0 - gs5.omega ** 2))
         off = np.full(n - 1, -1.0 / h ** 2)
         w = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0]
@@ -111,16 +110,12 @@ class TestDiscretization:
 
     def test_kernel_action_small(self, gs5):
         # the sampled translation mode is annihilated up to O(h^2) truncation
-        grid = make_grid(L50, 4096, DIRICHLET)
+        grid = make_grid(L50, 4096)
         T = dense_weinstein(gs5, grid)
-        dpsi = gs5.c ** (-1.0 / gs5.p) * gs5.profile_dx(grid).values[1:-1]
+        dpsi = gs5.c ** (-1.0 / gs5.p) * gs5.profile_dx(grid).values[1:]
         resid = T @ dpsi
         edge = essential_spectrum_edge(gs5)
         assert np.linalg.norm(resid) / np.linalg.norm(dpsi) < 2e-2 * edge
-
-    def test_requires_dirichlet(self, gs5):
-        with pytest.raises(ValueError):
-            discretize_weinstein(gs5.sample(make_grid(L50, 2048, "periodic")))
 
 
 class TestEigenpairs:
@@ -129,19 +124,19 @@ class TestEigenpairs:
     @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
     def test_single_negative_eigenvalue(self, p, N, L):
         gs = GroundState(p, critical_speed(p))
-        rep = eigenpairs(gs, make_grid(L, N, DIRICHLET))
+        rep = eigenpairs(gs, make_grid(L, N))
         assert rep.negative_count == 1
 
     @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
     def test_kernel_overlap(self, p):
         gs = GroundState(p, critical_speed(p))
-        rep = eigenpairs(gs, make_grid(L50, 4096, DIRICHLET))
+        rep = eigenpairs(gs, make_grid(L50, 4096))
         assert rep.kernel_overlap > 0.999
 
     def test_kernel_eigenvalue_refines_to_zero(self, gs5):
         # tolerance derived from the observed O(h^2) convergence of the
         # discrete kernel mode; at N=32768 it sits below 1e-5 of the gap
-        rep = eigenpairs(gs5, make_grid(L50, 32768, DIRICHLET))
+        rep = eigenpairs(gs5, make_grid(L50, 32768))
         assert abs(rep.kernel_eigenvalue) < 1e-5 * abs(rep.eigenvalues[0])
         assert rep.kernel_overlap > 0.999
 
@@ -153,8 +148,8 @@ class TestEigenpairs:
         assert third == pytest.approx(edge, rel=0.05)
 
     def test_eigenvalues_stable_under_refinement(self, gs5):
-        w1 = eigenpairs(gs5, make_grid(L50, 2048, DIRICHLET)).eigenvalues[:3]
-        w2 = eigenpairs(gs5, make_grid(L50, 4096, DIRICHLET)).eigenvalues[:3]
+        w1 = eigenpairs(gs5, make_grid(L50, 2048)).eigenvalues[:3]
+        w2 = eigenpairs(gs5, make_grid(L50, 4096)).eigenvalues[:3]
         scale = abs(w2[0])
         assert np.max(np.abs(w1 - w2)) < 1e-3 * scale
 
@@ -171,13 +166,13 @@ class TestEigenpairs:
         # reference: the eigenvector stein returns from the full-T eigensolve;
         # eigenpairs solves on T's halves, so its values agree within 2 tol
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, 4096, DIRICHLET)
+        grid = make_grid(L50, 4096)
         rep = eigenpairs(gs, grid)
         diag, off = discretize_weinstein(gs.sample(grid))
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 5))
         assert np.all(np.abs(rep.eigenvalues - w) <= 2.0 * spectral._resolution(diag))
         vec = v[:, int(np.argmin(np.abs(w)))]
-        dphi = gs.profile_dx(grid).values[1:-1]
+        dphi = gs.profile_dx(grid).values[1:]
         overlap = abs(vec @ dphi) / (np.linalg.norm(vec) * np.linalg.norm(dphi))
         assert abs(rep.kernel_overlap - overlap) <= 1e-12
 
@@ -185,13 +180,13 @@ class TestEigenpairs:
         # at p = 30 on N = 4096 the eigenvalue nearest zero is T's third, an
         # even box mode, so it is orthogonal to the odd phi_c' exactly
         gs = GroundState(30.0, critical_speed(30.0))
-        rep = eigenpairs(gs, make_grid(L50, 4096, DIRICHLET))
+        rep = eigenpairs(gs, make_grid(L50, 4096))
         assert rep.kernel_eigenvalue == rep.eigenvalues[2]
         assert rep.kernel_overlap == 0.0
 
 
 def unfold(refl, u, parity):
-    """The vector on the interior nodes with coordinates u in refl's even
+    """The vector on T's nodes, nodes[1:], with coordinates u in refl's even
     (parity 0) or odd (parity 1) basis: the inverse of refl.fold."""
     c = refl.c
     x = np.zeros(2 * c + 1)
@@ -219,7 +214,7 @@ class TestReflectionHalves:
     def test_halves_match_the_full_eigensolve(self, p, L, N):
         # reference: one index-range eigensolve on the full T
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L, N, DIRICHLET)
+        grid = make_grid(L, N)
         diag, off = discretize_weinstein(gs.sample(grid))
         tol = spectral._resolution(diag)
         w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 5))
@@ -262,7 +257,7 @@ class TestReflectionHalves:
 
     def test_more_eigenpairs_than_nodes_are_refused(self, gs5):
         # the halves hold 8 and 7 eigenvalues: all 15 of T, not 16
-        prof = gs5.sample(make_grid(L50, 16, DIRICHLET))
+        prof = gs5.sample(make_grid(L50, 16))
         refl = spectral._Reflection(*discretize_weinstein(prof))
         with pytest.raises(ValueError, match="at most 15 eigenpairs"):
             spectral._lowest(refl, 16)
@@ -343,23 +338,23 @@ class TestConstrainedMinimum:
             constrained_form_minimum(gs5.sample(grid2048), {"a": dphi, "b": double})
 
     def test_constraint_on_another_grid_is_refused(self, gs5, grid2048):
-        # same N, other L: the interior lengths agree, the grids do not
-        other = make_grid(40.0 * math.pi, 2048, DIRICHLET)
+        # same N, other L: the lengths on T's nodes agree, the grids do not
+        other = make_grid(40.0 * math.pi, 2048)
         with pytest.raises(GridError, match="another grid"):
             constrained_form_minimum(gs5.sample(grid2048),
                                      {"translation_mode": gs5.profile_dx(other)})
 
     def test_array_constraint_is_refused(self, gs5, grid2048):
-        # a constraint is a Field on the profile's grid, never its interior values
-        interior = gs5.profile_dx(grid2048).values[1:-1]
+        # a constraint is a Field on the profile's grid, never its values on T's nodes
+        on_t = gs5.profile_dx(grid2048).values[1:]
         with pytest.raises(GridError, match="not a Field on the profile's grid"):
-            constrained_form_minimum(gs5.sample(grid2048), {"translation_mode": interior})
+            constrained_form_minimum(gs5.sample(grid2048), {"translation_mode": on_t})
 
     @pytest.mark.parametrize("N, resolved", [(16, False), (32, False), (1024, True)])
     def test_report_carries_its_grid_kh(self, gs5, N, resolved):
         # k h <= 1 decides both whether a grid passes its minimum on and
         # whether coercivity's claim grid resolves phi_c
-        grid = make_grid(L50, N, DIRICHLET)
+        grid = make_grid(L50, N)
         rep = constrained_form_minimum(gs5.sample(grid), coercivity_constraints(gs5, grid))
         assert rep.kh == gs5.decay_rate * grid.h
         assert rep.resolved is resolved
@@ -375,7 +370,7 @@ class TestConstrainedMinimum:
     @pytest.mark.parametrize("N", [1024, 16384])
     def test_shifted_solve_matches_solve_banded(self, gs5, N, where, columns, rng):
         # reference: scipy's solve_banded on the assembled 3 x n band
-        diag, off = discretize_weinstein(gs5.sample(make_grid(L50, N, DIRICHLET)))
+        diag, off = discretize_weinstein(gs5.sample(make_grid(L50, N)))
         w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 2))
         shift = {"zero": 0.0, "mid_bracket": 0.5 * (w[0] + w[2]),
                  "near_eigenvalue": w[1] + 1e-7}[where]
@@ -394,7 +389,7 @@ class TestConstrainedMinimum:
     )
     def test_matches_dense_reference(self, p, second):
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, 1024, DIRICHLET)
+        grid = make_grid(L50, 1024)
         prof = gs.sample(grid)
         seconds = {
             "kappa": kappa_closed_form(prof),
@@ -409,7 +404,7 @@ class TestConstrainedMinimum:
     @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
     def test_newton_matches_bisection_reference(self, p, N, monkeypatch):
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, N, DIRICHLET)
+        grid = make_grid(L50, N)
         probes, solves = [], []
 
         def counting_solve(diag, off, shift, rhs):
@@ -426,7 +421,7 @@ class TestConstrainedMinimum:
         # eigenvalue's slope, so the count near the root is only as good as
         # the k x k eigensolve's small eigenvalues
         gs = GroundState(10.0, critical_speed(10.0))
-        grid = make_grid(L50, 128, DIRICHLET)
+        grid = make_grid(L50, 128)
         for centre, width in zip(rng.uniform(-20.0, 20.0, 20), rng.uniform(1.0, 40.0, 20)):
             constraints = coercivity_constraints(gs, grid)
             constraints["bump"] = Field(grid, np.exp(-((grid.nodes - centre) ** 2) / width))
@@ -438,7 +433,7 @@ class TestConstrainedMinimum:
         # a probe 2 tol across the root rounds to a bracket just wider than
         # 2 tol, and such a search stalled until the probe cap
         gs = GroundState(10.0, critical_speed(10.0))
-        grid = make_grid(L50, 128, DIRICHLET)
+        grid = make_grid(L50, 128)
         bump = Field(grid, np.exp(-((grid.nodes + 19.6) ** 2) / 23.0))
         assert_matches_bisection(gs, grid, {"bump": bump})
 
@@ -452,7 +447,7 @@ class TestConstrainedMinimum:
         # the kappa-constrained minimum rises toward its O(h^2) limit from below
         mins = []
         for N in (2048, 4096, 8192, 16384):
-            grid = make_grid(L50, N, DIRICHLET)
+            grid = make_grid(L50, N)
             prof = gs5.sample(grid)
             constraints = {
                 "translation_mode": Field(grid, prof.phi_x),
@@ -504,7 +499,7 @@ class TestBoundStates:
         gs = GroundState(p, critical_speed(p))
         ground = []
         for N in (4096, 8192):
-            diag, off = discretize_weinstein(gs.sample(make_grid(L50, N, DIRICHLET)))
+            diag, off = discretize_weinstein(gs.sample(make_grid(L50, N)))
             ground.append(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                            select_range=(0, 0))[0])
         assert abs((4.0 * ground[1] - ground[0]) / 3.0 - bound_states(gs).ground) <= bound
@@ -512,10 +507,10 @@ class TestBoundStates:
     def test_inverse_iteration_from_the_ground_mode(self, gs5):
         # on the full T, from the closed-form mode at the closed-form value;
         # measured 1 - 2.3e-9
-        prof = gs5.sample(make_grid(L50, 8192, DIRICHLET))
+        prof = gs5.sample(make_grid(L50, 8192))
         diag, off = discretize_weinstein(prof)
         tol = spectral._resolution(diag)
-        mode = prof.ground_mode[1:-1] / np.linalg.norm(prof.ground_mode[1:-1])
+        mode = prof.ground_mode[1:] / np.linalg.norm(prof.ground_mode[1:])
         _, residual, x = spectral._inverse_iteration(
             diag, off, mode, bound_states(gs5).ground, tol)
         assert residual <= tol
@@ -528,7 +523,7 @@ class TestBoundStates:
         gs = GroundState(p, critical_speed(p))
         edge = essential_spectrum_edge(gs)
         for N in RESOLUTION_SEQUENCE:
-            diag, off = discretize_weinstein(gs.sample(make_grid(L50, N, DIRICHLET)))
+            diag, off = discretize_weinstein(gs.sample(make_grid(L50, N)))
             for d, o in spectral._Reflection(diag, off).halves:
                 w = eigh_tridiagonal(d, o, eigvals_only=True, select="i", select_range=(0, 1))
                 assert w[0] < edge < w[1]
@@ -544,7 +539,7 @@ class TestCertifiedBoundStates:
         gs = GroundState(p, critical_speed(p))
         previous = reference = None
         for N in RESOLUTION_SEQUENCE:
-            grid = make_grid(L, N, DIRICHLET)
+            grid = make_grid(L, N)
             constraints = coercivity_constraints(gs, grid)
             calls = counting_lowest(monkeypatch)
             previous = constrained_form_minimum(gs.sample(grid), constraints, previous)
@@ -563,7 +558,7 @@ class TestCertifiedBoundStates:
         # N = 16 and 32 do not resolve phi_c; at N = 128 the two lowest values
         # converge but the Sturm count finds one eigenvalue up to r^2
         N = int(case[1:]) if case.startswith("N") else 2048
-        grid = make_grid(L50, N, DIRICHLET)
+        grid = make_grid(L50, N)
         constraints = coercivity_constraints(gs5, grid)
         if case == "three_constraints":
             constraints["bump"] = Field(grid, np.exp(-(grid.nodes ** 2) / 30.0))
@@ -602,7 +597,7 @@ class TestCertifiedBoundStates:
         assert abs(rep.constrained_min - reference.constrained_min) <= 2.0 * tol
 
     def test_previous_with_other_constraints_changes_nothing(self, gs5, grid2048):
-        coarse = make_grid(L50, 1024, DIRICHLET)
+        coarse = make_grid(L50, 1024)
         previous = constrained_form_minimum(gs5.sample(coarse), {})
         constraints = coercivity_constraints(gs5, grid2048)
         rep = constrained_form_minimum(gs5.sample(grid2048), constraints, previous)
@@ -624,7 +619,7 @@ def warm_chain(gs, L, sizes, monkeypatch, previous=None):
     monkeypatch.setattr(spectral, "_shifted_solve", recording)
     out = []
     for N in sizes:
-        grid = make_grid(L, N, DIRICHLET)
+        grid = make_grid(L, N)
         constraints = coercivity_constraints(gs, grid)
         cold = constrained_form_minimum(gs.sample(grid), constraints)
         shifts.clear()
@@ -682,7 +677,7 @@ class TestWarmStart:
     def test_other_constraints_give_no_prediction(self, gs5, monkeypatch):
         # other constraints: the coarser minimum predicts nothing and the
         # search starts mid-bracket
-        coarse = make_grid(L50, 1024, DIRICHLET)
+        coarse = make_grid(L50, 1024)
         other = {"translation_mode": gs5.profile_dx(coarse),
                  "bump": Field(coarse, np.exp(-(coarse.nodes ** 2) / 30.0))}
         previous = constrained_form_minimum(gs5.sample(coarse), other)
@@ -694,20 +689,20 @@ class TestNegativeDirection:
     @pytest.mark.parametrize("p", [5.0, 10.0])
     def test_closed_form_negative(self, p):
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, 8192, DIRICHLET)
+        grid = make_grid(L50, 8192)
         rep = negative_direction_check(gs, grid)
         assert rep.closed_form < 0.0
         assert rep.quadrature_value < 0.0
 
     def test_quadrature_matches_closed_form(self, gs5):
-        grid = make_grid(L50, 8192, DIRICHLET)
+        grid = make_grid(L50, 8192)
         rep = negative_direction_check(gs5, grid)
         assert rep.rel_error < 1e-4
 
     def test_amplitude_vanishes_toward_p4(self):
         # prefactor 2(2/p - 1/2) goes to zero as p -> 4 (profiles below p=4.1
         # no longer fit the default box, so the sweep stops there)
-        grid = make_grid(L50, 8192, DIRICHLET)
+        grid = make_grid(L50, 8192)
         mags = []
         for p in (5.0, 4.5, 4.1):
             gs = GroundState(p, critical_speed(p))

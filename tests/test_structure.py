@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gbbmlab import (
-    DIRICHLET,
     Field,
     GroundState,
     SampledProfile,
@@ -26,9 +25,10 @@ from gbbmlab import (
 from gbbmlab import structure
 from gbbmlab.cli import DEFAULTS
 from gbbmlab.grid import DEFAULT_HALF_WIDTH, DEFAULT_POINTS
+from gbbmlab.functionals import hessian_values
 from gbbmlab.ground_state import trigamma
 from gbbmlab.structure import _cubic_image, _gamma, _kappa, row_cut, row_map
-from reference_paths import table_points, uniform_row
+from reference_paths import table_points, uniform_row, whole_difference_8
 
 L50 = 50.0 * math.pi
 
@@ -48,29 +48,29 @@ PRINTED_TABLE = {
 
 @pytest.fixture(scope="module")
 def table_grid_p5(gs5):
-    return make_grid(L50, table_points(gs5.p, gs5.c, L50), DIRICHLET)
+    return make_grid(L50, table_points(gs5.p, gs5.c, L50))
 
 
 class TestCoefficients:
     @pytest.mark.parametrize("p", [4.1, 5.0, 10.0, 30.0, 100.0])
     def test_d_negative_at_critical_speed(self, p):
         gs = GroundState(p, critical_speed(p))
-        grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
+        grid = make_grid(L50, table_points(p, gs.c, L50))
         _, D = coefficients(gs.sample(grid))
         assert D < 0.0
 
     def test_refinement_invariance(self, gs5):
-        g1 = make_grid(L50, 8192, DIRICHLET)
-        g2 = make_grid(L50, 16384, DIRICHLET)
+        g1 = make_grid(L50, 8192)
+        g2 = make_grid(L50, 16384)
         B1, D1 = coefficients(gs5.sample(g1))
         B2, D2 = coefficients(gs5.sample(g2))
         assert B1 == pytest.approx(B2, rel=1e-9)
         assert D1 == pytest.approx(D2, rel=1e-9)
 
-    def test_d_unwinds_to_norm(self, gs5, dirichlet_8192):
+    def test_d_unwinds_to_norm(self, gs5, periodic_8192):
         p, c = gs5.p, gs5.c
-        _, D = coefficients(gs5.sample(dirichlet_8192))
-        n2 = quadrature(Field(dirichlet_8192, gs5.profile(dirichlet_8192).values ** 2))
+        _, D = coefficients(gs5.sample(periodic_8192))
+        n2 = quadrature(Field(periodic_8192, gs5.profile(periodic_8192).values ** 2))
         assert D * (-2.0 * (p + 4.0) / (4.0 * p * c + 4.0 * c - 3.0 * p)) == pytest.approx(
             n2, rel=1e-13
         )
@@ -99,7 +99,7 @@ class TestClosedFormB:
     def test_matches_quadrature_on_table_grid(self, p, c):
         # the independent path: 3/2 ||x phi||^2 + 9/2 ||x phi_x||^2 - 3 ||phi||^2
         gs = GroundState(p, c)
-        grid = make_grid(L50, table_points(p, c, L50), DIRICHLET)
+        grid = make_grid(L50, table_points(p, c, L50))
         prof = gs.sample(grid)
         x = grid.nodes
         quad = (
@@ -169,10 +169,14 @@ class TestRowCut:
         s, x, xp, gamma, kap = mapped_row(gs)
         assert x[-1] == pytest.approx(cut, rel=1e-14)
         row = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
-        grid = make_grid(L50, table_points(p, gs.c, L50), DIRICHLET)
+        grid = make_grid(L50, table_points(p, gs.c, L50))
         prof = gs.sample(grid)
         g = gamma_direction(prof)
-        terms = (g.values, kappa_closed_form(prof).values, hessian_apply(gs, g).values)
+        # the Hessian with finite differences, whose rounding stays local: with
+        # the box's spectral Gamma_xx it reads about 1e-12 of its peak beyond
+        # the cut at p = 100 and 200, the finite differences' 4e-18 and 2e-18
+        hess = hessian_values(gs, g.values, whole_difference_8(g.values, grid.h, 2), prof.phi_p)
+        terms = (g.values, kappa_closed_form(prof).values, hess)
         beyond = np.abs(grid.nodes) >= cut
         weight = prof.phi * (1.0 + np.abs(grid.nodes)) ** 3
         envelope = 10.0 ** (-structure.ROW_TAIL_DECADES / 2) * 2.0 ** (2.0 / p) * gs.amplitude
@@ -228,21 +232,21 @@ class TestHalfLineRow:
 
 
 class TestGammaDirection:
-    def test_even(self, gs5, dirichlet_8192):
-        vals = gamma_direction(gs5.sample(dirichlet_8192)).values
-        assert np.array_equal(vals, vals[::-1])
+    def test_even(self, gs5, periodic_8192):
+        vals = gamma_direction(gs5.sample(periodic_8192)).values
+        assert np.array_equal(vals[1:], vals[:0:-1])
 
-    def test_value_at_origin(self, gs5, dirichlet_8192):
-        B, _ = coefficients(gs5.sample(dirichlet_8192))
+    def test_value_at_origin(self, gs5, periodic_8192):
+        B, _ = coefficients(gs5.sample(periodic_8192))
         c = gs5.c
-        i0 = np.argmin(np.abs(dirichlet_8192.nodes))
-        psi0 = gs5.sample(dirichlet_8192).psi[i0]
-        phi0 = gs5.profile(dirichlet_8192).values[i0]
-        gamma0 = gamma_direction(gs5.sample(dirichlet_8192)).values[i0]
+        i0 = np.argmin(np.abs(periodic_8192.nodes))
+        psi0 = gs5.sample(periodic_8192).psi[i0]
+        phi0 = gs5.profile(periodic_8192).values[i0]
+        gamma0 = gamma_direction(gs5.sample(periodic_8192)).values[i0]
         assert gamma0 == pytest.approx(B * (c * c * psi0 + c * phi0), rel=1e-12)
 
-    def test_boundary_decay(self, gs5, dirichlet_8192):
-        vals = gamma_direction(gs5.sample(dirichlet_8192)).values
+    def test_boundary_decay(self, gs5, periodic_8192):
+        vals = gamma_direction(gs5.sample(periodic_8192)).values
         assert abs(vals[0]) < 1e-12 * np.max(np.abs(vals))
         assert abs(vals[-1]) < 1e-12 * np.max(np.abs(vals))
 
@@ -251,20 +255,20 @@ class TestKappa:
     def test_dual_path_sup(self, gs5):
         assert negativity_form(gs5, DEFAULT_HALF_WIDTH, DEFAULT_POINTS).dual_sup_error < 1e-6
 
-    def test_even(self, gs5, dirichlet_8192):
-        vals = kappa_closed_form(gs5.sample(dirichlet_8192)).values
-        assert np.array_equal(vals, vals[::-1])
+    def test_even(self, gs5, periodic_8192):
+        vals = kappa_closed_form(gs5.sample(periodic_8192)).values
+        assert np.array_equal(vals[1:], vals[:0:-1])
 
-    def test_reassembly_coefficients(self, gs5, dirichlet_8192):
+    def test_reassembly_coefficients(self, gs5, periodic_8192):
         # subtracting all closed-form pieces except the x phi_x one isolates
         # its coefficient, which must be 18 c D
         p, c = gs5.p, gs5.c
-        B, D = coefficients(gs5.sample(dirichlet_8192))
-        x = dirichlet_8192.nodes
-        phi = gs5.profile(dirichlet_8192).values
-        dphi = gs5.profile_dx(dirichlet_8192).values
-        ddphi = gs5.profile_dxx(dirichlet_8192).values
-        kap = kappa_closed_form(gs5.sample(dirichlet_8192)).values
+        B, D = coefficients(gs5.sample(periodic_8192))
+        x = periodic_8192.nodes
+        phi = gs5.profile(periodic_8192).values
+        dphi = gs5.profile_dx(periodic_8192).values
+        ddphi = gs5.profile_dxx(periodic_8192).values
+        kap = kappa_closed_form(gs5.sample(periodic_8192)).values
         rest = (
             (B * (p + 1.0) * c * c - B * p * c + 6.0 * c * D) * phi
             + B * (1.0 - p) * c * c * ddphi
@@ -274,9 +278,9 @@ class TestKappa:
         i = np.argmax(np.abs(x * dphi))
         assert (kap - rest)[i] / (x * dphi)[i] == pytest.approx(18.0 * c * D, rel=1e-12)
 
-    def test_orthogonal_to_translation_mode(self, gs5, dirichlet_8192):
-        kap = kappa_closed_form(gs5.sample(dirichlet_8192))
-        dphi = gs5.profile_dx(dirichlet_8192)
+    def test_orthogonal_to_translation_mode(self, gs5, periodic_8192):
+        kap = kappa_closed_form(gs5.sample(periodic_8192))
+        dphi = gs5.profile_dx(periodic_8192)
         assert abs(inner(kap, dphi)) < 1e-9 * norm_l2(kap) * norm_l2(dphi)
 
     def test_bilinear_symmetry_on_structural_directions(self, gs5, periodic_8192):
@@ -348,8 +352,8 @@ class TestNegativityTable:
         assert [r.p for r in report.rows] == [float(p) for p in DEFAULTS["p_list"].split(",")]
         uniform_points = 0
         for row in report.rows:
-            closed, operator, sup, grid = uniform_row(GroundState(row.p, row.c0), L50)
-            uniform_points += grid.points
+            closed, operator, sup, n = uniform_row(GroundState(row.p, row.c0), L50)
+            uniform_points += n
             assert row.form_value == pytest.approx(closed, rel=1e-11)
             assert row.operator_value == pytest.approx(operator, rel=2e-9)
         assert sum(r.points for r in report.rows) < uniform_points / 15
@@ -380,15 +384,15 @@ class TestNegativityTable:
 class TestModulationPairing:
     def test_identity_off_critical(self):
         gs = GroundState(5.0, 1.3)
-        grid = make_grid(L50, 8192, DIRICHLET)
+        grid = make_grid(L50, 8192)
         fd, closed = modulation_pairing(gs, grid)
         assert closed != 0.0
         assert fd == pytest.approx(closed, rel=1e-6)
 
-    def test_vanishes_at_critical_speed(self, gs5, dirichlet_8192):
-        fd, closed = modulation_pairing(gs5, dirichlet_8192)
-        kap = kappa_closed_form(gs5.sample(dirichlet_8192))
-        dcphi = gs5.profile_dc(dirichlet_8192)
+    def test_vanishes_at_critical_speed(self, gs5, periodic_8192):
+        fd, closed = modulation_pairing(gs5, periodic_8192)
+        kap = kappa_closed_form(gs5.sample(periodic_8192))
+        dcphi = gs5.profile_dc(periodic_8192)
         scale = norm_l2(kap) * norm_l2(dcphi)
         assert abs(closed) < 1e-12 * scale
         assert abs(fd) < 1e-5 * scale
@@ -398,7 +402,7 @@ class TestModulationPairing:
         p = 7.0
         for c in (1.25, 1.6):
             gs = GroundState(p, c)
-            grid = make_grid(L50, 8192, DIRICHLET)
+            grid = make_grid(L50, 8192)
             _, closed = modulation_pairing(gs, grid)
             B, _ = coefficients(gs.sample(grid))
             dq = closed_form_identities(gs, grid)["dc_momentum"].closed_form
