@@ -27,6 +27,27 @@ def test_make_grid_spacing():
     assert g.nodes[0] == pytest.approx(-L50)
 
 
+@pytest.mark.parametrize("L,N", [(10.0, 16), (L50, 4096)], ids=["16", "4096"])
+def test_make_grid_nodes(L, N):
+    # x_j = (j - N/2) h, j = 0..N-1: x = -L is a node and its periodic image
+    # x = L is not; x_{N/2} = 0 and the nodes around it mirror bitwise
+    g = make_grid(L, N)
+    x, c = g.nodes, N // 2
+    assert x.size == N
+    assert x[c] == 0.0
+    assert np.array_equal(x[c + 1:], -x[c - 1:0:-1])
+    assert np.allclose(np.diff(x), g.h, rtol=1e-12, atol=0.0)
+    assert x[0] == pytest.approx(-L, rel=1e-15)
+    assert x[-1] == pytest.approx(L - g.h, rel=1e-15)
+
+
+def test_grid_reports_its_node_count_and_box():
+    # the two read-only properties a profile trace records
+    g = make_grid(10.0, 64)
+    assert g.boundary == "periodic"
+    assert g.node_count == g.points == g.nodes.size
+
+
 @pytest.mark.parametrize("L,N", [(10.0, 15), (10.0, 14), (-1.0, 64), (0.0, 64)])
 def test_make_grid_rejects(L, N):
     with pytest.raises(GridError):
@@ -61,6 +82,18 @@ def test_quadrature_sech_squared():
     g = make_grid(L50, 8192)
     f = Field(g, 1.0 / np.cosh(g.nodes) ** 2)
     assert quadrature(f) == pytest.approx(2.0 * math.tanh(L50), abs=1e-12)
+
+
+def test_quadrature_is_spectral_on_periodic_integrands():
+    # the plain sum times h is the trapezoid rule of a 2L-periodic integrand,
+    # geometrically convergent: the integral of exp(sin(pi x / L)) over the
+    # box is 2 L I_0(1) to rounding already at N = 32
+    from scipy.special import i0
+
+    for N in (32, 64, 256):
+        g = make_grid(L50, N)
+        f = Field(g, np.exp(np.sin(math.pi * g.nodes / g.half_width)))
+        assert quadrature(f) == pytest.approx(2.0 * L50 * i0(1.0), rel=1e-14)
 
 
 def test_quadrature_ground_state_norm(gs5, periodic_8192):
@@ -130,6 +163,34 @@ def test_fd_derivative_is_eighth_order(gs5, order):
         reference.append(np.max(np.abs(reference_path(prof.phi, g.h)[4:-4] - exact)))
     assert all(a >= 200.0 * b for a, b in zip(errors, errors[1:]))
     assert all(15.0 <= a / b <= 17.0 for a, b in zip(reference, reference[1:]))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_derivative_is_exact_on_octics(order):
+    # nine-point stencils: x^k, k <= 8, differentiated exactly at nodes
+    # 4..n-5, the n - 8 values returned (n = 32 nodes, |x| <= 1)
+    g = make_grid(1.0, 32)
+    x = g.nodes
+    for k in range(9):
+        out = _fd_derivative(x ** k, g.h, order)
+        exact = (k * x ** (k - 1) if order == 1 else k * (k - 1) * x ** (k - 2)) if k >= order \
+            else np.zeros_like(x)
+        assert out.shape == (g.points - 8,)
+        assert np.max(np.abs(out - exact[4:-4])) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_derivative_keeps_parity(rng, order):
+    # differences summed in pairs: an even array gives an odd first and an
+    # even second difference bitwise, an odd array the reverse
+    wing = rng.normal(size=40)
+    even = np.concatenate([wing[::-1], [rng.normal()], wing])
+    odd = np.concatenate([-wing[::-1], [0.0], wing])
+    d_even = _fd_derivative(even, 0.1, order)
+    d_odd = _fd_derivative(odd, 0.1, order)
+    sign = -1.0 if order == 1 else 1.0
+    assert np.array_equal(d_even[::-1], sign * d_even)
+    assert np.array_equal(d_odd[::-1], -sign * d_odd)
 
 
 def test_derivative_rejects_bad_order():

@@ -104,6 +104,21 @@ class TestDiscretization:
         expected = (math.pi / (2.0 * L50)) ** 2 + (1.0 - gs5.omega ** 2)
         assert w == pytest.approx(expected, rel=1e-4)
 
+    @pytest.mark.parametrize("N", [1500, 2048])
+    def test_built_on_the_box_without_its_edge(self, gs5, N):
+        # T lives on nodes[1:], the N - 1 nodes other than x = -L: its
+        # diagonal samples the potential there, mirrors bitwise about x = 0
+        # and is deepest at x = 0
+        grid = make_grid(L50, N)
+        diag, off = discretize_weinstein(gs5.sample(grid))
+        x = grid.nodes[1:]
+        assert diag.size == N - 1 and off.size == N - 2
+        assert np.array_equal(diag, diag[::-1])
+        pot = (gs5.p + 1.0) * gs5.profile(grid).values[1:] ** gs5.p / gs5.c
+        expected = 2.0 / grid.h ** 2 + (1.0 - gs5.omega ** 2) - pot
+        assert np.max(np.abs(diag - expected)) <= 1e-12 * np.max(np.abs(diag))
+        assert x[np.argmin(diag)] == 0.0  # the well's floor, at phi_c's peak
+
     def test_matrix_symmetric(self, gs5, grid2048):
         T = dense_weinstein(gs5, grid2048)
         assert np.array_equal(T, T.T)
