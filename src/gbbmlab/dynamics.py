@@ -16,6 +16,13 @@ nonlinearity cannot be dealiased exactly; the 2/3 rule zeroes the top third of
 the transform of the flow. `stream` yields one `Frame` per record time,
 every RECORD_INTERVAL; `evolve` collects them.
 
+A step allocates nothing per stage. `stream` sizes the stage array K and the
+flow's work arrays (the nonlinearity, its running square and the spectrum)
+once; each stage sums its state in place and its flow's irfft writes straight
+into its row of K. The one array a step allocates holds its stage states and
+then the 8th-order state, so each accepted state is a new array that no later
+step writes to, and every frame may keep it.
+
 The grid is sized from the data (Boyd, Chebyshev and Fourier Spectral Methods,
 2nd ed., ch. 2): a Fourier coefficient below what the stepper resolves is one
 the grid need not carry. `auto_points` picks the smallest 2^k or 3 * 2^k
@@ -162,19 +169,34 @@ class Trajectory:
             [(f.t, f.E, f.Q) for f in self.frames]).T
 
     def energy_drift(self) -> float:
-        return float(np.max(np.abs(self.E_series - self.E_series[0])) / abs(self.E_series[0]))
+        return _drift(self.E_series)
 
     def momentum_drift(self) -> float:
-        return float(np.max(np.abs(self.Q_series - self.Q_series[0])) / abs(self.Q_series[0]))
+        return _drift(self.Q_series)
 
 
-def _dop853(v: np.ndarray, K: np.ndarray, h: float, g: Grid, p: float) -> np.ndarray:
+def _drift(series: np.ndarray) -> float:
+    """max |s - s[0]| / |s[0]|, and 0 for a series that never leaves its first
+    value: E and Q vanish only at u = 0, which the flow keeps exactly."""
+    dev = np.max(np.abs(series - series[0]))
+    return float(dev / abs(series[0])) if dev else 0.0
+
+
+def _dop853(v: np.ndarray, K: np.ndarray, h: float, g: Grid, p: float,
+            work: tuple | None = None) -> np.ndarray:
     """One DOP853 trial step of size h from v, where the stage array K has
     len(_A) + 1 rows and K[0] is the flow at v: fills K[1:], whose last row is
-    the flow at the returned 8th-order state. Twelve flow evaluations."""
+    the flow at the returned 8th-order state. Twelve flow evaluations, each
+    written straight into its row of K with `_flow`'s work arrays `work`
+    (None allocates them per stage). Every stage state is built in the one
+    array the step returns, v + h (row @ K[:i]) bitwise, so that state is new
+    each step and aliases neither K nor `work`."""
+    u = np.empty_like(v)
     for i, row in enumerate(_A, start=1):
-        u = v + h * (row @ K[:i])
-        K[i] = _flow(u, g, p)
+        np.dot(row, K[:i], out=u)
+        u *= h
+        u += v
+        _flow(u, g, p, K[i], work)
     return u
 
 
@@ -223,7 +245,8 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
     RECORD_INTERVAL raises BlowupError as a step collapse, naming the step and
     its error estimate. Frames fall at t = 0 (before any flow evaluation), at
     each k * RECORD_INTERVAL < t_end and at t_end, hit exactly by shortening
-    steps. One stage array serves every step.
+    steps. One stage array and one set of flow work arrays serve every
+    step; each step's state is a new array.
 
     Each frame transforms its state once. From that transform it takes Q by
     Parseval and then (so that BlowupError on a non-finite E or Q wins) the
@@ -261,8 +284,10 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
 
     evals = 0
     yield frame(0.0)
+    # the stage array and the flow's work arrays, sized once for every step
     K = np.empty((len(_A) + 1, v.size))
-    K[0] = _flow(v, g, p)
+    work = (np.empty(v.size), np.empty(v.size), np.empty(v.size // 2 + 1, complex))
+    _flow(v, g, p, K[0], work)
     t, h, after_reject, evals = 0.0, dt, False, 1
     if not h:
         h, evals = _first_step(v, K[0], g, p), 2
@@ -272,7 +297,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
             h_try = min(h, t_rec - t)
             evals += 12
             with np.errstate(over="ignore", invalid="ignore"):
-                v_new = _dop853(v, K, h_try, g, p)
+                v_new = _dop853(v, K, h_try, g, p, work)
                 scale = ATOL + RTOL * np.maximum(np.abs(v), np.abs(v_new))
                 e5, e3 = (h_try * float(np.max(np.abs(e @ K[:-1]) / scale))
                           for e in (_E5, _E3))

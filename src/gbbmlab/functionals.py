@@ -32,19 +32,28 @@ from .grid import Field, derivative, quadrature
 from .ground_state import GroundState
 
 
-def _nonlinear(u: np.ndarray, p: float) -> np.ndarray:
+def _nonlinear(u: np.ndarray, p: float, out: np.ndarray | None = None,
+               sq: np.ndarray | None = None) -> np.ndarray:
     # |u|^p u, well-defined for sign-changing u and non-integer p; one power
-    # and one product, within 2 ulp of sign(u) |u|^(p+1) and exactly 0 at u = 0
+    # and one product, within 2 ulp of sign(u) |u|^(p+1) and exactly 0 at u = 0.
+    # out receives the result and sq, on the integer path, the running square;
+    # each None allocates
     if not (p >= 0 and float(p).is_integer()):
-        out = np.abs(u) ** p
+        out = np.abs(u, out=out)
+        out **= p
         out *= u
         return out
     # integer p >= 0: u |u|^(p mod 2) (u^2)^(p // 2) by squaring, in place; at
     # N = 8192 about 3x cheaper than the float power
     n = int(p)
-    out = np.abs(u) if n % 2 else np.ones_like(u)
+    if n % 2:
+        out = np.abs(u, out=out)
+    elif out is None:
+        out = np.ones_like(u)
+    else:
+        out.fill(1.0)
     out *= u
-    sq, m = u * u, n // 2
+    sq, m = np.multiply(u, u, out=sq), n // 2
     while m:
         if m & 1:
             out *= sq
@@ -86,17 +95,25 @@ def _flow_symbol(grid) -> np.ndarray:
     k = grid.wavenumbers
     sym = -1j * k / (1.0 + k * k)
     sym[-1] = 0.0  # odd symbol: no Nyquist sine on the grid
+    sym.flags.writeable = False  # shared by every flow on the grid
     return sym
 
 
-def _flow(v: np.ndarray, grid, p: float) -> np.ndarray:
-    # -(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values, under the 2/3 rule.
-    # Only the bins below the cutoff are multiplied, in place, by the leading
-    # slice of the cached symbol: irfft zero-pads the rest, bitwise what a 0/1
-    # mask on every bin gives
-    w = _nonlinear(v, p)
+def _flow(v: np.ndarray, grid, p: float, out: np.ndarray | None = None,
+          work: tuple | None = None) -> np.ndarray:
+    """-(1 - d_xx)^{-1} d_x (v + |v|^p v) on raw values, under the 2/3 rule.
+
+    Only the bins below the cutoff are multiplied, in place, by the leading
+    slice of the cached symbol: irfft zero-pads the rest, bitwise what a 0/1
+    mask on every bin gives. out receives the flow; work = (w, sq, wh), two
+    real arrays of v's length and a complex one of N/2 + 1 bins, holds the
+    nonlinearity, its running square and the spectrum. None allocates them,
+    so a caller that passes them allocates nothing here.
+    """
+    w, sq, wh = work or (None, None, None)
+    w = _nonlinear(v, p, w, sq)
     w += v
-    band = _flow_symbol(grid)[:grid.dealias_cut]
-    wh = np.fft.rfft(w)[:band.size]
-    wh *= band
-    return np.fft.irfft(wh, n=grid.points)
+    cut = grid.dealias_cut
+    wh = np.fft.rfft(w, out=wh)
+    wh[:cut] *= _flow_symbol(grid)[:cut]
+    return np.fft.irfft(wh[:cut], n=grid.points, out=out)

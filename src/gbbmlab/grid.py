@@ -125,12 +125,14 @@ def norm_h1(f: Field) -> float:
 @lru_cache(maxsize=8)
 def _h1_weights(g: Grid) -> np.ndarray:
     """(h/N)(1 + k^2) per rfft bin, doubled for the bins standing for +-k; the
-    Nyquist bin carries no derivative. Shared, so never written to."""
+    Nyquist bin carries no derivative. Shared, so read-only."""
     k = g.wavenumbers
     w = 2.0 * (1.0 + k * k)
     w[0] = 1.0
     w[-1] = 1.0
-    return w * (g.h / g.points)
+    w *= g.h / g.points
+    w.flags.writeable = False
+    return w
 
 
 def _parseval_h1_sq(f_hat: np.ndarray, g: Grid) -> float:
@@ -168,10 +170,11 @@ def _fd_derivative(v: np.ndarray, h: float, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _derivative_symbol(g: Grid, order: int) -> np.ndarray:
-    """(ik)^order on the rfft bins of g; shared, so never written to."""
+    """(ik)^order on the rfft bins of g; shared, so read-only."""
     sym = (1j * g.wavenumbers) ** order
     if order % 2 == 1:
         sym[-1] = 0.0  # the Nyquist sine is not representable
+    sym.flags.writeable = False
     return sym
 
 

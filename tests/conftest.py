@@ -47,9 +47,9 @@ def flow_calls(monkeypatch):
     """One entry per flow evaluation `dynamics` makes."""
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return _flow(*args)
+        return _flow(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_flow", counted)
     return calls

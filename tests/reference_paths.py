@@ -13,7 +13,7 @@ from gbbmlab import (
     BlowupError, Field, Grid, GroundState, SampledProfile, decompose, derivative, energy, inner,
     momentum,
 )
-from gbbmlab.dynamics import _A, Frame, _dop853
+from gbbmlab.dynamics import _A, Frame
 from gbbmlab.functionals import _flow, _flow_symbol, _nonlinear, hessian_values
 from gbbmlab.grid import _fd_derivative
 from gbbmlab.modulation import VirialReport, _check_cutoff, _odd_cutoff, _residual
@@ -64,14 +64,19 @@ def linear_rhs(u: Field) -> Field:
 
 
 def step(u: Field, dt: float, p: float) -> Field:
-    """One uncontrolled 8th-order DOP853 step of the Hamiltonian flow: the
-    stage function `dynamics.stream` takes its controlled steps with."""
-    K = np.empty((len(_A) + 1, u.values.size))
-    K[0] = _flow(u.values, u.grid, p)
-    out = _dop853(u.values, K, dt, u.grid, p)
-    if not np.all(np.isfinite(out)):
+    """One uncontrolled 8th-order DOP853 step of the Hamiltonian flow in the
+    textbook allocating form: each stage state v + dt (row @ K[:i]) and each
+    stage's flow `_flow(state, grid, p)` new arrays. The reference for
+    `dynamics._dop853`, which builds the same stages in place."""
+    v, g = u.values, u.grid
+    K = np.empty((len(_A) + 1, v.size))
+    K[0] = _flow(v, g, p)
+    for i, row in enumerate(_A, start=1):
+        w = v + dt * (row @ K[:i])
+        K[i] = _flow(w, g, p)
+    if not np.all(np.isfinite(w)):
         raise BlowupError(float("nan"))
-    return Field(u.grid, out)
+    return Field(g, w)
 
 
 def float_power_nonlinearity(u: np.ndarray, p: float) -> np.ndarray:

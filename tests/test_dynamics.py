@@ -30,7 +30,7 @@ from gbbmlab import (
 )
 from gbbmlab import dynamics
 from gbbmlab.dynamics import (
-    _A, _E3, _E5, AUTO_POINTS, TAIL_TOL, _first_step, relative_tail,
+    _A, _E3, _E5, AUTO_POINTS, TAIL_TOL, _dop853, _first_step, relative_tail,
 )
 from gbbmlab.functionals import _flow, _nonlinear
 from conftest import decaying_random_field
@@ -136,6 +136,53 @@ class TestStep:
                 u = huge
                 for _ in range(50):
                     u = step(u, 10.0, gs5.p)
+
+
+def stepper_arrays(v, g, p):
+    """The stage array with K[0] the flow at v, and the flow's work arrays, as
+    `stream` sizes them."""
+    n = v.size
+    K = np.empty((len(_A) + 1, n))
+    work = (np.empty(n), np.empty(n), np.empty(n // 2 + 1, complex))
+    _flow(v, g, p, K[0], work)
+    return K, work
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("p, n", [(5.0, 2048), (6.0, 1536), (4.5, 1536)])
+    def test_matches_the_allocating_step(self, p, n):
+        # the stages built in place and each flow written into its row of K
+        # give the textbook step bitwise; the returned state is a new array,
+        # so the next step, reusing K and the work arrays, leaves it alone
+        g = make_grid(L50, n)
+        v = 0.98 * GroundState(p, critical_speed(p)).profile(g).values
+        K, work = stepper_arrays(v, g, p)
+        first = _dop853(v, K, 0.1, g, p, work)
+        assert np.array_equal(first, step(Field(g, v), 0.1, p).values)
+        assert np.array_equal(K[-1], evolution_rhs(Field(g, first), p).values)
+        assert not any(np.shares_memory(first, a) for a in (v, K, *work))
+        kept = first.copy()
+        K[0] = K[-1]
+        second = _dop853(first, K, 0.1, g, p, work)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, step(Field(g, kept), 0.1, p).values)
+
+    def test_step_allocates_only_its_state(self):
+        # the traced peak of one step at N = 2048, in N-length float arrays:
+        # the returned state and nothing per stage (4.1 with a new stage
+        # state and a new flow per stage)
+        n, p = 2048, 5.0
+        g = make_grid(L50, n)
+        v = GroundState(p, critical_speed(p)).profile(g).values
+        K, work = stepper_arrays(v, g, p)
+        _dop853(v, K, 0.1, g, p, work)  # the symbol and the transform plans are cached
+        tracemalloc.start()
+        try:
+            _dop853(v, K, 0.1, g, p, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * v.itemsize
 
 
 class TestDispersion:
@@ -259,15 +306,22 @@ class TestEvolve:
         trials = []
         dop853 = dynamics._dop853
 
-        def recorded(v, K, h, g, p):
+        def recorded(v, K, h, *args, **kwargs):
             trials.append(h)
-            return dop853(v, K, h, g, p)
+            return dop853(v, K, h, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_dop853", recorded)
         traj = evolve(Field(periodic_4096, zero), 5.0, 1.0)
         assert trials[0] == h
         assert all(not np.any(f.state.values) for f in traj.frames)
         assert traj.frames[-1].steps_rejected == 0
+
+    def test_drift_of_the_zero_state(self):
+        # E and Q vanish only at u = 0, which the flow keeps: no drift, not 0/0
+        g = make_grid(L50, 256)
+        traj = evolve(Field(g, np.zeros(g.points)), 5.0, 1.0)
+        assert not np.any(traj.E_series) and not np.any(traj.Q_series)
+        assert (traj.energy_drift(), traj.momentum_drift()) == (0.0, 0.0)
 
     def test_non_finite_probe_falls_back(self, gs5, periodic_4096):
         huge = 1e60 * gs5.profile(periodic_4096).values
@@ -385,9 +439,9 @@ class TestResolution:
         for n in (1536, 2048):
             trials[n] = []
 
-            def recorded(v, K, h, g, p, hs=trials[n]):
+            def recorded(v, K, h, *args, hs=trials[n], **kwargs):
                 hs.append(h)
-                return dop853(v, K, h, g, p)
+                return dop853(v, K, h, *args, **kwargs)
 
             monkeypatch.setattr(dynamics, "_dop853", recorded)
             grid = make_grid(L50, n)

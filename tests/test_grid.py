@@ -13,7 +13,8 @@ from gbbmlab import (
     norm_h1,
     quadrature,
 )
-from gbbmlab.grid import _fd_derivative
+from gbbmlab.functionals import _flow_symbol
+from gbbmlab.grid import _derivative_symbol, _fd_derivative, _h1_weights
 from conftest import smooth_random_field
 from reference_paths import first_difference_4, second_difference_4
 
@@ -46,6 +47,22 @@ def test_grid_reports_its_node_count_and_box():
     g = make_grid(10.0, 64)
     assert g.boundary == "periodic"
     assert g.node_count == g.points == g.nodes.size
+
+
+@pytest.mark.parametrize("cached", [
+    _flow_symbol, _h1_weights, lambda g: _derivative_symbol(g, 1),
+    lambda g: _derivative_symbol(g, 2),
+], ids=["flow_symbol", "h1_weights", "derivative_symbol_1", "derivative_symbol_2"])
+def test_shared_caches_are_read_only(cached):
+    # every later call on the grid gets the same array: a write to it raises
+    # instead of corrupting them
+    g = make_grid(10.0, 64)
+    a = cached(g)
+    assert cached(g) is a
+    with pytest.raises(ValueError, match="read-only"):
+        a *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0.0
 
 
 @pytest.mark.parametrize("L,N", [(10.0, 15), (10.0, 14), (-1.0, 64), (0.0, 64)])
