@@ -60,6 +60,10 @@ EXIT_CONSISTENCY = 3
 EXIT_USAGE = 64
 RESOLUTION_SEQUENCE = (1024, 2048, 4096, 8192, 16384)
 KERNEL_OVERLAP_MIN = 0.999
+# the N that N = 0 means for the commands that do not start from phi_c: the
+# sizes their reference values were taken at
+FIXED_POINTS = {"table": DEFAULT_POINTS, "identities": DEFAULT_POINTS,
+                "spectrum": 4096, "coercivity": 2048}
 
 # each key is a config-file key and, with "_" written "-", a flag of its default's type
 DEFAULTS = {
@@ -68,7 +72,6 @@ DEFAULTS = {
     "dt": 0.0,  # 0 means estimate the first step from the initial state
     "t_end": 20.0,
     "a": 0.01,
-    "R": 0.0,  # 0 means auto (10 / tail rate)
     "p": 5.0,
     "p_list": "4.1,4.5,5,6,6.5,10,30,50,70,100",
     "out": "out",
@@ -106,8 +109,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _grid_size(cfg: dict, command: str) -> int:
     """The N that command runs at, on the one periodic grid of every command.
-    table, identities, spectrum and coercivity take N = 0 as DEFAULT_POINTS,
-    the size their reference values were taken at. evolve and instability
+    table, identities, spectrum and coercivity take N = 0 as their entry of
+    FIXED_POINTS and compute at any explicit N. evolve and instability
     start from a multiple of phi_c, so they take it as the smallest 2^k or
     3 * 2^k that resolves phi_c (`auto_points`: a radix-3 FFT is cheap and the
     steps do not depend on N); at an explicit N they print one stderr line
@@ -115,8 +118,8 @@ def _grid_size(cfg: dict, command: str) -> int:
     TAIL_TOL, naming the tail and the N that N = 0 would pick, and the run
     goes on."""
     n, L = cfg["N"], cfg["L"]
-    if command not in ("evolve", "instability"):
-        return n or DEFAULT_POINTS
+    if command in FIXED_POINTS:
+        return n or FIXED_POINTS[command]
     gs = GroundState(cfg["p"], critical_speed(cfg["p"]))
     if not n:
         return auto_points(gs, L)
@@ -209,15 +212,19 @@ def cmd_identities(cfg: dict) -> int:
            + _csv(keys, [r.values() for r in rows]))
     for r in report.records:
         print(f"{r.name:<16} rel_error={r.rel_error:.3e}")
-    return EXIT_OK if report.max_rel_error() < 1e-8 else EXIT_CLAIM
+    if not report.max_rel_error() < 1e-8:
+        worst = max(report.records, key=lambda r: r.rel_error)
+        print(f"claim failure: identity {worst.name} has rel_error {worst.rel_error:.3e} "
+              f"(must be below 1e-08)", file=sys.stderr)
+        return EXIT_CLAIM
+    return EXIT_OK
 
 
 def cmd_spectrum(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
-    grid = make_grid(cfg["L"], min(cfg["N"], 4096))
+    grid = make_grid(cfg["L"], cfg["N"])
     report = eigenpairs(gs, grid)
-    # "N" is the size the spectrum was computed at, not the requested one
     payload = {"N": grid.points, **_fields(
         report, "eigenvalues", "negative_count", "kernel_eigenvalue", "kernel_overlap")}
     _write(Path(cfg["out"]), "spectrum.json", _json_doc(cfg, "spectrum", payload))
@@ -237,7 +244,7 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_coercivity(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
-    claim_n = min(cfg["N"], 2048)
+    claim_n = cfg["N"]
     reports = {}
     # each grid's first secular probe comes from the coarser grids' minima
     previous = None
@@ -300,8 +307,13 @@ def cmd_evolve(cfg: dict) -> int:
     _write(outdir, "evolve.json", _json_doc(cfg, "evolve", payload))
     print(f"E drift={payload['energy_drift']:.3e} Q drift={payload['momentum_drift']:.3e} "
           f"soliton sup error={sup_err:.3e}")
-    ok = payload["energy_drift"] < 1e-8 and payload["momentum_drift"] < 1e-8
-    return EXIT_OK if ok else EXIT_CLAIM
+    failed = [f"{name} drift {payload[key]:.3e}"
+              for name, key in (("E", "energy_drift"), ("Q", "momentum_drift"))
+              if not payload[key] < 1e-8]
+    if failed:
+        print(f"claim failure: {' and '.join(failed)} (must be below 1e-08)", file=sys.stderr)
+        return EXIT_CLAIM
+    return EXIT_OK
 
 
 def instability_outputs(cfg: dict, report) -> dict:
@@ -333,8 +345,7 @@ def instability_outputs(cfg: dict, report) -> dict:
 
 def cmd_instability(cfg: dict) -> int:
     grid = make_grid(cfg["L"], cfg["N"])
-    report = instability_experiment(cfg["p"], cfg["a"], grid, dt=cfg["dt"],
-                                    t_end=cfg["t_end"], R=cfg["R"])
+    report = instability_experiment(cfg["p"], cfg["a"], grid, dt=cfg["dt"], t_end=cfg["t_end"])
     outdir = Path(cfg["out"])
     for name, text in instability_outputs(cfg, report).items():
         _write(outdir, name, text)

@@ -183,14 +183,14 @@ def _drift(series: np.ndarray) -> float:
 
 
 def _dop853(v: np.ndarray, K: np.ndarray, h: float, g: Grid, p: float,
-            work: tuple | None = None) -> np.ndarray:
+            work: tuple) -> np.ndarray:
     """One DOP853 trial step of size h from v, where the stage array K has
     len(_A) + 1 rows and K[0] is the flow at v: fills K[1:], whose last row is
     the flow at the returned 8th-order state. Twelve flow evaluations, each
-    written straight into its row of K with `_flow`'s work arrays `work`
-    (None allocates them per stage). Every stage state is built in the one
-    array the step returns, v + h (row @ K[:i]) bitwise, so that state is new
-    each step and aliases neither K nor `work`."""
+    written straight into its row of K with `_flow`'s work arrays `work`.
+    Every stage state is built in the one array the step returns,
+    v + h (row @ K[:i]) bitwise, so that state is new each step and aliases
+    neither K nor `work`."""
     u = np.empty_like(v)
     for i, row in enumerate(_A, start=1):
         np.dot(row, K[:i], out=u)

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 # the default box, half-width L = 50 pi, and its node count, at which the
-# reference values of table, identities, spectrum and coercivity were taken
+# reference values of table and identities were taken
 DEFAULT_HALF_WIDTH = 50.0 * np.pi
 DEFAULT_POINTS = 8192
 # the largest tail exp(-decay_rate L) a grid of half-width L may cut off

@@ -188,8 +188,11 @@ def _odd_cutoff(s: np.ndarray, R: float) -> np.ndarray:
 
 def _check_cutoff(R: float, grid: Grid) -> None:
     if not 0.0 < 2.0 * R < grid.half_width:
+        # instability_experiment fixes R by p, so name the box the run needs
+        need = f"; the run needs a half-width L > 2R = {2.0 * R:.2f}" if R > 0.0 else ""
         raise ValueError(
             f"cutoff needs 2R < L and R > 0, got R={R!r} on half-width {grid.half_width!r}"
+            + need
         )
 
 
@@ -330,15 +333,15 @@ def instability_experiment(
     grid: Grid,
     t_end: float,
     dt: float = 0.0,
-    R: float = 0.0,
 ) -> ExperimentReport:
     """Evolve u0 = (1-a) phi_c at the critical speed to t_end and monitor the virial budget.
 
     Frames are taken every dynamics.RECORD_INTERVAL time units, and dt is
     the first trial step of the error-controlled `stream`; dt = 0 estimates it
-    from u0, one flow evaluation more. R is the virial cutoff radius: R = 0
-    takes 10 / tail rate, and a negative R is refused. The tube is the H^1
-    ball of radius 0.1 ||phi_c||_{H^1} around the modulated profile. Every
+    from u0, one flow evaluation more. The virial cutoff radius is
+    R = 10 / tail rate of phi_c, and a grid whose half-width is not above 2R
+    is refused before any step. The tube is the H^1 ball of radius
+    0.1 ||phi_c||_{H^1} around the modulated profile. Every
     frame, u0 included, is decomposed by `decompose`, whose least-squares pair
     has a root throughout the tube; the kappa-orthogonal pair has none for this
     data when a > 0 (g(lambda) < 0 on [1.02, 1.30] at p = 5, a = 0.01), and its
@@ -355,7 +358,7 @@ def instability_experiment(
     c = critical_speed(p)
     gs = GroundState(p, c)
     phi = gs.profile(grid)
-    R = R or 10.0 / gs.tail_rate
+    R = 10.0 / gs.tail_rate
     u0 = Field(grid, (1.0 - a) * phi.values)
     floor = RTOL * 1.5 * R * energy(u0, p)
 

@@ -124,6 +124,15 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "identities.json").read_text())
         assert all(r["rel_error"] < 1e-8 for r in doc["result"])
 
+    def test_identities_claim_failure_names_the_worst_identity(self, tmp_path, capsys):
+        # N = 512 leaves dc_momentum, the worst identity, at 1.44e-6
+        assert run(tmp_path, "identities", "--N", "512") == 2
+        assert capsys.readouterr().err == (
+            "claim failure: identity dc_momentum has rel_error 1.437e-06 "
+            "(must be below 1e-08)\n")
+        doc = json.loads((tmp_path / "identities.json").read_text())
+        assert max(doc["result"], key=lambda r: r["rel_error"])["name"] == "dc_momentum"
+
     def test_spectrum(self, tmp_path):
         assert run(tmp_path, "spectrum", "--p", "5", "--N", "2048") == 0
         doc = json.loads((tmp_path / "spectrum.json").read_text())
@@ -386,16 +395,32 @@ class TestOtherCommands:
         assert run(tmp_path, "instability", "--N", "1024") == code
 
     def test_instability_wide_cutoff_usage_error(self, tmp_path, capsys):
-        # 2R = 200 exceeds the half-width 50 pi: the cutoff would jump at the wrap
-        assert run(tmp_path, "instability", "--R", "100", "--N", "1024",
-                   "--t-end", "2", "--dt", "0.025") == 64
-        assert "cutoff needs 2R < L" in capsys.readouterr().err
+        # at p = 4.1 the cutoff R = 10 / tail rate = 90.41, and 2R exceeds the
+        # half-width 50 pi: the cutoff would jump at the wrap. The refusal names
+        # the half-width the run needs, and a box above it runs
+        out = tmp_path / "out"
+        assert main(["instability", "--p", "4.1", "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cutoff needs 2R < L and R > 0, got R=90.41")
+        assert err.endswith("; the run needs a half-width L > 2R = 180.83\n")
+        assert not out.exists()
+        assert main(["instability", "--p", "4.1", "--L", "200", "--t-end", "2",
+                     "--out", str(out)]) == 2
+        doc = json.loads((out / "instability.json").read_text())
+        assert doc["result"]["verdict"] == "monotone-decreasing"
 
     def test_instability_negative_cutoff_usage_error(self, tmp_path, capsys):
-        # R = 0 means the automatic cutoff 10 / tail rate; a negative R is refused
+        # the cutoff is always 10 / tail rate: neither a flag nor a config
+        # line sets R, not even to a radius the box would take, and naming it
+        # is a usage error before anything is written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("R = 5\n")
         out = tmp_path / "out"
-        assert main(["instability", "--R", "-5", "--t-end", "1", "--out", str(out)]) == 64
-        assert "cutoff needs 2R < L and R > 0, got R=-5.0" in capsys.readouterr().err
+        assert main(["instability", "--R", "5", "--t-end", "1", "--out", str(out)]) == 64
+        assert "unrecognized arguments: --R 5" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "instability", "--t-end", "1",
+                     "--out", str(out)]) == 64
+        assert capsys.readouterr().err == "usage error: unknown config key 'R'\n"
         assert not out.exists()
 
 
@@ -466,17 +491,23 @@ class TestSchema:
         if rows is not None:
             assert len(cells) == len(rows)
 
-    @pytest.mark.parametrize("command, argv, n", [
-        ("spectrum", [], 4096),
-        ("spectrum", ["--N", "1024"], 1024),
-        ("coercivity", [], 2048),
-        ("coercivity", ["--N", "1024"], 1024),
-    ], ids=["spectrum-default", "spectrum-N1024", "coercivity-default", "coercivity-N1024"])
-    def test_result_records_the_size_it_was_computed_at(self, tmp_path, command, argv, n):
-        run(tmp_path, command, *argv)
+    @pytest.mark.parametrize("command, argv, n, code", [
+        ("spectrum", [], 4096, 0),
+        ("spectrum", ["--N", "1024"], 1024, 0),
+        ("coercivity", [], 2048, 2),
+        ("coercivity", ["--N", "1024"], 1024, 2),
+        # at p = 30 the default sizes do not resolve phi_c; these do
+        ("spectrum", ["--p", "30", "--N", "16384"], 16384, 0),
+        ("coercivity", ["--p", "30", "--N", "8192"], 8192, 2),
+    ], ids=["spectrum-default", "spectrum-N1024", "coercivity-default", "coercivity-N1024",
+            "spectrum-p30-N16384", "coercivity-p30-N8192"])
+    def test_result_records_the_size_it_was_computed_at(self, tmp_path, capsys, command, argv,
+                                                        n, code):
+        # every size is computed at as given: the config and the result agree
+        assert run(tmp_path, command, *argv) == code
+        assert "consistency failure" not in capsys.readouterr().err
         doc = json.loads((tmp_path / f"{command}.json").read_text())
-        assert doc["config"]["N"] == (int(argv[1]) if argv else 8192)
-        assert doc["result"]["N"] == n
+        assert doc["config"]["N"] == doc["result"]["N"] == n
 
 
 class TestExitCodes:
@@ -588,7 +619,8 @@ class TestGridSize:
         err = capsys.readouterr().err.splitlines()
         assert err == [
             "note: at N=8192 the initial state's relative spectral tail beyond the 2/3 "
-            "cutoff is 1.81e-06 > 1e-12; auto (N = 0) would pick N=24576"
+            "cutoff is 1.81e-06 > 1e-12; auto (N = 0) would pick N=24576",
+            "claim failure: Q drift 6.536e-08 (must be below 1e-08)",
         ]
 
     @pytest.mark.parametrize("argv", [[], ["--N", "2048"]], ids=["auto", "resolved"])
@@ -619,10 +651,11 @@ class TestGridSize:
         ("coercivity", []),
     ])
     def test_default_is_the_fixed_size(self, tmp_path, command, argv):
-        # their reference values were taken at N = 8192: the default run
-        # writes exactly the files of an explicit --N 8192
+        # the default run writes exactly the files of an explicit --N at the
+        # size the command's reference values were taken at
+        n = {"table": 8192, "identities": 8192, "spectrum": 4096, "coercivity": 2048}[command]
         run(tmp_path / "default", command, *argv)
-        run(tmp_path / "explicit", command, *argv, "--N", "8192")
+        run(tmp_path / "explicit", command, *argv, "--N", str(n))
         names = sorted(f.name for f in (tmp_path / "default").iterdir())
         assert names and names == sorted(f.name for f in (tmp_path / "explicit").iterdir())
         for name in names:
@@ -660,8 +693,8 @@ class TestTables:
     # per DEFAULTS key: (value in a config file, value of its flag)
     SETTINGS = {
         "L": ("100.0", "120.0"), "N": ("1024", "2048"), "dt": ("0.01", "0.02"),
-        "t_end": ("1.0", "2.0"), "a": ("0.02", "0.03"), "R": ("5.0", "6.0"),
-        "p": ("6.0", "7.0"), "p_list": ("5,6", "7"), "out": ("file_out", "flag_out"),
+        "t_end": ("1.0", "2.0"), "a": ("0.02", "0.03"), "p": ("6.0", "7.0"),
+        "p_list": ("5,6", "7"), "out": ("file_out", "flag_out"),
     }
 
     def test_every_key_is_set_by_file_and_flag_and_the_flag_wins(self, tmp_path, monkeypatch):
@@ -687,9 +720,11 @@ class TestTables:
         out = capsys.readouterr().out
         assert "{table,identities,spectrum,coercivity,evolve,instability}" in out
         for flag, metavar in (("--p", "P"), ("--p-list", "P_LIST"), ("--L", "L"), ("--N", "N"),
-                              ("--dt", "DT"), ("--t-end", "T_END"), ("--a", "A"), ("--R", "R"),
+                              ("--dt", "DT"), ("--t-end", "T_END"), ("--a", "A"),
                               ("--out", "OUT")):
             assert f"{flag} {metavar}" in out
+        # the cutoff radius is not an input
+        assert "--R" not in out
 
 
 class TestConfigFile:

@@ -379,12 +379,12 @@ class TestEvolve:
                           (decompose, "u p guess"), (auto_points, "gs L"),
                           (negativity_form, "gs L n_request"),
                           (negativity_table, "p_list L n_request"),
-                          (instability_experiment, "p a grid t_end dt R")):
+                          (instability_experiment, "p a grid t_end dt")):
             assert list(inspect.signature(fn).parameters) == names.split()
         # the box and the run's length come from the caller (the CLI's DEFAULTS);
-        # only the library's own automatic choices, 0 for dt and R, are defaults
+        # only the library's own automatic choice, 0 for dt, is a default
         for fn, defaults in ((negativity_form, {}), (negativity_table, {}),
-                             (instability_experiment, {"dt": 0.0, "R": 0.0})):
+                             (instability_experiment, {"dt": 0.0})):
             params = inspect.signature(fn).parameters.values()
             assert {q.name: q.default for q in params if q.default is not q.empty} == defaults
 

@@ -510,15 +510,17 @@ class TestInstabilityExperiment:
         assert runs[0] == runs[1]
 
     def test_wide_cutoff_raises_before_any_step(self, flow_calls):
-        # 2R < L is checked on frame 0, which the stream yields before stepping
-        grid = make_grid(L50, 1024)
-        with pytest.raises(ValueError, match="2R < L"):
-            instability_experiment(5.0, 0.01, grid, 60.0, R=100.0)
+        # 2R < L is checked on frame 0, which the stream yields before stepping:
+        # at p = 5 the cutoff 10 / tail rate has 2R = 62.3 > 50
+        grid = make_grid(50.0, 1024)
+        with pytest.raises(ValueError, match=r"2R < L .* needs a half-width L > 2R = 62\.3"):
+            instability_experiment(5.0, 0.01, grid, 60.0)
         assert flow_calls == []
 
-    def test_negative_cutoff_raises_before_any_step(self, flow_calls):
-        # R = 0 takes the automatic cutoff; a negative R is refused, not mapped to it
+    def test_negative_cutoff_raises_before_any_step(self, gs5, flow_calls):
+        # the monitor's R is library input: a negative R is refused on frame 0
         grid = make_grid(L50, 1024)
-        with pytest.raises(ValueError, match="R > 0, got R=-5.0"):
-            instability_experiment(5.0, 0.01, grid, 60.0, R=-5.0)
+        frames = stream(gs5.profile(grid), gs5.p, 60.0)
+        with pytest.raises(ValueError, match=r"R > 0, got R=-5\.0 on half-width \S+$"):
+            next(virial_monitor(frames, gs5.p, gs5.c, R=-5.0))
         assert flow_calls == []
