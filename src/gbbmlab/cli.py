@@ -32,7 +32,6 @@ import numpy as np
 
 from . import (
     BlowupError,
-    Field,
     GroundState,
     UnresolvedError,
     auto_points,
@@ -43,7 +42,6 @@ from . import (
     essential_spectrum_edge,
     evolve,
     instability_experiment,
-    kappa_closed_form,
     make_grid,
     negativity_table,
     translate,
@@ -245,21 +243,16 @@ def cmd_coercivity(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
     claim_n = cfg["N"]
-    reports = {}
-    # each grid's first secular probe comes from the coarser grids' minima
-    previous = None
-    for n in sorted({claim_n, *RESOLUTION_SEQUENCE}):
-        grid = make_grid(cfg["L"], n)
-        prof = gs.sample(grid)
-        constraints = {
-            "translation_mode": Field(grid, prof.phi_x),
-            "kappa": kappa_closed_form(prof),
-        }
-        previous = reports[n] = constrained_form_minimum(prof, constraints, previous)
+    reports = {n: constrained_form_minimum(gs.sample(make_grid(cfg["L"], n)))
+               for n in sorted({claim_n, *RESOLUTION_SEQUENCE})}
     report = reports[claim_n]
     payload = {
         "N": claim_n,
-        **_fields(report, "constrained_min", "constraints_used", "raw_min"),
+        "constrained_min": report.constrained_min,
+        # the minimum is always taken orthogonal to phi_c' and kappa_c; schema
+        # gbbmlab/1 keeps the key
+        "constraints_used": ["translation_mode", "kappa"],
+        "raw_min": report.raw_min,
         # the O(h^2) approach to the continuum limit, at the command's L
         "resolution": [
             {"N": n, "constrained_min": reports[n].constrained_min}
@@ -357,9 +350,19 @@ def cmd_instability(cfg: dict) -> int:
         print(f"consistency failure: every in-tube increment of I is at or below the "
               f"noise floor {report.noise_floor:.2e}; the run resolves no sign",
               file=sys.stderr)
-    # monotone-decreasing and inconclusive fail the claim
-    return {"monotone-increasing": EXIT_OK, "modulation-failed": EXIT_CONSISTENCY,
-            "below-noise-floor": EXIT_CONSISTENCY}.get(report.verdict, EXIT_CLAIM)
+        return EXIT_CONSISTENCY
+    if report.verdict == "modulation-failed":
+        print(f"consistency failure: the modulation decomposition failed after "
+              f"{len(report.frames)} frame(s), fewer than the 3 a verdict needs",
+              file=sys.stderr)
+        return EXIT_CONSISTENCY
+    if report.verdict != "monotone-increasing":
+        # monotone-decreasing and inconclusive fail the claim
+        print(f"claim failure: verdict {report.verdict} (fractions positive "
+              f"{report.positive_fraction:.3f}, negative {report.negative_fraction:.3f}), "
+              f"not monotone-increasing", file=sys.stderr)
+        return EXIT_CLAIM
+    return EXIT_OK
 
 
 # the command name -> handler map that the parser's choices and main's dispatch read

@@ -36,10 +36,11 @@ the even one: the m lowest are the ceil(m/2) lowest of T+ and the
 floor(m/2) lowest of T-, interleaved. The ground state is even and the
 kernel mode phi_c' odd. Bisection costs time in proportion to the matrix
 size, so every eigen-computation runs on the half it belongs to: the
-index-range eigensolves and every inverse iteration. The constrained
-minimum's secular probes stay on the full T: the constraints need not have
-a parity, and with k columns a probe is one solve and one k x k eigh either
-way, so blocking them gains nothing at these sizes.
+index-range eigensolves, every inverse iteration and the constrained
+minimum's secular search: its constraints kappa_c and phi_c' are even and
+odd to the bit on these nodes, so each half carries one of them, and the
+minimum on the complement of both is the lower of the halves' minima, each
+a root of one scalar secular function (constrained_form_minimum).
 
 Bound states in closed form: (p+1) phi_c^p / c = nu (nu+1) k^2 sech^2(kx),
 k = gs.decay_rate, nu = 1 + 2/p, so L = -d_xx + r^2 - nu (nu+1) k^2
@@ -47,18 +48,13 @@ sech^2(kx), r^2 = (c-1)/c, is a Pöschl-Teller well with bound states at
 r^2 - k^2 (nu - j)^2 for integers 0 <= j < nu (Pöschl & Teller, Z. Phys. 83,
 1933). As 1 < nu < 2 for p > 2, there are two (bound_states): lambda_0 =
 -(c-1) p (p+4) / (4c), with eigenfunction sech^{1+2/p}(kx), and 0, with
-phi_c'. With at most two constraints, the constrained minimum refines T's
-two lowest eigenvalues from them on every grid (inverse iteration on T+
-from the ground mode, on T- from phi_c') and, once they are certified below
-r^2, searches [theta_0, r^2] for two constraints (T's third eigenvalue is a
-box mode above r^2) or [theta_0, theta_1] for one. Index-range eigensolves
-give the bracket instead when the certificate fails, for three or more
-constraints, and when no probe finds a constrained eigenvalue below r^2,
-which makes the minimum a box mode, as for {phi_c', the ground mode}. The
-secular search starts at the midpoint of its bracket on the coarsest grid,
-and on each finer grid with the same constraints at the O(h^2) prediction
-from the coarser grids' minima, unless that prediction falls outside the
-bracket or those grids have k h > 1.
+phi_c'. The constrained minimum refines both on every grid (inverse
+iteration on T+ from the ground mode, on T- from phi_c') and, once they are
+certified below r^2, takes its brackets from them and r^2 (T's third
+eigenvalue, T+'s second, is a box mode above r^2). Index-range eigensolves
+give the brackets instead when the certificate fails and when the even half
+has no constrained eigenvalue below r^2, which makes its minimum a box mode.
+The even half's secular search starts at the midpoint of its bracket.
 
 A discretization footnote that matters: the discrete image of the kernel mode
 sits O(h^2) below zero (Dirichlet truncation pushes it negative), so a raw
@@ -68,15 +64,19 @@ eigenvalue nearest zero) and excludes it from negative_count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
+# qr and eigh are not called here: they stay bound only because bench/child.py's
+# trace wraps them by name (its spectral.qr_s and spectral.eigh_s metrics)
 from scipy.linalg import eigh, eigh_tridiagonal, qr
 from scipy.linalg.lapack import dgtsv
 
-from .grid import Field, Grid, GridError, inner
+from .grid import Field, Grid, inner
 from .ground_state import GroundState, SampledProfile, normalized_profile_norm_sq
 from .functionals import hessian_apply
+from .structure import kappa_closed_form
 
 
 class EigenSolveError(RuntimeError):
@@ -290,13 +290,8 @@ def _certified_bound_states(diag, off, refl: _Reflection, prof: SampledProfile,
 @dataclass(frozen=True)
 class CoercivityReport:
     constrained_min: float
-    constraints_used: tuple
     raw_min: float
     kh: float  # k h of the grid, k = gs.decay_rate
-    # (h^2, constrained_min) of this grid, after that of the grid before it
-    # when that one had the same constraints: the next grid's prediction.
-    # Empty from a grid that is not resolved
-    ladder: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def resolved(self) -> bool:
@@ -305,58 +300,44 @@ class CoercivityReport:
         return self.kh <= 1.0
 
 
-def _predicted_minimum(ladder: tuple, h2: float) -> float:
-    """The constrained minimum at grid spacing h = sqrt(h2), predicted from
-    the (h^2, minimum) pairs of up to two coarser grids: the line through
-    both evaluated at h2 (the error is O(h^2)), or the one grid's minimum;
-    nan with no pair."""
-    if len(ladder) == 2 and ladder[0][0] != ladder[1][0]:
-        (a, fa), (b, fb) = ladder
-        return fb + (fb - fa) * (h2 - b) / (b - a)
-    return ladder[-1][1] if ladder else np.nan
+def _secular(d, o, q, mu) -> tuple[float, float]:
+    """(s(mu), -s(mu)/s'(mu)): the secular function s(mu) = q^T y,
+    y = (T_h - mu)^{-1} q, of the half T_h = (d, o) and the unit constraint q,
+    and its Newton step, with s'(mu) = ||y||^2 from the same solve.
+    Non-finite values raise EigenSolveError."""
+    y = _shifted_solve(d, o, mu, q)
+    s = float(q @ y)
+    step = -s / float(y @ y)
+    if not (math.isfinite(s) and math.isfinite(step)):
+        raise EigenSolveError(f"non-finite secular function at shift {mu!r}")
+    return s, step
 
 
-def _secular_minimum(diag, off, Q, w, mu, tol) -> float:
-    """The constrained minimum on the bracket [w[0], w[-1]], where w holds
-    every eigenvalue of T below w[-1] ahead of it, and Q is an orthonormal
-    basis of the k constraints.
+def _secular_root(d, o, q, lo, hi, tol, mu=math.nan) -> float:
+    """The minimum of the half T_h = (d, o) on the complement of the unit
+    vector q, on the bracket [lo, hi]: lo is T_h's lowest eigenvalue and no
+    other lies below hi.
 
-    The constrained eigenvalues below mu number n_-(T - mu) + n_+(S) - k,
-    with the secular matrix S = Q^T Y, Y = (T - mu)^{-1} Q (Golub, SIAM Rev.
-    15, 1973). Each probe mu is one banded solve for Y and one k x k eigh of
-    S, and its count moves one end of the bracket. With n = n_-(T - mu), the
-    secular eigenvalue s_{n-1} (0-based, ascending) crosses zero at the
-    minimum, with derivative ||Y z||^2 from the same solve (S' = Y^T Y, z its
-    eigenvector). The first probe is mu when it lies strictly inside the
-    bracket, else the midpoint; the next is the Newton iterate when it lies
-    strictly inside the bracket and the midpoint otherwise, which handles
-    the poles of S and a minimum on the bracket top, where no secular
-    eigenvalue vanishes. T - mu changes only when mu moves by an ulp of the
-    diagonal, so a Newton step within tol = 8 eps max|diag| is followed by a
-    probe 1.5 tol across the root (not 2 tol, which rounding can leave just
-    short of closing the bracket), and hi (count positive; 0 at lo) returns
-    once hi - lo <= 2 tol.
+    Below mu the constrained eigenvalues number n_-(T_h - mu) + [s(mu) > 0] - 1
+    (Golub, SIAM Rev. 15, 1973; _secular gives s), so on (lo, hi) the sign of
+    s at a probe moves one end of the bracket: s increases there, from -inf
+    at lo, and crosses zero at the minimum. The first probe is mu when it lies
+    strictly inside the bracket, else the midpoint; the next is the Newton
+    iterate when it lies strictly inside the bracket and the midpoint
+    otherwise, which handles a minimum on the bracket top, where s need not
+    vanish. T_h - mu changes only when mu moves by an ulp of the diagonal, so
+    a Newton step within tol = 8 eps max|diag| is followed by a probe 1.5 tol
+    across the root (not 2 tol, which rounding can leave just short of
+    closing the bracket), and hi (s positive; -inf at lo) returns once
+    hi - lo <= 2 tol.
     """
-    k = Q.shape[1]
-    lo, hi = float(w[0]), float(w[-1])
     if not lo < mu < hi:
         mu = 0.5 * (lo + hi)
     for _ in range(_SECULAR_MAX_PROBES):
         if hi - lo <= 2.0 * tol:
             return hi
-        Y = _shifted_solve(diag, off, mu, Q)
-        secular = Q.T @ Y
-        if not np.all(np.isfinite(secular)):
-            raise EigenSolveError(f"non-finite secular matrix at shift {mu!r}")
-        # QR iteration: the default driver's MRRR vectors come with eigenvalues
-        # that can err by ~20 eps ||S|| near zero, enough to flip the count
-        sec, vecs = eigh(secular, driver="ev")
-        n = np.count_nonzero(w < mu)  # n_-(T - mu), since mu < w[-1]
-        lo, hi = (lo, mu) if n + np.count_nonzero(sec > 0.0) - k > 0 else (mu, hi)
-        step = -float(sec[n - 1]) / float(np.sum((Y @ vecs[:, n - 1]) ** 2))
-        del Y  # so the next solve does not hold two n x k blocks (peak RSS)
-        if not np.isfinite(step):
-            raise EigenSolveError(f"non-finite Newton step at shift {mu!r}")
+        s, step = _secular(d, o, q, mu)
+        lo, hi = (lo, mu) if s > 0.0 else (mu, hi)
         if abs(step) <= tol:
             mu += 1.5 * tol if mu == lo else -1.5 * tol
         else:
@@ -365,58 +346,43 @@ def _secular_minimum(diag, off, Q, w, mu, tol) -> float:
                           f"probes: [{lo!r}, {hi!r}]")
 
 
-def constrained_form_minimum(prof: SampledProfile, constraints,
-                             previous: CoercivityReport | None = None) -> CoercivityReport:
-    """Minimum of <L xi, xi>/<xi, xi> over the complement of the constraints,
-    for the ground state and on the grid that prof samples (T is built from it).
+def constrained_form_minimum(prof: SampledProfile) -> CoercivityReport:
+    """Minimum of <L xi, xi>/<xi, xi> over the xi orthogonal to phi_c' and
+    kappa_c, for the ground state and on the grid that prof samples (T is
+    built from it); raw_min is T's lowest eigenvalue.
 
-    constraints maps names to Fields on prof's grid (GridError otherwise); an
-    empty mapping returns the unconstrained minimum, raw_min. The secular
-    search (_secular_minimum) runs on [theta_0, theta_1] for one constraint and
-    on [theta_0, r^2] for two, from the certified bound states
-    (_certified_bound_states). With three or more, when the certificate fails,
-    and when no probe finds a constrained eigenvalue below r^2, it runs on the
-    interlacing bracket [lambda_1, lambda_{k+1}] from index-range eigensolves
-    on T's halves (_lowest). raw_min is the bracket's lower end. When previous,
-    a coarser grid's report, has the same constraints, the first probe is
-    _predicted_minimum from previous.ladder, the minima of one or two coarser
-    grids; a grid that is not resolved (CoercivityReport.resolved) passes on no
-    minima.
+    kappa_c is even and phi_c' odd to the bit on T's nodes, so that
+    complement is the even xi orthogonal to kappa_c's fold kappa_+ plus the
+    odd xi orthogonal to phi_c''s fold phi'_-, and the minimum is the lower
+    of the two halves' minima, each a root of its half's secular function
+    (_secular_root). The brackets come from w = [theta_0, theta_1, r^2], the
+    certified bound states (_certified_bound_states), or from T's three
+    lowest eigenvalues (_lowest: T+'s two lowest and T-'s lowest) when the
+    certificate fails or the even search finds no root below r^2 (a box
+    mode). The even minimum lies on [w_0, w_2]. The odd one is at least T-'s
+    lowest eigenvalue w_1 (interlacing), so an even minimum at most w_1 is
+    the answer. Otherwise one probe of the odd secular function at the even
+    minimum decides: when it is positive, the odd minimum lies below, on
+    [w_1, even minimum], where w_1 is T-'s only eigenvalue (the alternation),
+    and that search starts at the probe's Newton iterate.
     """
-    gs, grid = prof.gs, prof.grid
-    kh = gs.decay_rate * grid.h
     diag, off = discretize_weinstein(prof)
     refl = _Reflection(diag, off)
-    names = tuple(constraints.keys())
-    k = len(names)
     tol = _resolution(diag)
-    closed = _certified_bound_states(diag, off, refl, prof, tol) if k <= 2 else None
-    w = _lowest(refl, k + 1) if closed is None else closed
-    if not names:
-        return CoercivityReport(float(w[0]), (), float(w[0]), kh)
-
-    cols = []
-    for name in names:
-        c = constraints[name]
-        if not isinstance(c, Field) or c.grid != grid:
-            raise GridError(f"constraint {name!r} is not a Field on the profile's grid "
-                            f"(an array, or a Field on another grid)")
-        cols.append(c.values[1:])
-    Q, R = qr(np.stack(cols, axis=1), mode="economic")
-    s = np.linalg.svd(R, compute_uv=False)  # the constraints' singular values
-    if s[-1] <= 1e-10 * s[0]:
-        raise ValueError(f"constraints {names} are (numerically) linearly dependent")
-
-    h2 = grid.h ** 2
-    ladder = previous.ladder if previous is not None and previous.constraints_used == names else ()
-    mu = _predicted_minimum(ladder, h2)
-    minimum = _secular_minimum(diag, off, Q, w[:k + 1], mu, tol)
+    closed = _certified_bound_states(diag, off, refl, prof, tol)
+    w = _lowest(refl, 3) if closed is None else closed
+    folds = (refl.fold(kappa_closed_form(prof).values[1:])[0], refl.fold(prof.phi_x[1:])[1])
+    even, odd = ((d, o, q / np.linalg.norm(q)) for (d, o), q in zip(refl.halves, folds))
+    minimum = _secular_root(*even, w[0], w[2], tol)
     if closed is not None and minimum == closed[2]:
-        # no constrained eigenvalue below r^2: the minimum is a box mode
-        w = _lowest(refl, k + 1)
-        minimum = _secular_minimum(diag, off, Q, w, mu, tol)
-    report = CoercivityReport(minimum, names, float(w[0]), kh)
-    return replace(report, ladder=ladder[-1:] + ((h2, minimum),)) if report.resolved else report
+        # no even constrained eigenvalue below r^2: the even minimum is a box mode
+        w = _lowest(refl, 3)
+        minimum = _secular_root(*even, w[0], w[2], tol)
+    if minimum > w[1]:
+        s, step = _secular(*odd, minimum)
+        if s > 0.0:
+            minimum = _secular_root(*odd, w[1], minimum, tol, minimum + step)
+    return CoercivityReport(minimum, float(w[0]), prof.gs.decay_rate * prof.grid.h)
 
 
 def inverse_pairing(gs: GroundState, f: Field) -> float:

@@ -175,9 +175,7 @@ def test_criterion_4c_constrained_positivity(p):
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(L50, 2048)
     kappa = kappa_closed_form(gs.sample(grid))
-    rep = constrained_form_minimum(
-        gs.sample(grid), {"translation_mode": gs.profile_dx(grid), "kappa": kappa}
-    )
+    rep = constrained_form_minimum(gs.sample(grid))
     pairing = inverse_pairing(gs, kappa)
     table_value = negativity_form(gs, DEFAULT_HALF_WIDTH, DEFAULT_POINTS).form_value
     kernel_eig = eigenpairs(gs, grid).kernel_eigenvalue

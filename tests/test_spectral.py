@@ -7,7 +7,6 @@ from scipy.linalg import eigh, eigh_tridiagonal, qr, solve_banded
 
 from gbbmlab import (
     Field,
-    GridError,
     GroundState,
     bound_states,
     constrained_form_minimum,
@@ -46,39 +45,48 @@ def dense_constrained_minimum(gs, grid, constraints):
     return float(eigh(Z.T @ (T @ Z), eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
-def bisection_constrained_minimum(gs, grid, constraints):
-    """Reference path: bisection on the same inertia count over the same
-    bracket, one banded solve and one k x k eigh per step, until the midpoint
-    equals an endpoint."""
-    diag, off = discretize_weinstein(gs.sample(grid))
-    k = len(constraints)
-    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k))
-    Q, _ = qr(np.stack([f.values[1:] for f in constraints.values()], axis=1),
-              mode="economic")
+def bisection_constrained_minimum(gs, grid):
+    """Reference path: bisection on the scalar count over T's bracket
+    [lambda_0, lambda_2] (interlacing, two constraints), until the midpoint
+    equals an endpoint. On each half h, with q_h the unit fold of its
+    constraint, n_-(T_h - mu) + [s_h(mu) > 0] - 1 constrained eigenvalues lie
+    below mu, s_h(mu) = q_h^T (T_h - mu)^{-1} q_h; n_- from a Sturm count."""
+    prof = gs.sample(grid)
+    diag, off = discretize_weinstein(prof)
+    refl = spectral._Reflection(diag, off)
+    folds = (refl.fold(kappa_closed_form(prof).values[1:])[0], refl.fold(prof.phi_x[1:])[1])
+    halves = [(d, o, q / np.linalg.norm(q)) for (d, o), q in zip(refl.halves, folds)]
+    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 2))
 
-    def any_below(mu):
-        secular = Q.T @ _shifted_solve(diag, off, mu, Q)
-        n_pos = np.count_nonzero(eigh(secular, eigvals_only=True) > 0.0)
-        return np.count_nonzero(w < mu) + n_pos - k > 0
+    def below(mu):
+        count = 0
+        for d, o, q in halves:
+            n_neg = eigh_tridiagonal(d, o, eigvals_only=True, select="v",
+                                     select_range=(w[0] - 1.0, mu)).size
+            count += n_neg + (float(q @ _shifted_solve(d, o, mu, q)) > 0.0) - 1
+        return count > 0
 
-    lo, hi = float(w[0]), float(w[k])
+    lo, hi = float(w[0]), float(w[2])
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if any_below(mid) else (mid, hi)
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
     return hi
-
-
-def assert_matches_bisection(gs, grid, constraints):
-    """The Newton search stops on a bracket of 2 tol, tol = 8 eps max|diag|;
-    bisection runs to the last representable midpoint."""
-    diag, _ = discretize_weinstein(gs.sample(grid))
-    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(diag))
-    newton = constrained_form_minimum(gs.sample(grid), constraints).constrained_min
-    assert abs(newton - bisection_constrained_minimum(gs, grid, constraints)) <= 2.0 * tol
 
 
 def coercivity_constraints(gs, grid):
     prof = gs.sample(grid)
     return {"translation_mode": Field(grid, prof.phi_x), "kappa": kappa_closed_form(prof)}
+
+
+def counting_secular(monkeypatch):
+    """A list that records the half size of each secular probe from now on."""
+    sizes, secular = [], spectral._secular
+
+    def counting(d, o, q, mu):
+        sizes.append(d.size)
+        return secular(d, o, q, mu)
+
+    monkeypatch.setattr(spectral, "_secular", counting)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -285,95 +293,39 @@ class TestReflectionHalves:
             spectral._Reflection(skewed, off)
 
 
+class TestConstraintParity:
+    @pytest.mark.parametrize("N", [16, 1000, 1024, 1500, 16384])
+    @pytest.mark.parametrize("p", [4.1, 5.0, 30.0, 100.0])
+    def test_kappa_is_even_and_the_translation_mode_odd_to_the_bit(self, p, N):
+        # on T's nodes, nodes[1:]: each constraint lives in one half of T, and
+        # its fold into the other half is exactly zero
+        gs = GroundState(p, critical_speed(p))
+        prof = gs.sample(make_grid(L50, N))
+        kappa, dphi = kappa_closed_form(prof).values[1:], prof.phi_x[1:]
+        assert np.array_equal(kappa, kappa[::-1])
+        assert np.array_equal(dphi, -dphi[::-1])
+        refl = spectral._Reflection(*discretize_weinstein(prof))
+        assert not np.any(refl.fold(kappa)[1]) and not np.any(refl.fold(dphi)[0])
+
+
 class TestConstrainedMinimum:
-    def test_unconstrained_equals_raw(self, gs5, grid2048):
-        rep = constrained_form_minimum(gs5.sample(grid2048), {})
-        assert rep.constrained_min == rep.raw_min
-
-    def test_blocking_negative_mode_yields_second_eigenvalue(
-        self, gs5, grid2048, negative_eigvec
-    ):
-        # spectral decomposition oracle: removing the lowest eigenvector
-        # leaves exactly the second-lowest eigenvalue
-        w, xi0 = negative_eigvec
-        rep = constrained_form_minimum(gs5.sample(grid2048), {"negative_mode": xi0})
-        assert rep.constrained_min == pytest.approx(w[1], abs=1e-8 * abs(w[0]))
-
-    def test_blocking_negative_and_kernel_is_positive(self, gs5, grid2048, negative_eigvec):
-        _, xi0 = negative_eigvec
-        rep = constrained_form_minimum(
-            gs5.sample(grid2048),
-            {"translation_mode": gs5.profile_dx(grid2048), "negative_mode": xi0},
-        )
-        assert rep.constrained_min > 1e-3 * essential_spectrum_edge(gs5)
-
-    def test_blocking_negative_and_kernel_leaves_the_third_eigenvalue(
-        self, gs5, grid2048, negative_eigvec
-    ):
-        # the minimum is T's third eigenvalue, a box mode above r^2: no probe
-        # on [lambda_0, r^2] finds a constrained eigenvalue below r^2, and a
-        # search that stopped there would return the edge itself
-        _, xi0 = negative_eigvec
-        rep = constrained_form_minimum(
-            gs5.sample(grid2048),
-            {"translation_mode": gs5.profile_dx(grid2048), "negative_mode": xi0},
-        )
-        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid2048))[0])
-        edge = essential_spectrum_edge(gs5)
-        assert edge == pytest.approx(0.10294372515229, abs=1e-13)
-        assert abs(rep.constrained_min - 0.10334424990141) <= 2.0 * tol
-        assert rep.constrained_min - edge > 1e-4
-
     def test_kappa_constraint_minimum_matches_inverse_criterion(self, gs5, grid2048):
         # the form minimum on the kappa-orthogonal complement is negative
         # exactly when <L^{-1} kappa, kappa> > 0; both paths must agree
         kap = kappa_closed_form(gs5.sample(grid2048))
-        rep = constrained_form_minimum(
-            gs5.sample(grid2048),
-            {"translation_mode": gs5.profile_dx(grid2048), "kappa": kap},
-        )
+        rep = constrained_form_minimum(gs5.sample(grid2048))
         pairing = inverse_pairing(gs5, kap)
         assert pairing > 0.0
         assert rep.constrained_min < 0.0
         assert rep.constrained_min > rep.raw_min
 
-    def test_adding_constraints_never_decreases_minimum(self, gs5, grid2048, rng):
-        sets = [{}]
-        sets.append({"translation_mode": gs5.profile_dx(grid2048)})
-        extra = Field(grid2048, np.exp(-(grid2048.nodes ** 2) / 30.0))
-        sets.append({**sets[1], "bump": extra})
-        mins = [constrained_form_minimum(gs5.sample(grid2048), s).constrained_min for s in sets]
-        assert mins[0] <= mins[1] + 1e-12
-        assert mins[1] <= mins[2] + 1e-12
-
-    def test_rejects_rank_deficient(self, gs5, grid2048):
-        dphi = gs5.profile_dx(grid2048)
-        double = Field(grid2048, 2.0 * dphi.values)
-        with pytest.raises(ValueError):
-            constrained_form_minimum(gs5.sample(grid2048), {"a": dphi, "b": double})
-
-    def test_constraint_on_another_grid_is_refused(self, gs5, grid2048):
-        # same N, other L: the lengths on T's nodes agree, the grids do not
-        other = make_grid(40.0 * math.pi, 2048)
-        with pytest.raises(GridError, match="another grid"):
-            constrained_form_minimum(gs5.sample(grid2048),
-                                     {"translation_mode": gs5.profile_dx(other)})
-
-    def test_array_constraint_is_refused(self, gs5, grid2048):
-        # a constraint is a Field on the profile's grid, never its values on T's nodes
-        on_t = gs5.profile_dx(grid2048).values[1:]
-        with pytest.raises(GridError, match="not a Field on the profile's grid"):
-            constrained_form_minimum(gs5.sample(grid2048), {"translation_mode": on_t})
-
     @pytest.mark.parametrize("N, resolved", [(16, False), (32, False), (1024, True)])
     def test_report_carries_its_grid_kh(self, gs5, N, resolved):
-        # k h <= 1 decides both whether a grid passes its minimum on and
-        # whether coercivity's claim grid resolves phi_c
+        # k h <= 1 decides whether coercivity's claim grid resolves phi_c
         grid = make_grid(L50, N)
-        rep = constrained_form_minimum(gs5.sample(grid), coercivity_constraints(gs5, grid))
+        rep = constrained_form_minimum(gs5.sample(grid))
         assert rep.kh == gs5.decay_rate * grid.h
         assert rep.resolved is resolved
-        assert bool(rep.ladder) is resolved
 
     def test_singular_banded_solve_is_typed(self):
         # T - shift = [[1, 1], [1, 1]] is singular
@@ -398,87 +350,142 @@ class TestConstrainedMinimum:
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert all(np.array_equal(a, b) for a, b in zip(inputs, (diag, off, rhs)))
 
-    @pytest.mark.parametrize(
-        "p, second",
-        [(5.0, "kappa"), (6.0, "kappa"), (10.0, "kappa"), (5.0, "bump")],
-    )
-    def test_matches_dense_reference(self, p, second):
+    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0, 30.0])
+    def test_matches_dense_reference(self, p):
+        # reference: the full T projected onto the complement of both
+        # constraints, with no use of the halves
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, 1024)
-        prof = gs.sample(grid)
-        seconds = {
-            "kappa": kappa_closed_form(prof),
-            "bump": Field(grid, np.exp(-(grid.nodes ** 2) / 30.0)),
-        }
-        constraints = {"translation_mode": Field(grid, prof.phi_x), second: seconds[second]}
-        banded = constrained_form_minimum(prof, constraints).constrained_min
-        dense = dense_constrained_minimum(gs, grid, constraints)
+        banded = constrained_form_minimum(gs.sample(grid)).constrained_min
+        dense = dense_constrained_minimum(gs, grid, coercivity_constraints(gs, grid))
         assert banded == pytest.approx(dense, rel=1e-10)
 
     @pytest.mark.parametrize("N", [1024, 16384])
-    @pytest.mark.parametrize("p", [5.0, 6.0, 10.0])
+    @pytest.mark.parametrize("p", [4.1, 4.5, 5.0, 6.0, 10.0])
     def test_newton_matches_bisection_reference(self, p, N, monkeypatch):
+        # Newton stops on a bracket of 2 tol, tol = 8 eps max|diag|; bisection
+        # runs to the last representable midpoint
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, N)
-        probes, solves = [], []
+        probes, solves = counting_secular(monkeypatch), []
 
         def counting_solve(diag, off, shift, rhs):
-            (probes if np.ndim(rhs) == 2 else solves).append(shift)
+            solves.append(shift)
             return _shifted_solve(diag, off, shift, rhs)
 
         monkeypatch.setattr(spectral, "_shifted_solve", counting_solve)
-        assert_matches_bisection(gs, grid, coercivity_constraints(gs, grid))
-        # bisection takes 58-60 probes; the two bound states 2-3 solves each
-        assert len(probes) <= 8 and len(solves) <= 6
-
-    def test_newton_matches_bisection_with_a_third_constraint(self, rng):
-        # a bump beside {phi', kappa} makes ||S|| large against the crossing
-        # eigenvalue's slope, so the count near the root is only as good as
-        # the k x k eigensolve's small eigenvalues
-        gs = GroundState(10.0, critical_speed(10.0))
-        grid = make_grid(L50, 128)
-        for centre, width in zip(rng.uniform(-20.0, 20.0, 20), rng.uniform(1.0, 40.0, 20)):
-            constraints = coercivity_constraints(gs, grid)
-            constraints["bump"] = Field(grid, np.exp(-((grid.nodes - centre) ** 2) / width))
-            assert_matches_bisection(gs, grid, constraints)
+        newton = constrained_form_minimum(gs.sample(grid)).constrained_min
+        # bisection takes 58-60 steps; Newton from the even bracket's
+        # midpoint 7-8, and the two bound states 2-3 solves each
+        assert len(probes) <= 8 and len(solves) - len(probes) <= 6
+        assert set(probes) == {N // 2}  # the even half holds the minimum
+        tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
+        assert abs(newton - bisection_constrained_minimum(gs, grid)) <= 2.0 * tol
 
     def test_far_bump_closes_the_bracket(self):
-        # the bump barely touches the ground mode, so the minimum sits about
-        # 2 tol above lambda_1 = -21.88, where an ulp of mu is a tenth of tol:
-        # a probe 2 tol across the root rounds to a bracket just wider than
-        # 2 tol, and such a search stalled until the probe cap
+        # a constraint that barely touches the ground mode puts the minimum
+        # 1-2 tol above lambda_0 = -21.88, where an ulp of mu is a tenth of
+        # tol: a probe 2 tol across the root rounds to a bracket just wider
+        # than 2 tol, and such a search stalled until the probe cap
         gs = GroundState(10.0, critical_speed(10.0))
         grid = make_grid(L50, 128)
-        bump = Field(grid, np.exp(-((grid.nodes + 19.6) ** 2) / 23.0))
-        assert_matches_bisection(gs, grid, {"bump": bump})
+        diag, off = discretize_weinstein(gs.sample(grid))
+        refl = spectral._Reflection(diag, off)
+        tol = spectral._resolution(diag)
+        d, o = refl.halves[0]
+        w = eigh_tridiagonal(d, o, eigvals_only=True, select="i", select_range=(0, 1))
+        x = grid.nodes[1:]
+        for centre, width in ((19.6, 23.0), (30.0, 5.0)):
+            q = refl.fold(np.exp(-((np.abs(x) - centre) ** 2) / width))[0]
+            q /= np.linalg.norm(q)
+            # reference: bisection on the sign of the secular function
+            lo, hi = w
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (lo, mid) if q @ _shifted_solve(d, o, mid, q) > 0.0 else (mid, hi)
+            minimum = spectral._secular_root(d, o, q, w[0], w[1], tol)
+            assert abs(minimum - hi) <= 2.0 * tol
+            assert minimum - w[0] <= 3.0 * tol
 
     def test_probe_cap_is_typed(self, gs5, grid2048, monkeypatch):
         monkeypatch.setattr(spectral, "_SECULAR_MAX_PROBES", 2)
         with pytest.raises(EigenSolveError, match="not bracketed within 2 probes"):
-            constrained_form_minimum(gs5.sample(grid2048), coercivity_constraints(gs5, grid2048))
+            constrained_form_minimum(gs5.sample(grid2048))
+
+    def test_non_finite_secular_function_is_typed(self, gs5, grid2048, monkeypatch):
+        # a nan solve fails the certificate's residuals, then the first probe
+        def nan_solve(diag, off, shift, rhs):
+            return np.full(np.shape(rhs), np.nan)
+
+        monkeypatch.setattr(spectral, "_shifted_solve", nan_solve)
+        with pytest.raises(EigenSolveError, match="non-finite secular function at shift"):
+            constrained_form_minimum(gs5.sample(grid2048))
 
     def test_resolution_sequence_beyond_dense_size(self, gs5):
         # N = 16384 is four times the size the dense projection could take;
         # the kappa-constrained minimum rises toward its O(h^2) limit from below
-        mins = []
-        for N in (2048, 4096, 8192, 16384):
-            grid = make_grid(L50, N)
-            prof = gs5.sample(grid)
-            constraints = {
-                "translation_mode": Field(grid, prof.phi_x),
-                "kappa": kappa_closed_form(prof),
-            }
-            mins.append(constrained_form_minimum(prof, constraints).constrained_min)
+        mins = [constrained_form_minimum(gs5.sample(make_grid(L50, N))).constrained_min
+                for N in (2048, 4096, 8192, 16384)]
         assert all(a < b for a, b in zip(mins, mins[1:]))
         assert mins[-1] < 0.0
 
+    def test_odd_probe_at_p100(self, monkeypatch):
+        # at p = 100 on N = 16384 the certificate fails: T-'s lowest eigenvalue
+        # is -4.08, below the even minimum -1.495, so one probe of the odd
+        # half at the even minimum decides that the odd minimum lies above it.
+        # Reference: the value of the k-constraint secular search on the
+        # full T that this reduction replaced
+        gs = GroundState(100.0, critical_speed(100.0))
+        grid = make_grid(L50, 16384)
+        calls, probes = counting_lowest(monkeypatch), counting_secular(monkeypatch)
+        rep = constrained_form_minimum(gs.sample(grid))
+        tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
+        assert calls == [3] and probes[-1] == 8191 and probes.count(8191) == 1
+        assert abs(rep.constrained_min - -1.4948371778479128) <= 2.0 * tol
+        assert rep.raw_min < -4.08 < rep.constrained_min
 
-def lowest_bracket(gs, grid, constraints, monkeypatch, previous=None):
+    def test_ground_mode_constraint_falls_back_to_the_box_mode(
+            self, gs5, grid2048, negative_eigvec, monkeypatch):
+        # with T's ground eigenvector in place of kappa, no even constrained
+        # eigenvalue lies below r^2: the search on [theta_0, r^2] returns r^2,
+        # and on the brackets from the index-range eigensolves the minimum is
+        # T's third eigenvalue, T+'s second, a box mode above r^2
+        _, xi0 = negative_eigvec
+        monkeypatch.setattr(spectral, "kappa_closed_form", lambda prof: xi0)
+        calls = counting_lowest(monkeypatch)
+        rep = constrained_form_minimum(gs5.sample(grid2048))
+        assert calls == [3]
+        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid2048))[0])
+        edge = essential_spectrum_edge(gs5)
+        assert edge == pytest.approx(0.10294372515229, abs=1e-13)
+        assert abs(rep.constrained_min - 0.10334424990141) <= 2.0 * tol
+        assert rep.constrained_min - edge > 1e-4
+
+    def test_odd_half_holds_the_minimum(self, gs5, grid2048, negative_eigvec, monkeypatch):
+        # the ground eigenvector in place of kappa lifts the even minimum to the
+        # box mode, and an odd bump far out in place of phi_c' barely blocks the
+        # kernel mode: the odd probe is positive and the odd search runs.
+        # Reference: the dense projection onto the complement of both
+        _, xi0 = negative_eigvec
+        x = grid2048.nodes
+        bump = Field(grid2048, np.sign(x) * np.exp(-((np.abs(x) - 20.0) ** 2) / 4.0))
+        prof = gs5.sample(grid2048)
+        vars(prof)["phi_x"] = bump.values  # where SampledProfile caches phi_c'
+        monkeypatch.setattr(spectral, "kappa_closed_form", lambda prof: xi0)
+        probes = counting_secular(monkeypatch)
+        rep = constrained_form_minimum(prof)
+        assert probes.count(1023) > 1
+        dense = dense_constrained_minimum(gs5, grid2048, {"ground": xi0, "bump": bump})
+        tol = spectral._resolution(discretize_weinstein(prof)[0])
+        assert abs(rep.constrained_min - dense) <= 2.0 * tol
+        assert rep.constrained_min < essential_spectrum_edge(gs5)
+
+
+def lowest_bracket(gs, grid, monkeypatch):
     """constrained_form_minimum with the bound states refused, so that its
-    bracket comes from the index-range eigensolves (_lowest)."""
+    brackets come from the index-range eigensolves (_lowest)."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_certified_bound_states", lambda *args: None)
-        return constrained_form_minimum(gs.sample(grid), constraints, previous)
+        return constrained_form_minimum(gs.sample(grid))
 
 
 def counting_lowest(monkeypatch):
@@ -548,36 +555,29 @@ class TestCertifiedBoundStates:
     @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
     @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
     def test_closed_form_path_matches_the_lowest_bracket(self, p, L, monkeypatch):
-        # on the coercivity ladder, each grid handed the report before it; the
-        # Newton search stops anywhere in a 2 tol bracket, so changing its
-        # ends within their accuracy moves it that far
+        # on the coercivity grids; the Newton search stops anywhere in a 2 tol
+        # bracket, so changing its ends within their accuracy moves it that far
         gs = GroundState(p, critical_speed(p))
-        previous = reference = None
         for N in RESOLUTION_SEQUENCE:
             grid = make_grid(L, N)
-            constraints = coercivity_constraints(gs, grid)
             calls = counting_lowest(monkeypatch)
-            previous = constrained_form_minimum(gs.sample(grid), constraints, previous)
+            rep = constrained_form_minimum(gs.sample(grid))
             assert calls == []
-            reference = lowest_bracket(gs, grid, constraints, monkeypatch, reference)
+            reference = lowest_bracket(gs, grid, monkeypatch)
             diag, off = discretize_weinstein(gs.sample(grid))
             tol = spectral._resolution(diag)
-            assert abs(previous.constrained_min - reference.constrained_min) <= 2.0 * tol
-            assert abs(previous.raw_min - reference.raw_min) <= 2.0 * tol
+            assert abs(rep.constrained_min - reference.constrained_min) <= 2.0 * tol
+            assert abs(rep.raw_min - reference.raw_min) <= 2.0 * tol
             w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))
-            assert abs(previous.raw_min - w[0]) <= 2.0 * tol
+            assert abs(rep.raw_min - w[0]) <= 2.0 * tol
 
-    @pytest.mark.parametrize(
-        "case", ["N16", "N32", "N128", "sturm_count", "singular", "three_constraints"])
+    @pytest.mark.parametrize("case", ["N16", "N32", "N128", "sturm_count", "singular"])
     def test_refusal_returns_the_lowest_bracket_result(self, gs5, case, monkeypatch):
         # N = 16 and 32 do not resolve phi_c; at N = 128 the two lowest values
         # converge but the Sturm count finds one eigenvalue up to r^2
         N = int(case[1:]) if case.startswith("N") else 2048
         grid = make_grid(L50, N)
-        constraints = coercivity_constraints(gs5, grid)
-        if case == "three_constraints":
-            constraints["bump"] = Field(grid, np.exp(-(grid.nodes ** 2) / 30.0))
-        reference = lowest_bracket(gs5, grid, constraints, monkeypatch)
+        reference = lowest_bracket(gs5, grid, monkeypatch)
         if case == "sturm_count":
             monkeypatch.setattr(spectral, "_count_up_to", lambda *args: 3)
         elif case == "singular":
@@ -592,112 +592,23 @@ class TestCertifiedBoundStates:
 
             monkeypatch.setattr(spectral, "_shifted_solve", singular_at_ground)
         calls = counting_lowest(monkeypatch)
-        rep = constrained_form_minimum(gs5.sample(grid), constraints)
-        assert calls == [len(constraints) + 1]
+        rep = constrained_form_minimum(gs5.sample(grid))
+        assert calls == [3]
         assert rep == reference
 
     def test_exact_eigenvalue_shift_is_certified(self, gs5, grid2048, monkeypatch):
         # T - theta at a computed eigenvalue is singular only to working
         # precision: the iterate grows, and the values are accepted
-        constraints = coercivity_constraints(gs5, grid2048)
-        reference = lowest_bracket(gs5, grid2048, constraints, monkeypatch)
+        reference = lowest_bracket(gs5, grid2048, monkeypatch)
         diag, off = discretize_weinstein(gs5.sample(grid2048))
         w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 1))
         exact = dataclasses.replace(bound_states(gs5), ground=w[0], kernel=w[1])
         monkeypatch.setattr(spectral, "bound_states", lambda gs: exact)
         calls = counting_lowest(monkeypatch)
-        rep = constrained_form_minimum(gs5.sample(grid2048), constraints)
+        rep = constrained_form_minimum(gs5.sample(grid2048))
         assert calls == []
         tol = spectral._resolution(diag)
         assert abs(rep.constrained_min - reference.constrained_min) <= 2.0 * tol
-
-    def test_previous_with_other_constraints_changes_nothing(self, gs5, grid2048):
-        coarse = make_grid(L50, 1024)
-        previous = constrained_form_minimum(gs5.sample(coarse), {})
-        constraints = coercivity_constraints(gs5, grid2048)
-        rep = constrained_form_minimum(gs5.sample(grid2048), constraints, previous)
-        assert rep == constrained_form_minimum(gs5.sample(grid2048), constraints)
-
-
-def warm_chain(gs, L, sizes, monkeypatch, previous=None):
-    """(grid, warm report, cold report, the warm search's probe shifts) per
-    size; each warm call gets the warm report before it (the first gets
-    previous), as `coercivity` walks its grids, and each cold call no
-    previous report."""
-    shifts = []
-
-    def recording(diag, off, shift, rhs):
-        if np.ndim(rhs) == 2:  # a secular probe; inverse iteration solves one vector
-            shifts.append(shift)
-        return _shifted_solve(diag, off, shift, rhs)
-
-    monkeypatch.setattr(spectral, "_shifted_solve", recording)
-    out = []
-    for N in sizes:
-        grid = make_grid(L, N)
-        constraints = coercivity_constraints(gs, grid)
-        cold = constrained_form_minimum(gs.sample(grid), constraints)
-        shifts.clear()
-        previous = constrained_form_minimum(gs.sample(grid), constraints, previous)
-        out.append((grid, previous, cold, list(shifts)))
-    return out
-
-
-def line_through(points, h2):
-    """The line through two (h^2, minimum) points, evaluated at h2."""
-    (a, fa), (b, fb) = points
-    return float(np.polyval(np.polyfit([a, b], [fa, fb], 1), h2))
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("sizes", [(1024, 2048, 4096, 8192, 16384),
-                                       (1024, 1500, 2048, 4096, 8192, 16384)],
-                             ids=["halving", "N1500"])
-    @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
-    @pytest.mark.parametrize("p", [4.5, 5.0, 6.0, 10.0])
-    def test_warm_matches_cold(self, p, L, sizes, monkeypatch):
-        # the first probe is the coarsest grid's bracket midpoint, then the
-        # previous minimum, then the line through the last two (h^2, minimum);
-        # both searches stop anywhere in a bracket of 2 tol around the minimum
-        gs = GroundState(p, critical_speed(p))
-        chain = warm_chain(gs, L, sizes, monkeypatch)
-        points = []
-        for grid, warm, cold, shifts in chain:
-            h2 = grid.h ** 2
-            tol = spectral._resolution(discretize_weinstein(gs.sample(grid))[0])
-            if not points:
-                assert shifts[0] == 0.5 * (warm.raw_min + essential_spectrum_edge(gs))
-            elif len(points) == 1:
-                assert shifts[0] == points[0][1]
-            else:
-                assert shifts[0] == pytest.approx(line_through(points[-2:], h2), abs=tol)
-            assert abs(warm.constrained_min - cold.constrained_min) <= 2.0 * tol
-            points.append((h2, warm.constrained_min))
-        assert all(len(shifts) <= 6 for *_, shifts in chain[1:])
-
-    @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
-    def test_prediction_outside_the_bracket_starts_at_the_midpoint(self, gs5, L, monkeypatch):
-        # N = 16 and 32 resolve neither the soliton nor the O(h^2) law: the
-        # line through their minima passes above lambda_3 at N = 1024
-        (g16, r16, *_), (g32, r32, *_), (grid, warm, cold, shifts) = warm_chain(
-            gs5, L, (16, 32, 1024), monkeypatch)
-        predicted = line_through(
-            [(g16.h ** 2, r16.constrained_min), (g32.h ** 2, r32.constrained_min)], grid.h ** 2)
-        lo, hi = warm.raw_min, essential_spectrum_edge(gs5)
-        assert not lo < predicted < hi
-        assert shifts[0] == 0.5 * (lo + hi)
-        tol = spectral._resolution(discretize_weinstein(gs5.sample(grid))[0])
-        assert abs(warm.constrained_min - cold.constrained_min) <= 2.0 * tol
-
-    def test_other_constraints_give_no_prediction(self, gs5, monkeypatch):
-        # other constraints: the coarser minimum predicts nothing and the
-        # search starts mid-bracket
-        coarse = make_grid(L50, 1024)
-        other = {"translation_mode": gs5.profile_dx(coarse),
-                 "bump": Field(coarse, np.exp(-(coarse.nodes ** 2) / 30.0))}
-        previous = constrained_form_minimum(gs5.sample(coarse), other)
-        (_, rep, _, shifts), = warm_chain(gs5, L50, (2048,), monkeypatch, previous)
-        assert shifts[0] == 0.5 * (rep.raw_min + essential_spectrum_edge(gs5))
 
 
 class TestNegativeDirection:

@@ -5,7 +5,9 @@
 could not be installed. Deleting or renaming a wrapped name therefore removes
 declared metrics from every traced run without failing anything else. The
 tracer's enter hooks read attributes of their arguments (the grid of each
-`GroundState.profile` call among them), so two short commands run under it.
+`GroundState.profile` call among them), so three short commands run under it;
+`coercivity` checks that the wrapper of `constrained_form_minimum` passes the
+sampled profile, its one argument, through.
 """
 import json
 import os
@@ -31,10 +33,12 @@ out = sys.argv[1]
 codes = [
     gbbmlab.cli.main(["evolve", "--p", "4.5", "--t-end", "0.5", "--out", out + "/evolve"]),
     gbbmlab.cli.main(["instability", "--a", "0.02", "--t-end", "1", "--out", out + "/instability"]),
+    gbbmlab.cli.main(["coercivity", "--out", out + "/coercivity"]),
 ]
 profiles = [span[5] for span in tracer.spans if span[2] == "ground_state.profile"]
+minima = sum(span[2] == "spectral.constrained_form_minimum" for span in tracer.spans)
 print(json.dumps({"missing": sorted(set(missing) & required), "codes": codes,
-                  "profiles": profiles}))
+                  "profiles": profiles, "minima": minima}))
 """
 
 
@@ -57,8 +61,10 @@ def test_no_metric_source_span_is_missing(probe):
 
 
 def test_traced_commands_run(probe):
-    # evolve passes and this instability run is monotone-decreasing, as untraced
-    assert probe["codes"] == [0, 2]
+    # evolve passes, this instability run is monotone-decreasing and coercivity
+    # fails claim 4c, as untraced; coercivity takes one minimum per grid
+    assert probe["codes"] == [0, 2, 2]
+    assert probe["minima"] == 5
     # every traced profile call recorded its grid's key and node count
     assert probe["profiles"]
     for attrs in probe["profiles"]:
