@@ -15,7 +15,6 @@ from .grid import (
 )
 from .ground_state import (
     GroundState,
-    IdentityReport,
     SampledProfile,
     closed_form_identities,
     critical_speed,
@@ -27,7 +26,6 @@ from .functionals import (
     momentum,
 )
 from .structure import (
-    TableReport,
     coefficients,
     gamma_direction,
     kappa_closed_form,
@@ -48,7 +46,6 @@ from .spectral import (
 )
 from .dynamics import (
     BlowupError,
-    Trajectory,
     UnresolvedError,
     auto_points,
     evolve,

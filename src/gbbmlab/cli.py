@@ -46,7 +46,7 @@ from . import (
     negativity_table,
     translate,
 )
-from .dynamics import AUTO_POINTS, TAIL_TOL, relative_tail
+from .dynamics import AUTO_POINTS, TAIL_TOL, _drift, relative_tail
 from .grid import DEFAULT_HALF_WIDTH, DEFAULT_POINTS
 from .spectral import EigenSolveError
 from .structure import DualPathError
@@ -177,21 +177,18 @@ def _json_doc(cfg: dict, command: str, payload) -> str:
 
 def cmd_table(cfg: dict) -> int:
     p_list = [float(s) for s in str(cfg["p_list"]).split(",") if s.strip()]
-    report = negativity_table(p_list, L=cfg["L"], n_request=cfg["N"])
+    rows = negativity_table(p_list, L=cfg["L"], n_request=cfg["N"])
     outdir = Path(cfg["out"])
-    csv_rows = [(r.p, r.c0, r.form_value, str(r.negative).lower()) for r in report.rows]
+    csv_rows = [(r.p, r.c0, r.form_value, str(r.negative).lower()) for r in rows]
     _write(outdir, "table.csv", _config_header(cfg, "table")
            + _csv(("p", "c0", "form_value", "negative"), csv_rows))
-    rows = [
-        _fields(r, "p", "c0", "form_value", "operator_value", "dual_sup_error", "points",
-                "negative")
-        for r in report.rows
-    ]
-    _write(outdir, "table.json", _json_doc(cfg, "table", rows))
-    for r in report.rows:
+    fields = [_fields(r, "p", "c0", "form_value", "operator_value", "dual_sup_error",
+                      "points", "negative") for r in rows]
+    _write(outdir, "table.json", _json_doc(cfg, "table", fields))
+    for r in rows:
         print(f"p={r.p:<6g} c0={r.c0:.6f} <hess(Gamma),Gamma>={r.form_value:.2f} "
               f"negative={r.negative}")
-    if not report.all_negative():
+    if not all(r.negative for r in rows):
         print("claim failure: a table row is not negative", file=sys.stderr)
         return EXIT_CLAIM
     return EXIT_OK
@@ -201,17 +198,17 @@ def cmd_identities(cfg: dict) -> int:
     p = cfg["p"]
     gs = GroundState(p, critical_speed(p))
     grid = make_grid(cfg["L"], cfg["N"])
-    report = closed_form_identities(gs, grid)
+    records = closed_form_identities(gs, grid)
     outdir = Path(cfg["out"])
     keys = ("name", "closed_form", "quadrature", "rel_error")
-    rows = [_fields(r, *keys) for r in report.records]
+    rows = [_fields(r, *keys) for r in records]
     _write(outdir, "identities.json", _json_doc(cfg, "identities", rows))
     _write(outdir, "identities.csv", _config_header(cfg, "identities")
            + _csv(keys, [r.values() for r in rows]))
-    for r in report.records:
+    for r in records:
         print(f"{r.name:<16} rel_error={r.rel_error:.3e}")
-    if not report.max_rel_error() < 1e-8:
-        worst = max(report.records, key=lambda r: r.rel_error)
+    worst = max(records, key=lambda r: r.rel_error)
+    if not worst.rel_error < 1e-8:
         print(f"claim failure: identity {worst.name} has rel_error {worst.rel_error:.3e} "
               f"(must be below 1e-08)", file=sys.stderr)
         return EXIT_CLAIM
@@ -286,15 +283,16 @@ def cmd_evolve(cfg: dict) -> int:
     c = critical_speed(p)
     gs = GroundState(p, c)
     phi = gs.profile(make_grid(cfg["L"], cfg["N"]))
-    traj = evolve(phi, p, cfg["t_end"], cfg["dt"])
+    frames = evolve(phi, p, cfg["t_end"], cfg["dt"])
     exact = translate(phi, -c * cfg["t_end"])
-    sup_err = float(np.max(np.abs(traj.frames[-1].state.values - exact.values)))
+    sup_err = float(np.max(np.abs(frames[-1].state.values - exact.values)))
+    t, E, Q = np.array([(f.t, f.E, f.Q) for f in frames]).T
     outdir = Path(cfg["out"])
     _write(outdir, "evolve_series.csv", _config_header(cfg, "evolve")
-           + _csv(("t", "E", "Q"), zip(traj.times, traj.E_series, traj.Q_series)))
+           + _csv(("t", "E", "Q"), zip(t, E, Q)))
     payload = {
-        "energy_drift": traj.energy_drift(),
-        "momentum_drift": traj.momentum_drift(),
+        "energy_drift": _drift(E),
+        "momentum_drift": _drift(Q),
         "soliton_sup_error": sup_err,
     }
     _write(outdir, "evolve.json", _json_doc(cfg, "evolve", payload))

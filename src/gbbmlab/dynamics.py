@@ -159,22 +159,6 @@ class Frame:
     rhs_evals: int
 
 
-@dataclass
-class Trajectory:
-    """The frames of one `stream`, collected, with their t, E and Q series."""
-    frames: list
-
-    def __post_init__(self):
-        self.times, self.E_series, self.Q_series = np.array(
-            [(f.t, f.E, f.Q) for f in self.frames]).T
-
-    def energy_drift(self) -> float:
-        return _drift(self.E_series)
-
-    def momentum_drift(self) -> float:
-        return _drift(self.Q_series)
-
-
 def _drift(series: np.ndarray) -> float:
     """max |s - s[0]| / |s[0]|, and 0 for a series that never leaves its first
     value: E and Q vanish only at u = 0, which the flow keeps exactly."""
@@ -321,7 +305,7 @@ def stream(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Iterator[Frame
         yield frame(t_rec)
 
 
-def evolve(u0: Field, p: float, t_end: float, dt: float = 0.0) -> Trajectory:
+def evolve(u0: Field, p: float, t_end: float, dt: float = 0.0) -> tuple[Frame, ...]:
     """Integrate to t_end: every frame of `stream`, collected."""
-    return Trajectory(list(stream(u0, p, t_end, dt)))
+    return tuple(stream(u0, p, t_end, dt))
 

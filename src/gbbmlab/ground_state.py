@@ -289,21 +289,7 @@ class IdentityRecord:
         return abs(self.closed_form - self.quadrature) / scale
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    records: tuple
-
-    def __getitem__(self, name: str) -> IdentityRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def max_rel_error(self) -> float:
-        return max(r.rel_error for r in self.records)
-
-
-def closed_form_identities(gs: GroundState, grid: Grid) -> IdentityReport:
+def closed_form_identities(gs: GroundState, grid: Grid) -> tuple[IdentityRecord, ...]:
     """Scalar identities of the explicit profile, each computed two ways.
 
     Closed forms are expressed through the closed-form ||phi_c||^2, so they do
@@ -327,7 +313,7 @@ def closed_form_identities(gs: GroundState, grid: Grid) -> IdentityReport:
     q_quad = 0.5 * (n2 + dn2)
 
     n2c = profile_norm_sq_closed(p, c)
-    records = (
+    return (
         IdentityRecord("l2_norm_sq", n2c, n2, n2c),
         IdentityRecord("dx_norm_sq", p * (c - 1.0) / ((p + 4.0) * c) * n2c, dn2, n2c),
         IdentityRecord("lp_norm", 2.0 * (p + 2.0) * (c - 1.0) / (p + 4.0) * n2c, lp, n2c),
@@ -338,4 +324,3 @@ def closed_form_identities(gs: GroundState, grid: Grid) -> IdentityReport:
         IdentityRecord("energy", _energy_closed(p, c), e_quad, n2c),
         IdentityRecord("momentum", _momentum_closed(p, c), q_quad, n2c),
     )
-    return IdentityReport(records)

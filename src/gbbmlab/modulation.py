@@ -116,18 +116,19 @@ def decompose(u: Field, p: float, guess: tuple[float, float]) -> ModulationState
     closed form of _fit_jacobian, read from the bundle the residual sampled.
     Steps are clamped so lam - 1 changes by at most a factor of 2 per iteration.
 
-    Raises ModulationError (with the partial state attached) on a singular
-    Jacobian or when the residuals cannot be driven below FIT_TOL in
-    FIT_MAX_ITER iterations. Eight iterates in a row that do not beat the best
-    residual so far by 10% count as a plateau, so a cycle between two residual
-    values stops early too.
+    Raises ModulationError (with the partial state attached) on a fit
+    direction that vanishes on every node (on a grid whose step is far above
+    phi_lam's width), on a singular Jacobian or when the residuals cannot be
+    driven below FIT_TOL in FIT_MAX_ITER iterations. Eight iterates in a row
+    that do not beat the best residual so far by 10% count as a plateau, so a
+    cycle between two residual values stops early too.
     """
     lam, y = float(guess[0]), float(guess[1])
     if lam <= 1.0:
         raise ValueError(f"lambda guess must exceed 1, got {lam!r}")
     u_norm = norm_l2(u)
     grid = u.grid
-    det_scaled = float("nan")
+    det_scaled = r1 = r2 = float("nan")
 
     def state(converged: bool) -> ModulationState:
         return ModulationState(
@@ -139,9 +140,12 @@ def decompose(u: Field, p: float, guess: tuple[float, float]) -> ModulationState
     stationary = False
     for it in range(FIT_MAX_ITER + 1):
         F, xi, prof = _residual(u.values, p, lam, y, grid)
-        dir1, dir2 = prof.phi_x, prof.dc_phi
-        r1 = abs(F[0]) / (u_norm * np.sqrt(grid.h * (dir1 @ dir1)))
-        r2 = abs(F[1]) / (u_norm * np.sqrt(grid.h * (dir2 @ dir2)))
+        sq1, sq2 = prof.phi_x @ prof.phi_x, prof.dc_phi @ prof.dc_phi
+        if not (sq1 and sq2):
+            raise ModulationError(f"a fit direction vanishes on every node at "
+                                  f"lam={lam:.6g}, y={y:.6g}", state(False))
+        r1 = abs(F[0]) / (u_norm * np.sqrt(grid.h * sq1))
+        r2 = abs(F[1]) / (u_norm * np.sqrt(grid.h * sq2))
         res = max(r1, r2)
         if res < FIT_TOL:
             return state(True)
@@ -283,8 +287,8 @@ def virial_monitor(
     c: float,
     R: float,
 ) -> Iterator[VirialReport]:
-    """The frame loop: one virial report per frame (of a live `stream` or of a
-    collected `Trajectory.frames`), in order. E(u0) and the grid come from the
+    """The frame loop: one virial report per frame (of a live `stream` or of
+    the tuple `evolve` returns), in order. E(u0) and the grid come from the
     first frame, where 0 < 2R < L is checked before any decompose. Each decompose
     is warm-started from an extrapolation of the converged (lam, y) of the last
     three frames: the quadratic Lagrange polynomial through them at their own

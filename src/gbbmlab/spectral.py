@@ -124,10 +124,16 @@ def _inverse_iteration(diag, off, x, shift, tol) -> tuple[float, float, np.ndarr
     residual is then above tol, or nan). Once theta has converged, T - theta
     is singular to working precision and a solve there leaves its rounding
     in the iterate (residuals of 1.4 tol were seen); tol away they stay near
-    0.1 tol (Parlett, The Symmetric Eigenvalue Problem, ch. 4)."""
+    0.1 tol (Parlett, The Symmetric Eigenvalue Problem, ch. 4). An iterate
+    of zero or non-finite norm, as from a start that underflows to zero on
+    every node, raises EigenSolveError."""
     for _ in range(_INVERSE_MAX_SOLVES):
         x = _shifted_solve(diag, off, shift, x)
-        x = x / np.linalg.norm(x)
+        norm = float(np.linalg.norm(x))
+        if not 0.0 < norm < math.inf:
+            raise EigenSolveError(f"inverse iteration at shift {shift!r} reached an "
+                                  f"iterate of norm {norm!r}")
+        x = x / norm
         tx = diag * x
         tx[:-1] += off * x[1:]
         tx[1:] += off * x[:-1]
@@ -276,7 +282,7 @@ def _certified_bound_states(diag, off, refl: _Reflection, prof: SampledProfile,
     for (d, o), start, value in zip(refl.halves, starts, (bound.ground, bound.kernel)):
         try:
             t, r, _ = _inverse_iteration(d, o, start, value, tol)
-        except EigenSolveError:  # the closed form is an eigenvalue to working precision
+        except EigenSolveError:  # a singular solve or a start that vanishes
             return None
         theta.append(t)
         residual.append(r)
@@ -397,18 +403,9 @@ def inverse_pairing(gs: GroundState, f: Field) -> float:
     return float(f.grid.h * np.dot(_shifted_solve(diag, off, 0.0, rhs), rhs))
 
 
-@dataclass(frozen=True)
-class NegativeDirectionReport:
-    closed_form: float
-    quadrature_value: float
-
-    @property
-    def rel_error(self) -> float:
-        return abs(self.closed_form - self.quadrature_value) / abs(self.closed_form)
-
-
-def negative_direction_check(gs: GroundState, grid: Grid) -> NegativeDirectionReport:
-    """Quadratic form of the literal Hessian on the omega-derivative direction.
+def negative_direction_check(gs: GroundState, grid: Grid) -> tuple[float, float]:
+    """(quadrature, closed form) of the quadratic form of the literal Hessian
+    on the omega-derivative direction.
 
     Closed form: 2 (2/p - 1/2) (1 - omega^2)^{2/p - 3/2} ||psi_0||^2, negative
     for p > 4. The quadrature path builds d/d_omega psi_omega by central
@@ -429,5 +426,5 @@ def negative_direction_check(gs: GroundState, grid: Grid) -> NegativeDirectionRe
     )
     direction = Field(grid, (plus - minus) / (2.0 * dw))
     quad = inner(hessian_apply(gs, direction), direction)
-    return NegativeDirectionReport(closed, quad)
+    return quad, closed
 

@@ -152,12 +152,15 @@ def row_map(gs: GroundState, L: float, n_cap: int) -> tuple[float, float, int]:
     """(a, ds, m): a row samples x = a sinh(j ds), j = 0..m, out to
     x_max = min(row_cut(gs, L), L), with a and ds in closed form (module
     docstring). Its 2m intervals across [-x_max, x_max] are capped at n_cap,
-    the node count of a grid on [-L, L), which must resolve phi_c's tail."""
+    the node count of a grid on [-L, L), which must resolve phi_c's tail.
+    A p whose k^2 overflows (p above about 2.7e154) raises ValueError."""
     make_grid(L, n_cap).ensure_resolves(gs.tail_rate)
     k = gs.decay_rate
     x_max = min(row_cut(gs, L), L)
     r = gs.tail_rate * ROW_CORE_STEP / ROW_TAIL_STEP
     a = r * x_max / math.sqrt(k * k - r * r)
+    if not a > 0.0:  # k^2 overflows
+        raise ValueError(f"table entries require a finite k^2 = (p/2)^2 (c-1)/c, got p={gs.p!r}")
     s_max = math.asinh(x_max / a)
     m = min(math.ceil(s_max * k * a / ROW_CORE_STEP), n_cap // 2)
     return a, s_max / m, m
@@ -182,20 +185,6 @@ class TableRow:
     @property
     def dual_scalar_error(self) -> float:
         return abs(self.form_value - self.operator_value) / abs(self.form_value)
-
-
-@dataclass(frozen=True)
-class TableReport:
-    rows: tuple
-
-    def all_negative(self) -> bool:
-        return all(r.negative for r in self.rows)
-
-    def consistent(self) -> bool:
-        return all(
-            r.dual_sup_error <= DUAL_PATH_TOL and r.dual_scalar_error <= DUAL_PATH_TOL
-            for r in self.rows
-        )
 
 
 def negativity_form(gs: GroundState, L: float, n_request: int) -> TableRow:
@@ -225,10 +214,11 @@ def negativity_form(gs: GroundState, L: float, n_request: int) -> TableRow:
                     sup, 2 * m)
 
 
-def negativity_table(p_list, L: float, n_request: int) -> TableReport:
-    """Tabulate <hessian(Gamma), Gamma> at c0(p) over p_list, in p_list order.
+def negativity_table(p_list, L: float, n_request: int) -> tuple[TableRow, ...]:
+    """The rows of <hessian(Gamma), Gamma> at c0(p) over p_list, in p_list order.
 
-    A dual-path discrepancy above 1e-6 aborts the table.
+    A dual-path discrepancy above DUAL_PATH_TOL, in sup-norm or in the scalar,
+    aborts the table with DualPathError.
     """
     p_list = list(p_list)
     if not p_list:
@@ -238,14 +228,14 @@ def negativity_table(p_list, L: float, n_request: int) -> TableReport:
             raise ValueError(f"table entries require finite p > 4, got {p!r}")
     rows = tuple(negativity_form(GroundState(p, critical_speed(p)), float(L), int(n_request))
                  for p in map(float, p_list))
-    report = TableReport(rows)
-    if not report.consistent():
+    if not all(r.dual_sup_error <= DUAL_PATH_TOL and r.dual_scalar_error <= DUAL_PATH_TOL
+               for r in rows):
         worst = max(rows, key=lambda r: max(r.dual_sup_error, r.dual_scalar_error))
         raise DualPathError(
             f"dual-path disagreement at p={worst.p}: sup {worst.dual_sup_error:.2e}, "
             f"scalar {worst.dual_scalar_error:.2e} (tol {DUAL_PATH_TOL:.0e})"
         )
-    return report
+    return rows
 
 
 def modulation_pairing(gs: GroundState, grid: Grid) -> tuple[float, float]:

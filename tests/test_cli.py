@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -69,6 +70,27 @@ class TestTable:
     def test_nan_p_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "table", "--p-list", "nan") == 64
         assert "p > 4, got nan" in capsys.readouterr().err
+
+    def test_overflowing_decay_rate_usage_error(self, tmp_path, capsys):
+        # k^2 overflows, so the row map's scale a would be 0 and asinh(x_max / a)
+        # a division by zero
+        assert run(tmp_path, "table", "--p-list", "1e160") == 64
+        assert capsys.readouterr().err == (
+            "usage error: table entries require a finite k^2 = (p/2)^2 (c-1)/c, "
+            "got p=1e+160\n")
+
+    def test_positive_row_is_a_claim_failure(self, tmp_path, capsys, monkeypatch):
+        real = cli.negativity_table
+
+        def first_row_positive(*args, **kwargs):
+            first, *rest = real(*args, **kwargs)
+            return (dataclasses.replace(first, form_value=-first.form_value), *rest)
+
+        monkeypatch.setattr(cli, "negativity_table", first_row_positive)
+        assert run(tmp_path, "table", "--p-list", "5,6") == 2
+        assert capsys.readouterr().err == "claim failure: a table row is not negative\n"
+        doc = json.loads((tmp_path / "table.json").read_text())
+        assert [r["negative"] for r in doc["result"]] == [False, True]
 
     def test_slow_decay_row_on_a_wide_box_resolves(self, tmp_path):
         # p = 4.1 on L = 100 pi: a uniform grid of 16384 intervals with the
@@ -329,6 +351,15 @@ class TestOtherCommands:
         assert run(tmp_path, "coercivity", "--N", "1024") == 3
         assert f"consistency failure: {failure} at shift" in capsys.readouterr().err
 
+    def test_coercivity_vanishing_kernel_start_falls_back(self, tmp_path, capsys):
+        # at L = 1e6, N = 1024 phi_c underflows on every node but the centre,
+        # so the fold of phi_c' is zero: inverse iteration refuses that start,
+        # with no division by its zero norm, and the certificate falls back
+        assert run(tmp_path, "coercivity", "--L", "1e6", "--N", "1024") == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "consistency failure: the halves' eigenvalues do not interleave: ")
+
     def test_evolve(self, tmp_path):
         assert run(tmp_path, "evolve", "--p", "5", "--N", "2048",
                    "--dt", "0.002", "--t-end", "1") == 0
@@ -380,6 +411,15 @@ class TestOtherCommands:
         assert capsys.readouterr().err == (
             "claim failure: verdict monotone-decreasing (fractions positive 0.000, "
             "negative 1.000), not monotone-increasing\n")
+
+    def test_instability_vanishing_fit_direction_is_named(self, tmp_path, capsys):
+        # at L = 1e6, N = 1024 phi_lam' vanishes on every node, so decompose
+        # fails on u0 itself, with no division by the zero direction norm
+        assert run(tmp_path, "instability", "--L", "1e6", "--N", "1024", "--t-end", "1") == 3
+        note, failure = capsys.readouterr().err.splitlines()
+        assert note.startswith("note: at N=1024 the initial state's relative spectral tail")
+        assert failure == ("consistency failure: the modulation decomposition failed after "
+                           "0 frame(s), fewer than the 3 a verdict needs")
 
     def test_instability_failed_modulation_is_named(self, tmp_path, capsys):
         # N = 16 does not resolve phi_c: the decomposition fails on the first
@@ -566,7 +606,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "evolve", recording_evolve)
         assert run(tmp_path, "evolve", "--N", "2048", "--dt", "3", "--t-end", "5") == 0
-        assert trajectories[0].frames[-1].steps_rejected >= 1
+        assert trajectories[0][-1].steps_rejected >= 1
 
     # instability iterates the frame stream; only evolve collects it
     @pytest.mark.parametrize("command, module, name", [

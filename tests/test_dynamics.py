@@ -39,6 +39,12 @@ from reference_paths import evolution_rhs, linear_rhs, step
 L50 = 50.0 * math.pi
 
 
+def drifts(frames) -> tuple[float, float]:
+    """The E and Q drifts of a run's frames, by dynamics._drift."""
+    E, Q = np.array([(f.E, f.Q) for f in frames]).T
+    return dynamics._drift(E), dynamics._drift(Q)
+
+
 def rk4(field, rhs, dt):
     k1 = rhs(field)
     k2 = rhs(Field(field.grid, field.values + 0.5 * dt * k1.values))
@@ -201,11 +207,12 @@ class TestEvolve:
     def test_soliton_round_trip(self, gs5, periodic_4096):
         t_end = 20.0 / gs5.c
         phi = gs5.profile(periodic_4096)
-        traj = evolve(phi, gs5.p, t_end, dt=2e-3)
-        exact = translate(phi, -gs5.c * float(traj.times[-1]))
-        assert np.max(np.abs(traj.frames[-1].state.values - exact.values)) < 1e-4
-        assert traj.energy_drift() < 1e-8
-        assert traj.momentum_drift() < 1e-8
+        frames = evolve(phi, gs5.p, t_end, dt=2e-3)
+        exact = translate(phi, -gs5.c * frames[-1].t)
+        assert np.max(np.abs(frames[-1].state.values - exact.values)) < 1e-4
+        e_drift, q_drift = drifts(frames)
+        assert e_drift < 1e-8
+        assert q_drift < 1e-8
 
     def test_step_halving_order(self, gs5, periodic_4096, rng):
         u0 = Field(
@@ -231,20 +238,20 @@ class TestEvolve:
         gs = gs5
         u1 = gs.profile(g1)
         u2 = gs.profile(g2)
-        v1 = evolve(u1, gs.p, 1.0, dt=2e-3).frames[-1].state.values
-        v2 = evolve(u2, gs.p, 1.0, dt=2e-3).frames[-1].state.values[::2]
+        v1 = evolve(u1, gs.p, 1.0, dt=2e-3)[-1].state.values
+        v2 = evolve(u2, gs.p, 1.0, dt=2e-3)[-1].state.values[::2]
         assert np.max(np.abs(v1 - v2)) < 1e-6
 
     def test_h1_norm_stays_bounded(self, gs5, periodic_4096):
         u0 = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        traj = evolve(u0, gs5.p, 5.0, dt=2e-3)
-        n0 = norm_h1(traj.frames[0].state)
-        assert all(norm_h1(f.state) < 1.2 * n0 for f in traj.frames)
+        frames = evolve(u0, gs5.p, 5.0, dt=2e-3)
+        n0 = norm_h1(frames[0].state)
+        assert all(norm_h1(f.state) < 1.2 * n0 for f in frames)
 
     def test_record_cadence(self, gs5, periodic_4096):
-        traj = evolve(gs5.profile(periodic_4096), gs5.p, 2.0, dt=1e-2)
-        assert np.allclose(np.diff(traj.times), dynamics.RECORD_INTERVAL)
-        assert traj.times[-1] == 2.0
+        frames = evolve(gs5.profile(periodic_4096), gs5.p, 2.0, dt=1e-2)
+        assert np.allclose(np.diff([f.t for f in frames]), dynamics.RECORD_INTERVAL)
+        assert frames[-1].t == 2.0
 
     def test_frame_q_is_the_trapezoid(self, gs5, periodic_4096, rng):
         # Q by Parseval from the guard's transform equals momentum(), the
@@ -256,11 +263,11 @@ class TestEvolve:
 
     def test_record_times_are_exact(self, gs5, periodic_4096):
         # k * RECORD_INTERVAL, and t_end even when it is no multiple
-        traj = evolve(gs5.profile(periodic_4096), gs5.p, 1.05, dt=1e-2)
-        assert traj.times.tolist() == [0.0, 0.5, 1.0, 1.05]
+        frames = evolve(gs5.profile(periodic_4096), gs5.p, 1.05, dt=1e-2)
+        assert [f.t for f in frames] == [0.0, 0.5, 1.0, 1.05]
         # a t_end far below the interval is the only record time after t = 0
-        traj = evolve(gs5.profile(periodic_4096), gs5.p, 1e-10, dt=1e-2)
-        assert traj.times.tolist() == [0.0, 1e-10]
+        frames = evolve(gs5.profile(periodic_4096), gs5.p, 1e-10, dt=1e-2)
+        assert [f.t for f in frames] == [0.0, 1e-10]
 
     def test_first_frame_holds_no_record_times(self, gs5):
         # each record time is computed when it is reached, so the first frame
@@ -288,7 +295,7 @@ class TestEvolve:
         for n in (1536, 8192):
             flow_calls.clear()
             grid = make_grid(L50, n)
-            last = evolve(gs.profile(grid), gs.p, 2.0, dt=dt).frames[-1]
+            last = evolve(gs.profile(grid), gs.p, 2.0, dt=dt)[-1]
             # FSAL: 1 at t = 0, 1 for the estimate's probe, 12 per trial step
             assert last.rhs_evals == len(flow_calls)
             steps.append((last.steps_accepted, last.steps_rejected))
@@ -311,17 +318,17 @@ class TestEvolve:
             return dop853(v, K, h, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_dop853", recorded)
-        traj = evolve(Field(periodic_4096, zero), 5.0, 1.0)
+        frames = evolve(Field(periodic_4096, zero), 5.0, 1.0)
         assert trials[0] == h
-        assert all(not np.any(f.state.values) for f in traj.frames)
-        assert traj.frames[-1].steps_rejected == 0
+        assert all(not np.any(f.state.values) for f in frames)
+        assert frames[-1].steps_rejected == 0
 
     def test_drift_of_the_zero_state(self):
         # E and Q vanish only at u = 0, which the flow keeps: no drift, not 0/0
         g = make_grid(L50, 256)
-        traj = evolve(Field(g, np.zeros(g.points)), 5.0, 1.0)
-        assert not np.any(traj.E_series) and not np.any(traj.Q_series)
-        assert (traj.energy_drift(), traj.momentum_drift()) == (0.0, 0.0)
+        frames = evolve(Field(g, np.zeros(g.points)), 5.0, 1.0)
+        assert not any(f.E for f in frames) and not any(f.Q for f in frames)
+        assert drifts(frames) == (0.0, 0.0)
 
     def test_non_finite_probe_falls_back(self, gs5, periodic_4096):
         huge = 1e60 * gs5.profile(periodic_4096).values
@@ -333,17 +340,18 @@ class TestEvolve:
     def test_adaptive_matches_fixed_step_rk4(self, gs5, periodic_4096):
         # the controlled path against the fixed-step reference at dt = 2e-3
         u = Field(periodic_4096, 0.98 * gs5.profile(periodic_4096).values)
-        traj = evolve(u, gs5.p, 5.0)
-        assert traj.times.tolist() == [0.5 * k for k in range(11)]
+        frames = evolve(u, gs5.p, 5.0)
+        assert [f.t for f in frames] == [0.5 * k for k in range(11)]
         dt = 2e-3
         rhs = lambda f: evolution_rhs(f, gs5.p)  # noqa: E731
-        for i, recorded in enumerate(traj.frames):
+        for i, recorded in enumerate(frames):
             if i:
                 for _ in range(250):
                     u = rk4(u, rhs, dt)
             assert np.max(np.abs(recorded.state.values - u.values)) <= 1e-8
-        assert traj.energy_drift() <= 1e-9
-        assert traj.momentum_drift() <= 1e-9
+        e_drift, q_drift = drifts(frames)
+        assert e_drift <= 1e-9
+        assert q_drift <= 1e-9
 
     @pytest.mark.parametrize("scale, message", [
         (1e3, r"step collapse at t=0: trial step \S+ < 1e-10 RECORD_INTERVAL rejected at "
@@ -447,7 +455,7 @@ class TestResolution:
             grid = make_grid(L50, n)
             runs[n] = evolve(gs.profile(grid), gs.p, 2.0)
         assert trials[1536] == pytest.approx(trials[2048], rel=1e-2)
-        small, fine = runs[1536].frames, runs[2048].frames
+        small, fine = runs[1536], runs[2048]
         assert len(small) == len(fine) == 5
         for a, b in zip(small, fine):
             assert a.t == b.t

@@ -51,7 +51,7 @@ class TestValues:
     def test_energy_ground_state_closed_form(self, gs5, periodic_8192):
         p, c = gs5.p, gs5.c
         E = energy(gs5.profile(periodic_8192), p)
-        rep = closed_form_identities(gs5, periodic_8192)
+        rep = {r.name: r for r in closed_form_identities(gs5, periodic_8192)}
         n2 = rep["l2_norm_sq"].quadrature
         assert E == pytest.approx((4.0 * c + p) / (2.0 * (p + 4.0)) * n2, rel=1e-8)
 
@@ -84,7 +84,7 @@ class TestGradients:
         gs = GroundState(p, c)
         _, q_grad, _ = gradients(gs.profile(periodic_8192), p, c)
         lhs = inner(q_grad, gs.profile_dc(periodic_8192))
-        rep = closed_form_identities(gs, periodic_8192)
+        rep = {r.name: r for r in closed_form_identities(gs, periodic_8192)}
         assert lhs == pytest.approx(rep["dc_momentum"].closed_form, rel=1e-5)
 
     @pytest.mark.parametrize("which", ["energy", "momentum", "action"])

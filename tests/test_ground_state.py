@@ -228,11 +228,11 @@ class TestIdentities:
     @pytest.mark.parametrize("p", [4.1, 5.0, 10.0])
     def test_all_identities_tight(self, p, periodic_8192):
         gs = GroundState(p, critical_speed(p))
-        report = closed_form_identities(gs, periodic_8192)
-        assert report.max_rel_error() < 1e-8
+        records = closed_form_identities(gs, periodic_8192)
+        assert max(r.rel_error for r in records) < 1e-8
 
     def test_momentum_slope_vanishes_at_critical_speed(self, gs5, periodic_8192):
-        report = closed_form_identities(gs5, periodic_8192)
+        report = {r.name: r for r in closed_form_identities(gs5, periodic_8192)}
         rec = report["dc_momentum"]
         n2 = report["l2_norm_sq"].quadrature
         assert abs(rec.closed_form) < 1e-12 * n2
@@ -248,7 +248,7 @@ class TestIdentities:
         assert abs((qp - qm) / (2.0 * dc)) < 1e-6 * q0
 
     def test_slope_ratio_p5(self, gs5, periodic_8192):
-        report = closed_form_identities(gs5, periodic_8192)
+        report = {r.name: r for r in closed_form_identities(gs5, periodic_8192)}
         n2 = report["l2_norm_sq"].quadrature
         dn2 = report["dx_norm_sq"].quadrature
         c = gs5.c
@@ -256,15 +256,15 @@ class TestIdentities:
 
     def test_closed_forms_do_not_depend_on_the_grid(self, gs5, periodic_8192):
         # the closed side uses the closed-form ||phi_c||^2, never the quadrature
-        fine = closed_form_identities(gs5, periodic_8192)
-        coarse = closed_form_identities(gs5, make_grid(L50, 512))
-        assert [r.closed_form for r in fine.records] == [
-            r.closed_form for r in coarse.records
+        fine = {r.name: r for r in closed_form_identities(gs5, periodic_8192)}
+        coarse = {r.name: r for r in closed_form_identities(gs5, make_grid(L50, 512))}
+        assert [r.closed_form for r in fine.values()] == [
+            r.closed_form for r in coarse.values()
         ]
         assert coarse["l2_norm_sq"].quadrature != fine["l2_norm_sq"].quadrature
 
     def test_identities_off_critical_speed(self, periodic_8192):
         gs = GroundState(5.0, 1.4)
-        report = closed_form_identities(gs, periodic_8192)
-        assert report.max_rel_error() < 1e-8
+        report = {r.name: r for r in closed_form_identities(gs, periodic_8192)}
+        assert max(r.rel_error for r in report.values()) < 1e-8
         assert report["dc_momentum"].closed_form != pytest.approx(0.0, abs=1e-6)

@@ -263,7 +263,7 @@ def short_runs(gs5):
 @pytest.fixture(scope="module")
 def short_frames(gs5, short_runs):
     return {
-        a: list(virial_monitor(run.frames, gs5.p, gs5.c, R=30.0))
+        a: list(virial_monitor(run, gs5.p, gs5.c, R=30.0))
         for a, run in short_runs.items()
     }
 
@@ -272,7 +272,7 @@ def short_frames(gs5, short_runs):
 def frames_to_10(gs5):
     """The frames of u0 = 0.98 phi_c to t = 10 at N = 8192, 21 in all."""
     grid = make_grid(L50, 8192)
-    return evolve(Field(grid, 0.98 * gs5.profile(grid).values), gs5.p, 10.0, dt=0.025).frames
+    return evolve(Field(grid, 0.98 * gs5.profile(grid).values), gs5.p, 10.0, dt=0.025)
 
 
 class TestWarmStart:
@@ -321,13 +321,13 @@ class TestWarmStart:
 
 class TestParameterResiduals:
     def test_exact_soliton_dynamics(self, gs5, short_runs, short_frames):
-        recs = parameter_residuals(short_runs[0.0].frames, short_frames[0.0], gs5.p)
+        recs = parameter_residuals(short_runs[0.0], short_frames[0.0], gs5.p)
         mid = recs[len(recs) // 2]
         assert abs(mid.y_dot - gs5.c) < 1e-8
         assert abs(mid.lam_dot) < 1e-8
 
     def test_ratios_bounded(self, gs5, short_runs, short_frames):
-        recs = parameter_residuals(short_runs[0.01].frames, short_frames[0.01], gs5.p)
+        recs = parameter_residuals(short_runs[0.01], short_frames[0.01], gs5.p)
         assert max(r.ratio_y for r in recs) < 2.0
         assert max(r.ratio_lam for r in recs) < 0.1
 
@@ -336,7 +336,7 @@ class TestParameterResiduals:
         # constant stays put under refinement of the perturbation size
         consts = []
         for a in (0.02, 0.01, 0.005):
-            recs = parameter_residuals(short_runs[a].frames, short_frames[a], gs5.p)
+            recs = parameter_residuals(short_runs[a], short_frames[a], gs5.p)
             consts.append(max(r.defect for r in recs) / max(r.xi_h1 for r in recs) ** 2)
         assert max(consts) < 1.0
         assert max(consts) / min(consts) < 1.25

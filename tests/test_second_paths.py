@@ -86,7 +86,7 @@ def frame(gs5):
     """(virial report, modulation state) of u0 = 0.98 phi_c at t = 4, N = 4096."""
     grid = make_grid(L50, 4096)
     u0 = Field(grid, 0.98 * gs5.profile(grid).values)
-    frames = evolve(u0, gs5.p, 4.0, dt=0.025).frames
+    frames = evolve(u0, gs5.p, 4.0, dt=0.025)
     last = frames[-1]
     state = decompose(last.state, gs5.p, (gs5.c, gs5.c * last.t))
     report = modulation._virial_frame(

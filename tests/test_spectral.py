@@ -616,14 +616,14 @@ class TestNegativeDirection:
     def test_closed_form_negative(self, p):
         gs = GroundState(p, critical_speed(p))
         grid = make_grid(L50, 8192)
-        rep = negative_direction_check(gs, grid)
-        assert rep.closed_form < 0.0
-        assert rep.quadrature_value < 0.0
+        quad, closed = negative_direction_check(gs, grid)
+        assert closed < 0.0
+        assert quad < 0.0
 
     def test_quadrature_matches_closed_form(self, gs5):
         grid = make_grid(L50, 8192)
-        rep = negative_direction_check(gs5, grid)
-        assert rep.rel_error < 1e-4
+        quad, closed = negative_direction_check(gs5, grid)
+        assert abs(closed - quad) / abs(closed) < 1e-4
 
     def test_amplitude_vanishes_toward_p4(self):
         # prefactor 2(2/p - 1/2) goes to zero as p -> 4 (profiles below p=4.1
@@ -632,11 +632,11 @@ class TestNegativeDirection:
         mags = []
         for p in (5.0, 4.5, 4.1):
             gs = GroundState(p, critical_speed(p))
-            rep = negative_direction_check(gs, grid)
+            _, closed = negative_direction_check(gs, grid)
             from gbbmlab import normalized_profile_norm_sq
 
             scale = (1.0 - gs.omega ** 2) ** (2.0 / p - 1.5) * normalized_profile_norm_sq(p)
-            mags.append(abs(rep.closed_form) / scale)
+            mags.append(abs(closed) / scale)
         assert mags[0] > mags[1] > mags[2]
         assert mags[2] == pytest.approx(abs(2.0 * (2.0 / 4.1 - 0.5)), rel=1e-12)
 

@@ -311,31 +311,31 @@ class TestNegativityForm:
 
 
 @pytest.fixture(scope="module")
-def full_table_report():
+def full_table_rows():
     return negativity_table(sorted(PRINTED_TABLE), DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
 
 class TestNegativityTable:
     @pytest.fixture
-    def report(self, full_table_report):
-        return full_table_report
+    def rows(self, full_table_rows):
+        return full_table_rows
 
-    def test_reproduces_printed_values(self, report):
-        for row in report.rows:
+    def test_reproduces_printed_values(self, rows):
+        for row in rows:
             assert row.form_value == pytest.approx(PRINTED_TABLE[row.p], rel=0.01)
 
-    def test_all_negative(self, report):
-        assert report.all_negative()
+    def test_all_negative(self, rows):
+        assert all(r.negative for r in rows)
 
-    def test_monotone_beyond_p10(self, report):
-        tail = [r.form_value for r in report.rows if r.p >= 10.0]
+    def test_monotone_beyond_p10(self, rows):
+        tail = [r.form_value for r in rows if r.p >= 10.0]
         assert all(a > b for a, b in zip(tail, tail[1:]))
 
-    def test_resolution_independence(self, report):
+    def test_resolution_independence(self, rows):
         # rows capped at 1024 intervals, 2.4 to 4.9 times coarser
         coarser = negativity_table([5.0, 30.0, 100.0], DEFAULT_HALF_WIDTH, 1024)
-        for row in coarser.rows:
-            ref = next(r for r in report.rows if r.p == row.p)
+        for row in coarser:
+            ref = next(r for r in rows if r.p == row.p)
             assert row.points == 1024 < ref.points
             assert row.form_value == pytest.approx(ref.form_value, rel=1e-9)
 
@@ -345,31 +345,31 @@ class TestNegativityTable:
         with pytest.raises(ValueError):
             negativity_table([3.0], DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
-    def test_matches_uniform_rows(self, report):
+    def test_matches_uniform_rows(self, rows):
         # the slow reference: each row on a whole uniform grid at k h <= 0.1,
         # 2^14 to 2^18 intervals, 8th-order on the operator path (measured:
         # form values within 5.6e-12, at p = 4.1, and 20 times the points)
-        assert [r.p for r in report.rows] == [float(p) for p in DEFAULTS["p_list"].split(",")]
+        assert [r.p for r in rows] == [float(p) for p in DEFAULTS["p_list"].split(",")]
         uniform_points = 0
-        for row in report.rows:
+        for row in rows:
             closed, operator, sup, n = uniform_row(GroundState(row.p, row.c0), L50)
             uniform_points += n
             assert row.form_value == pytest.approx(closed, rel=1e-11)
             assert row.operator_value == pytest.approx(operator, rel=2e-9)
-        assert sum(r.points for r in report.rows) < uniform_points / 15
+        assert sum(r.points for r in rows) < uniform_points / 15
 
-    def test_dual_errors_below_1e_9(self, report):
+    def test_dual_errors_below_1e_9(self, rows):
         # a uniform grid at k h <= 0.1 reached 5.7e-9 sup (p = 50) and 1.7e-9
         # scalar (p = 4.1); the rows measure at most 4.1e-11 and 3.2e-10
-        for row in report.rows:
+        for row in rows:
             assert row.dual_sup_error <= 1e-9
             assert row.dual_scalar_error <= 1e-9
 
-    def test_row_to_the_box_reads_ghost_nodes(self, report):
+    def test_row_to_the_box_reads_ghost_nodes(self, rows):
         # the p = 4.1 row runs to x_max = L; its stencils read Gamma's closed
         # form past L, where one-sided ones left 9.2e-10 at x = L (measured
         # now: 4.1e-11, the core's level)
-        row = next(r for r in report.rows if r.p == 4.1)
+        row = next(r for r in rows if r.p == 4.1)
         assert row_cut(GroundState(row.p, row.c0), L50) > L50
         assert row.dual_sup_error <= 1e-10
 
@@ -405,7 +405,7 @@ class TestModulationPairing:
             grid = make_grid(L50, 8192)
             _, closed = modulation_pairing(gs, grid)
             B, _ = coefficients(gs.sample(grid))
-            dq = closed_form_identities(gs, grid)["dc_momentum"].closed_form
+            dq = {r.name: r for r in closed_form_identities(gs, grid)}["dc_momentum"].closed_form
             assert closed == pytest.approx(c * c * B * dq, rel=1e-12)
 
 
