@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+# numpy 2 imports numpy.fft on the first access of np.fft: import it here, so
+# that it loads with the package and not inside a command
+import numpy.fft  # noqa: F401
 
 # the default box, half-width L = 50 pi, and its node count, at which the
 # reference values of table and identities were taken

@@ -65,13 +65,17 @@ eigenvalue nearest zero) and excludes it from negative_count.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-# qr and eigh are not called here: they stay bound only because bench/child.py's
-# trace wraps them by name (its spectral.qr_s and spectral.eigh_s metrics)
-from scipy.linalg import eigh, eigh_tridiagonal, qr
-from scipy.linalg.lapack import dgtsv
+# qr and eigh are not called here: they stay bound, to numpy's, only because
+# bench/child.py's trace wraps them by name (its spectral.qr_s and
+# spectral.eigh_s metrics)
+from numpy.linalg import eigh, qr
 
 from .grid import Field, Grid, inner
 from .ground_state import GroundState, SampledProfile, normalized_profile_norm_sq
@@ -81,6 +85,32 @@ from .structure import kappa_closed_form
 
 class EigenSolveError(RuntimeError):
     """Eigen-solver did not converge; never returns silent garbage."""
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension, scipy.linalg._flapack, loaded from
+    the scipy package's directory without running the package __init__ of
+    scipy or scipy.linalg (which imports far more than these two routines
+    need). It is entered in sys.modules under its own name, so a later
+    import of scipy.linalg takes this very module: dgtsv and dstebz are the
+    objects that scipy.linalg.lapack exports, in either import order."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"{name} is needed, and scipy is not installed", name=name)
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {os.path.join(where, '_flapack')} with a suffix in "
+                          f"{EXTENSION_SUFFIXES}", name=name)
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgtsv, dstebz = (getattr(_load_flapack(), n) for n in ("dgtsv", "dstebz"))
 
 
 _SECULAR_MAX_PROBES = 100  # bisection alone reaches 2 tol in at most about 50
@@ -167,13 +197,32 @@ class _Reflection:
         return np.concatenate([x[c:c + 1], (right + left) / _SQRT2]), (right - left) / _SQRT2
 
 
+def eigh_tridiagonal(d, e, select, select_range, tol=0.0) -> np.ndarray:
+    """The eigenvalues, ascending, of the symmetric tridiagonal (d, e) in
+    (vl, vu] = select_range for select "v", or of 0-based indices
+    il..iu = select_range for select "i", by one LAPACK stebz call: the
+    values of scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True) with the
+    same arguments, bitwise, including its quick exit for a 1 x 1 matrix, and
+    its ValueError on non-finite input."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    by_index = select == "i"
+    vl, vu = (0.0, 1.0) if by_index else select_range
+    il, iu = (select_range[0] + 1, select_range[1] + 1) if by_index else (1, 1)
+    if d.size == 1:
+        return d.copy() if by_index or vl < d[0] <= vu else np.empty(0)
+    m, w, *_, info = dstebz(d, e, 2 if by_index else 1, vl, vu, il, iu, tol, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz (eigh_tridiagonal) failed with info {info}")
+    return w[:m]
+
+
 def _count_up_to(diag, off, top: float) -> int:
     """The number of T's eigenvalues up to top, by one Sturm count: a value-range stebz from
     the Gershgorin lower bound whose tolerance is the range's width counts at
     both ends and stops without bisecting."""
     lower = float(np.min(diag - np.abs(np.r_[0.0, off]) - np.abs(np.r_[off, 0.0])))
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                            select_range=(lower, top), tol=top - lower).size
+    return eigh_tridiagonal(diag, off, select="v", select_range=(lower, top),
+                            tol=top - lower).size
 
 
 def _lowest(refl: _Reflection, m: int) -> np.ndarray:
@@ -191,8 +240,7 @@ def _lowest(refl: _Reflection, m: int) -> np.ndarray:
         if not count:
             continue
         try:
-            w[parity::2] = eigh_tridiagonal(d, o, eigvals_only=True, select="i",
-                                            select_range=(0, count - 1))
+            w[parity::2] = eigh_tridiagonal(d, o, select="i", select_range=(0, count - 1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigenSolveError(f"tridiagonal eigensolve failed: {exc}") from exc
     if not (np.all(np.isfinite(w)) and np.all(w[1:] > w[:-1])):

@@ -200,18 +200,22 @@ def negativity_form(gs: GroundState, L: float, n_request: int) -> TableRow:
     # nodes m+1..m+4 are ghost nodes past x_max, which only the stencils read
     s = np.arange(m + 5) * ds
     prof = SampledProfile(gs, a * np.sinh(s))
-    ghosted = _gamma(prof)
-    ext = np.concatenate((ghosted[4:0:-1], ghosted))
-    g_s, g_ss = (_fd_derivative(ext, ds, order) for order in (1, 2))
-    s, gamma, kap = s[:m + 1], ghosted[:m + 1], _kappa(prof)[:m + 1]
-    xp = a * np.cosh(s)
-    kop = hessian_values(gs, gamma, (g_ss - np.tanh(s) * g_s) / (xp * xp), prof.phi_p[:m + 1])
-    weights = xp * ds
-    weights[[0, -1]] *= 0.5
-    weights *= gamma
-    sup = float(np.max(np.abs(kap - kop)) / np.max(np.abs(kap)))
-    return TableRow(gs.p, gs.c, float(2.0 * (weights @ kap)), float(2.0 * (weights @ kop)),
-                    sup, 2 * m)
+    # from p of about 1e110 the paths overflow (c^2 phi_xx in kappa, then
+    # (p+1) phi^p): the row's non-finite errors fail negativity_table's
+    # dual-path check, so the overflow itself warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        ghosted = _gamma(prof)
+        ext = np.concatenate((ghosted[4:0:-1], ghosted))
+        g_s, g_ss = (_fd_derivative(ext, ds, order) for order in (1, 2))
+        s, gamma, kap = s[:m + 1], ghosted[:m + 1], _kappa(prof)[:m + 1]
+        xp = a * np.cosh(s)
+        kop = hessian_values(gs, gamma, (g_ss - np.tanh(s) * g_s) / (xp * xp), prof.phi_p[:m + 1])
+        weights = xp * ds
+        weights[[0, -1]] *= 0.5
+        weights *= gamma
+        sup = float(np.max(np.abs(kap - kop)) / np.max(np.abs(kap)))
+        return TableRow(gs.p, gs.c, float(2.0 * (weights @ kap)), float(2.0 * (weights @ kop)),
+                        sup, 2 * m)
 
 
 def negativity_table(p_list, L: float, n_request: int) -> tuple[TableRow, ...]:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,21 @@ def periodic_8192():
 @pytest.fixture(scope="session")
 def gs5():
     return GroundState(5.0, critical_speed(5.0))
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """A new interpreter, started with argv, that imports this checkout's gbbmlab."""
+    paths = (os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def fresh_python(code, *args):
+    """Standard output of `code` run by a new interpreter that imports this checkout."""
+    done = run_python("-c", code, *args)
+    done.check_returncode()
+    return done.stdout
 
 
 def smooth_random_field(grid, rng, modes=12, scale=1.0):

@@ -8,8 +8,6 @@ import weakref
 import numpy as np
 import pytest
 
-from scipy.linalg import eigh_tridiagonal
-
 from gbbmlab import (
     BlowupError,
     ExperimentReport,
@@ -24,6 +22,7 @@ from gbbmlab import (
     structure,
 )
 from gbbmlab.cli import main
+from conftest import fresh_python, run_python
 
 
 def run(tmp_path, *argv):
@@ -78,6 +77,17 @@ class TestTable:
         assert capsys.readouterr().err == (
             "usage error: table entries require a finite k^2 = (p/2)^2 (c-1)/c, "
             "got p=1e+160\n")
+
+    @pytest.mark.parametrize("p", ["1e110", "1e130", "2.6e154"])
+    def test_overflowing_row_is_a_consistency_failure_under_w_error(self, tmp_path, p):
+        # kappa's c^2 phi_xx overflows from p of about 1e110 and the operator
+        # path's (p+1) phi^p by 1e130: the row's non-finite errors fail the
+        # dual-path check, and no numpy warning ends the command first
+        done = run_python("-W", "error", "-m", "gbbmlab.cli", "table", "--p-list", p,
+                          "--out", str(tmp_path))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (f"consistency failure: dual-path disagreement at p={float(p)}: "
+                               f"sup nan, scalar nan (tol 1e-06)\n")
 
     def test_positive_row_is_a_claim_failure(self, tmp_path, capsys, monkeypatch):
         real = cli.negativity_table
@@ -245,11 +255,11 @@ class TestOtherCommands:
         # states, certified by one value-range Sturm count: a certificate that
         # always failed would make index-range calls on every grid, and the
         # outputs would still agree
-        selects = []
+        selects, eigensolve = [], spectral.eigh_tridiagonal
 
         def counting(*args, **kwargs):
             selects.append(kwargs["select"])
-            return eigh_tridiagonal(*args, **kwargs)
+            return eigensolve(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", counting)
         assert run(tmp_path, "coercivity", *argv) == 2
@@ -573,6 +583,27 @@ class TestSchema:
         assert "consistency failure" not in capsys.readouterr().err
         doc = json.loads((tmp_path / f"{command}.json").read_text())
         assert doc["config"]["N"] == doc["result"]["N"] == n
+
+
+def test_commands_import_no_module():
+    # every module a command needs loads with gbbmlab.cli, so that the time
+    # in main is compute only: left to themselves, numpy 2 loads numpy.fft on
+    # the first np.fft access and argparse's gettext loads locale on the first
+    # parse. One interpreter runs the six commands at the benchmark's
+    # arguments in turn, so each lazy import shows at the first command to
+    # make it
+    code = ("import sys, tempfile, gbbmlab.cli as cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    before = set(sys.modules)\n"
+            "    with tempfile.TemporaryDirectory() as out:\n"
+            "        code = cli.main([*argv.split(), '--out', out])\n"
+            "    print('added', argv.split()[0], code, *sorted(set(sys.modules) - before))\n")
+    commands = ["evolve --p 4.5 --t-end 2", "instability --a 0.02 --t-end 60 --dt 0.025",
+                "table", "identities", "spectrum", "coercivity"]
+    added = [line.split()[1:] for line in fresh_python(code, *commands).splitlines()
+             if line.startswith("added ")]
+    assert added == [[argv.split()[0], str(code)]
+                     for argv, code in zip(commands, (0, 2, 0, 0, 0, 2))]
 
 
 class TestExitCodes:

@@ -1,8 +1,5 @@
 import inspect
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -33,7 +30,7 @@ from gbbmlab.dynamics import (
     _A, _E3, _E5, AUTO_POINTS, TAIL_TOL, _dop853, _first_step, relative_tail,
 )
 from gbbmlab.functionals import _flow, _nonlinear
-from conftest import decaying_random_field
+from conftest import decaying_random_field, fresh_python
 from reference_paths import evolution_rhs, linear_rhs, step
 
 L50 = 50.0 * math.pi
@@ -81,20 +78,13 @@ class TestTableau:
             assert abs(moments[order]) > 1e-4
 
 
-def fresh_python(code, *args):
-    """Standard output of `code` run by a new interpreter that imports this checkout."""
-    paths = (os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-             os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True).stdout
-
-
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # the stepper's tableau is inlined: importing scipy.integrate would add to
-    # every command's start-up
-    code = "import sys, gbbmlab.cli; print('scipy.integrate' in sys.modules)"
-    assert fresh_python(code).strip() == "False"
+    # the stepper's tableau is inlined and spectral loads scipy's compiled
+    # LAPACK extension alone: importing scipy, scipy.integrate or
+    # scipy.linalg would add to every command's start-up
+    code = ("import sys, gbbmlab.cli\n"
+            "print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'scipy'))")
+    assert fresh_python(code).split() == ["scipy.linalg._flapack"]
 
 
 def test_cli_main_freezes_the_start_up_heap(tmp_path):

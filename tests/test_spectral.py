@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gbbmlab import (
 from gbbmlab import spectral
 from gbbmlab.cli import RESOLUTION_SEQUENCE
 from gbbmlab.spectral import EigenSolveError, _shifted_solve
+from conftest import fresh_python
 
 L50 = 50.0 * math.pi
 
@@ -230,6 +233,36 @@ def tridiagonal_apply(diag, off, x):
     return out
 
 
+class TestLapackBinding:
+    @pytest.mark.parametrize("first", ["gbbmlab.spectral", "scipy.linalg.lapack"])
+    def test_routines_are_scipys_in_either_import_order(self, first):
+        code = (f"import {first}\n"
+                "import gbbmlab.spectral as spectral, scipy.linalg.lapack as lapack\n"
+                "print(spectral.dgtsv is lapack.dgtsv, spectral.dstebz is lapack.dstebz)")
+        assert fresh_python(code).split() == ["True", "True"]
+
+    def test_missing_extension_is_an_import_error(self, tmp_path, monkeypatch):
+        # no fallback: a scipy without its compiled LAPACK names the file it lacks
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(spectral, "find_spec", lambda name: types.SimpleNamespace(
+            submodule_search_locations=[str(tmp_path)]))
+        with pytest.raises(ImportError, match=f"no {tmp_path}/linalg/_flapack with a suffix"):
+            spectral._load_flapack()
+        monkeypatch.setattr(spectral, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            spectral._load_flapack()
+
+
+def mirror_symmetric_jacobi(n, sign, rng, count=20):
+    """count seeded random Jacobi matrices (diag, off), mirror-symmetric on n
+    nodes with one-signed off-diagonals."""
+    for _ in range(count):
+        centre_out = rng.uniform(-1.0, 1.0, n // 2 + 1)
+        wing = sign * rng.uniform(0.5, 1.5, n // 2)
+        yield (np.concatenate([centre_out[::-1], centre_out[1:]]),
+               np.concatenate([wing[::-1], wing]))
+
+
 class TestReflectionHalves:
     @pytest.mark.parametrize("N", [16, 32, 64, 512, 1024, 2048, 4096, 32768])
     @pytest.mark.parametrize("L", [40.0 * math.pi, L50])
@@ -250,15 +283,31 @@ class TestReflectionHalves:
         # the alternation theorem on seeded random Jacobi matrices, mirror-
         # symmetric on n nodes with one-signed off-diagonals: the m lowest
         # eigenvalues are the halves' interleaved, for every m
-        for _ in range(20):
-            centre_out = rng.uniform(-1.0, 1.0, n // 2 + 1)
-            diag = np.concatenate([centre_out[::-1], centre_out[1:]])
-            wing = sign * rng.uniform(0.5, 1.5, n // 2)
-            off = np.concatenate([wing[::-1], wing])
+        for diag, off in mirror_symmetric_jacobi(n, sign, rng):
             full = eigh_tridiagonal(diag, off, eigvals_only=True)
             refl = spectral._Reflection(diag, off)
             for m in range(1, n + 1):
                 assert np.max(np.abs(spectral._lowest(refl, m) - full[:m])) <= 1e-13
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("n", [3, 5, 9, 17])
+    def test_stebz_eigensolve_is_scipys_bitwise(self, n, sign, rng):
+        # on the same matrices and their halves (a 1 x 1 odd half at n = 3),
+        # every index range and every value range from the Gershgorin bound,
+        # at stebz's default tolerance and at _count_up_to's
+        for diag, off in mirror_symmetric_jacobi(n, sign, rng):
+            for d, o in ((diag, off), *spectral._Reflection(diag, off).halves):
+                w = eigh_tridiagonal(d, o, eigvals_only=True)
+                lower = float(np.min(d - np.abs(np.r_[0.0, o]) - np.abs(np.r_[o, 0.0])))
+                cases = [("i", (lo, hi), 0.0) for hi in range(d.size) for lo in {0, hi}]
+                for top in ((lower + w[0]) / 2.0, *(w[:-1] + w[1:]) / 2.0, w[-1] + 1.0):
+                    cases += [("v", (lower, top), 0.0), ("v", (lower, top), top - lower)]
+                for select, select_range, tol in cases:
+                    ours = spectral.eigh_tridiagonal(d, o, select=select,
+                                                     select_range=select_range, tol=tol)
+                    theirs = eigh_tridiagonal(d, o, eigvals_only=True, select=select,
+                                              select_range=select_range, tol=tol)
+                    assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
     def test_fold_unfold_round_trip(self, gs5, grid2048, rng):
         diag, off = discretize_weinstein(gs5.sample(grid2048))
